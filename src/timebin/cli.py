@@ -3,7 +3,7 @@
 Subcommands: simulate {bell|ghz|hom}, analyze, fringe-scan,
 rabi-calibration.  Every run writes a manifest echoing the resolved
 configuration plus report/CSV artifacts into the output directory; outputs
-are byte-identical for identical configurations regardless of worker count.
+are byte-identical for identical configurations.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 undefined
 estimate.
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -103,8 +102,7 @@ def _run_simulate(config: RunConfig, out: Path) -> list[str]:
                                      config.tbi, config.n_repetitions,
                                      config.master_seed,
                                      thinned=config.thinned_resolved,
-                                     keep_clicks=config.write_timetags,
-                                     workers=config.workers)
+                                     keep_clicks=config.write_timetags)
         exact = exp.witness_exact(n_qubits, config.emitter, config.noise, config.tbi)
         report = _witness_report(run.outcome, {
             "experiment": config.experiment,
@@ -332,7 +330,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="start from the characterized-source preset")
     parser.add_argument("--noise", choices=["off", "paper", "custom"],
                         help="noise preset; custom keeps --config values")
-    parser.add_argument("--workers", type=int, help="advisory worker count")
     parser.add_argument("--thinning", choices=["on", "off"],
                         help="apply physical detection efficiencies")
     parser.add_argument("--no-timetags", action="store_true",
@@ -348,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     sim.add_argument("experiment", choices=["bell", "ghz", "hom"])
-    sim.add_argument("--photons", type=int, default=3,
-                     help="GHZ register size in qubits (spin plus photons)")
+    sim.add_argument("--photons", type=int,
+                     help="GHZ register size in qubits (spin plus photons; default 3)")
     _add_common(sim)
 
     ana = sub.add_parser("analyze", help="analyze a time-tag CSV")
@@ -362,10 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--out", default="runs")
 
     fr = sub.add_parser("fringe-scan", help="polarizer-angle fringe scan")
+    # defaults live in RunConfig, so a --config file value is not overridden
     fr.add_argument("--mode", choices=["classical", "spin-conditioned"],
-                    default="classical")
-    fr.add_argument("--points", type=int, default=20)
-    fr.add_argument("--span", type=float, nargs=2, default=[0.0, math.pi])
+                    help="default classical")
+    fr.add_argument("--points", type=int, help="default 20")
+    fr.add_argument("--span", type=float, nargs=2, help="default 0 pi")
     _add_common(fr)
 
     rb = sub.add_parser("rabi-calibration", help="rotation-quality sweep")
@@ -386,8 +384,6 @@ def _resolve_config(args) -> RunConfig:
         over["master_seed"] = args.seed
     if getattr(args, "reps", None) is not None:
         over["n_repetitions"] = args.reps
-    if getattr(args, "workers", None) is not None:
-        over["workers"] = args.workers
     if getattr(args, "thinning", None) is not None:
         over["thinned"] = args.thinning == "on"
     if getattr(args, "no_timetags", False):
@@ -396,13 +392,16 @@ def _resolve_config(args) -> RunConfig:
         over["out_dir"] = args.out
     if args.command == "simulate":
         over["experiment"] = args.experiment
-        if args.experiment == "ghz":
+        if args.experiment == "ghz" and args.photons is not None:
             over["n_qubits"] = args.photons
     elif args.command == "fringe-scan":
         over["experiment"] = "fringe-scan"
-        over["fringe_mode"] = args.mode
-        over["fringe_points"] = args.points
-        over["fringe_span"] = tuple(args.span)
+        if args.mode is not None:
+            over["fringe_mode"] = args.mode
+        if args.points is not None:
+            over["fringe_points"] = args.points
+        if args.span is not None:
+            over["fringe_span"] = tuple(args.span)
     elif args.command == "rabi-calibration":
         over["experiment"] = "rabi-calibration"
     config = dataclasses.replace(config, **over)

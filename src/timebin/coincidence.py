@@ -1,9 +1,10 @@
 """Time-tag and coincidence analysis.
 
-Operates on plain (detector, time, repetition) click records, whether they
-came from the trajectory simulator or from an external CSV, and implements
-fluorescence histograms, window gating, the pulsed autocorrelation g2(0),
-and the two-photon interference (HOM) estimators with their corrections.
+Operates on `TagArrays` columns of (detector, time, repetition) clicks,
+whether they came from the trajectory simulator or from an external CSV,
+and implements fluorescence histograms, window gating, the pulsed
+autocorrelation g2(0), and the two-photon interference (HOM) estimators
+with their corrections.
 """
 from __future__ import annotations
 
@@ -16,14 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, ParseError, UndefinedEstimateError
-from .interferometer import Detector, Window
-
-
-@dataclass(frozen=True)
-class TimeTagRecord:
-    detector: Detector
-    time: float          # ns since sequence start
-    repetition: int
+from .interferometer import Window
 
 
 @dataclass(frozen=True)
@@ -105,31 +99,14 @@ class HomCounts:
 
 @dataclass
 class TagArrays:
-    """Column representation of a tag list for vectorized analysis."""
+    """Time tags as columns; the input of every analysis function here."""
 
     detector: np.ndarray   # 0 = D1, 1 = D2
     time: np.ndarray
     repetition: np.ndarray
 
-    @classmethod
-    def from_records(cls, tags) -> "TagArrays":
-        det = np.array([0 if t.detector == Detector.D1 else 1 for t in tags], dtype=np.int8)
-        time = np.array([t.time for t in tags], dtype=float)
-        rep = np.array([t.repetition for t in tags], dtype=np.int64)
-        return cls(det, time, rep)
-
-    def to_records(self) -> list[TimeTagRecord]:
-        return [TimeTagRecord(Detector.D1 if d == 0 else Detector.D2, float(t), int(r))
-                for d, t, r in zip(self.detector, self.time, self.repetition)]
-
     def __len__(self) -> int:
         return len(self.time)
-
-
-def _as_arrays(tags) -> TagArrays:
-    if isinstance(tags, TagArrays):
-        return tags
-    return TagArrays.from_records(list(tags))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +114,7 @@ def _as_arrays(tags) -> TagArrays:
 # ---------------------------------------------------------------------------
 
 
-def build_histogram(tags, bin_width: float, t_max: float | None = None
+def build_histogram(tags: TagArrays, bin_width: float, t_max: float | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Counts per time bin summed over both detectors.
 
@@ -145,12 +122,11 @@ def build_histogram(tags, bin_width: float, t_max: float | None = None
     """
     if bin_width <= 0:
         raise ContractError("bin width must be positive")
-    arr = _as_arrays(tags)
-    if len(arr) == 0:
+    if len(tags) == 0:
         raise ContractError("cannot histogram an empty tag list")
-    t_max = float(arr.time.max()) if t_max is None else t_max
+    t_max = float(tags.time.max()) if t_max is None else t_max
     n_bins = int(math.floor(t_max / bin_width)) + 1
-    idx = np.floor(arr.time / bin_width).astype(np.int64)
+    idx = np.floor(tags.time / bin_width).astype(np.int64)
     idx = idx[(idx >= 0) & (idx < n_bins)]
     counts = np.bincount(idx, minlength=n_bins)
     return np.arange(n_bins) * bin_width, counts
@@ -182,7 +158,7 @@ def _window_counts(arr: TagArrays, windows: WindowConfig, window: Window,
     return n1.astype(np.int64), n2.astype(np.int64)
 
 
-def g2_zero(tags, windows: WindowConfig, max_delay_reps: int = 50
+def g2_zero(tags: TagArrays, windows: WindowConfig, max_delay_reps: int = 50
             ) -> tuple[float, float, dict]:
     """Pulsed autocorrelation at zero delay.
 
@@ -191,16 +167,15 @@ def g2_zero(tags, windows: WindowConfig, max_delay_reps: int = 50
     1..max_delay_reps, averaged over the early and late classes.
     Returns (g2, standard error, per-class detail).
     """
-    arr = _as_arrays(tags)
-    if len(arr) == 0:
+    if len(tags) == 0:
         raise UndefinedEstimateError("no tags to analyze")
-    n_reps = int(arr.repetition.max()) + 1
+    n_reps = int(tags.repetition.max()) + 1
     if n_reps < 2:
         raise UndefinedEstimateError("g2 needs at least two repetitions")
     detail = {}
     values, weights = [], []
     for window in (Window.EARLY, Window.LATE):
-        n1, n2 = _window_counts(arr, windows, window, n_reps)
+        n1, n2 = _window_counts(tags, windows, window, n_reps)
         same = float(np.sum(n1 * n2))
         far_total = 0.0
         k = min(max_delay_reps, n_reps - 1)
@@ -224,18 +199,17 @@ def g2_zero(tags, windows: WindowConfig, max_delay_reps: int = 50
 # ---------------------------------------------------------------------------
 
 
-def hom_counts_from_tags(tags, windows: WindowConfig,
+def hom_counts_from_tags(tags: TagArrays, windows: WindowConfig,
                          center_halfwidth: float | None = None) -> HomCounts:
     """Same-repetition cross-detector delay histogram, gated on a middle click.
 
     Integration windows default to bins of half the time-bin separation
     centered at 0 and +-T_inf (the side/center/side regions).
     """
-    arr = _as_arrays(tags)
     t_inf = windows.bin_separation
     half = t_inf / 2.0 if center_halfwidth is None else center_halfwidth
-    order = np.lexsort((arr.time, arr.repetition))
-    det, time, rep = arr.detector[order], arr.time[order], arr.repetition[order]
+    order = np.lexsort((tags.time, tags.repetition))
+    det, time, rep = tags.detector[order], tags.time[order], tags.repetition[order]
     photonic = np.array([windows.classify(t) is not None
                          and windows.classify(t)[1] != Window.READOUT for t in time])
     det, time, rep = det[photonic], time[photonic], rep[photonic]
@@ -295,12 +269,11 @@ def hom_correct(v_raw: float, g2: float, v_classical: float = 1.0) -> float:
 _CSV_HEADER = ["detector", "time_ns", "repetition"]
 
 
-def export_timetags(path, tags) -> None:
-    arr = _as_arrays(tags)
+def export_timetags(path, tags: TagArrays) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for d, t, r in zip(arr.detector, arr.time, arr.repetition):
+        for d, t, r in zip(tags.detector, tags.time, tags.repetition):
             writer.writerow(["D1" if d == 0 else "D2", f"{t:.6f}", int(r)])
 
 

@@ -63,7 +63,6 @@ class RunConfig:
     n_repetitions: int = 100_000
     master_seed: int = 1
     n_qubits: int = 3                   # GHZ size (spin + photons)
-    workers: int = 1                    # advisory chunking only
     thinned: bool | None = None         # None: per-experiment default
     out_dir: str = "runs"
     emitter: EmitterParams = field(default_factory=paper_emitter)
@@ -81,8 +80,6 @@ class RunConfig:
             raise ConfigurationError("n_repetitions must be at least 1")
         if self.n_qubits < 3 and self.experiment == "ghz":
             raise ConfigurationError("GHZ runs need at least 3 qubits")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be at least 1")
 
     @property
     def thinned_resolved(self) -> bool:
@@ -99,7 +96,6 @@ class RunConfig:
             "n_repetitions": self.n_repetitions,
             "master_seed": self.master_seed,
             "n_qubits": self.n_qubits,
-            "workers": self.workers,
             "thinned": self.thinned_resolved,
             "emitter": asdict(self.emitter),
             "noise": asdict(self.noise),
@@ -168,11 +164,11 @@ def config_from_sections(sections: dict, base: RunConfig | None = None) -> RunCo
     kwargs = {}
     run = sections.get("run", {})
     for key in ("experiment", "n_repetitions", "master_seed", "n_qubits",
-                "workers", "thinned", "out_dir", "fringe_points", "fringe_mode",
+                "thinned", "out_dir", "fringe_points", "fringe_mode",
                 "write_timetags"):
         if key in run:
             kwargs[key] = run[key]
-    unknown = set(run) - set(kwargs) - {"fringe_span"}
+    unknown = set(run) - set(kwargs)
     if unknown:
         raise ConfigurationError(f"unknown [run] keys: {sorted(unknown)}")
     for name, cls in _SECTION_TYPES.items():

@@ -197,10 +197,6 @@ class DetectionModel:
             out.append((pattern, mat, support))
         return out
 
-    def alphabet_check(self) -> float:
-        total = sum(m for _, m in self._alphabet)
-        return float(np.max(np.abs(total - np.eye(self.layout.slot_dim))))
-
     # -- exact distributions -------------------------------------------------
 
     def distribution(self, state: np.ndarray, flag_clicks=()
@@ -325,10 +321,7 @@ class DetectionModel:
         for sid, idx in group_by_id(result.state_ids):
             psi = result.state_table[sid]
             dist = self.distribution(psi)
-            probs = np.array([p for _, _, p in dist])
-            cum = np.cumsum(probs)
-            cum /= cum[-1]
-            choice = np.minimum(np.searchsorted(cum, u_pat[idx], "right"), len(dist) - 1)
+            choice = crng.choose([p for _, _, p in dist], u_pat[idx])
             local = np.empty(len(dist), dtype=np.int64)
             local_spin = np.empty(len(dist), dtype=np.int8)
             for k, (pat, spin, _) in enumerate(dist):
@@ -353,10 +346,8 @@ class DetectionModel:
             comp = SLOT_EARLY if bin_label == "early" else SLOT_LATE
             outs = [(_shift_slot(p, slot), w)
                     for p, w in _single_photon_outcomes(comp, self.tbi, self.eta)]
-            cum = np.cumsum([w for _, w in outs])
-            cum /= cum[-1]
             u = crng.uniforms(master_seed, reps[mask], _STREAM_WRONG + e_i)
-            choice = np.minimum(np.searchsorted(cum, u, "right"), len(outs) - 1)
+            choice = crng.choose([w for _, w in outs], u)
             local = np.empty(len(outs), dtype=np.int64)
             for k, (pat, _) in enumerate(outs):
                 if pat not in flag_index:

@@ -651,8 +651,9 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
                             layout: RegisterLayout | None = None) -> TrajectoryResult:
     """Sample one noise-branch path per repetition.
 
-    Randomness is addressed by (master_seed, repetition index, step), so the
-    result is identical however repetitions are batched across workers.
+    Randomness is addressed by (master_seed, repetition index, step), so each
+    repetition samples the same branches however the repetitions are split
+    across calls.
     """
     if layout is None:
         layout = sequence_layout(seq, noise)
@@ -704,9 +705,7 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
                         outs.append(phi / math.sqrt(p))
                         probs.append(p)
                         labels.append(lbl)
-                cum = np.cumsum(probs)
-                cum /= cum[-1]
-                choice = np.minimum(np.searchsorted(cum, u[idx], "right"), len(outs) - 1)
+                choice = crng.choose(probs, u[idx])
                 local_ids = np.array([table.add(v) for v in outs], dtype=np.int64)
                 new_ids[idx] = local_ids[choice]
                 if op.kind == "rotate":
@@ -746,9 +745,7 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
                         labels.append(lbl)
                         wflags.append(False)
                         eflags.append(extra)
-                cum = np.cumsum(probs)
-                cum /= cum[-1]
-                choice = np.minimum(np.searchsorted(cum, u[idx], "right"), len(outs) - 1)
+                choice = crng.choose(probs, u[idx])
                 active = ~blink_off[idx]
                 local_ids = np.array([table.add(v) for v in outs], dtype=np.int64)
                 new_ids[idx] = np.where(active, local_ids[choice], sid)
@@ -758,101 +755,13 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
                     # a pure down state never emits in the 'emit' branch
                     emitted = np.where(emitted == 1, 0, emitted)
                 emission_results[idx, exc_i] = emitted
-                wfl = np.array([wflags[c] for c in choice], dtype=bool)
-                efl = np.array([eflags[c] for c in choice], dtype=bool)
-                wrong_clicks[idx, exc_i] = wfl & active
-                extra_clicks[idx, exc_i] = efl & active
+                wrong_clicks[idx, exc_i] = np.asarray(wflags, dtype=bool)[choice] & active
+                extra_clicks[idx, exc_i] = np.asarray(eflags, dtype=bool)[choice] & active
             ids = new_ids
             exc_i += 1
     return TrajectoryResult(layout, seq, reps, table.states, ids, rotation_flips,
                             emission_results, wrong_clicks, extra_clicks,
                             blink_off, excite_ops)
-
-
-# ---------------------------------------------------------------------------
-# functional channel surface
-# ---------------------------------------------------------------------------
-
-
-def _to_density(state) -> DensityOperator:
-    from .hilbert import QuditState
-
-    if isinstance(state, QuditState):
-        return state.to_density()
-    return state
-
-
-def optical_pump(state, noise: NoiseParams) -> DensityOperator:
-    """Reset channel: spin pumped to down with residual p_init_error up."""
-    rho = _to_density(state)
-    branches = [(lbl, tensor_embed(k, 0, rho.layout).matrix)
-                for lbl, k in pump_kraus(noise.p_init_error)]
-    return DensityOperator(rho.layout, _apply_kraus_rho(rho.matrix, branches),
-                           validate=False)
-
-
-def raman_rotate(state, axis, angle: float, noise: NoiseParams) -> DensityOperator:
-    """Noisy ground-state rotation applied to the spin register."""
-    rho = _to_density(state)
-    branches = [(lbl, tensor_embed(k, 0, rho.layout).matrix)
-                for lbl, k in rotation_kraus(axis, angle, noise)]
-    return DensityOperator(rho.layout, _apply_kraus_rho(rho.matrix, branches),
-                           validate=False)
-
-
-def excite_timebin(state, bin_label: str, phase_e: float, params: EmitterParams,
-                   noise: NoiseParams, rng: np.random.Generator | None = None,
-                   slot: int = 0):
-    """One excitation pulse.
-
-    Density-operator input (or rng=None): returns the channel output.
-    Pure-state input with an rng: samples one branch and returns
-    (post QuditState, branch label) the way the trajectory engine does.
-    Wrong-transition clicks are classical flags and are not sampled here.
-    """
-    from .hilbert import QuditState
-
-    if rng is not None and isinstance(state, QuditState):
-        layout = state.layout
-        if layout.slot_dim == 3:
-            _check_overflow_rho(np.outer(state.amplitudes, state.amplitudes.conj()),
-                                layout, PulseOp("excite", slot=slot, bin=bin_label))
-        branches = excite_kraus(bin_label, phase_e, params, noise, layout, slot)
-        outs, probs, labels = [], [], []
-        for lbl, k, _extra in branches:
-            phi = k @ state.amplitudes
-            p = float(np.vdot(phi, phi).real)
-            if p > 1e-14:
-                outs.append(phi / math.sqrt(p))
-                probs.append(p)
-                labels.append(lbl)
-        idx = int(np.searchsorted(np.cumsum(probs) / sum(probs), rng.random(),
-                                  "right"))
-        idx = min(idx, len(outs) - 1)
-        return QuditState(layout, outs[idx]), labels[idx]
-    rho = _to_density(state)
-    if rho.layout.slot_dim == 3:
-        _check_overflow_rho(rho.matrix, rho.layout,
-                            PulseOp("excite", slot=slot, bin=bin_label))
-    branches = excite_kraus(bin_label, phase_e, params, noise, rho.layout, slot)
-    return DensityOperator(rho.layout,
-                           _apply_kraus_rho(rho.matrix,
-                                            [(l, k) for l, k, _ in branches]),
-                           validate=False)
-
-
-def run_sequence(seq: PulseSequence, params: EmitterParams, noise: NoiseParams,
-                 mode: str = "exact", n_repetitions: int = 1,
-                 master_seed: int = 0, rep_indices=None,
-                 layout: RegisterLayout | None = None):
-    """Dispatch to exact density-operator or sampled trajectory evolution."""
-    if mode == "exact":
-        return run_sequence_exact(seq, params, noise, layout)
-    if mode == "trajectory":
-        reps = (np.arange(n_repetitions, dtype=np.uint64)
-                if rep_indices is None else rep_indices)
-        return run_sequence_trajectory(seq, params, noise, master_seed, reps, layout)
-    raise ContractError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

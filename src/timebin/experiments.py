@@ -4,8 +4,7 @@ fringe scans and the rotation calibration sweep.
 Each witness run loops over the n+1 measurement settings; every setting has
 two spin sub-settings (the toggled readout rotation), each compiled into its
 own pulse sequence and detection model.  Repetitions are assigned to
-sub-runs round-robin by repetition index, so a run can be partitioned into
-arbitrary chunks without changing any outcome.
+sub-runs round-robin by repetition index.
 """
 from __future__ import annotations
 
@@ -145,11 +144,6 @@ def witness_exact(n_qubits: int, params: EmitterParams, noise: NoiseParams,
     return WitnessOutcome.from_counts(n_qubits, counts)
 
 
-def bell_fidelity_exact(params: EmitterParams, noise: NoiseParams,
-                        tbi: TBIParams) -> float:
-    return witness_exact(2, params, noise, tbi).fidelity
-
-
 def exact_predetection_state(n_qubits: int, params: EmitterParams,
                              noise: NoiseParams, tbi: TBIParams
                              ) -> DensityOperator:
@@ -166,10 +160,6 @@ def exact_predetection_state(n_qubits: int, params: EmitterParams,
 # ---------------------------------------------------------------------------
 # trajectory-mode witness
 # ---------------------------------------------------------------------------
-
-
-# the assembled per-run estimate record also answers to its domain name
-WitnessEstimate = WitnessOutcome
 
 
 @dataclass
@@ -230,10 +220,6 @@ def _count_clicks(acc: SettingCounts, run: SubRun, clicks: RunClicks,
     return leak_events, total_events
 
 
-def clicks_sub_index(run: SubRun) -> int:
-    return run.sub_index
-
-
 def _flagged_outcomes(setting: MeasurementSetting, sub, flagged_clicks,
                       n_slots: int):
     """pattern_outcomes with leak provenance carried through combinations."""
@@ -253,16 +239,13 @@ def _flagged_outcomes(setting: MeasurementSetting, sub, flagged_clicks,
 
 def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
                        tbi: TBIParams, n_repetitions: int, master_seed: int,
-                       thinned: bool = False, keep_clicks: bool = False,
-                       workers: int = 1) -> WitnessRun:
+                       thinned: bool = False, keep_clicks: bool = False
+                       ) -> WitnessRun:
     """Monte Carlo witness estimate over n_repetitions sampled repetitions.
 
     Repetition r runs sub-setting r mod (2n+2); post-selected counts merge
-    across sub-runs.  The workers argument only partitions each sub-run
-    into repetition-range chunks (merging is a commutative count sum), so
-    outputs are bit-identical for any worker count.  With thinned=True all
-    efficiencies are applied and the post-selected coincidence rate is
-    physical.
+    across sub-runs.  With thinned=True all efficiencies are applied and the
+    post-selected coincidence rate is physical.
     """
     subruns = _witness_subruns(n_qubits, params, tbi)
     all_reps = np.arange(n_repetitions, dtype=np.uint64)
@@ -277,19 +260,17 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
         slices.append(reps)
         acc = counts.setdefault(run.setting.label,
                                 SettingCounts(run.setting, n_qubits - 1))
-        for chunk in np.array_split(reps, max(min(workers, reps.size), 1)):
-            if chunk.size == 0:
-                continue
-            traj = run_sequence_trajectory(run.sequence, params, noise,
-                                           master_seed, chunk)
-            model = DetectionModel(traj.layout, run.tbi, noise, run.windows, thinned)
-            clicks = model.sample_run(traj, master_seed)
-            lk, tot = _count_clicks(acc, run, clicks, n_qubits - 1)
-            leak_events += lk
-            total_events += tot
-            coincident_reps += _count_coincident(clicks)
-            if keep_clicks:
-                clicks_list.append(clicks)
+        if reps.size == 0:
+            continue
+        traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps)
+        model = DetectionModel(traj.layout, run.tbi, noise, run.windows, thinned)
+        clicks = model.sample_run(traj, master_seed)
+        lk, tot = _count_clicks(acc, run, clicks, n_qubits - 1)
+        leak_events += lk
+        total_events += tot
+        coincident_reps += _count_coincident(clicks)
+        if keep_clicks:
+            clicks_list.append(clicks)
     leak_fraction = leak_events / total_events if total_events > 0 else 0.0
     outcome = WitnessOutcome.from_counts(n_qubits, counts, leak_fraction)
     duration_s = n_repetitions / (params.repetition_rate_mhz * 1e6)

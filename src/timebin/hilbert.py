@@ -32,7 +32,6 @@ SLOT_EE = 3
 SLOT_EL = 4
 SLOT_LL = 5
 
-NORM_TOL = 1e-12
 CHANNEL_TOL = 1e-10
 PSD_TOL = 1e-10
 
@@ -64,9 +63,6 @@ class RegisterLayout:
     @property
     def n_registers(self) -> int:
         return 1 + self.photon_slots
-
-    def register_dim(self, index: int) -> int:
-        return self.dims[index]
 
     def basis_index(self, labels: Sequence[int]) -> int:
         """Flat index of a product basis state given per-register labels."""
@@ -109,15 +105,8 @@ class QuditState:
         vec[layout.basis_index(labels)] = 1.0
         return cls(layout, vec)
 
-    def norm_error(self) -> float:
-        return abs(np.vdot(self.amplitudes, self.amplitudes).real - 1.0)
-
     def to_density(self) -> "DensityOperator":
         return DensityOperator(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def overlap(self, other: "QuditState") -> complex:
-        _require_same_layout(self.layout, other.layout)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -144,14 +133,6 @@ class DensityOperator:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
-    @classmethod
-    def from_mixture(cls, weights, states) -> "DensityOperator":
-        layout = states[0].layout
-        mat = np.zeros((layout.total_dim, layout.total_dim), dtype=np.complex128)
-        for w, s in zip(weights, states):
-            mat += w * np.outer(s.amplitudes, s.amplitudes.conj())
-        return cls(layout, mat)
-
 
 @dataclass(frozen=True)
 class LinearOperator:
@@ -172,9 +153,6 @@ class LinearOperator:
 
     def is_hermitian(self, tol: float = CHANNEL_TOL) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) < tol)
-
-    def dagger(self) -> "LinearOperator":
-        return LinearOperator(self.layout, self.matrix.conj().T, self.label + "^+")
 
 
 def _require_same_layout(a: RegisterLayout, b: RegisterLayout) -> None:
@@ -214,111 +192,11 @@ def expectation(state: QuditState | DensityOperator, op: LinearOperator) -> floa
     return val.real
 
 
-def apply_channel(state: DensityOperator, kraus_set: Sequence[LinearOperator | np.ndarray],
-                  check: bool = True) -> DensityOperator:
-    """Apply rho -> sum_k K rho K^+ for a trace-preserving Kraus set."""
-    dim = state.layout.total_dim
-    mats = [k.matrix if isinstance(k, LinearOperator) else np.asarray(k, dtype=np.complex128)
-            for k in kraus_set]
-    if check:
-        total = sum(m.conj().T @ m for m in mats)
-        if np.max(np.abs(total - np.eye(dim))) > CHANNEL_TOL:
-            raise ContractError("Kraus set is not trace preserving")
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    rho = state.matrix
-    for m in mats:
-        out += m @ rho @ m.conj().T
-    return DensityOperator(state.layout, out, validate=False)
-
-
-def sample_projective(state: QuditState, projectors: Sequence[LinearOperator],
-                      rng: np.random.Generator) -> tuple[int, QuditState]:
-    """Born-rule sample over a complete orthogonal projector set.
-
-    Returns the outcome index and the renormalized post-measurement state.
-    Deterministic for a given generator state.
-    """
-    dim = state.layout.total_dim
-    mats = [p.matrix for p in projectors]
-    total = sum(mats)
-    if np.max(np.abs(total - np.eye(dim))) > CHANNEL_TOL:
-        raise ContractError("projector set is not complete")
-    probs = np.array([np.vdot(state.amplitudes, m @ state.amplitudes).real for m in mats])
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    outcome = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    outcome = min(outcome, len(mats) - 1)
-    post = mats[outcome] @ state.amplitudes
-    post /= np.linalg.norm(post)
-    return outcome, QuditState(state.layout, post)
-
-
 def direct_fidelity(rho: DensityOperator, target: QuditState) -> float:
     """<target|rho|target>; the exact oracle the witness decomposition is tested against."""
     _require_same_layout(rho.layout, target.layout)
     val = np.vdot(target.amplitudes, rho.matrix @ target.amplitudes).real
     return float(val)
-
-
-def sample_channel_trajectories(state: QuditState,
-                                kraus_sets: Sequence[Sequence[np.ndarray]],
-                                projectors: Sequence[np.ndarray],
-                                n: int, master_seed: int) -> np.ndarray:
-    """Unravel a channel sequence plus a projective measurement into n trajectories.
-
-    Each repetition samples one Kraus branch per channel and then a projective
-    outcome; draws come from the counter-based stream so the result is
-    independent of batching.  Returns the outcome index per repetition.
-
-    Used to validate that stochastic unraveling reproduces exact
-    DensityOperator evolution (total variation distance checks).
-    """
-    from . import rng as crng
-
-    reps = np.arange(n, dtype=np.uint64)
-    # state table: branch tree of normalized pure states
-    states = [np.asarray(state.amplitudes, dtype=np.complex128)]
-    ids = np.zeros(n, dtype=np.int64)
-    for op_i, kraus in enumerate(kraus_sets):
-        u = crng.uniforms(master_seed, reps, stream=op_i + 1)
-        new_ids = np.empty_like(ids)
-        table: dict[tuple[int, int], int] = {}
-        new_states: list[np.ndarray] = []
-        for sid in np.unique(ids):
-            psi = states[sid]
-            branches = []
-            for k_i, K in enumerate(kraus):
-                phi = K @ psi
-                p = float(np.vdot(phi, phi).real)
-                if p > 1e-15:
-                    branches.append((p, k_i, phi / np.sqrt(p)))
-            cum = np.cumsum([b[0] for b in branches])
-            cum /= cum[-1]
-            mask = ids == sid
-            choice = np.searchsorted(cum, u[mask], side="right")
-            choice = np.minimum(choice, len(branches) - 1)
-            local = np.empty(len(branches), dtype=np.int64)
-            for b_i, (_, k_i, phi) in enumerate(branches):
-                key = (int(sid), k_i)
-                if key not in table:
-                    table[key] = len(new_states)
-                    new_states.append(phi)
-                local[b_i] = table[key]
-            new_ids[mask] = local[choice]
-        states = new_states
-        ids = new_ids
-    u = crng.uniforms(master_seed, reps, stream=10_000)
-    outcomes = np.empty(n, dtype=np.int64)
-    for sid in np.unique(ids):
-        psi = states[sid]
-        probs = np.array([np.vdot(psi, P @ psi).real for P in projectors])
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        cum = np.cumsum(probs)
-        mask = ids == sid
-        outcomes[mask] = np.minimum(np.searchsorted(cum, u[mask], side="right"),
-                                    len(projectors) - 1)
-    return outcomes
 
 
 # Pauli matrices in the package spin ordering (index 0 = down, 1 = up).

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError
-from .hilbert import (SLOT_EARLY, SLOT_LATE, LinearOperator, RegisterLayout)
+from .hilbert import SLOT_EARLY, SLOT_LATE
 
 
 class Window(str, Enum):
@@ -33,13 +33,6 @@ class Window(str, Enum):
 class Detector(str, Enum):
     D1 = "D1"
     D2 = "D2"
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    detector: Detector
-    window: Window
-    repetition: int
 
 
 @dataclass(frozen=True)
@@ -82,48 +75,6 @@ def detection_phase(params: TBIParams) -> float:
     return params.drift_phase
 
 
-def middle_window_amplitudes(params: TBIParams) -> tuple[np.ndarray, np.ndarray]:
-    """Analysis vectors (e, l amplitudes) for a D1 / D2 middle-window click.
-
-    D1 corresponds to (|e> + e^{i phi_d}|l>)/sqrt(2) up to the arm imbalance
-    set by splitting_ratio.
-    """
-    s = params.splitting_ratio
-    phi_d = detection_phase(params)
-    a_e = np.sqrt(1.0 - s)          # early photon reaches the middle via the long arm
-    a_l = np.sqrt(s) * np.exp(1j * phi_d)
-    d1 = np.array([a_e, a_l]) / np.sqrt(a_e**2 + s)
-    d2 = np.array([a_e, -a_l]) / np.sqrt(a_e**2 + s)
-    return d1, d2
-
-
-def middle_window_projectors(params: TBIParams, layout: RegisterLayout | None = None,
-                             slot: int = 0) -> tuple[LinearOperator, LinearOperator]:
-    """POVM elements for D1/D2 clicks in the middle window on the {e, l} span.
-
-    Imperfect interference mixes the ideal projectors with weight
-    (1 - classical_visibility)/2.
-    """
-    if layout is None:
-        layout = RegisterLayout(photon_slots=1, slot_dim=3)
-    d1, d2 = middle_window_amplitudes(params)
-    dim = layout.slot_dim
-    p1 = np.zeros((dim, dim), dtype=np.complex128)
-    p2 = np.zeros((dim, dim), dtype=np.complex128)
-    idx = [SLOT_EARLY, SLOT_LATE]
-    for i, gi in enumerate(idx):
-        for j, gj in enumerate(idx):
-            p1[gi, gj] = d1[i] * d1[j].conjugate()
-            p2[gi, gj] = d2[i] * d2[j].conjugate()
-    v = params.classical_visibility
-    m1 = 0.5 * (1 + v) * p1 + 0.5 * (1 - v) * p2
-    m2 = 0.5 * (1 + v) * p2 + 0.5 * (1 - v) * p1
-    from .hilbert import tensor_embed
-    op1 = tensor_embed(m1, 1 + slot, layout, label="mid_D1")
-    op2 = tensor_embed(m2, 1 + slot, layout, label="mid_D2")
-    return op1, op2
-
-
 def slot_window_povm(params: TBIParams, slot_dim: int = 3) -> dict[tuple[Window, Detector], np.ndarray]:
     """Click POVM on the single-photon span {vacuum, e, l} of one slot.
 
@@ -160,17 +111,6 @@ def slot_window_povm(params: TBIParams, slot_dim: int = 3) -> dict[tuple[Window,
     povm[(Window.MIDDLE, Detector.D1)] = (1 + v) / 2 * raw1 + (1 - v) / 2 * raw2
     povm[(Window.MIDDLE, Detector.D2)] = (1 + v) / 2 * raw2 + (1 - v) / 2 * raw1
     return povm
-
-
-def route_photon(component: str, params: TBIParams, rng: np.random.Generator) -> Window:
-    """Sample the passive routing of a definite early or late photon."""
-    s = params.splitting_ratio
-    u = rng.random()
-    if component == "e":
-        return Window.EARLY if u < s else Window.MIDDLE
-    if component == "l":
-        return Window.MIDDLE if u < s else Window.LATE
-    raise ConfigurationError(f"unknown photon component {component!r}")
 
 
 def classical_fringe(theta_pol, params: TBIParams) -> np.ndarray:

@@ -1,9 +1,9 @@
-"""Counter-based random numbers for reproducible parallel Monte Carlo.
+"""Counter-based random numbers for reproducible Monte Carlo.
 
 Every random decision in a trajectory run is addressed by
 (master_seed, repetition index, stream id).  The generator is a stateless
-splitmix64 hash, so a repetition draws identical numbers no matter how the
-run is chunked across workers or in what order chunks execute.
+splitmix64 hash, so a repetition's draw on a stream does not depend on
+which other repetitions are drawn in the same call.
 """
 from __future__ import annotations
 
@@ -32,5 +32,12 @@ def uniforms(master_seed: int, reps: np.ndarray, stream: int) -> np.ndarray:
     return (bits >> np.uint64(11)).astype(np.float64) * _U53
 
 
-def uniform_one(master_seed: int, rep: int, stream: int) -> float:
-    return float(uniforms(master_seed, np.array([rep], dtype=np.uint64), stream)[0])
+def choose(probs, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF branch index for each uniform draw in u.
+
+    probs need not be normalised; a draw at the top of the last bin is
+    clamped to the last branch.
+    """
+    cum = np.cumsum(probs)
+    cum /= cum[-1]
+    return np.minimum(np.searchsorted(cum, u, "right"), len(cum) - 1)

@@ -182,17 +182,19 @@ def test_criterion_09_fringe_behavior():
 
 
 def test_criterion_10_determinism(tmp_path):
+    # the per-repetition invariance under splitting a run across calls is
+    # test_emitter.py::TestTrajectoryEngine::test_sliced_clicks_match_single_call
     from timebin.cli import main
-    blobs = []
-    for workers in ("1", "5"):
-        out = tmp_path / f"w{workers}"
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
         rc = main(["simulate", "bell", "--defaults", "paper", "--reps", "30000",
-                   "--seed", "101", "--workers", workers, "--out", str(out),
-                   "--no-timetags"])
+                   "--seed", "101", "--out", str(out)])
         assert rc == 0
-        blobs.append((out / "report.json").read_bytes())
-    ok = blobs[0] == blobs[1]
-    report(10, ok, "report.json byte-identical for worker counts 1 and 5")
+        runs.append([(out / f).read_bytes() for f in ("report.json", "timetags.csv")])
+    ok = runs[0] == runs[1]
+    report(10, ok, "report.json and timetags.csv byte-identical for two runs "
+                   "with the same seed")
 
 
 def test_criterion_11_trajectory_exact_equivalence():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from timebin.coincidence import (HomCounts, TagArrays, TimeTagRecord,
+from timebin.coincidence import (HomCounts, TagArrays,
                                  WindowConfig, build_histogram, g2_zero,
                                  hom_correct, hom_counts_from_tags,
                                  hom_visibility, histogram_to_csv,
@@ -10,26 +10,28 @@ from timebin.config import paper_emitter, paper_noise, paper_tbi
 from timebin.emitter import ideal_emitter, ideal_noise
 from timebin.errors import ContractError, ParseError, UndefinedEstimateError
 from timebin.experiments import simulate_hom
-from timebin.interferometer import Detector
 
 
-def tag(det, t, rep):
-    return TimeTagRecord(Detector.D1 if det == 0 else Detector.D2, t, rep)
+def tag_arrays(*rows):
+    """TagArrays from (detector, time, repetition) rows; detector 0 = D1."""
+    det, time, rep = zip(*rows) if rows else ((), (), ())
+    return TagArrays(np.array(det, np.int8), np.array(time, float),
+                     np.array(rep, np.int64))
 
 
 class TestHistogram:
     def test_single_tag(self):
-        starts, counts = build_histogram([tag(0, 5.2, 0)], bin_width=1.0)
+        starts, counts = build_histogram(tag_arrays((0, 5.2, 0)), bin_width=1.0)
         assert counts[5] == 1
         assert counts.sum() == 1
 
     def test_zero_bin_width(self):
         with pytest.raises(ContractError):
-            build_histogram([tag(0, 5.2, 0)], bin_width=0.0)
+            build_histogram(tag_arrays((0, 5.2, 0)), bin_width=0.0)
 
     def test_empty_tags(self):
         with pytest.raises(ContractError):
-            build_histogram([], bin_width=1.0)
+            build_histogram(tag_arrays(), bin_width=1.0)
 
     def test_bell_peak_structure(self):
         # ideal Bell run: three photonic peaks with early:middle:late
@@ -75,14 +77,13 @@ class TestG2:
     def test_needs_two_reps(self):
         windows = WindowConfig()
         with pytest.raises(UndefinedEstimateError):
-            g2_zero([tag(0, 30.5, 0)], windows)
+            g2_zero(tag_arrays((0, 30.5, 0)), windows)
 
     def test_no_long_delay_coincidences(self):
         windows = WindowConfig()
-        tags = [tag(0, 30.5, 0), tag(1, 30.6, 1)]
         # only one detector per repetition: no cross-detector pairs at all
         with pytest.raises(UndefinedEstimateError):
-            g2_zero(tags, windows)
+            g2_zero(tag_arrays((0, 30.5, 0), (1, 30.6, 1)), windows)
 
 
 class TestHomEstimators:
@@ -182,10 +183,10 @@ class TestTimeTagIO:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        tags = ingest_timetags(path)
-        assert len(tags) == 0
+        empty = ingest_timetags(path)
+        assert len(empty) == 0
         with pytest.raises((UndefinedEstimateError, ContractError)):
-            build_histogram(tags.to_records(), 1.0)
+            build_histogram(empty, 1.0)
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -217,7 +218,7 @@ class TestTimeTagIO:
             ingest_timetags(path)
 
     def test_histogram_csv(self, tmp_path):
-        starts, counts = build_histogram([tag(0, 1.2, 0), tag(1, 1.4, 0)], 1.0)
+        starts, counts = build_histogram(tag_arrays((0, 1.2, 0), (1, 1.4, 0)), 1.0)
         path = tmp_path / "hist.csv"
         histogram_to_csv(path, starts, counts)
         lines = path.read_text().strip().splitlines()

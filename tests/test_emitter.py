@@ -3,21 +3,38 @@ import math
 import numpy as np
 import pytest
 
-from timebin.config import paper_emitter, paper_noise
+from timebin.coincidence import WindowConfig
+from timebin.config import paper_emitter, paper_noise, paper_tbi
+from timebin.detection import DetectionModel
 from timebin.emitter import (NoiseParams, PulseOp,
                              PulseSequence, build_bell_sequence,
                              build_ghz_sequence, build_hom_sequence,
-                             excite_kraus, excite_timebin, ideal_emitter,
-                             ideal_noise, optical_pump, pump_kraus,
-                             rabi_curve, rabi_population, raman_rotate,
-                             rotation_kraus, run_sequence,
-                             run_sequence_exact, run_sequence_trajectory,
-                             verify_kraus_complete, wait_kraus)
+                             excite_kraus, ideal_emitter, ideal_noise,
+                             pump_kraus, rabi_curve, rabi_population,
+                             rotation_kraus, run_sequence_exact,
+                             run_sequence_trajectory, verify_kraus_complete,
+                             wait_kraus)
 from timebin.errors import ConfigurationError, ContractError
 from timebin.hilbert import (SLOT_EARLY, SLOT_EL, SLOT_LATE, SLOT_VACUUM,
                              SPIN_DOWN, SPIN_UP, QuditState, RegisterLayout,
                              direct_fidelity)
 from timebin.witness import TargetState
+
+SLOT_LAYOUT = RegisterLayout(photon_slots=1, slot_dim=3)
+
+
+def short_sequence(*steps):
+    return PulseSequence(tuple(steps) + (PulseOp("readout"),), name="short")
+
+
+def exact_rho(params, noise, *steps, layout=SLOT_LAYOUT):
+    """Pre-readout density matrix of a short sequence from the exact engine."""
+    return run_sequence_exact(short_sequence(*steps), params, noise,
+                              layout).density().matrix
+
+
+def rotate(angle):
+    return PulseOp("rotate", axis="y", angle=angle)
 
 
 class TestParams:
@@ -64,21 +81,20 @@ class TestSequences:
 
 class TestPump:
     def test_exact_reset(self):
-        lay = RegisterLayout(photon_slots=1, slot_dim=3)
-        up = QuditState.basis(lay, [SPIN_UP, SLOT_VACUUM])
-        out = optical_pump(up, NoiseParams(p_init_error=0.0))
-        down_idx = lay.basis_index([SPIN_DOWN, SLOT_VACUUM])
-        assert out.matrix[down_idx, down_idx].real == pytest.approx(1.0)
+        # rotate pi, then pump: the spin is back in down
+        rho = exact_rho(ideal_emitter(), NoiseParams(f_pi=1.0, p_init_error=0.0),
+                        rotate(math.pi), PulseOp("pump"))
+        down_idx = SLOT_LAYOUT.basis_index([SPIN_DOWN, SLOT_VACUUM])
+        assert rho[down_idx, down_idx].real == pytest.approx(1.0)
 
     def test_residual_population(self):
         # p_init_error = 0.01 on |up> leaves diag(0.99, 0.01) on the spin
-        lay = RegisterLayout(photon_slots=1, slot_dim=3)
-        up = QuditState.basis(lay, [SPIN_UP, SLOT_VACUUM])
-        out = optical_pump(up, NoiseParams(p_init_error=0.01))
-        down_idx = lay.basis_index([SPIN_DOWN, SLOT_VACUUM])
-        up_idx = lay.basis_index([SPIN_UP, SLOT_VACUUM])
-        assert out.matrix[down_idx, down_idx].real == pytest.approx(0.99)
-        assert out.matrix[up_idx, up_idx].real == pytest.approx(0.01)
+        rho = exact_rho(ideal_emitter(), NoiseParams(f_pi=1.0, p_init_error=0.01),
+                        rotate(math.pi), PulseOp("pump"))
+        down_idx = SLOT_LAYOUT.basis_index([SPIN_DOWN, SLOT_VACUUM])
+        up_idx = SLOT_LAYOUT.basis_index([SPIN_UP, SLOT_VACUUM])
+        assert rho[down_idx, down_idx].real == pytest.approx(0.99)
+        assert rho[up_idx, up_idx].real == pytest.approx(0.01)
 
     def test_init_error_budget(self):
         # at the default p_init_error the Bell infidelity moves by < 1 pp
@@ -95,20 +111,18 @@ class TestPump:
 
 class TestRotationModel:
     def test_ideal_half_rotation(self):
-        lay = RegisterLayout(photon_slots=0)
-        down = QuditState.basis(lay, [SPIN_DOWN])
-        out = raman_rotate(down, "y", math.pi / 2, ideal_noise())
+        rho = exact_rho(ideal_emitter(), ideal_noise(), PulseOp("pump"),
+                        rotate(math.pi / 2), layout=RegisterLayout(photon_slots=0))
         # (|down> + |up>)/sqrt(2) up to global phase
-        assert out.matrix[0, 0].real == pytest.approx(0.5)
-        assert out.matrix[1, 1].real == pytest.approx(0.5)
-        assert out.matrix[0, 1].real == pytest.approx(0.5)
+        assert rho[0, 0].real == pytest.approx(0.5)
+        assert rho[1, 1].real == pytest.approx(0.5)
+        assert rho[0, 1].real == pytest.approx(0.5)
 
     def test_two_pi_rotations_identity(self):
-        lay = RegisterLayout(photon_slots=0)
-        down = QuditState.basis(lay, [SPIN_DOWN])
-        out = raman_rotate(raman_rotate(down, "y", math.pi, ideal_noise()),
-                           "y", math.pi, ideal_noise())
-        assert out.matrix[0, 0].real == pytest.approx(1.0)
+        rho = exact_rho(ideal_emitter(), ideal_noise(), PulseOp("pump"),
+                        rotate(math.pi), rotate(math.pi),
+                        layout=RegisterLayout(photon_slots=0))
+        assert rho[0, 0].real == pytest.approx(1.0)
 
     def test_unsupported_axis(self):
         with pytest.raises(ContractError):
@@ -146,46 +160,27 @@ class TestExcitation:
         assert verify_kraus_complete(branches, lay.total_dim) < 1e-12
 
     def test_conditional_emission(self):
-        # noise off: photon number in the driven bin equals the up population
-        lay = RegisterLayout(photon_slots=1, slot_dim=3)
-        for up_amp in (0.0, 0.3, 1 / np.sqrt(2), 1.0):
-            vec = np.zeros(6, complex)
-            vec[lay.basis_index([SPIN_UP, SLOT_VACUUM])] = up_amp
-            vec[lay.basis_index([SPIN_DOWN, SLOT_VACUUM])] = np.sqrt(1 - up_amp**2)
-            psi = QuditState(lay, vec)
-            out = excite_timebin(psi, "early", 0.0, ideal_emitter(), ideal_noise())
-            occupied = sum(out.matrix[i, i].real for i in range(6)
+        # noise off: rotate theta, then excite; the photon number in the
+        # driven bin equals the up population sin^2(theta/2)
+        for theta in (0.0, 0.6, math.pi / 2, math.pi):
+            rho = exact_rho(ideal_emitter(), ideal_noise(), rotate(theta),
+                            PulseOp("excite", slot=0, bin="early"))
+            occupied = sum(rho[i, i].real for i in range(SLOT_LAYOUT.total_dim)
                            if i % 3 == SLOT_EARLY)
-            assert occupied == pytest.approx(up_amp**2, abs=1e-12)
+            assert occupied == pytest.approx(math.sin(theta / 2) ** 2, abs=1e-12)
 
     def test_pure_down_never_emits(self):
-        lay = RegisterLayout(photon_slots=1, slot_dim=3)
-        down = QuditState.basis(lay, [SPIN_DOWN, SLOT_VACUUM])
-        out = excite_timebin(down, "early", 0.0, paper_emitter(),
-                             NoiseParams(f_pi=1.0, p_init_error=0))
-        idx = lay.basis_index([SPIN_DOWN, SLOT_VACUUM])
-        assert out.matrix[idx, idx].real == pytest.approx(1.0)
-
-    def test_cyclicity_branch_probability(self):
-        # C = 14.7 gives a spin-preserving branch of 14.7/15.7
-        lay = RegisterLayout(photon_slots=1, slot_dim=3)
-        up = QuditState.basis(lay, [SPIN_UP, SLOT_VACUUM])
-        rng = np.random.default_rng(11)
-        n = 4000
-        emitted = 0
-        for _ in range(n):
-            _, label = excite_timebin(up, "early", 0.0, paper_emitter(),
-                                      NoiseParams(f_pi=1.0, p_init_error=0),
-                                      rng=rng)
-            emitted += label == "emit"
-        p = 14.7 / 15.7
-        assert abs(emitted / n - p) < 3 * np.sqrt(p * (1 - p) / n)
+        rho = exact_rho(paper_emitter(), NoiseParams(f_pi=1.0, p_init_error=0),
+                        PulseOp("pump"), PulseOp("excite", slot=0, bin="early"))
+        idx = SLOT_LAYOUT.basis_index([SPIN_DOWN, SLOT_VACUUM])
+        assert rho[idx, idx].real == pytest.approx(1.0)
 
     def test_overflow_guard_slot3(self):
-        lay = RegisterLayout(photon_slots=1, slot_dim=3)
-        occupied = QuditState.basis(lay, [SPIN_UP, SLOT_EARLY])
+        # the HOM sequence puts two photons in one slot: slot_dim = 3 refuses
+        params = paper_emitter()
         with pytest.raises(ConfigurationError):
-            excite_timebin(occupied, "late", 0.0, paper_emitter(), ideal_noise())
+            run_sequence_exact(build_hom_sequence(params), params, ideal_noise(),
+                               RegisterLayout(1, 3))
 
 
 class TestIdealProtocols:
@@ -275,15 +270,33 @@ class TestTrajectoryEngine:
                                        thinned=False, setting_index=setting)
             assert tvd < 5e-3, f"setting {setting}: tvd={tvd}"
 
-    def test_run_sequence_dispatcher(self):
-        params = ideal_emitter()
-        seq = build_bell_sequence(params)
-        exact = run_sequence(seq, params, ideal_noise(), mode="exact")
-        traj = run_sequence(seq, params, ideal_noise(), mode="trajectory",
-                            n_repetitions=10, master_seed=1)
-        assert exact.layout == traj.layout
-        with pytest.raises(ContractError):
-            run_sequence(seq, params, ideal_noise(), mode="bogus")
+    def test_sliced_clicks_match_single_call(self):
+        # repetitions 0..N-1 in one call and in five disjoint slices give every
+        # repetition the same pattern, spin, readout, leak and flag clicks
+        params, noise = paper_emitter(), paper_noise()
+        seq = build_bell_sequence(params).with_readout_rotation("y", math.pi / 2)
+        windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
+        reps = np.arange(6000, dtype=np.uint64)
+
+        def per_repetition(rep_slice):
+            traj = run_sequence_trajectory(seq, params, noise, 17, rep_slice)
+            model = DetectionModel(traj.layout, paper_tbi(), noise, windows)
+            c = model.sample_run(traj, 17)
+            rows = []
+            for r in range(c.n_reps):
+                leak = c.leak_clicks[r]
+                flags = tuple(c.flag_patterns[f] if f >= 0 else None
+                              for f in c.flag_ids[r])
+                rows.append((c.pattern_catalog[c.pattern_ids[r]], int(c.spins[r]),
+                             bool(c.readout_signal[r]), bool(c.readout_leak[r]),
+                             tuple(leak), tuple(c.leak_detectors[r][leak]), flags))
+            return rows
+
+        single = per_repetition(reps)
+        sliced = [row for part in np.array_split(reps, 5) for row in per_repetition(part)]
+        assert single == sliced
+        assert any(any(row[4]) for row in single)                    # leak clicks occur
+        assert any(f is not None for row in single for f in row[6])  # flag clicks occur
 
 
 class TestRotationCeiling:

@@ -1,13 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
+from timebin.coincidence import WindowConfig
+from timebin.config import paper_emitter, paper_noise, paper_tbi
+from timebin.detection import DetectionModel
+from timebin.emitter import (NoiseParams, PulseOp, build_bell_sequence,
+                             ideal_emitter, ideal_noise, run_sequence_exact,
+                             run_sequence_trajectory)
 from timebin.errors import ContractError, LayoutError
-from timebin.hilbert import (SIGMA_X, SIGMA_Y, SIGMA_Z, SLOT_EARLY, SLOT_LATE,
-                             SLOT_VACUUM, SPIN_DOWN, SPIN_UP, DensityOperator,
-                             LinearOperator, QuditState, RegisterLayout,
-                             apply_channel, direct_fidelity, expectation,
-                             sample_channel_trajectories, sample_projective,
-                             tensor_embed)
+from timebin.experiments import witness_trajectory
+from timebin.hilbert import (SIGMA_Z, SLOT_EARLY, SLOT_LATE, SPIN_DOWN,
+                             SPIN_UP, DensityOperator, LinearOperator,
+                             QuditState, RegisterLayout, direct_fidelity,
+                             expectation, tensor_embed)
+from timebin.interferometer import TBIParams
+
+from test_emitter import exact_rho, rotate, short_sequence
 
 LAYOUT = RegisterLayout(photon_slots=1, slot_dim=3)
 
@@ -18,10 +28,6 @@ def bell_state(layout=LAYOUT, phi_e=0.0):
     vec[layout.basis_index([SPIN_UP, SLOT_LATE])] = np.exp(1j * phi_e) / np.sqrt(2)
     vec[layout.basis_index([SPIN_DOWN, SLOT_EARLY])] = -1 / np.sqrt(2)
     return QuditState(layout, vec)
-
-
-def spin_op(mat, layout=LAYOUT):
-    return tensor_embed(mat, 0, layout)
 
 
 class TestLayout:
@@ -104,107 +110,96 @@ class TestExpectation:
             expectation(bell_state(), LinearOperator(LAYOUT, mat))
 
 
+SPIN_ONLY = RegisterLayout(photon_slots=0)
+
+
+def exact_spin_rho(noise, *steps):
+    """Spin density matrix the exact engine leaves before readout."""
+    return exact_rho(ideal_emitter(), noise, *steps, layout=SPIN_ONLY)
+
+
+def spin_model(noise, layout=SPIN_ONLY):
+    return DetectionModel(layout, TBIParams(), noise, WindowConfig())
+
+
 class TestApplyChannel:
-    def setup_method(self):
-        self.up = QuditState.basis(LAYOUT, [SPIN_UP, SLOT_VACUUM]).to_density()
+    """Kraus channels applied to the spin by the exact engine."""
 
     def test_identity(self):
-        out = apply_channel(self.up, [np.eye(6)])
-        assert np.allclose(out.matrix, self.up.matrix)
+        # a wait without dephasing is the identity channel
+        noise = NoiseParams(f_pi=0.9, p_wait_dephasing=0.0)
+        with_wait = exact_spin_rho(noise, PulseOp("pump"), rotate(0.7),
+                                   PulseOp("wait", duration=7.0))
+        without = exact_spin_rho(noise, PulseOp("pump"), rotate(0.7))
+        assert np.allclose(with_wait, without, atol=1e-14)
 
     def test_full_spin_flip(self):
-        out = apply_channel(self.up, [spin_op(SIGMA_X).matrix])
-        down = QuditState.basis(LAYOUT, [SPIN_DOWN, SLOT_VACUUM]).to_density()
-        assert np.allclose(out.matrix, down.matrix)
+        rho = exact_spin_rho(ideal_noise(), PulseOp("pump"), rotate(math.pi))
+        assert rho[SPIN_UP, SPIN_UP].real == pytest.approx(1.0, abs=1e-12)
 
     def test_depolarizing_flip_half(self):
-        # hand-computed: p=0.5 flip mix on |up> gives diag(0.5, 0.5) on spin
-        kraus = [np.sqrt(0.5) * np.eye(6), np.sqrt(0.5) * spin_op(SIGMA_X).matrix]
-        out = apply_channel(self.up, kraus)
-        spin_pops = [out.matrix[i, i].real for i in range(6)]
-        up_idx = LAYOUT.basis_index([SPIN_UP, SLOT_VACUUM])
-        down_idx = LAYOUT.basis_index([SPIN_DOWN, SLOT_VACUUM])
-        assert spin_pops[up_idx] == pytest.approx(0.5)
-        assert spin_pops[down_idx] == pytest.approx(0.5)
-
-    def test_non_trace_preserving_rejected(self):
-        with pytest.raises(ContractError):
-            apply_channel(self.up, [0.5 * np.eye(6)])
+        # hand-computed: a 2 pi rotation is -1 up to a flip of probability
+        # (1 - f_pi) * 2 = 0.5, which leaves diag(0.5, 0.5) on the spin
+        noise = NoiseParams(f_pi=0.75, rot_dephasing_ratio=0.0, p_init_error=0.0)
+        rho = exact_spin_rho(noise, PulseOp("pump"), rotate(2 * math.pi))
+        assert np.allclose(rho, np.diag([0.5, 0.5]), atol=1e-12)
 
     def test_trace_preserved(self):
-        rng = np.random.default_rng(0)
-        g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        rho = DensityOperator(LAYOUT, g @ g.conj().T / np.trace(g @ g.conj().T))
-        out = apply_channel(rho, [np.sqrt(0.3) * np.eye(6),
-                                  np.sqrt(0.7) * spin_op(SIGMA_Y).matrix])
-        assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
+        noise = NoiseParams(f_pi=0.85, p_init_error=0.02, p_wait_dephasing=0.3)
+        rho = exact_spin_rho(noise, PulseOp("pump"), rotate(0.7),
+                             PulseOp("wait", duration=7.0),
+                             PulseOp("rotate", axis="x", angle=math.pi / 2))
+        assert abs(np.trace(rho).real - 1.0) < 1e-12
+        DensityOperator(SPIN_ONLY, rho)  # Hermitian and positive
 
 
 class TestSampleProjective:
-    def _spin_projectors(self):
-        p_up = np.zeros((6, 6), complex)
-        p_down = np.zeros((6, 6), complex)
-        for k in range(3):
-            p_down[k, k] = 1.0
-            p_up[3 + k, 3 + k] = 1.0
-        return [LinearOperator(LAYOUT, p_up), LinearOperator(LAYOUT, p_down)]
+    """Born-rule spin readout and click sampling of the detection model."""
 
     def test_deterministic_eigenstate(self):
-        psi = QuditState.basis(LAYOUT, [SPIN_UP, SLOT_VACUUM])
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            outcome, post = sample_projective(psi, self._spin_projectors(), rng)
-            assert outcome == 0
-            assert post.norm_error() < 1e-12
+        seq = short_sequence(PulseOp("pump"), rotate(math.pi))
+        traj = run_sequence_trajectory(seq, ideal_emitter(), ideal_noise(), 1,
+                                       np.arange(2000, dtype=np.uint64))
+        clicks = spin_model(ideal_noise(), traj.layout).sample_run(traj, 1)
+        assert np.all(clicks.spins == SPIN_UP)
+        assert np.all(clicks.readout_clicks)
 
     def test_plus_state_frequencies(self):
-        vec = np.zeros(6, complex)
-        vec[LAYOUT.basis_index([SPIN_DOWN, SLOT_VACUUM])] = 1 / np.sqrt(2)
-        vec[LAYOUT.basis_index([SPIN_UP, SLOT_VACUUM])] = 1 / np.sqrt(2)
-        psi = QuditState(LAYOUT, vec)
-        rng = np.random.default_rng(7)
-        n = 100_000
-        ups = sum(sample_projective(psi, self._spin_projectors(), rng)[0] == 0
-                  for _ in range(n))
-        sigma = np.sqrt(0.25 / n)
-        assert abs(ups / n - 0.5) < 3 * sigma
+        # after R(pi/2) on the pumped spin the readout marginals are exactly 1/2
+        seq = short_sequence(PulseOp("pump"), rotate(math.pi / 2))
+        exact = run_sequence_exact(seq, ideal_emitter(), ideal_noise())
+        model = spin_model(ideal_noise(), exact.layout)
+        marginal = {SPIN_DOWN: 0.0, SPIN_UP: 0.0}
+        for _pattern, spin, p in model.distribution(exact.density().matrix):
+            marginal[spin] += p
+        assert marginal[SPIN_DOWN] == pytest.approx(0.5, abs=1e-12)
+        assert marginal[SPIN_UP] == pytest.approx(0.5, abs=1e-12)
 
     def test_bell_zz_outcomes(self):
-        # Born rule on the Bell amplitudes: only (up, l) and (down, e)
-        psi = bell_state()
-        projectors = []
-        for i in range(6):
-            m = np.zeros((6, 6), complex)
-            m[i, i] = 1.0
-            projectors.append(LinearOperator(LAYOUT, m))
-        rng = np.random.default_rng(3)
-        seen = {}
-        for _ in range(4000):
-            k, _ = sample_projective(psi, projectors, rng)
-            seen[k] = seen.get(k, 0) + 1
-        allowed = {LAYOUT.basis_index([SPIN_UP, SLOT_LATE]),
-                   LAYOUT.basis_index([SPIN_DOWN, SLOT_EARLY])}
-        assert set(seen) == allowed
-        for v in seen.values():
-            assert abs(v / 4000 - 0.5) < 0.05
-
-    def test_incomplete_set_rejected(self):
-        psi = bell_state()
-        with pytest.raises(ContractError):
-            sample_projective(psi, self._spin_projectors()[:1],
-                              np.random.default_rng(0))
+        # an ideal Bell run heralds only (up, l) and (down, e) in ZZ
+        n_reps = 8000
+        run = witness_trajectory(2, ideal_emitter(), ideal_noise(),
+                                 TBIParams(classical_visibility=1.0), n_reps, 3)
+        zz = run.outcome.counts["ZZ"]
+        seen = {k for k, v in zz.counts.items() if v > 0}
+        assert seen == {(+1, (+1,)), (-1, (-1,))}
+        sigma = math.sqrt(0.25 / zz.total)
+        for p in zz.probabilities().values():
+            assert abs(p - 0.5) < 3 * sigma
 
     def test_seed_reproducibility(self):
-        psi = bell_state()
-        projectors = self._spin_projectors()
-        seq1 = [sample_projective(psi, projectors, np.random.default_rng(42))[0]
-                for _ in range(1)]
-        runs = []
-        for _ in range(2):
-            rng = np.random.default_rng(42)
-            runs.append([sample_projective(psi, projectors, rng)[0]
-                         for _ in range(50)])
-        assert runs[0] == runs[1]
+        params, noise = paper_emitter(), paper_noise()
+        seq = build_bell_sequence(params).with_readout_rotation("y", math.pi / 2)
+        traj = run_sequence_trajectory(seq, params, noise, 42,
+                                       np.arange(5000, dtype=np.uint64))
+        model = DetectionModel(traj.layout, paper_tbi(), noise, WindowConfig())
+        a, b = model.sample_run(traj, 42), model.sample_run(traj, 42)
+        assert a.pattern_catalog == b.pattern_catalog
+        assert a.flag_patterns == b.flag_patterns
+        assert a.leak_windows == b.leak_windows
+        for name in ("pattern_ids", "spins", "readout_signal", "readout_leak",
+                     "leak_clicks", "leak_detectors", "flag_ids"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 class TestDirectFidelity:
@@ -225,37 +220,26 @@ class TestDirectFidelity:
 
 class TestTrajectoryExactEquivalence:
     def test_channel_unraveling_tvd(self):
-        # two noisy channels then a projective measurement: empirical
-        # frequencies over 1e6 seeded trajectories match the exact
-        # density-operator probabilities
-        lay = RegisterLayout(photon_slots=0)
-        psi = QuditState.basis(lay, [SPIN_DOWN])
-        theta = 0.7
-        u = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * SIGMA_Y
-        chan1 = [np.sqrt(0.85) * u, np.sqrt(0.15) * SIGMA_X @ u]
-        chan2 = [np.sqrt(0.9) * np.eye(2), np.sqrt(0.1) * SIGMA_Z]
-        projectors = [np.diag([1.0, 0.0]).astype(complex),
-                      np.diag([0.0, 1.0]).astype(complex)]
-        outcomes = sample_channel_trajectories(psi, [chan1, chan2], projectors,
-                                               n=1_000_000, master_seed=13)
-        rho = apply_channel(psi.to_density(), chan1)
-        rho = apply_channel(rho, chan2)
-        probs = [np.trace(p @ rho.matrix).real for p in projectors]
-        emp = np.bincount(outcomes, minlength=2) / outcomes.size
-        tvd = 0.5 * np.sum(np.abs(emp - np.array(probs)))
-        assert tvd < 5e-3
+        # pump, noisy rotation and a dephasing wait: the exact engine gives
+        # the hand-computed spin state, and the readout frequencies of 1e6
+        # sampled trajectories match its populations
+        p, theta, d = 0.02, 0.7, 0.1
+        noise = NoiseParams(f_pi=0.85, p_init_error=p, p_wait_dephasing=d)
+        eps, delta = noise.flip_probability(theta), noise.dephasing_probability(theta)
+        steps = (PulseOp("pump"), rotate(theta), PulseOp("wait", duration=7.0))
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        p_up = (1 - eps) * ((1 - p) * s**2 + p * c**2) + eps * ((1 - p) * c**2 + p * s**2)
+        coherence = (1 - 2 * delta) * (1 - 2 * d) * (1 - 2 * p) * c * s
+        expected = np.array([[1 - p_up, coherence], [coherence, p_up]])
+        assert np.allclose(exact_spin_rho(noise, *steps), expected, atol=1e-12)
 
-    def test_worker_count_independence(self):
-        lay = RegisterLayout(photon_slots=0)
-        psi = QuditState.basis(lay, [SPIN_DOWN])
-        chan = [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * SIGMA_X]
-        projectors = [np.diag([1.0, 0.0]).astype(complex),
-                      np.diag([0.0, 1.0]).astype(complex)]
-        full = sample_channel_trajectories(psi, [chan], projectors, 1000, 5)
-        # the counter-based streams make any partition reproduce the full run
-        assert np.array_equal(full[:300],
-                              sample_channel_trajectories(psi, [chan], projectors,
-                                                          300, 5))
+        n = 1_000_000
+        traj = run_sequence_trajectory(short_sequence(*steps), ideal_emitter(), noise,
+                                       13, np.arange(n, dtype=np.uint64), SPIN_ONLY)
+        clicks = spin_model(noise).sample_run(traj, 13)
+        emp = np.bincount(clicks.spins, minlength=2) / n
+        tvd = 0.5 * np.sum(np.abs(emp - np.array([1 - p_up, p_up])))
+        assert tvd < 5e-3
 
 
 def test_state_normalization_guard():

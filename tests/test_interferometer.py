@@ -3,13 +3,39 @@ import math
 import numpy as np
 import pytest
 
+from timebin.coincidence import WindowConfig
+from timebin.detection import DetectionModel
+from timebin.emitter import ideal_noise
 from timebin.errors import ConfigurationError
-from timebin.hilbert import SLOT_EARLY, SLOT_LATE, RegisterLayout
+from timebin.hilbert import SLOT_EARLY, SLOT_LATE, SPIN_DOWN, RegisterLayout
 from timebin.interferometer import (Detector, TBIParams, Window,
                                     classical_fringe, effective_phase,
                                     excitation_phase, fit_fringe,
-                                    middle_window_projectors, route_photon,
                                     slot_window_povm)
+
+
+def window_probabilities(slot_label, splitting_ratio):
+    """Click-window distribution of |down, slot_label> in the detection model."""
+    lay = RegisterLayout(photon_slots=1, slot_dim=3)
+    model = DetectionModel(lay, TBIParams(splitting_ratio=splitting_ratio),
+                           ideal_noise(), WindowConfig())
+    psi = np.zeros(lay.total_dim, complex)
+    psi[lay.basis_index([SPIN_DOWN, slot_label])] = 1.0
+    probs = {}
+    for pattern, _spin, p in model.distribution(psi):
+        (_slot, window, _det), = pattern
+        probs[window] = probs.get(window, 0.0) + p
+    return probs
+
+
+def middle_click_probabilities(tbi, early_amp, late_amp):
+    """P(D1), P(D2) given a middle-window click, from slot_window_povm."""
+    povm = slot_window_povm(tbi, 3)
+    vec = np.zeros(3, complex)
+    vec[SLOT_EARLY], vec[SLOT_LATE] = early_amp, late_amp
+    p1, p2 = (np.vdot(vec, povm[(Window.MIDDLE, det)] @ vec).real
+              for det in (Detector.D1, Detector.D2))
+    return p1 / (p1 + p2), p2 / (p1 + p2)
 
 
 class TestEffectivePhase:
@@ -28,22 +54,18 @@ class TestEffectivePhase:
 
 class TestRouting:
     def test_early_photon_split(self):
-        tbi = TBIParams()
-        rng = np.random.default_rng(5)
-        n = 20000
-        early = sum(route_photon("e", tbi, rng) == Window.EARLY for _ in range(n))
-        assert abs(early / n - 0.5) < 3 * math.sqrt(0.25 / n)
+        for s in (0.5, 0.3):
+            probs = window_probabilities(SLOT_EARLY, s)
+            assert set(probs) == {Window.EARLY, Window.MIDDLE}
+            assert probs[Window.EARLY] == pytest.approx(s, abs=1e-12)
+            assert probs[Window.MIDDLE] == pytest.approx(1 - s, abs=1e-12)
 
     def test_late_photon_split(self):
-        tbi = TBIParams()
-        rng = np.random.default_rng(6)
-        n = 20000
-        late = sum(route_photon("l", tbi, rng) == Window.LATE for _ in range(n))
-        assert abs(late / n - 0.5) < 3 * math.sqrt(0.25 / n)
-
-    def test_unknown_component(self):
-        with pytest.raises(ConfigurationError):
-            route_photon("x", TBIParams(), np.random.default_rng(0))
+        for s in (0.5, 0.3):
+            probs = window_probabilities(SLOT_LATE, s)
+            assert set(probs) == {Window.MIDDLE, Window.LATE}
+            assert probs[Window.MIDDLE] == pytest.approx(s, abs=1e-12)
+            assert probs[Window.LATE] == pytest.approx(1 - s, abs=1e-12)
 
     def test_superposition_window_probabilities(self):
         # (|e> + |l>)/sqrt(2): quarter early, quarter late, half middle
@@ -73,42 +95,35 @@ class TestRouting:
 
 
 class TestMiddleProjectors:
+    """The (MIDDLE, D1/D2) elements of slot_window_povm."""
+
     def test_plus_state_clicks_d1(self):
-        tbi = TBIParams(classical_visibility=1.0)
-        p1, p2 = middle_window_projectors(tbi)
-        vec = np.zeros(6, complex)
-        lay = RegisterLayout(photon_slots=1, slot_dim=3)
-        vec[lay.basis_index([0, SLOT_EARLY])] = 1 / math.sqrt(2)
-        vec[lay.basis_index([0, SLOT_LATE])] = 1 / math.sqrt(2)
-        assert np.vdot(vec, p1.matrix @ vec).real == pytest.approx(1.0)
-        assert np.vdot(vec, p2.matrix @ vec).real == pytest.approx(0.0, abs=1e-12)
+        p1, p2 = middle_click_probabilities(TBIParams(classical_visibility=1.0),
+                                            1 / math.sqrt(2), 1 / math.sqrt(2))
+        assert p1 == pytest.approx(1.0)
+        assert p2 == pytest.approx(0.0, abs=1e-12)
 
     def test_minus_state_clicks_d2(self):
-        tbi = TBIParams(classical_visibility=1.0)
-        p1, p2 = middle_window_projectors(tbi)
-        lay = RegisterLayout(photon_slots=1, slot_dim=3)
-        vec = np.zeros(6, complex)
-        vec[lay.basis_index([0, SLOT_EARLY])] = 1 / math.sqrt(2)
-        vec[lay.basis_index([0, SLOT_LATE])] = -1 / math.sqrt(2)
-        assert np.vdot(vec, p2.matrix @ vec).real == pytest.approx(1.0)
+        _, p2 = middle_click_probabilities(TBIParams(classical_visibility=1.0),
+                                           1 / math.sqrt(2), -1 / math.sqrt(2))
+        assert p2 == pytest.approx(1.0)
 
     def test_visibility_mixing(self):
         # V_c = 0.9: the plus state reaches D1 with (1 + V_c)/2 = 0.95
-        tbi = TBIParams(classical_visibility=0.9)
-        p1, _ = middle_window_projectors(tbi)
-        lay = RegisterLayout(photon_slots=1, slot_dim=3)
-        vec = np.zeros(6, complex)
-        vec[lay.basis_index([0, SLOT_EARLY])] = 1 / math.sqrt(2)
-        vec[lay.basis_index([0, SLOT_LATE])] = 1 / math.sqrt(2)
-        assert np.vdot(vec, p1.matrix @ vec).real == pytest.approx(0.95)
+        p1, _ = middle_click_probabilities(TBIParams(classical_visibility=0.9),
+                                           1 / math.sqrt(2), 1 / math.sqrt(2))
+        assert p1 == pytest.approx(0.95)
 
     def test_completeness_on_logical_span(self):
-        p1, p2 = middle_window_projectors(TBIParams(classical_visibility=0.97))
-        total = p1.matrix + p2.matrix
-        lay = RegisterLayout(photon_slots=1, slot_dim=3)
-        for idx in (SLOT_EARLY, SLOT_LATE):
-            i = lay.basis_index([0, idx])
-            assert total[i, i].real == pytest.approx(1.0)
+        # D1 + D2 add up to the middle-window routing probability of e and l,
+        # so a middle-window click always lands on one of the two detectors
+        for s in (0.5, 0.3):
+            povm = slot_window_povm(TBIParams(classical_visibility=0.97,
+                                              splitting_ratio=s), 3)
+            total = povm[(Window.MIDDLE, Detector.D1)] + povm[(Window.MIDDLE, Detector.D2)]
+            expected = np.zeros((3, 3))
+            expected[SLOT_EARLY, SLOT_EARLY], expected[SLOT_LATE, SLOT_LATE] = 1 - s, s
+            assert np.allclose(total, expected, atol=1e-12)
 
 
 class TestClassicalFringe:
