@@ -135,6 +135,21 @@ class TestArtifacts:
         assert 0.0 <= report["fidelity"]["value"] <= 1.0
         assert report["separable_bound"] == 0.5
 
+    def test_reports_deterministic_across_workers(self, tmp_path):
+        # a run is one chunk with no worker count to echo or vary: same-seed
+        # runs write byte-identical reports, with or without time tags
+        blobs = []
+        for name, flags in (("a", ["--no-timetags"]), ("b", ["--no-timetags"]),
+                            ("c", [])):
+            out = tmp_path / name
+            rc = run_cli("simulate", "bell", "--defaults", "paper",
+                         "--reps", "6000", "--seed", "5", "--out", str(out), *flags)
+            assert rc == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert "workers" not in manifest["config"]
+            blobs.append((out / "report.json").read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+
     def test_manifest_config_reruns_identically(self, tmp_path):
         out1 = tmp_path / "a"
         run_cli("simulate", "bell", "--defaults", "paper", "--reps", "4000",
