@@ -101,7 +101,7 @@ def _run_simulate(config: RunConfig, out: Path) -> list[str]:
         run = exp.witness_trajectory(n_qubits, config.emitter, config.noise,
                                      config.tbi, config.n_repetitions,
                                      config.master_seed,
-                                     thinned=config.thinned_resolved,
+                                     thinned=config.thinned,
                                      keep_clicks=config.write_timetags)
         exact = exp.witness_exact(n_qubits, config.emitter, config.noise, config.tbi)
         report = _witness_report(run.outcome, {
@@ -110,7 +110,7 @@ def _run_simulate(config: RunConfig, out: Path) -> list[str]:
             "master_seed": config.master_seed,
             "exact_reference_fidelity": exact.fidelity,
             "coincidence_rate_hz": run.coincidence_rate_hz,
-            "thinned": config.thinned_resolved,
+            "thinned": config.thinned,
         })
         _write_report(out / "report.json", report)
         outputs.append("report.json")
@@ -126,10 +126,9 @@ def _run_simulate(config: RunConfig, out: Path) -> list[str]:
                 coin.histogram_to_csv(out / "histogram.csv", starts, counts)
                 outputs.append("histogram.csv")
     elif config.experiment == "hom":
-        thinned = config.thinned if config.thinned is not None else False
         run = exp.simulate_hom(config.emitter, config.noise, config.tbi,
                                config.n_repetitions, config.master_seed,
-                               thinned=thinned,
+                               thinned=config.thinned,
                                v_classical_assumed=V_CLASSICAL_BACKSOLVED)
         report = {
             "experiment": "hom",

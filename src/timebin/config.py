@@ -1,9 +1,10 @@
 """Run configuration: presets, file parsing, validation.
 
 The configuration file is a sectioned key = value format (TOML-compatible
-for the subset used here): sections [run], [emitter], [noise], [tbi],
-[windows].  CLI flags override file values; the `paper` preset pins every
-parameter to the characterized-source defaults baked into this module.
+for the subset used here): sections [run], [emitter], [noise] and [tbi];
+any other section is rejected.  CLI flags override file values; the
+`paper` preset pins every parameter to the characterized-source defaults
+baked into this module.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ class RunConfig:
     n_repetitions: int = 100_000
     master_seed: int = 1
     n_qubits: int = 3                   # GHZ size (spin + photons)
-    thinned: bool | None = None         # None: per-experiment default
+    thinned: bool = False               # post-selected estimates need no thinning
     out_dir: str = "runs"
     emitter: EmitterParams = field(default_factory=paper_emitter)
     noise: NoiseParams = field(default_factory=paper_noise)
@@ -81,22 +82,13 @@ class RunConfig:
         if self.n_qubits < 3 and self.experiment == "ghz":
             raise ConfigurationError("GHZ runs need at least 3 qubits")
 
-    @property
-    def thinned_resolved(self) -> bool:
-        """Witness runs default to unthinned sampling (post-selected
-        estimates are efficiency-independent); rate-sensitive analyses can
-        force physical thinning with thinned=True."""
-        if self.thinned is not None:
-            return self.thinned
-        return False
-
     def echo(self) -> dict:
         d = {
             "experiment": self.experiment,
             "n_repetitions": self.n_repetitions,
             "master_seed": self.master_seed,
             "n_qubits": self.n_qubits,
-            "thinned": self.thinned_resolved,
+            "thinned": self.thinned,
             "emitter": asdict(self.emitter),
             "noise": asdict(self.noise),
             "tbi": asdict(self.tbi),
@@ -161,6 +153,9 @@ _SECTION_TYPES = {"emitter": EmitterParams, "noise": NoiseParams, "tbi": TBIPara
 
 def config_from_sections(sections: dict, base: RunConfig | None = None) -> RunConfig:
     cfg = base if base is not None else RunConfig()
+    unknown = set(sections) - {"run", *_SECTION_TYPES}
+    if unknown:
+        raise ConfigurationError(f"unknown sections: {sorted(unknown)}")
     kwargs = {}
     run = sections.get("run", {})
     for key in ("experiment", "n_repetitions", "master_seed", "n_qubits",

@@ -430,10 +430,12 @@ class RunClicks:
     def n_reps(self) -> int:
         return self.pattern_ids.size
 
-    def clicks_of(self, row: int) -> Pattern:
+    def clicks_of(self, row: int, leak: bool = True) -> Pattern:
+        """All photonic clicks of one repetition; leak=False drops the
+        background-light clicks."""
         clicks = list(self.pattern_catalog[self.pattern_ids[row]])
         for k, (slot, w) in enumerate(self.leak_windows):
-            if self.leak_clicks[row, k]:
+            if leak and self.leak_clicks[row, k]:
                 det = Detector.D1 if self.leak_detectors[row, k] == 0 else Detector.D2
                 clicks.append((slot, w, det))
         for e_i in range(self.flag_ids.shape[1]):
@@ -447,20 +449,28 @@ class RunClicks:
 
         Returns an int64 code per repetition and a map code -> (Pattern,
         readout_clicked); clicks_of is only evaluated once per distinct code.
+        Codes order repetitions by (flag clicks, leak clicks, catalog
+        pattern, readout), so plain repetitions come first in catalog order.
         """
-        n_leak = max(self.leak_clicks.shape[1], 1)
         leak_bits = np.zeros(self.n_reps, dtype=np.int64)
         for k in range(self.leak_clicks.shape[1]):
             click = self.leak_clicks[:, k].astype(np.int64)
             det = self.leak_detectors[:, k].astype(np.int64) & click
             leak_bits |= (click | (det << 1)) << (2 * k)
-        flag_code = np.zeros(self.n_reps, dtype=np.int64)
-        for e_i in range(self.flag_ids.shape[1]):
-            flag_code = flag_code * (len(self.flag_patterns) + 2) \
-                + (self.flag_ids[:, e_i] + 1)
-        codes = (((flag_code * (1 << (2 * n_leak)) + leak_bits)
-                  * (len(self.pattern_catalog) + 1) + self.pattern_ids) * 2
-                 + self.readout_clicks.astype(np.int64))
+        digits = [(self.flag_ids[:, e_i] + 1, len(self.flag_patterns) + 1)
+                  for e_i in range(self.flag_ids.shape[1])]
+        digits += [(leak_bits, 1 << (2 * self.leak_clicks.shape[1])),
+                   (self.pattern_ids, len(self.pattern_catalog)),
+                   (self.readout_clicks.astype(np.int64), 2)]
+        codes = np.zeros(self.n_reps, dtype=np.int64)
+        bound = 1
+        for values, radix in digits:
+            if bound * radix >= 1 << 62:
+                # re-rank the codes so far (order-preserving) to stay in int64
+                uniq, codes = np.unique(codes, return_inverse=True)
+                bound = uniq.size
+            codes = codes * radix + values
+            bound *= radix
         mapping = {}
         readout = self.readout_clicks
         uniq, first = np.unique(codes, return_index=True)

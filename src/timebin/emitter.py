@@ -25,10 +25,13 @@ Error model
 
 Evolution modes
 ---------------
-Exact mode propagates density operators through the same Kraus sets and
-returns the pre-detection mixture.  Trajectory mode samples one noise
-branch per repetition with counter-based randomness, so a repetition's
-record is reproducible regardless of how the run is chunked.
+Both modes consume one list of full-register Kraus branches per pulse step
+(step_branches).  Exact mode propagates density operators through it and
+returns the pre-detection mixture, opening a classically flagged component
+for each flagged branch.  Trajectory mode samples one branch per
+repetition with counter-based randomness, so a repetition's record is
+reproducible regardless of how the run is chunked.  A blinked-off
+component or repetition skips the excite steps.
 """
 from __future__ import annotations
 
@@ -378,8 +381,8 @@ def _embed_pair(spin_m: np.ndarray, slot_m: np.ndarray, layout: RegisterLayout,
 
 
 def excite_kraus(bin_label: str, phase: float, params: EmitterParams,
-                 noise: NoiseParams, layout: RegisterLayout, slot: int,
-                 emitting: bool = True) -> list[tuple[str, np.ndarray, bool]]:
+                 noise: NoiseParams, layout: RegisterLayout, slot: int
+                 ) -> list[tuple[str, np.ndarray, bool]]:
     """Branches of one excitation pulse on the full register: (label, K, extra).
 
     'emit' keeps the down component untouched and appends a photon to the
@@ -391,12 +394,9 @@ def excite_kraus(bin_label: str, phase: float, params: EmitterParams,
     in the register, which also records the which-path information it
     carries.  Fully occupied bins ('sat_*') cannot accept the coherent
     photon, so the whole emission becomes a flagged click there.  The
-    down-spin wrong-transition click is a separate classical flag handled
-    by the callers.
+    down-spin wrong-transition click is added by step_branches.
     """
     slot_dim = layout.slot_dim
-    if not emitting:
-        return [("blink", np.eye(layout.total_dim, dtype=np.complex128), False)]
     p_keep = params.spin_preserving_probability
     p_d = noise.p_double
     proj_single = _slot_projector((SLOT_VACUUM, SLOT_EARLY, SLOT_LATE), slot_dim)
@@ -429,6 +429,44 @@ def excite_kraus(bin_label: str, phase: float, params: EmitterParams,
         branches.append(("jump", math.sqrt(1.0 - p_keep)
                          * _embed_pair(spin_flip, proj_single, layout, slot), False))
     return branches
+
+
+def _spin_down_diagonal(layout: RegisterLayout) -> np.ndarray:
+    """Diagonal of the spin-down projector on the full register."""
+    spin = np.arange(layout.total_dim) // (layout.total_dim // 2)
+    return (spin == SPIN_DOWN).astype(float)
+
+
+def step_branches(op: PulseOp, params: EmitterParams, noise: NoiseParams,
+                  layout: RegisterLayout) -> list[tuple[str, np.ndarray, bool]]:
+    """Full-register Kraus branches (label, K, flagged) of one non-readout step.
+
+    A flagged branch carries a classical click in the driven bin of an
+    excite step.  The excite list starts with the detuned-transition
+    scatter of the down component ('wrong', probability p_wrong_transition
+    times the down population); every excite_kraus branch follows the
+    no-scatter operator, whose diagonal scales its columns.  Both engines
+    consume this one list: exact mode sums K rho K^dagger, trajectory mode
+    samples one branch per repetition.
+    """
+    if op.kind == "excite":
+        branches = excite_kraus(op.bin, op.phase, params, noise, layout, op.slot)
+        p_w = noise.p_wrong_transition
+        if p_w == 0:
+            return branches
+        down = _spin_down_diagonal(layout)
+        no_scatter = 1.0 - (1.0 - math.sqrt(1.0 - p_w)) * down
+        return ([("wrong", math.sqrt(p_w) * np.diag(down).astype(np.complex128), True)]
+                + [(label, k * no_scatter, flagged) for label, k, flagged in branches])
+    if op.kind == "pump":
+        kraus = pump_kraus(noise.p_init_error)
+    elif op.kind == "wait":
+        kraus = wait_kraus(noise, op.duration)
+    elif op.kind == "rotate":
+        kraus = rotation_kraus(op.axis, op.angle, noise)
+    else:
+        raise ContractError(f"{op.kind} step has no Kraus branches")
+    return [(label, tensor_embed(k, 0, layout).matrix, False) for label, k in kraus]
 
 
 def verify_kraus_complete(branches: Sequence[tuple], dim: int) -> float:
@@ -468,13 +506,6 @@ class ExactResult:
         return DensityOperator(self.layout, mat, validate=False)
 
 
-def _apply_kraus_rho(rho: np.ndarray, branches) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for _, k in branches:
-        out += k @ rho @ k.conj().T
-    return out
-
-
 def _initial_vector(layout: RegisterLayout) -> np.ndarray:
     psi = np.zeros(layout.total_dim, dtype=np.complex128)
     psi[layout.basis_index([SPIN_DOWN] + [SLOT_VACUUM] * layout.photon_slots)] = 1.0
@@ -493,61 +524,29 @@ def run_sequence_exact(seq: PulseSequence, params: EmitterParams, noise: NoisePa
         comps = [ExactComponent(noise.blink_on_fraction, rho0),
                  ExactComponent(1.0 - noise.blink_on_fraction, rho0, blink_off=True)]
 
-    proj_down = _embed_pair(_spin_matrix({(SPIN_DOWN, SPIN_DOWN): 1.0}),
-                            np.eye(layout.slot_dim), layout, -1)
-    proj_up = np.eye(layout.total_dim) - proj_down
-
-    for op in seq.steps:
-        if op.kind == "readout":
-            continue
+    for op in seq.steps[:-1]:
+        branches = step_branches(op, params, noise, layout)
         new_comps: list[ExactComponent] = []
         for comp in comps:
-            if op.kind == "pump":
-                branches = [(lbl, tensor_embed(k, 0, layout).matrix)
-                            for lbl, k in pump_kraus(noise.p_init_error)]
-                new_comps.append(replace(comp, rho=_apply_kraus_rho(comp.rho, branches)))
-            elif op.kind in ("rotate", "wait"):
-                kraus = (rotation_kraus(op.axis, op.angle, noise)
-                         if op.kind == "rotate" else wait_kraus(noise, op.duration))
-                branches = [(lbl, tensor_embed(k, 0, layout).matrix)
-                            for lbl, k in kraus]
-                new_comps.append(replace(comp, rho=_apply_kraus_rho(comp.rho, branches)))
-            elif op.kind == "excite":
-                rho = comp.rho
-                p_w = noise.p_wrong_transition if not comp.blink_off else 0.0
-                w_rest = 1.0
-                if p_w > 0:
-                    down_pop = float(np.trace(proj_down @ rho).real)
-                    w_click = p_w * down_pop
-                    if w_click > 1e-15:
-                        rho_click = proj_down @ rho @ proj_down / down_pop
-                        new_comps.append(ExactComponent(
-                            comp.weight * w_click, rho_click,
-                            comp.flag_clicks + ((op.slot, op.bin),), comp.blink_off))
-                    k0 = math.sqrt(1 - p_w) * proj_down + proj_up
-                    rho = k0 @ rho @ k0.conj().T
-                    w_rest = float(np.trace(rho).real)
-                    if w_rest <= 1e-15:
-                        continue
-                    rho = rho / w_rest
-                if layout.slot_dim == 3:
-                    _check_overflow_rho(rho, layout, op)
-                branches = excite_kraus(op.bin, op.phase, params, noise, layout,
-                                        op.slot, emitting=not comp.blink_off)
-                plain = np.zeros_like(rho)
-                for _, k, extra in branches:
-                    out = k @ rho @ k.conj().T
-                    if extra:
-                        w = float(np.trace(out).real)
-                        if w > 1e-15:
-                            new_comps.append(ExactComponent(
-                                comp.weight * w_rest * w, out / w,
-                                comp.flag_clicks + ((op.slot, op.bin),),
-                                comp.blink_off))
-                    else:
-                        plain += out
-                new_comps.append(ExactComponent(comp.weight * w_rest, plain,
-                                                comp.flag_clicks, comp.blink_off))
+            if op.kind == "excite" and comp.blink_off:
+                new_comps.append(comp)
+                continue
+            plain = np.zeros_like(comp.rho)
+            kept = 0.0
+            for _, k, flagged in branches:
+                out = k @ comp.rho @ k.conj().T
+                if not flagged:
+                    plain += out
+                    continue
+                w = float(np.trace(out).real)
+                kept += w
+                if w > 1e-15:
+                    new_comps.append(ExactComponent(
+                        comp.weight * w, out / w,
+                        comp.flag_clicks + ((op.slot, op.bin),), comp.blink_off))
+            mass = float(np.trace(comp.rho).real)
+            _check_overflow(mass - kept - float(np.trace(plain).real), mass)
+            new_comps.append(replace(comp, rho=plain))
         comps = _merge_components(new_comps)
     return ExactResult(layout, comps, seq)
 
@@ -566,11 +565,10 @@ def _merge_components(comps: list[ExactComponent]) -> list[ExactComponent]:
     return list(merged.values())
 
 
-def _check_overflow_rho(rho: np.ndarray, layout: RegisterLayout, op: PulseOp) -> None:
-    """slot_dim = 3 cannot represent a second photon in an occupied slot."""
-    occ = _slot_projector((SLOT_EARLY, SLOT_LATE), layout.slot_dim)
-    full = _embed_pair(_spin_matrix({(SPIN_UP, SPIN_UP): 1.0}), occ, layout, op.slot)
-    if float(np.trace(full @ rho).real) > 1e-9:
+def _check_overflow(lost: float, mass: float = 1.0) -> None:
+    """Kraus branches lose mass only where slot_dim = 3 cannot hold a second
+    photon in an occupied slot."""
+    if lost > 1e-9 * mass:
         raise ConfigurationError(
             "excitation would doubly occupy a time bin; enable slot_dim = 6")
 
@@ -641,7 +639,7 @@ class _StateTable:
 
 
 _EMISSION_CODE = {"wrong": 0, "emit": 1, "jump": 2, "emit_double": 3,
-                  "sat_emit": 1, "sat_jump": 2, "blink": 0}
+                  "sat_emit": 1, "sat_jump": 2}
 _ROTATION_CODE = {"ideal": 0, "flip": 1, "dephase": 2}
 
 
@@ -676,89 +674,43 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
     wrong_clicks = np.zeros((n, max(len(excite_ops), 1)), dtype=bool)
     extra_clicks = np.zeros((n, max(len(excite_ops), 1)), dtype=bool)
 
-    proj_down = _embed_pair(_spin_matrix({(SPIN_DOWN, SPIN_DOWN): 1.0}),
-                            np.eye(layout.slot_dim), layout, -1)
-
-    rot_i = 0
-    exc_i = 0
-    for step_i, op in enumerate(seq.steps):
-        if op.kind == "readout":
-            continue
+    down = _spin_down_diagonal(layout)
+    rot_i = exc_i = 0
+    for step_i, op in enumerate(seq.steps[:-1]):
+        branches = step_branches(op, params, noise, layout)
         u = crng.uniforms(master_seed, reps, stream=100 + step_i)
-        new_ids = np.empty_like(ids)
-        groups = group_by_id(ids)
-        if op.kind in ("pump", "rotate", "wait"):
-            if op.kind == "pump":
-                kraus = pump_kraus(noise.p_init_error)
-            elif op.kind == "wait":
-                kraus = wait_kraus(noise, op.duration)
-            else:
-                kraus = rotation_kraus(op.axis, op.angle, noise)
-            emb = [(lbl, tensor_embed(k, 0, layout).matrix) for lbl, k in kraus]
-            for sid, idx in groups:
-                psi = table.states[sid]
-                outs, probs, labels = [], [], []
-                for lbl, k in emb:
-                    phi = k @ psi
-                    p = float(np.vdot(phi, phi).real)
-                    if p > 1e-14:
-                        outs.append(phi / math.sqrt(p))
-                        probs.append(p)
-                        labels.append(lbl)
-                choice = crng.choose(probs, u[idx])
-                local_ids = np.array([table.add(v) for v in outs], dtype=np.int64)
-                new_ids[idx] = local_ids[choice]
-                if op.kind == "rotate":
-                    codes = np.array([_ROTATION_CODE[l] for l in labels], dtype=np.int8)
-                    rotation_flips[idx, rot_i] = codes[choice]
-            ids = new_ids
+        rows = np.nonzero(~blink_off)[0] if op.kind == "excite" else np.arange(n)
+        for sid, sel in group_by_id(ids[rows]):
+            idx = rows[sel]
+            psi = table.states[sid]
+            outs, probs, taken = [], [], []
+            for label, k, flagged in branches:
+                phi = k @ psi
+                p = float(np.vdot(phi, phi).real)
+                if p > 1e-14:
+                    outs.append(phi / math.sqrt(p))
+                    probs.append(p)
+                    taken.append((label, flagged))
+            _check_overflow(1.0 - sum(probs))
+            choice = crng.choose(probs, u[idx])
+            local_ids = np.array([table.add(v) for v in outs], dtype=np.int64)
+            ids[idx] = local_ids[choice]
             if op.kind == "rotate":
-                rot_i += 1
-        elif op.kind == "excite":
-            for sid, idx in groups:
-                psi = table.states[sid]
-                outs, probs, labels, wflags, eflags = [], [], [], [], []
-                p_w = noise.p_wrong_transition
-                down_pop = float(np.vdot(psi, proj_down @ psi).real)
-                base, base_w = psi, 1.0
-                if p_w > 0 and down_pop > 1e-14:
-                    phi = proj_down @ psi
-                    outs.append(phi / np.linalg.norm(phi))
-                    probs.append(p_w * down_pop)
-                    labels.append("wrong")
-                    wflags.append(True)
-                    eflags.append(False)
-                    k0 = (math.sqrt(1 - p_w) * proj_down
-                          + (np.eye(layout.total_dim) - proj_down))
-                    base = k0 @ psi
-                    base_w = float(np.vdot(base, base).real)
-                    base = base / math.sqrt(base_w)
-                if layout.slot_dim == 3:
-                    _check_overflow_rho(np.outer(base, base.conj()), layout, op)
-                for lbl, k, extra in excite_kraus(op.bin, op.phase, params, noise,
-                                                  layout, op.slot, emitting=True):
-                    phi = k @ base
-                    p = float(np.vdot(phi, phi).real)
-                    if p > 1e-14:
-                        outs.append(phi / math.sqrt(p))
-                        probs.append(base_w * p)
-                        labels.append(lbl)
-                        wflags.append(False)
-                        eflags.append(extra)
-                choice = crng.choose(probs, u[idx])
-                active = ~blink_off[idx]
-                local_ids = np.array([table.add(v) for v in outs], dtype=np.int64)
-                new_ids[idx] = np.where(active, local_ids[choice], sid)
-                codes = np.array([_EMISSION_CODE[l] for l in labels], dtype=np.int8)
-                emitted = np.where(active, codes[choice], 0)
-                if down_pop > 1 - 1e-12:
+                codes = np.array([_ROTATION_CODE[l] for l, _ in taken], dtype=np.int8)
+                rotation_flips[idx, rot_i] = codes[choice]
+            elif op.kind == "excite":
+                codes = np.array([_EMISSION_CODE[l] for l, _ in taken], dtype=np.int8)
+                emitted = codes[choice]
+                if np.vdot(psi, down * psi).real > 1 - 1e-12:
                     # a pure down state never emits in the 'emit' branch
                     emitted = np.where(emitted == 1, 0, emitted)
                 emission_results[idx, exc_i] = emitted
-                wrong_clicks[idx, exc_i] = np.asarray(wflags, dtype=bool)[choice] & active
-                extra_clicks[idx, exc_i] = np.asarray(eflags, dtype=bool)[choice] & active
-            ids = new_ids
-            exc_i += 1
+                wrong = np.array([l == "wrong" for l, _ in taken])
+                extra = np.array([f and l != "wrong" for l, f in taken])
+                wrong_clicks[idx, exc_i] = wrong[choice]
+                extra_clicks[idx, exc_i] = extra[choice]
+        rot_i += op.kind == "rotate"
+        exc_i += op.kind == "excite"
     return TrajectoryResult(layout, seq, reps, table.states, ids, rotation_flips,
                             emission_results, wrong_clicks, extra_clicks,
                             blink_off, excite_ops)

@@ -174,67 +174,35 @@ class WitnessRun:
 
 def _count_clicks(acc: SettingCounts, run: SubRun, clicks: RunClicks,
                   n_slots: int) -> tuple[float, float]:
-    """Accumulate heralded events; returns (leak events, total events)."""
-    from .interferometer import Detector
+    """Accumulate heralded events; returns (leak events, total events).
 
+    Repetitions are grouped by their click record and whether the readout
+    click is background light only.  An event counts as a leak event when
+    its readout click is background light or its click combination uses a
+    background click in a photonic window.
+    """
     sub = run.setting.subsettings[run.sub_index]
-    readout = clicks.readout_clicks
-    plain = ~(clicks.leak_clicks.any(axis=1) | (clicks.flag_ids >= 0).any(axis=1))
+    codes, mapping = clicks.outcome_codes()
+    leak_read = clicks.readout_leak & ~clicks.readout_signal
+    keys, first, n_rows = np.unique(codes * 2 + leak_read, return_index=True,
+                                    return_counts=True)
     leak_events = 0.0
     total_events = 0.0
-    # fast path: catalog patterns only, grouped by pattern id
-    rows = np.nonzero(plain & readout)[0]
-    ids = clicks.pattern_ids[rows]
-    leakread_ids = clicks.pattern_ids[plain & clicks.readout_leak
-                                      & ~clicks.readout_signal]
-    for pid in np.unique(ids):
-        n_rows = int(np.sum(ids == pid))
-        outs = pattern_outcomes(run.setting, sub, clicks.pattern_catalog[pid], n_slots)
+    for key, row, n in zip(keys.tolist(), first, n_rows.tolist()):
+        pattern, readout = mapping[key // 2]
+        outs = pattern_outcomes(run.setting, sub, pattern, n_slots) if readout else []
+        if not outs:
+            continue
         for outcome in outs:
-            acc.add(outcome, float(n_rows))
-        total_events += n_rows * len(outs)
-        leak_events += int(np.sum(leakread_ids == pid)) * len(outs)
-    # slow path: repetitions with background or wrong-transition clicks
-    slow = np.nonzero(~plain & readout)[0]
-    for row in slow:
-        base = clicks.pattern_catalog[clicks.pattern_ids[row]]
-        extras = []
-        for k, (slot, w) in enumerate(clicks.leak_windows):
-            if clicks.leak_clicks[row, k]:
-                d = Detector.D1 if clicks.leak_detectors[row, k] == 0 else Detector.D2
-                extras.append(((slot, w, d), True))
-        for e_i in range(clicks.flag_ids.shape[1]):
-            fid = clicks.flag_ids[row, e_i]
-            if fid >= 0:
-                for c in clicks.flag_patterns[fid]:
-                    extras.append((c, False))
-        all_clicks = [(c, False, True) for c in base] \
-            + [(c, is_leak, False) for c, is_leak in extras]
-        outs = _flagged_outcomes(run.setting, sub, all_clicks, n_slots)
-        readout_is_leak = bool(clicks.readout_leak[row] and not clicks.readout_signal[row])
-        for outcome, uses_leak in outs:
-            acc.add(outcome, 1.0)
-            total_events += 1
-            if uses_leak or readout_is_leak:
-                leak_events += 1
+            acc.add(outcome, float(n))
+        total_events += n * len(outs)
+        if key % 2:
+            leak_events += n * len(outs)
+        else:
+            signal = pattern_outcomes(run.setting, sub,
+                                      clicks.clicks_of(row, leak=False), n_slots)
+            leak_events += n * (len(outs) - len(signal))
     return leak_events, total_events
-
-
-def _flagged_outcomes(setting: MeasurementSetting, sub, flagged_clicks,
-                      n_slots: int):
-    """pattern_outcomes with leak provenance carried through combinations."""
-    per_slot: list[list[tuple[int, bool]]] = [[] for _ in range(n_slots)]
-    for (slot, window, det), is_leak, _signal in flagged_clicks:
-        eig = setting.photon_eigenvalue(window, det)
-        if eig is not None and slot < n_slots:
-            per_slot[slot].append((eig, is_leak))
-    if any(not s for s in per_slot):
-        return []
-    combos = [((sub.eigenvalue, ()), False)]
-    for slot_list in per_slot:
-        combos = [(((s, ph + (e,))), leak or is_leak)
-                  for (s, ph), leak in combos for e, is_leak in slot_list]
-    return combos
 
 
 def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,

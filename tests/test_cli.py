@@ -43,6 +43,17 @@ theta0 = 0.2
         with pytest.raises(ConfigurationError):
             load_config(path)
 
+    def test_unknown_section_rejected(self, tmp_path):
+        # a misspelt or unsupported section must not silently fall back to
+        # the paper defaults
+        for text in ("[nosie]\np_leak = 0.5\n", "[windows]\nwidth = 9.0\n"):
+            path = tmp_path / "bad.conf"
+            path.write_text(text)
+            with pytest.raises(ConfigurationError):
+                load_config(path)
+            assert run_cli("simulate", "bell", "--config", str(path), "--reps", "100",
+                           "--out", str(tmp_path / "r")) == 1
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.conf"
         path.write_text("[run]\njust some words\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +13,8 @@ from timebin.emitter import (NoiseParams, PulseOp,
                              excite_kraus, ideal_emitter, ideal_noise,
                              pump_kraus, rabi_curve, rabi_population,
                              rotation_kraus, run_sequence_exact,
-                             run_sequence_trajectory, verify_kraus_complete,
-                             wait_kraus)
+                             run_sequence_trajectory, sequence_layout,
+                             step_branches, verify_kraus_complete, wait_kraus)
 from timebin.errors import ConfigurationError, ContractError
 from timebin.hilbert import (SLOT_EARLY, SLOT_EL, SLOT_LATE, SLOT_VACUUM,
                              SPIN_DOWN, SPIN_UP, QuditState, RegisterLayout,
@@ -158,6 +159,40 @@ class TestExcitation:
         branches = excite_kraus("early", 0.4, paper_emitter(),
                                 NoiseParams(f_pi=0.9, p_double=0.02), lay, 0)
         assert verify_kraus_complete(branches, lay.total_dim) < 1e-12
+        # every step of the paper Bell and GHZ-3 sub-runs, detuned-transition
+        # scatter and re-excitation included
+        params, noise = paper_emitter(), paper_noise()
+        assert noise.p_wrong_transition > 0 and noise.p_double > 0
+        for seq in (build_bell_sequence(params), build_ghz_sequence(2, params)):
+            seq = seq.with_readout_rotation("y", math.pi / 2)
+            lay = sequence_layout(seq, noise)
+            assert lay.slot_dim == 6
+            for op in seq.steps[:-1]:
+                branches = step_branches(op, params, noise, lay)
+                assert verify_kraus_complete(branches, lay.total_dim) < 1e-12, op
+
+    def test_exact_blinking_skips_excitation(self):
+        # a blinked-off component passes the excite steps untouched; the
+        # blinked-on part evolves exactly like a run without blinking
+        params = paper_emitter()
+        noise = dataclasses.replace(paper_noise(), blink_block_len=40,
+                                    blink_on_fraction=0.7)
+        seq = build_bell_sequence(params).with_readout_rotation("y", math.pi / 2)
+        lay = sequence_layout(seq, noise)
+        res = run_sequence_exact(seq, params, noise)
+
+        def part(off):
+            comps = [c for c in res.components if c.blink_off == off]
+            return sum(c.weight * c.rho for c in comps)
+
+        dark = PulseSequence(tuple(s for s in seq.steps if s.kind != "excite"),
+                             seq.repetition_period, seq.name)
+        no_blink = dataclasses.replace(noise, blink_block_len=0)
+        expect_off = run_sequence_exact(dark, params, no_blink, lay).density().matrix
+        expect_on = run_sequence_exact(seq, params, no_blink, lay).density().matrix
+        assert np.trace(part(True)).real == pytest.approx(0.3, abs=1e-12)
+        assert np.max(np.abs(part(True) / 0.3 - expect_off)) < 1e-12
+        assert np.max(np.abs(part(False) / 0.7 - expect_on)) < 1e-12
 
     def test_conditional_emission(self):
         # noise off: rotate theta, then excite; the photon number in the

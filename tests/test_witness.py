@@ -249,6 +249,77 @@ class TestBackgroundCorrection:
             background_correct({"a": 1.0}, 1.0)
 
 
+class TestHeraldedCounting:
+    def test_counts_match_per_repetition_loop(self):
+        # grouped counting equals a loop over repetitions that follows every
+        # click combination and marks those using a background click
+        from timebin.config import paper_emitter, paper_noise, paper_tbi
+        from timebin.experiments import witness_trajectory
+        from timebin.witness import SettingCounts, pattern_outcomes
+
+        run = witness_trajectory(2, paper_emitter(), paper_noise(), paper_tbi(),
+                                 24_000, 5, keep_clicks=True)
+        counts, leak, total = {}, 0, 0
+        for sub_run, clicks in zip(run.subruns, run.clicks):
+            setting = sub_run.setting
+            sub = setting.subsettings[sub_run.sub_index]
+            acc = counts.setdefault(setting.label, SettingCounts(setting, 1))
+            for row in np.nonzero(clicks.readout_clicks)[0]:
+                for outcome in pattern_outcomes(setting, sub, clicks.clicks_of(row), 1):
+                    acc.add(outcome)
+                signal = list(clicks.clicks_of(row, leak=False))
+                tagged = [(c, False) for c in signal]
+                for c in clicks.clicks_of(row):
+                    if c in signal:
+                        signal.remove(c)
+                    else:
+                        tagged.append((c, True))
+                eligible = [is_leak for (_, w, d), is_leak in tagged
+                            if setting.photon_eigenvalue(w, d) is not None]
+                leak_read = clicks.readout_leak[row] and not clicks.readout_signal[row]
+                # a Bell herald has one photon slot: one event per eligible click
+                for is_leak in eligible:
+                    total += 1
+                    leak += bool(leak_read or is_leak)
+        assert leak > 0
+        assert {k: c.counts for k, c in counts.items()} == \
+            {k: c.counts for k, c in run.outcome.counts.items()}
+        assert run.outcome.leak_event_fraction == leak / total
+
+    def test_outcome_codes_wide_records(self):
+        # 12 flag columns and 9 leak windows exceed int64 as one mixed-radix
+        # number; codes must stay non-negative and still tell records apart
+        from timebin.detection import RunClicks
+
+        rng = np.random.default_rng(3)
+        n = 3000
+        windows = [(s, w) for s in range(3)
+                   for w in (Window.EARLY, Window.MIDDLE, Window.LATE)]
+        flag_patterns = [((s, w, d),) for s, w in windows
+                         for d in (Detector.D1, Detector.D2)]
+        catalog = [(), ((0, Window.EARLY, Detector.D1),),
+                   ((1, Window.LATE, Detector.D2),)]
+        leak_clicks = rng.random((n, 9)) < 0.05
+        clicks = RunClicks(
+            None, None, catalog, rng.integers(0, 3, n), np.zeros(n, np.int8),
+            rng.random(n) < 0.5, rng.random(n) < 0.05, windows, leak_clicks,
+            rng.integers(0, 2, (n, 9)).astype(np.int8),
+            flag_patterns, np.where(rng.random((n, 12)) < 0.1,
+                                    rng.integers(0, 18, (n, 12)), -1), 0)
+        codes, mapping = clicks.outcome_codes()
+        assert codes.min() >= 0
+        records = [(tuple(clicks.flag_ids[r]), tuple(leak_clicks[r]),
+                    tuple(clicks.leak_detectors[r][leak_clicks[r]]),
+                    int(clicks.pattern_ids[r]), bool(clicks.readout_clicks[r]))
+                   for r in range(n)]
+        by_code = {}
+        for r in range(n):
+            assert by_code.setdefault(int(codes[r]), records[r]) == records[r]
+            assert mapping[int(codes[r])] == (clicks.clicks_of(r),
+                                              bool(clicks.readout_clicks[r]))
+        assert len(by_code) == len(set(records))
+
+
 class TestTargetState:
     def test_bell_amplitudes(self):
         lay = RegisterLayout(photon_slots=1, slot_dim=3)
