@@ -27,7 +27,7 @@ from .config import (V_CLASSICAL_BACKSOLVED, RunConfig, load_config,
 from .coincidence import WindowConfig
 from .errors import (ConfigurationError, ContractError, ParseError,
                      UndefinedEstimateError)
-from .interferometer import Window
+from .interferometer import Detector
 
 
 def _jsonify(obj):
@@ -275,28 +275,23 @@ def _analyze_witness(tags, args) -> dict:
     windows = WindowConfig.for_sequence(n_qubits - 1,
                                         t_inf=cfg["emitter"]["t_inf"],
                                         slot_spacing=cfg["emitter"]["photon_spacing_ns"])
-    by_rep: dict[int, list] = {}
-    for d, t, r in zip(tags.detector, tags.time, tags.repetition):
-        by_rep.setdefault(int(r), []).append((int(d), float(t)))
+    # one repetition's tags are contiguous in the sorted input: group them by
+    # boundary, and turn each photonic tag into its click through a lookup
+    # by (slot, window, detector) code
+    slot, code = windows.classify(tags.time)
+    starts = np.flatnonzero(np.r_[True, tags.repetition[1:] != tags.repetition[:-1]])
+    readout = np.logical_or.reduceat(code == coin.READOUT, starts).tolist()
+    photonic = (code >= 0) & (code != coin.READOUT)
+    click_code = (slot * 3 + code) * 2 + tags.detector
+    lookup = [(s, coin.WINDOWS[w], d) for s in range(windows.n_slots) for w in range(3)
+              for d in (Detector.D1, Detector.D2)]
+    clicks = [lookup[c] for c in click_code[photonic].tolist()]
+    bounds = np.r_[0, np.cumsum(np.add.reduceat(photonic, starts))].tolist()
+    sub_global = (tags.repetition[starts] % n_subs).tolist()
     per_setting_events: dict[str, list] = {s.label: [] for s in settings}
-    for rep, clicks in by_rep.items():
-        sub_global = rep % n_subs
-        setting = settings[sub_global // 2]
-        sub_i = sub_global % 2
-        parsed = []
-        readout = False
-        for d, t in clicks:
-            cls = windows.classify(t)
-            if cls is None:
-                continue
-            slot, window = cls
-            if window == Window.READOUT:
-                readout = True
-            else:
-                from .interferometer import Detector
-                det = Detector.D1 if d == 0 else Detector.D2
-                parsed.append((slot, window, det))
-        per_setting_events[setting.label].append((tuple(parsed), readout, sub_i))
+    for g, sub in enumerate(sub_global):
+        per_setting_events[settings[sub // 2].label].append(
+            (tuple(clicks[bounds[g]:bounds[g + 1]]), readout[g], sub % 2))
     estimates = {}
     pop = None
     mks = []

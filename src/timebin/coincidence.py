@@ -19,6 +19,11 @@ import numpy as np
 from .errors import ContractError, ParseError, UndefinedEstimateError
 from .interferometer import Window
 
+# window codes returned by WindowConfig.classify; WINDOWS[code] is the Window
+WINDOWS = (Window.EARLY, Window.MIDDLE, Window.LATE, Window.READOUT)
+EARLY, MIDDLE, LATE, READOUT = range(4)
+_EXPORT_CHUNK = 65_536
+
 
 @dataclass(frozen=True)
 class WindowConfig:
@@ -57,16 +62,24 @@ class WindowConfig:
                 Window.LATE: self.late_start}[window]
         return base + slot * self.slot_spacing
 
-    def classify(self, time: float) -> tuple[int, Window] | None:
-        """Map a click time to its (slot, window); None if between windows."""
-        if self.readout_start <= time < self.readout_start + self.readout_width:
-            return (0, Window.READOUT)
-        for slot in range(self.n_slots):
-            for w in (Window.EARLY, Window.MIDDLE, Window.LATE):
-                start = self.window_start(slot, w)
-                if start <= time < start + self.width:
-                    return (slot, w)
-        return None
+    def classify(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """Map click times to (slot, window code) arrays; WINDOWS[code] is the
+        Window, and both are -1 for a time between windows.
+
+        The readout window is tried first, then each slot's early, middle
+        and late windows; the first window holding a time wins.
+        """
+        times = np.asarray(times, dtype=float)
+        slot = np.full(times.shape, -1, np.int64)
+        code = np.full(times.shape, -1, np.int64)
+        spans = [(0, READOUT, self.readout_start, self.readout_width)]
+        spans += [(s, c, self.window_start(s, WINDOWS[c]), self.width)
+                  for s in range(self.n_slots) for c in (EARLY, MIDDLE, LATE)]
+        for s, c, start, width in spans:
+            hit = (code < 0) & (start <= times) & (times < start + width)
+            slot[hit] = s
+            code[hit] = c
+        return slot, code
 
     @classmethod
     def for_sequence(cls, n_slots: int, t_inf: float = 11.8, slot_spacing: float = 28.0,
@@ -148,11 +161,7 @@ def histogram_to_csv(path, bin_starts: np.ndarray, counts: np.ndarray) -> None:
 def _window_counts(arr: TagArrays, windows: WindowConfig, window: Window,
                    n_reps: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-repetition click counts on each detector within one window class."""
-    start = windows.window_start(0, window)
-    sel = np.zeros(len(arr), dtype=bool)
-    for slot in range(windows.n_slots):
-        s = windows.window_start(slot, window)
-        sel |= (arr.time >= s) & (arr.time < s + windows.width)
+    sel = windows.classify(arr.time)[1] == WINDOWS.index(window)
     n1 = np.bincount(arr.repetition[sel & (arr.detector == 0)], minlength=n_reps)
     n2 = np.bincount(arr.repetition[sel & (arr.detector == 1)], minlength=n_reps)
     return n1.astype(np.int64), n2.astype(np.int64)
@@ -208,33 +217,31 @@ def hom_counts_from_tags(tags: TagArrays, windows: WindowConfig,
     """
     t_inf = windows.bin_separation
     half = t_inf / 2.0 if center_halfwidth is None else center_halfwidth
-    order = np.lexsort((tags.time, tags.repetition))
+    # a pair's counts do not depend on which of its tags comes first, so
+    # grouping by repetition is the only order needed
+    order = np.argsort(tags.repetition, kind="stable")
     det, time, rep = tags.detector[order], tags.time[order], tags.repetition[order]
-    photonic = np.array([windows.classify(t) is not None
-                         and windows.classify(t)[1] != Window.READOUT for t in time])
+    code = windows.classify(time)[1]
+    photonic = (code >= 0) & (code != READOUT)
     det, time, rep = det[photonic], time[photonic], rep[photonic]
-    mid = np.array([windows.classify(t)[1] == Window.MIDDLE for t in time])
+    mid = code[photonic] == MIDDLE
     n1 = n2 = n3 = 0
-    start = 0
-    n = len(time)
-    while start < n:
-        end = start
-        while end < n and rep[end] == rep[start]:
-            end += 1
-        for i in range(start, end):
-            for j in range(i + 1, end):
-                if det[i] == det[j]:
-                    continue
-                if not (mid[i] or mid[j]):
-                    continue
-                tau = time[j] - time[i] if det[i] == 0 else time[i] - time[j]
-                if abs(tau) < half:
-                    n2 += 1
-                elif abs(tau + t_inf) < half:
-                    n1 += 1
-                elif abs(tau - t_inf) < half:
-                    n3 += 1
-        start = end
+    # the pairs (i, i + k) within one repetition, for k = 1, 2, ..., are each
+    # same-repetition pair exactly once
+    for k in range(1, len(time)):
+        i = np.flatnonzero(rep[:-k] == rep[k:])
+        if len(i) == 0:
+            break
+        j = i + k
+        keep = (det[i] != det[j]) & (mid[i] | mid[j])
+        i, j = i[keep], j[keep]
+        tau = np.where(det[i] == 0, time[j] - time[i], time[i] - time[j])
+        center = np.abs(tau) < half
+        left = ~center & (np.abs(tau + t_inf) < half)
+        right = ~center & ~left & (np.abs(tau - t_inf) < half)
+        n1 += int(np.count_nonzero(left))
+        n2 += int(np.count_nonzero(center))
+        n3 += int(np.count_nonzero(right))
     return HomCounts(n1, n2, n3)
 
 
@@ -270,11 +277,18 @@ _CSV_HEADER = ["detector", "time_ns", "repetition"]
 
 
 def export_timetags(path, tags: TagArrays) -> None:
+    """Write tags as `detector,time_ns,repetition` rows (csv dialect line ends).
+
+    Rows are formatted in chunks so a large run adds no full-size copy.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for d, t, r in zip(tags.detector, tags.time, tags.repetition):
-            writer.writerow(["D1" if d == 0 else "D2", f"{t:.6f}", int(r)])
+        fh.write(",".join(_CSV_HEADER) + "\r\n")
+        for lo in range(0, len(tags), _EXPORT_CHUNK):
+            hi = lo + _EXPORT_CHUNK
+            rows = zip(tags.detector[lo:hi].tolist(), tags.time[lo:hi].tolist(),
+                       tags.repetition[lo:hi].tolist())
+            fh.write("".join([f"{'D1' if d == 0 else 'D2'},{t:.6f},{r}\r\n"
+                              for d, t, r in rows]))
 
 
 def ingest_timetags(path) -> TagArrays:
@@ -306,8 +320,12 @@ def ingest_timetags(path) -> TagArrays:
                 r_val = int(rep)
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
+            if not math.isfinite(t_val):
+                raise ParseError(f"non-finite time {t!r}", line=lineno)
             if t_val < 0:
                 raise ParseError(f"negative time {t_val}", line=lineno)
+            if r_val < 0:
+                raise ParseError(f"negative repetition {r_val}", line=lineno)
             det_codes.append(0 if det == "D1" else 1)
             times.append(t_val)
             reps.append(r_val)
@@ -315,8 +333,8 @@ def ingest_timetags(path) -> TagArrays:
                     np.array(reps, np.int64))
     for d in (0, 1):
         sel = arr.detector == d
-        absolute = arr.repetition[sel] * 1e9 + arr.time[sel]
-        if np.any(np.diff(absolute) < 0):
+        d_rep = np.diff(arr.repetition[sel])
+        if np.any((d_rep < 0) | ((d_rep == 0) & (np.diff(arr.time[sel]) < 0))):
             warnings.warn(f"non-monotone timestamps in detector D{d + 1} stream; sorting",
                           stacklevel=2)
     order = np.lexsort((arr.detector, arr.time, arr.repetition))

@@ -209,6 +209,43 @@ class TestArtifacts:
         ana_f = json.loads((ana / "analysis.json").read_text())["fidelity"]["value"]
         assert abs(sim_f - ana_f) < 1e-9
 
+    def test_analyze_ghz3_witness_roundtrip(self, tmp_path):
+        # two photonic slots: the analysis places clicks by slot_spacing
+        from timebin.cli import _concat_tags
+        from timebin.coincidence import export_timetags
+        from timebin.config import paper_emitter, paper_noise, paper_tbi
+        from timebin.experiments import witness_trajectory
+
+        emitter = paper_emitter()
+        run = witness_trajectory(3, emitter, paper_noise(), paper_tbi(), 24_000, 11,
+                                 keep_clicks=True)
+        tags = _concat_tags([c.to_tags(emitter.gamma0) for c in run.clicks])
+        export_timetags(tmp_path / "timetags.csv", tags)
+        manifest = {"config": {"experiment": "ghz", "n_qubits": 3,
+                               "emitter": {"t_inf": emitter.t_inf,
+                                           "photon_spacing_ns": emitter.photon_spacing_ns}}}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        ana = tmp_path / "ana"
+        rc = run_cli("analyze", "--input", str(tmp_path / "timetags.csv"),
+                     "--mode", "witness", "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(ana))
+        assert rc == 0
+        ana_f = json.loads((ana / "analysis.json").read_text())["fidelity"]["value"]
+        assert abs(ana_f - run.outcome.fidelity) < 1e-12
+
+    def test_analyze_hom_matches_simulate(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "hom", "--defaults", "paper", "--reps", "20000",
+                       "--seed", "6", "--out", str(out)) == 0
+        ana = tmp_path / "ana"
+        assert run_cli("analyze", "--input", str(out / "timetags.csv"),
+                       "--mode", "hom", "--out", str(ana)) == 0
+        sim = json.loads((out / "report.json").read_text())
+        got = json.loads((ana / "analysis.json").read_text())
+        assert got["hom_counts"] == sim["hom_counts"]
+        assert got["g2_zero"] == sim["g2_zero"]
+        assert sum(sim["hom_counts"].values()) > 0
+
     def test_fringe_scan_outputs(self, tmp_path):
         out = tmp_path / "fr"
         rc = run_cli("fringe-scan", "--mode", "classical", "--reps", "40000",

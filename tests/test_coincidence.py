@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from timebin.coincidence import (HomCounts, TagArrays,
+from timebin.coincidence import (WINDOWS, HomCounts, TagArrays,
                                  WindowConfig, build_histogram, g2_zero,
                                  hom_correct, hom_counts_from_tags,
                                  hom_visibility, histogram_to_csv,
                                  export_timetags, ingest_timetags)
+from timebin.cli import main
 from timebin.config import paper_emitter, paper_noise, paper_tbi
 from timebin.emitter import ideal_emitter, ideal_noise
 from timebin.errors import ContractError, ParseError, UndefinedEstimateError
 from timebin.experiments import simulate_hom
+from timebin.interferometer import Window
 
 
 def tag_arrays(*rows):
@@ -158,12 +160,111 @@ class TestWindowConfig:
 
     def test_classify(self):
         w = WindowConfig()
-        from timebin.interferometer import Window
-        assert w.classify(30.5) == (0, Window.EARLY)
-        assert w.classify(42.0) == (0, Window.MIDDLE)
-        assert w.classify(54.0) == (0, Window.LATE)
-        assert w.classify(80.0) == (0, Window.READOUT)
-        assert w.classify(10.0) is None
+        slot, code = w.classify([30.5, 42.0, 54.0, 80.0, 10.0])
+        assert slot.tolist() == [0, 0, 0, 0, -1]
+        assert [WINDOWS[c] if c >= 0 else None for c in code] == [
+            Window.EARLY, Window.MIDDLE, Window.LATE, Window.READOUT, None]
+
+
+def _reference_classify(windows, time):
+    """The scalar classifier the array form replaced: (slot, Window) or None."""
+    if windows.readout_start <= time < windows.readout_start + windows.readout_width:
+        return (0, Window.READOUT)
+    for slot in range(windows.n_slots):
+        for w in (Window.EARLY, Window.MIDDLE, Window.LATE):
+            start = windows.window_start(slot, w)
+            if start <= time < start + windows.width:
+                return (slot, w)
+    return None
+
+
+def _reference_hom_counts(tags, windows, center_halfwidth=None):
+    """Per-repetition pair loop over scalar-classified tags."""
+    t_inf = windows.bin_separation
+    half = t_inf / 2.0 if center_halfwidth is None else center_halfwidth
+    order = np.lexsort((tags.time, tags.repetition))
+    det, time, rep = tags.detector[order], tags.time[order], tags.repetition[order]
+    photonic = np.array([_reference_classify(windows, t) is not None
+                         and _reference_classify(windows, t)[1] != Window.READOUT
+                         for t in time], dtype=bool)
+    det, time, rep = det[photonic], time[photonic], rep[photonic]
+    mid = np.array([_reference_classify(windows, t)[1] == Window.MIDDLE for t in time])
+    n1 = n2 = n3 = 0
+    start = 0
+    n = len(time)
+    while start < n:
+        end = start
+        while end < n and rep[end] == rep[start]:
+            end += 1
+        for i in range(start, end):
+            for j in range(i + 1, end):
+                if det[i] == det[j]:
+                    continue
+                if not (mid[i] or mid[j]):
+                    continue
+                tau = time[j] - time[i] if det[i] == 0 else time[i] - time[j]
+                if abs(tau) < half:
+                    n2 += 1
+                elif abs(tau + t_inf) < half:
+                    n1 += 1
+                elif abs(tau - t_inf) < half:
+                    n3 += 1
+        start = end
+    return HomCounts(n1, n2, n3)
+
+
+class TestHomPairCounting:
+    def _tags(self, windows, n_reps, seed):
+        # clicks at window starts (inside) and ends (outside), inside
+        # windows, between windows and in the readout window, with
+        # equal-time ties and up to nine tags per repetition
+        rng = np.random.default_rng(seed)
+        points = []
+        for s in range(windows.n_slots):
+            for w in (Window.EARLY, Window.MIDDLE, Window.LATE):
+                start = windows.window_start(s, w)
+                points += [start, start + windows.width, start + 0.3, start + 1.7]
+        points += [windows.readout_start, windows.readout_start + 5.0,
+                   windows.early_start - 1.0, windows.middle_start - 2.5]
+        rows = []
+        for r in range(n_reps):
+            k = rng.integers(0, 8)
+            times = rng.choice(points, size=k)
+            if k and rng.random() < 0.3:
+                times = np.r_[times, times[0]]
+            for t in times:
+                rows.append((int(rng.integers(0, 2)), float(t), r))
+            if k and rng.random() < 0.2:
+                rows.append((1 - rows[-1][0], rows[-1][1], r))
+        rng.shuffle(rows)
+        return tag_arrays(*rows)
+
+    @pytest.mark.parametrize("windows", [WindowConfig(), WindowConfig.for_sequence(1),
+                                         WindowConfig.for_sequence(2)])
+    @pytest.mark.parametrize("center_halfwidth", [None, 1.5, 10.5])
+    def test_matches_pair_loop(self, windows, center_halfwidth):
+        tags = self._tags(windows, 600, 17)
+        got = hom_counts_from_tags(tags, windows, center_halfwidth)
+        want = _reference_hom_counts(tags, windows, center_halfwidth)
+        assert got == want
+        assert got.n1 + got.n2 + got.n3 > 0
+
+    def test_edges_and_ties(self):
+        w = WindowConfig()
+        tags = tag_arrays(
+            # middle click at its window's start pairs with an early click
+            (0, w.early_start, 0), (1, w.middle_start, 0),
+            # a window's end is outside it: no middle gate, no pair
+            (0, w.early_start, 1), (1, w.middle_start + w.width, 1),
+            # equal-time cross-detector tie in the middle window: center
+            (0, w.middle_start + 1.0, 2), (1, w.middle_start + 1.0, 2),
+            # readout and between-window tags never pair
+            (0, w.middle_start + 0.5, 3), (1, w.readout_start, 3),
+            (1, w.middle_start - 1.0, 3))
+        got = hom_counts_from_tags(tags, w)
+        assert got == _reference_hom_counts(tags, w)
+        # rep 0: tau = t_D2 - t_D1 = +T_inf (n3); rep 2: tau = 0 (n2)
+        assert got == HomCounts(0, 1, 1)
 
 
 class TestTimeTagIO:
@@ -216,6 +317,52 @@ class TestTimeTagIO:
                         "D1,5.0,1\nD1,3.0,0\n")
         with pytest.warns(UserWarning):
             ingest_timetags(path)
+
+    def test_non_monotone_warns_at_large_repetition(self, tmp_path):
+        # repetition * 1e9 + time would round both rows to the same value
+        path = tmp_path / "mono.csv"
+        path.write_text("detector,time_ns,repetition\n"
+                        "D1,31.000020,400000\nD1,31.000010,400000\n")
+        with pytest.warns(UserWarning, match="non-monotone"):
+            ingest_timetags(path)
+
+    @staticmethod
+    def _rejected(tmp_path, row, mode):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"detector,time_ns,repetition\nD1,30.5,0\nD2,42.0,1\n{row}\n")
+        with pytest.raises(ParseError) as err:
+            ingest_timetags(path)
+        assert err.value.line == 4
+        assert main(["analyze", "--input", str(path), "--mode", mode,
+                     "--out", str(tmp_path / "ana")]) == 1
+
+    def test_infinite_time_rejected(self, tmp_path):
+        self._rejected(tmp_path, "D1,inf,2", "histogram")
+
+    def test_nan_time_rejected(self, tmp_path):
+        self._rejected(tmp_path, "D2,nan,2", "histogram")
+
+    def test_negative_repetition_rejected(self, tmp_path):
+        for mode in ("g2", "hom"):
+            self._rejected(tmp_path, "D1,30.7,-3", mode)
+
+    def test_chunked_export_matches_csv_writer(self, tmp_path):
+        import csv
+        n = 65_536 + 1_234
+        rng = np.random.default_rng(4)
+        time = rng.uniform(0.0, 700.0, n)
+        time[:6] = [0.0, 1e-7, 999.9999995, 5e-7, 30.0000005, 123456.789]
+        tags = TagArrays(rng.integers(0, 2, n).astype(np.int8), time,
+                         np.sort(rng.integers(0, 10**9, n)))
+        path = tmp_path / "tags.csv"
+        export_timetags(path, tags)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["detector", "time_ns", "repetition"])
+            for d, t, r in zip(tags.detector, tags.time, tags.repetition):
+                writer.writerow(["D1" if d == 0 else "D2", f"{t:.6f}", int(r)])
+        assert path.read_bytes() == want.read_bytes()
 
     def test_histogram_csv(self, tmp_path):
         starts, counts = build_histogram(tag_arrays((0, 1.2, 0), (1, 1.4, 0)), 1.0)
