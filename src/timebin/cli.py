@@ -27,7 +27,6 @@ from .config import (V_CLASSICAL_BACKSOLVED, RunConfig, load_config,
 from .coincidence import WindowConfig
 from .errors import (ConfigurationError, ContractError, ParseError,
                      UndefinedEstimateError)
-from .interferometer import Detector
 
 
 def _jsonify(obj):
@@ -275,23 +274,23 @@ def _analyze_witness(tags, args) -> dict:
     windows = WindowConfig.for_sequence(n_qubits - 1,
                                         t_inf=cfg["emitter"]["t_inf"],
                                         slot_spacing=cfg["emitter"]["photon_spacing_ns"])
-    # one repetition's tags are contiguous in the sorted input: group them by
-    # boundary, and turn each photonic tag into its click through a lookup
-    # by (slot, window, detector) code
+    # one repetition's tags are contiguous in the sorted input: count its
+    # photonic tags per (slot, window, detector) cell, and build the click
+    # pattern once per distinct row of counts
     slot, code = windows.classify(tags.time)
-    starts = np.flatnonzero(np.r_[True, tags.repetition[1:] != tags.repetition[:-1]])
+    new_rep = np.r_[True, tags.repetition[1:] != tags.repetition[:-1]]
+    starts = np.flatnonzero(new_rep)
     readout = np.logical_or.reduceat(code == coin.READOUT, starts).tolist()
     photonic = (code >= 0) & (code != coin.READOUT)
-    click_code = (slot * 3 + code) * 2 + tags.detector
-    lookup = [(s, coin.WINDOWS[w], d) for s in range(windows.n_slots) for w in range(3)
-              for d in (Detector.D1, Detector.D2)]
-    clicks = [lookup[c] for c in click_code[photonic].tolist()]
-    bounds = np.r_[0, np.cumsum(np.add.reduceat(photonic, starts))].tolist()
+    cells = np.zeros((len(starts), 6 * windows.n_slots), np.uint8)
+    np.add.at(cells, ((np.cumsum(new_rep) - 1)[photonic],
+                      coin.click_cell(slot, code, tags.detector)[photonic]), 1)
+    first, group = coin.distinct_rows(cells)
+    patterns = [coin.cell_pattern(cells[row]) for row in first]
     sub_global = (tags.repetition[starts] % n_subs).tolist()
     per_setting_events: dict[str, list] = {s.label: [] for s in settings}
-    for g, sub in enumerate(sub_global):
-        per_setting_events[settings[sub // 2].label].append(
-            (tuple(clicks[bounds[g]:bounds[g + 1]]), readout[g], sub % 2))
+    for sub, k, read in zip(sub_global, group.tolist(), readout):
+        per_setting_events[settings[sub // 2].label].append((patterns[k], read, sub % 2))
     estimates = {}
     pop = None
     mks = []

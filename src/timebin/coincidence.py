@@ -17,12 +17,45 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, ParseError, UndefinedEstimateError
-from .interferometer import Window
+from .interferometer import Detector, Window
 
 # window codes returned by WindowConfig.classify; WINDOWS[code] is the Window
 WINDOWS = (Window.EARLY, Window.MIDDLE, Window.LATE, Window.READOUT)
 EARLY, MIDDLE, LATE, READOUT = range(4)
+# detector codes of TagArrays.detector; DETECTORS[code] is the Detector
+DETECTORS = (Detector.D1, Detector.D2)
 _EXPORT_CHUNK = 65_536
+_MAX_REPETITION = 2**63 - 1
+
+
+def click_cell(slot, window, detector):
+    """Cell of a photonic click: (slot * 3 + window) * 2 + detector, for an
+    EARLY/MIDDLE/LATE window code and a detector code; works on arrays."""
+    return (slot * 3 + window) * 2 + detector
+
+
+def cell_click(cell: int) -> tuple[int, Window, Detector]:
+    """The (slot, Window, Detector) click of a cell."""
+    return cell // 6, WINDOWS[cell // 2 % 3], DETECTORS[cell % 2]
+
+
+def cell_pattern(counts) -> tuple[tuple[int, Window, Detector], ...]:
+    """The clicks of one row of per-cell click counts, in cell order."""
+    cells = np.repeat(np.arange(len(counts)), counts)
+    return tuple(cell_click(c) for c in cells.tolist())
+
+
+def distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of a 2-D uint8 matrix: (first row of each group,
+    group index of every row).
+
+    Rows are compared as single void values, which is far faster than
+    np.unique(axis=0) on the narrow count matrices used here.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=np.uint8)
+    keys = matrix.view(np.dtype((np.void, matrix.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 @dataclass(frozen=True)
@@ -158,10 +191,11 @@ def histogram_to_csv(path, bin_starts: np.ndarray, counts: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _window_counts(arr: TagArrays, windows: WindowConfig, window: Window,
+def _window_counts(arr: TagArrays, code: np.ndarray, window: Window,
                    n_reps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-repetition click counts on each detector within one window class."""
-    sel = windows.classify(arr.time)[1] == WINDOWS.index(window)
+    """Per-repetition click counts on each detector within one window class,
+    given the tags' window codes from WindowConfig.classify."""
+    sel = code == WINDOWS.index(window)
     n1 = np.bincount(arr.repetition[sel & (arr.detector == 0)], minlength=n_reps)
     n2 = np.bincount(arr.repetition[sel & (arr.detector == 1)], minlength=n_reps)
     return n1.astype(np.int64), n2.astype(np.int64)
@@ -181,10 +215,11 @@ def g2_zero(tags: TagArrays, windows: WindowConfig, max_delay_reps: int = 50
     n_reps = int(tags.repetition.max()) + 1
     if n_reps < 2:
         raise UndefinedEstimateError("g2 needs at least two repetitions")
+    code = windows.classify(tags.time)[1]
     detail = {}
     values, weights = [], []
     for window in (Window.EARLY, Window.LATE):
-        n1, n2 = _window_counts(tags, windows, window, n_reps)
+        n1, n2 = _window_counts(tags, code, window, n_reps)
         same = float(np.sum(n1 * n2))
         far_total = 0.0
         k = min(max_delay_reps, n_reps - 1)
@@ -326,6 +361,8 @@ def ingest_timetags(path) -> TagArrays:
                 raise ParseError(f"negative time {t_val}", line=lineno)
             if r_val < 0:
                 raise ParseError(f"negative repetition {r_val}", line=lineno)
+            if r_val > _MAX_REPETITION:
+                raise ParseError(f"repetition {r_val} above 2^63 - 1", line=lineno)
             det_codes.append(0 if det == "D1" else 1)
             times.append(t_val)
             reps.append(r_val)

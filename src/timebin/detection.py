@@ -6,8 +6,11 @@ clicks.  The same machinery serves both simulation modes:
 * exact mode convolves the pattern distribution analytically
   (`DetectionModel.distribution` / `full_distribution`),
 * trajectory mode samples one pattern per repetition from the distribution
-  of that repetition's pure state (`sample_run`), then adds background
-  clicks and the spin-readout click, all from counter-based streams.
+  of that repetition's pure state (`sample_run`), then adds flagged and
+  background clicks and the spin-readout click, all from counter-based
+  streams.  It records a repetition's photonic clicks as one count per
+  (slot, window, detector) cell (`RunClicks`), and its time tags are keyed
+  by repetition and click content.
 
 Efficiency handling: with thinned=True every photon and readout click is
 Bernoulli-thinned by the physical efficiencies; with thinned=False clicks
@@ -25,7 +28,8 @@ from itertools import product
 import numpy as np
 
 from . import rng as crng
-from .coincidence import TagArrays, WindowConfig
+from .coincidence import (TagArrays, WindowConfig, cell_click, cell_pattern,
+                          distinct_rows)
 from .emitter import NoiseParams, TrajectoryResult
 from .errors import ContractError
 from .hilbert import (SLOT_EARLY, SLOT_EE, SLOT_EL, SLOT_LATE, SLOT_LL,
@@ -312,49 +316,38 @@ class DetectionModel:
 
         n = result.rep_indices.size
         reps = result.rep_indices
-        catalog: list[Pattern] = []
-        cat_index: dict[Pattern, int] = {}
-        pattern_ids = np.zeros(n, dtype=np.int64)
-        spins = np.zeros(n, dtype=np.int8)
+        n_cells = 6 * self.layout.photon_slots
+        cell_of = {cell_click(c): c for c in range(n_cells)}
 
+        def cells(pattern: Pattern) -> np.ndarray:
+            return np.bincount([cell_of[c] for c in pattern],
+                               minlength=n_cells).astype(np.uint8)
+
+        catalog: dict[Pattern, None] = {}
+        signal = np.zeros((n, n_cells), dtype=np.uint8)
+        spins = np.zeros(n, dtype=np.int8)
         u_pat = crng.uniforms(master_seed, reps, _STREAM_PATTERN)
         for sid, idx in group_by_id(result.state_ids):
-            psi = result.state_table[sid]
-            dist = self.distribution(psi)
+            dist = self.distribution(result.state_table[sid])
             choice = crng.choose([p for _, _, p in dist], u_pat[idx])
-            local = np.empty(len(dist), dtype=np.int64)
-            local_spin = np.empty(len(dist), dtype=np.int8)
-            for k, (pat, spin, _) in enumerate(dist):
-                if pat not in cat_index:
-                    cat_index[pat] = len(catalog)
-                    catalog.append(pat)
-                local[k] = cat_index[pat]
-                local_spin[k] = spin
-            pattern_ids[idx] = local[choice]
-            spins[idx] = local_spin[choice]
+            catalog.update(dict.fromkeys(pat for pat, _, _ in dist))
+            signal[idx] = np.array([cells(pat) for pat, _, _ in dist])[choice]
+            spins[idx] = np.array([spin for _, spin, _ in dist], dtype=np.int8)[choice]
 
         # classical background photons (wrong transition and re-excitation)
+        flagged = np.zeros((n, n_cells), dtype=np.uint8)
         flag_matrix = result.flag_click_matrix()
         flag_cols = [(op.slot, op.bin) for op in result.excite_ops] * 2
-        flag_ids = np.full((n, max(flag_matrix.shape[1], 1)), -1, dtype=np.int64)
-        flag_patterns: list[Pattern] = []
-        flag_index: dict[Pattern, int] = {}
         for e_i, (slot, bin_label) in enumerate(flag_cols[:flag_matrix.shape[1]]):
             mask = flag_matrix[:, e_i]
             if not mask.any():
                 continue
             comp = SLOT_EARLY if bin_label == "early" else SLOT_LATE
-            outs = [(_shift_slot(p, slot), w)
-                    for p, w in _single_photon_outcomes(comp, self.tbi, self.eta)]
+            outs = _single_photon_outcomes(comp, self.tbi, self.eta)
             u = crng.uniforms(master_seed, reps[mask], _STREAM_WRONG + e_i)
             choice = crng.choose([w for _, w in outs], u)
-            local = np.empty(len(outs), dtype=np.int64)
-            for k, (pat, _) in enumerate(outs):
-                if pat not in flag_index:
-                    flag_index[pat] = len(flag_patterns)
-                    flag_patterns.append(pat)
-                local[k] = flag_index[pat]
-            flag_ids[mask, e_i] = local[choice]
+            out_cells = np.array([cells(_shift_slot(p, slot)) for p, _ in outs])
+            flagged[mask] += out_cells[choice]
 
         # readout click: spin signal or background light in the readout window
         p_up = self.readout_click_prob(SPIN_UP)
@@ -368,22 +361,18 @@ class DetectionModel:
             u_rl = crng.uniforms(master_seed, reps, _STREAM_READ_LEAK)
             readout_leak = u_rl < p_leak_read
 
-        # background clicks per photonic window
-        leak = self.leak_window_probs()
-        leak_clicks = np.zeros((n, len(leak)), dtype=bool)
-        leak_dets = np.zeros((n, len(leak)), dtype=np.int8)
-        for k, (_slot, _w, lam) in enumerate(leak):
+        # background clicks: at most one per photonic window, on D2 when ud < 0.5
+        background = np.zeros((n, n_cells), dtype=np.uint8)
+        for k, (slot, w, lam) in enumerate(self.leak_window_probs()):
             if lam <= 0:
                 continue
             u = crng.uniforms(master_seed, reps, _STREAM_LEAK + k)
-            leak_clicks[:, k] = u < lam
-            ud = crng.uniforms(master_seed, reps, _STREAM_LEAK_DET + k)
-            leak_dets[:, k] = (ud < 0.5).astype(np.int8)
+            rows = np.flatnonzero(u < lam)
+            ud = crng.uniforms(master_seed, reps[rows], _STREAM_LEAK_DET + k)
+            background[rows, cell_of[(slot, w, Detector.D1)] + (ud < 0.5)] = 1
 
-        return RunClicks(self, result, catalog, pattern_ids, spins,
-                         readout_signal, readout_leak,
-                         [(s, w) for s, w, _ in leak], leak_clicks, leak_dets,
-                         flag_patterns, flag_ids, master_seed)
+        return RunClicks(self, result, list(catalog), spins, readout_signal,
+                         readout_leak, signal, flagged, background, master_seed)
 
 
 def _contract_slot(t: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -406,20 +395,26 @@ def _slot_occupancy(t: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RunClicks:
-    """Sampled detection outcomes of a trajectory run (column layout)."""
+    """Sampled detection outcomes of a trajectory run.
+
+    A repetition's photonic clicks are one uint8 count per cell
+    (`coincidence.click_cell`: slot, window and detector), held in three
+    (n_reps, n_cells) arrays by origin: `signal` for the photons of the
+    sampled pattern, `flagged` for distinguishable background photons
+    (wrong-transition scatter, re-excitation) and `background` for
+    background-light clicks.  `pattern_catalog` lists the distinct patterns
+    of the sampled states' distributions in first-seen order.
+    """
 
     model: DetectionModel
     trajectory: TrajectoryResult
     pattern_catalog: list[Pattern]
-    pattern_ids: np.ndarray
     spins: np.ndarray
     readout_signal: np.ndarray
     readout_leak: np.ndarray
-    leak_windows: list[tuple[int, Window]]
-    leak_clicks: np.ndarray
-    leak_detectors: np.ndarray
-    flag_patterns: list[Pattern]
-    flag_ids: np.ndarray
+    signal: np.ndarray
+    flagged: np.ndarray
+    background: np.ndarray
     master_seed: int
 
     @property
@@ -428,112 +423,76 @@ class RunClicks:
 
     @property
     def n_reps(self) -> int:
-        return self.pattern_ids.size
+        return self.spins.size
 
     def clicks_of(self, row: int, leak: bool = True) -> Pattern:
-        """All photonic clicks of one repetition; leak=False drops the
-        background-light clicks."""
-        clicks = list(self.pattern_catalog[self.pattern_ids[row]])
-        for k, (slot, w) in enumerate(self.leak_windows):
-            if leak and self.leak_clicks[row, k]:
-                det = Detector.D1 if self.leak_detectors[row, k] == 0 else Detector.D2
-                clicks.append((slot, w, det))
-        for e_i in range(self.flag_ids.shape[1]):
-            fid = self.flag_ids[row, e_i]
-            if fid >= 0:
-                clicks.extend(self.flag_patterns[fid])
-        return tuple(sorted(clicks, key=_click_key))
+        """All photonic clicks of one repetition in cell order; leak=False
+        drops the background-light clicks."""
+        counts = self.signal[row] + self.flagged[row]
+        return cell_pattern(counts + self.background[row] if leak else counts)
 
     def outcome_codes(self) -> tuple[np.ndarray, dict]:
-        """Vectorized (clicks, readout) keys for distribution comparisons.
+        """Group repetitions by click record: signal and flagged counts,
+        background counts and readout click.
 
-        Returns an int64 code per repetition and a map code -> (Pattern,
-        readout_clicked); clicks_of is only evaluated once per distinct code.
-        Codes order repetitions by (flag clicks, leak clicks, catalog
-        pattern, readout), so plain repetitions come first in catalog order.
+        Returns a code per repetition and a map code -> (Pattern,
+        readout_clicked); clicks_of is only evaluated once per code.
         """
-        leak_bits = np.zeros(self.n_reps, dtype=np.int64)
-        for k in range(self.leak_clicks.shape[1]):
-            click = self.leak_clicks[:, k].astype(np.int64)
-            det = self.leak_detectors[:, k].astype(np.int64) & click
-            leak_bits |= (click | (det << 1)) << (2 * k)
-        digits = [(self.flag_ids[:, e_i] + 1, len(self.flag_patterns) + 1)
-                  for e_i in range(self.flag_ids.shape[1])]
-        digits += [(leak_bits, 1 << (2 * self.leak_clicks.shape[1])),
-                   (self.pattern_ids, len(self.pattern_catalog)),
-                   (self.readout_clicks.astype(np.int64), 2)]
-        codes = np.zeros(self.n_reps, dtype=np.int64)
-        bound = 1
-        for values, radix in digits:
-            if bound * radix >= 1 << 62:
-                # re-rank the codes so far (order-preserving) to stay in int64
-                uniq, codes = np.unique(codes, return_inverse=True)
-                bound = uniq.size
-            codes = codes * radix + values
-            bound *= radix
-        mapping = {}
         readout = self.readout_clicks
-        uniq, first = np.unique(codes, return_index=True)
-        for code, row in zip(uniq, first):
-            mapping[int(code)] = (self.clicks_of(int(row)), bool(readout[row]))
+        first, codes = distinct_rows(np.concatenate(
+            [self.signal + self.flagged, self.background, readout[:, None]], axis=1))
+        mapping = {code: (self.clicks_of(row), bool(readout[row]))
+                   for code, row in enumerate(first.tolist())}
         return codes, mapping
 
     def to_tags(self, gamma0: float = 2.54) -> TagArrays:
         """Expand sampled clicks into time tags.
 
         Photonic clicks get an exponential wavepacket offset inside their
-        window; readout clicks are uniform in the readout window.
+        window, background clicks a uniform one; readout clicks are uniform
+        in the readout window.  A wavepacket click's draw is keyed by its
+        repetition, cell and ordinal within the cell, so tag times do not
+        depend on which other repetitions are expanded in the same call.
         """
         windows = self.model.windows
+        reps = self.trajectory.rep_indices.astype(np.int64)
         det_rows: list[np.ndarray] = []
         time_rows: list[np.ndarray] = []
         rep_rows: list[np.ndarray] = []
-        reps = self.trajectory.rep_indices.astype(np.int64)
 
-        ids = self.pattern_ids
-        for pid, pattern in enumerate(self.pattern_catalog):
-            rows = np.nonzero(ids == pid)[0]
-            if rows.size == 0:
-                continue
-            for c_i, (slot, window, det) in enumerate(pattern):
-                start = windows.window_start(slot, window)
-                u = crng.uniforms(self.master_seed, reps[rows],
-                                  _STREAM_TAG + 37 * pid + c_i)
-                offset = np.minimum(-np.log(1.0 - u) / gamma0, windows.width * 0.999)
-                det_rows.append(np.full(rows.size, 0 if det == Detector.D1 else 1,
-                                        dtype=np.int8))
-                time_rows.append(start + offset)
-                rep_rows.append(reps[rows])
-        for k, (slot, window) in enumerate(self.leak_windows):
-            rows = np.nonzero(self.leak_clicks[:, k])[0]
-            if rows.size == 0:
-                continue
-            start = windows.window_start(slot, window)
-            u = crng.uniforms(self.master_seed, reps[rows], _STREAM_TAG + 5000 + k)
-            det_rows.append(self.leak_detectors[rows, k])
-            time_rows.append(start + u * windows.width)
+        def add(rows, det, time):
+            det_rows.append(det)
+            time_rows.append(time)
             rep_rows.append(reps[rows])
-        for e_i in range(self.flag_ids.shape[1]):
-            wids = self.flag_ids[:, e_i]
-            for w_val in np.unique(wids[wids >= 0]):
-                pattern = self.flag_patterns[w_val]
-                rows = np.nonzero(wids == w_val)[0]
-                for c_i, (slot, window, det) in enumerate(pattern):
-                    start = windows.window_start(slot, window)
-                    u = crng.uniforms(self.master_seed, reps[rows],
-                                      _STREAM_TAG + 8000 + 13 * e_i + c_i)
-                    offset = np.minimum(-np.log(1.0 - u) / gamma0, windows.width * 0.999)
-                    det_rows.append(np.full(rows.size,
-                                            0 if det == Detector.D1 else 1, dtype=np.int8))
-                    time_rows.append(start + offset)
-                    rep_rows.append(reps[rows])
-        rows = np.nonzero(self.readout_clicks)[0]
+
+        # at most 4 photons reach one cell (a doubly occupied slot plus one
+        # wrong-transition and one re-excitation photon), so the stream of
+        # (cell, ordinal) stays inside the cell's block of 8
+        wave = self.signal + self.flagged
+        for cell in range(wave.shape[1]):
+            slot, window, _ = cell_click(cell)
+            start = windows.window_start(slot, window)
+            for ordinal in range(int(wave[:, cell].max(initial=0))):
+                rows = np.flatnonzero(wave[:, cell] > ordinal)
+                u = crng.uniforms(self.master_seed, reps[rows],
+                                  _STREAM_TAG + 8 * cell + ordinal)
+                offset = np.minimum(-np.log(1.0 - u) / gamma0, windows.width * 0.999)
+                add(rows, np.full(rows.size, cell % 2, dtype=np.int8), start + offset)
+        for k in range(self.background.shape[1] // 2):
+            pair = self.background[:, 2 * k:2 * k + 2]
+            rows = np.flatnonzero(pair.any(axis=1))
+            if rows.size == 0:
+                continue
+            slot, window, _ = cell_click(2 * k)
+            u = crng.uniforms(self.master_seed, reps[rows], _STREAM_TAG + 5000 + k)
+            add(rows, pair[rows, 1].astype(np.int8),
+                windows.window_start(slot, window) + u * windows.width)
+        rows = np.flatnonzero(self.readout_clicks)
         if rows.size:
             u = crng.uniforms(self.master_seed, reps[rows], _STREAM_TAG + 9999)
             ud = crng.uniforms(self.master_seed, reps[rows], _STREAM_TAG + 9998)
-            det_rows.append((ud < 0.5).astype(np.int8))
-            time_rows.append(windows.readout_start + u * windows.readout_width)
-            rep_rows.append(reps[rows])
+            add(rows, (ud < 0.5).astype(np.int8),
+                windows.readout_start + u * windows.readout_width)
         if not det_rows:
             return TagArrays(np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64))
         det = np.concatenate(det_rows)

@@ -15,14 +15,14 @@ import numpy as np
 
 from . import coincidence as coin
 from . import witness as wit
-from .coincidence import WindowConfig
+from .coincidence import MIDDLE, WindowConfig
 from .detection import DetectionModel, RunClicks
 from .emitter import (EmitterParams, NoiseParams, PulseSequence,
                       build_bell_sequence, build_ghz_sequence,
                       build_hom_sequence, run_sequence_exact,
                       run_sequence_trajectory)
 from .hilbert import DensityOperator
-from .interferometer import TBIParams, Window, excitation_phase
+from .interferometer import TBIParams, excitation_phase
 from .witness import (MeasurementSetting, SettingCounts, ghz_fidelity,
                       ghz_settings, pattern_outcomes)
 
@@ -179,30 +179,33 @@ def _count_clicks(acc: SettingCounts, run: SubRun, clicks: RunClicks,
     Repetitions are grouped by their click record and whether the readout
     click is background light only.  An event counts as a leak event when
     its readout click is background light or its click combination uses a
-    background click in a photonic window.
+    background click in a photonic window.  Outcome totals are added in
+    descending outcome order, so the estimates do not depend on the order
+    of the groups.
     """
     sub = run.setting.subsettings[run.sub_index]
     codes, mapping = clicks.outcome_codes()
     leak_read = clicks.readout_leak & ~clicks.readout_signal
     keys, first, n_rows = np.unique(codes * 2 + leak_read, return_index=True,
                                     return_counts=True)
-    leak_events = 0.0
-    total_events = 0.0
+    totals: dict = {}
+    leak_events = 0
     for key, row, n in zip(keys.tolist(), first, n_rows.tolist()):
         pattern, readout = mapping[key // 2]
         outs = pattern_outcomes(run.setting, sub, pattern, n_slots) if readout else []
         if not outs:
             continue
         for outcome in outs:
-            acc.add(outcome, float(n))
-        total_events += n * len(outs)
+            totals[outcome] = totals.get(outcome, 0) + n
         if key % 2:
             leak_events += n * len(outs)
         else:
             signal = pattern_outcomes(run.setting, sub,
                                       clicks.clicks_of(row, leak=False), n_slots)
             leak_events += n * (len(outs) - len(signal))
-    return leak_events, total_events
+    for outcome in sorted(totals, reverse=True):
+        acc.add(outcome, float(totals[outcome]))
+    return float(leak_events), float(sum(totals.values()))
 
 
 def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
@@ -248,14 +251,8 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
 
 def _count_coincident(clicks: RunClicks) -> int:
     """Repetitions with a click in any photonic window plus a readout click."""
-    has_pattern = np.array([len(p) > 0 for p in clicks.pattern_catalog], dtype=bool)
-    photonic = has_pattern[clicks.pattern_ids]
-    photonic |= clicks.leak_clicks.any(axis=1)
-    if clicks.flag_patterns:
-        flag_click = np.array([len(p) > 0 for p in clicks.flag_patterns], dtype=bool)
-        flag_click = np.concatenate([flag_click, [False]])  # -1 indexes the sentinel
-        photonic |= flag_click[clicks.flag_ids].any(axis=1)
-    return int(np.sum(photonic & clicks.readout_clicks))
+    photonic = (clicks.signal | clicks.flagged | clicks.background).any(axis=1)
+    return int(np.count_nonzero(photonic & clicks.readout_clicks))
 
 
 def trajectory_exact_tvd(n_qubits: int, params: EmitterParams, noise: NoiseParams,
@@ -392,20 +389,10 @@ def spin_conditioned_fringe_scan(params: EmitterParams, noise: NoiseParams,
             traj = run_sequence_trajectory(seq, params, noise, master_seed, reps)
             model = DetectionModel(traj.layout, tbi_th, noise, windows, thinned=False)
             clicks = model.sample_run(traj, master_seed)
-            n1 = n2 = 0
-            readout = clicks.readout_clicks
-            for pid, pattern in enumerate(clicks.pattern_catalog):
-                rows = (clicks.pattern_ids == pid) & readout
-                n = int(np.sum(rows))
-                if n == 0:
-                    continue
-                for slot, window, det in pattern:
-                    if window == Window.MIDDLE:
-                        from .interferometer import Detector
-                        if det == Detector.D1:
-                            n1 += n
-                        else:
-                            n2 += n
+            # middle-window signal clicks of the heralded repetitions, by detector
+            signal = clicks.signal[clicks.readout_clicks]
+            cells = signal.reshape(len(signal), -1, 3, 2)  # (rep, slot, window, det)
+            n1, n2 = cells[:, :, MIDDLE].sum(axis=(0, 1)).tolist()
             total = n1 + n2
             curves[label][i] = (n1 - n2) / total if total else 0.0
     fits = {label: _fit(theta_values, c) for label, c in curves.items()}

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from timebin.coincidence import (WINDOWS, HomCounts, TagArrays,
-                                 WindowConfig, build_histogram, g2_zero,
+from timebin.coincidence import (EARLY, LATE, MIDDLE, READOUT, WINDOWS,
+                                 HomCounts, TagArrays, WindowConfig,
+                                 build_histogram, click_cell, g2_zero,
                                  hom_correct, hom_counts_from_tags,
                                  hom_visibility, histogram_to_csv,
                                  export_timetags, ingest_timetags)
@@ -346,6 +347,13 @@ class TestTimeTagIO:
         for mode in ("g2", "hom"):
             self._rejected(tmp_path, "D1,30.7,-3", mode)
 
+    def test_repetition_above_int64_rejected(self, tmp_path):
+        path = tmp_path / "max.csv"
+        path.write_text("detector,time_ns,repetition\nD2,42.0,9223372036854775807\n")
+        assert ingest_timetags(path).repetition.tolist() == [2**63 - 1]
+        for mode in ("g2", "hom"):
+            self._rejected(tmp_path, "D2,42.0,9223372036854775808", mode)
+
     def test_chunked_export_matches_csv_writer(self, tmp_path):
         import csv
         n = 65_536 + 1_234
@@ -373,6 +381,73 @@ class TestTimeTagIO:
         assert lines[2] == "1,2"
 
 
+class TestTagExpansion:
+    def test_offset_laws(self):
+        # wavepacket clicks (signal and flagged, first and second in a cell)
+        # sit an Exp(gamma0) offset after their window start, clipped at
+        # 0.999 * width; background clicks are uniform over their window and
+        # readout clicks uniform over the readout window
+        from types import SimpleNamespace
+
+        from timebin.detection import RunClicks
+
+        windows = WindowConfig.for_sequence(2)
+        n, gamma0 = 40_000, 2.54
+        signal = np.zeros((n, 12), np.uint8)
+        flagged = np.zeros((n, 12), np.uint8)
+        background = np.zeros((n, 12), np.uint8)
+        wave_cells = [click_cell(0, EARLY, 0), click_cell(1, MIDDLE, 1),
+                      click_cell(1, LATE, 0)]
+        signal[:, wave_cells[0]] = 2
+        signal[::2, wave_cells[1]] = 1
+        flagged[::3, wave_cells[2]] = 1
+        background_cells = [click_cell(0, LATE, 1), click_cell(1, EARLY, 0)]
+        background[::2, background_cells[0]] = 1
+        background[1::2, background_cells[1]] = 1
+        readout = np.arange(n) % 4 == 0
+        clicks = RunClicks(SimpleNamespace(windows=windows),
+                           SimpleNamespace(rep_indices=np.arange(n, dtype=np.uint64)),
+                           [], np.zeros(n, np.int8), readout, np.zeros(n, bool),
+                           signal, flagged, background, 11)
+        tags = clicks.to_tags(gamma0)
+        slot, code = windows.classify(tags.time)
+        cell = np.where(code == READOUT, -1, click_cell(slot, code, tags.detector))
+        starts = np.array([windows.window_start(s, WINDOWS[c]) if c != READOUT
+                           else windows.readout_start for s, c in zip(slot, code)])
+        offset = tags.time - starts
+
+        def ks(x, cdf):
+            x = np.sort(x)
+            f = cdf(x)
+            return max(np.max(np.arange(1, len(x) + 1) / len(x) - f),
+                       np.max(f - np.arange(len(x)) / len(x)))
+
+        clip = 0.999 * windows.width
+
+        def clipped_exp(t):
+            return np.where(t < clip - 1e-9, 1 - np.exp(-gamma0 * t), 1.0)
+
+        for c, count in zip(wave_cells, (2 * n, n // 2, (n + 2) // 3)):
+            x = offset[cell == c]
+            assert len(x) == count
+            at_clip = np.mean(x > clip - 1e-9)
+            p_clip = np.exp(-gamma0 * clip)
+            assert abs(at_clip - p_clip) < 5 * np.sqrt(p_clip / len(x))
+            assert ks(x, clipped_exp) < 2 / np.sqrt(len(x))
+        # the two clicks of one cell draw from different streams
+        pair = offset[cell == wave_cells[0]].reshape(n, 2)
+        assert not np.any((pair[:, 0] == pair[:, 1]) & (pair[:, 0] < clip - 1e-9))
+        for c in background_cells:
+            x = offset[cell == c]
+            assert len(x) == n // 2
+            assert ks(x, lambda t: t / windows.width) < 2 / np.sqrt(len(x))
+        x = offset[code == READOUT]
+        assert len(x) == readout.sum()
+        assert ks(x, lambda t: t / windows.readout_width) < 2 / np.sqrt(len(x))
+        assert len(tags) == (signal.sum() + flagged.sum() + background.sum()
+                             + readout.sum())
+
+
 class TestBlinking:
     def test_blinking_bunches_short_delays(self):
         # charge blinking modulates emission on a block scale: coincidences
@@ -385,7 +460,8 @@ class TestBlinking:
         n_reps = int(arr.repetition.max()) + 1
         from timebin.coincidence import _window_counts
         from timebin.interferometer import Window
-        n1, n2 = _window_counts(arr, run.windows, Window.EARLY, n_reps)
+        n1, n2 = _window_counts(arr, run.windows.classify(arr.time)[1], Window.EARLY,
+                                n_reps)
         short = float(np.sum(n1[:-1] * n2[1:]) + np.sum(n2[:-1] * n1[1:])) / 2
         far = 0.0
         k = 0

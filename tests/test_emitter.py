@@ -307,31 +307,40 @@ class TestTrajectoryEngine:
 
     def test_sliced_clicks_match_single_call(self):
         # repetitions 0..N-1 in one call and in five disjoint slices give every
-        # repetition the same pattern, spin, readout, leak and flag clicks
+        # repetition the same clicks, spin, readout and time tags, for a Bell
+        # run and a GHZ-3 sub-run
         params, noise = paper_emitter(), paper_noise()
-        seq = build_bell_sequence(params).with_readout_rotation("y", math.pi / 2)
-        windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
-        reps = np.arange(6000, dtype=np.uint64)
+        bell = build_bell_sequence(params).with_readout_rotation("y", math.pi / 2)
+        ghz3 = build_ghz_sequence(2, params).with_readout_rotation("x", math.pi / 2)
+        for seq, n_slots, n_reps in ((bell, 1, 6000), (ghz3, 2, 3000)):
+            windows = WindowConfig.for_sequence(n_slots, t_inf=params.t_inf,
+                                                slot_spacing=params.photon_spacing_ns)
+            reps = np.arange(n_reps, dtype=np.uint64)
 
-        def per_repetition(rep_slice):
-            traj = run_sequence_trajectory(seq, params, noise, 17, rep_slice)
-            model = DetectionModel(traj.layout, paper_tbi(), noise, windows)
-            c = model.sample_run(traj, 17)
-            rows = []
-            for r in range(c.n_reps):
-                leak = c.leak_clicks[r]
-                flags = tuple(c.flag_patterns[f] if f >= 0 else None
-                              for f in c.flag_ids[r])
-                rows.append((c.pattern_catalog[c.pattern_ids[r]], int(c.spins[r]),
-                             bool(c.readout_signal[r]), bool(c.readout_leak[r]),
-                             tuple(leak), tuple(c.leak_detectors[r][leak]), flags))
-            return rows
+            def per_repetition(rep_slice):
+                traj = run_sequence_trajectory(seq, params, noise, 17, rep_slice)
+                model = DetectionModel(traj.layout, paper_tbi(), noise, windows)
+                c = model.sample_run(traj, 17)
+                tags = c.to_tags(params.gamma0)
+                bounds = np.searchsorted(tags.repetition, rep_slice.astype(np.int64),
+                                         side="right")
+                rows = []
+                for r in range(c.n_reps):
+                    lo = bounds[r - 1] if r else 0
+                    rows.append((tuple(c.signal[r]), tuple(c.flagged[r]),
+                                 tuple(c.background[r]), int(c.spins[r]),
+                                 bool(c.readout_signal[r]), bool(c.readout_leak[r]),
+                                 tuple(tags.detector[lo:bounds[r]]),
+                                 tuple(tags.time[lo:bounds[r]])))
+                return rows
 
-        single = per_repetition(reps)
-        sliced = [row for part in np.array_split(reps, 5) for row in per_repetition(part)]
-        assert single == sliced
-        assert any(any(row[4]) for row in single)                    # leak clicks occur
-        assert any(f is not None for row in single for f in row[6])  # flag clicks occur
+            single = per_repetition(reps)
+            sliced = [row for part in np.array_split(reps, 5)
+                      for row in per_repetition(part)]
+            assert single == sliced
+            assert any(any(row[1]) for row in single)    # flagged clicks occur
+            assert any(any(row[2]) for row in single)    # background clicks occur
+            assert sum(len(row[7]) for row in single) > n_reps // 10
 
 
 class TestRotationCeiling:

@@ -195,10 +195,8 @@ class TestSampleProjective:
         model = DetectionModel(traj.layout, paper_tbi(), noise, WindowConfig())
         a, b = model.sample_run(traj, 42), model.sample_run(traj, 42)
         assert a.pattern_catalog == b.pattern_catalog
-        assert a.flag_patterns == b.flag_patterns
-        assert a.leak_windows == b.leak_windows
-        for name in ("pattern_ids", "spins", "readout_signal", "readout_leak",
-                     "leak_clicks", "leak_detectors", "flag_ids"):
+        for name in ("spins", "readout_signal", "readout_leak", "signal",
+                     "flagged", "background"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 

@@ -285,38 +285,42 @@ class TestHeraldedCounting:
         assert {k: c.counts for k, c in counts.items()} == \
             {k: c.counts for k, c in run.outcome.counts.items()}
         assert run.outcome.leak_event_fraction == leak / total
+        # the coincidence rate counts heralded repetitions with any photonic
+        # click: signal, flagged or background
+        coincident = sum(bool(clicks.clicks_of(r)) for clicks in run.clicks
+                         for r in np.flatnonzero(clicks.readout_clicks))
+        duration_s = 24_000 / (paper_emitter().repetition_rate_mhz * 1e6)
+        assert run.coincidence_rate_hz == coincident / duration_s
 
     def test_outcome_codes_wide_records(self):
-        # 12 flag columns and 9 leak windows exceed int64 as one mixed-radix
-        # number; codes must stay non-negative and still tell records apart
+        # GHZ-4 width: 3 photon slots, 18 cells; codes must be non-negative,
+        # tell records apart and map each to its clicks and readout
         from timebin.detection import RunClicks
 
         rng = np.random.default_rng(3)
         n = 3000
-        windows = [(s, w) for s in range(3)
-                   for w in (Window.EARLY, Window.MIDDLE, Window.LATE)]
-        flag_patterns = [((s, w, d),) for s, w in windows
-                         for d in (Detector.D1, Detector.D2)]
-        catalog = [(), ((0, Window.EARLY, Detector.D1),),
-                   ((1, Window.LATE, Detector.D2),)]
-        leak_clicks = rng.random((n, 9)) < 0.05
-        clicks = RunClicks(
-            None, None, catalog, rng.integers(0, 3, n), np.zeros(n, np.int8),
-            rng.random(n) < 0.5, rng.random(n) < 0.05, windows, leak_clicks,
-            rng.integers(0, 2, (n, 9)).astype(np.int8),
-            flag_patterns, np.where(rng.random((n, 12)) < 0.1,
-                                    rng.integers(0, 18, (n, 12)), -1), 0)
+
+        def counts(p, top):
+            return np.where(rng.random((n, 18)) < p, rng.integers(1, top, (n, 18)),
+                            0).astype(np.uint8)
+
+        clicks = RunClicks(None, None, [], np.zeros(n, np.int8), rng.random(n) < 0.5,
+                           rng.random(n) < 0.05, counts(0.05, 3), counts(0.02, 3),
+                           counts(0.03, 2), 0)
         codes, mapping = clicks.outcome_codes()
         assert codes.min() >= 0
-        records = [(tuple(clicks.flag_ids[r]), tuple(leak_clicks[r]),
-                    tuple(clicks.leak_detectors[r][leak_clicks[r]]),
-                    int(clicks.pattern_ids[r]), bool(clicks.readout_clicks[r]))
+        records = [(tuple(clicks.signal[r] + clicks.flagged[r]),
+                    tuple(clicks.background[r]), bool(clicks.readout_clicks[r]))
                    for r in range(n)]
+        cells = [(s, w, d) for s in range(3)
+                 for w in (Window.EARLY, Window.MIDDLE, Window.LATE)
+                 for d in (Detector.D1, Detector.D2)]
         by_code = {}
         for r in range(n):
             assert by_code.setdefault(int(codes[r]), records[r]) == records[r]
-            assert mapping[int(codes[r])] == (clicks.clicks_of(r),
-                                              bool(clicks.readout_clicks[r]))
+            total = clicks.signal[r] + clicks.flagged[r] + clicks.background[r]
+            pattern = tuple(c for c, k in zip(cells, total.tolist()) for _ in range(k))
+            assert mapping[int(codes[r])] == (pattern, records[r][2])
         assert len(by_code) == len(set(records))
 
 
