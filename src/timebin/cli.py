@@ -275,8 +275,8 @@ def _analyze_witness(tags, args) -> dict:
                                         t_inf=cfg["emitter"]["t_inf"],
                                         slot_spacing=cfg["emitter"]["photon_spacing_ns"])
     # one repetition's tags are contiguous in the sorted input: count its
-    # photonic tags per (slot, window, detector) cell, and build the click
-    # pattern once per distinct row of counts
+    # photonic tags per (slot, window, detector) cell, and read the click
+    # record once per distinct row of counts
     slot, code = windows.classify(tags.time)
     new_rep = np.r_[True, tags.repetition[1:] != tags.repetition[:-1]]
     starts = np.flatnonzero(new_rep)
@@ -286,11 +286,11 @@ def _analyze_witness(tags, args) -> dict:
     np.add.at(cells, ((np.cumsum(new_rep) - 1)[photonic],
                       coin.click_cell(slot, code, tags.detector)[photonic]), 1)
     first, group = coin.distinct_rows(cells)
-    patterns = [coin.cell_pattern(cells[row]) for row in first]
+    records = coin.row_records(cells[first])
     sub_global = (tags.repetition[starts] % n_subs).tolist()
     per_setting_events: dict[str, list] = {s.label: [] for s in settings}
     for sub, k, read in zip(sub_global, group.tolist(), readout):
-        per_setting_events[settings[sub // 2].label].append((patterns[k], read, sub % 2))
+        per_setting_events[settings[sub // 2].label].append((records[k], read, sub % 2))
     estimates = {}
     pop = None
     mks = []

@@ -39,10 +39,26 @@ def cell_click(cell: int) -> tuple[int, Window, Detector]:
     return cell // 6, WINDOWS[cell // 2 % 3], DETECTORS[cell % 2]
 
 
-def cell_pattern(counts) -> tuple[tuple[int, Window, Detector], ...]:
-    """The clicks of one row of per-cell click counts, in cell order."""
-    cells = np.repeat(np.arange(len(counts)), counts)
-    return tuple(cell_click(c) for c in cells.tolist())
+def click_record(slot: int, window: int, detector: int) -> int:
+    """Click record of one photonic click.
+
+    A click record is a row of per-cell uint8 click counts read as one
+    little-endian int (cell c holds bits 8c to 8c + 7), so records of
+    separate clicks add and a record moves to slot k by `<< 48 * k`.
+    """
+    return 1 << 8 * click_cell(slot, window, detector)
+
+
+def row_records(rows) -> list[int]:
+    """The click record of each row of a (n, n_cells) count matrix."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def record_rows(records, n_cells: int) -> np.ndarray:
+    """The (len(records), n_cells) uint8 count matrix of click records."""
+    data = b"".join(r.to_bytes(n_cells, "little") for r in records)
+    return np.frombuffer(data, np.uint8).reshape(len(records), n_cells)
 
 
 def distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

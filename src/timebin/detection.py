@@ -1,16 +1,19 @@
-"""Detection layer: from pre-detection register states to click patterns.
+"""Detection layer: from pre-detection register states to click records.
 
-A click pattern is a sorted tuple of (slot, window, detector) photonic
-clicks.  The same machinery serves both simulation modes:
+A click record is one int: a row of per-cell click counts, one cell per
+(slot, window, detector), read as little-endian bytes
+(`coincidence.click_record`).  Merging clicks is integer addition and
+moving a slot's clicks to slot k is a shift by 48 * k bits.  The same
+record serves both simulation modes:
 
-* exact mode convolves the pattern distribution analytically
+* exact mode convolves the record distribution analytically
   (`DetectionModel.distribution` / `full_distribution`),
-* trajectory mode samples one pattern per repetition from the distribution
+* trajectory mode samples one record per repetition from the distribution
   of that repetition's pure state (`sample_run`), then adds flagged and
   background clicks and the spin-readout click, all from counter-based
-  streams.  It records a repetition's photonic clicks as one count per
-  (slot, window, detector) cell (`RunClicks`), and its time tags are keyed
-  by repetition and click content.
+  streams.  It keeps each repetition's clicks as count rows (`RunClicks`),
+  whose bytes are the records, and its time tags are keyed by repetition
+  and click content.
 
 Efficiency handling: with thinned=True every photon and readout click is
 Bernoulli-thinned by the physical efficiencies; with thinned=False clicks
@@ -28,29 +31,18 @@ from itertools import product
 import numpy as np
 
 from . import rng as crng
-from .coincidence import (TagArrays, WindowConfig, cell_click, cell_pattern,
-                          distinct_rows)
+from .coincidence import (DETECTORS, EARLY, LATE, MIDDLE, WINDOWS, TagArrays,
+                          WindowConfig, cell_click, click_cell, click_record,
+                          distinct_rows, record_rows, row_records)
 from .emitter import NoiseParams, TrajectoryResult
 from .errors import ContractError
 from .hilbert import (SLOT_EARLY, SLOT_EE, SLOT_EL, SLOT_LATE, SLOT_LL,
                       SLOT_VACUUM, SPIN_DOWN, SPIN_UP, RegisterLayout)
-from .interferometer import Detector, TBIParams, Window, slot_window_povm
-
-Click = tuple[int, Window, Detector]
-Pattern = tuple[Click, ...]
-
-_DETS = (Detector.D1, Detector.D2)
+from .interferometer import TBIParams, slot_window_povm
 
 # exact-mode distributions drop events below this probability; the neglected
 # mass is orders of magnitude under every acceptance tolerance
 PRUNE_TOL = 1e-11
-
-_WINDOW_ORDER = {Window.EARLY: 0, Window.MIDDLE: 1, Window.LATE: 2, Window.READOUT: 3}
-_DET_ORDER = {Detector.D1: 0, Detector.D2: 1}
-
-
-def _click_key(c: Click) -> tuple[int, int, int]:
-    return (c[0], _WINDOW_ORDER[c[1]], _DET_ORDER[c[2]])
 
 # rng stream blocks (offsets chosen to avoid the sequence-step streams)
 _STREAM_PATTERN = 20_000
@@ -62,30 +54,24 @@ _STREAM_TAG = 26_000
 _STREAM_WRONG = 28_000
 
 
-def _merge(*patterns: Pattern) -> Pattern:
-    clicks = [c for p in patterns for c in p]
-    if len(clicks) <= 1:
-        return tuple(clicks)
-    return tuple(sorted(clicks, key=_click_key))
-
-
 def _single_photon_outcomes(component: int, tbi: TBIParams, eta: float
-                            ) -> list[tuple[Pattern, float]]:
-    """Routing/detection outcomes of one definite-bin photon (no interference)."""
+                            ) -> list[tuple[int, float]]:
+    """Routing/detection outcomes of one definite-bin photon in slot 0 (no
+    interference), as (click record, probability)."""
     s = tbi.splitting_ratio
     if component == SLOT_EARLY:
-        routes = [(Window.EARLY, s), (Window.MIDDLE, 1.0 - s)]
+        routes = [(EARLY, s), (MIDDLE, 1.0 - s)]
     else:
-        routes = [(Window.MIDDLE, s), (Window.LATE, 1.0 - s)]
-    outs: list[tuple[Pattern, float]] = [((), 1.0 - eta)]
+        routes = [(MIDDLE, s), (LATE, 1.0 - s)]
+    outs = [(0, 1.0 - eta)]
     for window, p in routes:
-        for det in _DETS:
-            outs.append((((0, window, det),), eta * p * 0.5))
+        for det in (0, 1):
+            outs.append((click_record(0, window, det), eta * p * 0.5))
     return outs
 
 
 def _double_state_outcomes(state: int, tbi: TBIParams, noise: NoiseParams,
-                           eta: float) -> list[tuple[Pattern, float]]:
+                           eta: float) -> list[tuple[int, float]]:
     """Click outcomes of a doubly-occupied slot.
 
     Same-bin pairs route independently (they enter the recombiner from the
@@ -96,55 +82,39 @@ def _double_state_outcomes(state: int, tbi: TBIParams, noise: NoiseParams,
     if state in (SLOT_EE, SLOT_LL):
         comp = SLOT_EARLY if state == SLOT_EE else SLOT_LATE
         single = _single_photon_outcomes(comp, tbi, eta)
-        agg: dict[Pattern, float] = {}
+        agg: dict[int, float] = {}
         for (p_a, w_a), (p_b, w_b) in product(single, repeat=2):
-            agg[_merge(p_a, p_b)] = agg.get(_merge(p_a, p_b), 0.0) + w_a * w_b
+            agg[p_a + p_b] = agg.get(p_a + p_b, 0.0) + w_a * w_b
         return list(agg.items())
     if state != SLOT_EL:
         raise ContractError(f"not a double-occupancy state: {state}")
     s = tbi.splitting_ratio
     v_eff = noise.indistinguishability * tbi.classical_visibility
     agg = {}
-    routes_e = [(Window.EARLY, s), (Window.MIDDLE, 1.0 - s)]
-    routes_l = [(Window.MIDDLE, s), (Window.LATE, 1.0 - s)]
+    routes_e = [(EARLY, s), (MIDDLE, 1.0 - s)]
+    routes_l = [(MIDDLE, s), (LATE, 1.0 - s)]
     for (win_e, pe), (win_l, pl) in product(routes_e, routes_l):
         w_route = pe * pl
-        if win_e == Window.MIDDLE and win_l == Window.MIDDLE:
+        if win_e == MIDDLE and win_l == MIDDLE:
             # two-photon interference on the recombiner
-            joint = {(Detector.D1, Detector.D1): (1.0 + v_eff) / 4.0,
-                     (Detector.D2, Detector.D2): (1.0 + v_eff) / 4.0,
-                     (Detector.D1, Detector.D2): (1.0 - v_eff) / 4.0,
-                     (Detector.D2, Detector.D1): (1.0 - v_eff) / 4.0}
+            joint = {(0, 0): (1.0 + v_eff) / 4.0, (1, 1): (1.0 + v_eff) / 4.0,
+                     (0, 1): (1.0 - v_eff) / 4.0, (1, 0): (1.0 - v_eff) / 4.0}
             for (da, db), w_det in joint.items():
-                for det_a, det_b, w_eta in (
-                        (da, db, eta * eta),
-                        (da, None, eta * (1 - eta)),
-                        (None, db, (1 - eta) * eta),
-                        (None, None, (1 - eta) ** 2)):
-                    clicks = []
-                    if det_a is not None:
-                        clicks.append((0, Window.MIDDLE, det_a))
-                    if det_b is not None:
-                        clicks.append((0, Window.MIDDLE, det_b))
-                    pat = _merge(tuple(clicks))
+                a, b = click_record(0, MIDDLE, da), click_record(0, MIDDLE, db)
+                for pat, w_eta in ((a + b, eta * eta), (a, eta * (1 - eta)),
+                                   (b, (1 - eta) * eta), (0, (1 - eta) ** 2)):
                     agg[pat] = agg.get(pat, 0.0) + w_route * w_det * w_eta
         else:
             for (pat_e, w_e), (pat_l, w_l) in product(
                     _detector_split(win_e, eta), _detector_split(win_l, eta)):
-                pat = _merge(pat_e, pat_l)
+                pat = pat_e + pat_l
                 agg[pat] = agg.get(pat, 0.0) + w_route * w_e * w_l
     return list(agg.items())
 
 
-def _detector_split(window: Window, eta: float) -> list[tuple[Pattern, float]]:
-    outs: list[tuple[Pattern, float]] = [((), 1.0 - eta)]
-    for det in _DETS:
-        outs.append((((0, window, det),), eta * 0.5))
-    return outs
-
-
-def _shift_slot(pattern: Pattern, slot: int) -> Pattern:
-    return tuple((slot, w, d) for _, w, d in pattern)
+def _detector_split(window: int, eta: float) -> list[tuple[int, float]]:
+    return [(0, 1.0 - eta)] + [(click_record(0, window, det), eta * 0.5)
+                               for det in (0, 1)]
 
 
 class DetectionModel:
@@ -167,87 +137,90 @@ class DetectionModel:
 
     # -- per-slot alphabet -------------------------------------------------
 
-    def _build_slot_alphabet(self) -> list[tuple[Pattern, np.ndarray]]:
+    def _build_slot_alphabet(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
         d = self.layout.slot_dim
         eta = self.eta
         povm = slot_window_povm(self.tbi, d)
-        entries: dict[Pattern, np.ndarray] = {}
+        entries: dict[int, np.ndarray] = {}
 
-        def add(pattern: Pattern, mat: np.ndarray) -> None:
-            if pattern in entries:
-                entries[pattern] = entries[pattern] + mat
+        def add(record: int, mat: np.ndarray) -> None:
+            if record in entries:
+                entries[record] = entries[record] + mat
             else:
-                entries[pattern] = mat.copy()
+                entries[record] = mat.copy()
 
         none = np.zeros((d, d), dtype=np.complex128)
         none[SLOT_VACUUM, SLOT_VACUUM] = 1.0
         none[SLOT_EARLY, SLOT_EARLY] = 1.0 - eta
         none[SLOT_LATE, SLOT_LATE] = 1.0 - eta
-        add((), none)
+        add(0, none)
         for (window, det), mat in povm.items():
-            add(((0, window, det),), eta * mat)
+            add(click_record(0, WINDOWS.index(window), DETECTORS.index(det)),
+                eta * mat)
         if d == 6:
             for state in (SLOT_EE, SLOT_EL, SLOT_LL):
                 proj = np.zeros((d, d), dtype=np.complex128)
                 proj[state, state] = 1.0
-                for pattern, w in _double_state_outcomes(state, self.tbi, self.noise, eta):
+                for record, w in _double_state_outcomes(state, self.tbi, self.noise, eta):
                     if w > 1e-15:
-                        add(pattern, w * proj)
+                        add(record, w * proj)
         # support index sets let the contraction skip entries with no overlap
         out = []
-        for pattern, mat in entries.items():
+        for record, mat in entries.items():
             support = np.nonzero(np.abs(np.diag(mat)) + np.abs(mat).sum(axis=1)
                                  + np.abs(mat).sum(axis=0) > 1e-15)[0]
-            out.append((pattern, mat, support))
+            out.append((record, mat, support))
         return out
 
     # -- exact distributions -------------------------------------------------
 
     def distribution(self, state: np.ndarray, flag_clicks=()
-                     ) -> list[tuple[Pattern, int, float]]:
-        """Joint (pattern, spin, probability) list for a pure state or density.
+                     ) -> list[tuple[int, int, float]]:
+        """Joint (click record, spin, probability) list for a pure state or
+        density; records are `coincidence.click_record` sums.
 
         flag_clicks lists (slot, bin) labels of distinguishable background
         photons (detuned-transition scatter, re-excitation); each is routed
-        like a definite-bin photon and merged into the pattern.
+        like a definite-bin photon and added to the record.
         """
-        lay = self.layout
-        dims = lay.dims
-        if state.ndim == 1:
-            rho = np.outer(state, state.conj())
-        else:
-            rho = state
-        tensor = rho.reshape(dims + dims)
-        results: list[tuple[Pattern, int, float]] = []
-
-        def recurse(t: np.ndarray, slot: int, pattern: Pattern):
-            if slot == lay.photon_slots:
-                # remaining axes: (spin_ket, spin_bra)
-                for spin in (SPIN_DOWN, SPIN_UP):
-                    p = float(t[spin, spin].real)
-                    if p > PRUNE_TOL:
-                        results.append((pattern, spin, p))
-                return
-            occ = _slot_occupancy(t)
-            for frag, mat, support in self._alphabet:
-                if not np.any(occ[support] > PRUNE_TOL):
-                    continue
-                sub = _contract_slot(t, mat)
-                if np.max(np.abs(sub)) < PRUNE_TOL:
-                    continue
-                recurse(sub, slot + 1, _merge(pattern, _shift_slot(frag, slot)))
-
-        recurse(tensor, 0, ())
+        dims = self.layout.dims
+        rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+        results: list[tuple[int, int, float]] = []
+        self._contract(rho.reshape(dims + dims), 0, 0, results)
         if flag_clicks:
             results = self._convolve_flags(results, flag_clicks)
         return results
 
+    def _contract(self, t: np.ndarray, slot: int, record: int, results: list) -> None:
+        """Append the (record, spin, p) outcomes of tensor t, whose first
+        `slot` slots are measured as `record`, depth-first in alphabet order.
+
+        A method, not a nested closure: a recursive closure is a reference
+        cycle that would keep every results list alive until a full garbage
+        collection.
+        """
+        if slot == self.layout.photon_slots:
+            # remaining axes: (spin_ket, spin_bra)
+            for spin in (SPIN_DOWN, SPIN_UP):
+                p = float(t[spin, spin].real)
+                if p > PRUNE_TOL:
+                    results.append((record, spin, p))
+            return
+        occ = _slot_occupancy(t)
+        for frag, mat, support in self._alphabet:
+            if not np.any(occ[support] > PRUNE_TOL):
+                continue
+            sub = _contract_slot(t, mat)
+            if np.max(np.abs(sub)) < PRUNE_TOL:
+                continue
+            self._contract(sub, slot + 1, record + (frag << 48 * slot), results)
+
     def _convolve_flags(self, dist, flag_clicks):
         for slot, bin_label in flag_clicks:
             comp = SLOT_EARLY if bin_label == "early" else SLOT_LATE
-            outs = [(_shift_slot(p, slot), w)
+            outs = [(p << 48 * slot, w)
                     for p, w in _single_photon_outcomes(comp, self.tbi, self.eta)]
-            dist = [(_merge(pat, extra), spin, p * w)
+            dist = [(pat + extra, spin, p * w)
                     for pat, spin, p in dist for extra, w in outs
                     if p * w > PRUNE_TOL]
         return dist
@@ -259,13 +232,14 @@ class DetectionModel:
             return self.noise.readout_fidelity * self.eta_read
         return self.noise.readout_dark * self.eta_read
 
-    def leak_window_probs(self) -> list[tuple[int, Window, float]]:
-        """Expected background clicks per photonic window per repetition."""
+    def leak_window_probs(self) -> list[tuple[int, int, float]]:
+        """Expected background clicks per photonic window per repetition, as
+        (slot, window code, probability)."""
         scale = self.noise.eta_total * self.tbi.detector_efficiency if self.thinned else 1.0
         out = []
         lam = self.noise.p_leak * self.windows.width * scale
         for slot in range(self.layout.photon_slots):
-            for w in (Window.EARLY, Window.MIDDLE, Window.LATE):
+            for w in (EARLY, MIDDLE, LATE):
                 out.append((slot, w, lam))
         return out
 
@@ -277,8 +251,8 @@ class DetectionModel:
         return self.noise.p_leak * self.windows.readout_width * scale
 
     def full_distribution(self, state: np.ndarray, flag_clicks=()
-                          ) -> list[tuple[Pattern, bool, float]]:
-        """(pattern incl. background, readout_click, probability).
+                          ) -> list[tuple[int, bool, float]]:
+        """(click record incl. background, readout_click, probability).
 
         Background windows are convolved to first order (at most one leak
         click per window class per repetition), which is exact to O(lam^2).
@@ -286,26 +260,26 @@ class DetectionModel:
         base = self.distribution(state, flag_clicks)
         leak = self.leak_window_probs()
         p_read_leak = self.leak_readout_prob()
-        out: dict[tuple[Pattern, bool], float] = {}
+        out: dict[tuple[int, bool], float] = {}
         no_leak = math.prod(1.0 - lam for _, _, lam in leak)
-        for pattern, spin, p in base:
+        leak_clicks = [(lam, [click_record(slot, w, det) for det in (0, 1)])
+                       for slot, w, lam in leak if lam > 0]
+        for record, spin, p in base:
             p_click = self.readout_click_prob(spin)
             p_click = p_click + (1 - p_click) * p_read_leak
             for read_click, p_r in ((True, p_click), (False, 1.0 - p_click)):
                 base_w = p * p_r * no_leak
                 if base_w <= PRUNE_TOL:
                     continue
-                key = (pattern, read_click)
+                key = (record, read_click)
                 out[key] = out.get(key, 0.0) + base_w
-                for slot, w, lam in leak:
-                    if lam <= 0:
-                        continue
+                for lam, clicks in leak_clicks:
                     w_l = base_w * (lam / 2) / (1.0 - lam)
                     if w_l <= PRUNE_TOL:
                         continue
-                    for det in _DETS:
-                        pat2 = _merge(pattern, ((slot, w, det),))
-                        out[(pat2, read_click)] = out.get((pat2, read_click), 0.0) + w_l
+                    for click in clicks:
+                        key = (record + click, read_click)
+                        out[key] = out.get(key, 0.0) + w_l
         return [(pat, rc, p) for (pat, rc), p in out.items()]
 
     # -- trajectory sampling ---------------------------------------------------
@@ -317,13 +291,7 @@ class DetectionModel:
         n = result.rep_indices.size
         reps = result.rep_indices
         n_cells = 6 * self.layout.photon_slots
-        cell_of = {cell_click(c): c for c in range(n_cells)}
-
-        def cells(pattern: Pattern) -> np.ndarray:
-            return np.bincount([cell_of[c] for c in pattern],
-                               minlength=n_cells).astype(np.uint8)
-
-        catalog: dict[Pattern, None] = {}
+        catalog: dict[int, None] = {}
         signal = np.zeros((n, n_cells), dtype=np.uint8)
         spins = np.zeros(n, dtype=np.int8)
         u_pat = crng.uniforms(master_seed, reps, _STREAM_PATTERN)
@@ -331,7 +299,7 @@ class DetectionModel:
             dist = self.distribution(result.state_table[sid])
             choice = crng.choose([p for _, _, p in dist], u_pat[idx])
             catalog.update(dict.fromkeys(pat for pat, _, _ in dist))
-            signal[idx] = np.array([cells(pat) for pat, _, _ in dist])[choice]
+            signal[idx] = record_rows([pat for pat, _, _ in dist], n_cells)[choice]
             spins[idx] = np.array([spin for _, spin, _ in dist], dtype=np.int8)[choice]
 
         # classical background photons (wrong transition and re-excitation)
@@ -346,8 +314,8 @@ class DetectionModel:
             outs = _single_photon_outcomes(comp, self.tbi, self.eta)
             u = crng.uniforms(master_seed, reps[mask], _STREAM_WRONG + e_i)
             choice = crng.choose([w for _, w in outs], u)
-            out_cells = np.array([cells(_shift_slot(p, slot)) for p, _ in outs])
-            flagged[mask] += out_cells[choice]
+            flagged[mask] += record_rows([p << 48 * slot for p, _ in outs],
+                                         n_cells)[choice]
 
         # readout click: spin signal or background light in the readout window
         p_up = self.readout_click_prob(SPIN_UP)
@@ -369,7 +337,7 @@ class DetectionModel:
             u = crng.uniforms(master_seed, reps, _STREAM_LEAK + k)
             rows = np.flatnonzero(u < lam)
             ud = crng.uniforms(master_seed, reps[rows], _STREAM_LEAK_DET + k)
-            background[rows, cell_of[(slot, w, Detector.D1)] + (ud < 0.5)] = 1
+            background[rows, click_cell(slot, w, 0) + (ud < 0.5)] = 1
 
         return RunClicks(self, result, list(catalog), spins, readout_signal,
                          readout_leak, signal, flagged, background, master_seed)
@@ -400,15 +368,16 @@ class RunClicks:
     A repetition's photonic clicks are one uint8 count per cell
     (`coincidence.click_cell`: slot, window and detector), held in three
     (n_reps, n_cells) arrays by origin: `signal` for the photons of the
-    sampled pattern, `flagged` for distinguishable background photons
+    sampled record, `flagged` for distinguishable background photons
     (wrong-transition scatter, re-excitation) and `background` for
-    background-light clicks.  `pattern_catalog` lists the distinct patterns
-    of the sampled states' distributions in first-seen order.
+    background-light clicks.  A row's bytes are the click record of exact
+    mode; `pattern_catalog` lists the distinct records of the sampled
+    states' distributions in first-seen order.
     """
 
     model: DetectionModel
     trajectory: TrajectoryResult
-    pattern_catalog: list[Pattern]
+    pattern_catalog: list[int]
     spins: np.ndarray
     readout_signal: np.ndarray
     readout_leak: np.ndarray
@@ -425,24 +394,25 @@ class RunClicks:
     def n_reps(self) -> int:
         return self.spins.size
 
-    def clicks_of(self, row: int, leak: bool = True) -> Pattern:
-        """All photonic clicks of one repetition in cell order; leak=False
+    def clicks_of(self, row: int, leak: bool = True) -> int:
+        """Click record of one repetition's photonic clicks; leak=False
         drops the background-light clicks."""
         counts = self.signal[row] + self.flagged[row]
-        return cell_pattern(counts + self.background[row] if leak else counts)
+        return row_records([counts + self.background[row] if leak else counts])[0]
 
     def outcome_codes(self) -> tuple[np.ndarray, dict]:
         """Group repetitions by click record: signal and flagged counts,
         background counts and readout click.
 
-        Returns a code per repetition and a map code -> (Pattern,
-        readout_clicked); clicks_of is only evaluated once per code.
+        Returns a code per repetition and a map code -> (click record,
+        readout_clicked), built once per code.
         """
         readout = self.readout_clicks
         first, codes = distinct_rows(np.concatenate(
             [self.signal + self.flagged, self.background, readout[:, None]], axis=1))
-        mapping = {code: (self.clicks_of(row), bool(readout[row]))
-                   for code, row in enumerate(first.tolist())}
+        records = row_records((self.signal + self.flagged + self.background)[first])
+        mapping = {code: (record, bool(readout[row]))
+                   for code, (record, row) in enumerate(zip(records, first.tolist()))}
         return codes, mapping
 
     def to_tags(self, gamma0: float = 2.54) -> TagArrays:

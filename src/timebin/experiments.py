@@ -134,11 +134,11 @@ def witness_exact(n_qubits: int, params: EmitterParams, noise: NoiseParams,
                                 SettingCounts(run.setting, n_qubits - 1))
         sub = run.setting.subsettings[run.sub_index]
         for comp in exact.components:
-            for pattern, readout, p in model.full_distribution(comp.rho,
-                                                               comp.flag_clicks):
+            for record, readout, p in model.full_distribution(comp.rho,
+                                                              comp.flag_clicks):
                 if not readout or p <= 0:
                     continue
-                for outcome in pattern_outcomes(run.setting, sub, pattern,
+                for outcome in pattern_outcomes(run.setting, sub, record,
                                                 n_qubits - 1):
                     acc.add(outcome, comp.weight * p / len(run.setting.subsettings))
     return WitnessOutcome.from_counts(n_qubits, counts)
@@ -179,9 +179,7 @@ def _count_clicks(acc: SettingCounts, run: SubRun, clicks: RunClicks,
     Repetitions are grouped by their click record and whether the readout
     click is background light only.  An event counts as a leak event when
     its readout click is background light or its click combination uses a
-    background click in a photonic window.  Outcome totals are added in
-    descending outcome order, so the estimates do not depend on the order
-    of the groups.
+    background click in a photonic window.
     """
     sub = run.setting.subsettings[run.sub_index]
     codes, mapping = clicks.outcome_codes()
@@ -191,8 +189,8 @@ def _count_clicks(acc: SettingCounts, run: SubRun, clicks: RunClicks,
     totals: dict = {}
     leak_events = 0
     for key, row, n in zip(keys.tolist(), first, n_rows.tolist()):
-        pattern, readout = mapping[key // 2]
-        outs = pattern_outcomes(run.setting, sub, pattern, n_slots) if readout else []
+        record, readout = mapping[key // 2]
+        outs = pattern_outcomes(run.setting, sub, record, n_slots) if readout else []
         if not outs:
             continue
         for outcome in outs:
@@ -203,8 +201,8 @@ def _count_clicks(acc: SettingCounts, run: SubRun, clicks: RunClicks,
             signal = pattern_outcomes(run.setting, sub,
                                       clicks.clicks_of(row, leak=False), n_slots)
             leak_events += n * (len(outs) - len(signal))
-    for outcome in sorted(totals, reverse=True):
-        acc.add(outcome, float(totals[outcome]))
+    for outcome, n in totals.items():
+        acc.add(outcome, float(n))
     return float(leak_events), float(sum(totals.values()))
 
 
@@ -262,7 +260,7 @@ def trajectory_exact_tvd(n_qubits: int, params: EmitterParams, noise: NoiseParam
     """Total variation distance between sampled and exact outcome distributions.
 
     Runs one sub-setting's sequence for all repetitions and compares the
-    empirical frequencies of (click pattern, readout flag) outcomes against
+    empirical frequencies of (click record, readout flag) outcomes against
     the exact-mode distribution of the same sequence.
     """
     subruns = _witness_subruns(n_qubits, params, tbi)
@@ -281,9 +279,9 @@ def trajectory_exact_tvd(n_qubits: int, params: EmitterParams, noise: NoiseParam
     model_e = DetectionModel(exact.layout, run.tbi, noise, run.windows, thinned)
     predicted: dict = {}
     for comp in exact.components:
-        for pattern, readout, p in model_e.full_distribution(comp.rho,
-                                                             comp.flag_clicks):
-            key = (pattern, readout)
+        for record, readout, p in model_e.full_distribution(comp.rho,
+                                                            comp.flag_clicks):
+            key = (record, readout)
             predicted[key] = predicted.get(key, 0.0) + comp.weight * p
     total = sum(predicted.values())
     predicted = {k: v / total for k, v in predicted.items()}
@@ -372,7 +370,8 @@ def spin_conditioned_fringe_scan(params: EmitterParams, noise: NoiseParams,
     """Middle-window contrast of the Bell photon conditioned on spin +-X.
 
     Uses the readout rotations R_y(+-pi/2); each angle point is an
-    independent pair of sub-runs.
+    independent pair of sub-runs, and point i's +X (-X) sub-run draws on
+    its own repetition indices from 2i (2i + 1) * reps_per_point onwards.
     """
     theta_values = np.asarray(theta_values, dtype=float)
     curves = {"+X": np.empty_like(theta_values), "-X": np.empty_like(theta_values)}
@@ -385,7 +384,7 @@ def spin_conditioned_fringe_scan(params: EmitterParams, noise: NoiseParams,
             seq = build_bell_sequence(params, phase_e=phase_e).with_readout_rotation(
                 "y", angle)
             reps = np.arange(reps_per_point, dtype=np.uint64) \
-                + np.uint64(2_000_000 * i + (1_000_000 if label == "-X" else 0))
+                + np.uint64((2 * i + (label == "-X")) * reps_per_point)
             traj = run_sequence_trajectory(seq, params, noise, master_seed, reps)
             model = DetectionModel(traj.layout, tbi_th, noise, windows, thinned=False)
             clicks = model.sample_run(traj, master_seed)

@@ -20,11 +20,13 @@ toggled between 0 and pi.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .coincidence import DETECTORS, WINDOWS
 from .errors import ContractError, UndefinedEstimateError
 from .hilbert import (SLOT_EARLY, SLOT_LATE, SPIN_DOWN, SPIN_UP,
                       DensityOperator, LinearOperator, QuditState,
@@ -255,7 +257,11 @@ Outcome = tuple[int, tuple[int, ...]]  # (spin eigenvalue, per-slot photon eigen
 
 @dataclass
 class SettingCounts:
-    """Accumulated heralded events of one setting; a commutative merge monoid."""
+    """Accumulated heralded events of one setting; a commutative merge monoid.
+
+    Sums over outcomes are exactly rounded (math.fsum), so the estimates do
+    not depend on the order in which outcomes were added.
+    """
 
     setting: MeasurementSetting
     n_slots: int
@@ -271,7 +277,7 @@ class SettingCounts:
 
     @property
     def total(self) -> float:
-        return float(sum(self.counts.values()))
+        return math.fsum(self.counts.values())
 
     def probabilities(self) -> dict:
         t = self.total
@@ -283,7 +289,7 @@ class SettingCounts:
     def expectation(self) -> tuple[float, float]:
         """Mean joint eigenvalue (equatorial settings) with binomial error."""
         probs = self.probabilities()
-        e = sum(spin * math.prod(ph) * p for (spin, ph), p in probs.items())
+        e = math.fsum(spin * math.prod(ph) * p for (spin, ph), p in probs.items())
         n = self.total
         var = max(1.0 - e * e, 0.0) / n
         return e, math.sqrt(var)
@@ -298,19 +304,22 @@ class SettingCounts:
 
 
 def pattern_outcomes(setting: MeasurementSetting, sub: SpinSubsetting,
-                     clicks, n_slots: int) -> list[Outcome]:
-    """Heralded outcomes contributed by one repetition's click pattern.
+                     record: int, n_slots: int) -> list[Outcome]:
+    """Heralded outcomes contributed by one repetition's click record.
 
-    Requires exactly one eligible click per slot; repetitions with a slot
+    Reads the record's cells (`coincidence.click_record`) in cell order.
+    Requires an eligible click in every slot; repetitions with a slot
     missing are discarded, and multi-click slots contribute one event per
     click combination (each combination is a valid herald at the rates the
     post-selected estimator normalizes over).
     """
     per_slot: list[list[int]] = [[] for _ in range(n_slots)]
-    for slot, window, det in clicks:
-        eig = setting.photon_eigenvalue(window, det)
-        if eig is not None and slot < n_slots:
-            per_slot[slot].append(eig)
+    cells = record.to_bytes(-(-record.bit_length() // 8), "little")
+    for cell, k in enumerate(cells[:6 * n_slots]):
+        if k:
+            eig = setting.photon_eigenvalue(WINDOWS[cell // 2 % 3], DETECTORS[cell % 2])
+            if eig is not None:
+                per_slot[cell // 6] += [eig] * k
     if any(not s for s in per_slot):
         return []
     outcomes: list[Outcome] = [(sub.eigenvalue, ())]
@@ -321,18 +330,19 @@ def pattern_outcomes(setting: MeasurementSetting, sub: SpinSubsetting,
 
 def estimate_setting(events, setting: MeasurementSetting,
                      n_slots: int = 1) -> tuple[float, float]:
-    """Expectation +- error from heralded (clicks, readout, subsetting) events.
+    """Expectation +- error from heralded (record, readout, subsetting) events.
 
-    events iterates over (clicks, readout_clicked, subsetting_index) tuples;
-    only repetitions with a readout click and a full photonic herald count.
+    events iterates over (click record, readout_clicked, subsetting_index)
+    tuples; only repetitions with a readout click and a full photonic herald
+    count.  Each distinct event is evaluated once, with its multiplicity.
     """
     acc = SettingCounts(setting, n_slots)
-    for clicks, readout, sub_i in events:
+    for (record, readout, sub_i), n in Counter(events).items():
         if not readout:
             continue
         sub = setting.subsettings[sub_i]
-        for outcome in pattern_outcomes(setting, sub, clicks, n_slots):
-            acc.add(outcome)
+        for outcome in pattern_outcomes(setting, sub, record, n_slots):
+            acc.add(outcome, n)
     if acc.total <= 0:
         raise UndefinedEstimateError(f"no post-selected events for {setting.label}")
     if setting.theta is None:
@@ -351,7 +361,7 @@ def background_correct(counts: dict, leak_fraction: float
     """
     if not 0.0 <= leak_fraction < 1.0:
         raise ContractError("leak fraction must lie in [0, 1)")
-    total = float(sum(counts.values()))
+    total = math.fsum(counts.values())
     if total <= 0 or leak_fraction == 0.0:
         return dict(counts), False
     per_bucket = leak_fraction * total / len(counts)
@@ -362,7 +372,7 @@ def background_correct(counts: dict, leak_fraction: float
         if c < 0:
             c, clamped = 0.0, True
         corrected[k] = c
-    new_total = sum(corrected.values())
+    new_total = math.fsum(corrected.values())
     if new_total > 0:
         scale = total * (1.0 - leak_fraction) / new_total
         corrected = {k: v * scale for k, v in corrected.items()}

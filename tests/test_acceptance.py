@@ -185,16 +185,22 @@ def test_criterion_10_determinism(tmp_path):
     # the per-repetition invariance under splitting a run across calls is
     # test_emitter.py::TestTrajectoryEngine::test_sliced_clicks_match_single_call
     from timebin.cli import main
-    runs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        rc = main(["simulate", "bell", "--defaults", "paper", "--reps", "30000",
-                   "--seed", "101", "--out", str(out)])
-        assert rc == 0
-        runs.append([(out / f).read_bytes() for f in ("report.json", "timetags.csv")])
-    ok = runs[0] == runs[1]
-    report(10, ok, "report.json and timetags.csv byte-identical for two runs "
-                   "with the same seed")
+    same = {}
+    written = {"report.json", "timetags.csv", "histogram.csv", "manifest.json"}
+    for experiment, reps, files in (("bell", "30000", written | {"counts.csv"}),
+                                    ("hom", "20000", written)):
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / experiment / name
+            rc = main(["simulate", experiment, "--defaults", "paper", "--reps", reps,
+                       "--seed", "101", "--out", str(out)])
+            assert rc == 0
+            runs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert set(runs[0]) == files
+        same[experiment] = runs[0] == runs[1]
+    ok = all(same.values())
+    report(10, ok, "every artifact of simulate bell and simulate hom "
+                   "byte-identical for two runs with the same seed")
 
 
 def test_criterion_11_trajectory_exact_equivalence():

@@ -207,7 +207,7 @@ class TestArtifacts:
         assert rc == 0
         sim_f = json.loads((out / "report.json").read_text())["fidelity"]["value"]
         ana_f = json.loads((ana / "analysis.json").read_text())["fidelity"]["value"]
-        assert abs(sim_f - ana_f) < 1e-9
+        assert sim_f == ana_f
 
     def test_analyze_ghz3_witness_roundtrip(self, tmp_path):
         # two photonic slots: the analysis places clicks by slot_spacing
@@ -231,7 +231,7 @@ class TestArtifacts:
                      "--out", str(ana))
         assert rc == 0
         ana_f = json.loads((ana / "analysis.json").read_text())["fidelity"]["value"]
-        assert abs(ana_f - run.outcome.fidelity) < 1e-12
+        assert ana_f == run.outcome.fidelity
 
     def test_analyze_hom_matches_simulate(self, tmp_path):
         out = tmp_path / "sim"

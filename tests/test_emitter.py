@@ -342,6 +342,56 @@ class TestTrajectoryEngine:
             assert any(any(row[2]) for row in single)    # background clicks occur
             assert sum(len(row[7]) for row in single) > n_reps // 10
 
+    def test_fringe_scan_streams_disjoint(self, monkeypatch):
+        # every (point, label) sub-run of a spin-conditioned fringe scan draws
+        # on its own repetition indices, also above a million per point
+        from timebin import experiments
+        from timebin.interferometer import TBIParams
+
+        ranges = []
+        run = experiments.run_sequence_trajectory
+
+        def recording(seq, params, noise, seed, reps, *args):
+            assert np.all(np.diff(reps) == 1)
+            ranges.append((int(reps[0]), int(reps[-1]), reps.size))
+            return run(seq, params, noise, seed, reps[:50], *args)
+
+        monkeypatch.setattr(experiments, "run_sequence_trajectory", recording)
+        experiments.spin_conditioned_fringe_scan(
+            ideal_emitter(), ideal_noise(), TBIParams(),
+            np.linspace(0, math.pi, 3), reps_per_point=1_500_000, master_seed=5)
+        assert len(ranges) == 6
+        assert all(n == 1_500_000 for _, _, n in ranges)
+        for a, b in ((a, b) for i, a in enumerate(ranges) for b in ranges[i + 1:]):
+            assert a[1] < b[0] or b[1] < a[0]
+
+
+class TestExactMassBudget:
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_first_subrun_mass(self, n_qubits):
+        # paper defaults, every component of the first witness sub-run:
+        # PRUNE_TOL loses at most 1e-6 of a component's trace, and the
+        # first-order background convolution loses at most the probability
+        # that two or more photonic windows hold a background click
+        from timebin.experiments import _witness_subruns
+
+        params, noise = paper_emitter(), paper_noise()
+        run = _witness_subruns(n_qubits, params, paper_tbi())[0]
+        exact = run_sequence_exact(run.sequence, params, noise)
+        model = DetectionModel(exact.layout, run.tbi, noise, run.windows)
+        lams = [lam for _, _, lam in model.leak_window_probs()]
+        p_none = math.prod(1 - lam for lam in lams)
+        p_one = sum(lam * p_none / (1 - lam) for lam in lams)
+        p_two_or_more = 1 - p_none - p_one
+        assert p_two_or_more > 0
+        for comp in exact.components:
+            trace = np.trace(comp.rho).real
+            base = model.distribution(comp.rho, comp.flag_clicks)
+            assert abs(math.fsum(p for _, _, p in base) - trace) <= 1e-6
+            full = model.full_distribution(comp.rho, comp.flag_clicks)
+            deficit = trace - math.fsum(p for _, _, p in full)
+            assert -1e-12 <= deficit <= p_two_or_more + 1e-6
+
 
 class TestRotationCeiling:
     def test_f_pi_only_limits_bell(self):

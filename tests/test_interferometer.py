@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from timebin.coincidence import WindowConfig
+from timebin.coincidence import WindowConfig, cell_click
 from timebin.detection import DetectionModel
 from timebin.emitter import ideal_noise
 from timebin.errors import ConfigurationError
@@ -22,8 +22,10 @@ def window_probabilities(slot_label, splitting_ratio):
     psi = np.zeros(lay.total_dim, complex)
     psi[lay.basis_index([SPIN_DOWN, slot_label])] = 1.0
     probs = {}
-    for pattern, _spin, p in model.distribution(psi):
-        (_slot, window, _det), = pattern
+    for record, _spin, p in model.distribution(psi):
+        cell = (record.bit_length() - 1) // 8
+        assert record == 1 << 8 * cell  # exactly one click
+        _slot, window, _det = cell_click(cell)
         probs[window] = probs.get(window, 0.0) + p
     return probs
 

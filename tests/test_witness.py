@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from timebin.coincidence import EARLY, LATE, MIDDLE, cell_click, click_record
 from timebin.errors import ContractError, UndefinedEstimateError
 from timebin.hilbert import (SLOT_EARLY, SLOT_LATE, SPIN_DOWN, SPIN_UP,
                              DensityOperator, RegisterLayout, direct_fidelity)
-from timebin.interferometer import Detector, Window
+from timebin.interferometer import Window
 from timebin.witness import (TargetState, background_correct, bell_fidelity,
                              bell_settings, bell_target, estimate_setting,
                              ghz_fidelity, ghz_settings, mk_signs,
@@ -160,12 +161,12 @@ class TestEstimateSetting:
     def _events(self, n_up_l, n_down_e, n_up_e=0, n_down_l=0):
         zz = bell_settings()[0]
         events = []
-        for count, window, sub in ((n_up_l, Window.LATE, 0),
-                                   (n_up_e, Window.EARLY, 0),
-                                   (n_down_e, Window.EARLY, 1),
-                                   (n_down_l, Window.LATE, 1)):
+        for count, window, sub in ((n_up_l, LATE, 0),
+                                   (n_up_e, EARLY, 0),
+                                   (n_down_e, EARLY, 1),
+                                   (n_down_l, LATE, 1)):
             for _ in range(count):
-                events.append((((0, window, Detector.D1),), True, sub))
+                events.append((click_record(0, window, 0), True, sub))
         return events, zz
 
     def test_population_from_counts(self):
@@ -185,7 +186,7 @@ class TestEstimateSetting:
             estimate_setting([], zz)
         # readout clicks missing: still no heralds
         with pytest.raises(UndefinedEstimateError):
-            estimate_setting([(((0, Window.LATE, Detector.D1),), False, 0)], zz)
+            estimate_setting([(click_record(0, LATE, 0), False, 0)], zz)
 
     def test_error_scales_inverse_sqrt(self):
         events1, zz = self._events(400, 350, 150, 100)
@@ -198,11 +199,43 @@ class TestEstimateSetting:
         xx = bell_settings()[2]
         events = []
         for _ in range(300):
-            events.append((((0, Window.MIDDLE, Detector.D2),), True, 0))  # (+, -)
+            events.append((click_record(0, MIDDLE, 1), True, 0))  # (+, -)
         for _ in range(100):
-            events.append((((0, Window.MIDDLE, Detector.D1),), True, 0))  # (+, +)
+            events.append((click_record(0, MIDDLE, 0), True, 0))  # (+, +)
         e, err = estimate_setting(events, xx)
         assert e == pytest.approx((100 - 300) / 400)
+
+
+class TestOrderIndependence:
+    def test_shuffled_counts_give_identical_estimates(self):
+        # the same counts inserted in other orders give bit-identical totals,
+        # population, correlators and raw and background-corrected fidelity
+        from timebin.experiments import WitnessOutcome
+        from timebin.witness import SettingCounts
+
+        rng = np.random.default_rng(8)
+        outcomes = [(s, (a, b)) for s in (1, -1) for a in (1, -1) for b in (1, -1)]
+        counts = {}
+        for setting in ghz_settings(3):
+            acc = counts[setting.label] = SettingCounts(setting, 2)
+            for outcome in outcomes:
+                acc.add(outcome, float(rng.uniform(0.0, 1e4)))
+
+        def estimates(counts):
+            out = WitnessOutcome.from_counts(3, counts, 0.07)
+            return (out.n_heralded, out.population, out.correlators, out.fidelity,
+                    out.fidelity_err, out.corrected_fidelity,
+                    out.corrected_fidelity_err)
+
+        reference = estimates(counts)
+        for _ in range(20):
+            shuffled = {}
+            for label, acc in counts.items():
+                items = list(acc.counts.items())
+                new = shuffled[label] = SettingCounts(acc.setting, 2)
+                for i in rng.permutation(len(items)):
+                    new.add(*items[i])
+            assert estimates(shuffled) == reference
 
 
 class TestBackgroundCorrection:
@@ -267,13 +300,12 @@ class TestHeraldedCounting:
             for row in np.nonzero(clicks.readout_clicks)[0]:
                 for outcome in pattern_outcomes(setting, sub, clicks.clicks_of(row), 1):
                     acc.add(outcome)
-                signal = list(clicks.clicks_of(row, leak=False))
-                tagged = [(c, False) for c in signal]
-                for c in clicks.clicks_of(row):
-                    if c in signal:
-                        signal.remove(c)
-                    else:
-                        tagged.append((c, True))
+                # per cell: its signal clicks, then its background clicks
+                signal = clicks.clicks_of(row, leak=False).to_bytes(6, "little")
+                every = clicks.clicks_of(row).to_bytes(6, "little")
+                tagged = []
+                for c, (k_sig, k_all) in enumerate(zip(signal, every)):
+                    tagged += [(cell_click(c), i >= k_sig) for i in range(k_all)]
                 eligible = [is_leak for (_, w, d), is_leak in tagged
                             if setting.photon_eigenvalue(w, d) is not None]
                 leak_read = clicks.readout_leak[row] and not clicks.readout_signal[row]
@@ -294,7 +326,7 @@ class TestHeraldedCounting:
 
     def test_outcome_codes_wide_records(self):
         # GHZ-4 width: 3 photon slots, 18 cells; codes must be non-negative,
-        # tell records apart and map each to its clicks and readout
+        # tell records apart and map each to its click record and readout
         from timebin.detection import RunClicks
 
         rng = np.random.default_rng(3)
@@ -312,15 +344,13 @@ class TestHeraldedCounting:
         records = [(tuple(clicks.signal[r] + clicks.flagged[r]),
                     tuple(clicks.background[r]), bool(clicks.readout_clicks[r]))
                    for r in range(n)]
-        cells = [(s, w, d) for s in range(3)
-                 for w in (Window.EARLY, Window.MIDDLE, Window.LATE)
-                 for d in (Detector.D1, Detector.D2)]
         by_code = {}
         for r in range(n):
             assert by_code.setdefault(int(codes[r]), records[r]) == records[r]
+            # the click record holds cell c's total count in its byte c
             total = clicks.signal[r] + clicks.flagged[r] + clicks.background[r]
-            pattern = tuple(c for c, k in zip(cells, total.tolist()) for _ in range(k))
-            assert mapping[int(codes[r])] == (pattern, records[r][2])
+            record = sum(k * 256 ** c for c, k in enumerate(total.tolist()))
+            assert mapping[int(codes[r])] == (record, records[r][2])
         assert len(by_code) == len(set(records))
 
 
