@@ -275,36 +275,30 @@ def _analyze_witness(tags, args) -> dict:
                                         t_inf=cfg["emitter"]["t_inf"],
                                         slot_spacing=cfg["emitter"]["photon_spacing_ns"])
     # one repetition's tags are contiguous in the sorted input: count its
-    # photonic tags per (slot, window, detector) cell, and read the click
-    # record once per distinct row of counts
+    # photonic tags per (slot, window, detector) cell, then group the
+    # readout-clicked repetitions by (distinct row of counts, sub-run)
     slot, code = windows.classify(tags.time)
     new_rep = np.r_[True, tags.repetition[1:] != tags.repetition[:-1]]
     starts = np.flatnonzero(new_rep)
-    readout = np.logical_or.reduceat(code == coin.READOUT, starts).tolist()
+    readout = np.logical_or.reduceat(code == coin.READOUT, starts)
     photonic = (code >= 0) & (code != coin.READOUT)
     cells = np.zeros((len(starts), 6 * windows.n_slots), np.uint8)
     np.add.at(cells, ((np.cumsum(new_rep) - 1)[photonic],
                       coin.click_cell(slot, code, tags.detector)[photonic]), 1)
     first, group = coin.distinct_rows(cells)
     records = coin.row_records(cells[first])
-    sub_global = (tags.repetition[starts] % n_subs).tolist()
-    per_setting_events: dict[str, list] = {s.label: [] for s in settings}
-    for sub, k, read in zip(sub_global, group.tolist(), readout):
-        per_setting_events[settings[sub // 2].label].append((records[k], read, sub % 2))
-    estimates = {}
-    pop = None
-    mks = []
-    for setting in settings:
-        value, err = wit.estimate_setting(per_setting_events[setting.label],
-                                          setting, n_slots=n_qubits - 1)
-        estimates[setting.label] = {"value": value, "error": err}
-        if setting.theta is None:
-            pop = (value, err)
-        else:
-            mks.append((value, err))
-    f, f_err = wit.ghz_fidelity(n_qubits, pop[0], [m for m, _ in mks],
-                                pop[1], [e for _, e in mks])
-    return {"mode": "witness", "n_qubits": n_qubits, "estimates": estimates,
+    sub_run = tags.repetition[starts] % n_subs
+    keys, n_reps = np.unique((group * n_subs + sub_run)[readout], return_counts=True)
+    counts = {s.label: wit.SettingCounts(s, n_qubits - 1) for s in settings}
+    for sub in range(n_subs):
+        sel = keys % n_subs == sub
+        counts[settings[sub // 2].label].add_heralded(sub % 2, zip(
+            [records[k] for k in (keys[sel] // n_subs).tolist()],
+            n_reps[sel].tolist()))
+    estimates, (f, f_err) = wit.fidelity_estimate(n_qubits, counts)
+    return {"mode": "witness", "n_qubits": n_qubits,
+            "estimates": {label: {"value": v, "error": e}
+                          for label, (v, e) in estimates.items()},
             "fidelity": {"value": f, "error": f_err},
             "witness_violated": f > 0.5}
 

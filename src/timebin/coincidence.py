@@ -207,14 +207,17 @@ def histogram_to_csv(path, bin_starts: np.ndarray, counts: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _window_counts(arr: TagArrays, code: np.ndarray, window: Window,
-                   n_reps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-repetition click counts on each detector within one window class,
-    given the tags' window codes from WindowConfig.classify."""
+def _window_counts(arr: TagArrays, code: np.ndarray, window: Window
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted distinct repetitions with a click in one window class and
+    each one's click count on each detector, given the tags' window codes
+    from WindowConfig.classify."""
     sel = code == WINDOWS.index(window)
-    n1 = np.bincount(arr.repetition[sel & (arr.detector == 0)], minlength=n_reps)
-    n2 = np.bincount(arr.repetition[sel & (arr.detector == 1)], minlength=n_reps)
-    return n1.astype(np.int64), n2.astype(np.int64)
+    reps, index = np.unique(arr.repetition[sel], return_inverse=True)
+    det = arr.detector[sel]
+    n1 = np.bincount(index[det == 0], minlength=len(reps))
+    n2 = np.bincount(index[det == 1], minlength=len(reps))
+    return reps, n1.astype(np.int64), n2.astype(np.int64)
 
 
 def g2_zero(tags: TagArrays, windows: WindowConfig, max_delay_reps: int = 50
@@ -223,25 +226,33 @@ def g2_zero(tags: TagArrays, windows: WindowConfig, max_delay_reps: int = 50
 
     Same-repetition cross-detector coincidences within a window class,
     normalized by the mean coincidence rate at repetition offsets
-    1..max_delay_reps, averaged over the early and late classes.
+    1..k, k = min(max_delay_reps, largest repetition index), averaged over
+    the early and late classes.  Only repetitions holding a click are
+    counted, so memory does not grow with the repetition indices.
     Returns (g2, standard error, per-class detail).
     """
     if len(tags) == 0:
         raise UndefinedEstimateError("no tags to analyze")
-    n_reps = int(tags.repetition.max()) + 1
-    if n_reps < 2:
+    max_rep = int(tags.repetition.max())
+    if max_rep < 1:
         raise UndefinedEstimateError("g2 needs at least two repetitions")
+    k = min(max_delay_reps, max_rep)
     code = windows.classify(tags.time)[1]
     detail = {}
     values, weights = [], []
     for window in (Window.EARLY, Window.LATE):
-        n1, n2 = _window_counts(tags, code, window, n_reps)
+        reps, n1, n2 = _window_counts(tags, code, window)
         same = float(np.sum(n1 * n2))
-        far_total = 0.0
-        k = min(max_delay_reps, n_reps - 1)
-        for d in range(1, k + 1):
-            far_total += 0.5 * float(np.sum(n1[:-d] * n2[d:]) + np.sum(n2[:-d] * n1[d:]))
-        far_mean = far_total / k
+        # cross-detector products of the repetition pairs 1..k apart: the
+        # pair (i, i + m) of distinct sorted repetitions is at least m apart
+        far = 0
+        for m in range(1, min(k, len(reps) - 1) + 1):
+            i = np.flatnonzero(reps[m:] - reps[:-m] <= k)
+            if len(i) == 0:
+                break
+            far += int(np.sum(n1[i] * n2[i + m]) + np.sum(n2[i] * n1[i + m]))
+        # integer sums: exact in any order
+        far_mean = 0.5 * far / k
         if far_mean <= 0:
             raise UndefinedEstimateError(f"no long-delay coincidences in {window.value}")
         g2 = same / far_mean

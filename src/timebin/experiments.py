@@ -4,7 +4,10 @@ fringe scans and the rotation calibration sweep.
 Each witness run loops over the n+1 measurement settings; every setting has
 two spin sub-settings (the toggled readout rotation), each compiled into its
 own pulse sequence and detection model.  Repetitions are assigned to
-sub-runs round-robin by repetition index.
+sub-runs round-robin by repetition index.  Exact mode weights each click
+record by its probability, trajectory mode by its number of repetitions;
+both count through `SettingCounts.add_heralded` and assemble the fidelity
+with `witness.fidelity_estimate`, as `analyze --mode witness` does.
 """
 from __future__ import annotations
 
@@ -14,17 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coincidence as coin
+from . import rng as crng
 from . import witness as wit
 from .coincidence import MIDDLE, WindowConfig
 from .detection import DetectionModel, RunClicks
 from .emitter import (EmitterParams, NoiseParams, PulseSequence,
                       build_bell_sequence, build_ghz_sequence,
-                      build_hom_sequence, run_sequence_exact,
-                      run_sequence_trajectory)
+                      build_hom_sequence, rabi_curve, rabi_population,
+                      run_sequence_exact, run_sequence_trajectory)
 from .hilbert import DensityOperator
-from .interferometer import TBIParams, excitation_phase
-from .witness import (MeasurementSetting, SettingCounts, ghz_fidelity,
-                      ghz_settings, pattern_outcomes)
+from .interferometer import TBIParams, excitation_phase, fit_fringe
+from .witness import MeasurementSetting, SettingCounts, ghz_settings
 
 
 @dataclass
@@ -75,46 +78,18 @@ class WitnessOutcome:
     @classmethod
     def from_counts(cls, n_qubits: int, counts: dict,
                     leak_event_fraction: float = 0.0) -> "WitnessOutcome":
-        settings = ghz_settings(n_qubits)
-        pop_counts = counts[settings[0].label]
-        pop, pop_err = pop_counts.population()
-        correlators = {}
-        mks, mk_errs = [], []
-        for setting in settings[1:]:
-            e, err = counts[setting.label].expectation()
-            correlators[setting.label] = (e, err)
-            mks.append(e)
-            mk_errs.append(err)
-        f, f_err = ghz_fidelity(n_qubits, pop, mks, pop_err, mk_errs)
-        outcome = cls(n_qubits, counts, (pop, pop_err), correlators, f, f_err,
-                      f > 0.5, {k: c.total for k, c in counts.items()},
-                      leak_event_fraction)
-        outcome._apply_background_correction()
-        return outcome
-
-    def _apply_background_correction(self) -> None:
-        if self.leak_event_fraction <= 0.0:
-            self.corrected_fidelity = self.fidelity
-            self.corrected_fidelity_err = self.fidelity_err
-            return
-        settings = ghz_settings(self.n_qubits)
-        corr_counts = {}
-        for setting in settings:
-            acc = self.counts[setting.label]
-            corrected, _ = wit.background_correct(acc.counts, self.leak_event_fraction)
-            fixed = SettingCounts(setting, self.n_qubits - 1)
-            for k, v in corrected.items():
-                fixed.add(k, v)
-            corr_counts[setting.label] = fixed
-        pop, pop_err = corr_counts[settings[0].label].population()
-        mks, mk_errs = [], []
-        for setting in settings[1:]:
-            e, err = corr_counts[setting.label].expectation()
-            mks.append(e)
-            mk_errs.append(err)
-        f, f_err = ghz_fidelity(self.n_qubits, pop, mks, pop_err, mk_errs)
-        self.corrected_fidelity = f
-        self.corrected_fidelity_err = f_err
+        estimates, (f, f_err) = wit.fidelity_estimate(n_qubits, counts)
+        (_, population), *correlators = estimates.items()
+        corrected = f, f_err
+        if leak_event_fraction > 0.0:
+            corrected_counts = {}
+            for label, acc in counts.items():
+                fixed, _ = wit.background_correct(acc.counts, leak_event_fraction)
+                corrected_counts[label] = SettingCounts(acc.setting, acc.n_slots, fixed)
+            _, corrected = wit.fidelity_estimate(n_qubits, corrected_counts)
+        return cls(n_qubits, counts, population, dict(correlators), f, f_err,
+                   f > 0.5, {k: c.total for k, c in counts.items()},
+                   leak_event_fraction, *corrected)
 
 
 # ---------------------------------------------------------------------------
@@ -125,23 +100,27 @@ class WitnessOutcome:
 def witness_exact(n_qubits: int, params: EmitterParams, noise: NoiseParams,
                   tbi: TBIParams, thinned: bool = False) -> WitnessOutcome:
     """Expected-count witness estimate from exact density-operator evolution."""
-    subruns = _witness_subruns(n_qubits, params, tbi)
     counts: dict[str, SettingCounts] = {}
-    for run in subruns:
-        exact = run_sequence_exact(run.sequence, params, noise)
-        model = DetectionModel(exact.layout, run.tbi, noise, run.windows, thinned)
+    for run in _witness_subruns(n_qubits, params, tbi):
         acc = counts.setdefault(run.setting.label,
                                 SettingCounts(run.setting, n_qubits - 1))
-        sub = run.setting.subsettings[run.sub_index]
-        for comp in exact.components:
-            for record, readout, p in model.full_distribution(comp.rho,
-                                                              comp.flag_clicks):
-                if not readout or p <= 0:
-                    continue
-                for outcome in pattern_outcomes(run.setting, sub, record,
-                                                n_qubits - 1):
-                    acc.add(outcome, comp.weight * p / len(run.setting.subsettings))
+        n_subs = len(run.setting.subsettings)
+        for weight, dist in _exact_distributions(run, params, noise, thinned):
+            acc.add_heralded(run.sub_index, [(record, weight * p / n_subs)
+                                             for record, readout, p in dist
+                                             if readout and p > 0])
     return WitnessOutcome.from_counts(n_qubits, counts)
+
+
+def _exact_distributions(run: SubRun, params: EmitterParams, noise: NoiseParams,
+                         thinned: bool):
+    """(weight, full distribution) of each component of a sub-run's exact
+    evolution, in component order; a full distribution lists
+    (click record, readout click, probability) entries."""
+    exact = run_sequence_exact(run.sequence, params, noise)
+    model = DetectionModel(exact.layout, run.tbi, noise, run.windows, thinned)
+    for comp in exact.components:
+        yield comp.weight, model.full_distribution(comp.rho, comp.flag_clicks)
 
 
 def exact_predetection_state(n_qubits: int, params: EmitterParams,
@@ -172,8 +151,8 @@ class WitnessRun:
     coincidence_rate_hz: float
 
 
-def _count_clicks(acc: SettingCounts, run: SubRun, clicks: RunClicks,
-                  n_slots: int) -> tuple[float, float]:
+def _count_clicks(acc: SettingCounts, sub_index: int, clicks: RunClicks
+                  ) -> tuple[float, float]:
     """Accumulate heralded events; returns (leak events, total events).
 
     Repetitions are grouped by their click record and whether the readout
@@ -181,29 +160,23 @@ def _count_clicks(acc: SettingCounts, run: SubRun, clicks: RunClicks,
     its readout click is background light or its click combination uses a
     background click in a photonic window.
     """
-    sub = run.setting.subsettings[run.sub_index]
     codes, mapping = clicks.outcome_codes()
     leak_read = clicks.readout_leak & ~clicks.readout_signal
     keys, first, n_rows = np.unique(codes * 2 + leak_read, return_index=True,
                                     return_counts=True)
-    totals: dict = {}
-    leak_events = 0
-    for key, row, n in zip(keys.tolist(), first, n_rows.tolist()):
-        record, readout = mapping[key // 2]
-        outs = pattern_outcomes(run.setting, sub, record, n_slots) if readout else []
-        if not outs:
-            continue
-        for outcome in outs:
-            totals[outcome] = totals.get(outcome, 0) + n
-        if key % 2:
-            leak_events += n * len(outs)
-        else:
-            signal = pattern_outcomes(run.setting, sub,
-                                      clicks.clicks_of(row, leak=False), n_slots)
-            leak_events += n * (len(outs) - len(signal))
-    for outcome, n in totals.items():
-        acc.add(outcome, float(n))
-    return float(leak_events), float(sum(totals.values()))
+    groups = [(key, row, n) for key, row, n in
+              zip(keys.tolist(), first.tolist(), n_rows.tolist())
+              if mapping[key // 2][1]]
+    events = acc.add_heralded(sub_index, [(mapping[key // 2][0], n)
+                                          for key, _, n in groups])
+    # the events free of background light: those of the signal clicks
+    # alone, and none when the readout click is background light
+    signal = SettingCounts(acc.setting, acc.n_slots)
+    signal.add_heralded(sub_index, [
+        (0 if key % 2 else clicks.clicks_of(row, leak=False), n)
+        for key, row, n in groups])
+    total = sum(n * k for (_, _, n), k in zip(groups, events))
+    return total - signal.total, float(total)
 
 
 def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
@@ -234,7 +207,7 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
         traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps)
         model = DetectionModel(traj.layout, run.tbi, noise, run.windows, thinned)
         clicks = model.sample_run(traj, master_seed)
-        lk, tot = _count_clicks(acc, run, clicks, n_qubits - 1)
+        lk, tot = _count_clicks(acc, run.sub_index, clicks)
         leak_events += lk
         total_events += tot
         coincident_reps += _count_coincident(clicks)
@@ -275,14 +248,10 @@ def trajectory_exact_tvd(n_qubits: int, params: EmitterParams, noise: NoiseParam
     for code, cnt in zip(uniq, counts_arr):
         key = mapping[int(code)]
         empirical[key] = empirical.get(key, 0.0) + cnt / n_repetitions
-    exact = run_sequence_exact(run.sequence, params, noise)
-    model_e = DetectionModel(exact.layout, run.tbi, noise, run.windows, thinned)
     predicted: dict = {}
-    for comp in exact.components:
-        for record, readout, p in model_e.full_distribution(comp.rho,
-                                                            comp.flag_clicks):
-            key = (record, readout)
-            predicted[key] = predicted.get(key, 0.0) + comp.weight * p
+    for weight, dist in _exact_distributions(run, params, noise, thinned):
+        for record, readout, p in dist:
+            predicted[record, readout] = predicted.get((record, readout), 0.0) + weight * p
     total = sum(predicted.values())
     predicted = {k: v / total for k, v in predicted.items()}
     keys = set(empirical) | set(predicted)
@@ -345,8 +314,6 @@ class FringeScan:
 def classical_fringe_scan(tbi: TBIParams, theta_values: np.ndarray,
                           photons_per_point: int, master_seed: int) -> FringeScan:
     """Middle-window contrast of a classical double-pass input, with shot noise."""
-    from . import rng as crng
-
     theta_values = np.asarray(theta_values, dtype=float)
     contrast = np.empty_like(theta_values)
     for i, th in enumerate(theta_values):
@@ -355,13 +322,8 @@ def classical_fringe_scan(tbi: TBIParams, theta_values: np.ndarray,
                           + np.uint64(i * photons_per_point), stream=41)
         n1 = int(np.sum(u < p1))
         contrast[i] = (2.0 * n1 - photons_per_point) / photons_per_point
-    fit = _fit(theta_values, contrast)
+    fit = fit_fringe(theta_values, contrast)
     return FringeScan(theta_values, {"classical": contrast}, {"classical": fit})
-
-
-def _fit(theta, contrast):
-    from .interferometer import fit_fringe
-    return fit_fringe(theta, contrast)
 
 
 def spin_conditioned_fringe_scan(params: EmitterParams, noise: NoiseParams,
@@ -375,11 +337,11 @@ def spin_conditioned_fringe_scan(params: EmitterParams, noise: NoiseParams,
     """
     theta_values = np.asarray(theta_values, dtype=float)
     curves = {"+X": np.empty_like(theta_values), "-X": np.empty_like(theta_values)}
+    windows = WindowConfig.for_sequence(1, t_inf=params.t_inf,
+                                        repetition_period=params.repetition_period_ns)
     for i, th in enumerate(theta_values):
         tbi_th = tbi.with_theta_pol(th)
         phase_e = excitation_phase(tbi_th)
-        windows = WindowConfig.for_sequence(1, t_inf=params.t_inf,
-                                            repetition_period=params.repetition_period_ns)
         for label, angle in (("+X", math.pi / 2), ("-X", -math.pi / 2)):
             seq = build_bell_sequence(params, phase_e=phase_e).with_readout_rotation(
                 "y", angle)
@@ -394,7 +356,7 @@ def spin_conditioned_fringe_scan(params: EmitterParams, noise: NoiseParams,
             n1, n2 = cells[:, :, MIDDLE].sum(axis=(0, 1)).tolist()
             total = n1 + n2
             curves[label][i] = (n1 - n2) / total if total else 0.0
-    fits = {label: _fit(theta_values, c) for label, c in curves.items()}
+    fits = {label: fit_fringe(theta_values, c) for label, c in curves.items()}
     return FringeScan(theta_values, curves, fits)
 
 
@@ -417,8 +379,6 @@ class RabiCalibration:
 
 def rabi_calibration(noise: NoiseParams, n_points: int = 41) -> RabiCalibration:
     """Sweep pulse area 0..2pi and verify the pi-point transfer equals f_pi."""
-    from .emitter import rabi_curve, rabi_population
-
     angles = np.linspace(0.0, 2.0 * math.pi, n_points)
     pops = rabi_curve(angles, noise)
     return RabiCalibration(angles, pops, rabi_population(math.pi, noise), noise.f_pi)

@@ -16,11 +16,16 @@ which for n = 2 reduces to pop/2 + (<M_y> - <M_x>)/4.  Each M_k needs one
 polarizer angle (theta0 + k pi/2n) and a pair of spin pre-readout rotations;
 the population setting uses the early/late windows with the readout rotation
 toggled between 0 and pi.
+
+Heralded events are counted on one path.  `SettingCounts.add_heralded` adds
+the outcomes of (click record, weight) groups of one sub-setting: exact-mode
+probabilities, sampled repetitions or analyzed time tags.
+`estimate_setting` turns one setting's counts into its population or
+correlator, and `fidelity_estimate` assembles the fidelity from them.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -257,7 +262,7 @@ Outcome = tuple[int, tuple[int, ...]]  # (spin eigenvalue, per-slot photon eigen
 
 @dataclass
 class SettingCounts:
-    """Accumulated heralded events of one setting; a commutative merge monoid.
+    """Accumulated heralded events of one setting.
 
     Sums over outcomes are exactly rounded (math.fsum), so the estimates do
     not depend on the order in which outcomes were added.
@@ -270,10 +275,22 @@ class SettingCounts:
     def add(self, outcome: Outcome, weight: float = 1.0) -> None:
         self.counts[outcome] = self.counts.get(outcome, 0.0) + weight
 
-    def merge(self, other: "SettingCounts") -> "SettingCounts":
-        for k, v in other.counts.items():
-            self.add(k, v)
-        return self
+    def add_heralded(self, sub_index: int, groups) -> list[int]:
+        """Add the heralded outcomes of (click record, weight) groups measured
+        in sub-setting sub_index, each outcome with its group's weight.
+
+        Callers pass only groups with a readout click; a weight is a number
+        of repetitions or an exact-mode probability.  Returns each group's
+        outcome count.
+        """
+        sub = self.setting.subsettings[sub_index]
+        n_outcomes = []
+        for record, weight in groups:
+            outcomes = pattern_outcomes(self.setting, sub, record, self.n_slots)
+            for outcome in outcomes:
+                self.add(outcome, weight)
+            n_outcomes.append(len(outcomes))
+        return n_outcomes
 
     @property
     def total(self) -> float:
@@ -328,26 +345,29 @@ def pattern_outcomes(setting: MeasurementSetting, sub: SpinSubsetting,
     return outcomes
 
 
-def estimate_setting(events, setting: MeasurementSetting,
-                     n_slots: int = 1) -> tuple[float, float]:
-    """Expectation +- error from heralded (record, readout, subsetting) events.
-
-    events iterates over (click record, readout_clicked, subsetting_index)
-    tuples; only repetitions with a readout click and a full photonic herald
-    count.  Each distinct event is evaluated once, with its multiplicity.
-    """
-    acc = SettingCounts(setting, n_slots)
-    for (record, readout, sub_i), n in Counter(events).items():
-        if not readout:
-            continue
-        sub = setting.subsettings[sub_i]
-        for outcome in pattern_outcomes(setting, sub, record, n_slots):
-            acc.add(outcome, n)
-    if acc.total <= 0:
-        raise UndefinedEstimateError(f"no post-selected events for {setting.label}")
-    if setting.theta is None:
+def estimate_setting(acc: SettingCounts) -> tuple[float, float]:
+    """One setting's estimate +- error: the target population for the Z
+    setting, the correlator <M_k> for an equatorial one."""
+    if acc.setting.theta is None:
         return acc.population()
     return acc.expectation()
+
+
+def fidelity_estimate(n_qubits: int, counts: dict
+                      ) -> tuple[dict, tuple[float, float]]:
+    """Each setting's estimate (label -> (value, error), in setting order)
+    and the witness fidelity +- error assembled from them.
+
+    counts maps every setting label of `ghz_settings(n_qubits)` to its
+    SettingCounts; a setting without heralded events raises
+    UndefinedEstimateError.
+    """
+    estimates = {s.label: estimate_setting(counts[s.label])
+                 for s in ghz_settings(n_qubits)}
+    (pop, pop_err), *mks = estimates.values()
+    fidelity = ghz_fidelity(n_qubits, pop, [m for m, _ in mks], pop_err,
+                            [e for _, e in mks])
+    return estimates, fidelity
 
 
 def background_correct(counts: dict, leak_fraction: float

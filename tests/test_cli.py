@@ -205,9 +205,14 @@ class TestArtifacts:
                      "--mode", "witness", "--manifest", str(out / "manifest.json"),
                      "--out", str(ana))
         assert rc == 0
-        sim_f = json.loads((out / "report.json").read_text())["fidelity"]["value"]
-        ana_f = json.loads((ana / "analysis.json").read_text())["fidelity"]["value"]
-        assert sim_f == ana_f
+        sim = json.loads((out / "report.json").read_text())
+        ana_report = json.loads((ana / "analysis.json").read_text())
+        assert sim["fidelity"]["value"] == ana_report["fidelity"]["value"]
+        # every setting's estimate and error, not only the fidelity
+        estimates = ana_report["estimates"]
+        assert estimates.pop("ZZ") == sim["population"]
+        assert estimates == sim["correlators"]
+        assert set(estimates) == {"YY", "XX"}
 
     def test_analyze_ghz3_witness_roundtrip(self, tmp_path):
         # two photonic slots: the analysis places clicks by slot_spacing
@@ -230,8 +235,13 @@ class TestArtifacts:
                      "--mode", "witness", "--manifest", str(tmp_path / "manifest.json"),
                      "--out", str(ana))
         assert rc == 0
-        ana_f = json.loads((ana / "analysis.json").read_text())["fidelity"]["value"]
-        assert ana_f == run.outcome.fidelity
+        ana_report = json.loads((ana / "analysis.json").read_text())
+        assert ana_report["fidelity"]["value"] == run.outcome.fidelity
+        # every setting's estimate and error, not only the fidelity
+        expected = {"ZZ": run.outcome.population, **run.outcome.correlators}
+        assert {label: (e["value"], e["error"])
+                for label, e in ana_report["estimates"].items()} == expected
+        assert set(expected) == {"ZZ", "M1", "M2", "M3"}
 
     def test_analyze_hom_matches_simulate(self, tmp_path):
         out = tmp_path / "sim"

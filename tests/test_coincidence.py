@@ -88,6 +88,32 @@ class TestG2:
         with pytest.raises(UndefinedEstimateError):
             g2_zero(tag_arrays((0, 30.5, 0), (1, 30.6, 1)), windows)
 
+    def test_repetition_offset_invariant(self, tmp_path):
+        # g2 depends on repetition differences only; a counter starting near
+        # 2^40 must neither change it nor allocate per repetition index
+        run = simulate_hom(paper_emitter(), paper_noise(), paper_tbi(), 4000, 9)
+        assert run.tags.repetition.max() - run.tags.repetition.min() >= 50
+        shifted = TagArrays(run.tags.detector, run.tags.time,
+                            run.tags.repetition + np.int64(2**40))
+        g2, err, detail = g2_zero(run.tags, run.windows)
+        assert g2_zero(shifted, run.windows) == (g2, err, detail)
+        # the dense per-repetition sums that the pairing of distinct
+        # repetitions replaces
+        code = run.windows.classify(run.tags.time)[1]
+        n_reps = int(run.tags.repetition.max()) + 1
+        for window in (Window.EARLY, Window.LATE):
+            sel = code == WINDOWS.index(window)
+            n1, n2 = (np.bincount(run.tags.repetition[sel & (run.tags.detector == d)],
+                                  minlength=n_reps) for d in (0, 1))
+            far = sum(0.5 * float(np.sum(n1[:-d] * n2[d:]) + np.sum(n2[:-d] * n1[d:]))
+                      for d in range(1, 51))
+            assert detail[window.value]["same"] == float(np.sum(n1 * n2))
+            assert detail[window.value]["far_mean"] == far / 50
+        path = tmp_path / "shifted.csv"
+        export_timetags(path, shifted)
+        assert main(["analyze", "--input", str(path), "--mode", "g2",
+                     "--out", str(tmp_path / "out")]) == 0
+
 
 class TestHomEstimators:
     def test_perfect_suppression(self):
@@ -460,8 +486,10 @@ class TestBlinking:
         n_reps = int(arr.repetition.max()) + 1
         from timebin.coincidence import _window_counts
         from timebin.interferometer import Window
-        n1, n2 = _window_counts(arr, run.windows.classify(arr.time)[1], Window.EARLY,
-                                n_reps)
+        reps, c1, c2 = _window_counts(arr, run.windows.classify(arr.time)[1],
+                                      Window.EARLY)
+        n1, n2 = np.zeros((2, n_reps), np.int64)
+        n1[reps], n2[reps] = c1, c2
         short = float(np.sum(n1[:-1] * n2[1:]) + np.sum(n2[:-1] * n1[1:])) / 2
         far = 0.0
         k = 0

@@ -8,10 +8,10 @@ from timebin.errors import ContractError, UndefinedEstimateError
 from timebin.hilbert import (SLOT_EARLY, SLOT_LATE, SPIN_DOWN, SPIN_UP,
                              DensityOperator, RegisterLayout, direct_fidelity)
 from timebin.interferometer import Window
-from timebin.witness import (TargetState, background_correct, bell_fidelity,
-                             bell_settings, bell_target, estimate_setting,
-                             ghz_fidelity, ghz_settings, mk_signs,
-                             witness_fidelity_exact)
+from timebin.witness import (SettingCounts, TargetState, background_correct,
+                             bell_fidelity, bell_settings, bell_target,
+                             estimate_setting, ghz_fidelity, ghz_settings,
+                             mk_signs, witness_fidelity_exact)
 
 
 class TestBellFidelityArithmetic:
@@ -158,51 +158,46 @@ class TestSettings:
 
 
 class TestEstimateSetting:
-    def _events(self, n_up_l, n_down_e, n_up_e=0, n_down_l=0):
+    def _counts(self, n_up_l, n_down_e, n_up_e=0, n_down_l=0):
+        # one photon click per repetition, grouped by record and sub-setting
         zz = bell_settings()[0]
-        events = []
-        for count, window, sub in ((n_up_l, LATE, 0),
-                                   (n_up_e, EARLY, 0),
-                                   (n_down_e, EARLY, 1),
-                                   (n_down_l, LATE, 1)):
-            for _ in range(count):
-                events.append((click_record(0, window, 0), True, sub))
-        return events, zz
+        acc = SettingCounts(zz, 1)
+        acc.add_heralded(0, [(click_record(0, LATE, 0), n_up_l),
+                             (click_record(0, EARLY, 0), n_up_e)])
+        acc.add_heralded(1, [(click_record(0, EARLY, 0), n_down_e),
+                             (click_record(0, LATE, 0), n_down_l)])
+        return acc
 
     def test_population_from_counts(self):
-        events, zz = self._events(450, 443, 50, 57)
-        p, err = estimate_setting(events, zz)
+        p, err = estimate_setting(self._counts(450, 443, 50, 57))
         assert p == pytest.approx((450 + 443) / 1000)
         assert err == pytest.approx(math.sqrt(0.893 * 0.107 / 1000), rel=0.01)
 
     def test_uniform_counts_give_half(self):
-        events, zz = self._events(100, 100, 100, 100)
-        p, _ = estimate_setting(events, zz)
+        p, _ = estimate_setting(self._counts(100, 100, 100, 100))
         assert p == pytest.approx(0.5)
 
     def test_no_events_raises(self):
         zz = bell_settings()[0]
         with pytest.raises(UndefinedEstimateError):
-            estimate_setting([], zz)
-        # readout clicks missing: still no heralds
+            estimate_setting(SettingCounts(zz, 1))
+        # no click in a Z window (or none at all): still no heralds
+        acc = SettingCounts(zz, 1)
+        assert acc.add_heralded(0, [(click_record(0, MIDDLE, 0), 5), (0, 3)]) == [0, 0]
         with pytest.raises(UndefinedEstimateError):
-            estimate_setting([(click_record(0, LATE, 0), False, 0)], zz)
+            estimate_setting(acc)
 
     def test_error_scales_inverse_sqrt(self):
-        events1, zz = self._events(400, 350, 150, 100)
-        _, err1 = estimate_setting(events1, zz)
-        events2, _ = self._events(800, 700, 300, 200)
-        _, err2 = estimate_setting(events2, zz)
+        _, err1 = estimate_setting(self._counts(400, 350, 150, 100))
+        _, err2 = estimate_setting(self._counts(800, 700, 300, 200))
         assert err1 / err2 == pytest.approx(math.sqrt(2), rel=0.05)
 
     def test_expectation_from_middle_clicks(self):
         xx = bell_settings()[2]
-        events = []
-        for _ in range(300):
-            events.append((click_record(0, MIDDLE, 1), True, 0))  # (+, -)
-        for _ in range(100):
-            events.append((click_record(0, MIDDLE, 0), True, 0))  # (+, +)
-        e, err = estimate_setting(events, xx)
+        acc = SettingCounts(xx, 1)
+        assert acc.add_heralded(0, [(click_record(0, MIDDLE, 1), 300),   # (+, -)
+                                    (click_record(0, MIDDLE, 0), 100)]) == [1, 1]
+        e, err = estimate_setting(acc)
         assert e == pytest.approx((100 - 300) / 400)
 
 
@@ -211,7 +206,6 @@ class TestOrderIndependence:
         # the same counts inserted in other orders give bit-identical totals,
         # population, correlators and raw and background-corrected fidelity
         from timebin.experiments import WitnessOutcome
-        from timebin.witness import SettingCounts
 
         rng = np.random.default_rng(8)
         outcomes = [(s, (a, b)) for s in (1, -1) for a in (1, -1) for b in (1, -1)]
@@ -288,7 +282,7 @@ class TestHeraldedCounting:
         # click combination and marks those using a background click
         from timebin.config import paper_emitter, paper_noise, paper_tbi
         from timebin.experiments import witness_trajectory
-        from timebin.witness import SettingCounts, pattern_outcomes
+        from timebin.witness import pattern_outcomes
 
         run = witness_trajectory(2, paper_emitter(), paper_noise(), paper_tbi(),
                                  24_000, 5, keep_clicks=True)
