@@ -286,15 +286,13 @@ def _analyze_witness(tags, args) -> dict:
     np.add.at(cells, ((np.cumsum(new_rep) - 1)[photonic],
                       coin.click_cell(slot, code, tags.detector)[photonic]), 1)
     first, group = coin.distinct_rows(cells)
-    records = coin.row_records(cells[first])
     sub_run = tags.repetition[starts] % n_subs
     keys, n_reps = np.unique((group * n_subs + sub_run)[readout], return_counts=True)
     counts = {s.label: wit.SettingCounts(s, n_qubits - 1) for s in settings}
     for sub in range(n_subs):
         sel = keys % n_subs == sub
-        counts[settings[sub // 2].label].add_heralded(sub % 2, zip(
-            [records[k] for k in (keys[sel] // n_subs).tolist()],
-            n_reps[sel].tolist()))
+        counts[settings[sub // 2].label].add_heralded(
+            sub % 2, cells[first[keys[sel] // n_subs]], n_reps[sel])
     estimates, (f, f_err) = wit.fidelity_estimate(n_qubits, counts)
     return {"mode": "witness", "n_qubits": n_qubits,
             "estimates": {label: {"value": v, "error": e}

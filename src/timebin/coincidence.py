@@ -39,39 +39,32 @@ def cell_click(cell: int) -> tuple[int, Window, Detector]:
     return cell // 6, WINDOWS[cell // 2 % 3], DETECTORS[cell % 2]
 
 
-def click_record(slot: int, window: int, detector: int) -> int:
-    """Click record of one photonic click.
-
-    A click record is a row of per-cell uint8 click counts read as one
-    little-endian int (cell c holds bits 8c to 8c + 7), so records of
-    separate clicks add and a record moves to slot k by `<< 48 * k`.
-    """
-    return 1 << 8 * click_cell(slot, window, detector)
-
-
-def row_records(rows) -> list[int]:
-    """The click record of each row of a (n, n_cells) count matrix."""
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
-
-
-def record_rows(records, n_cells: int) -> np.ndarray:
-    """The (len(records), n_cells) uint8 count matrix of click records."""
-    data = b"".join(r.to_bytes(n_cells, "little") for r in records)
-    return np.frombuffer(data, np.uint8).reshape(len(records), n_cells)
-
-
 def distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group equal rows of a 2-D uint8 matrix: (first row of each group,
-    group index of every row).
+    group index of every row), groups in lexicographic order of the rows.
 
-    Rows are compared as single void values, which is far faster than
-    np.unique(axis=0) on the narrow count matrices used here.
+    One stable sort per column (`np.lexsort`, first column most
+    significant) is far faster than np.unique(axis=0), or than sorting the
+    rows as void values, on the narrow count matrices used here.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.uint8)
-    keys = matrix.view(np.dtype((np.void, matrix.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse
+    # rows without columns (no photon slot) are all equal
+    order = np.lexsort(matrix.T[::-1]) if matrix.shape[1] else np.arange(len(matrix))
+    ordered = matrix[order]
+    starts = np.ones(len(order), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group
+
+
+def first_seen_groups(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`distinct_rows` with the groups numbered in order of first appearance."""
+    first, inverse = distinct_rows(matrix)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
 
 
 @dataclass(frozen=True)

@@ -577,9 +577,6 @@ def _check_overflow(lost: float, mass: float = 1.0) -> None:
 # trajectory evolution
 # ---------------------------------------------------------------------------
 
-_STREAM_BLINK = 7001
-
-
 def group_by_id(ids: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Index arrays of equal-id repetitions, in ascending id order."""
     order = np.argsort(ids, kind="stable")
@@ -663,7 +660,8 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
 
     if noise.blink_block_len > 0 and noise.blink_on_fraction < 1.0:
         blocks = reps // np.uint64(noise.blink_block_len)
-        blink_off = crng.uniforms(master_seed, blocks, _STREAM_BLINK) >= noise.blink_on_fraction
+        blink_off = (crng.uniforms(master_seed, blocks, crng.stream("emitter.blink"))
+                     >= noise.blink_on_fraction)
     else:
         blink_off = np.zeros(n, dtype=bool)
 
@@ -678,7 +676,7 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
     rot_i = exc_i = 0
     for step_i, op in enumerate(seq.steps[:-1]):
         branches = step_branches(op, params, noise, layout)
-        u = crng.uniforms(master_seed, reps, stream=100 + step_i)
+        u = crng.uniforms(master_seed, reps, crng.stream("emitter.step", step_i))
         rows = np.nonzero(~blink_off)[0] if op.kind == "excite" else np.arange(n)
         for sid, sel in group_by_id(ids[rows]):
             idx = rows[sel]

@@ -4,10 +4,11 @@ fringe scans and the rotation calibration sweep.
 Each witness run loops over the n+1 measurement settings; every setting has
 two spin sub-settings (the toggled readout rotation), each compiled into its
 own pulse sequence and detection model.  Repetitions are assigned to
-sub-runs round-robin by repetition index.  Exact mode weights each click
-record by its probability, trajectory mode by its number of repetitions;
-both count through `SettingCounts.add_heralded` and assemble the fidelity
-with `witness.fidelity_estimate`, as `analyze --mode witness` does.
+sub-runs round-robin by repetition index.  Exact mode weights each row of
+click counts by its probability, trajectory mode by its number of
+repetitions; both count through `SettingCounts.add_heralded` and assemble
+the fidelity with `witness.fidelity_estimate`, as `analyze --mode witness`
+does.
 """
 from __future__ import annotations
 
@@ -106,17 +107,16 @@ def witness_exact(n_qubits: int, params: EmitterParams, noise: NoiseParams,
                                 SettingCounts(run.setting, n_qubits - 1))
         n_subs = len(run.setting.subsettings)
         for weight, dist in _exact_distributions(run, params, noise, thinned):
-            acc.add_heralded(run.sub_index, [(record, weight * p / n_subs)
-                                             for record, readout, p in dist
-                                             if readout and p > 0])
+            sel = dist.label & (dist.probs > 0)
+            acc.add_heralded(run.sub_index, dist.rows[sel],
+                             weight * dist.probs[sel] / n_subs)
     return WitnessOutcome.from_counts(n_qubits, counts)
 
 
 def _exact_distributions(run: SubRun, params: EmitterParams, noise: NoiseParams,
                          thinned: bool):
-    """(weight, full distribution) of each component of a sub-run's exact
-    evolution, in component order; a full distribution lists
-    (click record, readout click, probability) entries."""
+    """(weight, `DetectionModel.full_distribution`) of each component of a
+    sub-run's exact evolution, in component order."""
     exact = run_sequence_exact(run.sequence, params, noise)
     model = DetectionModel(exact.layout, run.tbi, noise, run.windows, thinned)
     for comp in exact.components:
@@ -155,27 +155,24 @@ def _count_clicks(acc: SettingCounts, sub_index: int, clicks: RunClicks
                   ) -> tuple[float, float]:
     """Accumulate heralded events; returns (leak events, total events).
 
-    Repetitions are grouped by their click record and whether the readout
+    Repetitions are grouped by their click rows and whether the readout
     click is background light only.  An event counts as a leak event when
     its readout click is background light or its click combination uses a
     background click in a photonic window.
     """
-    codes, mapping = clicks.outcome_codes()
     leak_read = clicks.readout_leak & ~clicks.readout_signal
-    keys, first, n_rows = np.unique(codes * 2 + leak_read, return_index=True,
-                                    return_counts=True)
-    groups = [(key, row, n) for key, row, n in
-              zip(keys.tolist(), first.tolist(), n_rows.tolist())
-              if mapping[key // 2][1]]
-    events = acc.add_heralded(sub_index, [(mapping[key // 2][0], n)
-                                          for key, _, n in groups])
+    keys, rows, n_rows = np.unique(clicks.outcome_codes() * 2 + leak_read,
+                                   return_index=True, return_counts=True)
+    heralded = clicks.readout_clicks[rows]
+    keys, rows, n_rows = keys[heralded], rows[heralded], n_rows[heralded]
+    photons = (clicks.signal + clicks.flagged)[rows]
+    events = acc.add_heralded(sub_index, photons + clicks.background[rows], n_rows)
     # the events free of background light: those of the signal clicks
     # alone, and none when the readout click is background light
+    photons[keys % 2 == 1] = 0
     signal = SettingCounts(acc.setting, acc.n_slots)
-    signal.add_heralded(sub_index, [
-        (0 if key % 2 else clicks.clicks_of(row, leak=False), n)
-        for key, row, n in groups])
-    total = sum(n * k for (_, _, n), k in zip(groups, events))
+    signal.add_heralded(sub_index, photons, n_rows)
+    total = int(np.sum(n_rows * events))
     return total - signal.total, float(total)
 
 
@@ -233,7 +230,7 @@ def trajectory_exact_tvd(n_qubits: int, params: EmitterParams, noise: NoiseParam
     """Total variation distance between sampled and exact outcome distributions.
 
     Runs one sub-setting's sequence for all repetitions and compares the
-    empirical frequencies of (click record, readout flag) outcomes against
+    empirical frequencies of (click counts, readout flag) outcomes against
     the exact-mode distribution of the same sequence.
     """
     subruns = _witness_subruns(n_qubits, params, tbi)
@@ -242,21 +239,16 @@ def trajectory_exact_tvd(n_qubits: int, params: EmitterParams, noise: NoiseParam
     traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps)
     model = DetectionModel(traj.layout, run.tbi, noise, run.windows, thinned)
     clicks = model.sample_run(traj, master_seed)
-    codes, mapping = clicks.outcome_codes()
-    empirical: dict = {}
-    uniq, counts_arr = np.unique(codes, return_counts=True)
-    for code, cnt in zip(uniq, counts_arr):
-        key = mapping[int(code)]
-        empirical[key] = empirical.get(key, 0.0) + cnt / n_repetitions
-    predicted: dict = {}
-    for weight, dist in _exact_distributions(run, params, noise, thinned):
-        for record, readout, p in dist:
-            predicted[record, readout] = predicted.get((record, readout), 0.0) + weight * p
-    total = sum(predicted.values())
-    predicted = {k: v / total for k, v in predicted.items()}
-    keys = set(empirical) | set(predicted)
-    return 0.5 * sum(abs(empirical.get(k, 0.0) - predicted.get(k, 0.0))
-                     for k in keys)
+    sampled = np.column_stack([clicks.signal + clicks.flagged + clicks.background,
+                               clicks.readout_clicks])
+    dists = list(_exact_distributions(run, params, noise, thinned))
+    exact = np.concatenate([np.column_stack([d.rows, d.label]) for _, d in dists])
+    predicted = np.concatenate([w * d.probs for w, d in dists])
+    _, group = coin.distinct_rows(np.concatenate([sampled, exact]))
+    n_groups = group.max() + 1
+    empirical = np.bincount(group[:n_repetitions], minlength=n_groups) / n_repetitions
+    predicted = np.bincount(group[n_repetitions:], predicted, minlength=n_groups)
+    return 0.5 * float(np.abs(empirical - predicted / predicted.sum()).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +311,8 @@ def classical_fringe_scan(tbi: TBIParams, theta_values: np.ndarray,
     for i, th in enumerate(theta_values):
         p1 = 0.5 * (1.0 + tbi.classical_visibility * math.cos(2.0 * (th - tbi.theta0)))
         u = crng.uniforms(master_seed, np.arange(photons_per_point, dtype=np.uint64)
-                          + np.uint64(i * photons_per_point), stream=41)
+                          + np.uint64(i * photons_per_point),
+                          crng.stream("fringe.photon"))
         n1 = int(np.sum(u < p1))
         contrast[i] = (2.0 * n1 - photons_per_point) / photons_per_point
     fit = fit_fringe(theta_values, contrast)

@@ -18,8 +18,8 @@ the population setting uses the early/late windows with the readout rotation
 toggled between 0 and pi.
 
 Heralded events are counted on one path.  `SettingCounts.add_heralded` adds
-the outcomes of (click record, weight) groups of one sub-setting: exact-mode
-probabilities, sampled repetitions or analyzed time tags.
+the outcomes of weighted groups of click-count rows of one sub-setting:
+exact-mode probabilities, sampled repetitions or analyzed time tags.
 `estimate_setting` turns one setting's counts into its population or
 correlator, and `fidelity_estimate` assembles the fidelity from them.
 """
@@ -275,22 +275,52 @@ class SettingCounts:
     def add(self, outcome: Outcome, weight: float = 1.0) -> None:
         self.counts[outcome] = self.counts.get(outcome, 0.0) + weight
 
-    def add_heralded(self, sub_index: int, groups) -> list[int]:
-        """Add the heralded outcomes of (click record, weight) groups measured
-        in sub-setting sub_index, each outcome with its group's weight.
+    def add_heralded(self, sub_index: int, rows, weights) -> np.ndarray:
+        """Add the heralded outcomes of click groups measured in sub-setting
+        sub_index, each outcome with its group's weight.
 
-        Callers pass only groups with a readout click; a weight is a number
-        of repetitions or an exact-mode probability.  Returns each group's
-        outcome count.
+        rows is a (groups, 6 * n_slots) matrix of per-cell click counts
+        (`coincidence.click_cell`), weights a number of repetitions or an
+        exact-mode probability per group; callers pass only groups with a
+        readout click.  A group needs an eligible click in every slot.
+        Outcome (eigenvalue, e) then occurs once per click combination,
+        prod_k n_k(e_k) times, where n_k(+-1) counts slot k's clicks of that
+        eigenvalue.  Weights are added one occurrence at a time in group
+        order, and new outcomes are inserted in the order in which the
+        groups' click combinations (cell order) first reach them.  Returns
+        each group's outcome count, prod_k (n_k(+1) + n_k(-1)).
         """
         sub = self.setting.subsettings[sub_index]
-        n_outcomes = []
-        for record, weight in groups:
-            outcomes = pattern_outcomes(self.setting, sub, record, self.n_slots)
-            for outcome in outcomes:
-                self.add(outcome, weight)
-            n_outcomes.append(len(outcomes))
-        return n_outcomes
+        n = self.n_slots
+        weights = np.asarray(weights, dtype=float)
+        counts = np.asarray(rows, dtype=np.int64).reshape(len(weights), n, 6)
+        cell_eig = np.array([self.setting.photon_eigenvalue(WINDOWS[c // 2],
+                                                            DETECTORS[c % 2]) or 0
+                             for c in range(6)])
+        # every e in {+1, -1}^n, slot 0 most significant, -1 as a set bit
+        signs = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)[::-1]) & 1)
+        per_eig = np.stack([(counts * (cell_eig == e)).sum(axis=2) for e in (1, -1)])
+        mult = np.where(signs == 1, per_eig[0][:, None], per_eig[1][:, None]).prod(axis=2)
+        # a slot's first eligible click in cell order sets which eigenvalue
+        # its combinations take first
+        first = cell_eig[np.argmax(counts * (cell_eig != 0) > 0, axis=2)]
+        rank = ((signs != first[:, None]) << np.arange(n)[::-1]).sum(axis=2)
+        order = np.argsort(rank, axis=1)
+        group = np.repeat(np.arange(len(weights)), 2 ** n)
+        outcome = order.ravel()
+        occurs = np.take_along_axis(mult, order, axis=1).ravel()
+        seen = occurs > 0
+        group, outcome, occurs = group[seen], outcome[seen], occurs[seen]
+        keys = [(sub.eigenvalue, tuple(e)) for e in signs.tolist()]
+        sums = np.bincount(
+            np.concatenate([np.arange(2 ** n), np.repeat(outcome, occurs)]),
+            np.concatenate([[self.counts.get(k, 0.0) for k in keys],
+                            np.repeat(weights[group], occurs)]),
+            minlength=2 ** n)
+        _, at = np.unique(outcome, return_index=True)
+        for o in outcome[np.sort(at)].tolist():
+            self.counts[keys[o]] = float(sums[o])
+        return per_eig.sum(axis=0).prod(axis=1)
 
     @property
     def total(self) -> float:
@@ -318,31 +348,6 @@ class SettingCounts:
         one = (-1, (-1,) * self.n_slots)
         p = probs.get(zero, 0.0) + probs.get(one, 0.0)
         return p, math.sqrt(max(p * (1.0 - p), 0.0) / self.total)
-
-
-def pattern_outcomes(setting: MeasurementSetting, sub: SpinSubsetting,
-                     record: int, n_slots: int) -> list[Outcome]:
-    """Heralded outcomes contributed by one repetition's click record.
-
-    Reads the record's cells (`coincidence.click_record`) in cell order.
-    Requires an eligible click in every slot; repetitions with a slot
-    missing are discarded, and multi-click slots contribute one event per
-    click combination (each combination is a valid herald at the rates the
-    post-selected estimator normalizes over).
-    """
-    per_slot: list[list[int]] = [[] for _ in range(n_slots)]
-    cells = record.to_bytes(-(-record.bit_length() // 8), "little")
-    for cell, k in enumerate(cells[:6 * n_slots]):
-        if k:
-            eig = setting.photon_eigenvalue(WINDOWS[cell // 2 % 3], DETECTORS[cell % 2])
-            if eig is not None:
-                per_slot[cell // 6] += [eig] * k
-    if any(not s for s in per_slot):
-        return []
-    outcomes: list[Outcome] = [(sub.eigenvalue, ())]
-    for slot_eigs in per_slot:
-        outcomes = [(s, ph + (e,)) for s, ph in outcomes for e in slot_eigs]
-    return outcomes
 
 
 def estimate_setting(acc: SettingCounts) -> tuple[float, float]:

@@ -387,9 +387,9 @@ class TestExactMassBudget:
         for comp in exact.components:
             trace = np.trace(comp.rho).real
             base = model.distribution(comp.rho, comp.flag_clicks)
-            assert abs(math.fsum(p for _, _, p in base) - trace) <= 1e-6
+            assert abs(math.fsum(base.probs) - trace) <= 1e-6
             full = model.full_distribution(comp.rho, comp.flag_clicks)
-            deficit = trace - math.fsum(p for _, _, p in full)
+            deficit = trace - math.fsum(full.probs)
             assert -1e-12 <= deficit <= p_two_or_more + 1e-6
 
 

@@ -1,0 +1,114 @@
+"""The array-level exact detection kernel against its per-entry references.
+
+`kernel_reference` keeps the depth-first contraction, the dict-based flag
+and leak convolutions and the per-record outcome loop; the kernel must give
+the same entries, in the same order, with bit-identical probabilities.
+"""
+import numpy as np
+import pytest
+
+import kernel_reference as ref
+from kernel_reference import row_records
+from timebin.config import paper_emitter, paper_noise, paper_tbi
+from timebin.detection import DetectionModel
+from timebin.emitter import run_sequence_exact, run_sequence_trajectory
+from timebin.experiments import _witness_subruns, witness_exact
+from timebin.witness import SettingCounts, ghz_settings
+
+
+def entries(dist):
+    """A ClickDistribution as the reference's (record, label, p) list."""
+    return list(zip(row_records(dist.rows), dist.label.tolist(), dist.probs.tolist()))
+
+
+class TestExactComponents:
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    @pytest.mark.parametrize("sub_run", [0, 2], ids=["first", "M1"])
+    def test_distributions_match_reference(self, n_qubits, sub_run):
+        # every component of the sub-run, with its flag clicks
+        params, noise = paper_emitter(), paper_noise()
+        run = _witness_subruns(n_qubits, params, paper_tbi())[sub_run]
+        exact = run_sequence_exact(run.sequence, params, noise)
+        model = DetectionModel(exact.layout, run.tbi, noise, run.windows)
+        assert any(comp.flag_clicks for comp in exact.components)
+        for comp in exact.components:
+            base = model.distribution(comp.rho, comp.flag_clicks)
+            assert entries(base) == ref.distribution(model, comp.rho, comp.flag_clicks)
+            full = model.full_distribution(comp.rho, comp.flag_clicks)
+            assert full.label.dtype == bool
+            assert entries(full) == ref.full_distribution(model, comp.rho,
+                                                          comp.flag_clicks)
+            assert len(full) == full.rows.shape[0]
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-9])
+    def test_tiny_component(self, scale):
+        # a component whose trace is near PRUNE_TOL: a whole level can be
+        # pruned away, leaving an empty or short distribution
+        params, noise = paper_emitter(), paper_noise()
+        run = _witness_subruns(3, params, paper_tbi())[2]
+        exact = run_sequence_exact(run.sequence, params, noise)
+        model = DetectionModel(exact.layout, run.tbi, noise, run.windows)
+        comp = max(exact.components, key=lambda c: len(c.flag_clicks))
+        rho = comp.rho * (scale / np.trace(comp.rho).real)
+        for flags in ((), comp.flag_clicks):
+            want = ref.distribution(model, rho, flags)
+            assert entries(model.distribution(rho, flags)) == want
+            full = model.full_distribution(rho, flags)
+            assert entries(full) == ref.full_distribution(model, rho, flags)
+            assert len(full) == full.rows.shape[0] == full.probs.size
+        if scale < 1e-12:
+            assert want == [] and len(full) == 0
+
+
+class TestTrajectoryStates:
+    @pytest.mark.parametrize("n_qubits, n_reps", [(3, 3000), (4, 300)])
+    def test_distributions_match_reference(self, n_qubits, n_reps):
+        # every distinct pure state the sub-run samples
+        params, noise = paper_emitter(), paper_noise()
+        run = _witness_subruns(n_qubits, params, paper_tbi())[2]
+        traj = run_sequence_trajectory(run.sequence, params, noise, 11,
+                                       np.arange(n_reps, dtype=np.uint64))
+        model = DetectionModel(traj.layout, run.tbi, noise, run.windows)
+        assert len(traj.state_table) > 50
+        for state in traj.state_table:
+            assert entries(model.distribution(state)) == ref.distribution(model, state)
+
+
+class TestAddHeralded:
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4])
+    def test_matches_per_record_loop(self, n_qubits):
+        # random click rows with up to 5 clicks per cell, two calls per
+        # sub-setting so later calls add to existing outcomes
+        rng = np.random.default_rng(n_qubits)
+        n_slots = n_qubits - 1
+        for setting in ghz_settings(n_qubits):
+            acc = SettingCounts(setting, n_slots)
+            counts: dict = {}
+            for sub_index in (0, 1, 0, 1):
+                m = 40
+                rows = np.where(rng.random((m, 6 * n_slots)) < 0.3,
+                                rng.integers(1, 6, (m, 6 * n_slots)), 0).astype(np.uint8)
+                weights = rng.uniform(0.0, 2.0, m)
+                weights[::7] = rng.integers(1, 50, len(weights[::7]))
+                got = acc.add_heralded(sub_index, rows, weights)
+                want = ref.add_heralded(counts, setting, sub_index,
+                                        zip(row_records(rows), weights.tolist()),
+                                        n_slots)
+                assert got.tolist() == want
+                assert acc.counts == counts
+                assert list(acc.counts) == list(counts)
+            assert counts
+
+    def test_empty_groups(self):
+        acc = SettingCounts(ghz_settings(3)[0], 2)
+        assert acc.add_heralded(0, np.zeros((0, 12), np.uint8), []).tolist() == []
+        assert acc.counts == {}
+
+
+class TestExactReference:
+    # the exact-mode witness of the benchmark's correctness gate
+    @pytest.mark.parametrize("n_qubits, fidelity", [(2, 0.6772859504890993),
+                                                    (3, 0.4237765410462214)])
+    def test_paper_defaults(self, n_qubits, fidelity):
+        out = witness_exact(n_qubits, paper_emitter(), paper_noise(), paper_tbi())
+        assert out.fidelity == pytest.approx(fidelity, abs=1e-12)

@@ -22,10 +22,10 @@ def window_probabilities(slot_label, splitting_ratio):
     psi = np.zeros(lay.total_dim, complex)
     psi[lay.basis_index([SPIN_DOWN, slot_label])] = 1.0
     probs = {}
-    for record, _spin, p in model.distribution(psi):
-        cell = (record.bit_length() - 1) // 8
-        assert record == 1 << 8 * cell  # exactly one click
-        _slot, window, _det = cell_click(cell)
+    dist = model.distribution(psi)
+    for row, p in zip(dist.rows, dist.probs.tolist()):
+        assert row.sum() == 1  # exactly one click
+        _slot, window, _det = cell_click(int(np.argmax(row)))
         probs[window] = probs.get(window, 0.0) + p
     return probs
 

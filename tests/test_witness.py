@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from timebin.coincidence import EARLY, LATE, MIDDLE, cell_click, click_record
+from kernel_reference import click_record, record_rows
+from timebin.coincidence import EARLY, LATE, MIDDLE, cell_click
 from timebin.errors import ContractError, UndefinedEstimateError
 from timebin.hilbert import (SLOT_EARLY, SLOT_LATE, SPIN_DOWN, SPIN_UP,
                              DensityOperator, RegisterLayout, direct_fidelity)
@@ -162,10 +163,9 @@ class TestEstimateSetting:
         # one photon click per repetition, grouped by record and sub-setting
         zz = bell_settings()[0]
         acc = SettingCounts(zz, 1)
-        acc.add_heralded(0, [(click_record(0, LATE, 0), n_up_l),
-                             (click_record(0, EARLY, 0), n_up_e)])
-        acc.add_heralded(1, [(click_record(0, EARLY, 0), n_down_e),
-                             (click_record(0, LATE, 0), n_down_l)])
+        late, early = click_record(0, LATE, 0), click_record(0, EARLY, 0)
+        acc.add_heralded(0, record_rows([late, early], 6), [n_up_l, n_up_e])
+        acc.add_heralded(1, record_rows([early, late], 6), [n_down_e, n_down_l])
         return acc
 
     def test_population_from_counts(self):
@@ -183,7 +183,8 @@ class TestEstimateSetting:
             estimate_setting(SettingCounts(zz, 1))
         # no click in a Z window (or none at all): still no heralds
         acc = SettingCounts(zz, 1)
-        assert acc.add_heralded(0, [(click_record(0, MIDDLE, 0), 5), (0, 3)]) == [0, 0]
+        rows = record_rows([click_record(0, MIDDLE, 0), 0], 6)
+        assert acc.add_heralded(0, rows, [5, 3]).tolist() == [0, 0]
         with pytest.raises(UndefinedEstimateError):
             estimate_setting(acc)
 
@@ -195,8 +196,9 @@ class TestEstimateSetting:
     def test_expectation_from_middle_clicks(self):
         xx = bell_settings()[2]
         acc = SettingCounts(xx, 1)
-        assert acc.add_heralded(0, [(click_record(0, MIDDLE, 1), 300),   # (+, -)
-                                    (click_record(0, MIDDLE, 0), 100)]) == [1, 1]
+        rows = record_rows([click_record(0, MIDDLE, 1),   # (+, -)
+                            click_record(0, MIDDLE, 0)], 6)
+        assert acc.add_heralded(0, rows, [300, 100]).tolist() == [1, 1]
         e, err = estimate_setting(acc)
         assert e == pytest.approx((100 - 300) / 400)
 
@@ -282,7 +284,7 @@ class TestHeraldedCounting:
         # click combination and marks those using a background click
         from timebin.config import paper_emitter, paper_noise, paper_tbi
         from timebin.experiments import witness_trajectory
-        from timebin.witness import pattern_outcomes
+        from kernel_reference import clicks_of, pattern_outcomes
 
         run = witness_trajectory(2, paper_emitter(), paper_noise(), paper_tbi(),
                                  24_000, 5, keep_clicks=True)
@@ -292,11 +294,11 @@ class TestHeraldedCounting:
             sub = setting.subsettings[sub_run.sub_index]
             acc = counts.setdefault(setting.label, SettingCounts(setting, 1))
             for row in np.nonzero(clicks.readout_clicks)[0]:
-                for outcome in pattern_outcomes(setting, sub, clicks.clicks_of(row), 1):
+                for outcome in pattern_outcomes(setting, sub, clicks_of(clicks, row), 1):
                     acc.add(outcome)
                 # per cell: its signal clicks, then its background clicks
-                signal = clicks.clicks_of(row, leak=False).to_bytes(6, "little")
-                every = clicks.clicks_of(row).to_bytes(6, "little")
+                signal = clicks_of(clicks, row, leak=False).to_bytes(6, "little")
+                every = clicks_of(clicks, row).to_bytes(6, "little")
                 tagged = []
                 for c, (k_sig, k_all) in enumerate(zip(signal, every)):
                     tagged += [(cell_click(c), i >= k_sig) for i in range(k_all)]
@@ -313,14 +315,14 @@ class TestHeraldedCounting:
         assert run.outcome.leak_event_fraction == leak / total
         # the coincidence rate counts heralded repetitions with any photonic
         # click: signal, flagged or background
-        coincident = sum(bool(clicks.clicks_of(r)) for clicks in run.clicks
+        coincident = sum(bool(clicks_of(clicks, r)) for clicks in run.clicks
                          for r in np.flatnonzero(clicks.readout_clicks))
         duration_s = 24_000 / (paper_emitter().repetition_rate_mhz * 1e6)
         assert run.coincidence_rate_hz == coincident / duration_s
 
     def test_outcome_codes_wide_records(self):
-        # GHZ-4 width: 3 photon slots, 18 cells; codes must be non-negative,
-        # tell records apart and map each to its click record and readout
+        # GHZ-4 width: 3 photon slots, 18 cells; codes must be non-negative
+        # and tell records apart
         from timebin.detection import RunClicks
 
         rng = np.random.default_rng(3)
@@ -333,7 +335,7 @@ class TestHeraldedCounting:
         clicks = RunClicks(None, None, [], np.zeros(n, np.int8), rng.random(n) < 0.5,
                            rng.random(n) < 0.05, counts(0.05, 3), counts(0.02, 3),
                            counts(0.03, 2), 0)
-        codes, mapping = clicks.outcome_codes()
+        codes = clicks.outcome_codes()
         assert codes.min() >= 0
         records = [(tuple(clicks.signal[r] + clicks.flagged[r]),
                     tuple(clicks.background[r]), bool(clicks.readout_clicks[r]))
@@ -341,11 +343,33 @@ class TestHeraldedCounting:
         by_code = {}
         for r in range(n):
             assert by_code.setdefault(int(codes[r]), records[r]) == records[r]
-            # the click record holds cell c's total count in its byte c
-            total = clicks.signal[r] + clicks.flagged[r] + clicks.background[r]
-            record = sum(k * 256 ** c for c, k in enumerate(total.tolist()))
-            assert mapping[int(codes[r])] == (record, records[r][2])
         assert len(by_code) == len(set(records))
+        # the counting groups by code and counts each heralded repetition's
+        # outcomes on its click record: cell c's signal + flagged +
+        # background count in byte c; leak events are those the signal and
+        # flagged clicks alone do not give, or all when the readout click is
+        # background light only
+        from kernel_reference import pattern_outcomes
+        from timebin.experiments import _count_clicks
+
+        setting = ghz_settings(4)[1]
+        sub = setting.subsettings[0]
+        acc = SettingCounts(setting, 3)
+        leak, total = _count_clicks(acc, 0, clicks)
+        want, n_events, n_signal = {}, 0, 0
+        for r in np.flatnonzero(clicks.readout_clicks):
+            every = clicks.signal[r] + clicks.flagged[r] + clicks.background[r]
+            record = sum(k * 256 ** c for c, k in enumerate(every.tolist()))
+            for outcome in pattern_outcomes(setting, sub, record, 3):
+                want[outcome] = want.get(outcome, 0) + 1
+                n_events += 1
+            if clicks.readout_signal[r]:
+                photons = clicks.signal[r] + clicks.flagged[r]
+                record = sum(k * 256 ** c for c, k in enumerate(photons.tolist()))
+                n_signal += len(pattern_outcomes(setting, sub, record, 3))
+        assert want and n_signal < n_events
+        assert acc.counts == want
+        assert (leak, total) == (n_events - n_signal, n_events)
 
 
 class TestTargetState:
