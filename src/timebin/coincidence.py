@@ -9,10 +9,11 @@ with their corrections.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -329,42 +330,128 @@ def hom_correct(v_raw: float, g2: float, v_classical: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = ["detector", "time_ns", "repetition"]
+# the plain header line, with each line end
+_HEADER_LINES = tuple(",".join(_CSV_HEADER) + end for end in ("\r\n", "\n", "\r"))
+_ROW_FORMAT = "%s,%.6f,%d\r\n"
+_PLAIN_BYTES = bytes(range(0x20, 0x7f)) + b"\t\n\r"
+# numpy's C reader fields; "S3" holds one character more than a detector name
+_TAG_DTYPE = np.dtype([("d", "S3"), ("t", "f8"), ("r", "i8")])
 
 
 def export_timetags(path, tags: TagArrays) -> None:
     """Write tags as `detector,time_ns,repetition` rows (csv dialect line ends).
 
-    Rows are formatted in chunks so a large run adds no full-size copy.
+    Rows are formatted in chunks, one %-template per chunk, so a large run
+    adds no full-size copy.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_CSV_HEADER) + "\r\n")
         for lo in range(0, len(tags), _EXPORT_CHUNK):
             hi = lo + _EXPORT_CHUNK
-            rows = zip(tags.detector[lo:hi].tolist(), tags.time[lo:hi].tolist(),
-                       tags.repetition[lo:hi].tolist())
-            fh.write("".join([f"{'D1' if d == 0 else 'D2'},{t:.6f},{r}\r\n"
-                              for d, t, r in rows]))
+            time = tags.time[lo:hi].tolist()
+            fields = [None] * (3 * len(time))
+            fields[0::3] = np.where(tags.detector[lo:hi] == 0, "D1", "D2").tolist()
+            fields[1::3] = time
+            fields[2::3] = tags.repetition[lo:hi].tolist()
+            fh.write((_ROW_FORMAT * len(time)) % tuple(fields))
 
 
 def ingest_timetags(path) -> TagArrays:
     """Parse, validate and sort a time-tag CSV.
 
-    Raises ParseError naming the offending line; warns on non-monotone
-    timestamps within a detector stream.
+    Raises ParseError naming the offending line (also for a byte that is
+    not UTF-8); warns on non-monotone timestamps within a detector stream.
+    Rows already in (repetition, time, detector) order, as export_timetags
+    writes them, are not sorted again.
+
+    A file of `_plain_bytes` has its data rows read in one pass of numpy's
+    C reader and checked as whole arrays.  `_parse_rows`, the csv row loop,
+    defines the grammar and every error: it reads the file again whenever
+    the array read fails or a value does not pass, and so also accepts the
+    rare syntax the C reader rejects (quoted fields, `1_0`, non-ASCII digits).
     """
-    path = Path(path)
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        arr = None
+        # a pipe cannot be read twice
+        if fh.seekable() and _plain_bytes(fh.buffer):
+            arr = _read_array(fh)
+            fh.seek(0)
+        if arr is None:
+            arr = _parse_rows(fh)
+    if _in_order(arr):
+        return arr
+    for d in (0, 1):
+        sel = arr.detector == d
+        d_rep = np.diff(arr.repetition[sel])
+        if np.any((d_rep < 0) | ((d_rep == 0) & (np.diff(arr.time[sel]) < 0))):
+            warnings.warn(f"non-monotone timestamps in detector D{d + 1} stream; sorting",
+                          stacklevel=2)
+    order = np.lexsort((arr.detector, arr.time, arr.repetition))
+    return TagArrays(arr.detector[order], arr.time[order], arr.repetition[order])
+
+
+def _read_array(fh) -> TagArrays | None:
+    """The rows of a tag file through numpy's C reader, in file order, or
+    None when the header or any row is not in the plain form export_timetags
+    writes or a value would be rejected.  Only for a file that
+    `_plain_bytes` accepts.
+    """
+    if fh.readline() not in _HEADER_LINES:
+        return None
+    try:
+        # as errors: the "no data" warning of a file without rows, and the
+        # deprecated float parse of an integer field in numpy < 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=_TAG_DTYPE)
+    except (ValueError, Warning):
+        return None
+    det, time, rep = rows["d"], rows["t"], rows["r"]
+    d2 = det == b"D2"
+    if not (np.all(d2 | (det == b"D1")) and np.all((time >= 0) & (time < np.inf))
+            and np.all(rep >= 0)):
+        return None
+    return TagArrays(d2.astype(np.int8), time.copy(), rep.copy())
+
+
+def _plain_bytes(fh) -> bool:
+    """Whether a binary file holds only printable ASCII, tabs and line ends,
+    read in 1 MiB chunks; leaves the file at its start.
+
+    numpy's reader is trusted with no other byte: it ends a string field at
+    a NUL, so "D1\\0" would read as D1; it strips \\x1c-\\x1f around numbers,
+    which float() and int() reject; and its integer parse takes hundreds of
+    thousands of non-ASCII characters for blanks.
+    """
+    try:
+        while chunk := fh.read(1 << 20):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return False
+        return True
+    finally:
+        fh.seek(0)
+
+
+def _parse_rows(fh) -> TagArrays:
+    """The rows of a tag file in file order, one csv row at a time.
+
+    This loop defines the accepted grammar and every ParseError; a byte
+    that is not UTF-8 (decoded to a lone surrogate) is named before any
+    other fault of its row.
+    """
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        return TagArrays(np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64))
+    if [h.strip() for h in header] != _CSV_HEADER:
+        _check_utf8(header, 1)
+        raise ParseError(f"header {header!r} does not match {_CSV_HEADER!r}", line=1)
     det_codes, times, reps = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            return TagArrays(np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64))
-        if [h.strip() for h in header] != _CSV_HEADER:
-            raise ParseError(f"header {header!r} does not match {_CSV_HEADER!r}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
             if len(row) != 3:
                 raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
             det, t, rep = row
@@ -383,16 +470,29 @@ def ingest_timetags(path) -> TagArrays:
                 raise ParseError(f"negative repetition {r_val}", line=lineno)
             if r_val > _MAX_REPETITION:
                 raise ParseError(f"repetition {r_val} above 2^63 - 1", line=lineno)
-            det_codes.append(0 if det == "D1" else 1)
-            times.append(t_val)
-            reps.append(r_val)
-    arr = TagArrays(np.array(det_codes, np.int8), np.array(times, float),
-                    np.array(reps, np.int64))
-    for d in (0, 1):
-        sel = arr.detector == d
-        d_rep = np.diff(arr.repetition[sel])
-        if np.any((d_rep < 0) | ((d_rep == 0) & (np.diff(arr.time[sel]) < 0))):
-            warnings.warn(f"non-monotone timestamps in detector D{d + 1} stream; sorting",
-                          stacklevel=2)
-    order = np.lexsort((arr.detector, arr.time, arr.repetition))
-    return TagArrays(arr.detector[order], arr.time[order], arr.repetition[order])
+        except ParseError:
+            _check_utf8(row, lineno)
+            raise
+        det_codes.append(0 if det == "D1" else 1)
+        times.append(t_val)
+        reps.append(r_val)
+    return TagArrays(np.array(det_codes, np.int8), np.array(times, float),
+                     np.array(reps, np.int64))
+
+
+def _check_utf8(row: list[str], line: int) -> None:
+    """Raise ParseError naming the first byte of a csv row that is not UTF-8."""
+    bad = re.search("[\udc80-\udcff]", "".join(row))
+    if bad:
+        raise ParseError(f"byte 0x{ord(bad.group()) - 0xdc00:02x} is not UTF-8",
+                         line=line) from None
+
+
+def _in_order(tags: TagArrays) -> bool:
+    """Whether tags are in (repetition, time, detector) order, equal keys
+    in any order; np.lexsort is stable, so it would leave them as they are."""
+    d_rep = np.diff(tags.repetition)
+    d_time = np.diff(tags.time)
+    d_det = np.diff(tags.detector)
+    return not np.any((d_rep < 0) | ((d_rep == 0) & (
+        (d_time < 0) | ((d_time == 0) & (d_det < 0)))))

@@ -1,3 +1,6 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 
@@ -299,7 +302,16 @@ class TestTimeTagIO:
         run = simulate_hom(paper_emitter(), paper_noise(), paper_tbi(), 20_000, 12)
         path = tmp_path / "tags.csv"
         export_timetags(path, run.tags)
-        back = ingest_timetags(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # sorted input: no warning
+            back = ingest_timetags(path)
+        again = tmp_path / "again.csv"
+        export_timetags(again, back)
+        assert again.read_bytes() == path.read_bytes()
+        assert back.detector.dtype == np.int8 and back.repetition.dtype == np.int64
+        assert back.detector.tolist() == run.tags.detector.tolist()
+        assert back.repetition.tolist() == run.tags.repetition.tolist()
+        assert back.time.tolist() == [float(f"{t:.6f}") for t in run.tags.time.tolist()]
         assert len(back) == len(run.tags)
         g2_a = g2_zero(run.tags, run.windows)[0]
         g2_b = g2_zero(back, run.windows)[0]
@@ -372,6 +384,42 @@ class TestTimeTagIO:
     def test_negative_repetition_rejected(self, tmp_path):
         for mode in ("g2", "hom"):
             self._rejected(tmp_path, "D1,30.7,-3", mode)
+
+    def test_byte_not_utf8_names_line(self, tmp_path, capsys):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(b"detector,time_ns,repetition\r\nD1,30.5,0\r\nD1,2.5,\xff1\r\n")
+        with pytest.raises(ParseError, match="byte 0xff is not UTF-8") as err:
+            ingest_timetags(path)
+        assert err.value.line == 3
+        assert main(["analyze", "--input", str(path), "--mode", "histogram",
+                     "--out", str(tmp_path / "ana")]) == 1
+        assert capsys.readouterr().err.startswith("error: line 3: byte 0xff")
+
+    def test_byte_not_utf8_in_header_or_detector(self, tmp_path):
+        path = tmp_path / "bytes.csv"
+        for data, line in ((b"detector,time_ns,r\xe9petition\nD1,30.5,0\n", 1),
+                           (b"detector,time_ns,repetition\nD1,30.5,0\n\n\"D\x801\",42.0,1\n", 4)):
+            path.write_bytes(data)
+            with pytest.raises(ParseError, match="is not UTF-8") as err:
+                ingest_timetags(path)
+            assert err.value.line == line
+        # a valid UTF-8 character is reported as the value it is
+        path.write_bytes("detector,time_ns,repetition\nD\u00e9,30.5,0\n".encode())
+        with pytest.raises(ParseError, match="unknown detector 'D\u00e9'"):
+            ingest_timetags(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_input(self):
+        # a pipe cannot be read twice: it goes to the row parser
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"detector,time_ns,repetition\nD2,42.0,1\nD1,30.5,0\n")
+        os.close(write_end)
+        try:
+            tags = ingest_timetags(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert tags.detector.tolist() == [0, 1]
+        assert tags.repetition.tolist() == [0, 1]
 
     def test_repetition_above_int64_rejected(self, tmp_path):
         path = tmp_path / "max.csv"

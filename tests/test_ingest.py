@@ -1,0 +1,202 @@
+"""`ingest_timetags` against the row-by-row reference reader.
+
+For every file of the corpus, and for seeded random files, the array
+reader must either return the reference's arrays bit for bit (dtypes
+included) with the same warnings, or raise the same ParseError message
+naming the same line.
+"""
+import random
+import warnings
+
+import numpy as np
+import pytest
+
+import ingest_reference as ref
+from timebin import coincidence
+from timebin.coincidence import export_timetags, ingest_timetags
+from timebin.errors import ParseError
+
+HEADER = "detector,time_ns,repetition"
+
+
+def tag_file(*rows, end="\r\n", header=HEADER):
+    """Text of a tag file: the header and the rows, each ended by `end`."""
+    return "".join(line + end for line in (header, *rows))
+
+
+CORPUS = {
+    # line ends and layout
+    "lf": tag_file("D1,30.5,0", "D2,42.0,1", end="\n"),
+    "crlf": tag_file("D1,30.5,0", "D2,42.0,1"),
+    "cr": tag_file("D1,30.5,0", "D2,42.0,1", end="\r"),
+    "no_final_end": HEADER + "\r\nD1,30.5,0\r\nD2,42.0,1",
+    "mixed_ends": HEADER + "\nD1,30.5,0\r\nD2,42.0,1\rD1,50.0,2\n",
+    "blank_between": tag_file("D1,30.5,0", "", "", "D2,42.0,1"),
+    "blank_trailing": tag_file("D1,30.5,0", "D2,42.0,1", "", ""),
+    "cr_blank_lines": HEADER + "\r\nD1,30.5,0\r\r\n\rD2,42.0,1\r\n",
+    "whitespace_line": tag_file("D1,30.5,0", " ", "D2,42.0,1"),
+    "header_only": tag_file(),
+    "header_only_lf": tag_file(end="\n"),
+    "header_no_end": HEADER,
+    "header_blank_lines": tag_file("", ""),
+    "empty": "",
+    "padded_header": tag_file("D1,30.5,0", header=" detector , time_ns,repetition "),
+    "bad_header": tag_file("D1,30.5,0", header="a,b,c"),
+    # quoting and padding
+    "quoted_fields": tag_file('"D1","30.5","0"', 'D2,"42.0",1'),
+    "quoted_header": tag_file("D1,30.5,0", header='"detector","time_ns","repetition"'),
+    "quoted_line_end": tag_file('D1,"30.5\n",0', "D2,42.0,1"),
+    "padded_numbers": tag_file("D1, 30.5 ,0", "D2,\t42.0\t, 1 "),
+    "nbsp_padding": tag_file("D1,50.0,\xa02"),
+    "padded_detector": tag_file(" D1,30.5,0"),
+    # numbers
+    "plus_sign": tag_file("D1,+3,+3"),
+    "leading_zeros": tag_file("D1,00012,00012"),
+    "bare_point": tag_file("D1,.5,0", "D2,5.,0"),
+    "negative_zero": tag_file("D1,-0.0,0", "D2,0.0,0", "D1,-0.0,-0"),
+    "exponent_time": tag_file("D1,1e3,0", "D2,1E-3,1"),
+    "exponent_repetition": tag_file("D1,30.5,1e3"),
+    "underscore_time": tag_file("D1,1_0,0"),
+    "underscore_repetition": tag_file("D1,30.5,1_0"),
+    "non_ascii_digits": tag_file("D1,١٢,٣"),
+    "float_repetition": tag_file("D1,30.5,3.0"),
+    "hex_time": tag_file("D1,0x10,0"),
+    "close_decimals": tag_file("D1,0.1000000000000000055511151231257827021181583404541015625,0",
+                               "D2,2.2250738585072011e-308,0", "D1,4.9e-324,1",
+                               "D2,1e-400,1"),
+    "empty_time": tag_file("D1,,0"),
+    "control_padding": tag_file("D1,\x0c30.5,0\x0b"),
+    "separator_padding": tag_file("D1,30.5\x1c,0"),
+    "separator_repetition": tag_file("D1,30.5,\x1f3"),
+    "non_ascii_repetition": tag_file("D1,30.5,1\u01fe"),
+    # rejected values
+    "inf_time": tag_file("D1,30.5,0", "D1,inf,1"),
+    "nan_time": tag_file("D2,nan,0"),
+    "overflow_time": tag_file("D1,1e400,0"),
+    "negative_time": tag_file("D1,-1.5,0"),
+    "negative_repetition": tag_file("D1,30.5,-3"),
+    "max_repetition": tag_file("D1,30.5,9223372036854775807"),
+    "repetition_2_63": tag_file("D1,30.5,9223372036854775808"),
+    "min_int64_repetition": tag_file("D1,30.5,-9223372036854775808"),
+    # detector field
+    "d3": tag_file("D1,30.5,0", "D3,42.0,1"),
+    "d12": tag_file("D12,30.5,0"),
+    "d1_space": tag_file("D1 ,30.5,0"),
+    "d1_nul": tag_file("D1\x00,30.5,0"),
+    "d1_nuls": tag_file("D1\x00\x00\x00x,30.5,0"),
+    "nul_repetition": tag_file("D1,30.5,0\x00"),
+    "empty_detector": tag_file(",30.5,0"),
+    "lowercase_detector": tag_file("d1,30.5,0"),
+    # field count
+    "two_fields": tag_file("D1,30.5"),
+    "four_fields": tag_file("D1,30.5,0,7"),
+    "trailing_comma": tag_file("D1,30.5,0,"),
+    # order
+    "unsorted": tag_file("D1,50.0,1", "D1,30.5,0", "D2,42.0,0"),
+    "unsorted_time": tag_file("D2,42.0,3", "D2,31.0,3"),
+    "detector_ties": tag_file("D2,30.5,0", "D1,30.5,0", "D1,30.5,0", "D2,30.5,1",
+                              "D1,30.5,1"),
+    "detector_order": tag_file("D2,30.5,0", "D1,42.0,0", "D1,31.0,0"),
+    "zero_ties": tag_file("D1,0.0,0", "D1,-0.0,0", "D2,-0.0,0", "D2,0.0,0"),
+}
+
+ACCEPTED = {
+    "lf", "crlf", "cr", "no_final_end", "mixed_ends", "blank_between", "blank_trailing",
+    "cr_blank_lines", "header_only", "header_only_lf", "header_no_end",
+    "header_blank_lines", "empty", "padded_header", "quoted_fields", "quoted_header",
+    "quoted_line_end", "padded_numbers", "nbsp_padding", "plus_sign", "leading_zeros",
+    "bare_point", "negative_zero", "exponent_time", "underscore_time",
+    "underscore_repetition", "non_ascii_digits", "close_decimals", "control_padding",
+    "max_repetition", "unsorted", "unsorted_time", "detector_ties", "detector_order",
+    "zero_ties",
+}
+
+# files in the plain form the C reader takes without the row parser
+ARRAY_READ = {
+    "lf", "crlf", "cr", "no_final_end", "mixed_ends", "blank_between", "blank_trailing",
+    "cr_blank_lines", "padded_numbers", "plus_sign", "leading_zeros", "bare_point",
+    "negative_zero", "exponent_time", "close_decimals", "max_repetition", "unsorted",
+    "unsorted_time", "detector_ties", "detector_order", "zero_ties",
+}
+
+
+def outcome(ingest, path):
+    """("ok", (dtype, bytes) of each column, warnings) or ("error", message, line)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            tags = ingest(path)
+        except ParseError as exc:
+            return "error", str(exc), exc.line
+    columns = [(a.dtype.str, a.shape, a.tobytes())
+               for a in (tags.detector, tags.time, tags.repetition)]
+    return "ok", columns, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+def write(tmp_path, text):
+    path = tmp_path / "tags.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+class TestConformance:
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_corpus_matches_reference(self, tmp_path, name):
+        path = write(tmp_path, CORPUS[name])
+        got = outcome(ingest_timetags, path)
+        assert got == outcome(ref.ingest_timetags, path)
+        assert (got[0] == "ok") == (name in ACCEPTED)
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_READ))
+    def test_plain_files_skip_the_row_parser(self, tmp_path, monkeypatch, name):
+        path = write(tmp_path, CORPUS[name])
+        want = outcome(ref.ingest_timetags, path)
+        monkeypatch.setattr(coincidence, "_parse_rows", None)
+        assert outcome(ingest_timetags, path) == want
+
+    def test_named_values(self, tmp_path):
+        tags = ingest_timetags(write(tmp_path, CORPUS["negative_zero"]))
+        assert np.signbit(tags.time).tolist() == [True, True, False]
+        tags = ingest_timetags(write(tmp_path, CORPUS["max_repetition"]))
+        assert tags.repetition.tolist() == [2**63 - 1]
+        tags = ingest_timetags(write(tmp_path, CORPUS["detector_ties"]))
+        assert tags.detector.tolist() == [0, 0, 1, 0, 1]
+        with pytest.warns(UserWarning, match="D1 stream"):
+            tags = ingest_timetags(write(tmp_path, CORPUS["unsorted"]))
+        assert tags.time.tolist() == [30.5, 42.0, 50.0]
+
+    def test_random_files_match_reference(self, tmp_path):
+        rnd = random.Random(9)
+        detectors = ["D1", "D2"] * 6 + ["D3", "D12", "D1 ", "D1\x00", " D2", '"D1"', ""]
+        times = ["30.5", "42.000001", "0.0", "7", "1e3", "5.", ".5"] * 3 + [
+            "-0.0", " 2.5 ", "+1", "1_0", "inf", "nan", "1e400", "-1", "0x10", '"3"',
+            "١", "2\x1c", ""]
+        reps = ["0", "1", "2", "400000"] * 4 + [
+            "+3", "007", " 4 ", "-0", "-1", "1e3", "1_0", "3.0", "9223372036854775807",
+            "9223372036854775808", "1\u01fe", "\x1d5", ""]
+        odd_rows = ["", " ", "D1,30.5", "D1,30.5,0,1", ","]
+        for _ in range(300):
+            rows = []
+            for _ in range(rnd.randrange(6)):
+                if rnd.random() < 0.1:
+                    rows.append(rnd.choice(odd_rows))
+                else:
+                    rows.append(",".join((rnd.choice(detectors), rnd.choice(times),
+                                          rnd.choice(reps))))
+            end = rnd.choice(["\n", "\r\n", "\r"])
+            text = tag_file(*rows, end=end)
+            if rnd.random() < 0.2:
+                text = text[:-len(end)]
+            path = write(tmp_path, text)
+            assert outcome(ingest_timetags, path) == outcome(ref.ingest_timetags, path), text
+
+    def test_exported_file_matches_reference(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 5_000
+        rep = np.sort(rng.integers(0, 10**6, n))
+        time = rng.uniform(0.0, 606.06, n)
+        det = rng.integers(0, 2, n).astype(np.int8)
+        order = np.lexsort((det, time, rep))
+        path = tmp_path / "tags.csv"
+        export_timetags(path, coincidence.TagArrays(det[order], time[order], rep[order]))
+        assert outcome(ingest_timetags, path) == outcome(ref.ingest_timetags, path)
