@@ -157,10 +157,13 @@ def _run_simulate(config: RunConfig, out: Path) -> list[str]:
 
 
 def _concat_tags(tag_list):
+    """The tags of every sub-run in one sorted TagArrays; empties tag_list,
+    so the parts are freed before the sort."""
     det = np.concatenate([t.detector for t in tag_list])
     time = np.concatenate([t.time for t in tag_list])
     rep = np.concatenate([t.repetition for t in tag_list])
-    order = np.lexsort((det, time, rep))
+    tag_list.clear()
+    order = coin.tag_order(det, time, rep)
     return coin.TagArrays(det[order], time[order], rep[order])
 
 

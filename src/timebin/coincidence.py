@@ -27,6 +27,8 @@ EARLY, MIDDLE, LATE, READOUT = range(4)
 DETECTORS = (Detector.D1, Detector.D2)
 _EXPORT_CHUNK = 65_536
 _MAX_REPETITION = 2**63 - 1
+# bits of tag_order's packed sort key
+_KEY_BITS = 63
 
 
 def click_cell(slot, window, detector):
@@ -163,6 +165,70 @@ class TagArrays:
 
     def __len__(self) -> int:
         return len(self.time)
+
+
+def tag_order(det, time, rep) -> np.ndarray:
+    """The permutation `np.lexsort((det, time, rep))` gives: tags by
+    repetition, then time, then detector, equal keys in input order.
+
+    Each tag gets one int64 key packing its repetition, the dense rank of
+    its time and its detector (int8 codes), each offset to start at 0, and
+    below them its index: the keys all differ, so one unstable sort of them
+    is the stable order.  The repetitions are ranked too when their span
+    leaves too few bits.  A key without room for the index has one stable
+    argsort, and one without room even for ranks (over about 2^27 tags)
+    two.
+    """
+    n = len(time)
+    if n == 0:
+        return np.zeros(0, np.intp)
+    key, time_bits = _dense_rank(time)
+    det_low = int(det.min())
+    det_bits = (int(det.max()) - det_low).bit_length()
+    key <<= det_bits
+    key += det
+    key -= det_low
+    low_bits = time_bits + det_bits
+    index_bits = (n - 1).bit_length()
+    rep_low = int(rep.min())
+    rep_bits = (int(rep.max()) - rep_low).bit_length()
+    if rep_bits + low_bits + index_bits <= _KEY_BITS:
+        # wraps to the exact difference, which fits
+        rep_key = rep - np.int64(rep_low)
+    else:
+        rep_key, rep_bits = _dense_rank(rep)
+    if rep_bits + low_bits > _KEY_BITS:
+        order = np.argsort(key, kind="stable")
+        return order[np.argsort(rep_key[order], kind="stable")]
+    rep_key <<= low_bits
+    rep_key |= key
+    del key
+    if rep_bits + low_bits + index_bits > _KEY_BITS:
+        return np.argsort(rep_key, kind="stable")
+    rep_key <<= index_bits
+    rep_key |= np.arange(n)
+    rep_key.sort()
+    rep_key &= (1 << index_bits) - 1
+    return rep_key
+
+
+def _dense_rank(values) -> tuple[np.ndarray, int]:
+    """(the int64 rank of each of 8-byte values among the distinct ones, the
+    bits of the largest rank).  Equal values share a rank, as do -0.0 and
+    0.0, and all NaNs, which rank last as they sort."""
+    order = np.argsort(values)
+    ordered = values[order]
+    step = ordered[1:] != ordered[:-1]
+    if ordered.dtype.kind == "f" and np.isnan(ordered[-1]):
+        step[np.searchsorted(ordered, np.nan):] = False
+    # the sorted ranks overwrite the sorted values
+    ranked = ordered.view(np.int64)
+    ranked[0] = 0
+    np.cumsum(step, out=ranked[1:])
+    del step
+    rank = np.empty(len(values), np.int64)
+    rank[order] = ranked
+    return rank, int(ranked[-1]).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -334,26 +400,104 @@ _CSV_HEADER = ["detector", "time_ns", "repetition"]
 _HEADER_LINES = tuple(",".join(_CSV_HEADER) + end for end in ("\r\n", "\n", "\r"))
 _ROW_FORMAT = "%s,%.6f,%d\r\n"
 _PLAIN_BYTES = bytes(range(0x20, 0x7f)) + b"\t\n\r"
+_LINE_BLOCK = 1 << 16
 # numpy's C reader fields; "S3" holds one character more than a detector name
 _TAG_DTYPE = np.dtype([("d", "S3"), ("t", "f8"), ("r", "i8")])
+# for k in 0..9999: its four ASCII digits, zero-padded, as one word, and
+# the word of which of them are not leading zeros (0 shows none), 1 byte each
+_PLACES = np.arange(10_000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1],
+                                                                  np.int16)
+_DIGIT_WORDS = (_PLACES % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_SHOWN_WORDS = (_PLACES > 0).astype(np.uint8).view(np.uint32).ravel()
+_ALL_SHOWN = _SHOWN_WORDS[9999]
+del _PLACES
 
 
 def export_timetags(path, tags: TagArrays) -> None:
-    """Write tags as `detector,time_ns,repetition` rows (csv dialect line ends).
+    """Write tags as `detector,time_ns,repetition` rows with csv line ends,
+    the bytes of `"%s,%.6f,%d\r\n"` (`D1`/`D2`, time to 6 decimals).
 
-    Rows are formatted in chunks, one %-template per chunk, so a large run
-    adds no full-size copy.
+    Each chunk of 65,536 rows is built as one byte matrix and written with
+    one `tobytes()`, so a large run adds no full-size copy.  A chunk that
+    `_format_rows` cannot format exactly goes through the %-template.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_CSV_HEADER) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(_HEADER_LINES[0].encode())
         for lo in range(0, len(tags), _EXPORT_CHUNK):
-            hi = lo + _EXPORT_CHUNK
-            time = tags.time[lo:hi].tolist()
-            fields = [None] * (3 * len(time))
-            fields[0::3] = np.where(tags.detector[lo:hi] == 0, "D1", "D2").tolist()
-            fields[1::3] = time
-            fields[2::3] = tags.repetition[lo:hi].tolist()
-            fh.write((_ROW_FORMAT * len(time)) % tuple(fields))
+            det, time, rep = (a[lo:lo + _EXPORT_CHUNK]
+                              for a in (tags.detector, tags.time, tags.repetition))
+            rows = _format_rows(det, time, rep)
+            if rows is None:
+                fields = [None] * (3 * len(time))
+                fields[0::3] = np.where(det == 0, "D1", "D2").tolist()
+                fields[1::3] = time.tolist()
+                fields[2::3] = rep.tolist()
+                rows = ((_ROW_FORMAT * len(time)) % tuple(fields)).encode()
+            fh.write(rows)
+
+
+def _format_rows(det, time, rep) -> bytes | None:
+    """The bytes `_ROW_FORMAT` gives for each row, built as a uint8 matrix,
+    or None for a chunk holding a time that is negative (or -0.0), not
+    finite, at least 2^52 / 10^6, or too near a rounding tie, or a negative
+    repetition.
+
+    A time is printed as round-half-even(t * 10^6) split into its integer
+    part and six decimals.  fl(t * 1e6) is within half an ulp of t * 10^6,
+    so np.rint of it is that rounding unless it lies within a few ulps of
+    k + 1/2 (as every time from 2^49 / 10^6 on does).  Digits are looked up
+    four at a time, and the leading zeros of the integer part and the
+    repetition are masked out of the matrix.
+    """
+    scaled = time * 1e6
+    if not (np.all(scaled < 2.0**52) and not np.any(np.signbit(time))
+            and np.all(rep >= 0)):
+        return None
+    micro = np.rint(scaled)
+    if np.any(0.5 - np.abs(scaled - micro) <= scaled * 2.0**-50):
+        return None
+    whole, frac = np.divmod(micro.astype(np.int64), 1_000_000)
+    int_width = _digit_width(whole)
+    rep_width = _digit_width(rep)
+    # D, 1|2, comma, integer part, point, 6 decimals, comma, repetition, CR LF
+    frac_at = 3 + int_width + 1
+    rep_at = frac_at + 7
+    rows = np.empty((len(time), rep_at + rep_width + 2), np.uint8)
+    shown = np.ones(rows.shape, np.uint8)
+    rows[:, :3] = np.frombuffer(b"D1,", np.uint8)
+    rows[:, 1] += det != 0
+    _put_digits(rows, shown, 3, int_width, whole)
+    rows[:, frac_at - 1] = ord(".")
+    # the low two decimals first: the high four overwrite their word's zeros
+    _words(rows, frac_at + 2)[:] = _DIGIT_WORDS.take(frac % 100)
+    _words(rows, frac_at)[:] = _DIGIT_WORDS.take(frac // 100)
+    rows[:, rep_at - 1] = ord(",")
+    _put_digits(rows, shown, rep_at, rep_width, rep)
+    rows[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    return rows[shown.view(bool)].tobytes()
+
+
+def _digit_width(values) -> int:
+    """Decimal digits of the largest of non-negative integers, rounded up
+    to a multiple of four."""
+    return (len(str(int(values.max()))) + 3) // 4 * 4
+
+
+def _put_digits(rows, shown, col: int, width: int, values) -> None:
+    """Write non-negative integers as `width` zero-padded decimals from
+    column `col` of a uint8 row matrix, four digits per lookup, and clear
+    the `shown` bytes of their leading zeros (a zero keeps one digit)."""
+    for at in range(col + width - 4, col - 1, -4):
+        values, low = np.divmod(values, 10_000)
+        _words(rows, at)[:] = _DIGIT_WORDS.take(low)
+        _words(shown, at)[:] = np.where(values > 0, _ALL_SHOWN, _SHOWN_WORDS.take(low))
+    shown[:, col + width - 1] = 1
+
+
+def _words(matrix, col: int) -> np.ndarray:
+    """The 4-byte word at byte `col` of each row of a C-contiguous uint8
+    matrix, as a (possibly unaligned) uint32 view."""
+    return np.ndarray(len(matrix), np.uint32, matrix, col, (matrix.shape[1],))
 
 
 def ingest_timetags(path) -> TagArrays:
@@ -386,7 +530,7 @@ def ingest_timetags(path) -> TagArrays:
         if np.any((d_rep < 0) | ((d_rep == 0) & (np.diff(arr.time[sel]) < 0))):
             warnings.warn(f"non-monotone timestamps in detector D{d + 1} stream; sorting",
                           stacklevel=2)
-    order = np.lexsort((arr.detector, arr.time, arr.repetition))
+    order = tag_order(arr.detector, arr.time, arr.repetition)
     return TagArrays(arr.detector[order], arr.time[order], arr.repetition[order])
 
 
@@ -416,17 +560,24 @@ def _read_array(fh) -> TagArrays | None:
 
 def _plain_bytes(fh) -> bool:
     """Whether a binary file holds only printable ASCII, tabs and line ends,
-    read in 1 MiB chunks; leaves the file at its start.
+    with a line end in every whole 64 KiB block, read in 1 MiB chunks;
+    leaves the file at its start.
 
     numpy's reader is trusted with no other byte: it ends a string field at
     a NUL, so "D1\\0" would read as D1; it strips \\x1c-\\x1f around numbers,
     which float() and int() reject; and its integer parse takes hundreds of
-    thousands of non-ASCII characters for blanks.
+    thousands of non-ASCII characters for blanks.  Nor with a line as long
+    as csv's field limit (131,072), which the row loop rejects: a line
+    holding no whole block is shorter than two.
     """
     try:
         while chunk := fh.read(1 << 20):
             if chunk.translate(None, _PLAIN_BYTES):
                 return False
+            for lo in range(0, len(chunk) - _LINE_BLOCK + 1, _LINE_BLOCK):
+                hi = lo + _LINE_BLOCK
+                if chunk.find(b"\n", lo, hi) < 0 and chunk.find(b"\r", lo, hi) < 0:
+                    return False
         return True
     finally:
         fh.seek(0)
@@ -439,16 +590,16 @@ def _parse_rows(fh) -> TagArrays:
     that is not UTF-8 (decoded to a lone surrogate) is named before any
     other fault of its row.
     """
-    reader = csv.reader(fh)
+    rows = _csv_rows(fh)
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         return TagArrays(np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64))
     if [h.strip() for h in header] != _CSV_HEADER:
         _check_utf8(header, 1)
         raise ParseError(f"header {header!r} does not match {_CSV_HEADER!r}", line=1)
     det_codes, times, reps = [], [], []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in rows:
         if not row:
             continue
         try:
@@ -480,6 +631,22 @@ def _parse_rows(fh) -> TagArrays:
                      np.array(reps, np.int64))
 
 
+def _csv_rows(fh):
+    """(line, row) of each csv row from line 1; a csv.Error (such as a field
+    over the field limit) is raised as a ParseError naming its line."""
+    reader = csv.reader(fh)
+    lineno = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        yield lineno, row
+        lineno += 1
+
+
 def _check_utf8(row: list[str], line: int) -> None:
     """Raise ParseError naming the first byte of a csv row that is not UTF-8."""
     bad = re.search("[\udc80-\udcff]", "".join(row))
@@ -490,7 +657,7 @@ def _check_utf8(row: list[str], line: int) -> None:
 
 def _in_order(tags: TagArrays) -> bool:
     """Whether tags are in (repetition, time, detector) order, equal keys
-    in any order; np.lexsort is stable, so it would leave them as they are."""
+    in any order; tag_order is stable, so it would leave them as they are."""
     d_rep = np.diff(tags.repetition)
     d_time = np.diff(tags.time)
     d_det = np.diff(tags.detector)

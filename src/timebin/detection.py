@@ -36,7 +36,7 @@ import numpy as np
 from . import rng as crng
 from .coincidence import (DETECTORS, EARLY, LATE, MIDDLE, WINDOWS, TagArrays,
                           WindowConfig, cell_click, click_cell, distinct_rows,
-                          first_seen_groups)
+                          first_seen_groups, tag_order)
 from .emitter import NoiseParams, TrajectoryResult
 from .errors import ContractError
 from .hilbert import (SLOT_EARLY, SLOT_EE, SLOT_EL, SLOT_LATE, SLOT_LL,
@@ -497,5 +497,8 @@ class RunClicks:
         det = np.concatenate(det_rows)
         time = np.concatenate(time_rows)
         rep = np.concatenate(rep_rows)
-        order = np.lexsort((det, time, rep))
+        # free the blocks before the sort
+        for rows in (det_rows, time_rows, rep_rows):
+            rows.clear()
+        order = tag_order(det, time, rep)
         return TagArrays(det[order], time[order], rep[order])

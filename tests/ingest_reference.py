@@ -1,13 +1,17 @@
-"""Row-by-row reference form of the time-tag CSV reader.
+"""Row-by-row reference forms of the time-tag CSV reader and writer.
 
-This is the `csv.reader` loop that parsed every row into Python lists
-before `timebin.coincidence.ingest_timetags` read the rows as arrays, with
-its unconditional `np.lexsort`.  It serves as the oracle of the ingest
-conformance tests: for any file it accepts, the array reader must return
-the same arrays bit for bit with the same warnings, and for any file it
-rejects, the same ParseError message and line.  Files holding a byte that
-is not UTF-8 are outside its domain: it fails on them with a
-UnicodeDecodeError.
+`ingest_timetags` is the `csv.reader` loop that parsed every row into
+Python lists before `timebin.coincidence.ingest_timetags` read the rows as
+arrays, with its unconditional `np.lexsort`.  It serves as the oracle of the
+ingest conformance tests: for any file it accepts, the array reader must
+return the same arrays bit for bit with the same warnings, and for any file
+it rejects, the same ParseError message and line.  Files holding a byte
+that is not UTF-8 are outside its domain: it fails on them with a
+UnicodeDecodeError, and on a field over csv's field limit with csv.Error.
+
+`export_timetags` is the writer that formatted each chunk of rows with one
+`"%s,%.6f,%d\r\n"` template before `timebin.coincidence.export_timetags`
+built the rows as byte matrices; the array writer must match its bytes.
 """
 from __future__ import annotations
 
@@ -23,6 +27,28 @@ from timebin.errors import ParseError
 
 _CSV_HEADER = ["detector", "time_ns", "repetition"]
 _MAX_REPETITION = 2**63 - 1
+_EXPORT_CHUNK = 65_536
+_ROW_FORMAT = "%s,%.6f,%d\r\n"
+
+
+def export_timetags(path, tags: TagArrays) -> None:
+    """Write tags as `detector,time_ns,repetition` rows, one %-template per
+    chunk of rows."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_CSV_HEADER) + "\r\n")
+        for lo in range(0, len(tags), _EXPORT_CHUNK):
+            hi = lo + _EXPORT_CHUNK
+            fh.write(format_rows(tags.detector[lo:hi], tags.time[lo:hi],
+                                 tags.repetition[lo:hi]))
+
+
+def format_rows(det, time, rep) -> str:
+    """The rows of one chunk through one %-template."""
+    fields = [None] * (3 * len(time))
+    fields[0::3] = np.where(det == 0, "D1", "D2").tolist()
+    fields[1::3] = time.tolist()
+    fields[2::3] = rep.tolist()
+    return (_ROW_FORMAT * len(time)) % tuple(fields)
 
 
 def ingest_timetags(path) -> TagArrays:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -195,6 +196,26 @@ class TestArtifacts:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert "g2_zero" in report and "v_raw" in report
+
+    def test_tag_artifacts_are_pinned(self, tmp_path):
+        # sha256 of the files the %-template writer and np.lexsort gave
+        want = {
+            ("bell", "timetags.csv"):
+                "6a33f82a6f1ef6edca20b93ae495474a405cb54d73a8edbfcc5735aeff256ac8",
+            ("bell", "histogram.csv"):
+                "28e24d8a1f582bc5e1f929a426a0caf28b49677c2d5c6791b6f9af0e99af29a8",
+            ("hom", "timetags.csv"):
+                "52c3728958a7e7ba09f2bc9e5ad1a4c42f67c2fa9d35ad2173b4c38d225267a8",
+            ("hom", "histogram.csv"):
+                "7325245b66ee5fc689ce1a77043331eedcc35aa43a4a214bf2dc0c966419685c",
+        }
+        for experiment in ("bell", "hom"):
+            out = tmp_path / experiment
+            assert run_cli("simulate", experiment, "--reps", "20000", "--seed", "1",
+                           "--defaults", "paper", "--out", str(out)) == 0
+            for name in ("timetags.csv", "histogram.csv"):
+                digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+                assert digest == want[experiment, name], (experiment, name)
 
     def test_analyze_roundtrip_matches_simulate(self, tmp_path):
         out = tmp_path / "sim"

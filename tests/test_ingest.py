@@ -13,6 +13,7 @@ import pytest
 
 import ingest_reference as ref
 from timebin import coincidence
+from timebin.cli import main
 from timebin.coincidence import export_timetags, ingest_timetags
 from timebin.errors import ParseError
 
@@ -200,3 +201,38 @@ class TestConformance:
         path = tmp_path / "tags.csv"
         export_timetags(path, coincidence.TagArrays(det[order], time[order], rep[order]))
         assert outcome(ingest_timetags, path) == outcome(ref.ingest_timetags, path)
+
+
+# a field over csv's default field limit (131,072 characters)
+LONG = 200_000
+
+
+class TestLongFields:
+    @pytest.mark.parametrize("row", ['D1,30.5,"' + "1" * LONG + '"',
+                                     "D1,1." + "0" * LONG + ",0"],
+                             ids=["quoted_repetition", "plain_time"])
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path, row):
+        # the quoted field reaches the row loop, which csv.reader fails on;
+        # the plain line must not be read by the array path instead
+        path = write(tmp_path, tag_file("D1,30.5,0", row, "D2,42.0,1"))
+        with pytest.raises(ParseError, match=r"field larger than field limit \(131072\)"
+                           ) as err:
+            ingest_timetags(path)
+        assert err.value.line == 3
+        assert main(["analyze", "--input", str(path), "--mode", "g2",
+                     "--out", str(tmp_path / "ana")]) == 1
+
+    def test_long_line_within_the_limit_is_read(self, tmp_path, monkeypatch):
+        # 5,000 short rows put the long line across the 64 KiB block [64, 128) KiB
+        rows = ["D1,30.5,0"] * 5_000 + ["D1,1." + "0" * 100_000 + ",1"]
+        path = write(tmp_path, tag_file(*rows))
+        want = outcome(ref.ingest_timetags, path)
+        assert want[0] == "ok" and want[2] == []
+        assert outcome(ingest_timetags, path) == want
+        # a line holding a whole block takes the row loop
+        calls = []
+        parse_rows = coincidence._parse_rows
+        monkeypatch.setattr(coincidence, "_parse_rows",
+                            lambda fh: calls.append(1) or parse_rows(fh))
+        assert outcome(ingest_timetags, path) == want
+        assert calls == [1]
