@@ -47,6 +47,10 @@ from .interferometer import TBIParams, slot_window_povm
 # mass is orders of magnitude under every acceptance tolerance
 PRUNE_TOL = 1e-11
 
+# wavepacket tag times of click ordinal k in cell c draw on stream
+# detection.tag at offset TAG_STREAMS_PER_CELL * c + k
+TAG_STREAMS_PER_CELL = 8
+
 
 def _pattern_rows(patterns, n_cells: int, slot: int = 0) -> np.ndarray:
     """Count rows of slot-0 click patterns (tuples of clicked cells, a cell
@@ -462,16 +466,20 @@ class RunClicks:
             rep_rows.append(reps[rows])
 
         # at most 4 photons reach one cell (a doubly occupied slot plus one
-        # wrong-transition and one re-excitation photon), so the stream of
-        # (cell, ordinal) stays inside the cell's block of 8
+        # wrong-transition and one re-excitation photon); a cell's ordinals
+        # draw on its own block of TAG_STREAMS_PER_CELL streams
         wave = self.signal + self.flagged
+        if int(wave.max(initial=0)) > TAG_STREAMS_PER_CELL:
+            raise ContractError(f"a cell holds more than {TAG_STREAMS_PER_CELL} "
+                                "clicks; its tag streams would overlap the next cell's")
         for cell in range(wave.shape[1]):
             slot, window, _ = cell_click(cell)
             start = windows.window_start(slot, window)
             for ordinal in range(int(wave[:, cell].max(initial=0))):
                 rows = np.flatnonzero(wave[:, cell] > ordinal)
                 u = crng.uniforms(self.master_seed, reps[rows],
-                                  crng.stream("detection.tag", 8 * cell + ordinal))
+                                  crng.stream("detection.tag",
+                                              TAG_STREAMS_PER_CELL * cell + ordinal))
                 offset = np.minimum(-np.log(1.0 - u) / gamma0, windows.width * 0.999)
                 add(rows, np.full(rows.size, cell % 2, dtype=np.int8), start + offset)
         for k in range(self.background.shape[1] // 2):

@@ -25,13 +25,25 @@ Error model
 
 Evolution modes
 ---------------
-Both modes consume one list of full-register Kraus branches per pulse step
-(step_branches).  Exact mode propagates density operators through it and
-returns the pre-detection mixture, opening a classically flagged component
-for each flagged branch.  Trajectory mode samples one branch per
-repetition with counter-based randomness, so a repetition's record is
-reproducible regardless of how the run is chunked.  A blinked-off
-component or repetition skips the excite steps.
+Both modes consume one list of Kraus branches per pulse step
+(step_branches): 2 x 2 factors on the spin for pump, rotate and wait steps,
+full-register matrices for excite steps.  A spin factor acts on the leading
+register axis, so it is applied to a ket reshaped to (2, rest) and to a
+density operator through its two spin axes.  Exact mode propagates density
+operators through the branches and returns the pre-detection mixture,
+opening a classically flagged component for each flagged branch.
+Trajectory mode samples one branch per repetition with counter-based
+randomness, so a repetition's record is reproducible regardless of how the
+run is chunked.  A blinked-off component or repetition skips the excite
+steps.
+
+Both engines can continue from the result of a sequence's leading steps
+(start=...).  A witness uses this to evolve its generation sequence once:
+the late-pulse phase factors out of the evolution (K_phi = D K_0 D^dagger,
+D = exp(i phi L) with L the late-photon count, which commutes with every
+other step), so each sub-run conjugates the phase-0 result by its
+setting's D (`with_late_phase`) and then runs only its wait and readout
+rotation.
 """
 from __future__ import annotations
 
@@ -45,7 +57,7 @@ from . import rng as crng
 from .errors import ConfigurationError, ContractError
 from .hilbert import (SIGMA_X, SIGMA_Y, SIGMA_Z, SLOT_EARLY, SLOT_EE, SLOT_EL,
                       SLOT_LATE, SLOT_LL, SLOT_VACUUM, SPIN_DOWN, SPIN_UP,
-                      DensityOperator, RegisterLayout, tensor_embed)
+                      DensityOperator, RegisterLayout)
 
 TWO_PI = 2.0 * math.pi
 
@@ -439,15 +451,17 @@ def _spin_down_diagonal(layout: RegisterLayout) -> np.ndarray:
 
 def step_branches(op: PulseOp, params: EmitterParams, noise: NoiseParams,
                   layout: RegisterLayout) -> list[tuple[str, np.ndarray, bool]]:
-    """Full-register Kraus branches (label, K, flagged) of one non-readout step.
+    """Kraus branches (label, K, flagged) of one non-readout step.
 
-    A flagged branch carries a classical click in the driven bin of an
-    excite step.  The excite list starts with the detuned-transition
-    scatter of the down component ('wrong', probability p_wrong_transition
-    times the down population); every excite_kraus branch follows the
-    no-scatter operator, whose diagonal scales its columns.  Both engines
-    consume this one list: exact mode sums K rho K^dagger, trajectory mode
-    samples one branch per repetition.
+    K is a 2 x 2 factor on the spin for pump, rotate and wait steps and a
+    full-register matrix for excite steps; `apply_branch` and
+    `conjugate_branches` apply either.  A flagged branch carries a classical
+    click in the driven bin of an excite step.  The excite list starts with
+    the detuned-transition scatter of the down component ('wrong',
+    probability p_wrong_transition times the down population); every
+    excite_kraus branch follows the no-scatter operator, whose diagonal
+    scales its columns.  Both engines consume this one list: exact mode sums
+    K rho K^dagger, trajectory mode samples one branch per repetition.
     """
     if op.kind == "excite":
         branches = excite_kraus(op.bin, op.phase, params, noise, layout, op.slot)
@@ -466,12 +480,62 @@ def step_branches(op: PulseOp, params: EmitterParams, noise: NoiseParams,
         kraus = rotation_kraus(op.axis, op.angle, noise)
     else:
         raise ContractError(f"{op.kind} step has no Kraus branches")
-    return [(label, tensor_embed(k, 0, layout).matrix, False) for label, k in kraus]
+    return [(label, k, False) for label, k in kraus]
 
 
 def verify_kraus_complete(branches: Sequence[tuple], dim: int) -> float:
     total = sum(b[1].conj().T @ b[1] for b in branches)
     return float(np.max(np.abs(total - np.eye(dim))))
+
+
+def apply_branch(k: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """K psi for a step_branches K: the spin is the leading register axis,
+    so a 2 x 2 spin factor multiplies psi reshaped to (2, rest)."""
+    return (k @ psi.reshape(len(k), -1)).ravel()
+
+
+def conjugate_branches(ks: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
+    """Sum of K rho K^dagger over step_branches factors ks of one step.
+
+    Full-register factors are summed product by product.  2 x 2 spin
+    factors act on the two spin axes of rho as a (2, m, 2, m) array, all at
+    once: output block (i, j) is sum_ab S[(i, j), (a, b)] rho_ab over the
+    m x m spin blocks, with S = sum_K K (x) conj(K).
+    """
+    if len(ks[0]) == len(rho):
+        return sum(k @ rho @ k.conj().T for k in ks)
+    m = len(rho) // 2
+    blocks = rho.reshape(2, m, 2, m).transpose(0, 2, 1, 3).reshape(4, m * m)
+    out = sum(np.kron(k, k.conj()) for k in ks) @ blocks
+    return out.reshape(2, 2, m, m).transpose(0, 2, 1, 3).reshape(rho.shape)
+
+
+_LATE_PHOTONS = np.array([0, 0, 1, 0, 1, 2])   # vacuum, e, l, ee, el, ll
+
+
+def _late_phase_diagonal(layout: RegisterLayout, phase: float) -> np.ndarray:
+    """Diagonal of D = exp(i phase L), L the late-photon count of each basis
+    state of the register.  Advancing every late excitation's optical phase
+    by phase turns its Kraus operators K into D K D^dagger and leaves every
+    other step's operators unchanged, because they commute with D."""
+    late = np.zeros(1, dtype=int)
+    for _ in range(layout.photon_slots):
+        late = (late[:, None] + _LATE_PHOTONS[:layout.slot_dim]).ravel()
+    return np.exp(1j * phase * np.tile(late, layout.spin_dim))
+
+
+def _advance_late_phase(seq: PulseSequence, phase: float) -> PulseSequence:
+    steps = tuple(replace(s, phase=s.phase + phase)
+                  if s.kind == "excite" and s.bin == "late" else s for s in seq.steps)
+    return PulseSequence(steps, seq.repetition_period, seq.name)
+
+
+def _continued_steps(seq: PulseSequence, done: PulseSequence) -> int:
+    """Number of seq's leading steps already run by a start result of done."""
+    steps = done.steps[:-1]
+    if seq.steps[:len(steps)] != steps:
+        raise ContractError("the start result did not run this sequence's leading steps")
+    return len(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +569,15 @@ class ExactResult:
         mat = sum(c.weight * c.rho for c in self.components)
         return DensityOperator(self.layout, mat, validate=False)
 
+    def with_late_phase(self, phase: float) -> "ExactResult":
+        """The result of the same sequence with every late excitation's
+        optical phase advanced by phase: each component conjugated by D."""
+        d = _late_phase_diagonal(self.layout, phase)
+        dd = np.outer(d, d.conj())
+        return ExactResult(self.layout,
+                           [replace(c, rho=c.rho * dd) for c in self.components],
+                           _advance_late_phase(self.sequence, phase))
+
 
 def _initial_vector(layout: RegisterLayout) -> np.ndarray:
     psi = np.zeros(layout.total_dim, dtype=np.complex128)
@@ -513,31 +586,42 @@ def _initial_vector(layout: RegisterLayout) -> np.ndarray:
 
 
 def run_sequence_exact(seq: PulseSequence, params: EmitterParams, noise: NoiseParams,
-                       layout: RegisterLayout | None = None) -> ExactResult:
-    """Propagate the exact pre-detection mixture through the sequence."""
-    if layout is None:
-        layout = sequence_layout(seq, noise)
-    psi0 = _initial_vector(layout)
-    rho0 = np.outer(psi0, psi0.conj())
-    comps = [ExactComponent(1.0, rho0)]
-    if noise.blink_block_len > 0 and noise.blink_on_fraction < 1.0:
-        comps = [ExactComponent(noise.blink_on_fraction, rho0),
-                 ExactComponent(1.0 - noise.blink_on_fraction, rho0, blink_off=True)]
+                       layout: RegisterLayout | None = None,
+                       start: ExactResult | None = None) -> ExactResult:
+    """Propagate the exact pre-detection mixture through the sequence.
 
-    for op in seq.steps[:-1]:
+    start, the result of a sequence whose steps before its readout are
+    seq's leading steps, continues from its components (and its layout)
+    with the steps after those.
+    """
+    first = 0
+    if start is not None:
+        layout, comps = start.layout, start.components
+        first = _continued_steps(seq, start.sequence)
+    else:
+        if layout is None:
+            layout = sequence_layout(seq, noise)
+        psi0 = _initial_vector(layout)
+        rho0 = np.outer(psi0, psi0.conj())
+        comps = [ExactComponent(1.0, rho0)]
+        if noise.blink_block_len > 0 and noise.blink_on_fraction < 1.0:
+            comps = [ExactComponent(noise.blink_on_fraction, rho0),
+                     ExactComponent(1.0 - noise.blink_on_fraction, rho0, blink_off=True)]
+
+    for op in seq.steps[first:-1]:
         branches = step_branches(op, params, noise, layout)
         new_comps: list[ExactComponent] = []
         for comp in comps:
             if op.kind == "excite" and comp.blink_off:
                 new_comps.append(comp)
                 continue
-            plain = np.zeros_like(comp.rho)
+            plain = conjugate_branches([k for _, k, flagged in branches if not flagged],
+                                       comp.rho)
             kept = 0.0
             for _, k, flagged in branches:
-                out = k @ comp.rho @ k.conj().T
                 if not flagged:
-                    plain += out
                     continue
+                out = conjugate_branches([k], comp.rho)
                 w = float(np.trace(out).real)
                 kept += w
                 if w > 1e-15:
@@ -556,12 +640,13 @@ def _merge_components(comps: list[ExactComponent]) -> list[ExactComponent]:
     merged: dict[tuple, ExactComponent] = {}
     for c in comps:
         key = (tuple(sorted(c.flag_clicks)), c.blink_off)
+        # a merged component has weight 1, and 1.0 * rho is rho
+        rho = c.rho if c.weight == 1.0 else c.weight * c.rho
         if key in merged:
             m = merged[key]
-            m.rho = m.rho + c.weight * c.rho
+            m.rho = m.rho + rho
         else:
-            merged[key] = ExactComponent(1.0, c.weight * c.rho,
-                                         tuple(sorted(c.flag_clicks)), c.blink_off)
+            merged[key] = ExactComponent(1.0, rho, *key)
     return list(merged.values())
 
 
@@ -578,12 +663,16 @@ def _check_overflow(lost: float, mass: float = 1.0) -> None:
 # ---------------------------------------------------------------------------
 
 def group_by_id(ids: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Index arrays of equal-id repetitions, in ascending id order."""
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    uniq, starts = np.unique(sorted_ids, return_index=True)
-    bounds = list(starts) + [ids.size]
-    return [(int(uniq[k]), order[bounds[k]:bounds[k + 1]]) for k in range(uniq.size)]
+    """Index arrays of equal-id repetitions, in ascending id order (ids are
+    non-negative state ids)."""
+    if ids.size == 0:
+        return []
+    # numpy's stable sort of 8- and 16-bit keys is a radix sort
+    order = np.argsort(ids.astype(np.min_scalar_type(ids.max())), kind="stable")
+    counts = np.bincount(ids)
+    uniq = np.flatnonzero(counts)
+    ends = np.cumsum(counts[uniq]).tolist()
+    return [(sid, order[end - counts[sid]:end]) for sid, end in zip(uniq.tolist(), ends)]
 
 
 @dataclass
@@ -611,6 +700,31 @@ class TrajectoryResult:
     def flag_click_matrix(self) -> np.ndarray:
         """All classical background photons: columns [wrong ops..., extra ops...]."""
         return np.concatenate([self.wrong_clicks, self.extra_clicks], axis=1)
+
+    def select(self, rows) -> "TrajectoryResult":
+        """The repetitions at rows, with a table of only the states they use."""
+        ids = self.state_ids[rows]
+        used = np.flatnonzero(np.bincount(ids, minlength=len(self.state_table)))
+        renumber = np.zeros(len(self.state_table), dtype=np.int64)
+        renumber[used] = np.arange(used.size)
+        return replace(self, rep_indices=self.rep_indices[rows],
+                       state_table=[self.state_table[i] for i in used],
+                       state_ids=renumber[ids],
+                       rotation_flips=self.rotation_flips[rows],
+                       emission_results=self.emission_results[rows],
+                       wrong_clicks=self.wrong_clicks[rows],
+                       extra_clicks=self.extra_clicks[rows],
+                       blink_off=self.blink_off[rows])
+
+    def with_late_phase(self, phase: float) -> "TrajectoryResult":
+        """The result of the same sequence with every late excitation's
+        optical phase advanced by phase: each table state multiplied by D.
+        Branch probabilities do not depend on the phase, so the records
+        stay those of the sampled repetitions."""
+        d = _late_phase_diagonal(self.layout, phase)
+        seq = _advance_late_phase(self.sequence, phase)
+        return replace(self, sequence=seq, state_table=[d * v for v in self.state_table],
+                       excite_ops=seq.excite_steps())
 
 
 def _canonical_key(vec: np.ndarray) -> bytes:
@@ -643,38 +757,57 @@ _ROTATION_CODE = {"ideal": 0, "flip": 1, "dephase": 2}
 def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
                             noise: NoiseParams, master_seed: int,
                             rep_indices: np.ndarray,
-                            layout: RegisterLayout | None = None) -> TrajectoryResult:
+                            layout: RegisterLayout | None = None,
+                            start: TrajectoryResult | None = None) -> TrajectoryResult:
     """Sample one noise-branch path per repetition.
 
     Randomness is addressed by (master_seed, repetition index, step), so each
     repetition samples the same branches however the repetitions are split
-    across calls.
+    across calls.  start, the result of a sequence whose steps before its
+    readout are seq's leading steps, for the same repetitions, continues
+    from its states, records and layout with the steps after those; they
+    keep their step indices in seq, so each repetition draws what a run of
+    the whole sequence draws.
     """
-    if layout is None:
-        layout = sequence_layout(seq, noise)
     reps = np.asarray(rep_indices, dtype=np.uint64)
     n = reps.size
-
-    table = _StateTable()
-    ids = np.full(n, table.add(_initial_vector(layout)), dtype=np.int64)
-
-    if noise.blink_block_len > 0 and noise.blink_on_fraction < 1.0:
-        blocks = reps // np.uint64(noise.blink_block_len)
-        blink_off = (crng.uniforms(master_seed, blocks, crng.stream("emitter.blink"))
-                     >= noise.blink_on_fraction)
-    else:
-        blink_off = np.zeros(n, dtype=bool)
-
     n_rot = sum(1 for s in seq.steps if s.kind == "rotate")
     excite_ops = [s for s in seq.steps if s.kind == "excite"]
     rotation_flips = np.zeros((n, max(n_rot, 1)), dtype=np.int8)
     emission_results = np.zeros((n, max(len(excite_ops), 1)), dtype=np.int8)
     wrong_clicks = np.zeros((n, max(len(excite_ops), 1)), dtype=bool)
     extra_clicks = np.zeros((n, max(len(excite_ops), 1)), dtype=bool)
+    table = _StateTable()
+
+    first = rot_i = exc_i = 0
+    if start is not None:
+        if not np.array_equal(start.rep_indices, reps):
+            raise ContractError("the start result holds other repetitions")
+        first = _continued_steps(seq, start.sequence)
+        done = seq.steps[:first]
+        rot_i = sum(1 for s in done if s.kind == "rotate")
+        exc_i = sum(1 for s in done if s.kind == "excite")
+        layout, blink_off = start.layout, start.blink_off
+        ids = np.array([table.add(v) for v in start.state_table],
+                       dtype=np.int64)[start.state_ids]
+        rotation_flips[:, :rot_i] = start.rotation_flips[:, :rot_i]
+        for out, got in ((emission_results, start.emission_results),
+                         (wrong_clicks, start.wrong_clicks),
+                         (extra_clicks, start.extra_clicks)):
+            out[:, :exc_i] = got[:, :exc_i]
+    else:
+        if layout is None:
+            layout = sequence_layout(seq, noise)
+        ids = np.full(n, table.add(_initial_vector(layout)), dtype=np.int64)
+        if noise.blink_block_len > 0 and noise.blink_on_fraction < 1.0:
+            blocks = reps // np.uint64(noise.blink_block_len)
+            blink_off = (crng.uniforms(master_seed, blocks, crng.stream("emitter.blink"))
+                         >= noise.blink_on_fraction)
+        else:
+            blink_off = np.zeros(n, dtype=bool)
 
     down = _spin_down_diagonal(layout)
-    rot_i = exc_i = 0
-    for step_i, op in enumerate(seq.steps[:-1]):
+    for step_i, op in enumerate(seq.steps[first:-1], start=first):
         branches = step_branches(op, params, noise, layout)
         u = crng.uniforms(master_seed, reps, crng.stream("emitter.step", step_i))
         rows = np.nonzero(~blink_off)[0] if op.kind == "excite" else np.arange(n)
@@ -683,7 +816,7 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
             psi = table.states[sid]
             outs, probs, taken = [], [], []
             for label, k, flagged in branches:
-                phi = k @ psi
+                phi = apply_branch(k, psi)
                 p = float(np.vdot(phi, phi).real)
                 if p > 1e-14:
                     outs.append(phi / math.sqrt(p))

@@ -2,13 +2,17 @@
 fringe scans and the rotation calibration sweep.
 
 Each witness run loops over the n+1 measurement settings; every setting has
-two spin sub-settings (the toggled readout rotation), each compiled into its
-own pulse sequence and detection model.  Repetitions are assigned to
-sub-runs round-robin by repetition index.  Exact mode weights each row of
-click counts by its probability, trajectory mode by its number of
-repetitions; both count through `SettingCounts.add_heralded` and assemble
-the fidelity with `witness.fidelity_estimate`, as `analyze --mode witness`
-does.
+two spin sub-settings (the toggled readout rotation).  A sub-run's pulse
+sequence is the generation sequence at the setting's late-pulse phase,
+followed by a wait and the sub-setting's readout rotation.  The generation
+is evolved once per witness, at phase 0; each sub-run conjugates that
+result by its setting's phase diagonal D (`with_late_phase`) and continues
+it through its wait and rotation (the engines' start=...).
+Repetitions are assigned to sub-runs round-robin by repetition index.
+Exact mode weights each row of click counts by its probability,
+trajectory mode by its number of repetitions; both count through
+`SettingCounts.add_heralded` and assemble the fidelity with
+`witness.fidelity_estimate`, as `analyze --mode witness` does.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from . import rng as crng
 from . import witness as wit
 from .coincidence import MIDDLE, WindowConfig
 from .detection import DetectionModel, RunClicks
-from .emitter import (EmitterParams, NoiseParams, PulseSequence,
+from .emitter import (EmitterParams, ExactResult, NoiseParams, PulseSequence,
                       build_bell_sequence, build_ghz_sequence,
                       build_hom_sequence, rabi_curve, rabi_population,
                       run_sequence_exact, run_sequence_trajectory)
@@ -38,25 +42,29 @@ class SubRun:
     sequence: PulseSequence
     tbi: TBIParams
     windows: WindowConfig
+    phase_e: float
+
+
+def _generation_sequence(n_qubits: int, params: EmitterParams,
+                         phase_e: float = 0.0) -> PulseSequence:
+    if n_qubits == 2:
+        return build_bell_sequence(params, phase_e=phase_e)
+    return build_ghz_sequence(n_qubits - 1, params, phase_e=phase_e)
 
 
 def _witness_subruns(n_qubits: int, params: EmitterParams, tbi: TBIParams
                      ) -> list[SubRun]:
-    n_photons = n_qubits - 1
-    windows = WindowConfig.for_sequence(n_photons, t_inf=params.t_inf,
+    windows = WindowConfig.for_sequence(n_qubits - 1, t_inf=params.t_inf,
                                         slot_spacing=params.photon_spacing_ns,
                                         repetition_period=params.repetition_period_ns)
     subruns = []
     for setting in ghz_settings(n_qubits):
         tbi_s = tbi.with_theta_pol(tbi.theta0 + setting.theta_pol_offset)
         phase_e = excitation_phase(tbi_s)
-        if n_photons == 1:
-            base = build_bell_sequence(params, phase_e=phase_e)
-        else:
-            base = build_ghz_sequence(n_photons, params, phase_e=phase_e)
+        base = _generation_sequence(n_qubits, params, phase_e)
         for sub_i, sub in enumerate(setting.subsettings):
             seq = base.with_readout_rotation(sub.axis, sub.angle)
-            subruns.append(SubRun(setting, sub_i, seq, tbi_s, windows))
+            subruns.append(SubRun(setting, sub_i, seq, tbi_s, windows, phase_e))
     return subruns
 
 
@@ -100,24 +108,40 @@ class WitnessOutcome:
 
 def witness_exact(n_qubits: int, params: EmitterParams, noise: NoiseParams,
                   tbi: TBIParams, thinned: bool = False) -> WitnessOutcome:
-    """Expected-count witness estimate from exact density-operator evolution."""
+    """Expected-count witness estimate from exact density-operator evolution,
+    with one generation evolution for all sub-runs (`_exact_subruns`)."""
     counts: dict[str, SettingCounts] = {}
-    for run in _witness_subruns(n_qubits, params, tbi):
+    for run, exact in _exact_subruns(n_qubits, params, noise, tbi):
         acc = counts.setdefault(run.setting.label,
                                 SettingCounts(run.setting, n_qubits - 1))
         n_subs = len(run.setting.subsettings)
-        for weight, dist in _exact_distributions(run, params, noise, thinned):
+        for weight, dist in _exact_distributions(run, exact, noise, thinned):
             sel = dist.label & (dist.probs > 0)
             acc.add_heralded(run.sub_index, dist.rows[sel],
                              weight * dist.probs[sel] / n_subs)
     return WitnessOutcome.from_counts(n_qubits, counts)
 
 
-def _exact_distributions(run: SubRun, params: EmitterParams, noise: NoiseParams,
+def _exact_subruns(n_qubits: int, params: EmitterParams, noise: NoiseParams,
+                   tbi: TBIParams):
+    """(sub-run, its `ExactResult`) of every witness sub-run, in order.
+
+    The generation sequence is evolved once, at late-pulse phase 0; each
+    sub-run conjugates its components by its setting's D and continues them
+    through its wait and readout rotation.  The result equals a direct
+    evolution of the sub-run's sequence up to rounding.
+    """
+    generation = run_sequence_exact(_generation_sequence(n_qubits, params),
+                                    params, noise)
+    for run in _witness_subruns(n_qubits, params, tbi):
+        yield run, run_sequence_exact(run.sequence, params, noise,
+                                      start=generation.with_late_phase(run.phase_e))
+
+
+def _exact_distributions(run: SubRun, exact: ExactResult, noise: NoiseParams,
                          thinned: bool):
     """(weight, `DetectionModel.full_distribution`) of each component of a
     sub-run's exact evolution, in component order."""
-    exact = run_sequence_exact(run.sequence, params, noise)
     model = DetectionModel(exact.layout, run.tbi, noise, run.windows, thinned)
     for comp in exact.components:
         yield comp.weight, model.full_distribution(comp.rho, comp.flag_clicks)
@@ -128,11 +152,7 @@ def exact_predetection_state(n_qubits: int, params: EmitterParams,
                              ) -> DensityOperator:
     """Pre-detection density operator of the generation sequence (no readout
     rotation), mainly for direct-fidelity oracle checks."""
-    phase_e = excitation_phase(tbi)
-    if n_qubits == 2:
-        seq = build_bell_sequence(params, phase_e=phase_e)
-    else:
-        seq = build_ghz_sequence(n_qubits - 1, params, phase_e=phase_e)
+    seq = _generation_sequence(n_qubits, params, excitation_phase(tbi))
     return run_sequence_exact(seq, params, noise).density()
 
 
@@ -183,11 +203,17 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
     """Monte Carlo witness estimate over n_repetitions sampled repetitions.
 
     Repetition r runs sub-setting r mod (2n+2); post-selected counts merge
-    across sub-runs.  With thinned=True all efficiencies are applied and the
-    post-selected coincidence rate is physical.
+    across sub-runs.  The generation sequence is sampled once for all
+    repetitions, at late-pulse phase 0; each sub-run takes its repetitions'
+    states, multiplies them by its setting's D and samples its wait and
+    readout rotation, with the records a direct run of its sequence gives.
+    With thinned=True all efficiencies are applied and the post-selected
+    coincidence rate is physical.
     """
     subruns = _witness_subruns(n_qubits, params, tbi)
     all_reps = np.arange(n_repetitions, dtype=np.uint64)
+    generation = run_sequence_trajectory(_generation_sequence(n_qubits, params),
+                                         params, noise, master_seed, all_reps)
     counts: dict[str, SettingCounts] = {}
     clicks_list: list[RunClicks] = []
     slices: list[np.ndarray] = []
@@ -195,13 +221,16 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
     total_events = 0.0
     coincident_reps = 0
     for k, run in enumerate(subruns):
-        reps = all_reps[all_reps % len(subruns) == k]
+        rows = slice(k, None, len(subruns))
+        reps = all_reps[rows]
         slices.append(reps)
         acc = counts.setdefault(run.setting.label,
                                 SettingCounts(run.setting, n_qubits - 1))
         if reps.size == 0:
             continue
-        traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps)
+        start = generation.select(rows).with_late_phase(run.phase_e)
+        traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps,
+                                       start=start)
         model = DetectionModel(traj.layout, run.tbi, noise, run.windows, thinned)
         clicks = model.sample_run(traj, master_seed)
         lk, tot = _count_clicks(acc, run.sub_index, clicks)
@@ -241,7 +270,8 @@ def trajectory_exact_tvd(n_qubits: int, params: EmitterParams, noise: NoiseParam
     clicks = model.sample_run(traj, master_seed)
     sampled = np.column_stack([clicks.signal + clicks.flagged + clicks.background,
                                clicks.readout_clicks])
-    dists = list(_exact_distributions(run, params, noise, thinned))
+    dists = list(_exact_distributions(run, run_sequence_exact(run.sequence, params, noise),
+                                      noise, thinned))
     exact = np.concatenate([np.column_stack([d.rows, d.label]) for _, d in dists])
     predicted = np.concatenate([w * d.probs for w, d in dists])
     _, group = coin.distinct_rows(np.concatenate([sampled, exact]))

@@ -272,9 +272,6 @@ class SettingCounts:
     n_slots: int
     counts: dict = field(default_factory=dict)
 
-    def add(self, outcome: Outcome, weight: float = 1.0) -> None:
-        self.counts[outcome] = self.counts.get(outcome, 0.0) + weight
-
     def add_heralded(self, sub_index: int, rows, weights) -> np.ndarray:
         """Add the heralded outcomes of click groups measured in sub-setting
         sub_index, each outcome with its group's weight.

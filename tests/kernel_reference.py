@@ -151,6 +151,11 @@ def pattern_outcomes(setting, sub, record: int, n_slots: int) -> list:
     return outcomes
 
 
+def add_outcome(counts: dict, outcome, weight: float = 1.0) -> None:
+    """Add weight to one outcome of a counts dict (`SettingCounts.counts`)."""
+    counts[outcome] = counts.get(outcome, 0.0) + weight
+
+
 def add_heralded(counts: dict, setting, sub_index: int, groups, n_slots: int
                  ) -> list[int]:
     """Add each (click record, weight) group's outcomes to counts, one
@@ -160,6 +165,6 @@ def add_heralded(counts: dict, setting, sub_index: int, groups, n_slots: int
     for record, weight in groups:
         outcomes = pattern_outcomes(setting, sub, record, n_slots)
         for outcome in outcomes:
-            counts[outcome] = counts.get(outcome, 0.0) + weight
+            add_outcome(counts, outcome, weight)
         n_outcomes.append(len(outcomes))
     return n_outcomes

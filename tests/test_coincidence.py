@@ -521,6 +521,34 @@ class TestTagExpansion:
         assert len(tags) == (signal.sum() + flagged.sum() + background.sum()
                              + readout.sum())
 
+    @pytest.mark.parametrize("signal_clicks, flagged_clicks", [(9, 0), (5, 4)])
+    def test_ninth_click_in_a_cell_rejected(self, signal_clicks, flagged_clicks):
+        # a cell's tag times draw on a block of 8 streams; a ninth click
+        # would draw on the next cell's first stream
+        from types import SimpleNamespace
+
+        from timebin.detection import RunClicks
+
+        n = 3
+        signal = np.zeros((n, 6), np.uint8)
+        flagged = np.zeros((n, 6), np.uint8)
+        cell = click_cell(0, MIDDLE, 0)
+        signal[1, cell] = signal_clicks
+        flagged[1, cell] = flagged_clicks
+
+        def clicks():
+            return RunClicks(SimpleNamespace(windows=WindowConfig.for_sequence(1)),
+                             SimpleNamespace(rep_indices=np.arange(n, dtype=np.uint64)),
+                             [], np.zeros(n, np.int8), np.ones(n, bool),
+                             np.zeros(n, bool), signal, flagged,
+                             np.zeros((n, 6), np.uint8), 11)
+
+        with pytest.raises(ContractError):
+            clicks().to_tags()
+        flagged[1, cell] = 0
+        signal[1, cell] = 8
+        assert len(clicks().to_tags()) == 8 + n     # 8 wavepacket, n readout
+
 
 class TestBlinking:
     def test_blinking_bunches_short_delays(self):

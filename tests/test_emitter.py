@@ -160,7 +160,9 @@ class TestExcitation:
                                 NoiseParams(f_pi=0.9, p_double=0.02), lay, 0)
         assert verify_kraus_complete(branches, lay.total_dim) < 1e-12
         # every step of the paper Bell and GHZ-3 sub-runs, detuned-transition
-        # scatter and re-excitation included
+        # scatter and re-excitation included: spin-only steps are 2 x 2
+        # factors, excite steps full-register matrices, each complete on its
+        # own dimension
         params, noise = paper_emitter(), paper_noise()
         assert noise.p_wrong_transition > 0 and noise.p_double > 0
         for seq in (build_bell_sequence(params), build_ghz_sequence(2, params)):
@@ -169,7 +171,36 @@ class TestExcitation:
             assert lay.slot_dim == 6
             for op in seq.steps[:-1]:
                 branches = step_branches(op, params, noise, lay)
-                assert verify_kraus_complete(branches, lay.total_dim) < 1e-12, op
+                dim = lay.total_dim if op.kind == "excite" else 2
+                assert all(k.shape == (dim, dim) for _, k, _ in branches), op
+                assert verify_kraus_complete(branches, dim) < 1e-12, op
+
+    def test_spin_factors_match_embedded_matrices(self):
+        # 2 x 2 spin factors applied by reshaping equal their full-register
+        # embeddings k (x) 1, on a ket, and on a density operator branch by
+        # branch and summed over a step's branches
+        from timebin.emitter import apply_branch, conjugate_branches
+        from timebin.hilbert import tensor_embed
+
+        params = paper_emitter()
+        noise = dataclasses.replace(paper_noise(), p_wait_dephasing=0.3)
+        lay = RegisterLayout(photon_slots=2, slot_dim=6)
+        rng = np.random.default_rng(4)
+        psi = rng.normal(size=lay.total_dim) + 1j * rng.normal(size=lay.total_dim)
+        rho = np.outer(psi, psi.conj()) + rng.normal(size=(lay.total_dim,) * 2)
+        for op in (PulseOp("pump"), PulseOp("wait", duration=14.0), rotate(0.7),
+                   PulseOp("rotate", axis=0.3, angle=-math.pi / 2)):
+            ks = [k for _, k, _ in step_branches(op, params, noise, lay)]
+            full = [tensor_embed(k, 0, lay).matrix for k in ks]
+            assert len(ks) > 1
+            for k, f in zip(ks, full):
+                assert np.max(np.abs(apply_branch(k, psi) - f @ psi)) < 1e-13
+                assert np.max(np.abs(conjugate_branches([k], rho)
+                                     - f @ rho @ f.conj().T)) < 1e-12
+            assert np.max(np.abs(conjugate_branches(ks, rho)
+                                 - sum(f @ rho @ f.conj().T for f in full))) < 1e-12
+            assert np.array_equal(conjugate_branches(full, rho),
+                                  sum(f @ rho @ f.conj().T for f in full))
 
     def test_exact_blinking_skips_excitation(self):
         # a blinked-off component passes the excite steps untouched; the
@@ -410,3 +441,81 @@ class TestRotationCeiling:
         f = witness_exact(2, ideal_emitter(), noise,
                           TBIParams(classical_visibility=1.0)).fidelity
         assert f == pytest.approx(0.973, abs=0.01)
+
+
+BLINKING = {"blink_block_len": 40, "blink_on_fraction": 0.7}
+
+
+class TestSharedGeneration:
+    """A witness evolves its generation once, at late-pulse phase 0, and
+    finishes each sub-run from it; a direct evolution of each sub-run's
+    whole sequence is the reference."""
+
+    @pytest.mark.parametrize("blink", [False, True], ids=["steady", "blinking"])
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_exact_components_match_direct_runs(self, n_qubits, blink):
+        from timebin.experiments import _exact_subruns
+
+        params = paper_emitter()
+        noise = dataclasses.replace(paper_noise(), **(BLINKING if blink else {}))
+        n_subruns = 0
+        for run, shared in _exact_subruns(n_qubits, params, noise, paper_tbi()):
+            direct = run_sequence_exact(run.sequence, params, noise)
+            assert shared.sequence == run.sequence
+            assert shared.layout == direct.layout
+            assert [(c.flag_clicks, c.blink_off) for c in shared.components] == \
+                [(c.flag_clicks, c.blink_off) for c in direct.components]
+            assert any(c.blink_off for c in shared.components) == blink
+            for a, b in zip(shared.components, direct.components):
+                assert abs(a.weight - b.weight) <= 1e-12
+                assert np.max(np.abs(a.rho - b.rho)) <= 1e-12
+            n_subruns += 1
+        assert n_subruns == 2 * n_qubits + 2
+
+    @pytest.mark.parametrize("blink", [False, True], ids=["steady", "blinking"])
+    @pytest.mark.parametrize("n_qubits, n_reps", [(2, 6000), (3, 3000)])
+    def test_trajectory_repetitions_match_direct_runs(self, n_qubits, n_reps, blink):
+        from timebin.experiments import witness_trajectory
+
+        params = paper_emitter()
+        noise = dataclasses.replace(paper_noise(), **(BLINKING if blink else {}))
+        run = witness_trajectory(n_qubits, params, noise, paper_tbi(), n_reps, 17,
+                                 keep_clicks=True)
+        assert len(run.clicks) == len(run.subruns) == 2 * n_qubits + 2
+        for sub, reps, clicks in zip(run.subruns, run.rep_slices, run.clicks):
+            shared = clicks.trajectory
+            direct = run_sequence_trajectory(sub.sequence, params, noise, 17, reps)
+            assert shared.sequence == direct.sequence
+            assert shared.excite_ops == direct.excite_ops
+            for name in ("rep_indices", "rotation_flips", "emission_results",
+                         "wrong_clicks", "extra_clicks", "blink_off"):
+                assert np.array_equal(getattr(shared, name), getattr(direct, name)), name
+            assert shared.blink_off.any() == blink
+            # a table holds one representative per state up to a global phase
+            for r in range(reps.size):
+                a = shared.state_table[shared.state_ids[r]]
+                b = direct.state_table[direct.state_ids[r]]
+                overlap = np.vdot(b, a)
+                assert np.max(np.abs(a - b * overlap / abs(overlap))) <= 1e-12
+            model = DetectionModel(direct.layout, sub.tbi, noise, sub.windows)
+            want = model.sample_run(direct, 17)
+            for name in ("signal", "flagged", "background", "spins",
+                         "readout_signal", "readout_leak"):
+                assert np.array_equal(getattr(clicks, name), getattr(want, name)), name
+
+    def test_start_must_hold_the_leading_steps(self):
+        params, noise = paper_emitter(), paper_noise()
+        generation = build_bell_sequence(params)
+        seq = build_bell_sequence(params, phase_e=0.4).with_readout_rotation("y", 0.5)
+        exact = run_sequence_exact(generation, params, noise)
+        with pytest.raises(ContractError):
+            run_sequence_exact(seq, params, noise, start=exact)
+        tail = run_sequence_exact(seq, params, noise, start=exact.with_late_phase(0.4))
+        assert len(tail.components) == len(exact.components)
+        reps = np.arange(10, dtype=np.uint64)
+        traj = run_sequence_trajectory(generation, params, noise, 3, reps)
+        with pytest.raises(ContractError):
+            run_sequence_trajectory(seq, params, noise, 3, reps, start=traj)
+        with pytest.raises(ContractError):
+            run_sequence_trajectory(seq, params, noise, 3, reps[:5],
+                                    start=traj.with_late_phase(0.4))
