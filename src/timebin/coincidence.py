@@ -13,7 +13,7 @@ import io
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,14 +117,20 @@ class WindowConfig:
         times = np.asarray(times, dtype=float)
         slot = np.full(times.shape, -1, np.int64)
         code = np.full(times.shape, -1, np.int64)
-        spans = [(0, READOUT, self.readout_start, self.readout_width)]
-        spans += [(s, c, self.window_start(s, WINDOWS[c]), self.width)
-                  for s in range(self.n_slots) for c in (EARLY, MIDDLE, LATE)]
-        for s, c, start, width in spans:
-            hit = (code < 0) & (start <= times) & (times < start + width)
+        for s, c, hit in self._hits(times):
             slot[hit] = s
             code[hit] = c
         return slot, code
+
+    def _hits(self, times):
+        """(slot, window code, mask of the times inside) of each window in
+        the reverse of classify's order: assigned in this order, the first
+        window of classify's order holding a time wins."""
+        spans = [(0, READOUT, self.readout_start, self.readout_width)]
+        spans += [(s, c, self.window_start(s, WINDOWS[c]), self.width)
+                  for s in range(self.n_slots) for c in (EARLY, MIDDLE, LATE)]
+        for s, c, start, width in reversed(spans):
+            yield s, c, (start <= times) & (times < start + width)
 
     @classmethod
     def for_sequence(cls, n_slots: int, t_inf: float = 11.8, slot_spacing: float = 28.0,
@@ -157,11 +163,20 @@ class HomCounts:
 
 @dataclass
 class TagArrays:
-    """Time tags as columns; the input of every analysis function here."""
+    """Time tags as columns; the input of every analysis function here.
+
+    `RunClicks.to_tags` and `ingest_timetags` return tags in (repetition,
+    time, detector) order, and g2 and HOM analysis rely on it (tags in
+    another order are analysed as a sorted copy).  The first analysis of
+    tags in order caches their window codes on them, so their columns must
+    not be changed in place afterwards.
+    """
 
     detector: np.ndarray   # 0 = D1, 1 = D2
     time: np.ndarray
     repetition: np.ndarray
+    # int8 window codes per WindowConfig, set by _analysis_view
+    _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.time)
@@ -231,6 +246,39 @@ def _dense_rank(values) -> tuple[np.ndarray, int]:
     return rank, int(ranked[-1]).bit_length()
 
 
+def _in_order(tags: TagArrays) -> bool:
+    """Whether tags are in (repetition, time, detector) order, equal keys
+    in any order; tag_order is stable, so it would leave them as they are."""
+    d_rep = np.diff(tags.repetition)
+    d_time = np.diff(tags.time)
+    d_det = np.diff(tags.detector)
+    return not np.any((d_rep < 0) | ((d_rep == 0) & (
+        (d_time < 0) | ((d_time == 0) & (d_det < 0)))))
+
+
+def _analysis_view(tags: TagArrays, windows: WindowConfig
+                   ) -> tuple[TagArrays, np.ndarray]:
+    """The tags in (repetition, time, detector) order and the int8 window
+    code of each (WINDOWS[code], -1 between windows).
+
+    Tags already in that order, as every producer returns them, are used as
+    they are and classified once per WindowConfig: the codes are cached on
+    them.  Tags in another order are sorted into a new TagArrays, so the
+    caller's arrays are never changed.
+    """
+    code = tags._codes.get(windows)
+    if code is None:
+        if not _in_order(tags):
+            order = tag_order(tags.detector, tags.time, tags.repetition)
+            tags = TagArrays(tags.detector[order], tags.time[order], tags.repetition[order])
+        code = np.full(len(tags), -1, np.int8)
+        for _, c, hit in windows._hits(tags.time):
+            # code = c where hit, in arithmetic: faster than a masked store
+            code += hit.view(np.int8) * (c - code)
+        tags._codes[windows] = code
+    return tags, code
+
+
 # ---------------------------------------------------------------------------
 # histogram
 # ---------------------------------------------------------------------------
@@ -269,15 +317,40 @@ def histogram_to_csv(path, bin_starts: np.ndarray, counts: np.ndarray) -> None:
 
 def _window_counts(arr: TagArrays, code: np.ndarray, window: Window
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted distinct repetitions with a click in one window class and
-    each one's click count on each detector, given the tags' window codes
-    from WindowConfig.classify."""
-    sel = code == WINDOWS.index(window)
-    reps, index = np.unique(arr.repetition[sel], return_inverse=True)
-    det = arr.detector[sel]
-    n1 = np.bincount(index[det == 0], minlength=len(reps))
-    n2 = np.bincount(index[det == 1], minlength=len(reps))
-    return reps, n1.astype(np.int64), n2.astype(np.int64)
+    """The distinct repetitions with a click in one window class, ascending,
+    and each one's click count on each detector, given tags in repetition
+    order and their window codes: a repetition's clicks are contiguous, so
+    its group starts where the repetition changes."""
+    sel = np.flatnonzero(code == WINDOWS.index(window))
+    rep = arr.repetition[sel]
+    new = np.ones(len(rep), bool)
+    np.not_equal(rep[1:], rep[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], len(rep))
+    # D2 clicks by prefix sums of the detector codes (0 = D1, 1 = D2)
+    d2 = np.concatenate(([0], np.cumsum(arr.detector[sel], dtype=np.int64)))
+    n2 = d2[ends] - d2[starts]
+    return rep[starts], ends - starts - n2, n2
+
+
+def _long_delay_pairs(reps: np.ndarray, n1: np.ndarray, n2: np.ndarray, k: int) -> int:
+    """Sum of n1[a] * n2[b] + n2[a] * n1[b] over the pairs of ascending
+    distinct repetitions with 1 <= reps[b] - reps[a] <= k.
+
+    The partners of a are b = a + 1 .. hi[a] - 1, with hi[a] the first
+    repetition more than k after it, so int64 prefix sums of n1 and n2 give
+    each a's products at once.
+    """
+    if len(reps) == 0:
+        return 0
+    # offsets from the first repetition, capped so that adding k cannot
+    # wrap: from span - k on, every later repetition is a partner
+    rel = reps - reps[0]
+    limit = np.minimum(rel, max(int(rel[-1]) - k, 0)) + k
+    hi = np.searchsorted(rel, limit, "right")
+    c1 = np.concatenate(([0], np.cumsum(n1)))
+    c2 = np.concatenate(([0], np.cumsum(n2)))
+    return int(np.dot(n1, c2[hi] - c2[1:]) + np.dot(n2, c1[hi] - c1[1:]))
 
 
 def g2_zero(tags: TagArrays, windows: WindowConfig, max_delay_reps: int = 50
@@ -285,34 +358,29 @@ def g2_zero(tags: TagArrays, windows: WindowConfig, max_delay_reps: int = 50
     """Pulsed autocorrelation at zero delay.
 
     Same-repetition cross-detector coincidences within a window class,
-    normalized by the mean coincidence rate at repetition offsets
-    1..k, k = min(max_delay_reps, largest repetition index), averaged over
-    the early and late classes.  Only repetitions holding a click are
-    counted, so memory does not grow with the repetition indices.
+    normalized by the mean coincidence rate at repetition offsets 1..k,
+    k = min(max_delay_reps, span of the tags' repetitions), averaged over
+    the early and late classes, so only repetition differences matter.
+    The tags are classified once (`_analysis_view`); each class's clicked
+    repetitions come from the group starts of the sorted repetitions, and
+    its long-delay pairs from offsets into them (`_long_delay_pairs`), so
+    time and memory grow with the tags, not with the repetition indices.
     Returns (g2, standard error, per-class detail).
     """
     if len(tags) == 0:
         raise UndefinedEstimateError("no tags to analyze")
-    max_rep = int(tags.repetition.max())
-    if max_rep < 1:
+    tags, code = _analysis_view(tags, windows)
+    span = int(tags.repetition[-1]) - int(tags.repetition[0])
+    if span < 1:
         raise UndefinedEstimateError("g2 needs at least two repetitions")
-    k = min(max_delay_reps, max_rep)
-    code = windows.classify(tags.time)[1]
+    k = min(max_delay_reps, span)
     detail = {}
     values, weights = [], []
     for window in (Window.EARLY, Window.LATE):
         reps, n1, n2 = _window_counts(tags, code, window)
         same = float(np.sum(n1 * n2))
-        # cross-detector products of the repetition pairs 1..k apart: the
-        # pair (i, i + m) of distinct sorted repetitions is at least m apart
-        far = 0
-        for m in range(1, min(k, len(reps) - 1) + 1):
-            i = np.flatnonzero(reps[m:] - reps[:-m] <= k)
-            if len(i) == 0:
-                break
-            far += int(np.sum(n1[i] * n2[i + m]) + np.sum(n2[i] * n1[i + m]))
         # integer sums: exact in any order
-        far_mean = 0.5 * far / k
+        far_mean = 0.5 * _long_delay_pairs(reps, n1, n2, k) / k
         if far_mean <= 0:
             raise UndefinedEstimateError(f"no long-delay coincidences in {window.value}")
         g2 = same / far_mean
@@ -335,35 +403,37 @@ def hom_counts_from_tags(tags: TagArrays, windows: WindowConfig,
     """Same-repetition cross-detector delay histogram, gated on a middle click.
 
     Integration windows default to bins of half the time-bin separation
-    centered at 0 and +-T_inf (the side/center/side regions).
+    centered at 0 and +-T_inf (the side/center/side regions).  The
+    photonic tags are taken in their sorted order (`_analysis_view`),
+    where each repetition's tags are contiguous, and paired within those
+    groups.
     """
     t_inf = windows.bin_separation
     half = t_inf / 2.0 if center_halfwidth is None else center_halfwidth
-    # a pair's counts do not depend on which of its tags comes first, so
-    # grouping by repetition is the only order needed
-    order = np.argsort(tags.repetition, kind="stable")
-    det, time, rep = tags.detector[order], tags.time[order], tags.repetition[order]
-    code = windows.classify(time)[1]
-    photonic = (code >= 0) & (code != READOUT)
-    det, time, rep = det[photonic], time[photonic], rep[photonic]
+    tags, code = _analysis_view(tags, windows)
+    photonic = np.flatnonzero((code >= 0) & (code != READOUT))
+    det, time, rep = tags.detector[photonic], tags.time[photonic], tags.repetition[photonic]
     mid = code[photonic] == MIDDLE
     n1 = n2 = n3 = 0
     # the pairs (i, i + k) within one repetition, for k = 1, 2, ..., are each
-    # same-repetition pair exactly once
-    for k in range(1, len(time)):
-        i = np.flatnonzero(rep[:-k] == rep[k:])
-        if len(i) == 0:
-            break
+    # same-repetition pair exactly once; (i, i + k) is one only if
+    # (i, i + k - 1) is
+    k = 1
+    i = np.flatnonzero(rep[1:] == rep[:-1])
+    while len(i):
         j = i + k
         keep = (det[i] != det[j]) & (mid[i] | mid[j])
-        i, j = i[keep], j[keep]
-        tau = np.where(det[i] == 0, time[j] - time[i], time[i] - time[j])
+        a, b = i[keep], j[keep]
+        tau = np.where(det[a] == 0, time[b] - time[a], time[a] - time[b])
         center = np.abs(tau) < half
         left = ~center & (np.abs(tau + t_inf) < half)
         right = ~center & ~left & (np.abs(tau - t_inf) < half)
         n1 += int(np.count_nonzero(left))
         n2 += int(np.count_nonzero(center))
         n3 += int(np.count_nonzero(right))
+        k += 1
+        i = i[i + k < len(rep)]
+        i = i[rep[i + k] == rep[i]]
     return HomCounts(n1, n2, n3)
 
 
@@ -653,13 +723,3 @@ def _check_utf8(row: list[str], line: int) -> None:
     if bad:
         raise ParseError(f"byte 0x{ord(bad.group()) - 0xdc00:02x} is not UTF-8",
                          line=line) from None
-
-
-def _in_order(tags: TagArrays) -> bool:
-    """Whether tags are in (repetition, time, detector) order, equal keys
-    in any order; tag_order is stable, so it would leave them as they are."""
-    d_rep = np.diff(tags.repetition)
-    d_time = np.diff(tags.time)
-    d_det = np.diff(tags.detector)
-    return not np.any((d_rep < 0) | ((d_rep == 0) & (
-        (d_time < 0) | ((d_time == 0) & (d_det < 0)))))

@@ -217,6 +217,21 @@ class TestArtifacts:
                 digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
                 assert digest == want[experiment, name], (experiment, name)
 
+    def test_hom_estimates_are_pinned(self, tmp_path):
+        # the values of the analysis that re-sorted and re-classified tags
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "hom", "--reps", "20000", "--seed", "1",
+                       "--defaults", "paper", "--out", str(out)) == 0
+        digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+        assert digest == "684b540afa6a0fc66cf91315902936854039133e7acb7e6d2d9610d3abd4e2ee"
+        ana = tmp_path / "ana"
+        assert run_cli("analyze", "--input", str(out / "timetags.csv"),
+                       "--mode", "hom", "--out", str(ana)) == 0
+        got = json.loads((ana / "analysis.json").read_text())
+        assert got["hom_counts"] == {"n1": 2047, "n2": 271, "n3": 2129}
+        assert got["g2_zero"] == {"error": 0.00582748636529006,
+                                  "value": 0.055402065213738985}
+
     def test_analyze_roundtrip_matches_simulate(self, tmp_path):
         out = tmp_path / "sim"
         run_cli("simulate", "bell", "--defaults", "paper", "--reps", "12000",

@@ -117,6 +117,42 @@ class TestG2:
         assert main(["analyze", "--input", str(path), "--mode", "g2",
                      "--out", str(tmp_path / "out")]) == 0
 
+    def test_short_span_offset_invariant(self):
+        # k is the span of the repetitions, not the largest index: with 21
+        # repetitions, tags on 0..20 and on 1000..1020 give the same g2
+        rng = np.random.default_rng(4)
+        w = WindowConfig()
+        n = 400
+        det = rng.integers(0, 2, n)
+        time = rng.choice([w.early_start + 0.5, w.late_start + 0.5], n)
+        rep = rng.integers(0, 21, n)
+        rows = sorted(zip(rep, time, det))
+        at_zero = tag_arrays(*((d, t, r) for r, t, d in rows))
+        at_1000 = tag_arrays(*((d, t, r + 1000) for r, t, d in rows))
+        assert at_zero.repetition.max() - at_zero.repetition.min() == 20
+        assert g2_zero(at_1000, w) == g2_zero(at_zero, w)
+
+    def test_needs_two_repetitions_at_any_offset(self):
+        windows = WindowConfig()
+        with pytest.raises(UndefinedEstimateError, match="two repetitions"):
+            g2_zero(tag_arrays((0, 30.5, 7), (1, 30.6, 7)), windows)
+
+    @pytest.mark.parametrize("k", [1, 7, 50])
+    def test_long_delay_pairs_match_pair_loop(self, k):
+        from timebin.coincidence import _long_delay_pairs
+        # sparse repetitions whose gaps are exactly k, k + 1 and 2k, then
+        # also the largest repetition a tag file may hold
+        rng = np.random.default_rng(k)
+        gaps = rng.choice([1, k, k + 1, 2 * k], 300)
+        for last in ((), (2**63 - 1,)):
+            reps = np.r_[0, np.cumsum(gaps), last].astype(np.int64)
+            n1, n2 = rng.integers(1, 4, (2, len(reps)))
+            want = sum(int(n1[a] * n2[b] + n2[a] * n1[b])
+                       for a in range(len(reps)) for b in range(a + 1, len(reps))
+                       if 1 <= int(reps[b]) - int(reps[a]) <= k)
+            assert want > 0
+            assert _long_delay_pairs(reps, n1, n2, k) == want
+
 
 class TestHomEstimators:
     def test_perfect_suppression(self):
@@ -295,6 +331,46 @@ class TestHomPairCounting:
         assert got == _reference_hom_counts(tags, w)
         # rep 0: tau = t_D2 - t_D1 = +T_inf (n3); rep 2: tau = 0 (n2)
         assert got == HomCounts(0, 1, 1)
+
+
+class TestSortedTagEntry:
+    def test_shuffled_tags_give_the_same_results(self):
+        run = simulate_hom(paper_emitter(), paper_noise(), paper_tbi(), 4000, 9)
+        perm = np.random.default_rng(2).permutation(len(run.tags))
+        columns = (run.tags.detector[perm], run.tags.time[perm],
+                   run.tags.repetition[perm])
+        before = [c.copy() for c in columns]
+        shuffled = TagArrays(*columns)
+        assert g2_zero(shuffled, run.windows) == (run.g2, run.g2_err, run.g2_detail)
+        assert hom_counts_from_tags(shuffled, run.windows) == run.hom_counts
+        for got, want in zip(columns, before):
+            assert np.array_equal(got, want)
+            assert got.dtype == want.dtype
+
+    def test_one_classification_per_window_config(self, monkeypatch):
+        from timebin.coincidence import _analysis_view
+        run = simulate_hom(paper_emitter(), paper_noise(), paper_tbi(), 2000, 3)
+        tags = TagArrays(run.tags.detector, run.tags.time, run.tags.repetition)
+        calls = []
+        hits = WindowConfig._hits
+        monkeypatch.setattr(WindowConfig, "_hits",
+                            lambda self, times: calls.append(self) or hits(self, times))
+        for _ in range(2):
+            g2_zero(tags, run.windows)
+            hom_counts_from_tags(tags, run.windows)
+        assert calls == [run.windows]
+        # the cached codes are classify's
+        view, code = _analysis_view(tags, run.windows)
+        assert view is tags and code.dtype == np.int8
+        assert np.array_equal(code, run.windows.classify(tags.time)[1])
+
+    @pytest.mark.parametrize("windows", [WindowConfig(), WindowConfig.for_sequence(2)])
+    def test_codes_match_classify_at_window_edges(self, windows):
+        from timebin.coincidence import _analysis_view
+        tags = TestHomPairCounting()._tags(windows, 300, 5)
+        view, code = _analysis_view(tags, windows)
+        assert view is not tags
+        assert np.array_equal(code, windows.classify(view.time)[1])
 
 
 class TestTimeTagIO:
