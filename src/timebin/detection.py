@@ -37,7 +37,7 @@ from . import rng as crng
 from .coincidence import (DETECTORS, EARLY, LATE, MIDDLE, WINDOWS, TagArrays,
                           WindowConfig, cell_click, click_cell, distinct_rows,
                           first_seen_groups, tag_order)
-from .emitter import NoiseParams, TrajectoryResult
+from .emitter import EXTRA_PHOTON_BRANCHES, NoiseParams, TrajectoryResult
 from .errors import ContractError
 from .hilbert import (SLOT_EARLY, SLOT_EE, SLOT_EL, SLOT_LATE, SLOT_LL,
                       SLOT_VACUUM, SPIN_DOWN, SPIN_UP, RegisterLayout)
@@ -361,20 +361,23 @@ class DetectionModel:
             signal[idx] = dist.rows[choice]
             spins[idx] = dist.label[choice]
 
-        # classical background photons (wrong transition and re-excitation)
+        # classical background photons: the wrong-transition photon of the
+        # i-th excite step draws on flagged stream i, its re-excitation or
+        # saturated-bin photon on stream n_excite + i
         flagged = np.zeros((n, n_cells), dtype=np.uint8)
-        flag_matrix = result.flag_click_matrix()
-        flag_cols = [(op.slot, op.bin) for op in result.excite_ops] * 2
-        for e_i, (slot, bin_label) in enumerate(flag_cols[:flag_matrix.shape[1]]):
-            mask = flag_matrix[:, e_i]
+        excites = [(i, op) for i, op in enumerate(result.sequence.steps) if op.kind == "excite"]
+        sources = [(i, op, labels) for labels in (("wrong",), EXTRA_PHOTON_BRANCHES)
+                   for i, op in excites]
+        for e_i, (step_i, op, labels) in enumerate(sources):
+            mask = result.took(step_i, *labels)
             if not mask.any():
                 continue
-            comp = SLOT_EARLY if bin_label == "early" else SLOT_LATE
+            comp = SLOT_EARLY if op.bin == "early" else SLOT_LATE
             outs = _single_photon_outcomes(comp, self.tbi, self.eta)
             u = crng.uniforms(master_seed, reps[mask],
                               crng.stream("detection.flagged", e_i))
             choice = crng.choose([w for _, w in outs], u)
-            flagged[mask] += _pattern_rows([c for c, _ in outs], n_cells, slot)[choice]
+            flagged[mask] += _pattern_rows([c for c, _ in outs], n_cells, op.slot)[choice]
 
         # readout click: spin signal or background light in the readout window
         p_up = self.readout_click_prob(SPIN_UP)

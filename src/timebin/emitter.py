@@ -26,16 +26,18 @@ Error model
 Evolution modes
 ---------------
 Both modes consume one list of Kraus branches per pulse step
-(step_branches): 2 x 2 factors on the spin for pump, rotate and wait steps,
-full-register matrices for excite steps.  A spin factor acts on the leading
-register axis, so it is applied to a ket reshaped to (2, rest) and to a
-density operator through its two spin axes.  Exact mode propagates density
-operators through the branches and returns the pre-detection mixture,
-opening a classically flagged component for each flagged branch.
-Trajectory mode samples one branch per repetition with counter-based
-randomness, so a repetition's record is reproducible regardless of how the
-run is chunked.  A blinked-off component or repetition skips the excite
-steps.
+(step_branches).  Every branch is a local factor on the spin and the
+step's photon slot: 2 x 2 for pump, rotate and wait steps (the case of slot
+dimension 1) and (2 slot_dim) x (2 slot_dim) for excite steps.  A factor
+acts on a ket with its spin and slot axes moved together (apply_branch)
+and on a density operator through the (spin, slot) ket-bra blocks
+(conjugate_branches), so no step builds a full-register matrix.  Exact mode
+propagates density operators through the branches and returns the
+pre-detection mixture, opening a classically flagged component for each
+flagged branch.  Trajectory mode samples one branch per repetition with
+counter-based randomness, so a repetition's record is reproducible
+regardless of how the run is chunked.  A blinked-off component or
+repetition skips the excite steps.
 
 Both engines can continue from the result of a sequence's leading steps
 (start=...).  A witness uses this to evolve its generation sequence once:
@@ -224,9 +226,6 @@ class PulseSequence:
         slots = [s.slot for s in self.steps if s.kind == "excite"]
         return max(slots) + 1 if slots else 0
 
-    def excite_steps(self) -> list[PulseOp]:
-        return [s for s in self.steps if s.kind == "excite"]
-
     def with_readout_rotation(self, axis, angle: float) -> "PulseSequence":
         """Insert the basis-selection rotation R_i just before readout.
 
@@ -384,18 +383,10 @@ def _spin_matrix(entries: dict[tuple[int, int], complex]) -> np.ndarray:
     return m
 
 
-def _embed_pair(spin_m: np.ndarray, slot_m: np.ndarray, layout: RegisterLayout,
-                slot: int) -> np.ndarray:
-    full = spin_m
-    for k in range(layout.photon_slots):
-        full = np.kron(full, slot_m if k == slot else np.eye(layout.slot_dim))
-    return full
-
-
 def excite_kraus(bin_label: str, phase: float, params: EmitterParams,
-                 noise: NoiseParams, layout: RegisterLayout, slot: int
-                 ) -> list[tuple[str, np.ndarray, bool]]:
-    """Branches of one excitation pulse on the full register: (label, K, extra).
+                 noise: NoiseParams, slot_dim: int) -> list[tuple[str, np.ndarray, bool]]:
+    """Branches of one excitation pulse: (label, K, extra), K a factor on the
+    spin and the driven slot (spin index major).
 
     'emit' keeps the down component untouched and appends a photon to the
     driven bin of the up component (spin preserved); 'jump' is the
@@ -408,7 +399,6 @@ def excite_kraus(bin_label: str, phase: float, params: EmitterParams,
     photon, so the whole emission becomes a flagged click there.  The
     down-spin wrong-transition click is added by step_branches.
     """
-    slot_dim = layout.slot_dim
     p_keep = params.spin_preserving_probability
     p_d = noise.p_double
     proj_single = _slot_projector((SLOT_VACUUM, SLOT_EARLY, SLOT_LATE), slot_dim)
@@ -420,10 +410,10 @@ def excite_kraus(bin_label: str, phase: float, params: EmitterParams,
     spin_up = _spin_matrix({(SPIN_UP, SPIN_UP): 1.0})
     spin_flip = _spin_matrix({(SPIN_DOWN, SPIN_UP): 1.0})
     phase_f = np.exp(1j * phase)
-    emit_op = _embed_pair(spin_up, add1 @ proj_single, layout, slot)
+    emit_op = np.kron(spin_up, add1 @ proj_single)
 
     branches = [("emit",
-                 _embed_pair(spin_down, np.eye(slot_dim), layout, slot)
+                 np.kron(spin_down, np.eye(slot_dim))
                  + math.sqrt(p_keep * (1.0 - p_d)) * phase_f * emit_op,
                  False)]
     if p_d > 0:
@@ -433,42 +423,48 @@ def excite_kraus(bin_label: str, phase: float, params: EmitterParams,
         proj_double = _slot_projector((SLOT_EE, SLOT_EL, SLOT_LL), slot_dim)
         if p_keep > 0:
             branches.append(("sat_emit", math.sqrt(p_keep)
-                             * _embed_pair(spin_up, proj_double, layout, slot), True))
+                             * np.kron(spin_up, proj_double), True))
         if p_keep < 1.0:
             branches.append(("sat_jump", math.sqrt(1.0 - p_keep)
-                             * _embed_pair(spin_flip, proj_double, layout, slot), False))
+                             * np.kron(spin_flip, proj_double), False))
     if p_keep < 1.0:
         branches.append(("jump", math.sqrt(1.0 - p_keep)
-                         * _embed_pair(spin_flip, proj_single, layout, slot), False))
+                         * np.kron(spin_flip, proj_single), False))
     return branches
 
 
-def _spin_down_diagonal(layout: RegisterLayout) -> np.ndarray:
-    """Diagonal of the spin-down projector on the full register."""
-    spin = np.arange(layout.total_dim) // (layout.total_dim // 2)
-    return (spin == SPIN_DOWN).astype(float)
+# every branch label of step_branches; a label's index is its code in
+# TrajectoryResult.branches, and 'skipped' marks a blinked-off excite step
+BRANCH_LABELS = ("skipped", "reset[down<-down]", "reset[down<-up]", "reset[up<-down]",
+                 "reset[up<-up]", "ideal", "flip", "dephase", "idle", "wrong", "emit",
+                 "emit_double", "sat_emit", "sat_jump", "jump")
+BRANCH_CODES = {label: code for code, label in enumerate(BRANCH_LABELS)}
+# the flagged excite branches other than 'wrong': their photon is a
+# re-excitation or saturated-bin click
+EXTRA_PHOTON_BRANCHES = ("emit_double", "sat_emit")
 
 
 def step_branches(op: PulseOp, params: EmitterParams, noise: NoiseParams,
                   layout: RegisterLayout) -> list[tuple[str, np.ndarray, bool]]:
     """Kraus branches (label, K, flagged) of one non-readout step.
 
-    K is a 2 x 2 factor on the spin for pump, rotate and wait steps and a
-    full-register matrix for excite steps; `apply_branch` and
-    `conjugate_branches` apply either.  A flagged branch carries a classical
-    click in the driven bin of an excite step.  The excite list starts with
-    the detuned-transition scatter of the down component ('wrong',
-    probability p_wrong_transition times the down population); every
-    excite_kraus branch follows the no-scatter operator, whose diagonal
-    scales its columns.  Both engines consume this one list: exact mode sums
-    K rho K^dagger, trajectory mode samples one branch per repetition.
+    K is a factor on the spin and the step's slot, spin index major: 2 x 2
+    for pump, rotate and wait steps, (2 slot_dim) x (2 slot_dim) for excite
+    steps; `apply_branch` and `conjugate_branches` apply it.  A flagged
+    branch carries a classical click in the driven bin of an excite step.
+    The excite list starts with the detuned-transition scatter of the down
+    component ('wrong', probability p_wrong_transition times the down
+    population); every excite_kraus branch follows the no-scatter operator,
+    whose diagonal scales its columns.  Both engines consume this one list:
+    exact mode sums K rho K^dagger, trajectory mode samples one branch per
+    repetition.
     """
     if op.kind == "excite":
-        branches = excite_kraus(op.bin, op.phase, params, noise, layout, op.slot)
+        branches = excite_kraus(op.bin, op.phase, params, noise, layout.slot_dim)
         p_w = noise.p_wrong_transition
         if p_w == 0:
             return branches
-        down = _spin_down_diagonal(layout)
+        down = (np.arange(2 * layout.slot_dim) // layout.slot_dim == SPIN_DOWN).astype(float)
         no_scatter = 1.0 - (1.0 - math.sqrt(1.0 - p_w)) * down
         return ([("wrong", math.sqrt(p_w) * np.diag(down).astype(np.complex128), True)]
                 + [(label, k * no_scatter, flagged) for label, k, flagged in branches])
@@ -483,31 +479,37 @@ def step_branches(op: PulseOp, params: EmitterParams, noise: NoiseParams,
     return [(label, k, False) for label, k in kraus]
 
 
-def verify_kraus_complete(branches: Sequence[tuple], dim: int) -> float:
-    total = sum(b[1].conj().T @ b[1] for b in branches)
-    return float(np.max(np.abs(total - np.eye(dim))))
+def _factor_view(k: np.ndarray, dim: int, slot: int) -> tuple[int, int, int, int]:
+    """(2, before, f, after): the shape that views a register vector of
+    length dim so that a (2 f) x (2 f) factor k on the spin and slot acts on
+    axes 0 and 2.  A spin factor (f = 1) acts on the leading axis alone."""
+    f = len(k) // 2
+    before = f ** slot
+    return 2, before, f, dim // (2 * before * f)
 
 
-def apply_branch(k: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """K psi for a step_branches K: the spin is the leading register axis,
-    so a 2 x 2 spin factor multiplies psi reshaped to (2, rest)."""
-    return (k @ psi.reshape(len(k), -1)).ravel()
+def apply_branch(k: np.ndarray, psi: np.ndarray, slot: int) -> np.ndarray:
+    """K psi for a step_branches factor k of a step on slot: the spin and
+    slot axes of psi move together and k multiplies them."""
+    _, a, f, b = shape = _factor_view(k, len(psi), slot)
+    local = psi.reshape(shape).transpose(0, 2, 1, 3).reshape(2 * f, a * b)
+    return (k @ local).reshape(2, f, a, b).transpose(0, 2, 1, 3).ravel()
 
 
-def conjugate_branches(ks: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    """Sum of K rho K^dagger over step_branches factors ks of one step.
+def conjugate_branches(ks: Sequence[np.ndarray], rho: np.ndarray, slot: int) -> np.ndarray:
+    """Sum of K rho K^dagger over step_branches factors ks of one step on slot.
 
-    Full-register factors are summed product by product.  2 x 2 spin
-    factors act on the two spin axes of rho as a (2, m, 2, m) array, all at
-    once: output block (i, j) is sum_ab S[(i, j), (a, b)] rho_ab over the
-    m x m spin blocks, with S = sum_K K (x) conj(K).
+    The (spin, slot) axes of both sides of rho move to the front, so rho is
+    a (2 f)^2 x r^2 array of ket-bra blocks over the r untouched register
+    states, and all factors act at once: output block (i, i') is
+    sum_jj' S[(i, i'), (j, j')] rho_jj', with S = sum_K K (x) conj(K).
     """
-    if len(ks[0]) == len(rho):
-        return sum(k @ rho @ k.conj().T for k in ks)
-    m = len(rho) // 2
-    blocks = rho.reshape(2, m, 2, m).transpose(0, 2, 1, 3).reshape(4, m * m)
+    n = len(rho)
+    _, a, f, b = shape = _factor_view(ks[0], n, slot)
+    blocks = (rho.reshape(shape + shape).transpose(0, 2, 4, 6, 1, 3, 5, 7)
+              .reshape(4 * f * f, (a * b) ** 2))
     out = sum(np.kron(k, k.conj()) for k in ks) @ blocks
-    return out.reshape(2, 2, m, m).transpose(0, 2, 1, 3).reshape(rho.shape)
+    return out.reshape(2, f, 2, f, a, b, a, b).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(n, n)
 
 
 _LATE_PHOTONS = np.array([0, 0, 1, 0, 1, 2])   # vacuum, e, l, ee, el, ll
@@ -598,6 +600,9 @@ def run_sequence_exact(seq: PulseSequence, params: EmitterParams, noise: NoisePa
     if start is not None:
         layout, comps = start.layout, start.components
         first = _continued_steps(seq, start.sequence)
+        # the first step replaces comps; holding start would keep its
+        # components alive through the whole tail
+        del start
     else:
         if layout is None:
             layout = sequence_layout(seq, noise)
@@ -616,12 +621,12 @@ def run_sequence_exact(seq: PulseSequence, params: EmitterParams, noise: NoisePa
                 new_comps.append(comp)
                 continue
             plain = conjugate_branches([k for _, k, flagged in branches if not flagged],
-                                       comp.rho)
+                                       comp.rho, op.slot)
             kept = 0.0
             for _, k, flagged in branches:
                 if not flagged:
                     continue
-                out = conjugate_branches([k], comp.rho)
+                out = conjugate_branches([k], comp.rho, op.slot)
                 w = float(np.trace(out).real)
                 kept += w
                 if w > 1e-15:
@@ -681,8 +686,10 @@ class TrajectoryResult:
 
     state_ids maps each repetition to an entry of state_table (the pure
     pre-detection state conditioned on that repetition's sampled noise
-    branches).  Record arrays hold one row per repetition; emission codes
-    are 0 none, 1 emit, 2 jump (cross-polarized loss + spin flip), 3 double.
+    branches).  branches holds one row per repetition and one column per
+    step before the readout: the code of the branch the repetition took
+    there, its label BRANCH_LABELS[code] ('skipped' for an excite step of a
+    blinked-off repetition).
     """
 
     layout: RegisterLayout
@@ -690,16 +697,12 @@ class TrajectoryResult:
     rep_indices: np.ndarray
     state_table: list[np.ndarray]
     state_ids: np.ndarray
-    rotation_flips: np.ndarray
-    emission_results: np.ndarray
-    wrong_clicks: np.ndarray     # detuned-transition background photon per excite op
-    extra_clicks: np.ndarray     # re-excitation / saturated-bin photon per excite op
+    branches: np.ndarray         # int8 (n_reps, n_steps)
     blink_off: np.ndarray
-    excite_ops: list[PulseOp]
 
-    def flag_click_matrix(self) -> np.ndarray:
-        """All classical background photons: columns [wrong ops..., extra ops...]."""
-        return np.concatenate([self.wrong_clicks, self.extra_clicks], axis=1)
+    def took(self, step: int, *labels: str) -> np.ndarray:
+        """Mask of the repetitions whose branch at step is one of labels."""
+        return np.isin(self.branches[:, step], [BRANCH_CODES[label] for label in labels])
 
     def select(self, rows) -> "TrajectoryResult":
         """The repetitions at rows, with a table of only the states they use."""
@@ -709,11 +712,7 @@ class TrajectoryResult:
         renumber[used] = np.arange(used.size)
         return replace(self, rep_indices=self.rep_indices[rows],
                        state_table=[self.state_table[i] for i in used],
-                       state_ids=renumber[ids],
-                       rotation_flips=self.rotation_flips[rows],
-                       emission_results=self.emission_results[rows],
-                       wrong_clicks=self.wrong_clicks[rows],
-                       extra_clicks=self.extra_clicks[rows],
+                       state_ids=renumber[ids], branches=self.branches[rows],
                        blink_off=self.blink_off[rows])
 
     def with_late_phase(self, phase: float) -> "TrajectoryResult":
@@ -722,9 +721,8 @@ class TrajectoryResult:
         Branch probabilities do not depend on the phase, so the records
         stay those of the sampled repetitions."""
         d = _late_phase_diagonal(self.layout, phase)
-        seq = _advance_late_phase(self.sequence, phase)
-        return replace(self, sequence=seq, state_table=[d * v for v in self.state_table],
-                       excite_ops=seq.excite_steps())
+        return replace(self, sequence=_advance_late_phase(self.sequence, phase),
+                       state_table=[d * v for v in self.state_table])
 
 
 def _canonical_key(vec: np.ndarray) -> bytes:
@@ -749,11 +747,6 @@ class _StateTable:
         return sid
 
 
-_EMISSION_CODE = {"wrong": 0, "emit": 1, "jump": 2, "emit_double": 3,
-                  "sat_emit": 1, "sat_jump": 2}
-_ROTATION_CODE = {"ideal": 0, "flip": 1, "dephase": 2}
-
-
 def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
                             noise: NoiseParams, master_seed: int,
                             rep_indices: np.ndarray,
@@ -771,30 +764,20 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
     """
     reps = np.asarray(rep_indices, dtype=np.uint64)
     n = reps.size
-    n_rot = sum(1 for s in seq.steps if s.kind == "rotate")
-    excite_ops = [s for s in seq.steps if s.kind == "excite"]
-    rotation_flips = np.zeros((n, max(n_rot, 1)), dtype=np.int8)
-    emission_results = np.zeros((n, max(len(excite_ops), 1)), dtype=np.int8)
-    wrong_clicks = np.zeros((n, max(len(excite_ops), 1)), dtype=bool)
-    extra_clicks = np.zeros((n, max(len(excite_ops), 1)), dtype=bool)
+    # each step from first on writes every repetition's entry, except the
+    # excite steps of blinked-off repetitions, which stay 'skipped'
+    record = np.full((n, len(seq.steps) - 1), BRANCH_CODES["skipped"], dtype=np.int8)
     table = _StateTable()
 
-    first = rot_i = exc_i = 0
+    first = 0
     if start is not None:
         if not np.array_equal(start.rep_indices, reps):
             raise ContractError("the start result holds other repetitions")
         first = _continued_steps(seq, start.sequence)
-        done = seq.steps[:first]
-        rot_i = sum(1 for s in done if s.kind == "rotate")
-        exc_i = sum(1 for s in done if s.kind == "excite")
         layout, blink_off = start.layout, start.blink_off
         ids = np.array([table.add(v) for v in start.state_table],
                        dtype=np.int64)[start.state_ids]
-        rotation_flips[:, :rot_i] = start.rotation_flips[:, :rot_i]
-        for out, got in ((emission_results, start.emission_results),
-                         (wrong_clicks, start.wrong_clicks),
-                         (extra_clicks, start.extra_clicks)):
-            out[:, :exc_i] = got[:, :exc_i]
+        record[:, :first] = start.branches[:, :first]
     else:
         if layout is None:
             layout = sequence_layout(seq, noise)
@@ -806,45 +789,28 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
         else:
             blink_off = np.zeros(n, dtype=bool)
 
-    down = _spin_down_diagonal(layout)
     for step_i, op in enumerate(seq.steps[first:-1], start=first):
         branches = step_branches(op, params, noise, layout)
+        codes = np.array([BRANCH_CODES[label] for label, _, _ in branches], dtype=np.int8)
         u = crng.uniforms(master_seed, reps, crng.stream("emitter.step", step_i))
         rows = np.nonzero(~blink_off)[0] if op.kind == "excite" else np.arange(n)
         for sid, sel in group_by_id(ids[rows]):
             idx = rows[sel]
             psi = table.states[sid]
             outs, probs, taken = [], [], []
-            for label, k, flagged in branches:
-                phi = apply_branch(k, psi)
+            for b, (_, k, _) in enumerate(branches):
+                phi = apply_branch(k, psi, op.slot)
                 p = float(np.vdot(phi, phi).real)
                 if p > 1e-14:
                     outs.append(phi / math.sqrt(p))
                     probs.append(p)
-                    taken.append((label, flagged))
+                    taken.append(b)
             _check_overflow(1.0 - sum(probs))
             choice = crng.choose(probs, u[idx])
             local_ids = np.array([table.add(v) for v in outs], dtype=np.int64)
             ids[idx] = local_ids[choice]
-            if op.kind == "rotate":
-                codes = np.array([_ROTATION_CODE[l] for l, _ in taken], dtype=np.int8)
-                rotation_flips[idx, rot_i] = codes[choice]
-            elif op.kind == "excite":
-                codes = np.array([_EMISSION_CODE[l] for l, _ in taken], dtype=np.int8)
-                emitted = codes[choice]
-                if np.vdot(psi, down * psi).real > 1 - 1e-12:
-                    # a pure down state never emits in the 'emit' branch
-                    emitted = np.where(emitted == 1, 0, emitted)
-                emission_results[idx, exc_i] = emitted
-                wrong = np.array([l == "wrong" for l, _ in taken])
-                extra = np.array([f and l != "wrong" for l, f in taken])
-                wrong_clicks[idx, exc_i] = wrong[choice]
-                extra_clicks[idx, exc_i] = extra[choice]
-        rot_i += op.kind == "rotate"
-        exc_i += op.kind == "excite"
-    return TrajectoryResult(layout, seq, reps, table.states, ids, rotation_flips,
-                            emission_results, wrong_clicks, extra_clicks,
-                            blink_off, excite_ops)
+            record[idx, step_i] = codes[taken][choice]
+    return TrajectoryResult(layout, seq, reps, table.states, ids, record, blink_off)
 
 
 # ---------------------------------------------------------------------------

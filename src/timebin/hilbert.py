@@ -10,8 +10,7 @@ Basis conventions used by every module in the package:
 Logical qubits (the witness convention) are |0> = spin-up / late photon and
 |1> = spin-down / early photon; see :mod:`timebin.witness`.
 
-Register dimensions stay at or below 2 * 6**3, so everything is dense
-complex128 with explicit tolerance checks.
+Everything is dense complex128 with explicit tolerance checks.
 """
 from __future__ import annotations
 

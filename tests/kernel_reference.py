@@ -1,12 +1,14 @@
-"""Per-entry reference forms of the exact detection kernel.
+"""Per-entry reference forms of the emitter and exact detection kernels.
 
-These are the depth-first contraction, the dict-based flag and leak
-convolutions and the per-record heralded-outcome loop that the array
-kernel in `timebin.detection` and `timebin.witness.SettingCounts` replaced.
-They work on click records (`click_record` ints: a row of per-cell counts
-read as little-endian bytes, so records of separate clicks add and a
-record moves to slot k by `<< 48 * k`) and serve as bit-for-bit oracles
-for the equivalence tests.
+These are the dense full-register Kraus matrices that the emitter's local
+(spin, slot) factors replaced, and the depth-first contraction, the
+dict-based flag and leak convolutions and the per-record heralded-outcome
+loop that the array kernel in `timebin.detection` and
+`timebin.witness.SettingCounts` replaced.  The detection forms work on
+click records (`click_record` ints: a row of per-cell counts read as
+little-endian bytes, so records of separate clicks add and a record moves
+to slot k by `<< 48 * k`) and serve as bit-for-bit oracles for the
+equivalence tests.
 """
 from __future__ import annotations
 
@@ -17,6 +19,31 @@ import numpy as np
 from timebin.coincidence import DETECTORS, WINDOWS, click_cell
 from timebin.detection import PRUNE_TOL, _single_photon_outcomes
 from timebin.hilbert import SLOT_EARLY, SLOT_LATE, SPIN_DOWN, SPIN_UP
+
+
+def verify_kraus_complete(branches) -> float:
+    """Largest entry of sum K^dagger K - 1 over branches (label, K, ...),
+    the identity taken in each factor's own dimension."""
+    total = sum(b[1].conj().T @ b[1] for b in branches)
+    return float(np.max(np.abs(total - np.eye(len(total)))))
+
+
+def dense_factor(k: np.ndarray, layout, slot: int) -> np.ndarray:
+    """The full-register matrix of a `step_branches` factor k of a step on
+    slot, built by np.kron: each 2 x 2 spin block of k, times its slot
+    block on slot and the identity on every other slot."""
+    f = len(k) // 2
+    if f == 1:
+        return np.kron(k, np.eye(layout.total_dim // 2))
+    full = 0
+    for i, j in np.ndindex(2, 2):
+        m = np.zeros((2, 2), dtype=np.complex128)
+        m[i, j] = 1.0
+        for s in range(layout.photon_slots):
+            m = np.kron(m, k[i * f:(i + 1) * f, j * f:(j + 1) * f] if s == slot
+                        else np.eye(layout.slot_dim))
+        full = full + m
+    return full
 
 
 def click_record(slot: int, window: int, detector: int) -> int:

@@ -88,8 +88,8 @@ def test_criterion_05_cyclicity_branching():
                         name="cyclicity")
     traj = run_sequence_trajectory(seq, params, ideal_noise(), 55,
                                    np.arange(1_000_000, dtype=np.uint64))
-    emits = int(np.sum(traj.emission_results[:, 0] == 1))
-    jumps = int(np.sum(traj.emission_results[:, 0] == 2))
+    emits = int(np.sum(traj.took(2, "emit")))
+    jumps = int(np.sum(traj.took(2, "jump")))
     frac = emits / (emits + jumps)
     p = 14.7 / 15.7
     sigma = math.sqrt(p * (1 - p) / (emits + jumps))

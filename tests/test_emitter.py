@@ -4,17 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from kernel_reference import dense_factor, verify_kraus_complete
 from timebin.coincidence import WindowConfig
 from timebin.config import paper_emitter, paper_noise, paper_tbi
 from timebin.detection import DetectionModel
-from timebin.emitter import (NoiseParams, PulseOp,
-                             PulseSequence, build_bell_sequence,
+from timebin.emitter import (BRANCH_LABELS, NoiseParams, PulseOp,
+                             PulseSequence, apply_branch, build_bell_sequence,
                              build_ghz_sequence, build_hom_sequence,
-                             excite_kraus, ideal_emitter, ideal_noise,
-                             pump_kraus, rabi_curve, rabi_population,
-                             rotation_kraus, run_sequence_exact,
-                             run_sequence_trajectory, sequence_layout,
-                             step_branches, verify_kraus_complete, wait_kraus)
+                             conjugate_branches, excite_kraus, ideal_emitter,
+                             ideal_noise, pump_kraus, rabi_curve,
+                             rabi_population, rotation_kraus,
+                             run_sequence_exact, run_sequence_trajectory,
+                             sequence_layout, step_branches, wait_kraus)
 from timebin.errors import ConfigurationError, ContractError
 from timebin.hilbert import (SLOT_EARLY, SLOT_EL, SLOT_LATE, SLOT_VACUUM,
                              SPIN_DOWN, SPIN_UP, QuditState, RegisterLayout,
@@ -62,7 +63,7 @@ class TestSequences:
         seq = build_bell_sequence(paper_emitter())
         kinds = [s.kind for s in seq.steps]
         assert kinds == ["pump", "rotate", "excite", "rotate", "excite", "readout"]
-        bins = [(s.slot, s.bin) for s in seq.excite_steps()]
+        bins = [(s.slot, s.bin) for s in seq.steps if s.kind == "excite"]
         assert bins == [(0, "early"), (0, "late")]
 
     def test_readout_must_be_last(self):
@@ -147,60 +148,64 @@ class TestRotationModel:
     def test_kraus_completeness(self):
         for angle in (0.2, math.pi / 2, math.pi):
             branches = rotation_kraus("y", angle, NoiseParams(f_pi=0.9))
-            assert verify_kraus_complete(branches, 2) < 1e-12
-        assert verify_kraus_complete(pump_kraus(0.02), 2) < 1e-12
-        assert verify_kraus_complete(wait_kraus(NoiseParams(p_wait_dephasing=0.2)),
-                                     2) < 1e-12
+            assert verify_kraus_complete(branches) < 1e-12
+        assert verify_kraus_complete(pump_kraus(0.02)) < 1e-12
+        assert verify_kraus_complete(wait_kraus(NoiseParams(p_wait_dephasing=0.2))) < 1e-12
 
 
 class TestExcitation:
-    def test_kraus_completeness_full(self):
-        lay = RegisterLayout(photon_slots=1, slot_dim=6)
+    def test_kraus_completeness_paper_steps(self):
+        # every branch is a factor on the spin and the step's slot, complete
+        # on its own dimension: 2 x 2 for spin-only steps, 12 x 12 for
+        # excite steps, at every step of the paper Bell, GHZ-3 and GHZ-4
+        # sub-runs with detuned-transition scatter and re-excitation
         branches = excite_kraus("early", 0.4, paper_emitter(),
-                                NoiseParams(f_pi=0.9, p_double=0.02), lay, 0)
-        assert verify_kraus_complete(branches, lay.total_dim) < 1e-12
-        # every step of the paper Bell and GHZ-3 sub-runs, detuned-transition
-        # scatter and re-excitation included: spin-only steps are 2 x 2
-        # factors, excite steps full-register matrices, each complete on its
-        # own dimension
+                                NoiseParams(f_pi=0.9, p_double=0.02), 6)
+        assert verify_kraus_complete(branches) < 1e-12
         params, noise = paper_emitter(), paper_noise()
         assert noise.p_wrong_transition > 0 and noise.p_double > 0
-        for seq in (build_bell_sequence(params), build_ghz_sequence(2, params)):
+        for seq in (build_bell_sequence(params), build_ghz_sequence(2, params),
+                    build_ghz_sequence(3, params)):
             seq = seq.with_readout_rotation("y", math.pi / 2)
             lay = sequence_layout(seq, noise)
             assert lay.slot_dim == 6
             for op in seq.steps[:-1]:
                 branches = step_branches(op, params, noise, lay)
-                dim = lay.total_dim if op.kind == "excite" else 2
+                dim = 12 if op.kind == "excite" else 2
                 assert all(k.shape == (dim, dim) for _, k, _ in branches), op
-                assert verify_kraus_complete(branches, dim) < 1e-12, op
+                assert {label for label, _, _ in branches} <= set(BRANCH_LABELS), op
+                assert verify_kraus_complete(branches) < 1e-12, op
 
-    def test_spin_factors_match_embedded_matrices(self):
-        # 2 x 2 spin factors applied by reshaping equal their full-register
-        # embeddings k (x) 1, on a ket, and on a density operator branch by
-        # branch and summed over a step's branches
-        from timebin.emitter import apply_branch, conjugate_branches
-        from timebin.hilbert import tensor_embed
-
+    def test_local_factors_match_dense_embedding(self):
+        # each step's local factors applied by moving the spin and slot axes
+        # equal their dense full-register embeddings, on a ket, and on a
+        # density operator branch by branch and summed over the step
         params = paper_emitter()
-        noise = dataclasses.replace(paper_noise(), p_wait_dephasing=0.3)
-        lay = RegisterLayout(photon_slots=2, slot_dim=6)
+        noise = dataclasses.replace(paper_noise(), p_wait_dephasing=0.3,
+                                    p_wrong_transition=0.05, p_double=0.04)
+        lay = RegisterLayout(photon_slots=3, slot_dim=6)
         rng = np.random.default_rng(4)
         psi = rng.normal(size=lay.total_dim) + 1j * rng.normal(size=lay.total_dim)
         rho = np.outer(psi, psi.conj()) + rng.normal(size=(lay.total_dim,) * 2)
-        for op in (PulseOp("pump"), PulseOp("wait", duration=14.0), rotate(0.7),
-                   PulseOp("rotate", axis=0.3, angle=-math.pi / 2)):
-            ks = [k for _, k, _ in step_branches(op, params, noise, lay)]
-            full = [tensor_embed(k, 0, lay).matrix for k in ks]
-            assert len(ks) > 1
+        ops = [PulseOp("pump"), PulseOp("wait", duration=14.0), rotate(0.7),
+               PulseOp("rotate", axis=0.3, angle=-math.pi / 2)]
+        ops += [PulseOp("excite", slot=slot, bin=b, phase=0.6)
+                for slot in range(3) for b in ("early", "late")]
+        for op in ops:
+            branches = step_branches(op, params, noise, lay)
+            labels = [label for label, _, _ in branches]
+            if op.kind == "excite":
+                assert labels == ["wrong", "emit", "emit_double", "sat_emit",
+                                  "sat_jump", "jump"]
+            assert len(branches) > 1
+            ks = [k for _, k, _ in branches]
+            full = [dense_factor(k, lay, op.slot) for k in ks]
             for k, f in zip(ks, full):
-                assert np.max(np.abs(apply_branch(k, psi) - f @ psi)) < 1e-13
-                assert np.max(np.abs(conjugate_branches([k], rho)
+                assert np.max(np.abs(apply_branch(k, psi, op.slot) - f @ psi)) < 1e-13
+                assert np.max(np.abs(conjugate_branches([k], rho, op.slot)
                                      - f @ rho @ f.conj().T)) < 1e-12
-            assert np.max(np.abs(conjugate_branches(ks, rho)
+            assert np.max(np.abs(conjugate_branches(ks, rho, op.slot)
                                  - sum(f @ rho @ f.conj().T for f in full))) < 1e-12
-            assert np.array_equal(conjugate_branches(full, rho),
-                                  sum(f @ rho @ f.conj().T for f in full))
 
     def test_exact_blinking_skips_excitation(self):
         # a blinked-off component passes the excite steps untouched; the
@@ -294,8 +299,8 @@ class TestTrajectoryEngine:
         a = run_sequence_trajectory(seq, params, noise, 99, reps)
         b = run_sequence_trajectory(seq, params, noise, 99, reps)
         assert np.array_equal(a.state_ids, b.state_ids)
-        assert np.array_equal(a.rotation_flips, b.rotation_flips)
-        assert np.array_equal(a.emission_results, b.emission_results)
+        assert np.array_equal(a.branches, b.branches)
+        assert a.branches.shape == (5000, len(seq.steps) - 1)
 
     def test_partition_independence(self):
         # chunked execution reproduces the full run repetition by repetition
@@ -319,11 +324,60 @@ class TestTrajectoryEngine:
                              PulseOp("readout")), 606.06, name="cyc")
         traj = run_sequence_trajectory(seq, params, ideal_noise(), 5,
                                        np.arange(200_000, dtype=np.uint64))
-        emits = int(np.sum(traj.emission_results[:, 0] == 1))
-        jumps = int(np.sum(traj.emission_results[:, 0] == 2))
+        emits = int(np.sum(traj.took(2, "emit")))
+        jumps = int(np.sum(traj.took(2, "jump")))
+        assert emits + jumps == 200_000
         p = 14.7 / 15.7
         frac = emits / (emits + jumps)
         assert abs(frac - p) < 3 * np.sqrt(p * (1 - p) / (emits + jumps))
+
+    def test_branch_record_labels(self):
+        # each entry names a branch of its step, and a blinked-off
+        # repetition skips exactly the excite steps
+        params = paper_emitter()
+        noise = dataclasses.replace(paper_noise(), **BLINKING)
+        seq = build_ghz_sequence(2, params).with_readout_rotation("y", math.pi / 2)
+        traj = run_sequence_trajectory(seq, params, noise, 8,
+                                       np.arange(4000, dtype=np.uint64))
+        assert traj.branches.shape == (4000, len(seq.steps) - 1)
+        assert traj.blink_off.any() and not traj.blink_off.all()
+        for step_i, op in enumerate(seq.steps[:-1]):
+            labels = {label for label, _, _ in step_branches(op, params, noise,
+                                                             traj.layout)}
+            got = {BRANCH_LABELS[c] for c in np.unique(traj.branches[:, step_i])}
+            if op.kind == "excite":
+                assert np.array_equal(traj.took(step_i, "skipped"), traj.blink_off)
+                got.discard("skipped")
+            assert got and got <= labels, op
+
+    def test_flagged_photons_keep_their_streams(self):
+        # the wrong-transition photon of the i-th excite step draws on
+        # flagged stream i, a re-excitation or saturated-bin photon on
+        # stream n_excite + i
+        from timebin import rng as crng
+        from timebin.detection import _pattern_rows, _single_photon_outcomes
+        from timebin.experiments import _witness_subruns
+
+        params = paper_emitter()
+        noise = dataclasses.replace(paper_noise(), p_wrong_transition=0.2, p_double=0.2)
+        run = _witness_subruns(3, params, paper_tbi())[0]
+        reps = np.arange(3000, dtype=np.uint64)
+        traj = run_sequence_trajectory(run.sequence, params, noise, 5, reps)
+        model = DetectionModel(traj.layout, run.tbi, noise, run.windows)
+        clicks = model.sample_run(traj, 5)
+        excites = [(i, op) for i, op in enumerate(run.sequence.steps) if op.kind == "excite"]
+        want = np.zeros_like(clicks.flagged)
+        for e_i, (step_i, op) in enumerate(excites):
+            outs = _single_photon_outcomes(SLOT_EARLY if op.bin == "early" else SLOT_LATE,
+                                           run.tbi, model.eta)
+            patterns = _pattern_rows([c for c, _ in outs], want.shape[1], op.slot)
+            for stream, labels in ((e_i, ("wrong",)),
+                                   (len(excites) + e_i, ("emit_double", "sat_emit"))):
+                mask = traj.took(step_i, *labels)
+                assert mask.any(), (op, labels)
+                u = crng.uniforms(5, reps[mask], crng.stream("detection.flagged", stream))
+                want[mask] += patterns[crng.choose([w for _, w in outs], u)]
+        assert np.array_equal(clicks.flagged, want)
 
     def test_exact_trajectory_marginals(self):
         # sampled click/readout outcome frequencies match the exact-mode
@@ -486,9 +540,7 @@ class TestSharedGeneration:
             shared = clicks.trajectory
             direct = run_sequence_trajectory(sub.sequence, params, noise, 17, reps)
             assert shared.sequence == direct.sequence
-            assert shared.excite_ops == direct.excite_ops
-            for name in ("rep_indices", "rotation_flips", "emission_results",
-                         "wrong_clicks", "extra_clicks", "blink_off"):
+            for name in ("rep_indices", "branches", "blink_off"):
                 assert np.array_equal(getattr(shared, name), getattr(direct, name)), name
             assert shared.blink_off.any() == blink
             # a table holds one representative per state up to a global phase
