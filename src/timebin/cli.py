@@ -163,8 +163,7 @@ def _concat_tags(tag_list):
     time = np.concatenate([t.time for t in tag_list])
     rep = np.concatenate([t.repetition for t in tag_list])
     tag_list.clear()
-    order = coin.tag_order(det, time, rep)
-    return coin.TagArrays(det[order], time[order], rep[order])
+    return coin.sorted_tags(det, time, rep)
 
 
 def _run_fringe_scan(config: RunConfig, out: Path) -> list[str]:
@@ -285,9 +284,22 @@ def _analyze_witness(tags, args) -> dict:
     starts = np.flatnonzero(new_rep)
     readout = np.logical_or.reduceat(code == coin.READOUT, starts)
     photonic = (code >= 0) & (code != coin.READOUT)
-    cells = np.zeros((len(starts), 6 * windows.n_slots), np.uint8)
-    np.add.at(cells, ((np.cumsum(new_rep) - 1)[photonic],
-                      coin.click_cell(slot, code, tags.detector)[photonic]), 1)
+    n_cells = 6 * windows.n_slots
+    flat = np.cumsum(new_rep)[photonic]
+    flat -= 1
+    flat *= n_cells
+    flat += coin.click_cell(slot[photonic], code[photonic], tags.detector[photonic])
+    # freed, and counted per occupied (repetition, cell) rather than in an
+    # int64 table of every repetition's cells, so that counting does not set
+    # the peak memory of the analysis
+    del slot, code, photonic
+    flat, n_tags = np.unique(flat, return_counts=True)
+    if n_tags.max(initial=0) > 255:
+        rep = tags.repetition[starts[flat[np.argmax(n_tags > 255)] // n_cells]]
+        raise ContractError(f"repetition {rep} holds more than 255 tags in one "
+                            "window on one detector")
+    cells = np.zeros((len(starts), n_cells), np.uint8)
+    cells.ravel()[flat] = n_tags
     first, group = coin.distinct_rows(cells)
     sub_run = tags.repetition[starts] % n_subs
     keys, n_reps = np.unique((group * n_subs + sub_run)[readout], return_counts=True)

@@ -227,6 +227,13 @@ def tag_order(det, time, rep) -> np.ndarray:
     return rep_key
 
 
+def sorted_tags(det, time, rep) -> TagArrays:
+    """The tags of the columns det, time and rep in (repetition, time,
+    detector) order (`tag_order`)."""
+    order = tag_order(det, time, rep)
+    return TagArrays(det[order], time[order], rep[order])
+
+
 def _dense_rank(values) -> tuple[np.ndarray, int]:
     """(the int64 rank of each of 8-byte values among the distinct ones, the
     bits of the largest rank).  Equal values share a rank, as do -0.0 and
@@ -269,8 +276,7 @@ def _analysis_view(tags: TagArrays, windows: WindowConfig
     code = tags._codes.get(windows)
     if code is None:
         if not _in_order(tags):
-            order = tag_order(tags.detector, tags.time, tags.repetition)
-            tags = TagArrays(tags.detector[order], tags.time[order], tags.repetition[order])
+            tags = sorted_tags(tags.detector, tags.time, tags.repetition)
         code = np.full(len(tags), -1, np.int8)
         for _, c, hit in windows._hits(tags.time):
             # code = c where hit, in arithmetic: faster than a masked store
@@ -600,8 +606,7 @@ def ingest_timetags(path) -> TagArrays:
         if np.any((d_rep < 0) | ((d_rep == 0) & (np.diff(arr.time[sel]) < 0))):
             warnings.warn(f"non-monotone timestamps in detector D{d + 1} stream; sorting",
                           stacklevel=2)
-    order = tag_order(arr.detector, arr.time, arr.repetition)
-    return TagArrays(arr.detector[order], arr.time[order], arr.repetition[order])
+    return sorted_tags(arr.detector, arr.time, arr.repetition)
 
 
 def _read_array(fh) -> TagArrays | None:

@@ -1,8 +1,12 @@
 """Detection layer: from pre-detection register states to click rows.
 
 A click row is a uint8 count per cell, one cell per (slot, window,
-detector) at `coincidence.click_cell`.  Both simulation modes work on
-(n, 6 * slots) count rows:
+detector) at `coincidence.click_cell`.  One table routes every photon:
+the slot alphabet of `DetectionModel`, count rows with their POVM
+elements on one slot, built from the interferometer's click POVM.  Its
+diagonal gives a definite-bin photon's outcomes (`DetectionModel.photon`),
+which route flag photons and both photons of a doubly occupied slot.
+Both simulation modes work on (n, 6 * slots) count rows:
 
 * exact mode convolves the click distribution analytically, as whole-array
   operations (`ClickDistribution`).  `DetectionModel.distribution`
@@ -29,14 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from . import rng as crng
 from .coincidence import (DETECTORS, EARLY, LATE, MIDDLE, WINDOWS, TagArrays,
                           WindowConfig, cell_click, click_cell, distinct_rows,
-                          first_seen_groups, tag_order)
+                          first_seen_groups, sorted_tags)
 from .emitter import EXTRA_PHOTON_BRANCHES, NoiseParams, TrajectoryResult
 from .errors import ContractError
 from .hilbert import (SLOT_EARLY, SLOT_EE, SLOT_EL, SLOT_LATE, SLOT_LL,
@@ -50,81 +53,6 @@ PRUNE_TOL = 1e-11
 # wavepacket tag times of click ordinal k in cell c draw on stream
 # detection.tag at offset TAG_STREAMS_PER_CELL * c + k
 TAG_STREAMS_PER_CELL = 8
-
-
-def _pattern_rows(patterns, n_cells: int, slot: int = 0) -> np.ndarray:
-    """Count rows of slot-0 click patterns (tuples of clicked cells, a cell
-    once per click) moved to the given slot."""
-    rows = np.zeros((len(patterns), n_cells), dtype=np.uint8)
-    for i, cells in enumerate(patterns):
-        for cell in cells:
-            rows[i, cell + 6 * slot] += 1
-    return rows
-
-
-def _single_photon_outcomes(component: int, tbi: TBIParams, eta: float
-                            ) -> list[tuple[tuple[int, ...], float]]:
-    """Routing/detection outcomes of one definite-bin photon in slot 0 (no
-    interference), as (click pattern, probability)."""
-    s = tbi.splitting_ratio
-    if component == SLOT_EARLY:
-        routes = [(EARLY, s), (MIDDLE, 1.0 - s)]
-    else:
-        routes = [(MIDDLE, s), (LATE, 1.0 - s)]
-    outs = [((), 1.0 - eta)]
-    for window, p in routes:
-        for det in (0, 1):
-            outs.append(((click_cell(0, window, det),), eta * p * 0.5))
-    return outs
-
-
-def _double_state_outcomes(state: int, tbi: TBIParams, noise: NoiseParams,
-                           eta: float) -> list[tuple[tuple[int, ...], float]]:
-    """Click patterns of a doubly-occupied slot and their probabilities.
-
-    Same-bin pairs route independently (they enter the recombiner from the
-    same port).  An early+late pair interferes when both reach the middle
-    window: the cross-detector coincidence is suppressed by the effective
-    two-photon overlap indistinguishability * classical_visibility.
-    """
-    if state in (SLOT_EE, SLOT_LL):
-        comp = SLOT_EARLY if state == SLOT_EE else SLOT_LATE
-        single = _single_photon_outcomes(comp, tbi, eta)
-        agg: dict[tuple[int, ...], float] = {}
-        for (p_a, w_a), (p_b, w_b) in product(single, repeat=2):
-            pat = tuple(sorted(p_a + p_b))
-            agg[pat] = agg.get(pat, 0.0) + w_a * w_b
-        return list(agg.items())
-    if state != SLOT_EL:
-        raise ContractError(f"not a double-occupancy state: {state}")
-    s = tbi.splitting_ratio
-    v_eff = noise.indistinguishability * tbi.classical_visibility
-    agg = {}
-    routes_e = [(EARLY, s), (MIDDLE, 1.0 - s)]
-    routes_l = [(MIDDLE, s), (LATE, 1.0 - s)]
-    for (win_e, pe), (win_l, pl) in product(routes_e, routes_l):
-        w_route = pe * pl
-        if win_e == MIDDLE and win_l == MIDDLE:
-            # two-photon interference on the recombiner
-            joint = {(0, 0): (1.0 + v_eff) / 4.0, (1, 1): (1.0 + v_eff) / 4.0,
-                     (0, 1): (1.0 - v_eff) / 4.0, (1, 0): (1.0 - v_eff) / 4.0}
-            for (da, db), w_det in joint.items():
-                a, b = click_cell(0, MIDDLE, da), click_cell(0, MIDDLE, db)
-                for pat, w_eta in (((a, b) if a <= b else (b, a), eta * eta),
-                                   ((a,), eta * (1 - eta)), ((b,), (1 - eta) * eta),
-                                   ((), (1 - eta) ** 2)):
-                    agg[pat] = agg.get(pat, 0.0) + w_route * w_det * w_eta
-        else:
-            for (pat_e, w_e), (pat_l, w_l) in product(
-                    _detector_split(win_e, eta), _detector_split(win_l, eta)):
-                pat = tuple(sorted(pat_e + pat_l))
-                agg[pat] = agg.get(pat, 0.0) + w_route * w_e * w_l
-    return list(agg.items())
-
-
-def _detector_split(window: int, eta: float) -> list[tuple[tuple[int, ...], float]]:
-    return [((), 1.0 - eta)] + [((click_cell(0, window, det),), eta * 0.5)
-                                for det in (0, 1)]
 
 
 @dataclass(frozen=True)
@@ -151,6 +79,8 @@ class DetectionModel:
     The slot alphabet is stacked as arrays: `alphabet_rows` (slot-0 count
     rows, 6 cells), `alphabet_mats` (POVM elements on one slot) and
     `alphabet_support` (the slot levels each element touches).
+    `photon[bin]` holds the (slot-0 count rows, probabilities) of one
+    definite-bin photon, bin "early" or "late".
     """
 
     def __init__(self, layout: RegisterLayout, tbi: TBIParams, noise: NoiseParams,
@@ -166,9 +96,7 @@ class DetectionModel:
             self.eta_read = noise.eta_readout
         else:
             self.eta_read = 1.0 if noise.eta_readout > 0 else 0.0
-        alphabet = self._build_slot_alphabet()
-        self.alphabet_rows = _pattern_rows([cells for cells, _ in alphabet], 6)
-        self.alphabet_mats = np.array([mat for _, mat in alphabet])
+        self.alphabet_rows, self.alphabet_mats, self.photon = self._build_slot_alphabet()
         # support masks let the contraction skip entries with no overlap
         mags = np.abs(self.alphabet_mats)
         self.alphabet_support = (np.diagonal(mags, axis1=1, axis2=2)
@@ -176,34 +104,67 @@ class DetectionModel:
 
     # -- per-slot alphabet -------------------------------------------------
 
-    def _build_slot_alphabet(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
-        d = self.layout.slot_dim
-        eta = self.eta
+    def _build_slot_alphabet(self) -> tuple[np.ndarray, np.ndarray, dict]:
+        """The slot alphabet's rows and POVM elements, and the photon table.
+
+        The entries are the no-click row, one row per `slot_window_povm`
+        element in its order, and at slot_dim 6 the click rows of the doubly
+        occupied levels, equal rows merged in order of first appearance.
+        A definite-bin photon's outcomes (`photon[bin]`) are the no-click
+        and single-click rows in cell order, weighted by the alphabet's
+        diagonal at that bin, without the zero-weight ones.  Two photons in
+        one slot route independently: their rows are outer sums of the
+        photon tables.  An early+late pair that meets in the middle window
+        interferes on the recombiner (Hong-Ou-Mandel): with the overlap
+        v = indistinguishability * classical_visibility, each same-detector
+        pair gains v * eta^2 * s(1 - s) / 4 and the D1 + D2 pair loses twice
+        that.
+        """
+        d, eta = self.layout.slot_dim, self.eta
         povm = slot_window_povm(self.tbi, d)
-        entries: dict[tuple[int, ...], np.ndarray] = {}
-
-        def add(cells: tuple[int, ...], mat: np.ndarray) -> None:
-            if cells in entries:
-                entries[cells] = entries[cells] + mat
-            else:
-                entries[cells] = mat.copy()
-
         none = np.zeros((d, d), dtype=np.complex128)
         none[SLOT_VACUUM, SLOT_VACUUM] = 1.0
         none[SLOT_EARLY, SLOT_EARLY] = 1.0 - eta
         none[SLOT_LATE, SLOT_LATE] = 1.0 - eta
-        add((), none)
-        for (window, det), mat in povm.items():
-            add((click_cell(0, WINDOWS.index(window), DETECTORS.index(det)),),
-                eta * mat)
+        rows = np.zeros((1 + len(povm), 6), np.uint8)
+        cells = [click_cell(0, WINDOWS.index(window), DETECTORS.index(det))
+                 for window, det in povm]
+        rows[np.arange(1, len(rows)), cells] = 1
+        mats = np.array([none] + [eta * mat for mat in povm.values()])
+        by_cell = np.r_[0, 1 + np.argsort(cells)]
+        photon = {}
+        for label, level in (("early", SLOT_EARLY), ("late", SLOT_LATE)):
+            w = mats[by_cell, level, level].real
+            photon[label] = rows[by_cell][w > 0], w[w > 0]
         if d == 6:
-            for state in (SLOT_EE, SLOT_EL, SLOT_LL):
-                proj = np.zeros((d, d), dtype=np.complex128)
-                proj[state, state] = 1.0
-                for cells, w in _double_state_outcomes(state, self.tbi, self.noise, eta):
-                    if w > 1e-15:
-                        add(cells, w * proj)
-        return list(entries.items())
+            s = self.tbi.splitting_ratio
+            hom = (self.noise.indistinguishability * self.tbi.classical_visibility
+                   * eta ** 2 * s * (1 - s) / 4)
+            # both photons in the middle window: on D1 twice, D1 + D2, D2 twice
+            d1 = click_cell(0, MIDDLE, 0)
+            both_middle = np.zeros((3, 6), np.uint8)
+            both_middle[:, d1:d1 + 2] = ((2, 0), (1, 1), (0, 2))
+            row_parts, mat_parts = [rows], [mats]
+            for level, a, b in ((SLOT_EE, "early", "early"), (SLOT_EL, "early", "late"),
+                                (SLOT_LL, "late", "late")):
+                (rows_a, w_a), (rows_b, w_b) = photon[a], photon[b]
+                pairs = (rows_a[:, None] + rows_b).reshape(-1, 6)
+                w = np.outer(w_a, w_b).ravel()
+                if level == SLOT_EL:
+                    pairs = np.concatenate([pairs, both_middle])
+                    w = np.r_[w, hom, -2 * hom, hom]
+                first, group = first_seen_groups(pairs)
+                w = np.bincount(group, weights=w, minlength=first.size)
+                keep = w > 1e-15
+                level_mats = np.zeros((keep.sum(), d, d), dtype=np.complex128)
+                level_mats[:, level, level] = w[keep]
+                row_parts.append(pairs[first[keep]])
+                mat_parts.append(level_mats)
+            rows = np.concatenate(row_parts)
+            first, group = first_seen_groups(rows)
+            rows, mats = rows[first], np.zeros((first.size, d, d), dtype=np.complex128)
+            np.add.at(mats, group, np.concatenate(mat_parts))
+        return rows, mats, photon
 
     # -- exact distributions -------------------------------------------------
 
@@ -263,13 +224,13 @@ class DetectionModel:
 
     def _convolve_flag(self, dist: ClickDistribution, slot: int, bin_label: str
                        ) -> ClickDistribution:
-        comp = SLOT_EARLY if bin_label == "early" else SLOT_LATE
-        outs = _single_photon_outcomes(comp, self.tbi, self.eta)
-        extra = _pattern_rows([cells for cells, _ in outs], dist.rows.shape[1], slot)
-        p = (dist.probs[:, None] * np.array([w for _, w in outs])).ravel()
+        rows, w = self.photon[bin_label]
+        extra = np.zeros((len(rows), dist.rows.shape[1]), np.uint8)
+        extra[:, 6 * slot:6 * slot + 6] = rows
+        p = (dist.probs[:, None] * w).ravel()
         keep = p > PRUNE_TOL
-        rows = (dist.rows[:, None] + extra).reshape(-1, extra.shape[1])
-        return ClickDistribution(rows[keep], np.repeat(dist.label, len(outs))[keep],
+        out = (dist.rows[:, None] + extra).reshape(-1, extra.shape[1])
+        return ClickDistribution(out[keep], np.repeat(dist.label, len(w))[keep],
                                  p[keep])
 
     # -- readout and leak ------------------------------------------------------
@@ -372,12 +333,10 @@ class DetectionModel:
             mask = result.took(step_i, *labels)
             if not mask.any():
                 continue
-            comp = SLOT_EARLY if op.bin == "early" else SLOT_LATE
-            outs = _single_photon_outcomes(comp, self.tbi, self.eta)
+            rows, w = self.photon[op.bin]
             u = crng.uniforms(master_seed, reps[mask],
                               crng.stream("detection.flagged", e_i))
-            choice = crng.choose([w for _, w in outs], u)
-            flagged[mask] += _pattern_rows([c for c, _ in outs], n_cells, op.slot)[choice]
+            flagged[mask, 6 * op.slot:6 * op.slot + 6] += rows[crng.choose(w, u)]
 
         # readout click: spin signal or background light in the readout window
         p_up = self.readout_click_prob(SPIN_UP)
@@ -511,5 +470,4 @@ class RunClicks:
         # free the blocks before the sort
         for rows in (det_rows, time_rows, rep_rows):
             rows.clear()
-        order = tag_order(det, time, rep)
-        return TagArrays(det[order], time[order], rep[order])
+        return sorted_tags(det, time, rep)

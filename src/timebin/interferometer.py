@@ -76,15 +76,14 @@ def detection_phase(params: TBIParams) -> float:
 
 
 def slot_window_povm(params: TBIParams, slot_dim: int = 3) -> dict[tuple[Window, Detector], np.ndarray]:
-    """Click POVM on the single-photon span {vacuum, e, l} of one slot.
+    """Click POVM of one photon in a slot, on its {e, l} levels.
 
     Keys are (window, detector); elements sum to the identity on span{e, l}
-    (a photon is always detected somewhere before efficiency losses).
-    Double-occupancy states are handled combinatorially by the detection
-    layer, not by this POVM.
+    (a photon is always detected somewhere before efficiency losses).  The
+    detection layer builds the no-click element and the doubly occupied
+    levels' elements from these (`DetectionModel`).
     """
     s = params.splitting_ratio
-    v = params.classical_visibility
     povm: dict[tuple[Window, Detector], np.ndarray] = {}
 
     def slot_mat(fill) -> np.ndarray:
@@ -93,23 +92,20 @@ def slot_window_povm(params: TBIParams, slot_dim: int = 3) -> dict[tuple[Window,
             m[i, j] = val
         return m
 
-    for det, w in ((Detector.D1, 0.5), (Detector.D2, 0.5)):
-        povm[(Window.EARLY, det)] = slot_mat({(SLOT_EARLY, SLOT_EARLY): s * w})
-        povm[(Window.LATE, det)] = slot_mat({(SLOT_LATE, SLOT_LATE): (1.0 - s) * w})
-    # middle-window elements: the early photon arrives through the long arm
-    # (weight 1-s), the late one through the short arm (weight s)
-    chi1 = np.array([np.sqrt(1.0 - s), np.sqrt(s) * np.exp(1j * detection_phase(params))])
-    chi2 = np.array([chi1[0], -chi1[1]])
-    half = 0.5
-    e_idx = [SLOT_EARLY, SLOT_LATE]
-    raw1 = np.zeros((slot_dim, slot_dim), dtype=np.complex128)
-    raw2 = np.zeros((slot_dim, slot_dim), dtype=np.complex128)
-    for i, gi in enumerate(e_idx):
-        for j, gj in enumerate(e_idx):
-            raw1[gi, gj] = half * chi1[i] * chi1[j].conjugate()
-            raw2[gi, gj] = half * chi2[i] * chi2[j].conjugate()
-    povm[(Window.MIDDLE, Detector.D1)] = (1 + v) / 2 * raw1 + (1 - v) / 2 * raw2
-    povm[(Window.MIDDLE, Detector.D2)] = (1 + v) / 2 * raw2 + (1 - v) / 2 * raw1
+    for det in (Detector.D1, Detector.D2):
+        povm[(Window.EARLY, det)] = slot_mat({(SLOT_EARLY, SLOT_EARLY): 0.5 * s})
+        povm[(Window.LATE, det)] = slot_mat({(SLOT_LATE, SLOT_LATE): 0.5 * (1.0 - s)})
+    # middle window: the early photon arrives through the long arm (weight
+    # 1-s), the late one through the short arm (weight s); the recombiner
+    # shows their coherence with the classical visibility, with opposite
+    # signs on D1 and D2
+    coherence = (0.5 * params.classical_visibility * np.sqrt(s * (1.0 - s))
+                 * np.exp(-1j * detection_phase(params)))
+    for det, sign in ((Detector.D1, 1.0), (Detector.D2, -1.0)):
+        povm[(Window.MIDDLE, det)] = slot_mat({
+            (SLOT_EARLY, SLOT_EARLY): 0.5 * (1.0 - s), (SLOT_LATE, SLOT_LATE): 0.5 * s,
+            (SLOT_EARLY, SLOT_LATE): sign * coherence,
+            (SLOT_LATE, SLOT_EARLY): sign * coherence.conjugate()})
     return povm
 
 

@@ -1,24 +1,29 @@
 """Per-entry reference forms of the emitter and exact detection kernels.
 
 These are the dense full-register Kraus matrices that the emitter's local
-(spin, slot) factors replaced, and the depth-first contraction, the
-dict-based flag and leak convolutions and the per-record heralded-outcome
-loop that the array kernel in `timebin.detection` and
-`timebin.witness.SettingCounts` replaced.  The detection forms work on
-click records (`click_record` ints: a row of per-cell counts read as
-little-endian bytes, so records of separate clicks add and a record moves
-to slot k by `<< 48 * k`) and serve as bit-for-bit oracles for the
-equivalence tests.
+(spin, slot) factors replaced; the hand-routed slot alphabet (tuple-of-cells
+click patterns, a classical route per definite-bin photon and per doubly
+occupied level) that `DetectionModel`'s alphabet builder replaced; and the
+depth-first contraction, the dict-based flag and leak convolutions and the
+per-record heralded-outcome loop that the array kernel in
+`timebin.detection` and `timebin.witness.SettingCounts` replaced.  The
+detection forms work on click records (`click_record` ints: a row of
+per-cell counts read as little-endian bytes, so records of separate clicks
+add and a record moves to slot k by `<< 48 * k`) and serve as bit-for-bit
+oracles for the equivalence tests.
 """
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 
-from timebin.coincidence import DETECTORS, WINDOWS, click_cell
-from timebin.detection import PRUNE_TOL, _single_photon_outcomes
-from timebin.hilbert import SLOT_EARLY, SLOT_LATE, SPIN_DOWN, SPIN_UP
+from timebin.coincidence import DETECTORS, EARLY, LATE, MIDDLE, WINDOWS, click_cell
+from timebin.detection import PRUNE_TOL
+from timebin.hilbert import (SLOT_EARLY, SLOT_EE, SLOT_EL, SLOT_LATE, SLOT_LL,
+                             SLOT_VACUUM, SPIN_DOWN, SPIN_UP)
+from timebin.interferometer import Detector, Window, detection_phase
 
 
 def verify_kraus_complete(branches) -> float:
@@ -44,6 +49,135 @@ def dense_factor(k: np.ndarray, layout, slot: int) -> np.ndarray:
                         else np.eye(layout.slot_dim))
         full = full + m
     return full
+
+
+def slot_window_povm(params, slot_dim: int = 3) -> dict:
+    """The one-photon click POVM as (1 +- v)/2 mixes of the two detectors'
+    pure middle-window projectors."""
+    s = params.splitting_ratio
+    v = params.classical_visibility
+    povm = {}
+
+    def slot_mat(fill) -> np.ndarray:
+        m = np.zeros((slot_dim, slot_dim), dtype=np.complex128)
+        for (i, j), val in fill.items():
+            m[i, j] = val
+        return m
+
+    for det, w in ((Detector.D1, 0.5), (Detector.D2, 0.5)):
+        povm[(Window.EARLY, det)] = slot_mat({(SLOT_EARLY, SLOT_EARLY): s * w})
+        povm[(Window.LATE, det)] = slot_mat({(SLOT_LATE, SLOT_LATE): (1.0 - s) * w})
+    chi1 = np.array([np.sqrt(1.0 - s), np.sqrt(s) * np.exp(1j * detection_phase(params))])
+    chi2 = np.array([chi1[0], -chi1[1]])
+    e_idx = [SLOT_EARLY, SLOT_LATE]
+    raw1 = np.zeros((slot_dim, slot_dim), dtype=np.complex128)
+    raw2 = np.zeros((slot_dim, slot_dim), dtype=np.complex128)
+    for i, gi in enumerate(e_idx):
+        for j, gj in enumerate(e_idx):
+            raw1[gi, gj] = 0.5 * chi1[i] * chi1[j].conjugate()
+            raw2[gi, gj] = 0.5 * chi2[i] * chi2[j].conjugate()
+    povm[(Window.MIDDLE, Detector.D1)] = (1 + v) / 2 * raw1 + (1 - v) / 2 * raw2
+    povm[(Window.MIDDLE, Detector.D2)] = (1 + v) / 2 * raw2 + (1 - v) / 2 * raw1
+    return povm
+
+
+def pattern_rows(patterns, n_cells: int, slot: int = 0) -> np.ndarray:
+    """Count rows of slot-0 click patterns (tuples of clicked cells, a cell
+    once per click) moved to the given slot."""
+    rows = np.zeros((len(patterns), n_cells), dtype=np.uint8)
+    for i, cells in enumerate(patterns):
+        for cell in cells:
+            rows[i, cell + 6 * slot] += 1
+    return rows
+
+
+def single_photon_outcomes(component: int, tbi, eta: float) -> list:
+    """(click pattern, probability) of one definite-bin photon in slot 0,
+    routed classically (no interference)."""
+    s = tbi.splitting_ratio
+    if component == SLOT_EARLY:
+        routes = [(EARLY, s), (MIDDLE, 1.0 - s)]
+    else:
+        routes = [(MIDDLE, s), (LATE, 1.0 - s)]
+    outs = [((), 1.0 - eta)]
+    for window, p in routes:
+        for det in (0, 1):
+            outs.append(((click_cell(0, window, det),), eta * p * 0.5))
+    return outs
+
+
+def _detector_split(window: int, eta: float) -> list:
+    return [((), 1.0 - eta)] + [((click_cell(0, window, det),), eta * 0.5)
+                                for det in (0, 1)]
+
+
+def double_state_outcomes(state: int, tbi, noise, eta: float) -> list:
+    """(click pattern, probability) of a doubly occupied slot: same-bin
+    pairs route independently; an early+late pair that meets in the middle
+    window has its cross-detector coincidence suppressed by
+    indistinguishability * classical_visibility."""
+    if state in (SLOT_EE, SLOT_LL):
+        comp = SLOT_EARLY if state == SLOT_EE else SLOT_LATE
+        single = single_photon_outcomes(comp, tbi, eta)
+        agg: dict = {}
+        for (p_a, w_a), (p_b, w_b) in product(single, repeat=2):
+            pat = tuple(sorted(p_a + p_b))
+            agg[pat] = agg.get(pat, 0.0) + w_a * w_b
+        return list(agg.items())
+    assert state == SLOT_EL
+    s = tbi.splitting_ratio
+    v_eff = noise.indistinguishability * tbi.classical_visibility
+    agg = {}
+    routes_e = [(EARLY, s), (MIDDLE, 1.0 - s)]
+    routes_l = [(MIDDLE, s), (LATE, 1.0 - s)]
+    for (win_e, pe), (win_l, pl) in product(routes_e, routes_l):
+        w_route = pe * pl
+        if win_e == MIDDLE and win_l == MIDDLE:
+            joint = {(0, 0): (1.0 + v_eff) / 4.0, (1, 1): (1.0 + v_eff) / 4.0,
+                     (0, 1): (1.0 - v_eff) / 4.0, (1, 0): (1.0 - v_eff) / 4.0}
+            for (da, db), w_det in joint.items():
+                a, b = click_cell(0, MIDDLE, da), click_cell(0, MIDDLE, db)
+                for pat, w_eta in (((a, b) if a <= b else (b, a), eta * eta),
+                                   ((a,), eta * (1 - eta)), ((b,), (1 - eta) * eta),
+                                   ((), (1 - eta) ** 2)):
+                    agg[pat] = agg.get(pat, 0.0) + w_route * w_det * w_eta
+        else:
+            for (pat_e, w_e), (pat_l, w_l) in product(
+                    _detector_split(win_e, eta), _detector_split(win_l, eta)):
+                pat = tuple(sorted(pat_e + pat_l))
+                agg[pat] = agg.get(pat, 0.0) + w_route * w_e * w_l
+    return list(agg.items())
+
+
+def slot_alphabet(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, mats, support) of the model's slot alphabet, built from
+    tuple-of-cells patterns merged in a dict in insertion order."""
+    d, eta = model.layout.slot_dim, model.eta
+    entries: dict = {}
+
+    def add(cells, mat) -> None:
+        entries[cells] = entries[cells] + mat if cells in entries else mat.copy()
+
+    none = np.zeros((d, d), dtype=np.complex128)
+    none[SLOT_VACUUM, SLOT_VACUUM] = 1.0
+    none[SLOT_EARLY, SLOT_EARLY] = 1.0 - eta
+    none[SLOT_LATE, SLOT_LATE] = 1.0 - eta
+    add((), none)
+    for (window, det), mat in slot_window_povm(model.tbi, d).items():
+        add((click_cell(0, WINDOWS.index(window), DETECTORS.index(det)),), eta * mat)
+    if d == 6:
+        for state in (SLOT_EE, SLOT_EL, SLOT_LL):
+            proj = np.zeros((d, d), dtype=np.complex128)
+            proj[state, state] = 1.0
+            for cells, w in double_state_outcomes(state, model.tbi, model.noise, eta):
+                if w > 1e-15:
+                    add(cells, w * proj)
+    rows = pattern_rows(list(entries), 6)
+    mats = np.array(list(entries.values()))
+    mags = np.abs(mats)
+    support = (np.diagonal(mags, axis1=1, axis2=2)
+               + mags.sum(axis=2) + mags.sum(axis=1)) > 1e-15
+    return rows, mats, support
 
 
 def click_record(slot: int, window: int, detector: int) -> int:
@@ -123,7 +257,7 @@ def distribution(model, state: np.ndarray, flag_clicks=()
         comp = SLOT_EARLY if bin_label == "early" else SLOT_LATE
         # a click pattern's record, moved to the flag photon's slot
         outs = [(sum(1 << 8 * cell for cell in cells) << 48 * slot, w)
-                for cells, w in _single_photon_outcomes(comp, model.tbi, model.eta)]
+                for cells, w in single_photon_outcomes(comp, model.tbi, model.eta)]
         results = [(pat + extra, spin, p * w)
                    for pat, spin, p in results for extra, w in outs
                    if p * w > PRUNE_TOL]

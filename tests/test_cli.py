@@ -131,6 +131,41 @@ class TestExitCodes:
                      "--out", str(tmp_path / "a"))
         assert rc == 3
 
+    def test_analyze_witness_crowded_cell(self, tmp_path, capsys):
+        # one repetition's tags per cell are counted in uint8: 255 tags in
+        # one cell still count, 256 are an error, not a silent wrap to 0
+        from timebin.coincidence import WindowConfig
+        from timebin.interferometer import Window
+
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "bell", "--defaults", "paper", "--reps", "60",
+                       "--seed", "1", "--out", str(sim)) == 0
+        emitter = json.loads((sim / "manifest.json").read_text())["config"]["emitter"]
+        windows = WindowConfig.for_sequence(1, t_inf=emitter["t_inf"],
+                                            slot_spacing=emitter["photon_spacing_ns"])
+        base = (sim / "timetags.csv").read_text()
+
+        def zz_events(n_early):
+            # repetition 360 is a ZZ repetition: a readout click and n_early
+            # early-window clicks on D1
+            tags = tmp_path / f"tags{n_early}.csv"
+            early = windows.window_start(0, Window.EARLY) + 0.5
+            tags.write_text(base + f"D1,{early:.6f},360\n" * n_early
+                            + f"D1,{windows.readout_start + 0.5:.6f},360\n")
+            ana = tmp_path / f"ana{n_early}"
+            rc = run_cli("analyze", "--input", str(tags), "--mode", "witness",
+                         "--manifest", str(sim / "manifest.json"), "--out", str(ana))
+            if rc:
+                return rc
+            zz = json.loads((ana / "analysis.json").read_text())["estimates"]["ZZ"]
+            # the binomial error p(1 - p) / n gives the event count back
+            return round(zz["value"] * (1 - zz["value"]) / zz["error"] ** 2)
+
+        assert zz_events(255) == zz_events(0) + 255
+        capsys.readouterr()
+        assert zz_events(256) == 1
+        assert "repetition 360" in capsys.readouterr().err
+
 
 class TestArtifacts:
     def test_bell_outputs(self, tmp_path):

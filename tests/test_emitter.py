@@ -355,7 +355,7 @@ class TestTrajectoryEngine:
         # flagged stream i, a re-excitation or saturated-bin photon on
         # stream n_excite + i
         from timebin import rng as crng
-        from timebin.detection import _pattern_rows, _single_photon_outcomes
+        from kernel_reference import pattern_rows, single_photon_outcomes
         from timebin.experiments import _witness_subruns
 
         params = paper_emitter()
@@ -368,9 +368,9 @@ class TestTrajectoryEngine:
         excites = [(i, op) for i, op in enumerate(run.sequence.steps) if op.kind == "excite"]
         want = np.zeros_like(clicks.flagged)
         for e_i, (step_i, op) in enumerate(excites):
-            outs = _single_photon_outcomes(SLOT_EARLY if op.bin == "early" else SLOT_LATE,
-                                           run.tbi, model.eta)
-            patterns = _pattern_rows([c for c, _ in outs], want.shape[1], op.slot)
+            outs = single_photon_outcomes(SLOT_EARLY if op.bin == "early" else SLOT_LATE,
+                                          run.tbi, model.eta)
+            patterns = pattern_rows([c for c, _ in outs], want.shape[1], op.slot)
             for stream, labels in ((e_i, ("wrong",)),
                                    (len(excites) + e_i, ("emit_double", "sat_emit"))):
                 mask = traj.took(step_i, *labels)

@@ -4,21 +4,77 @@
 and leak convolutions and the per-record outcome loop; the kernel must give
 the same entries, in the same order, with bit-identical probabilities.
 """
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 import kernel_reference as ref
 from kernel_reference import row_records
+from timebin.coincidence import MIDDLE, WindowConfig, click_cell
 from timebin.config import paper_emitter, paper_noise, paper_tbi
 from timebin.detection import DetectionModel
 from timebin.emitter import run_sequence_exact, run_sequence_trajectory
 from timebin.experiments import _witness_subruns, witness_exact
+from timebin.hilbert import SLOT_EARLY, SLOT_EL, SLOT_LATE, RegisterLayout
 from timebin.witness import SettingCounts, ghz_settings
 
 
 def entries(dist):
     """A ClickDistribution as the reference's (record, label, p) list."""
     return list(zip(row_records(dist.rows), dist.label.tolist(), dist.probs.tolist()))
+
+
+def slot_model(slot_dim, thinned=False, s=0.5, v=0.989, indistinguishability=0.935):
+    tbi = dataclasses.replace(paper_tbi(), splitting_ratio=s, classical_visibility=v)
+    noise = dataclasses.replace(paper_noise(), indistinguishability=indistinguishability)
+    return DetectionModel(RegisterLayout(photon_slots=1, slot_dim=slot_dim), tbi, noise,
+                          WindowConfig.for_sequence(1), thinned=thinned)
+
+
+class TestSlotAlphabet:
+    @pytest.mark.parametrize("slot_dim", [3, 6])
+    @pytest.mark.parametrize("thinned", [False, True])
+    def test_matches_reference_builder(self, slot_dim, thinned):
+        for s, v, ind in itertools.product((0.5, 0.3), (0.0, 0.989, 1.0), (0.935, 1.0)):
+            model = slot_model(slot_dim, thinned, s, v, ind)
+            rows, mats, support = ref.slot_alphabet(model)
+            assert np.array_equal(model.alphabet_rows, rows)
+            assert np.array_equal(model.alphabet_support, support)
+            assert np.max(np.abs(model.alphabet_mats - mats)) < 1e-15
+            # a definite-bin photon routes as the classical formula, bit for bit
+            for label, level in (("early", SLOT_EARLY), ("late", SLOT_LATE)):
+                outs = [(cells, w) for cells, w in ref.single_photon_outcomes(
+                    level, model.tbi, model.eta) if w > 0]
+                got_rows, got_w = model.photon[label]
+                assert np.array_equal(got_rows, ref.pattern_rows([c for c, _ in outs], 6))
+                assert got_w.tolist() == [w for _, w in outs]
+
+    def test_hom_dip(self):
+        # perfect overlap, lossless detection and a balanced splitter: an
+        # early+late pair never clicks both middle-window detectors
+        model = slot_model(6, s=0.5, v=1.0, indistinguishability=1.0)
+        d1 = click_cell(0, MIDDLE, 0)
+        cross = np.flatnonzero((model.alphabet_rows[:, d1] == 1)
+                               & (model.alphabet_rows[:, d1 + 1] == 1))
+        assert cross.size == 1 and model.eta == 1.0
+        assert model.alphabet_mats[cross[0], SLOT_EL, SLOT_EL] == 0.0
+
+    @pytest.mark.parametrize("thinned", [False, True])
+    def test_distinguishable_pair_is_product(self, thinned):
+        # no overlap: the early and late photons route independently
+        model = slot_model(6, thinned, s=0.3, v=0.0)
+        (rows_e, w_e), (rows_l, w_l) = model.photon["early"], model.photon["late"]
+        el = {}
+        for (ra, wa), (rb, wb) in itertools.product(zip(rows_e, w_e), zip(rows_l, w_l)):
+            key = (ra + rb).tobytes()
+            el[key] = el.get(key, 0.0) + wa * wb
+        got = {row.tobytes(): w for row, w in zip(model.alphabet_rows,
+                                                 model.alphabet_mats[:, SLOT_EL, SLOT_EL].real)
+               if w}
+        assert got.keys() == el.keys()
+        assert all(got[k] == pytest.approx(el[k], abs=1e-16) for k in el)
 
 
 class TestExactComponents:

@@ -128,6 +128,19 @@ class TestMiddleProjectors:
             assert np.allclose(total, expected, atol=1e-12)
 
 
+    def test_middle_diagonal_is_the_routing(self):
+        # the visibility only sets the coherences: the diagonal is exactly
+        # the routing weight of the long (early) and short (late) arms
+        for s in (0.5, 0.3, 0.71):
+            for v in (0.0, 0.37, 0.989, 1.0):
+                povm = slot_window_povm(TBIParams(classical_visibility=v,
+                                                  splitting_ratio=s, drift_phase=0.4), 3)
+                for det in Detector:
+                    m = povm[(Window.MIDDLE, det)]
+                    assert m[SLOT_EARLY, SLOT_EARLY] == 0.5 * (1 - s)
+                    assert m[SLOT_LATE, SLOT_LATE] == 0.5 * s
+
+
 class TestClassicalFringe:
     def test_reference_angle(self):
         tbi = TBIParams(theta0=0.2, theta_pol=0.2, classical_visibility=1.0)
