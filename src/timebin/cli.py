@@ -228,9 +228,8 @@ def _run_analyze(args) -> list[str]:
     tags = coin.ingest_timetags(args.input)
     if len(tags) == 0:
         raise UndefinedEstimateError("input file holds no time tags")
-    windows = WindowConfig(n_slots=args.slots)
-    echo = {"input": str(args.input), "mode": args.mode, "slots": args.slots,
-            "bin_width_ns": args.bin_width, "windows": dataclasses.asdict(windows)}
+    # the windows simulate hom analyses its own tags with
+    windows = WindowConfig.for_sequence(1)
     outputs = []
     if args.mode == "histogram":
         starts, counts = coin.build_histogram(tags, bin_width=args.bin_width)
@@ -254,17 +253,20 @@ def _run_analyze(args) -> list[str]:
                   "v_corrected": {"value": v_corr,
                                   "v_classical_assumed": V_CLASSICAL_BACKSOLVED}}
     elif args.mode == "witness":
-        report = _analyze_witness(tags, args)
+        report, windows = _analyze_witness(tags, args)
     else:
         raise ConfigurationError(f"unknown analyze mode {args.mode!r}")
-    report["configuration"] = echo
+    report["configuration"] = {"input": str(args.input), "mode": args.mode,
+                               "bin_width_ns": args.bin_width,
+                               "windows": dataclasses.asdict(windows)}
     _write_report(out / "analysis.json", report)
     outputs.append("analysis.json")
     return outputs
 
 
-def _analyze_witness(tags, args) -> dict:
-    """Reconstruct witness estimates from bare tags plus the run manifest."""
+def _analyze_witness(tags, args) -> tuple[dict, WindowConfig]:
+    """Reconstruct witness estimates from bare tags plus the run manifest:
+    (the report, the windows of the run's sequence it classified with)."""
     if not args.manifest:
         raise ConfigurationError("witness analysis needs --manifest from the run")
     with open(args.manifest) as fh:
@@ -276,23 +278,24 @@ def _analyze_witness(tags, args) -> dict:
     windows = WindowConfig.for_sequence(n_qubits - 1,
                                         t_inf=cfg["emitter"]["t_inf"],
                                         slot_spacing=cfg["emitter"]["photon_spacing_ns"])
-    # one repetition's tags are contiguous in the sorted input: count its
+    # one repetition's tags are contiguous in the sorted view: count its
     # photonic tags per (slot, window, detector) cell, then group the
     # readout-clicked repetitions by (distinct row of counts, sub-run)
-    slot, code = windows.classify(tags.time)
+    tags, code = coin._analysis_view(tags, windows)
     new_rep = np.r_[True, tags.repetition[1:] != tags.repetition[:-1]]
     starts = np.flatnonzero(new_rep)
     readout = np.logical_or.reduceat(code == coin.READOUT, starts)
-    photonic = (code >= 0) & (code != coin.READOUT)
+    photonic = (code & 3) != coin.READOUT
     n_cells = 6 * windows.n_slots
     flat = np.cumsum(new_rep)[photonic]
     flat -= 1
     flat *= n_cells
-    flat += coin.click_cell(slot[photonic], code[photonic], tags.detector[photonic])
-    # freed, and counted per occupied (repetition, cell) rather than in an
-    # int64 table of every repetition's cells, so that counting does not set
-    # the peak memory of the analysis
-    del slot, code, photonic
+    # (slot, window) of each photonic tag, widened first: click_cell of
+    # int8 codes would wrap past slot 20
+    flat += coin.click_cell(*np.divmod(code[photonic].astype(np.intp), 4),
+                            tags.detector[photonic])
+    # counted per occupied (repetition, cell) rather than in a table of
+    # every repetition's cells
     flat, n_tags = np.unique(flat, return_counts=True)
     if n_tags.max(initial=0) > 255:
         rep = tags.repetition[starts[flat[np.argmax(n_tags > 255)] // n_cells]]
@@ -313,7 +316,7 @@ def _analyze_witness(tags, args) -> dict:
             "estimates": {label: {"value": v, "error": e}
                           for label, (v, e) in estimates.items()},
             "fidelity": {"value": f, "error": f_err},
-            "witness_violated": f > 0.5}
+            "witness_violated": f > 0.5}, windows
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +331,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="runs", help="output directory")
     parser.add_argument("--defaults", choices=["paper"],
                         help="start from the characterized-source preset")
-    parser.add_argument("--noise", choices=["off", "paper", "custom"],
-                        help="noise preset; custom keeps --config values")
+    parser.add_argument("--noise", choices=["off"],
+                        help="off disables every error channel")
     parser.add_argument("--thinning", choices=["on", "off"],
                         help="apply physical detection efficiencies")
     parser.add_argument("--no-timetags", action="store_true",
@@ -354,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--mode", required=True,
                      choices=["g2", "hom", "histogram", "witness"])
     ana.add_argument("--manifest", help="run manifest (witness mode)")
-    ana.add_argument("--slots", type=int, default=1)
     ana.add_argument("--bin-width", type=float, default=0.5)
     ana.add_argument("--out", default="runs")
 
@@ -407,9 +409,6 @@ def _resolve_config(args) -> RunConfig:
     config = dataclasses.replace(config, **over)
     if getattr(args, "noise", None) == "off":
         config = noise_off(config)
-    elif getattr(args, "noise", None) == "paper":
-        config = dataclasses.replace(config, emitter=paper_emitter(),
-                                     noise=paper_noise(), tbi=paper_tbi())
     if args.command == "rabi-calibration" and getattr(args, "f_pi", None):
         config = dataclasses.replace(
             config, noise=dataclasses.replace(config.noise, f_pi=args.f_pi))

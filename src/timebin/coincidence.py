@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ContractError, ParseError, UndefinedEstimateError
 from .interferometer import Detector, Window
 
-# window codes returned by WindowConfig.classify; WINDOWS[code] is the Window
+# window codes; WINDOWS[code] is the Window.  _analysis_view's tag code is
+# 4 * slot + window code (the readout window is slot 0), -1 between windows
 WINDOWS = (Window.EARLY, Window.MIDDLE, Window.LATE, Window.READOUT)
 EARLY, MIDDLE, LATE, READOUT = range(4)
 # detector codes of TagArrays.detector; DETECTORS[code] is the Detector
@@ -84,11 +85,12 @@ class WindowConfig:
     width: float = 2.0
     readout_start: float = 60.0
     readout_width: float = 50.0
-    repetition_period: float = 606.06
     n_slots: int = 1
     slot_spacing: float = 28.0
 
     def __post_init__(self):
+        if self.n_slots < 1:
+            raise ContractError("a window configuration needs at least one slot")
         spans = [(self.window_start(s, w), self.window_start(s, w) + self.width)
                  for s in range(self.n_slots)
                  for w in (Window.EARLY, Window.MIDDLE, Window.LATE)]
@@ -107,25 +109,11 @@ class WindowConfig:
                 Window.LATE: self.late_start}[window]
         return base + slot * self.slot_spacing
 
-    def classify(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """Map click times to (slot, window code) arrays; WINDOWS[code] is the
-        Window, and both are -1 for a time between windows.
-
-        The readout window is tried first, then each slot's early, middle
-        and late windows; the first window holding a time wins.
-        """
-        times = np.asarray(times, dtype=float)
-        slot = np.full(times.shape, -1, np.int64)
-        code = np.full(times.shape, -1, np.int64)
-        for s, c, hit in self._hits(times):
-            slot[hit] = s
-            code[hit] = c
-        return slot, code
-
     def _hits(self, times):
-        """(slot, window code, mask of the times inside) of each window in
-        the reverse of classify's order: assigned in this order, the first
-        window of classify's order holding a time wins."""
+        """(slot, window code, mask of the times inside) of each window, in
+        the reverse of their precedence (the readout window, then each
+        slot's early, middle and late windows): assigned in this order, the
+        first window of that precedence holding a time wins."""
         spans = [(0, READOUT, self.readout_start, self.readout_width)]
         spans += [(s, c, self.window_start(s, WINDOWS[c]), self.width)
                   for s in range(self.n_slots) for c in (EARLY, MIDDLE, LATE)]
@@ -133,13 +121,12 @@ class WindowConfig:
             yield s, c, (start <= times) & (times < start + width)
 
     @classmethod
-    def for_sequence(cls, n_slots: int, t_inf: float = 11.8, slot_spacing: float = 28.0,
-                     repetition_period: float = 606.06) -> "WindowConfig":
+    def for_sequence(cls, n_slots: int, t_inf: float = 11.8,
+                     slot_spacing: float = 28.0) -> "WindowConfig":
         readout_start = 30.0 + 2 * t_inf + slot_spacing * (n_slots - 1) + 6.0
         return cls(early_start=30.0, middle_start=30.0 + t_inf,
                    late_start=30.0 + 2 * t_inf, readout_start=readout_start,
-                   repetition_period=repetition_period, n_slots=n_slots,
-                   slot_spacing=slot_spacing)
+                   n_slots=n_slots, slot_spacing=slot_spacing)
 
 
 @dataclass(frozen=True)
@@ -166,16 +153,16 @@ class TagArrays:
     """Time tags as columns; the input of every analysis function here.
 
     `RunClicks.to_tags` and `ingest_timetags` return tags in (repetition,
-    time, detector) order, and g2 and HOM analysis rely on it (tags in
-    another order are analysed as a sorted copy).  The first analysis of
-    tags in order caches their window codes on them, so their columns must
-    not be changed in place afterwards.
+    time, detector) order, and the g2, HOM and witness analyses rely on it
+    (tags in another order are analysed as a sorted copy).  The first
+    analysis of tags in order caches their (slot, window) codes on them, so
+    their columns must not be changed in place afterwards.
     """
 
     detector: np.ndarray   # 0 = D1, 1 = D2
     time: np.ndarray
     repetition: np.ndarray
-    # int8 window codes per WindowConfig, set by _analysis_view
+    # (slot, window) codes per WindowConfig, set by _analysis_view
     _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -265,8 +252,13 @@ def _in_order(tags: TagArrays) -> bool:
 
 def _analysis_view(tags: TagArrays, windows: WindowConfig
                    ) -> tuple[TagArrays, np.ndarray]:
-    """The tags in (repetition, time, detector) order and the int8 window
-    code of each (WINDOWS[code], -1 between windows).
+    """The tags in (repetition, time, detector) order and the code of each:
+    4 * slot + window code (code >> 2 is the slot, WINDOWS[code & 3] the
+    Window), -1 between windows.  The readout window is slot 0, so its code
+    is READOUT, as is -1 & 3: `code & 3` pools the slots and leaves
+    between-window tags with the readout ones.  Codes are int8 up to 32
+    slots and wider beyond (a manifest may name more); widen them before
+    arithmetic that could overflow.
 
     Tags already in that order, as every producer returns them, are used as
     they are and classified once per WindowConfig: the codes are cached on
@@ -277,10 +269,12 @@ def _analysis_view(tags: TagArrays, windows: WindowConfig
     if code is None:
         if not _in_order(tags):
             tags = sorted_tags(tags.detector, tags.time, tags.repetition)
-        code = np.full(len(tags), -1, np.int8)
-        for _, c, hit in windows._hits(tags.time):
-            # code = c where hit, in arithmetic: faster than a masked store
-            code += hit.view(np.int8) * (c - code)
+        # every difference 4 * slot + c - code below fits this type too
+        code = np.full(len(tags), -1, np.min_scalar_type(-4 * windows.n_slots))
+        for s, c, hit in windows._hits(tags.time):
+            # code = 4 * s + c where hit, in arithmetic: faster than a
+            # masked store
+            code += hit.view(np.int8) * (4 * s + c - code)
         tags._codes[windows] = code
     return tags, code
 
@@ -325,8 +319,9 @@ def _window_counts(arr: TagArrays, code: np.ndarray, window: Window
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct repetitions with a click in one window class, ascending,
     and each one's click count on each detector, given tags in repetition
-    order and their window codes: a repetition's clicks are contiguous, so
-    its group starts where the repetition changes."""
+    order and their window codes (WINDOWS[code], slots pooled): a
+    repetition's clicks are contiguous, so its group starts where the
+    repetition changes."""
     sel = np.flatnonzero(code == WINDOWS.index(window))
     rep = arr.repetition[sel]
     new = np.ones(len(rep), bool)
@@ -376,6 +371,7 @@ def g2_zero(tags: TagArrays, windows: WindowConfig, max_delay_reps: int = 50
     if len(tags) == 0:
         raise UndefinedEstimateError("no tags to analyze")
     tags, code = _analysis_view(tags, windows)
+    window_code = code & 3
     span = int(tags.repetition[-1]) - int(tags.repetition[0])
     if span < 1:
         raise UndefinedEstimateError("g2 needs at least two repetitions")
@@ -383,7 +379,7 @@ def g2_zero(tags: TagArrays, windows: WindowConfig, max_delay_reps: int = 50
     detail = {}
     values, weights = [], []
     for window in (Window.EARLY, Window.LATE):
-        reps, n1, n2 = _window_counts(tags, code, window)
+        reps, n1, n2 = _window_counts(tags, window_code, window)
         same = float(np.sum(n1 * n2))
         # integer sums: exact in any order
         far_mean = 0.5 * _long_delay_pairs(reps, n1, n2, k) / k
@@ -417,9 +413,10 @@ def hom_counts_from_tags(tags: TagArrays, windows: WindowConfig,
     t_inf = windows.bin_separation
     half = t_inf / 2.0 if center_halfwidth is None else center_halfwidth
     tags, code = _analysis_view(tags, windows)
-    photonic = np.flatnonzero((code >= 0) & (code != READOUT))
+    window_code = code & 3
+    photonic = np.flatnonzero(window_code != READOUT)
     det, time, rep = tags.detector[photonic], tags.time[photonic], tags.repetition[photonic]
-    mid = code[photonic] == MIDDLE
+    mid = window_code[photonic] == MIDDLE
     n1 = n2 = n3 = 0
     # the pairs (i, i + k) within one repetition, for k = 1, 2, ..., are each
     # same-repetition pair exactly once; (i, i + k) is one only if

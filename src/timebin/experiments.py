@@ -55,8 +55,7 @@ def _generation_sequence(n_qubits: int, params: EmitterParams,
 def _witness_subruns(n_qubits: int, params: EmitterParams, tbi: TBIParams
                      ) -> list[SubRun]:
     windows = WindowConfig.for_sequence(n_qubits - 1, t_inf=params.t_inf,
-                                        slot_spacing=params.photon_spacing_ns,
-                                        repetition_period=params.repetition_period_ns)
+                                        slot_spacing=params.photon_spacing_ns)
     subruns = []
     for setting in ghz_settings(n_qubits):
         tbi_s = tbi.with_theta_pol(tbi.theta0 + setting.theta_pol_offset)
@@ -304,8 +303,7 @@ def simulate_hom(params: EmitterParams, noise: NoiseParams, tbi: TBIParams,
                  n_repetitions: int, master_seed: int, thinned: bool = False,
                  v_classical_assumed: float | None = None) -> HomRun:
     """Run the two-photon sequence and analyze g2(0) and HOM visibility."""
-    windows = WindowConfig.for_sequence(1, t_inf=params.t_inf,
-                                        repetition_period=params.repetition_period_ns)
+    windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
     seq = build_hom_sequence(params)
     reps = np.arange(n_repetitions, dtype=np.uint64)
     traj = run_sequence_trajectory(seq, params, noise, master_seed, reps)
@@ -360,8 +358,7 @@ def spin_conditioned_fringe_scan(params: EmitterParams, noise: NoiseParams,
     """
     theta_values = np.asarray(theta_values, dtype=float)
     curves = {"+X": np.empty_like(theta_values), "-X": np.empty_like(theta_values)}
-    windows = WindowConfig.for_sequence(1, t_inf=params.t_inf,
-                                        repetition_period=params.repetition_period_ns)
+    windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
     for i, th in enumerate(theta_values):
         tbi_th = tbi.with_theta_pol(th)
         phase_e = excitation_phase(tbi_th)

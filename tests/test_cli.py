@@ -1,7 +1,10 @@
 import hashlib
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +106,47 @@ theta0 = 0.2
         conf.write_text("[run]\nworkers = 2\n")
         assert run_cli("simulate", "bell", "--config", str(conf),
                        "--out", str(tmp_path / "r")) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--input", "t.csv", "--mode", "g2", "--slots", "2"],
+        ["simulate", "bell", "--noise", "paper"],
+        ["simulate", "bell", "--noise", "custom"],
+    ])
+    def test_removed_options_rejected(self, argv):
+        # --noise paper was --defaults paper; --slots could only be 1; and
+        # custom had no code path
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+
+class TestReadme:
+    """The README's command lines and common flags parse as written."""
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def test_command_lines_parse(self):
+        block = re.search(r"## Command line\s*```\n(.*?)```", self.text, re.S).group(1)
+        lines = [line for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("timebin ")]
+        assert len(lines) >= 5
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
+
+    def test_common_flags_parse(self):
+        sentence = re.search(r"Common flags:(.*?`)\.", self.text, re.S).group(1)
+        flags = re.findall(r"`([^`]+)`", sentence)
+        assert len(flags) >= 5
+        for flag in flags:
+            name, *value = flag.split()
+            # an upper-case value is a placeholder; a|b lists the choices
+            choices = ([None] if not value else ["1"] if value[0].isupper()
+                       else value[0].split("|"))
+            for choice in choices:
+                for command in (["simulate", "bell"], ["fringe-scan"],
+                                ["rabi-calibration"]):
+                    build_parser().parse_args(
+                        command + [name] + ([choice] if choice else []))
 
 
 class TestExitCodes:
@@ -308,6 +352,11 @@ class TestArtifacts:
         assert rc == 0
         ana_report = json.loads((ana / "analysis.json").read_text())
         assert ana_report["fidelity"]["value"] == run.outcome.fidelity
+        # the echo names the windows the analysis used
+        windows = ana_report["configuration"]["windows"]
+        assert windows["n_slots"] == 2
+        assert windows["readout_start"] == pytest.approx(
+            30.0 + 2 * emitter.t_inf + emitter.photon_spacing_ns + 6.0)
         # every setting's estimate and error, not only the fidelity
         expected = {"ZZ": run.outcome.population, **run.outcome.correlators}
         assert {label: (e["value"], e["error"])

@@ -102,7 +102,7 @@ class TestG2:
         assert g2_zero(shifted, run.windows) == (g2, err, detail)
         # the dense per-repetition sums that the pairing of distinct
         # repetitions replaces
-        code = run.windows.classify(run.tags.time)[1]
+        code = _reference_codes(run.windows, run.tags.time) & 3
         n_reps = int(run.tags.repetition.max()) + 1
         for window in (Window.EARLY, Window.LATE):
             sel = code == WINDOWS.index(window)
@@ -224,12 +224,48 @@ class TestWindowConfig:
         with pytest.raises(ContractError):
             WindowConfig(early_start=30.0, middle_start=31.0)
 
+    def test_needs_a_slot(self):
+        with pytest.raises(ContractError, match="at least one slot"):
+            WindowConfig.for_sequence(0)
+
     def test_classify(self):
+        from timebin.coincidence import _analysis_view
         w = WindowConfig()
-        slot, code = w.classify([30.5, 42.0, 54.0, 80.0, 10.0])
-        assert slot.tolist() == [0, 0, 0, 0, -1]
-        assert [WINDOWS[c] if c >= 0 else None for c in code] == [
+        times = [30.5, 42.0, 54.0, 80.0, 10.0]
+        tags = tag_arrays(*((0, t, r) for r, t in enumerate(times)))
+        view, code = _analysis_view(tags, w)
+        assert view is tags and code.dtype == np.int8
+        assert (code >> 2).tolist() == [0, 0, 0, 0, -1]
+        assert [WINDOWS[c & 3] if c >= 0 else None for c in code] == [
             Window.EARLY, Window.MIDDLE, Window.LATE, Window.READOUT, None]
+
+    def test_classify_two_slots(self):
+        from timebin.coincidence import _analysis_view
+        w = WindowConfig.for_sequence(2)
+        times = [30.5, 58.5, 70.0, 82.0, 90.0, 65.0]
+        tags = tag_arrays(*((1, t, r) for r, t in enumerate(times)))
+        _, code = _analysis_view(tags, w)
+        assert code.tolist() == [4 * 0 + EARLY, 4 * 1 + EARLY, 4 * 1 + MIDDLE,
+                                 4 * 1 + LATE, READOUT, -1]
+        assert np.array_equal(code, _reference_codes(w, times))
+
+    @pytest.mark.parametrize("n_slots, dtype", [(32, np.int8), (33, np.int16)])
+    def test_classify_many_slots(self, n_slots, dtype):
+        # the codes of the last slots do not fit int8 from 33 slots on
+        from timebin.coincidence import _analysis_view
+        w = WindowConfig.for_sequence(n_slots)
+        last = n_slots - 1
+        times = [w.window_start(last - 1, Window.LATE) + 1.0,
+                 w.window_start(last, Window.EARLY) + 0.5,
+                 w.window_start(last, Window.MIDDLE) + 0.5,
+                 w.window_start(last, Window.LATE) + 1.9,
+                 w.readout_start + 10.0, w.readout_start + w.readout_width]
+        tags = tag_arrays(*((0, t, r) for r, t in enumerate(times)))
+        _, code = _analysis_view(tags, w)
+        assert code.dtype == dtype
+        assert code.tolist() == [4 * (last - 1) + LATE, 4 * last + EARLY,
+                                 4 * last + MIDDLE, 4 * last + LATE, READOUT, -1]
+        assert np.array_equal(code, _reference_codes(w, times))
 
 
 def _reference_classify(windows, time):
@@ -242,6 +278,14 @@ def _reference_classify(windows, time):
             if start <= time < start + windows.width:
                 return (slot, w)
     return None
+
+
+def _reference_codes(windows, times) -> np.ndarray:
+    """_analysis_view's code of each time by _reference_classify: 4 * slot
+    + window code, -1 between windows."""
+    classes = [_reference_classify(windows, t) for t in times]
+    return np.array([-1 if c is None else 4 * c[0] + WINDOWS.index(c[1])
+                     for c in classes], np.int64)
 
 
 def _reference_hom_counts(tags, windows, center_halfwidth=None):
@@ -359,18 +403,18 @@ class TestSortedTagEntry:
             g2_zero(tags, run.windows)
             hom_counts_from_tags(tags, run.windows)
         assert calls == [run.windows]
-        # the cached codes are classify's
+        # the cached codes are the scalar classifier's
         view, code = _analysis_view(tags, run.windows)
         assert view is tags and code.dtype == np.int8
-        assert np.array_equal(code, run.windows.classify(tags.time)[1])
+        assert np.array_equal(code, _reference_codes(run.windows, tags.time))
 
     @pytest.mark.parametrize("windows", [WindowConfig(), WindowConfig.for_sequence(2)])
-    def test_codes_match_classify_at_window_edges(self, windows):
+    def test_codes_match_reference_at_window_edges(self, windows):
         from timebin.coincidence import _analysis_view
         tags = TestHomPairCounting()._tags(windows, 300, 5)
         view, code = _analysis_view(tags, windows)
         assert view is not tags
-        assert np.array_equal(code, windows.classify(view.time)[1])
+        assert np.array_equal(code, _reference_codes(windows, view.time))
 
 
 class TestTimeTagIO:
@@ -560,7 +604,8 @@ class TestTagExpansion:
                            [], np.zeros(n, np.int8), readout, np.zeros(n, bool),
                            signal, flagged, background, 11)
         tags = clicks.to_tags(gamma0)
-        slot, code = windows.classify(tags.time)
+        ref = _reference_codes(windows, tags.time)
+        slot, code = ref >> 2, ref & 3
         cell = np.where(code == READOUT, -1, click_cell(slot, code, tags.detector))
         starts = np.array([windows.window_start(s, WINDOWS[c]) if c != READOUT
                            else windows.readout_start for s, c in zip(slot, code)])
@@ -638,7 +683,7 @@ class TestBlinking:
         n_reps = int(arr.repetition.max()) + 1
         from timebin.coincidence import _window_counts
         from timebin.interferometer import Window
-        reps, c1, c2 = _window_counts(arr, run.windows.classify(arr.time)[1],
+        reps, c1, c2 = _window_counts(arr, _reference_codes(run.windows, arr.time) & 3,
                                       Window.EARLY)
         n1, n2 = np.zeros((2, n_reps), np.int64)
         n1[reps], n2[reps] = c1, c2
