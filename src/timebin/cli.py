@@ -228,8 +228,13 @@ def _run_analyze(args) -> list[str]:
     tags = coin.ingest_timetags(args.input)
     if len(tags) == 0:
         raise UndefinedEstimateError("input file holds no time tags")
-    # the windows simulate hom analyses its own tags with
-    windows = WindowConfig.for_sequence(1)
+    cfg = None
+    if args.manifest:
+        with open(args.manifest) as fh:
+            cfg = json.load(fh)["config"]
+    # the windows of the run's sequence, or without a manifest the ones
+    # simulate hom analyses its own tags with at the default t_inf
+    windows = _manifest_windows(cfg) if cfg else WindowConfig.for_sequence(1)
     outputs = []
     if args.mode == "histogram":
         starts, counts = coin.build_histogram(tags, bin_width=args.bin_width)
@@ -253,7 +258,7 @@ def _run_analyze(args) -> list[str]:
                   "v_corrected": {"value": v_corr,
                                   "v_classical_assumed": V_CLASSICAL_BACKSOLVED}}
     elif args.mode == "witness":
-        report, windows = _analyze_witness(tags, args)
+        report = _analyze_witness(tags, cfg, windows)
     else:
         raise ConfigurationError(f"unknown analyze mode {args.mode!r}")
     report["configuration"] = {"input": str(args.input), "mode": args.mode,
@@ -264,20 +269,25 @@ def _run_analyze(args) -> list[str]:
     return outputs
 
 
-def _analyze_witness(tags, args) -> tuple[dict, WindowConfig]:
-    """Reconstruct witness estimates from bare tags plus the run manifest:
-    (the report, the windows of the run's sequence it classified with)."""
-    if not args.manifest:
+def _manifest_windows(cfg: dict) -> WindowConfig:
+    """The detection windows of the sequence a manifest's run evolved: one
+    photon slot for bell and hom, n_qubits - 1 for ghz."""
+    n_slots = cfg["n_qubits"] - 1 if cfg["experiment"] == "ghz" else 1
+    return WindowConfig.for_sequence(n_slots, t_inf=cfg["emitter"]["t_inf"],
+                                     slot_spacing=cfg["emitter"]["photon_spacing_ns"])
+
+
+def _analyze_witness(tags, cfg: dict | None, windows: WindowConfig) -> dict:
+    """Reconstruct witness estimates from bare tags plus the configuration
+    echoed in the run manifest, classified with the run's windows."""
+    if cfg is None:
         raise ConfigurationError("witness analysis needs --manifest from the run")
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
-    cfg = manifest["config"]
+    if cfg["experiment"] not in ("bell", "ghz"):
+        raise ConfigurationError("witness analysis needs the manifest of a bell "
+                                 f"or ghz run, not {cfg['experiment']!r}")
     n_qubits = 2 if cfg["experiment"] == "bell" else cfg["n_qubits"]
     settings = wit.ghz_settings(n_qubits)
     n_subs = 2 * len(settings)
-    windows = WindowConfig.for_sequence(n_qubits - 1,
-                                        t_inf=cfg["emitter"]["t_inf"],
-                                        slot_spacing=cfg["emitter"]["photon_spacing_ns"])
     # one repetition's tags are contiguous in the sorted view: count its
     # photonic tags per (slot, window, detector) cell, then group the
     # readout-clicked repetitions by (distinct row of counts, sub-run)
@@ -316,7 +326,7 @@ def _analyze_witness(tags, args) -> tuple[dict, WindowConfig]:
             "estimates": {label: {"value": v, "error": e}
                           for label, (v, e) in estimates.items()},
             "fidelity": {"value": f, "error": f_err},
-            "witness_violated": f > 0.5}, windows
+            "witness_violated": f > 0.5}
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--input", required=True, help="time-tag CSV path")
     ana.add_argument("--mode", required=True,
                      choices=["g2", "hom", "histogram", "witness"])
-    ana.add_argument("--manifest", help="run manifest (witness mode)")
+    ana.add_argument("--manifest",
+                     help="run manifest: its windows (required in witness mode)")
     ana.add_argument("--bin-width", type=float, default=0.5)
     ana.add_argument("--out", default="runs")
 

@@ -18,6 +18,10 @@ from .interferometer import TBIParams
 
 EXPERIMENTS = ("bell", "ghz", "hom", "fringe-scan", "rabi-calibration")
 
+# the exact witness reference evolves dense density components of
+# 2 * 6^(n - 1) levels: at 5 qubits one is ~107 MB, and there are ~256
+MAX_GHZ_QUBITS = 4
+
 
 def paper_emitter() -> EmitterParams:
     """Characterized emitter constants (cyclicity 14.7, gamma0 2.54/ns)."""
@@ -81,6 +85,11 @@ class RunConfig:
             raise ConfigurationError("n_repetitions must be at least 1")
         if self.n_qubits < 3 and self.experiment == "ghz":
             raise ConfigurationError("GHZ runs need at least 3 qubits")
+        if self.n_qubits > MAX_GHZ_QUBITS and self.experiment == "ghz":
+            raise ConfigurationError(
+                f"GHZ runs support at most {MAX_GHZ_QUBITS} qubits: the exact "
+                "witness reference evolves dense density components, about 256 "
+                f"of 107 MB each at {MAX_GHZ_QUBITS + 1} qubits")
 
     def echo(self) -> dict:
         d = {

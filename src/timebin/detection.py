@@ -13,9 +13,12 @@ Both simulation modes work on (n, 6 * slots) count rows:
   contracts slot by slot: every surviving prefix tensor of a level meets
   every alphabet entry in one matrix-vector product per entry, and the
   pruned survivors keep the depth-first order of the alphabet indices.
-  Flag photons and first-order background clicks (`full_distribution`)
-  are outer sums of rows with outer products of weights; equal rows are
-  summed in a fixed order with `np.bincount`.
+  Flag photons are outer sums of rows with outer products of weights.  The
+  readout click and first-order background clicks weight each row in one
+  place (`readout_terms`, which applies the PRUNE_TOL truncation): the
+  witness counts these terms in closed form, and `full_distribution`
+  expands them into click rows, equal rows summed in a fixed order with
+  `np.bincount`.
 * trajectory mode samples one row per repetition from the distribution of
   that repetition's pure state (`sample_run`), then adds flagged and
   background clicks and the spin-readout click, all from counter-based
@@ -71,6 +74,22 @@ class ClickDistribution:
 
     def __len__(self) -> int:
         return self.probs.size
+
+
+@dataclass(frozen=True)
+class ReadoutTerms:
+    """Truncated readout and first-order background terms of a distribution
+    (`DetectionModel.readout_terms`).
+
+    rows holds each head's click row, readout whether it has a readout
+    click, weights one column per term: the head alone, then one leak
+    click in each of cells (zero where truncated).
+    """
+
+    rows: np.ndarray
+    readout: np.ndarray
+    weights: np.ndarray
+    cells: np.ndarray
 
 
 class DetectionModel:
@@ -258,48 +277,71 @@ class DetectionModel:
         scale = (self.noise.eta_total * self.eta_read / self.noise.eta_readout)
         return self.noise.p_leak * self.windows.readout_width * scale
 
-    def full_distribution(self, state: np.ndarray, flag_clicks=()) -> ClickDistribution:
-        """Click rows incl. background, readout clicks and probabilities.
+    def readout_terms(self, state: np.ndarray, flag_clicks=(),
+                      heralded_only: bool = False) -> ReadoutTerms:
+        """The click distribution weighted by readout click and first-order
+        background clicks, with the PRUNE_TOL truncation applied.
 
         Background windows are convolved to first order (at most one leak
         click per window class per repetition), which is exact to O(lam^2).
-        Candidates are outer sums of rows and outer products of weights,
-        ordered entry -> readout (click, none) -> [no leak, leak in window k
-        on D1, on D2, ...]; equal (row, readout) keys are summed in that
-        order and listed in order of first appearance.
+        A head is an (entry, readout) pair of `distribution`, readout click
+        first, kept when its no-leak weight base_w exceeds PRUNE_TOL;
+        heralded_only keeps the readout-click heads alone.  Column 0 of a
+        head's weights is base_w, column c > 0 adds the leak click of
+        cells[c - 1] with weight base_w * (lam / 2) / (1 - lam); leak weights
+        not above PRUNE_TOL are zeroed.
         """
         base = self.distribution(state, flag_clicks)
         leak = self.leak_window_probs()
         no_leak = math.prod(1.0 - lam for _, _, lam in leak)
         # one column per leak click: window k on D1, on D2, window k + 1 ...
-        cells = [click_cell(slot, w, det) for slot, w, lam in leak if lam > 0
-                 for det in (0, 1)]
+        cells = np.array([click_cell(slot, w, det) for slot, w, lam in leak if lam > 0
+                          for det in (0, 1)], dtype=np.intp)
         lam = np.array([lam for _, _, lam in leak if lam > 0 for _ in (0, 1)])
         p_read_leak = self.leak_readout_prob()
         p_click = np.zeros(2)
         for spin in (SPIN_DOWN, SPIN_UP):
             p = self.readout_click_prob(spin)
             p_click[spin] = p + (1 - p) * p_read_leak
-        p_read = np.stack([p_click, 1.0 - p_click], axis=1)[base.label]
-        # heads: (entry, readout) pairs above PRUNE_TOL, readout click first
-        base_w = (base.probs[:, None] * p_read * no_leak).ravel()
+        p_read = np.stack([p_click, 1.0 - p_click], axis=1)
+        if heralded_only:
+            p_read = p_read[:, :1]
+        base_w = (base.probs[:, None] * p_read[base.label] * no_leak).ravel()
         head = np.flatnonzero(base_w > PRUNE_TOL)
-        # column 0 keeps the head's weight (x 1 / 1), column c > 0 adds the
-        # leak click of cells[c - 1] with weight base_w * (lam / 2) / (1 - lam)
-        weights = base_w[head, None] * np.r_[1.0, lam / 2] / np.r_[1.0, 1.0 - lam]
-        at = np.flatnonzero(weights > PRUNE_TOL)
+        # columns of equal lam share one product per head
+        lam_values, column = np.unique(lam, return_inverse=True)
+        leak_w = base_w[head, None] * (lam_values / 2) / (1.0 - lam_values)
+        leak_w[leak_w <= PRUNE_TOL] = 0.0
+        # column-major, filled column by column: each column is one vector
+        weights = np.empty((1 + lam.size, head.size)).T
+        weights[:, 0] = base_w[head]
+        for c, u in enumerate(column, start=1):
+            weights[:, c] = leak_w[:, u]
+        entry, no_click = np.divmod(head, p_read.shape[1])
+        return ReadoutTerms(base.rows[entry], no_click == 0, weights, cells)
+
+    def full_distribution(self, state: np.ndarray, flag_clicks=()) -> ClickDistribution:
+        """Click rows incl. background, readout clicks and probabilities.
+
+        The kept terms of `readout_terms` become (row, readout) keys, ordered
+        head -> [no leak, leak in window k on D1, on D2, ...]; equal keys are
+        summed in that order and listed in order of first appearance.
+        """
+        terms = self.readout_terms(state, flag_clicks)
+        n_cells = terms.rows.shape[1]
+        width = terms.weights.shape[1]
+        extra = np.zeros((width, n_cells + 1), np.uint8)
+        extra[np.arange(1, width), terms.cells] = 1
+        at = np.flatnonzero(terms.weights)
+        h = at // width
         # keys: the click row with the readout click as one more column
-        n_cells = base.rows.shape[1]
-        extra = np.zeros((1 + len(cells), n_cells + 1), np.uint8)
-        extra[np.arange(1, len(extra)), cells] = 1
-        h = head[at // len(extra)]
         keys = np.zeros((at.size, n_cells + 1), np.uint8)
-        keys[:, :n_cells] = base.rows[h // 2]
-        keys[:, n_cells] = h % 2 == 0
-        keys += extra[at % len(extra)]
+        keys[:, :n_cells] = terms.rows[h]
+        keys[:, n_cells] = terms.readout[h]
+        keys += extra[at % width]
         first, group = first_seen_groups(keys)
         return ClickDistribution(keys[first, :n_cells], keys[first, n_cells] == 1,
-                                 np.bincount(group, weights=weights.ravel()[at],
+                                 np.bincount(group, weights=terms.weights.ravel()[at],
                                              minlength=first.size))
 
     # -- trajectory sampling ---------------------------------------------------

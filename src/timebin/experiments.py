@@ -9,9 +9,10 @@ is evolved once per witness, at phase 0; each sub-run conjugates that
 result by its setting's phase diagonal D (`with_late_phase`) and continues
 it through its wait and rotation (the engines' start=...).
 Repetitions are assigned to sub-runs round-robin by repetition index.
-Exact mode weights each row of click counts by its probability,
-trajectory mode by its number of repetitions; both count through
-`SettingCounts.add_heralded` and assemble the fidelity with
+Trajectory mode counts each row of sampled click counts once per
+repetition (`SettingCounts.add_heralded`); exact mode adds the expected
+counts of the truncated click distribution in closed form
+(`SettingCounts.add_expected`).  Both assemble the fidelity with
 `witness.fidelity_estimate`, as `analyze --mode witness` does.
 """
 from __future__ import annotations
@@ -107,18 +108,32 @@ class WitnessOutcome:
 
 def witness_exact(n_qubits: int, params: EmitterParams, noise: NoiseParams,
                   tbi: TBIParams, thinned: bool = False) -> WitnessOutcome:
-    """Expected-count witness estimate from exact density-operator evolution,
-    with one generation evolution for all sub-runs (`_exact_subruns`)."""
+    """Expected-count witness estimate from exact density-operator evolution
+    (`_exact_counts`)."""
+    return WitnessOutcome.from_counts(n_qubits,
+                                      _exact_counts(n_qubits, params, noise, tbi, thinned))
+
+
+def _exact_counts(n_qubits: int, params: EmitterParams, noise: NoiseParams,
+                  tbi: TBIParams, thinned: bool = False) -> dict[str, SettingCounts]:
+    """Expected heralded counts of every setting, label -> SettingCounts.
+
+    One generation evolution serves all sub-runs (`_exact_subruns`).  Each
+    component's heralded terms (`DetectionModel.readout_terms`) are
+    counted in closed form (`SettingCounts.add_expected`), weighted by the
+    component's weight over the setting's sub-setting count.
+    """
     counts: dict[str, SettingCounts] = {}
     for run, exact in _exact_subruns(n_qubits, params, noise, tbi):
         acc = counts.setdefault(run.setting.label,
                                 SettingCounts(run.setting, n_qubits - 1))
         n_subs = len(run.setting.subsettings)
-        for weight, dist in _exact_distributions(run, exact, noise, thinned):
-            sel = dist.label & (dist.probs > 0)
-            acc.add_heralded(run.sub_index, dist.rows[sel],
-                             weight * dist.probs[sel] / n_subs)
-    return WitnessOutcome.from_counts(n_qubits, counts)
+        model = DetectionModel(exact.layout, run.tbi, noise, run.windows, thinned)
+        for comp in exact.components:
+            terms = model.readout_terms(comp.rho, comp.flag_clicks, heralded_only=True)
+            acc.add_expected(run.sub_index, terms.rows,
+                             terms.weights * (comp.weight / n_subs), terms.cells)
+    return counts
 
 
 def _exact_subruns(n_qubits: int, params: EmitterParams, noise: NoiseParams,

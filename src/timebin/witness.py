@@ -17,11 +17,14 @@ polarizer angle (theta0 + k pi/2n) and a pair of spin pre-readout rotations;
 the population setting uses the early/late windows with the readout rotation
 toggled between 0 and pi.
 
-Heralded events are counted on one path.  `SettingCounts.add_heralded` adds
-the outcomes of weighted groups of click-count rows of one sub-setting:
-exact-mode probabilities, sampled repetitions or analyzed time tags.
-`estimate_setting` turns one setting's counts into its population or
-correlator, and `fidelity_estimate` assembles the fidelity from them.
+Heralded events are counted with one outcome multiplicity, prod_k n_k(e_k)
+over the slots' clicks of each eigenvalue.  `SettingCounts.add_heralded`
+adds the outcomes of weighted groups of click-count rows of one
+sub-setting: sampled repetitions or analyzed time tags.
+`SettingCounts.add_expected` adds the expected counts of exact-mode rows
+and their first-order background clicks in closed form.  `estimate_setting`
+turns one setting's counts into its population or correlator, and
+`fidelity_estimate` assembles the fidelity from them.
 """
 from __future__ import annotations
 
@@ -260,6 +263,26 @@ def witness_fidelity_exact(rho: DensityOperator) -> float:
 Outcome = tuple[int, tuple[int, ...]]  # (spin eigenvalue, per-slot photon eigenvalues)
 
 
+def _outcome_signs(n_slots: int) -> np.ndarray:
+    """Every e in {+1, -1}^n as rows, slot 0 most significant, -1 as a set bit."""
+    return 1 - 2 * ((np.arange(2 ** n_slots)[:, None] >> np.arange(n_slots)[::-1]) & 1)
+
+
+def _outcome_products(pairs: np.ndarray) -> np.ndarray:
+    """prod_k pairs[k, e_k] for every outcome e of `_outcome_signs`, as a
+    (2^n, groups) array.
+
+    pairs[k] holds a value per group for e_k = +1, then one for e_k = -1;
+    with slot k's click counts of each eigenvalue (`_eigen_counts`) the
+    product is an outcome's multiplicity.  Groups run along the last axis,
+    so every step is a long vector operation.
+    """
+    out = np.ones((1, pairs.shape[2]), dtype=pairs.dtype)
+    for pair in pairs:
+        out = (out[:, None] * pair).reshape(2 * len(out), -1)
+    return out
+
+
 @dataclass
 class SettingCounts:
     """Accumulated heralded events of one setting.
@@ -271,6 +294,22 @@ class SettingCounts:
     setting: MeasurementSetting
     n_slots: int
     counts: dict = field(default_factory=dict)
+
+    def _cell_eig(self) -> np.ndarray:
+        """The photon eigenvalue of each of a slot's 6 cells, 0 if ineligible."""
+        return np.array([self.setting.photon_eigenvalue(WINDOWS[c // 2], DETECTORS[c % 2])
+                         or 0 for c in range(6)])
+
+    def _eigen_counts(self, counts: np.ndarray) -> np.ndarray:
+        """n_k(+-1): each slot's clicks of eigenvalue +1 and -1 per group, as
+        an (n_slots, 2, groups) array, of (groups, n_slots, 6) cell counts."""
+        eig = (self._cell_eig() == np.array([[1], [-1]])).astype(counts.dtype)
+        return eig @ counts.transpose(1, 2, 0)
+
+    def _outcome_keys(self, sub_index: int) -> list[Outcome]:
+        """The counts key of every outcome of `_outcome_signs`, in order."""
+        eigenvalue = self.setting.subsettings[sub_index].eigenvalue
+        return [(eigenvalue, tuple(e)) for e in _outcome_signs(self.n_slots).tolist()]
 
     def add_heralded(self, sub_index: int, rows, weights) -> np.ndarray:
         """Add the heralded outcomes of click groups measured in sub-setting
@@ -287,17 +326,13 @@ class SettingCounts:
         groups' click combinations (cell order) first reach them.  Returns
         each group's outcome count, prod_k (n_k(+1) + n_k(-1)).
         """
-        sub = self.setting.subsettings[sub_index]
         n = self.n_slots
         weights = np.asarray(weights, dtype=float)
         counts = np.asarray(rows, dtype=np.int64).reshape(len(weights), n, 6)
-        cell_eig = np.array([self.setting.photon_eigenvalue(WINDOWS[c // 2],
-                                                            DETECTORS[c % 2]) or 0
-                             for c in range(6)])
-        # every e in {+1, -1}^n, slot 0 most significant, -1 as a set bit
-        signs = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)[::-1]) & 1)
-        per_eig = np.stack([(counts * (cell_eig == e)).sum(axis=2) for e in (1, -1)])
-        mult = np.where(signs == 1, per_eig[0][:, None], per_eig[1][:, None]).prod(axis=2)
+        cell_eig = self._cell_eig()
+        signs = _outcome_signs(n)
+        per_eig = self._eigen_counts(counts)
+        mult = _outcome_products(per_eig).T
         # a slot's first eligible click in cell order sets which eigenvalue
         # its combinations take first
         first = cell_eig[np.argmax(counts * (cell_eig != 0) > 0, axis=2)]
@@ -308,7 +343,7 @@ class SettingCounts:
         occurs = np.take_along_axis(mult, order, axis=1).ravel()
         seen = occurs > 0
         group, outcome, occurs = group[seen], outcome[seen], occurs[seen]
-        keys = [(sub.eigenvalue, tuple(e)) for e in signs.tolist()]
+        keys = self._outcome_keys(sub_index)
         sums = np.bincount(
             np.concatenate([np.arange(2 ** n), np.repeat(outcome, occurs)]),
             np.concatenate([[self.counts.get(k, 0.0) for k in keys],
@@ -317,7 +352,43 @@ class SettingCounts:
         _, at = np.unique(outcome, return_index=True)
         for o in outcome[np.sort(at)].tolist():
             self.counts[keys[o]] = float(sums[o])
-        return per_eig.sum(axis=0).prod(axis=1)
+        return per_eig.sum(axis=1).prod(axis=0)
+
+    def add_expected(self, sub_index: int, rows, weights, cells) -> None:
+        """Add the expected heralded counts of click rows with first-order
+        background clicks, measured in sub-setting sub_index.
+
+        rows is a (heads, 6 * n_slots) matrix of click counts with a readout
+        click; weights[:, 0] weighs each row as it is and weights[:, c] the
+        row plus one click in cell cells[c - 1] (`DetectionModel.
+        readout_terms`).  Each term adds its weight times the multiplicity
+        prod_k n_k(e_k) to every outcome e, summed in closed form: a click in
+        an eligible cell of slot j with eigenvalue eps raises n_j(eps) by
+        one, which adds [e_j = eps] * prod_{k != j} n_k(e_k), and a click in
+        an ineligible cell leaves the product as it is.  Outcomes whose sum
+        is positive are added, in outcome order.
+        """
+        n = self.n_slots
+        weights = np.asarray(weights, dtype=float)
+        per_eig = self._eigen_counts(
+            np.asarray(rows, dtype=float).reshape(len(weights), n, 6))
+        # one product gives each head's total weight, and the leak weight
+        # that raises n_j(+1) or n_j(-1) of each slot j
+        cells = np.asarray(cells, dtype=np.intp)
+        eig = self._cell_eig()[cells % 6]
+        to_col = np.zeros((weights.shape[1], 1 + 2 * n))
+        to_col[:, 0] = 1.0
+        to_col[1 + np.arange(cells.size), 1 + 2 * (cells // 6) + (eig == -1)] = eig != 0
+        summed = to_col.T @ weights.T
+        raised = summed[1:].reshape(n, 2, -1)
+        sums = _outcome_products(per_eig) @ summed[0]
+        for j in range(n):
+            swapped = per_eig.copy()
+            swapped[j] = raised[j]
+            sums += _outcome_products(swapped).sum(axis=1)
+        keys = self._outcome_keys(sub_index)
+        for o in np.flatnonzero(sums > 0).tolist():
+            self.counts[keys[o]] = self.counts.get(keys[o], 0.0) + float(sums[o])
 
     @property
     def total(self) -> float:

@@ -3,10 +3,12 @@
 These are the dense full-register Kraus matrices that the emitter's local
 (spin, slot) factors replaced; the hand-routed slot alphabet (tuple-of-cells
 click patterns, a classical route per definite-bin photon and per doubly
-occupied level) that `DetectionModel`'s alphabet builder replaced; and the
+occupied level) that `DetectionModel`'s alphabet builder replaced; the
 depth-first contraction, the dict-based flag and leak convolutions and the
 per-record heralded-outcome loop that the array kernel in
-`timebin.detection` and `timebin.witness.SettingCounts` replaced.  The
+`timebin.detection` and `timebin.witness.SettingCounts` replaced; and the
+exact witness counting by expanded, grouped click rows that the
+closed-form `SettingCounts.add_expected` replaced.  The
 detection forms work on click records (`click_record` ints: a row of
 per-cell counts read as little-endian bytes, so records of separate clicks
 add and a record moves to slot k by `<< 48 * k`) and serve as bit-for-bit
@@ -329,3 +331,22 @@ def add_heralded(counts: dict, setting, sub_index: int, groups, n_slots: int
             add_outcome(counts, outcome, weight)
         n_outcomes.append(len(outcomes))
     return n_outcomes
+
+
+def exact_counts(n_qubits: int, params, noise, tbi, thinned: bool = False) -> dict:
+    """label -> SettingCounts of the exact witness, counted row by row: each
+    component's `full_distribution` (leak clicks expanded into rows, equal
+    rows grouped), its readout-click rows through `add_heralded`."""
+    from timebin.experiments import _exact_distributions, _exact_subruns
+    from timebin.witness import SettingCounts
+
+    counts: dict = {}
+    for run, exact in _exact_subruns(n_qubits, params, noise, tbi):
+        acc = counts.setdefault(run.setting.label,
+                                SettingCounts(run.setting, n_qubits - 1))
+        n_subs = len(run.setting.subsettings)
+        for weight, dist in _exact_distributions(run, exact, noise, thinned):
+            sel = dist.label & (dist.probs > 0)
+            acc.add_heralded(run.sub_index, dist.rows[sel],
+                             weight * dist.probs[sel] / n_subs)
+    return counts

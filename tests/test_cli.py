@@ -47,6 +47,23 @@ theta0 = 0.2
         with pytest.raises(ConfigurationError):
             load_config(path)
 
+    def test_ghz_size_limit(self, tmp_path, monkeypatch, capsys):
+        # rejected while the configuration is validated, before any evolution
+        import timebin.experiments as exp
+
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("evolution started")
+
+        monkeypatch.setattr(exp, "run_sequence_exact", no_evolution)
+        monkeypatch.setattr(exp, "run_sequence_trajectory", no_evolution)
+        assert run_cli("simulate", "ghz", "--photons", "5", "--reps", "100",
+                       "--out", str(tmp_path / "r")) == 1
+        assert "at most 4 qubits" in capsys.readouterr().err
+        conf = tmp_path / "ghz5.conf"
+        conf.write_text('[run]\nexperiment = "ghz"\nn_qubits = 5\n')
+        with pytest.raises(ConfigurationError, match="at most 4 qubits"):
+            load_config(conf)
+
     def test_unknown_section_rejected(self, tmp_path):
         # a misspelt or unsupported section must not silently fall back to
         # the paper defaults
@@ -375,6 +392,31 @@ class TestArtifacts:
         assert got["hom_counts"] == sim["hom_counts"]
         assert got["g2_zero"] == sim["g2_zero"]
         assert sum(sim["hom_counts"].values()) > 0
+
+    def test_analyze_hom_reads_manifest_windows(self, tmp_path):
+        # a run at a non-default t_inf: g2 and hom analysis place the
+        # windows as the manifest's run did
+        conf = tmp_path / "run.conf"
+        conf.write_text("[emitter]\nt_inf = 9.0\n")
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "hom", "--config", str(conf), "--reps", "20000",
+                       "--seed", "1", "--out", str(out)) == 0
+        sim = json.loads((out / "report.json").read_text())
+        assert sum(sim["hom_counts"].values()) > 0
+        for mode in ("g2", "hom"):
+            ana = tmp_path / mode
+            assert run_cli("analyze", "--input", str(out / "timetags.csv"),
+                           "--mode", mode, "--manifest", str(out / "manifest.json"),
+                           "--out", str(ana)) == 0
+            got = json.loads((ana / "analysis.json").read_text())
+            assert got["g2_zero"] == sim["g2_zero"]
+            assert got["configuration"]["windows"]["middle_start"] == 39.0
+            if mode == "hom":
+                assert got["hom_counts"] == sim["hom_counts"]
+        # a hom run's manifest holds no witness settings
+        assert run_cli("analyze", "--input", str(out / "timetags.csv"),
+                       "--mode", "witness", "--manifest", str(out / "manifest.json"),
+                       "--out", str(tmp_path / "witness")) == 1
 
     def test_fringe_scan_outputs(self, tmp_path):
         out = tmp_path / "fr"

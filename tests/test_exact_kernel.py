@@ -2,7 +2,9 @@
 
 `kernel_reference` keeps the depth-first contraction, the dict-based flag
 and leak convolutions and the per-record outcome loop; the kernel must give
-the same entries, in the same order, with bit-identical probabilities.
+the same entries, in the same order, with bit-identical probabilities.  It
+also keeps the row-by-row exact witness counting, which the closed-form
+counts must match to rounding.
 """
 import dataclasses
 import itertools
@@ -12,11 +14,14 @@ import pytest
 
 import kernel_reference as ref
 from kernel_reference import row_records
+from timebin import detection
 from timebin.coincidence import MIDDLE, WindowConfig, click_cell
 from timebin.config import paper_emitter, paper_noise, paper_tbi
 from timebin.detection import DetectionModel
 from timebin.emitter import run_sequence_exact, run_sequence_trajectory
-from timebin.experiments import _witness_subruns, witness_exact
+from timebin.errors import UndefinedEstimateError
+from timebin.experiments import (WitnessOutcome, _exact_counts, _witness_subruns,
+                                 witness_exact)
 from timebin.hilbert import SLOT_EARLY, SLOT_EL, SLOT_LATE, RegisterLayout
 from timebin.witness import SettingCounts, ghz_settings
 
@@ -159,6 +164,93 @@ class TestAddHeralded:
         acc = SettingCounts(ghz_settings(3)[0], 2)
         assert acc.add_heralded(0, np.zeros((0, 12), np.uint8), []).tolist() == []
         assert acc.counts == {}
+
+
+class TestAddExpected:
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4])
+    def test_matches_expanded_rows(self, n_qubits):
+        # each (row, leak column) term expanded into its own click row and
+        # counted by add_heralded; leak cells in every window, eligible or
+        # not for the setting, and some weights zeroed
+        rng = np.random.default_rng(10 + n_qubits)
+        n_slots = n_qubits - 1
+        cells = rng.permutation(6 * n_slots)[:5]
+        for setting in ghz_settings(n_qubits):
+            got, want = SettingCounts(setting, n_slots), SettingCounts(setting, n_slots)
+            for sub_index in (0, 1, 0):
+                m = 30
+                rows = np.where(rng.random((m, 6 * n_slots)) < 0.4,
+                                rng.integers(1, 4, (m, 6 * n_slots)), 0).astype(np.uint8)
+                weights = rng.uniform(0.0, 1.0, (m, 1 + cells.size))
+                weights[rng.random(weights.shape) < 0.2] = 0.0
+                got.add_expected(sub_index, rows, weights, cells)
+                extra = np.zeros((1 + cells.size, 6 * n_slots), np.uint8)
+                extra[np.arange(1, len(extra)), cells] = 1
+                at = np.flatnonzero(weights)
+                want.add_heralded(sub_index, rows[at // len(extra)] + extra[at % len(extra)],
+                                  weights.ravel()[at])
+            assert got.counts.keys() == want.counts.keys()
+            assert all(got.counts[k] == pytest.approx(v, rel=1e-12)
+                       for k, v in want.counts.items())
+
+    def test_empty(self):
+        acc = SettingCounts(ghz_settings(3)[1], 2)
+        acc.add_expected(0, np.zeros((0, 12), np.uint8), np.zeros((0, 3)), [0, 7])
+        assert acc.counts == {}
+
+
+def assert_counts_match(got: dict, want: dict) -> None:
+    assert got.keys() == want.keys()
+    for label, acc in want.items():
+        assert got[label].counts.keys() == acc.counts.keys(), label
+        for key, value in acc.counts.items():
+            assert got[label].counts[key] == pytest.approx(value, rel=1e-12), (label, key)
+
+
+class TestExpectedCounts:
+    # the closed-form exact witness counts against the row-by-row reference
+
+    @pytest.mark.parametrize("thinned", [False, True])
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_paper_defaults(self, n_qubits, thinned):
+        args = n_qubits, paper_emitter(), paper_noise(), paper_tbi(), thinned
+        want = ref.exact_counts(*args)
+        assert all(acc.counts for acc in want.values())
+        assert_counts_match(_exact_counts(*args), want)
+
+    def test_no_background_light(self):
+        noise = dataclasses.replace(paper_noise(), p_leak=0.0)
+        args = 2, paper_emitter(), noise, paper_tbi()
+        assert_counts_match(_exact_counts(*args), ref.exact_counts(*args))
+
+    def test_readout_off(self):
+        # no readout click, so no heralded events: both paths count nothing
+        # and the estimate is undefined
+        noise = dataclasses.replace(paper_noise(), eta_readout=0.0)
+        args = 2, paper_emitter(), noise, paper_tbi()
+        got, want = _exact_counts(*args), ref.exact_counts(*args)
+        assert_counts_match(got, want)
+        assert all(acc.counts == {} for acc in got.values())
+        for counts in (got, want):
+            with pytest.raises(UndefinedEstimateError, match="setting ZZ"):
+                WitnessOutcome.from_counts(2, counts)
+        with pytest.raises(UndefinedEstimateError, match="setting ZZ"):
+            witness_exact(*args)
+
+    def test_counts_without_row_expansion(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("the exact witness expanded click rows")
+
+        monkeypatch.setattr(DetectionModel, "full_distribution", unused)
+        monkeypatch.setattr(SettingCounts, "add_heralded", unused)
+        out = witness_exact(2, paper_emitter(), paper_noise(), paper_tbi())
+        assert out.fidelity == pytest.approx(0.6772859504890993, abs=1e-12)
+
+    def test_truncation_bias(self, monkeypatch):
+        # without the PRUNE_TOL truncation the Bell fidelity moves by ~1e-8
+        monkeypatch.setattr(detection, "PRUNE_TOL", 0.0)
+        out = witness_exact(2, paper_emitter(), paper_noise(), paper_tbi())
+        assert 1e-10 < abs(out.fidelity - 0.6772859504890993) < 1e-7
 
 
 class TestExactReference:
