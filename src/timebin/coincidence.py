@@ -27,6 +27,8 @@ EARLY, MIDDLE, LATE, READOUT = range(4)
 # detector codes of TagArrays.detector; DETECTORS[code] is the Detector
 DETECTORS = (Detector.D1, Detector.D2)
 _EXPORT_CHUNK = 65_536
+# the most bins build_histogram makes (80 MB of int64 counts)
+MAX_HISTOGRAM_BINS = 10**7
 _MAX_REPETITION = 2**63 - 1
 # bits of tag_order's packed sort key
 _KEY_BITS = 63
@@ -288,14 +290,21 @@ def build_histogram(tags: TagArrays, bin_width: float, t_max: float | None = Non
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Counts per time bin summed over both detectors.
 
-    Returns (bin_starts, counts); bin k covers [k*w, (k+1)*w).
+    Returns (bin_starts, counts); bin k covers [k*w, (k+1)*w).  A bin
+    width that is not finite and positive, or one that would need more
+    than MAX_HISTOGRAM_BINS bins, raises ContractError before any array is
+    made.
     """
-    if bin_width <= 0:
-        raise ContractError("bin width must be positive")
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ContractError(f"bin width must be finite and positive, got {bin_width}")
     if len(tags) == 0:
         raise ContractError("cannot histogram an empty tag list")
     t_max = float(tags.time.max()) if t_max is None else t_max
-    n_bins = int(math.floor(t_max / bin_width)) + 1
+    last = t_max / bin_width
+    if not last < MAX_HISTOGRAM_BINS:
+        raise ContractError(f"bin width {bin_width} ns needs {last + 1:.3g} bins up to "
+                            f"{t_max} ns, more than {MAX_HISTOGRAM_BINS}")
+    n_bins = int(math.floor(last)) + 1
     idx = np.floor(tags.time / bin_width).astype(np.int64)
     idx = idx[(idx >= 0) & (idx < n_bins)]
     counts = np.bincount(idx, minlength=n_bins)
@@ -469,13 +478,17 @@ def hom_correct(v_raw: float, g2: float, v_classical: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = ["detector", "time_ns", "repetition"]
-# the plain header line, with each line end
-_HEADER_LINES = tuple(",".join(_CSV_HEADER) + end for end in ("\r\n", "\n", "\r"))
+# the header line export_timetags writes
+_HEADER_LINE = (",".join(_CSV_HEADER) + "\r\n").encode()
 _ROW_FORMAT = "%s,%.6f,%d\r\n"
-_PLAIN_BYTES = bytes(range(0x20, 0x7f)) + b"\t\n\r"
-_LINE_BLOCK = 1 << 16
-# numpy's C reader fields; "S3" holds one character more than a detector name
-_TAG_DTYPE = np.dtype([("d", "S3"), ("t", "f8"), ("r", "i8")])
+# _decode_rows: bytes read per block, the longest row it decodes (integer
+# part and repetition of 8 digits), and the bytes of its non-digit columns
+_READ_BLOCK = 1 << 20
+_MAX_ROW = len("D1,12345678.123456,12345678\r\n")
+_ROW_MARKS = np.frombuffer(b"D,.,\r\n", np.uint8)
+# for width w in 0..8: the mask of an 8-byte little-endian word that keeps
+# its last w bytes, the w digits of a field that ends with the word
+_KEEP_LAST = np.array([2**64 - 2**(64 - 8 * w) for w in range(9)], np.uint64)
 # for k in 0..9999: its four ASCII digits, zero-padded, as one word, and
 # the word of which of them are not leading zeros (0 shows none), 1 byte each
 _PLACES = np.arange(10_000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1],
@@ -495,7 +508,7 @@ def export_timetags(path, tags: TagArrays) -> None:
     `_format_rows` cannot format exactly goes through the %-template.
     """
     with open(path, "wb") as fh:
-        fh.write(_HEADER_LINES[0].encode())
+        fh.write(_HEADER_LINE)
         for lo in range(0, len(tags), _EXPORT_CHUNK):
             det, time, rep = (a[lo:lo + _EXPORT_CHUNK]
                               for a in (tags.detector, tags.time, tags.repetition))
@@ -581,17 +594,17 @@ def ingest_timetags(path) -> TagArrays:
     Rows already in (repetition, time, detector) order, as export_timetags
     writes them, are not sorted again.
 
-    A file of `_plain_bytes` has its data rows read in one pass of numpy's
-    C reader and checked as whole arrays.  `_parse_rows`, the csv row loop,
-    defines the grammar and every error: it reads the file again whenever
-    the array read fails or a value does not pass, and so also accepts the
-    rare syntax the C reader rejects (quoted fields, `1_0`, non-ASCII digits).
+    A file holding exactly the bytes export_timetags writes is decoded as
+    byte blocks by `_decode_rows`, the inverse of `_format_rows`.
+    `_parse_rows`, the csv row loop, defines the grammar and every error: it
+    reads every other file (and a pipe, which cannot be read twice), so it
+    also accepts the syntax export never writes (other line ends, blank
+    lines, quoted fields, exponents, `1_0`, non-ASCII digits).
     """
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         arr = None
-        # a pipe cannot be read twice
-        if fh.seekable() and _plain_bytes(fh.buffer):
-            arr = _read_array(fh)
+        if fh.seekable():
+            arr = _decode_rows(fh.buffer)
             fh.seek(0)
         if arr is None:
             arr = _parse_rows(fh)
@@ -606,53 +619,83 @@ def ingest_timetags(path) -> TagArrays:
     return sorted_tags(arr.detector, arr.time, arr.repetition)
 
 
-def _read_array(fh) -> TagArrays | None:
-    """The rows of a tag file through numpy's C reader, in file order, or
-    None when the header or any row is not in the plain form export_timetags
-    writes or a value would be rejected.  Only for a file that
-    `_plain_bytes` accepts.
+def _decode_rows(fh) -> TagArrays | None:
+    """The rows of a binary tag file in file order, or None unless it holds
+    the header line and then only rows `D1|D2,<int>.<6 decimals>,<int>\r\n`
+    with integer parts and repetitions of 1 to 8 digits.
+
+    The file is read in 1 MiB blocks into one buffer, the unfinished line
+    carried to the next, so the temporaries (about 10 bytes per byte read)
+    are not made for the whole file.  8 bytes in front of the block let
+    every field be read as the unaligned 8-byte word that ends where it
+    ends.  Any value this accepts is one the row loop takes the same way:
+    the time (whole * 10^6 + decimals) / 1e6 is the correctly rounded
+    quotient of exact doubles, as float() of its text is.
     """
-    if fh.readline() not in _HEADER_LINES:
+    if fh.read(len(_HEADER_LINE)) != _HEADER_LINE:
         return None
-    try:
-        # as errors: the "no data" warning of a file without rows, and the
-        # deprecated float parse of an integer field in numpy < 2
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=_TAG_DTYPE)
-    except (ValueError, Warning):
+    buf = np.full(8 + _MAX_ROW + _READ_BLOCK, ord("0"), np.uint8)
+    # words[k] is the 8 bytes before byte k of the block (buf[k:k + 8])
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
+    parts = []
+    held = 0
+    while got := fh.readinto(memoryview(buf)[8 + held:8 + held + _READ_BLOCK]):
+        block = buf[8:8 + held + got]
+        decoded = _decode_block(block, words)
+        if decoded is None:
+            return None
+        columns, done = decoded
+        held = len(block) - done
+        if held >= _MAX_ROW:
+            return None
+        buf[8:8 + held] = block[done:]
+        parts.append(columns)
+    if held:
         return None
-    det, time, rep = rows["d"], rows["t"], rows["r"]
-    d2 = det == b"D2"
-    if not (np.all(d2 | (det == b"D1")) and np.all((time >= 0) & (time < np.inf))
-            and np.all(rep >= 0)):
-        return None
-    return TagArrays(d2.astype(np.int8), time.copy(), rep.copy())
+    if not parts:
+        return TagArrays(np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64))
+    return TagArrays(*(np.concatenate(column) for column in zip(*parts)))
 
 
-def _plain_bytes(fh) -> bool:
-    """Whether a binary file holds only printable ASCII, tabs and line ends,
-    with a line end in every whole 64 KiB block, read in 1 MiB chunks;
-    leaves the file at its start.
+def _decode_block(block, words) -> tuple[tuple, int] | None:
+    """((detector, time, repetition), bytes used) of a block's whole rows,
+    or None for a row not in export_timetags' form.
 
-    numpy's reader is trusted with no other byte: it ends a string field at
-    a NUL, so "D1\\0" would read as D1; it strips \\x1c-\\x1f around numbers,
-    which float() and int() reject; and its integer parse takes hundreds of
-    thousands of non-ASCII characters for blanks.  Nor with a line as long
-    as csv's field limit (131,072), which the row loop rejects: a line
-    holding no whole block is shorter than two.
+    Each row has six non-digit bytes, `D`, comma, point, comma, CR and LF,
+    and every other byte is a digit; an unfinished last line has at most
+    five, so the first 6 * (count // 6) non-digits are the whole rows'.
     """
-    try:
-        while chunk := fh.read(1 << 20):
-            if chunk.translate(None, _PLAIN_BYTES):
-                return False
-            for lo in range(0, len(chunk) - _LINE_BLOCK + 1, _LINE_BLOCK):
-                hi = lo + _LINE_BLOCK
-                if chunk.find(b"\n", lo, hi) < 0 and chunk.find(b"\r", lo, hi) < 0:
-                    return False
-        return True
-    finally:
-        fh.seek(0)
+    marks = np.flatnonzero(block - np.uint8(ord("0")) > 9)
+    at = marks[:len(marks) // 6 * 6].reshape(-1, 6)
+    d_at, c1, dot, c2, cr, lf = at.T
+    int_width = dot - c1 - 1
+    rep_width = cr - c2 - 1
+    if not (np.array_equal(block[at], np.broadcast_to(_ROW_MARKS, at.shape))
+            # rows follow each other from byte 0
+            and not d_at[:1].any() and np.array_equal(d_at[1:], lf[:-1] + 1)
+            and np.all(c1 == d_at + 2) and np.all(c2 == dot + 7) and np.all(lf == cr + 1)
+            and np.all((int_width >= 1) & (int_width <= 8))
+            and np.all((rep_width >= 1) & (rep_width <= 8))):
+        return None
+    det = block[d_at + 1] - np.uint8(ord("1"))
+    if np.any(det > 1):
+        return None
+    whole = _word_digits(words, dot, int_width)
+    micro = whole * np.uint64(1_000_000) + _word_digits(words, c2, 6)
+    rep = _word_digits(words, cr, rep_width)
+    done = int(lf[-1]) + 1 if len(lf) else 0
+    return (det.view(np.int8), micro.astype(float) / 1e6, rep.astype(np.int64)), done
+
+
+def _word_digits(words, end, width) -> np.ndarray:
+    """The decimal value of the `width` digits (1 to 8) that end before each
+    byte `end` of the block: the 8-byte word ending there, its leading bytes
+    masked off, combined 1, 2 and 4 digits at a time by multiply-shift steps
+    (the SWAR digit parse of simdjson)."""
+    v = words[end] & _KEEP_LAST[width]
+    v = (v & np.uint64(0x0F0F0F0F0F0F0F0F)) * np.uint64(2561) >> np.uint64(8)
+    v = (v & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(6553601) >> np.uint64(16)
+    return (v & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(42949672960001) >> np.uint64(32)
 
 
 def _parse_rows(fh) -> TagArrays:

@@ -1,13 +1,15 @@
 """Row-by-row reference forms of the time-tag CSV reader and writer.
 
 `ingest_timetags` is the `csv.reader` loop that parsed every row into
-Python lists before `timebin.coincidence.ingest_timetags` read the rows as
-arrays, with its unconditional `np.lexsort`.  It serves as the oracle of the
-ingest conformance tests: for any file it accepts, the array reader must
-return the same arrays bit for bit with the same warnings, and for any file
-it rejects, the same ParseError message and line.  Files holding a byte
-that is not UTF-8 are outside its domain: it fails on them with a
-UnicodeDecodeError, and on a field over csv's field limit with csv.Error.
+Python lists, with an unconditional `np.lexsort`, before
+`timebin.coincidence.ingest_timetags` decoded export's own rows as byte
+blocks and read every other file with its own csv row loop.  It serves as
+the oracle of the ingest conformance tests: for any file it accepts, both
+read paths must return the same arrays bit for bit with the same warnings,
+and for any file it rejects, the same ParseError message and line.  Files
+holding a byte that is not UTF-8 are outside its domain: it fails on them
+with a UnicodeDecodeError, and on a field over csv's field limit with
+csv.Error.
 
 `export_timetags` is the writer that formatted each chunk of rows with one
 `"%s,%.6f,%d\r\n"` template before `timebin.coincidence.export_timetags`

@@ -39,6 +39,35 @@ class TestHistogram:
         with pytest.raises(ContractError):
             build_histogram(tag_arrays(), bin_width=1.0)
 
+    @staticmethod
+    def _analyze_histogram(tmp_path, width):
+        path = tmp_path / "tags.csv"
+        path.write_text("detector,time_ns,repetition\nD1,30.5,0\nD2,42.0,1\n")
+        out = tmp_path / "ana"
+        code = main(["analyze", "--input", str(path), "--mode", "histogram",
+                     f"--bin-width={width}", "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("width", ["nan", "inf", "0", "-1"])
+    def test_bin_width_not_finite_and_positive(self, tmp_path, capsys, width):
+        code, out = self._analyze_histogram(tmp_path, width)
+        assert code == 1
+        assert f"got {float(width)}" in capsys.readouterr().err
+        assert not (out / "histogram.csv").exists()
+        assert not (out / "analysis.json").exists()
+
+    def test_bin_count_bounded_before_allocation(self, tmp_path, monkeypatch, capsys):
+        # 42 ns in 1.4e-9 ns bins would be 3e10 bins (240 GB of counts)
+        def no_bincount(*args, **kwargs):
+            raise AssertionError("bincount called")
+        monkeypatch.setattr(np, "bincount", no_bincount)
+        code, out = self._analyze_histogram(tmp_path, "1.4e-9")
+        assert code == 1
+        assert "more than 10000000" in capsys.readouterr().err
+        assert not (out / "histogram.csv").exists()
+        with pytest.raises(ContractError, match="bin width 1e-06 ns"):
+            build_histogram(tag_arrays((0, 30.5, 0)), bin_width=1e-6)
+
     def test_bell_peak_structure(self):
         # ideal Bell run: three photonic peaks with early:middle:late
         # integrated weights 1:2:1, plus the readout plateau

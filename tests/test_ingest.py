@@ -1,9 +1,10 @@
 """`ingest_timetags` against the row-by-row reference reader.
 
-For every file of the corpus, and for seeded random files, the array
-reader must either return the reference's arrays bit for bit (dtypes
-included) with the same warnings, or raise the same ParseError message
-naming the same line.
+For every file of the corpus, for seeded random files and for exported
+files (whole, at block edges and with one byte edited), the reader must
+either return the reference's arrays bit for bit (dtypes included) with
+the same warnings, or raise the same ParseError message naming the same
+line.  Exported files must be decoded without the csv row loop.
 """
 import random
 import warnings
@@ -112,13 +113,61 @@ ACCEPTED = {
     "zero_ties",
 }
 
-# files in the plain form the C reader takes without the row parser
-ARRAY_READ = {
+
+def sorted_rows(n, seed=3):
+    """n random (detector, time, repetition) rows in export order."""
+    rng = np.random.default_rng(seed)
+    rep = np.sort(rng.integers(0, 10**6, n))
+    time = rng.uniform(0.0, 606.06, n)
+    det = rng.integers(0, 2, n)
+    order = np.lexsort((det, time, rep))
+    return list(zip(det[order], time[order], rep[order]))
+
+
+def fixed_width_rows(n, rep):
+    """n rows whose lines all have the same length: a two-digit integer
+    part and the one repetition `rep`."""
+    return [(i % 2, 10.0 + i * 80.0 / n, rep) for i in range(n)]
+
+
+# rows per exported file: all but ROW_LOOP are in the form the decoder reads
+EXPORTED = {
+    "random": lambda: sorted_rows(5_000),
+    "header_only": lambda: [],
+    "one_row": lambda: [(1, 30.5, 0)],
+    # 18-, 17- and 16-byte lines: the first block (2^k bytes) ends inside
+    # a number, between a CR and its LF, and after a whole line
+    "block_edge_in_a_number": lambda: fixed_width_rows(
+        coincidence._READ_BLOCK // 18 + 100, 100),
+    "block_edge_before_lf": lambda: fixed_width_rows(
+        coincidence._READ_BLOCK // 17 + 100, 10),
+    "block_edge_after_row": lambda: fixed_width_rows(
+        coincidence._READ_BLOCK // 16 + 100, 1),
+    "widths_1_and_8": lambda: [(0, 0.5, 0), (1, 7.0, 1), (0, 12345678.25, 99999999),
+                               (1, 99999999.999999, 99999999)],
+    "integer_part_9_digits": lambda: [(0, 0.5, 0), (1, 123456789.5, 1)],
+    "repetition_9_digits": lambda: [(0, 0.5, 0), (1, 3.5, 123456789)],
+    # a chunk holding a negative time goes through the %-template
+    "negative_time": lambda: [(0, 1.0, 0), (1, -2.5, 1)],
+}
+ROW_LOOP = {"integer_part_9_digits", "repetition_9_digits", "negative_time"}
+
+# corpus files of plain rows (no quotes) whose rows, exported in file order,
+# are in the form the decoder reads; max_repetition's 19-digit repetition
+# and the -0.0 of negative_zero and zero_ties ("-0.000000") are not
+PLAIN_ROWS = {
     "lf", "crlf", "cr", "no_final_end", "mixed_ends", "blank_between", "blank_trailing",
     "cr_blank_lines", "padded_numbers", "plus_sign", "leading_zeros", "bare_point",
-    "negative_zero", "exponent_time", "close_decimals", "max_repetition", "unsorted",
-    "unsorted_time", "detector_ties", "detector_order", "zero_ties",
+    "exponent_time", "close_decimals", "unsorted", "unsorted_time", "detector_ties",
+    "detector_order",
 }
+
+
+def plain_rows(text):
+    """The (detector, time, repetition) rows of a corpus file of unquoted
+    rows, in file order."""
+    rows = [line.split(",") for line in text.splitlines()[1:] if line]
+    return [(int(d.strip()[1:]) - 1, float(t), int(r)) for d, t, r in rows]
 
 
 def outcome(ingest, path):
@@ -140,6 +189,36 @@ def write(tmp_path, text):
     return path
 
 
+def export(tmp_path, rows):
+    """The path of export_timetags' file of (detector, time, repetition) rows."""
+    det, time, rep = zip(*rows) if rows else ((), (), ())
+    path = tmp_path / "tags.csv"
+    tags = coincidence.TagArrays(np.array(det, np.int8), np.array(time, float),
+                                 np.array(rep, np.int64))
+    export_timetags(path, tags)
+    return path
+
+
+def count_row_loops(monkeypatch) -> list:
+    """Record each call of the csv row loop in the returned list."""
+    calls = []
+    parse_rows = coincidence._parse_rows
+    monkeypatch.setattr(coincidence, "_parse_rows",
+                        lambda fh: calls.append(1) or parse_rows(fh))
+    return calls
+
+
+# the rows of an export whose line 3 is LINE_3, and the offset of each of
+# its bytes by role
+EDITED_ROWS = [(0, 30.5, 0), (1, 42.25, 7), (0, 12345.125, 400000)]
+LINE_3 = b"D2,42.250000,7\r\n"
+LINE_3_BYTES = {"d": 0, "detector_digit": 1, "comma": 2, "integer": 3, "point": 5,
+                "decimal": 8, "second_comma": 12, "repetition": 13, "cr": 14, "lf": 15}
+# one-byte edits: (bytes put in, bytes taken out)
+EDITS = {"nul": (b"\x00", 1), "space": (b" ", 1), "xff": (b"\xff", 1), "digit": (b"3", 1),
+         "insert_digit": (b"5", 0), "delete": (b"", 1)}
+
+
 class TestConformance:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_corpus_matches_reference(self, tmp_path, name):
@@ -148,9 +227,19 @@ class TestConformance:
         assert got == outcome(ref.ingest_timetags, path)
         assert (got[0] == "ok") == (name in ACCEPTED)
 
-    @pytest.mark.parametrize("name", sorted(ARRAY_READ))
+    @pytest.mark.parametrize("name", sorted(PLAIN_ROWS))
     def test_plain_files_skip_the_row_parser(self, tmp_path, monkeypatch, name):
-        path = write(tmp_path, CORPUS[name])
+        # the corpus file's rows rewritten in export's form: out-of-order
+        # rows must reach the sort with the reference's warnings
+        path = export(tmp_path, plain_rows(CORPUS[name]))
+        want = outcome(ref.ingest_timetags, path)
+        assert want[0] == "ok"
+        monkeypatch.setattr(coincidence, "_parse_rows", None)
+        assert outcome(ingest_timetags, path) == want
+
+    @pytest.mark.parametrize("name", sorted(EXPORTED.keys() - ROW_LOOP))
+    def test_exported_files_skip_the_row_parser(self, tmp_path, monkeypatch, name):
+        path = export(tmp_path, EXPORTED[name]())
         want = outcome(ref.ingest_timetags, path)
         monkeypatch.setattr(coincidence, "_parse_rows", None)
         assert outcome(ingest_timetags, path) == want
@@ -191,16 +280,49 @@ class TestConformance:
             path = write(tmp_path, text)
             assert outcome(ingest_timetags, path) == outcome(ref.ingest_timetags, path), text
 
-    def test_exported_file_matches_reference(self, tmp_path):
-        rng = np.random.default_rng(3)
-        n = 5_000
-        rep = np.sort(rng.integers(0, 10**6, n))
-        time = rng.uniform(0.0, 606.06, n)
-        det = rng.integers(0, 2, n).astype(np.int8)
-        order = np.lexsort((det, time, rep))
-        path = tmp_path / "tags.csv"
-        export_timetags(path, coincidence.TagArrays(det[order], time[order], rep[order]))
-        assert outcome(ingest_timetags, path) == outcome(ref.ingest_timetags, path)
+    def test_exported_file_matches_reference(self, tmp_path, monkeypatch):
+        self._exported_matches_reference(tmp_path, monkeypatch, "random")
+
+    @pytest.mark.parametrize("name", sorted(EXPORTED.keys() - {"random"}))
+    def test_exported_edge_case_matches_reference(self, tmp_path, monkeypatch, name):
+        self._exported_matches_reference(tmp_path, monkeypatch, name)
+
+    @staticmethod
+    def _exported_matches_reference(tmp_path, monkeypatch, name):
+        path = export(tmp_path, EXPORTED[name]())
+        if name.startswith("block_edge"):
+            # the bytes on either side of the first block's end
+            edge = len(HEADER) + 2 + coincidence._READ_BLOCK
+            around = path.read_bytes()[edge - 1:edge + 1]
+            assert {"block_edge_in_a_number": around.isdigit(),
+                    "block_edge_before_lf": around == b"\r\n",
+                    "block_edge_after_row": around == b"\nD"}[name]
+        want = outcome(ref.ingest_timetags, path)
+        calls = count_row_loops(monkeypatch)
+        assert outcome(ingest_timetags, path) == want
+        assert calls == ([1] if name in ROW_LOOP else [])
+        if name == "negative_time":
+            assert want == ("error", "line 3: negative time -2.5", 3)
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    @pytest.mark.parametrize("at", sorted(LINE_3_BYTES))
+    def test_exported_file_with_one_byte_edited(self, tmp_path, edit, at):
+        path = export(tmp_path, EDITED_ROWS)
+        data = bytearray(path.read_bytes())
+        offset = data.index(LINE_3) + LINE_3_BYTES[at]
+        put, taken = EDITS[edit]
+        data[offset:offset + taken] = put
+        path.write_bytes(bytes(data))
+        got = outcome(ingest_timetags, path)
+        if edit != "xff":
+            assert got == outcome(ref.ingest_timetags, path)
+            return
+        # outside the reference's domain, which fails to decode the file
+        with pytest.raises(UnicodeDecodeError):
+            ref.ingest_timetags(path)
+        # a replaced LF leaves line 3 ended by its CR: the byte opens line 4
+        line = 4 if at == "lf" else 3
+        assert got == ("error", f"line {line}: byte 0xff is not UTF-8", line)
 
 
 # a field over csv's default field limit (131,072 characters)
@@ -212,8 +334,8 @@ class TestLongFields:
                                      "D1,1." + "0" * LONG + ",0"],
                              ids=["quoted_repetition", "plain_time"])
     def test_field_over_the_csv_limit_names_its_line(self, tmp_path, row):
-        # the quoted field reaches the row loop, which csv.reader fails on;
-        # the plain line must not be read by the array path instead
+        # neither line is in export's form: both reach the row loop, where
+        # csv.reader fails on the long field
         path = write(tmp_path, tag_file("D1,30.5,0", row, "D2,42.0,1"))
         with pytest.raises(ParseError, match=r"field larger than field limit \(131072\)"
                            ) as err:
@@ -223,16 +345,34 @@ class TestLongFields:
                      "--out", str(tmp_path / "ana")]) == 1
 
     def test_long_line_within_the_limit_is_read(self, tmp_path, monkeypatch):
-        # 5,000 short rows put the long line across the 64 KiB block [64, 128) KiB
+        # 5,000 short rows, then a line within csv's field limit
         rows = ["D1,30.5,0"] * 5_000 + ["D1,1." + "0" * 100_000 + ",1"]
         path = write(tmp_path, tag_file(*rows))
         want = outcome(ref.ingest_timetags, path)
         assert want[0] == "ok" and want[2] == []
         assert outcome(ingest_timetags, path) == want
-        # a line holding a whole block takes the row loop
-        calls = []
-        parse_rows = coincidence._parse_rows
-        monkeypatch.setattr(coincidence, "_parse_rows",
-                            lambda fh: calls.append(1) or parse_rows(fh))
+        # a line longer than any exported row takes the row loop
+        calls = count_row_loops(monkeypatch)
         assert outcome(ingest_timetags, path) == want
         assert calls == [1]
+
+
+class TestSimulatedFiles:
+    @pytest.mark.parametrize("run, mode", [
+        (["hom"], "hom"), (["bell"], "witness"), (["ghz", "--photons", "3"], "witness"),
+    ], ids=["hom", "bell", "ghz3"])
+    def test_simulate_output_is_decoded(self, tmp_path, monkeypatch, run, mode):
+        # every tag file simulate writes must be read without the row loop
+        sim, ana = tmp_path / "sim", tmp_path / "ana"
+        assert main(["simulate", *run, "--defaults", "paper", "--reps", "3000",
+                     "--seed", "1", "--out", str(sim)]) == 0
+        path = sim / "timetags.csv"
+        want = outcome(ref.ingest_timetags, path)
+
+        def no_row_loop(fh):
+            raise AssertionError("row loop called")
+        monkeypatch.setattr(coincidence, "_parse_rows", no_row_loop)
+        got = outcome(ingest_timetags, path)
+        assert got == want and got[0] == "ok" and len(got[1][0][2]) > 0
+        assert main(["analyze", "--mode", mode, "--input", str(path),
+                     "--manifest", str(sim / "manifest.json"), "--out", str(ana)]) == 0
