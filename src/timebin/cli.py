@@ -21,9 +21,9 @@ import numpy as np
 from . import coincidence as coin
 from . import experiments as exp
 from . import witness as wit
-from .config import (V_CLASSICAL_BACKSOLVED, RunConfig, load_config,
-                     noise_off, paper_emitter, paper_noise, paper_tbi,
-                     write_manifest)
+from .config import (MAX_GHZ_QUBITS, V_CLASSICAL_BACKSOLVED, RunConfig,
+                     load_config, noise_off, paper_emitter, paper_noise,
+                     paper_tbi, write_manifest)
 from .coincidence import WindowConfig
 from .errors import (ConfigurationError, ContractError, ParseError,
                      UndefinedEstimateError)
@@ -102,7 +102,8 @@ def _run_simulate(config: RunConfig, out: Path) -> list[str]:
                                      config.master_seed,
                                      thinned=config.thinned,
                                      keep_clicks=config.write_timetags)
-        exact = exp.witness_exact(n_qubits, config.emitter, config.noise, config.tbi)
+        exact = exp.witness_exact(n_qubits, config.emitter, config.noise, config.tbi,
+                                  thinned=config.thinned)
         report = _witness_report(run.outcome, {
             "experiment": config.experiment,
             "n_repetitions": config.n_repetitions,
@@ -228,10 +229,7 @@ def _run_analyze(args) -> list[str]:
     tags = coin.ingest_timetags(args.input)
     if len(tags) == 0:
         raise UndefinedEstimateError("input file holds no time tags")
-    cfg = None
-    if args.manifest:
-        with open(args.manifest) as fh:
-            cfg = json.load(fh)["config"]
+    cfg = _read_manifest(args.manifest) if args.manifest else None
     # the windows of the run's sequence, or without a manifest the ones
     # simulate hom analyses its own tags with at the default t_inf
     windows = _manifest_windows(cfg) if cfg else WindowConfig.for_sequence(1)
@@ -269,6 +267,40 @@ def _run_analyze(args) -> list[str]:
     return outputs
 
 
+def _read_manifest(path) -> dict:
+    """The run configuration a manifest echoes, with every key analyze reads
+    checked: experiment, emitter.t_inf and emitter.photon_spacing_ns, and a
+    ghz run's n_qubits, an integer of 3..MAX_GHZ_QUBITS."""
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise ConfigurationError(f"manifest {path} is not JSON: {exc}") from None
+
+    def read(section: dict, key: str, name: str):
+        if not isinstance(section, dict) or key not in section:
+            raise ConfigurationError(f"manifest {path} has no {name}")
+        return section[key]
+
+    cfg = read(manifest, "config", "config")
+    emitter = read(cfg, "emitter", "config.emitter")
+    for key in ("t_inf", "photon_spacing_ns"):
+        value = read(emitter, key, f"config.emitter.{key}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(f"manifest {path}: config.emitter.{key} "
+                                     f"must be a number, not {value!r}")
+    if read(cfg, "experiment", "config.experiment") == "ghz":
+        n_qubits = read(cfg, "n_qubits", "config.n_qubits")
+        if isinstance(n_qubits, bool) or not isinstance(n_qubits, int):
+            raise ConfigurationError(f"manifest {path}: config.n_qubits must be "
+                                     f"an integer, not {n_qubits!r}")
+        if not 3 <= n_qubits <= MAX_GHZ_QUBITS:
+            raise ConfigurationError(f"manifest {path}: config.n_qubits of a ghz "
+                                     f"run must lie in 3..{MAX_GHZ_QUBITS}, not "
+                                     f"{n_qubits}")
+    return cfg
+
+
 def _manifest_windows(cfg: dict) -> WindowConfig:
     """The detection windows of the sequence a manifest's run evolved: one
     photon slot for bell and hom, n_qubits - 1 for ghz."""
@@ -289,8 +321,8 @@ def _analyze_witness(tags, cfg: dict | None, windows: WindowConfig) -> dict:
     settings = wit.ghz_settings(n_qubits)
     n_subs = 2 * len(settings)
     # one repetition's tags are contiguous in the sorted view: count its
-    # photonic tags per (slot, window, detector) cell, then group the
-    # readout-clicked repetitions by (distinct row of counts, sub-run)
+    # photonic tags per (slot, window, detector) cell, then count the
+    # readout-clicked repetitions of each sub-run row by row
     tags, code = coin._analysis_view(tags, windows)
     new_rep = np.r_[True, tags.repetition[1:] != tags.repetition[:-1]]
     starts = np.flatnonzero(new_rep)
@@ -313,14 +345,12 @@ def _analyze_witness(tags, cfg: dict | None, windows: WindowConfig) -> dict:
                             "window on one detector")
     cells = np.zeros((len(starts), n_cells), np.uint8)
     cells.ravel()[flat] = n_tags
-    first, group = coin.distinct_rows(cells)
     sub_run = tags.repetition[starts] % n_subs
-    keys, n_reps = np.unique((group * n_subs + sub_run)[readout], return_counts=True)
     counts = {s.label: wit.SettingCounts(s, n_qubits - 1) for s in settings}
     for sub in range(n_subs):
-        sel = keys % n_subs == sub
-        counts[settings[sub // 2].label].add_heralded(
-            sub % 2, cells[first[keys[sel] // n_subs]], n_reps[sel])
+        rows = cells[readout & (sub_run == sub)]
+        counts[settings[sub // 2].label].add_expected(sub % 2, rows,
+                                                      np.ones((len(rows), 1)))
     estimates, (f, f_err) = wit.fidelity_estimate(n_qubits, counts)
     return {"mode": "witness", "n_qubits": n_qubits,
             "estimates": {label: {"value": v, "error": e}

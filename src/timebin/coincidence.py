@@ -27,6 +27,8 @@ EARLY, MIDDLE, LATE, READOUT = range(4)
 # detector codes of TagArrays.detector; DETECTORS[code] is the Detector
 DETECTORS = (Detector.D1, Detector.D2)
 _EXPORT_CHUNK = 65_536
+# the longest repetition offset g2_zero's long-delay mean averages over
+G2_MAX_DELAY_REPS = 50
 # the most bins build_histogram makes (80 MB of int64 counts)
 MAX_HISTOGRAM_BINS = 10**7
 _MAX_REPETITION = 2**63 - 1
@@ -363,13 +365,12 @@ def _long_delay_pairs(reps: np.ndarray, n1: np.ndarray, n2: np.ndarray, k: int) 
     return int(np.dot(n1, c2[hi] - c2[1:]) + np.dot(n2, c1[hi] - c1[1:]))
 
 
-def g2_zero(tags: TagArrays, windows: WindowConfig, max_delay_reps: int = 50
-            ) -> tuple[float, float, dict]:
+def g2_zero(tags: TagArrays, windows: WindowConfig) -> tuple[float, float, dict]:
     """Pulsed autocorrelation at zero delay.
 
     Same-repetition cross-detector coincidences within a window class,
     normalized by the mean coincidence rate at repetition offsets 1..k,
-    k = min(max_delay_reps, span of the tags' repetitions), averaged over
+    k = min(G2_MAX_DELAY_REPS, span of the tags' repetitions), averaged over
     the early and late classes, so only repetition differences matter.
     The tags are classified once (`_analysis_view`); each class's clicked
     repetitions come from the group starts of the sorted repetitions, and
@@ -384,7 +385,7 @@ def g2_zero(tags: TagArrays, windows: WindowConfig, max_delay_reps: int = 50
     span = int(tags.repetition[-1]) - int(tags.repetition[0])
     if span < 1:
         raise UndefinedEstimateError("g2 needs at least two repetitions")
-    k = min(max_delay_reps, span)
+    k = min(G2_MAX_DELAY_REPS, span)
     detail = {}
     values, weights = [], []
     for window in (Window.EARLY, Window.LATE):

@@ -41,8 +41,8 @@ import numpy as np
 
 from . import rng as crng
 from .coincidence import (DETECTORS, EARLY, LATE, MIDDLE, WINDOWS, TagArrays,
-                          WindowConfig, cell_click, click_cell, distinct_rows,
-                          first_seen_groups, sorted_tags)
+                          WindowConfig, cell_click, click_cell, first_seen_groups,
+                          sorted_tags)
 from .emitter import EXTRA_PHOTON_BRANCHES, NoiseParams, TrajectoryResult
 from .errors import ContractError
 from .hilbert import (SLOT_EARLY, SLOT_EE, SLOT_EL, SLOT_LATE, SLOT_LL,
@@ -440,14 +440,6 @@ class RunClicks:
     @property
     def n_reps(self) -> int:
         return self.spins.size
-
-    def outcome_codes(self) -> np.ndarray:
-        """A code per repetition that groups repetitions by signal and
-        flagged counts, background counts and readout click."""
-        _, codes = distinct_rows(np.concatenate(
-            [self.signal + self.flagged, self.background,
-             self.readout_clicks[:, None]], axis=1))
-        return codes
 
     def to_tags(self, gamma0: float = 2.54) -> TagArrays:
         """Expand sampled clicks into time tags.

@@ -9,11 +9,11 @@ is evolved once per witness, at phase 0; each sub-run conjugates that
 result by its setting's phase diagonal D (`with_late_phase`) and continues
 it through its wait and rotation (the engines' start=...).
 Repetitions are assigned to sub-runs round-robin by repetition index.
-Trajectory mode counts each row of sampled click counts once per
-repetition (`SettingCounts.add_heralded`); exact mode adds the expected
-counts of the truncated click distribution in closed form
-(`SettingCounts.add_expected`).  Both assemble the fidelity with
-`witness.fidelity_estimate`, as `analyze --mode witness` does.
+Both modes count heralded events with `SettingCounts.add_expected`:
+trajectory mode each heralded repetition's sampled click row once, exact
+mode the rows of the truncated click distribution with their expected
+weights and first-order background clicks.  Both assemble the fidelity
+with `witness.fidelity_estimate`, as `analyze --mode witness` does.
 """
 from __future__ import annotations
 
@@ -189,25 +189,18 @@ def _count_clicks(acc: SettingCounts, sub_index: int, clicks: RunClicks
                   ) -> tuple[float, float]:
     """Accumulate heralded events; returns (leak events, total events).
 
-    Repetitions are grouped by their click rows and whether the readout
-    click is background light only.  An event counts as a leak event when
-    its readout click is background light or its click combination uses a
-    background click in a photonic window.
+    Each heralded repetition's click row is counted once.  An event counts
+    as a leak event when its readout click is background light or its click
+    combination uses a background click in a photonic window: the events
+    free of background light are those of the signal and flagged clicks
+    alone, of the repetitions with a signal readout click.
     """
-    leak_read = clicks.readout_leak & ~clicks.readout_signal
-    keys, rows, n_rows = np.unique(clicks.outcome_codes() * 2 + leak_read,
-                                   return_index=True, return_counts=True)
-    heralded = clicks.readout_clicks[rows]
-    keys, rows, n_rows = keys[heralded], rows[heralded], n_rows[heralded]
-    photons = (clicks.signal + clicks.flagged)[rows]
-    events = acc.add_heralded(sub_index, photons + clicks.background[rows], n_rows)
-    # the events free of background light: those of the signal clicks
-    # alone, and none when the readout click is background light
-    photons[keys % 2 == 1] = 0
-    signal = SettingCounts(acc.setting, acc.n_slots)
-    signal.add_heralded(sub_index, photons, n_rows)
-    total = int(np.sum(n_rows * events))
-    return total - signal.total, float(total)
+    heralded = clicks.readout_clicks
+    photons = (clicks.signal + clicks.flagged)[heralded]
+    total = acc.add_expected(sub_index, photons + clicks.background[heralded],
+                             np.ones((len(photons), 1))).sum()
+    signal = acc.outcome_multiplicities(photons[clicks.readout_signal[heralded]]).sum()
+    return float(total - signal), float(total)
 
 
 def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,

@@ -18,13 +18,13 @@ the population setting uses the early/late windows with the readout rotation
 toggled between 0 and pi.
 
 Heralded events are counted with one outcome multiplicity, prod_k n_k(e_k)
-over the slots' clicks of each eigenvalue.  `SettingCounts.add_heralded`
-adds the outcomes of weighted groups of click-count rows of one
-sub-setting: sampled repetitions or analyzed time tags.
-`SettingCounts.add_expected` adds the expected counts of exact-mode rows
-and their first-order background clicks in closed form.  `estimate_setting`
-turns one setting's counts into its population or correlator, and
-`fidelity_estimate` assembles the fidelity from them.
+over the slots' clicks of each eigenvalue
+(`SettingCounts.outcome_multiplicities`).  `SettingCounts.add_expected`
+adds it in closed form for every click row: a sampled or analyzed
+repetition once, an exact-mode row with its expected weight and
+first-order background clicks.  `estimate_setting` turns one setting's
+counts into its population or correlator, and `fidelity_estimate`
+assembles the fidelity from them.
 """
 from __future__ import annotations
 
@@ -300,78 +300,49 @@ class SettingCounts:
         return np.array([self.setting.photon_eigenvalue(WINDOWS[c // 2], DETECTORS[c % 2])
                          or 0 for c in range(6)])
 
-    def _eigen_counts(self, counts: np.ndarray) -> np.ndarray:
-        """n_k(+-1): each slot's clicks of eigenvalue +1 and -1 per group, as
-        an (n_slots, 2, groups) array, of (groups, n_slots, 6) cell counts."""
-        eig = (self._cell_eig() == np.array([[1], [-1]])).astype(counts.dtype)
-        return eig @ counts.transpose(1, 2, 0)
+    def _eigen_counts(self, rows) -> np.ndarray:
+        """n_k(+-1): each slot's clicks of eigenvalue +1 and -1 per row, as an
+        (n_slots, 2, rows) int64 array, of a (rows, 6 * n_slots) matrix of
+        per-cell click counts (`coincidence.click_cell`)."""
+        cells = np.asarray(rows).reshape(len(rows), self.n_slots, 6)
+        cell_eig = self._cell_eig()
+        return np.stack([cells[:, :, cell_eig == e].sum(axis=2, dtype=np.int64).T
+                         for e in (1, -1)], axis=1)
+
+    def outcome_multiplicities(self, rows) -> np.ndarray:
+        """prod_k n_k(e_k) of every outcome e of `_outcome_signs` for each
+        click-count row, as a (2^n, rows) int64 array.
+
+        A row needs an eligible click in every slot; outcome (eigenvalue, e)
+        then occurs once per click combination, and its column sums to the
+        row's event count prod_k (n_k(+1) + n_k(-1)).
+        """
+        return _outcome_products(self._eigen_counts(rows))
 
     def _outcome_keys(self, sub_index: int) -> list[Outcome]:
         """The counts key of every outcome of `_outcome_signs`, in order."""
         eigenvalue = self.setting.subsettings[sub_index].eigenvalue
         return [(eigenvalue, tuple(e)) for e in _outcome_signs(self.n_slots).tolist()]
 
-    def add_heralded(self, sub_index: int, rows, weights) -> np.ndarray:
-        """Add the heralded outcomes of click groups measured in sub-setting
-        sub_index, each outcome with its group's weight.
-
-        rows is a (groups, 6 * n_slots) matrix of per-cell click counts
-        (`coincidence.click_cell`), weights a number of repetitions or an
-        exact-mode probability per group; callers pass only groups with a
-        readout click.  A group needs an eligible click in every slot.
-        Outcome (eigenvalue, e) then occurs once per click combination,
-        prod_k n_k(e_k) times, where n_k(+-1) counts slot k's clicks of that
-        eigenvalue.  Weights are added one occurrence at a time in group
-        order, and new outcomes are inserted in the order in which the
-        groups' click combinations (cell order) first reach them.  Returns
-        each group's outcome count, prod_k (n_k(+1) + n_k(-1)).
-        """
-        n = self.n_slots
-        weights = np.asarray(weights, dtype=float)
-        counts = np.asarray(rows, dtype=np.int64).reshape(len(weights), n, 6)
-        cell_eig = self._cell_eig()
-        signs = _outcome_signs(n)
-        per_eig = self._eigen_counts(counts)
-        mult = _outcome_products(per_eig).T
-        # a slot's first eligible click in cell order sets which eigenvalue
-        # its combinations take first
-        first = cell_eig[np.argmax(counts * (cell_eig != 0) > 0, axis=2)]
-        rank = ((signs != first[:, None]) << np.arange(n)[::-1]).sum(axis=2)
-        order = np.argsort(rank, axis=1)
-        group = np.repeat(np.arange(len(weights)), 2 ** n)
-        outcome = order.ravel()
-        occurs = np.take_along_axis(mult, order, axis=1).ravel()
-        seen = occurs > 0
-        group, outcome, occurs = group[seen], outcome[seen], occurs[seen]
-        keys = self._outcome_keys(sub_index)
-        sums = np.bincount(
-            np.concatenate([np.arange(2 ** n), np.repeat(outcome, occurs)]),
-            np.concatenate([[self.counts.get(k, 0.0) for k in keys],
-                            np.repeat(weights[group], occurs)]),
-            minlength=2 ** n)
-        _, at = np.unique(outcome, return_index=True)
-        for o in outcome[np.sort(at)].tolist():
-            self.counts[keys[o]] = float(sums[o])
-        return per_eig.sum(axis=1).prod(axis=0)
-
-    def add_expected(self, sub_index: int, rows, weights, cells) -> None:
-        """Add the expected heralded counts of click rows with first-order
-        background clicks, measured in sub-setting sub_index.
+    def add_expected(self, sub_index: int, rows, weights, cells=()) -> np.ndarray:
+        """Add the heralded counts of click rows with first-order background
+        clicks, measured in sub-setting sub_index; returns the weight added
+        to each outcome of `_outcome_signs`.
 
         rows is a (heads, 6 * n_slots) matrix of click counts with a readout
         click; weights[:, 0] weighs each row as it is and weights[:, c] the
         row plus one click in cell cells[c - 1] (`DetectionModel.
-        readout_terms`).  Each term adds its weight times the multiplicity
-        prod_k n_k(e_k) to every outcome e, summed in closed form: a click in
-        an eligible cell of slot j with eigenvalue eps raises n_j(eps) by
-        one, which adds [e_j = eps] * prod_{k != j} n_k(e_k), and a click in
-        an ineligible cell leaves the product as it is.  Outcomes whose sum
-        is positive are added, in outcome order.
+        readout_terms`).  A sampled or analyzed repetition is a row of
+        weight 1 without background columns.  Each term adds its weight
+        times the multiplicity prod_k n_k(e_k) (`outcome_multiplicities`)
+        to every outcome e, summed in closed form: a click in an eligible
+        cell of slot j with eigenvalue eps raises n_j(eps) by one, which
+        adds [e_j = eps] * prod_{k != j} n_k(e_k), and a click in an
+        ineligible cell leaves the product as it is.  Outcomes whose sum is
+        positive are added, in outcome order.
         """
         n = self.n_slots
         weights = np.asarray(weights, dtype=float)
-        per_eig = self._eigen_counts(
-            np.asarray(rows, dtype=float).reshape(len(weights), n, 6))
         # one product gives each head's total weight, and the leak weight
         # that raises n_j(+1) or n_j(-1) of each slot j
         cells = np.asarray(cells, dtype=np.intp)
@@ -380,8 +351,11 @@ class SettingCounts:
         to_col[:, 0] = 1.0
         to_col[1 + np.arange(cells.size), 1 + 2 * (cells // 6) + (eig == -1)] = eig != 0
         summed = to_col.T @ weights.T
-        raised = summed[1:].reshape(n, 2, -1)
+        # in floats, so the product below runs in BLAS: an int64 matrix
+        # would be summed in another order
+        per_eig = self._eigen_counts(rows).astype(float)
         sums = _outcome_products(per_eig) @ summed[0]
+        raised = summed[1:].reshape(n, 2, -1)
         for j in range(n):
             swapped = per_eig.copy()
             swapped[j] = raised[j]
@@ -389,6 +363,7 @@ class SettingCounts:
         keys = self._outcome_keys(sub_index)
         for o in np.flatnonzero(sums > 0).tolist():
             self.counts[keys[o]] = self.counts.get(keys[o], 0.0) + float(sums[o])
+        return sums
 
     @property
     def total(self) -> float:

@@ -334,9 +334,10 @@ def add_heralded(counts: dict, setting, sub_index: int, groups, n_slots: int
 
 
 def exact_counts(n_qubits: int, params, noise, tbi, thinned: bool = False) -> dict:
-    """label -> SettingCounts of the exact witness, counted row by row: each
-    component's `full_distribution` (leak clicks expanded into rows, equal
-    rows grouped), its readout-click rows through `add_heralded`."""
+    """label -> SettingCounts of the exact witness, counted record by
+    record: each component's `full_distribution` (leak clicks expanded into
+    rows, equal rows grouped), its readout-click rows through
+    `add_heralded`."""
     from timebin.experiments import _exact_distributions, _exact_subruns
     from timebin.witness import SettingCounts
 
@@ -347,6 +348,8 @@ def exact_counts(n_qubits: int, params, noise, tbi, thinned: bool = False) -> di
         n_subs = len(run.setting.subsettings)
         for weight, dist in _exact_distributions(run, exact, noise, thinned):
             sel = dist.label & (dist.probs > 0)
-            acc.add_heralded(run.sub_index, dist.rows[sel],
-                             weight * dist.probs[sel] / n_subs)
+            add_heralded(acc.counts, run.setting, run.sub_index,
+                         zip(row_records(dist.rows[sel]),
+                             (weight * dist.probs[sel] / n_subs).tolist()),
+                         n_qubits - 1)
     return counts

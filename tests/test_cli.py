@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from timebin.cli import _resolve_config, build_parser, main
@@ -228,6 +229,75 @@ class TestExitCodes:
         assert "repetition 360" in capsys.readouterr().err
 
 
+class TestAnalyzeManifest:
+    # analyze reads the manifest in one place and rejects what it cannot use
+    # with a validation error that names the key, not a traceback
+
+    @pytest.fixture
+    def tags(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "bell", "--defaults", "paper", "--reps", "600",
+                       "--seed", "1", "--out", str(out)) == 0
+        return out
+
+    def analyze(self, tmp_path, sim, manifest, mode="witness"):
+        path = tmp_path / "manifest.json"
+        path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
+        return run_cli("analyze", "--input", str(sim / "timetags.csv"), "--mode", mode,
+                       "--manifest", str(path), "--out", str(tmp_path / "ana"))
+
+    def ghz_manifest(self, n_qubits):
+        return {"config": {"experiment": "ghz", "n_qubits": n_qubits,
+                           "emitter": {"t_inf": 11.8, "photon_spacing_ns": 28.0}}}
+
+    def test_report_is_not_a_manifest(self, tmp_path, tags, capsys):
+        report = (tags / "report.json").read_text()
+        assert self.analyze(tmp_path, tags, report) == 1
+        assert "has no config" in capsys.readouterr().err
+
+    def test_not_json(self, tmp_path, tags, capsys):
+        assert self.analyze(tmp_path, tags, "experiment = bell\n", "g2") == 1
+        assert "is not JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["emitter", "experiment"])
+    def test_missing_key(self, tmp_path, tags, capsys, key):
+        manifest = json.loads((tags / "manifest.json").read_text())
+        del manifest["config"][key]
+        assert self.analyze(tmp_path, tags, manifest) == 1
+        assert f"config.{key}" in capsys.readouterr().err
+
+    def test_missing_window_key(self, tmp_path, tags, capsys):
+        manifest = json.loads((tags / "manifest.json").read_text())
+        del manifest["config"]["emitter"]["t_inf"]
+        assert self.analyze(tmp_path, tags, manifest, "hom") == 1
+        assert "config.emitter.t_inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_qubits", ["3", 3.0, True, None])
+    def test_non_integer_qubits(self, tmp_path, tags, capsys, n_qubits):
+        assert self.analyze(tmp_path, tags, self.ghz_manifest(n_qubits)) == 1
+        assert "config.n_qubits must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["witness", "g2"])
+    @pytest.mark.parametrize("n_qubits", [2, 5, 40])
+    def test_ghz_size_outside_range(self, tmp_path, tags, capsys, monkeypatch,
+                                    n_qubits, mode):
+        # an oversized ghz manifest would reach a 2^(n - 1)-row outcome table;
+        # the stub stands in for it, so no test allocates that table
+        from timebin import witness
+
+        def table(n_slots):
+            raise AssertionError(f"outcome table of {n_slots} slots built")
+
+        monkeypatch.setattr(witness, "_outcome_signs", table)
+        assert self.analyze(tmp_path, tags, self.ghz_manifest(n_qubits), mode) == 1
+        assert "must lie in 3..4" in capsys.readouterr().err
+
+    def test_minimal_manifest_accepted(self, tmp_path, tags):
+        manifest = {"config": {"experiment": "bell",
+                               "emitter": {"t_inf": 11.8, "photon_spacing_ns": 28.0}}}
+        assert self.analyze(tmp_path, tags, manifest) == 0
+
+
 class TestArtifacts:
     def test_bell_outputs(self, tmp_path):
         out = tmp_path / "bell"
@@ -379,6 +449,83 @@ class TestArtifacts:
         assert {label: (e["value"], e["error"])
                 for label, e in ana_report["estimates"].items()} == expected
         assert set(expected) == {"ZZ", "M1", "M2", "M3"}
+
+    def test_analyze_witness_matches_per_record_loop(self, tmp_path, monkeypatch):
+        # a hand-built GHZ-3 tag file: up to 3 clicks in one cell, repetitions
+        # without a readout click, tags between windows, every sub-run; each
+        # heralded repetition's outcomes follow from its click record
+        from kernel_reference import add_outcome, pattern_outcomes
+        from timebin import witness
+        from timebin.coincidence import (WINDOWS, WindowConfig, click_cell,
+                                         export_timetags, sorted_tags)
+
+        windows = WindowConfig.for_sequence(2, t_inf=11.8, slot_spacing=28.0)
+        settings = witness.ghz_settings(3)
+        rng = np.random.default_rng(21)
+        det, time, rep = [], [], []
+        want = {s.label: {} for s in settings}
+        for r in range(1000, 1800):
+            record = 0
+            for slot in range(2):
+                for window in range(3):
+                    start = windows.window_start(slot, WINDOWS[window])
+                    for d in range(2):
+                        k = int(rng.choice(4, p=[0.6, 0.25, 0.1, 0.05]))
+                        record += k << 8 * click_cell(slot, window, d)
+                        det += [d] * k
+                        time += (start + rng.uniform(0, 0.99, k) * windows.width).tolist()
+                        rep += [r] * k
+                    if rng.random() < 0.1:
+                        # between this window and the next
+                        det.append(int(rng.integers(2)))
+                        time.append(start + windows.width + 1.0)
+                        rep.append(r)
+            if rng.random() < 0.7:
+                det.append(int(rng.integers(2)))
+                time.append(windows.readout_start + rng.uniform(0, windows.readout_width))
+                rep.append(r)
+                sub_run = r % 8
+                setting = settings[sub_run // 2]
+                for outcome in pattern_outcomes(setting, setting.subsettings[sub_run % 2],
+                                                record, 2):
+                    add_outcome(want[setting.label], outcome)
+        tags = sorted_tags(np.array(det, np.int8), np.array(time), np.array(rep))
+        export_timetags(tmp_path / "timetags.csv", tags)
+        manifest = {"config": {"experiment": "ghz", "n_qubits": 3,
+                               "emitter": {"t_inf": 11.8, "photon_spacing_ns": 28.0}}}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        seen = {}
+
+        def fidelity_estimate(n_qubits, counts):
+            seen.update({label: acc.counts for label, acc in counts.items()})
+            return real(n_qubits, counts)
+
+        real = witness.fidelity_estimate
+        monkeypatch.setattr(witness, "fidelity_estimate", fidelity_estimate)
+        assert run_cli("analyze", "--input", str(tmp_path / "timetags.csv"),
+                       "--mode", "witness", "--manifest", str(tmp_path / "manifest.json"),
+                       "--out", str(tmp_path / "ana")) == 0
+        assert all(want.values())
+        assert seen == want
+
+    def test_thinned_exact_reference(self, tmp_path):
+        # a thinned run's report carries the thinned exact reference; high
+        # efficiencies give a small run heralded events in every setting
+        from timebin.experiments import witness_exact
+
+        conf = tmp_path / "run.conf"
+        conf.write_text("[noise]\neta_total = 0.5\neta_readout = 0.5\n")
+        out = tmp_path / "thin"
+        assert run_cli("simulate", "bell", "--config", str(conf), "--thinning", "on",
+                       "--reps", "3000", "--seed", "2", "--no-timetags",
+                       "--out", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        config = load_config(conf)
+        args = 2, config.emitter, config.noise, config.tbi
+        thinned = witness_exact(*args, thinned=True).fidelity
+        assert report["thinned"]
+        assert report["exact_reference_fidelity"] == thinned
+        assert thinned != witness_exact(*args).fidelity
 
     def test_analyze_hom_matches_simulate(self, tmp_path):
         out = tmp_path / "sim"

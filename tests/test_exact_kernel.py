@@ -139,30 +139,41 @@ class TestAddHeralded:
     @pytest.mark.parametrize("n_qubits", [2, 3, 4])
     def test_matches_per_record_loop(self, n_qubits):
         # random click rows with up to 5 clicks per cell, two calls per
-        # sub-setting so later calls add to existing outcomes
+        # sub-setting so later calls add to existing outcomes: each row
+        # counted once equals the loop exactly, and the rows under float
+        # weights (one weight column of add_expected) equal it to rounding
         rng = np.random.default_rng(n_qubits)
         n_slots = n_qubits - 1
         for setting in ghz_settings(n_qubits):
-            acc = SettingCounts(setting, n_slots)
+            acc, weighted = SettingCounts(setting, n_slots), SettingCounts(setting, n_slots)
             counts: dict = {}
+            weighted_counts: dict = {}
             for sub_index in (0, 1, 0, 1):
                 m = 40
                 rows = np.where(rng.random((m, 6 * n_slots)) < 0.3,
                                 rng.integers(1, 6, (m, 6 * n_slots)), 0).astype(np.uint8)
                 weights = rng.uniform(0.0, 2.0, m)
                 weights[::7] = rng.integers(1, 50, len(weights[::7]))
-                got = acc.add_heralded(sub_index, rows, weights)
+                added = acc.add_expected(sub_index, rows, np.ones((m, 1)))
                 want = ref.add_heralded(counts, setting, sub_index,
-                                        zip(row_records(rows), weights.tolist()),
-                                        n_slots)
-                assert got.tolist() == want
+                                        zip(row_records(rows), [1.0] * m), n_slots)
+                events = acc.outcome_multiplicities(rows).sum(axis=0)
+                assert events.tolist() == want
+                assert added.sum() == sum(want)
                 assert acc.counts == counts
-                assert list(acc.counts) == list(counts)
+                weighted.add_expected(sub_index, rows, weights[:, None])
+                ref.add_heralded(weighted_counts, setting, sub_index,
+                                 zip(row_records(rows), weights.tolist()), n_slots)
+                assert weighted.counts.keys() == weighted_counts.keys()
+                assert all(weighted.counts[k] == pytest.approx(v, rel=1e-12)
+                           for k, v in weighted_counts.items())
             assert counts
 
     def test_empty_groups(self):
         acc = SettingCounts(ghz_settings(3)[0], 2)
-        assert acc.add_heralded(0, np.zeros((0, 12), np.uint8), []).tolist() == []
+        rows = np.zeros((0, 12), np.uint8)
+        assert acc.outcome_multiplicities(rows).shape == (4, 0)
+        assert acc.add_expected(0, rows, np.ones((0, 1))).tolist() == [0.0] * 4
         assert acc.counts == {}
 
 
@@ -170,13 +181,13 @@ class TestAddExpected:
     @pytest.mark.parametrize("n_qubits", [2, 3, 4])
     def test_matches_expanded_rows(self, n_qubits):
         # each (row, leak column) term expanded into its own click row and
-        # counted by add_heralded; leak cells in every window, eligible or
-        # not for the setting, and some weights zeroed
+        # counted by the per-record loop; leak cells in every window,
+        # eligible or not for the setting, and some weights zeroed
         rng = np.random.default_rng(10 + n_qubits)
         n_slots = n_qubits - 1
         cells = rng.permutation(6 * n_slots)[:5]
         for setting in ghz_settings(n_qubits):
-            got, want = SettingCounts(setting, n_slots), SettingCounts(setting, n_slots)
+            got, want = SettingCounts(setting, n_slots), {}
             for sub_index in (0, 1, 0):
                 m = 30
                 rows = np.where(rng.random((m, 6 * n_slots)) < 0.4,
@@ -187,11 +198,13 @@ class TestAddExpected:
                 extra = np.zeros((1 + cells.size, 6 * n_slots), np.uint8)
                 extra[np.arange(1, len(extra)), cells] = 1
                 at = np.flatnonzero(weights)
-                want.add_heralded(sub_index, rows[at // len(extra)] + extra[at % len(extra)],
-                                  weights.ravel()[at])
-            assert got.counts.keys() == want.counts.keys()
+                expanded = rows[at // len(extra)] + extra[at % len(extra)]
+                ref.add_heralded(want, setting, sub_index,
+                                 zip(row_records(expanded), weights.ravel()[at].tolist()),
+                                 n_slots)
+            assert got.counts.keys() == want.keys()
             assert all(got.counts[k] == pytest.approx(v, rel=1e-12)
-                       for k, v in want.counts.items())
+                       for k, v in want.items())
 
     def test_empty(self):
         acc = SettingCounts(ghz_settings(3)[1], 2)
@@ -242,7 +255,6 @@ class TestExpectedCounts:
             raise AssertionError("the exact witness expanded click rows")
 
         monkeypatch.setattr(DetectionModel, "full_distribution", unused)
-        monkeypatch.setattr(SettingCounts, "add_heralded", unused)
         out = witness_exact(2, paper_emitter(), paper_noise(), paper_tbi())
         assert out.fidelity == pytest.approx(0.6772859504890993, abs=1e-12)
 

@@ -160,12 +160,13 @@ class TestSettings:
 
 class TestEstimateSetting:
     def _counts(self, n_up_l, n_down_e, n_up_e=0, n_down_l=0):
-        # one photon click per repetition, grouped by record and sub-setting
+        # one photon click per repetition: a row per record and sub-setting,
+        # weighted by its repetitions
         zz = bell_settings()[0]
         acc = SettingCounts(zz, 1)
         late, early = click_record(0, LATE, 0), click_record(0, EARLY, 0)
-        acc.add_heralded(0, record_rows([late, early], 6), [n_up_l, n_up_e])
-        acc.add_heralded(1, record_rows([early, late], 6), [n_down_e, n_down_l])
+        acc.add_expected(0, record_rows([late, early], 6), [[n_up_l], [n_up_e]])
+        acc.add_expected(1, record_rows([early, late], 6), [[n_down_e], [n_down_l]])
         return acc
 
     def test_population_from_counts(self):
@@ -184,7 +185,8 @@ class TestEstimateSetting:
         # no click in a Z window (or none at all): still no heralds
         acc = SettingCounts(zz, 1)
         rows = record_rows([click_record(0, MIDDLE, 0), 0], 6)
-        assert acc.add_heralded(0, rows, [5, 3]).tolist() == [0, 0]
+        assert acc.outcome_multiplicities(rows).sum(axis=0).tolist() == [0, 0]
+        acc.add_expected(0, rows, [[5], [3]])
         with pytest.raises(UndefinedEstimateError):
             estimate_setting(acc)
 
@@ -198,7 +200,8 @@ class TestEstimateSetting:
         acc = SettingCounts(xx, 1)
         rows = record_rows([click_record(0, MIDDLE, 1),   # (+, -)
                             click_record(0, MIDDLE, 0)], 6)
-        assert acc.add_heralded(0, rows, [300, 100]).tolist() == [1, 1]
+        assert acc.outcome_multiplicities(rows).sum(axis=0).tolist() == [1, 1]
+        acc.add_expected(0, rows, [[300], [100]])
         e, err = estimate_setting(acc)
         assert e == pytest.approx((100 - 300) / 400)
 
@@ -280,8 +283,8 @@ class TestBackgroundCorrection:
 
 class TestHeraldedCounting:
     def test_counts_match_per_repetition_loop(self):
-        # grouped counting equals a loop over repetitions that follows every
-        # click combination and marks those using a background click
+        # the per-row counting equals a loop over repetitions that follows
+        # every click combination and marks those using a background click
         from timebin.config import paper_emitter, paper_noise, paper_tbi
         from timebin.experiments import witness_trajectory
         from kernel_reference import clicks_of, pattern_outcomes
@@ -321,9 +324,14 @@ class TestHeraldedCounting:
         assert run.coincidence_rate_hz == coincident / duration_s
 
     def test_outcome_codes_wide_records(self):
-        # GHZ-4 width: 3 photon slots, 18 cells; codes must be non-negative
-        # and tell records apart
+        # GHZ-4 width: 3 photon slots, 18 cells; each heralded repetition's
+        # outcomes are counted on its click record: cell c's signal +
+        # flagged + background count in byte c; leak events are those the
+        # signal and flagged clicks alone do not give, or all when the
+        # readout click is background light only
+        from kernel_reference import pattern_outcomes
         from timebin.detection import RunClicks
+        from timebin.experiments import _count_clicks
 
         rng = np.random.default_rng(3)
         n = 3000
@@ -335,23 +343,6 @@ class TestHeraldedCounting:
         clicks = RunClicks(None, None, [], np.zeros(n, np.int8), rng.random(n) < 0.5,
                            rng.random(n) < 0.05, counts(0.05, 3), counts(0.02, 3),
                            counts(0.03, 2), 0)
-        codes = clicks.outcome_codes()
-        assert codes.min() >= 0
-        records = [(tuple(clicks.signal[r] + clicks.flagged[r]),
-                    tuple(clicks.background[r]), bool(clicks.readout_clicks[r]))
-                   for r in range(n)]
-        by_code = {}
-        for r in range(n):
-            assert by_code.setdefault(int(codes[r]), records[r]) == records[r]
-        assert len(by_code) == len(set(records))
-        # the counting groups by code and counts each heralded repetition's
-        # outcomes on its click record: cell c's signal + flagged +
-        # background count in byte c; leak events are those the signal and
-        # flagged clicks alone do not give, or all when the readout click is
-        # background light only
-        from kernel_reference import pattern_outcomes
-        from timebin.experiments import _count_clicks
-
         setting = ghz_settings(4)[1]
         sub = setting.subsettings[0]
         acc = SettingCounts(setting, 3)
