@@ -11,9 +11,15 @@ estimate.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
+import pickle
+import signal
+import struct
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +40,15 @@ def _jsonify(obj):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
+    # bool before int: a Python bool is an int
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 
@@ -97,18 +104,22 @@ def _run_simulate(config: RunConfig, out: Path) -> list[str]:
     outputs = []
     if config.experiment in ("bell", "ghz"):
         n_qubits = 2 if config.experiment == "bell" else config.n_qubits
-        run = exp.witness_trajectory(n_qubits, config.emitter, config.noise,
-                                     config.tbi, config.n_repetitions,
-                                     config.master_seed,
-                                     thinned=config.thinned,
-                                     keep_clicks=config.write_timetags)
-        exact = exp.witness_exact(n_qubits, config.emitter, config.noise, config.tbi,
-                                  thinned=config.thinned)
+        # the exact reference shares no state with the sampled run, so it is
+        # computed beside it, before the run's arrays exist
+        with _beside(lambda: exp.witness_exact(
+                n_qubits, config.emitter, config.noise, config.tbi,
+                thinned=config.thinned).fidelity) as exact_fidelity:
+            run = exp.witness_trajectory(n_qubits, config.emitter, config.noise,
+                                         config.tbi, config.n_repetitions,
+                                         config.master_seed,
+                                         thinned=config.thinned,
+                                         keep_clicks=config.write_timetags)
+            exact = exact_fidelity()
         report = _witness_report(run.outcome, {
             "experiment": config.experiment,
             "n_repetitions": config.n_repetitions,
             "master_seed": config.master_seed,
-            "exact_reference_fidelity": exact.fidelity,
+            "exact_reference_fidelity": exact,
             "coincidence_rate_hz": run.coincidence_rate_hz,
             "thinned": config.thinned,
         })
@@ -155,6 +166,68 @@ def _run_simulate(config: RunConfig, out: Path) -> list[str]:
     else:
         raise ConfigurationError(f"simulate cannot run {config.experiment!r}")
     return outputs
+
+
+@contextlib.contextmanager
+def _beside(compute):
+    """Run compute() -> float in a forked child while the block runs; the
+    block calls the yielded join to read its value or raise its exception.
+
+    The child sends back the float's 8 bytes, or its pickled exception,
+    over a pipe.  A child that ends without either is a ContractError
+    naming its exit status.  A block left by any exception before join
+    returns kills the child; either way it is reaped before the block is
+    left.  Without os.fork, join runs compute() inline.
+    """
+    if not hasattr(os, "fork"):
+        yield compute
+        return
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns of fork in a process with other threads; under
+        # -W error the warning would be raised after the child exists and
+        # lose its pid.  The only other threads here are BLAS workers, which
+        # hold no Python lock, and OpenBLAS resets its pool in a forked child.
+        warnings.filterwarnings("ignore", r".*fork\(\)", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = b"F" + struct.pack("<d", compute())
+            except BaseException as exc:  # sent to the parent, which raises it
+                payload = b"E" + pickle.dumps(exc)
+            with open(write_fd, "wb") as fh:
+                fh.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    wait_status = None
+
+    def join() -> float:
+        nonlocal wait_status
+        payload = reader.read()
+        wait_status = os.waitpid(pid, 0)[1]
+        if payload[:1] == b"F" and len(payload) == 9:
+            return struct.unpack("<d", payload[1:])[0]
+        if payload[:1] == b"E":
+            raise pickle.loads(payload[1:])
+        code = os.waitstatus_to_exitcode(wait_status)
+        ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
+        raise ContractError(f"the exact reference process ended without a result "
+                            f"({ended})")
+
+    with open(read_fd, "rb") as reader:
+        try:
+            yield join
+        finally:
+            if wait_status is None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
 
 
 def _concat_tags(tag_list):

@@ -31,7 +31,8 @@ step's photon slot: 2 x 2 for pump, rotate and wait steps (the case of slot
 dimension 1) and (2 slot_dim) x (2 slot_dim) for excite steps.  A factor
 acts on a ket with its spin and slot axes moved together (apply_branch)
 and on a density operator through the (spin, slot) ket-bra blocks
-(conjugate_branches), so no step builds a full-register matrix.  Exact mode
+(conjugate_branches; exact mode builds each step's superoperator once), so
+no step builds a full-register matrix.  Exact mode
 propagates density operators through the branches and returns the
 pre-detection mixture, opening a classically flagged component for each
 flagged branch.  Trajectory mode samples one branch per repetition with
@@ -479,11 +480,10 @@ def step_branches(op: PulseOp, params: EmitterParams, noise: NoiseParams,
     return [(label, k, False) for label, k in kraus]
 
 
-def _factor_view(k: np.ndarray, dim: int, slot: int) -> tuple[int, int, int, int]:
+def _factor_view(f: int, dim: int, slot: int) -> tuple[int, int, int, int]:
     """(2, before, f, after): the shape that views a register vector of
-    length dim so that a (2 f) x (2 f) factor k on the spin and slot acts on
+    length dim so that a (2 f) x (2 f) factor on the spin and slot acts on
     axes 0 and 2.  A spin factor (f = 1) acts on the leading axis alone."""
-    f = len(k) // 2
     before = f ** slot
     return 2, before, f, dim // (2 * before * f)
 
@@ -491,24 +491,35 @@ def _factor_view(k: np.ndarray, dim: int, slot: int) -> tuple[int, int, int, int
 def apply_branch(k: np.ndarray, psi: np.ndarray, slot: int) -> np.ndarray:
     """K psi for a step_branches factor k of a step on slot: the spin and
     slot axes of psi move together and k multiplies them."""
-    _, a, f, b = shape = _factor_view(k, len(psi), slot)
+    _, a, f, b = shape = _factor_view(len(k) // 2, len(psi), slot)
     local = psi.reshape(shape).transpose(0, 2, 1, 3).reshape(2 * f, a * b)
     return (k @ local).reshape(2, f, a, b).transpose(0, 2, 1, 3).ravel()
 
 
 def conjugate_branches(ks: Sequence[np.ndarray], rho: np.ndarray, slot: int) -> np.ndarray:
-    """Sum of K rho K^dagger over step_branches factors ks of one step on slot.
+    """Sum of K rho K^dagger over step_branches factors ks of one step on slot."""
+    return _conjugate(_superoperator(ks), rho, slot)
+
+
+def _superoperator(ks: Sequence[np.ndarray]) -> np.ndarray:
+    """S = sum_K K (x) conj(K) over step_branches factors ks of one step, the
+    map `_conjugate` applies; exact mode builds it once per step."""
+    return sum(np.kron(k, k.conj()) for k in ks)
+
+
+def _conjugate(s: np.ndarray, rho: np.ndarray, slot: int) -> np.ndarray:
+    """S applied to rho on the spin and slot.
 
     The (spin, slot) axes of both sides of rho move to the front, so rho is
     a (2 f)^2 x r^2 array of ket-bra blocks over the r untouched register
     states, and all factors act at once: output block (i, i') is
-    sum_jj' S[(i, i'), (j, j')] rho_jj', with S = sum_K K (x) conj(K).
+    sum_jj' S[(i, i'), (j, j')] rho_jj'.
     """
     n = len(rho)
-    _, a, f, b = shape = _factor_view(ks[0], n, slot)
+    _, a, f, b = shape = _factor_view(math.isqrt(len(s)) // 2, n, slot)
     blocks = (rho.reshape(shape + shape).transpose(0, 2, 4, 6, 1, 3, 5, 7)
               .reshape(4 * f * f, (a * b) ** 2))
-    out = sum(np.kron(k, k.conj()) for k in ks) @ blocks
+    out = s @ blocks
     return out.reshape(2, f, 2, f, a, b, a, b).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(n, n)
 
 
@@ -615,18 +626,17 @@ def run_sequence_exact(seq: PulseSequence, params: EmitterParams, noise: NoisePa
 
     for op in seq.steps[first:-1]:
         branches = step_branches(op, params, noise, layout)
+        plain_map = _superoperator([k for _, k, flagged in branches if not flagged])
+        flag_maps = [_superoperator([k]) for _, k, flagged in branches if flagged]
         new_comps: list[ExactComponent] = []
         for comp in comps:
             if op.kind == "excite" and comp.blink_off:
                 new_comps.append(comp)
                 continue
-            plain = conjugate_branches([k for _, k, flagged in branches if not flagged],
-                                       comp.rho, op.slot)
+            plain = _conjugate(plain_map, comp.rho, op.slot)
             kept = 0.0
-            for _, k, flagged in branches:
-                if not flagged:
-                    continue
-                out = conjugate_branches([k], comp.rho, op.slot)
+            for flag_map in flag_maps:
+                out = _conjugate(flag_map, comp.rho, op.slot)
                 w = float(np.trace(out).real)
                 kept += w
                 if w > 1e-15:

@@ -1,17 +1,23 @@
+import contextlib
 import hashlib
 import json
+import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import timebin.experiments as exp
 from timebin.cli import _resolve_config, build_parser, main
 from timebin.config import load_config
-from timebin.errors import ConfigurationError, ParseError
+from timebin.errors import (ConfigurationError, ContractError, ParseError,
+                            UndefinedEstimateError)
 
 
 def run_cli(*args):
@@ -229,6 +235,120 @@ class TestExitCodes:
         assert "repetition 360" in capsys.readouterr().err
 
 
+class _Hung(BaseException):
+    """Raised by `deadline`; main() catches no BaseException of this kind."""
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise _Hung in this process after seconds; a forked child does not
+    inherit the alarm."""
+    def expire(signum, frame):
+        raise _Hung(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def assert_no_child_left():
+    # every child of this process has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the exact reference forks")
+class TestExactChild:
+    """simulate bell|ghz computes its exact reference in a forked child
+    while the parent samples the trajectory run."""
+
+    SMALL = ("simulate", "bell", "--noise", "off", "--reps", "200", "--seed", "1",
+             "--no-timetags")
+
+    @pytest.mark.parametrize("argv", [("bell",), ("ghz", "--photons", "3")])
+    def test_same_artifacts_without_fork(self, tmp_path, monkeypatch, argv):
+        def artifacts(name):
+            out = tmp_path / name
+            with deadline(120):
+                assert run_cli("simulate", *argv, "--defaults", "paper",
+                               "--reps", "2000", "--seed", "3", "--out", str(out)) == 0
+            assert_no_child_left()
+            return {f: (out / f).read_bytes()
+                    for f in ("report.json", "counts.csv", "timetags.csv")}
+
+        forked = artifacts("forked")
+        monkeypatch.delattr(os, "fork")
+        assert artifacts("inline") == forked
+
+    def test_reference_runs_in_child(self, tmp_path, monkeypatch):
+        class Reference:
+            @property
+            def fidelity(self):
+                return float(os.getpid())
+
+        monkeypatch.setattr(exp, "witness_exact", lambda *a, **k: Reference())
+        out = tmp_path / "r"
+        with deadline(60):
+            assert run_cli(*self.SMALL, "--out", str(out)) == 0
+        assert_no_child_left()
+        child = json.loads((out / "report.json").read_text())["exact_reference_fidelity"]
+        assert child != os.getpid()
+
+    @pytest.mark.parametrize("error, code", [(ConfigurationError, 1),
+                                             (UndefinedEstimateError, 3)])
+    def test_child_exception(self, tmp_path, monkeypatch, capsys, error, code):
+        def fail(*args, **kwargs):
+            raise error("the exact reference failed here")
+
+        monkeypatch.setattr(exp, "witness_exact", fail)
+        with deadline(60):
+            assert run_cli(*self.SMALL, "--out", str(tmp_path / "r")) == code
+        assert "the exact reference failed here" in capsys.readouterr().err
+        assert_no_child_left()
+
+    def test_child_ends_without_result(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(exp, "witness_exact", lambda *a, **k: os._exit(7))
+        with deadline(60):
+            assert run_cli(*self.SMALL, "--out", str(tmp_path / "r")) == 1
+        assert "exit status 7" in capsys.readouterr().err
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error, code", [(ConfigurationError, 1),
+                                             (UndefinedEstimateError, 3)])
+    def test_trajectory_error_first(self, tmp_path, monkeypatch, capsys, error, code):
+        # the trajectory's error is reported, not the child's, and the child
+        # is killed rather than waited for
+        def slow_fail(*args, **kwargs):
+            time.sleep(60)
+            raise ContractError("the exact reference failed here")
+
+        def fail(*args, **kwargs):
+            raise error("the trajectory failed here")
+
+        monkeypatch.setattr(exp, "witness_exact", slow_fail)
+        monkeypatch.setattr(exp, "witness_trajectory", fail)
+        with deadline(20):
+            assert run_cli(*self.SMALL, "--out", str(tmp_path / "r")) == code
+        err = capsys.readouterr().err
+        assert "the trajectory failed here" in err
+        assert "exact reference" not in err
+        assert_no_child_left()
+
+    def test_interrupt_kills_child(self, tmp_path, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(exp, "witness_exact", lambda *a, **k: time.sleep(60))
+        monkeypatch.setattr(exp, "witness_trajectory", interrupt)
+        with deadline(20), pytest.raises(KeyboardInterrupt):
+            run_cli(*self.SMALL, "--out", str(tmp_path / "r"))
+        assert_no_child_left()
+
+
 class TestAnalyzeManifest:
     # analyze reads the manifest in one place and rejects what it cannot use
     # with a validation error that names the key, not a traceback
@@ -312,6 +432,9 @@ class TestArtifacts:
         report = json.loads((out / "report.json").read_text())
         assert 0.0 <= report["fidelity"]["value"] <= 1.0
         assert report["separable_bound"] == 0.5
+        # a JSON boolean, not 0/1: a Python bool is an int
+        assert report["witness_violated"] is (report["fidelity"]["value"] > 0.5)
+        assert report["thinned"] is False
 
     def test_reports_deterministic_across_workers(self, tmp_path):
         # a run is one chunk with no worker count to echo or vary: same-seed
@@ -523,7 +646,7 @@ class TestArtifacts:
         config = load_config(conf)
         args = 2, config.emitter, config.noise, config.tbi
         thinned = witness_exact(*args, thinned=True).fidelity
-        assert report["thinned"]
+        assert report["thinned"] is True
         assert report["exact_reference_fidelity"] == thinned
         assert thinned != witness_exact(*args).fidelity
 
