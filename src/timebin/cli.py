@@ -232,12 +232,17 @@ def _beside(compute):
 
 def _concat_tags(tag_list):
     """The tags of every sub-run in one sorted TagArrays; empties tag_list,
-    so the parts are freed before the sort."""
+    so the parts are freed before the sort.
+
+    Each part is in (repetition, time, detector) order and no two parts
+    share a repetition, so a stable sort by repetition alone gives the
+    order `coin.sorted_tags` gives."""
     det = np.concatenate([t.detector for t in tag_list])
     time = np.concatenate([t.time for t in tag_list])
     rep = np.concatenate([t.repetition for t in tag_list])
     tag_list.clear()
-    return coin.sorted_tags(det, time, rep)
+    order = np.argsort(rep, kind="stable")
+    return coin.TagArrays(det[order], time[order], rep[order])
 
 
 def _run_fringe_scan(config: RunConfig, out: Path) -> list[str]:

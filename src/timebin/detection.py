@@ -58,6 +58,19 @@ PRUNE_TOL = 1e-11
 TAG_STREAMS_PER_CELL = 8
 
 
+def group_by_id(ids: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Index arrays of equal-id repetitions, in ascending id order (ids are
+    non-negative state ids)."""
+    if ids.size == 0:
+        return []
+    # numpy's stable sort of 8- and 16-bit keys is a radix sort
+    order = np.argsort(ids.astype(np.min_scalar_type(ids.max())), kind="stable")
+    counts = np.bincount(ids)
+    uniq = np.flatnonzero(counts)
+    ends = np.cumsum(counts[uniq]).tolist()
+    return [(sid, order[end - counts[sid]:end]) for sid, end in zip(uniq.tolist(), ends)]
+
+
 @dataclass(frozen=True)
 class ClickDistribution:
     """Click outcomes and their probabilities, one entry per row.
@@ -348,8 +361,6 @@ class DetectionModel:
 
     def sample_run(self, result: TrajectoryResult, master_seed: int) -> "RunClicks":
         """Sample detection for every repetition of a trajectory run."""
-        from .emitter import group_by_id
-
         n = result.rep_indices.size
         reps = result.rep_indices
         n_cells = 6 * self.layout.photon_slots

@@ -677,19 +677,6 @@ def _check_overflow(lost: float, mass: float = 1.0) -> None:
 # trajectory evolution
 # ---------------------------------------------------------------------------
 
-def group_by_id(ids: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Index arrays of equal-id repetitions, in ascending id order (ids are
-    non-negative state ids)."""
-    if ids.size == 0:
-        return []
-    # numpy's stable sort of 8- and 16-bit keys is a radix sort
-    order = np.argsort(ids.astype(np.min_scalar_type(ids.max())), kind="stable")
-    counts = np.bincount(ids)
-    uniq = np.flatnonzero(counts)
-    ends = np.cumsum(counts[uniq]).tolist()
-    return [(sid, order[end - counts[sid]:end]) for sid, end in zip(uniq.tolist(), ends)]
-
-
 @dataclass
 class TrajectoryResult:
     """Per-repetition branch outcomes of a trajectory run.
@@ -771,6 +758,12 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
     from its states, records and layout with the steps after those; they
     keep their step indices in seq, so each repetition draws what a run of
     the whole sequence draws.
+
+    Each step evolves every state that repetitions occupy once, in
+    ascending id order, and builds one table: per state, the normalised
+    CDF of the branches it keeps and the state id and code each leads to.
+    A repetition's branch is then one count, of its state's CDF entries at
+    or below its draw, and one lookup in that table.
     """
     reps = np.asarray(rep_indices, dtype=np.uint64)
     n = reps.size
@@ -799,13 +792,23 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
         else:
             blink_off = np.zeros(n, dtype=bool)
 
+    blinking = bool(blink_off.any())
     for step_i, op in enumerate(seq.steps[first:-1], start=first):
         branches = step_branches(op, params, noise, layout)
         codes = np.array([BRANCH_CODES[label] for label, _, _ in branches], dtype=np.int8)
         u = crng.uniforms(master_seed, reps, crng.stream("emitter.step", step_i))
-        rows = np.nonzero(~blink_off)[0] if op.kind == "excite" else np.arange(n)
-        for sid, sel in group_by_id(ids[rows]):
-            idx = rows[sel]
+        # an excite step skips the blinked-off repetitions
+        rows = np.flatnonzero(~blink_off) if op.kind == "excite" and blinking else slice(None)
+        occupied = ids[rows]
+        # row sid: the normalised CDF of state sid's kept branches, padded
+        # with 2 (above every draw), and the id and code each branch leads to
+        width = len(branches)
+        counts = np.bincount(occupied)
+        cum = np.full((counts.size, width), 2.0)
+        next_ids = np.zeros((counts.size, width), dtype=np.int64)
+        next_codes = np.zeros((counts.size, width), dtype=np.int8)
+        widest = 0
+        for sid in np.flatnonzero(counts).tolist():
             psi = table.states[sid]
             outs, probs, taken = [], [], []
             for b, (_, k, _) in enumerate(branches):
@@ -816,10 +819,22 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
                     probs.append(p)
                     taken.append(b)
             _check_overflow(1.0 - sum(probs))
-            choice = crng.choose(probs, u[idx])
-            local_ids = np.array([table.add(v) for v in outs], dtype=np.int64)
-            ids[idx] = local_ids[choice]
-            record[idx, step_i] = codes[taken][choice]
+            kept = len(probs)
+            widest = max(widest, kept)
+            cum[sid, :kept] = crng.cdf(probs)
+            next_ids[sid, :kept] = [table.add(v) for v in outs]
+            next_codes[sid, :kept] = codes[taken]
+        # each repetition's branch is the count of its state's CDF entries at
+        # or below its draw, the index crng.choose returns; from column
+        # widest - 1 on every entry is 1 or 2, above every draw
+        u = u[rows]
+        choice = np.zeros(u.size, dtype=np.uint8)
+        for column in cum.T[:widest - 1]:
+            choice += column[occupied] <= u
+        flat = occupied * width
+        flat += choice
+        ids[rows] = next_ids.ravel()[flat]
+        record[rows, step_i] = next_codes.ravel()[flat]
     return TrajectoryResult(layout, seq, reps, table.states, ids, record, blink_off)
 
 

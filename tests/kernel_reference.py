@@ -8,7 +8,10 @@ depth-first contraction, the dict-based flag and leak convolutions and the
 per-record heralded-outcome loop that the array kernel in
 `timebin.detection` and `timebin.witness.SettingCounts` replaced; and the
 exact witness counting by expanded, grouped click rows that the
-closed-form `SettingCounts.add_expected` replaced.  The
+closed-form `SettingCounts.add_expected` replaced; and the trajectory
+engine's per-state group loop (a sort of the repetitions by state, then an
+inverse-CDF search and a scatter per group) that its one branch table per
+step replaced.  The
 detection forms work on click records (`click_record` ints: a row of
 per-cell counts read as little-endian bytes, so records of separate clicks
 add and a record moves to slot k by `<< 48 * k`) and serve as bit-for-bit
@@ -353,3 +356,65 @@ def exact_counts(n_qubits: int, params, noise, tbi, thinned: bool = False) -> di
                              (weight * dist.probs[sel] / n_subs).tolist()),
                          n_qubits - 1)
     return counts
+
+
+def grouped_trajectory(seq, params, noise, master_seed: int, rep_indices,
+                       start=None):
+    """(run_sequence_trajectory's result, the (kept, step) branch counts):
+    each step groups the repetitions by state id (`group_by_id`), evolves
+    each group's state and draws its branches by `rng.choose`, scattering
+    the ids and codes group by group.  kept holds, per step, the number of
+    branches each occupied state keeps, and step the number the step has."""
+    from timebin import rng as crng
+    from timebin.detection import group_by_id
+    from timebin.emitter import (BRANCH_CODES, TrajectoryResult, _StateTable,
+                                 _check_overflow, _continued_steps,
+                                 _initial_vector, apply_branch,
+                                 sequence_layout, step_branches)
+
+    reps = np.asarray(rep_indices, dtype=np.uint64)
+    n = reps.size
+    record = np.full((n, len(seq.steps) - 1), BRANCH_CODES["skipped"], dtype=np.int8)
+    table = _StateTable()
+    first = 0
+    if start is not None:
+        first = _continued_steps(seq, start.sequence)
+        layout, blink_off = start.layout, start.blink_off
+        ids = np.array([table.add(v) for v in start.state_table],
+                       dtype=np.int64)[start.state_ids]
+        record[:, :first] = start.branches[:, :first]
+    else:
+        layout = sequence_layout(seq, noise)
+        ids = np.full(n, table.add(_initial_vector(layout)), dtype=np.int64)
+        if noise.blink_block_len > 0 and noise.blink_on_fraction < 1.0:
+            blocks = reps // np.uint64(noise.blink_block_len)
+            blink_off = (crng.uniforms(master_seed, blocks, crng.stream("emitter.blink"))
+                         >= noise.blink_on_fraction)
+        else:
+            blink_off = np.zeros(n, dtype=bool)
+    counts = []
+    for step_i, op in enumerate(seq.steps[first:-1], start=first):
+        branches = step_branches(op, params, noise, layout)
+        codes = np.array([BRANCH_CODES[label] for label, _, _ in branches], dtype=np.int8)
+        u = crng.uniforms(master_seed, reps, crng.stream("emitter.step", step_i))
+        rows = np.nonzero(~blink_off)[0] if op.kind == "excite" else np.arange(n)
+        kept = []
+        for sid, sel in group_by_id(ids[rows]):
+            idx = rows[sel]
+            psi = table.states[sid]
+            outs, probs, taken = [], [], []
+            for b, (_, k, _) in enumerate(branches):
+                phi = apply_branch(k, psi, op.slot)
+                p = float(np.vdot(phi, phi).real)
+                if p > 1e-14:
+                    outs.append(phi / math.sqrt(p))
+                    probs.append(p)
+                    taken.append(b)
+            _check_overflow(1.0 - sum(probs))
+            choice = crng.choose(probs, u[idx])
+            local_ids = np.array([table.add(v) for v in outs], dtype=np.int64)
+            ids[idx] = local_ids[choice]
+            record[idx, step_i] = codes[taken][choice]
+            kept.append(len(probs))
+        counts.append((kept, len(branches)))
+    return TrajectoryResult(layout, seq, reps, table.states, ids, record, blink_off), counts

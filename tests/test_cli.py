@@ -487,24 +487,56 @@ class TestArtifacts:
         assert "g2_zero" in report and "v_raw" in report
 
     def test_tag_artifacts_are_pinned(self, tmp_path):
-        # sha256 of the files the %-template writer and np.lexsort gave
+        # sha256 of the files the %-template writer and np.lexsort gave, and
+        # of the witness reports and counts the per-group trajectory loop gave
         want = {
             ("bell", "timetags.csv"):
                 "6a33f82a6f1ef6edca20b93ae495474a405cb54d73a8edbfcc5735aeff256ac8",
             ("bell", "histogram.csv"):
                 "28e24d8a1f582bc5e1f929a426a0caf28b49677c2d5c6791b6f9af0e99af29a8",
+            ("bell", "report.json"):
+                "e99aaf9bad4815e6e04e5e288e59d8c3d83360faa851d8f7ce93dd74b593e34d",
+            ("bell", "counts.csv"):
+                "cbe5879923fc29953ab4ba74ffe3aa87754c7ccfec24841e7c1b4a99695c90a3",
             ("hom", "timetags.csv"):
                 "52c3728958a7e7ba09f2bc9e5ad1a4c42f67c2fa9d35ad2173b4c38d225267a8",
             ("hom", "histogram.csv"):
                 "7325245b66ee5fc689ce1a77043331eedcc35aa43a4a214bf2dc0c966419685c",
+            ("ghz", "report.json"):
+                "01a975e87f93f8c5f46adfbe9fbc3d9b7239b365b7fe0b332d89e60c84b32009",
         }
-        for experiment in ("bell", "hom"):
+        flags = {"bell": [], "hom": [], "ghz": ["--photons", "3", "--no-timetags"]}
+        for experiment, extra in flags.items():
             out = tmp_path / experiment
-            assert run_cli("simulate", experiment, "--reps", "20000", "--seed", "1",
+            assert run_cli("simulate", experiment, *extra, "--reps", "20000", "--seed", "1",
                            "--defaults", "paper", "--out", str(out)) == 0
-            for name in ("timetags.csv", "histogram.csv"):
-                digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-                assert digest == want[experiment, name], (experiment, name)
+            for (pinned, name), digest in want.items():
+                if pinned == experiment:
+                    got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    assert got == digest, (experiment, name)
+
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_concat_tags_matches_full_sort(self, n_qubits):
+        # the sub-runs' tags, each sorted and on disjoint repetitions, merged
+        # by repetition alone: the order a sort by every key gives
+        from timebin.cli import _concat_tags
+        from timebin.coincidence import TagArrays, sorted_tags
+        from timebin.config import paper_emitter, paper_noise, paper_tbi
+        from timebin.experiments import witness_trajectory
+
+        emitter = paper_emitter()
+        run = witness_trajectory(n_qubits, emitter, paper_noise(), paper_tbi(), 6000, 3,
+                                 keep_clicks=True)
+        parts = [c.to_tags(emitter.gamma0) for c in run.clicks]
+        parts.insert(2, TagArrays(np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64)))
+        want = sorted_tags(*(np.concatenate([getattr(t, name) for t in parts])
+                             for name in ("detector", "time", "repetition")))
+        got = _concat_tags(parts)
+        assert not parts
+        for name in ("detector", "time", "repetition"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert len(got) > 1000
 
     def test_hom_estimates_are_pinned(self, tmp_path):
         # the values of the analysis that re-sorted and re-classified tags

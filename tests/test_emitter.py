@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kernel_reference import dense_factor, verify_kraus_complete
+from kernel_reference import dense_factor, grouped_trajectory, verify_kraus_complete
 from timebin.coincidence import WindowConfig
 from timebin.config import paper_emitter, paper_noise, paper_tbi
 from timebin.detection import DetectionModel
@@ -498,6 +498,71 @@ class TestRotationCeiling:
 
 
 BLINKING = {"blink_block_len": 40, "blink_on_fraction": 0.7}
+
+
+class TestTableBranchChoice:
+    """Each step draws every repetition's branch from one table per state;
+    `kernel_reference.grouped_trajectory`, which sorts the repetitions into
+    groups by state and searches each group's CDF, is the reference: the
+    same ids, records and state table, bit for bit."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.layout == want.layout
+        for name in ("rep_indices", "state_ids", "branches", "blink_off"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert [v.tobytes() for v in got.state_table] == \
+            [v.tobytes() for v in want.state_table]
+
+    @pytest.mark.parametrize("n_qubits, n_reps, blink", [
+        (2, 6000, False), (2, 6000, True), (4, 300, False), (2, 0, False)],
+        ids=["bell", "bell-blinking", "ghz4", "empty"])
+    def test_generation_and_continued_subrun(self, n_qubits, n_reps, blink):
+        from timebin.experiments import _generation_sequence, _witness_subruns
+
+        params = paper_emitter()
+        noise = dataclasses.replace(paper_noise(), **(BLINKING if blink else {}))
+        reps = np.arange(n_reps, dtype=np.uint64)
+        seq = _generation_sequence(n_qubits, params)
+        generation = run_sequence_trajectory(seq, params, noise, 5, reps)
+        want, counts = grouped_trajectory(seq, params, noise, 5, reps)
+        self.assert_same(generation, want)
+        assert generation.blink_off.any() == blink
+        if n_qubits == 4:
+            # many states share each step
+            assert max(len(kept) for kept, _ in counts) > 40
+        subruns = _witness_subruns(n_qubits, params, paper_tbi())
+        k = 3
+        run = subruns[k]
+        rows = slice(k, None, len(subruns))
+        start = generation.select(rows).with_late_phase(run.phase_e)
+        got = run_sequence_trajectory(run.sequence, params, noise, 5, reps[rows],
+                                      start=start)
+        want, _ = grouped_trajectory(run.sequence, params, noise, 5, reps[rows],
+                                     start=start)
+        self.assert_same(got, want)
+
+    def test_hom(self):
+        params = paper_emitter()
+        seq = build_hom_sequence(params)
+        reps = np.arange(6000, dtype=np.uint64)
+        want, _ = grouped_trajectory(seq, params, paper_noise(), 9, reps)
+        self.assert_same(run_sequence_trajectory(seq, params, paper_noise(), 9, reps),
+                         want)
+
+    def test_padded_rows(self):
+        # at a step of the Bell generation one state keeps fewer branches
+        # than another, so its padded entries lie among the counted columns
+        from timebin.experiments import _generation_sequence
+
+        params, noise = paper_emitter(), paper_noise()
+        seq = _generation_sequence(2, params)
+        reps = np.arange(2000, dtype=np.uint64)
+        want, counts = grouped_trajectory(seq, params, noise, 2, reps)
+        assert any(min(kept) < max(kept) for kept, _ in counts)
+        assert any(min(kept) < width for kept, width in counts)
+        self.assert_same(run_sequence_trajectory(seq, params, noise, 2, reps), want)
 
 
 class TestSharedGeneration:

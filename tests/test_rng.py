@@ -1,4 +1,5 @@
-"""The stream-id table of the counter-based generator."""
+"""The counter-based generator: its draws and its stream-id table."""
+import numpy as np
 import pytest
 
 from timebin import rng as crng
@@ -81,3 +82,51 @@ def test_ids_unchanged():
             crng.stream("detection.readout_tag")] == \
         [103, 7001, 41, 20_000, 21_000, 21_500, 24_002, 26_017, 28_001, 31_004,
          35_998, 35_999]
+
+
+def _mix(x):
+    x = (x ^ (x >> np.uint64(30))) * crng._M1
+    x = (x ^ (x >> np.uint64(27))) * crng._M2
+    return x ^ (x >> np.uint64(31))
+
+
+def reference_uniforms(master_seed, reps, stream):
+    """The whole-array form of `uniforms`: mix(mix(x)) over every draw at
+    once."""
+    with np.errstate(over="ignore"):
+        key = (np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF) + crng._GAMMA) * crng._M1
+        key = key ^ (np.uint64(stream) * crng._STREAM_SALT)
+        x = np.asarray(reps, dtype=np.uint64) * crng._GAMMA + key
+        bits = _mix(_mix(x))
+    return (bits >> np.uint64(11)).astype(np.float64) * crng._U53
+
+
+class TestBlockedUniforms:
+    """`uniforms` evaluates the hash in place, block by block; the
+    whole-array expression is the reference, bit for bit."""
+
+    @pytest.mark.parametrize("master_seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("stream", [crng.stream("emitter.step", 2),
+                                        crng.stream("detection.readout_tag")])
+    def test_matches_whole_array_form(self, master_seed, stream):
+        all_reps = np.arange(400_003, dtype=np.uint64)
+        cases = [all_reps[:n] for n in (0, 1, 16_383, 16_384, 16_385, 400_003)]
+        # the strided sub-run slices witness_trajectory passes, and an offset
+        # array in descending order
+        cases += [all_reps[k::6] for k in (0, 5)] + [all_reps[::7][::-1] + np.uint64(3)]
+        for reps in cases:
+            got = crng.uniforms(master_seed, reps, stream)
+            want = reference_uniforms(master_seed, reps, stream)
+            assert got.dtype == np.float64 and got.shape == reps.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), reps.size
+
+    def test_pinned_draws(self):
+        # anchors the reference itself
+        for master_seed, rep, stream, bits in (
+                (0, 0, 100, 4605267283486849085),
+                (1, 12345, 20_000, 4605767510894764883),
+                (2**64 - 1, 400_002, 35_999, 4586283801356033792)):
+            reps = np.array([rep], dtype=np.uint64)
+            for draw in (crng.uniforms(master_seed, reps, stream),
+                         reference_uniforms(master_seed, reps, stream)):
+                assert draw.view(np.uint64)[0] == bits
