@@ -427,8 +427,7 @@ def _analyze_witness(tags, cfg: dict | None, windows: WindowConfig) -> dict:
     counts = {s.label: wit.SettingCounts(s, n_qubits - 1) for s in settings}
     for sub in range(n_subs):
         rows = cells[readout & (sub_run == sub)]
-        counts[settings[sub // 2].label].add_expected(sub % 2, rows,
-                                                      np.ones((len(rows), 1)))
+        counts[settings[sub // 2].label].add_expected(sub % 2, rows, np.ones(len(rows)))
     estimates, (f, f_err) = wit.fidelity_estimate(n_qubits, counts)
     return {"mode": "witness", "n_qubits": n_qubits,
             "estimates": {label: {"value": v, "error": e}

@@ -83,6 +83,10 @@ class RunConfig:
             raise ConfigurationError(f"unknown experiment {self.experiment!r}")
         if self.n_repetitions < 1:
             raise ConfigurationError("n_repetitions must be at least 1")
+        if self.fringe_points < 2:
+            # the fringe fit has two parameters
+            raise ConfigurationError(
+                f"fringe_points must be at least 2, got {self.fringe_points}")
         if self.n_qubits < 3 and self.experiment == "ghz":
             raise ConfigurationError("GHZ runs need at least 3 qubits")
         if self.n_qubits > MAX_GHZ_QUBITS and self.experiment == "ghz":

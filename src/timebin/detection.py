@@ -15,10 +15,12 @@ Both simulation modes work on (n, 6 * slots) count rows:
   pruned survivors keep the depth-first order of the alphabet indices.
   Flag photons are outer sums of rows with outer products of weights.  The
   readout click and first-order background clicks weight each row in one
-  place (`readout_terms`, which applies the PRUNE_TOL truncation): the
-  witness counts these terms in closed form, and `full_distribution`
-  expands them into click rows, equal rows summed in a fixed order with
-  `np.bincount`.
+  place (`readout_terms`, which applies the PRUNE_TOL truncation): a row
+  has its no-leak weight and one leak weight, for one background click in
+  any one of its photonic cells, as every window has the one background
+  rate `leak_window_prob`.  The witness counts these terms in closed form,
+  and `full_distribution` expands them into click rows, equal rows summed
+  in a fixed order with `np.bincount`.
 * trajectory mode samples one row per repetition from the distribution of
   that repetition's pure state (`sample_run`), then adds flagged and
   background clicks and the spin-readout click, all from counter-based
@@ -40,9 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as crng
-from .coincidence import (DETECTORS, EARLY, LATE, MIDDLE, WINDOWS, TagArrays,
-                          WindowConfig, cell_click, click_cell, first_seen_groups,
-                          sorted_tags)
+from .coincidence import (DETECTORS, MIDDLE, WINDOWS, TagArrays, WindowConfig,
+                          cell_click, click_cell, first_seen_groups, sorted_tags)
 from .emitter import EXTRA_PHOTON_BRANCHES, NoiseParams, TrajectoryResult
 from .errors import ContractError
 from .hilbert import (SLOT_EARLY, SLOT_EE, SLOT_EL, SLOT_LATE, SLOT_LL,
@@ -95,14 +96,15 @@ class ReadoutTerms:
     (`DetectionModel.readout_terms`).
 
     rows holds each head's click row, readout whether it has a readout
-    click, weights one column per term: the head alone, then one leak
-    click in each of cells (zero where truncated).
+    click, weights its weight without background clicks, and leak its
+    weight with one background click in any one photonic cell, the same
+    for each of the 6 * slots cells (zero where truncated).
     """
 
     rows: np.ndarray
     readout: np.ndarray
     weights: np.ndarray
-    cells: np.ndarray
+    leak: np.ndarray
 
 
 class DetectionModel:
@@ -272,16 +274,11 @@ class DetectionModel:
             return self.noise.readout_fidelity * self.eta_read
         return self.noise.readout_dark * self.eta_read
 
-    def leak_window_probs(self) -> list[tuple[int, int, float]]:
-        """Expected background clicks per photonic window per repetition, as
-        (slot, window code, probability)."""
+    def leak_window_prob(self) -> float:
+        """Background click probability lam of one photonic window per
+        repetition; every window has the width `WindowConfig.width`."""
         scale = self.noise.eta_total * self.tbi.detector_efficiency if self.thinned else 1.0
-        out = []
-        lam = self.noise.p_leak * self.windows.width * scale
-        for slot in range(self.layout.photon_slots):
-            for w in (EARLY, MIDDLE, LATE):
-                out.append((slot, w, lam))
-        return out
+        return self.noise.p_leak * self.windows.width * scale
 
     def leak_readout_prob(self) -> float:
         """False spin-readout click probability from background light."""
@@ -296,21 +293,17 @@ class DetectionModel:
         background clicks, with the PRUNE_TOL truncation applied.
 
         Background windows are convolved to first order (at most one leak
-        click per window class per repetition), which is exact to O(lam^2).
-        A head is an (entry, readout) pair of `distribution`, readout click
+        click per window per repetition), which is exact to O(lam^2).  A
+        head is an (entry, readout) pair of `distribution`, readout click
         first, kept when its no-leak weight base_w exceeds PRUNE_TOL;
-        heralded_only keeps the readout-click heads alone.  Column 0 of a
-        head's weights is base_w, column c > 0 adds the leak click of
-        cells[c - 1] with weight base_w * (lam / 2) / (1 - lam); leak weights
-        not above PRUNE_TOL are zeroed.
+        heralded_only keeps the readout-click heads alone.  A head's leak
+        weight, base_w * (lam / 2) / (1 - lam), is that of the head plus one
+        leak click in any one photonic cell (each of the 3 * slots windows,
+        on D1 or on D2); it is zeroed when not above PRUNE_TOL.
         """
         base = self.distribution(state, flag_clicks)
-        leak = self.leak_window_probs()
-        no_leak = math.prod(1.0 - lam for _, _, lam in leak)
-        # one column per leak click: window k on D1, on D2, window k + 1 ...
-        cells = np.array([click_cell(slot, w, det) for slot, w, lam in leak if lam > 0
-                          for det in (0, 1)], dtype=np.intp)
-        lam = np.array([lam for _, _, lam in leak if lam > 0 for _ in (0, 1)])
+        lam = self.leak_window_prob()
+        no_leak = math.prod([1.0 - lam] * (3 * self.layout.photon_slots))
         p_read_leak = self.leak_readout_prob()
         p_click = np.zeros(2)
         for spin in (SPIN_DOWN, SPIN_UP):
@@ -321,40 +314,37 @@ class DetectionModel:
             p_read = p_read[:, :1]
         base_w = (base.probs[:, None] * p_read[base.label] * no_leak).ravel()
         head = np.flatnonzero(base_w > PRUNE_TOL)
-        # columns of equal lam share one product per head
-        lam_values, column = np.unique(lam, return_inverse=True)
-        leak_w = base_w[head, None] * (lam_values / 2) / (1.0 - lam_values)
-        leak_w[leak_w <= PRUNE_TOL] = 0.0
-        # column-major, filled column by column: each column is one vector
-        weights = np.empty((1 + lam.size, head.size)).T
-        weights[:, 0] = base_w[head]
-        for c, u in enumerate(column, start=1):
-            weights[:, c] = leak_w[:, u]
+        leak = base_w[head] * (lam / 2) / (1.0 - lam)
+        leak[leak <= PRUNE_TOL] = 0.0
         entry, no_click = np.divmod(head, p_read.shape[1])
-        return ReadoutTerms(base.rows[entry], no_click == 0, weights, cells)
+        return ReadoutTerms(base.rows[entry], no_click == 0, base_w[head], leak)
 
     def full_distribution(self, state: np.ndarray, flag_clicks=()) -> ClickDistribution:
         """Click rows incl. background, readout clicks and probabilities.
 
         The kept terms of `readout_terms` become (row, readout) keys, ordered
-        head -> [no leak, leak in window k on D1, on D2, ...]; equal keys are
-        summed in that order and listed in order of first appearance.
+        head -> [no leak, leak in cell 0, cell 1, ...] (window k on D1, on
+        D2, window k + 1 ...); equal keys are summed in that order and
+        listed in order of first appearance.
         """
         terms = self.readout_terms(state, flag_clicks)
         n_cells = terms.rows.shape[1]
-        width = terms.weights.shape[1]
-        extra = np.zeros((width, n_cells + 1), np.uint8)
-        extra[np.arange(1, width), terms.cells] = 1
-        at = np.flatnonzero(terms.weights)
-        h = at // width
+        # term j of a head: the head alone (j = 0) or with a leak click in
+        # cell j - 1; the readout column gets none
+        extra = np.eye(1 + n_cells, n_cells + 1, -1, dtype=np.uint8)
+        weights = np.empty((len(terms.rows), 1 + n_cells))
+        weights[:, 0] = terms.weights
+        weights[:, 1:] = terms.leak[:, None]
+        at = np.flatnonzero(weights)
+        h = at // (1 + n_cells)
         # keys: the click row with the readout click as one more column
         keys = np.zeros((at.size, n_cells + 1), np.uint8)
         keys[:, :n_cells] = terms.rows[h]
         keys[:, n_cells] = terms.readout[h]
-        keys += extra[at % width]
+        keys += extra[at % (1 + n_cells)]
         first, group = first_seen_groups(keys)
         return ClickDistribution(keys[first, :n_cells], keys[first, n_cells] == 1,
-                                 np.bincount(group, weights=terms.weights.ravel()[at],
+                                 np.bincount(group, weights=weights.ravel()[at],
                                              minlength=first.size))
 
     # -- trajectory sampling ---------------------------------------------------
@@ -403,16 +393,16 @@ class DetectionModel:
             u_rl = crng.uniforms(master_seed, reps, crng.stream("detection.readout_leak"))
             readout_leak = u_rl < p_leak_read
 
-        # background clicks: at most one per photonic window, on D2 when ud < 0.5
+        # background clicks: at most one per photonic window, window k on
+        # cells 2k (D1) and 2k + 1 (D2), on D2 when ud < 0.5
         background = np.zeros((n, n_cells), dtype=np.uint8)
-        for k, (slot, w, lam) in enumerate(self.leak_window_probs()):
-            if lam <= 0:
-                continue
+        lam = self.leak_window_prob()
+        for k in range(3 * self.layout.photon_slots if lam > 0 else 0):
             u = crng.uniforms(master_seed, reps, crng.stream("detection.leak", k))
             rows = np.flatnonzero(u < lam)
             ud = crng.uniforms(master_seed, reps[rows],
                                crng.stream("detection.leak_detector", k))
-            background[rows, click_cell(slot, w, 0) + (ud < 0.5)] = 1
+            background[rows, 2 * k + (ud < 0.5)] = 1
 
         catalog_rows = np.concatenate(catalog)
         first, _ = first_seen_groups(catalog_rows)

@@ -131,8 +131,9 @@ def _exact_counts(n_qubits: int, params: EmitterParams, noise: NoiseParams,
         model = DetectionModel(exact.layout, run.tbi, noise, run.windows, thinned)
         for comp in exact.components:
             terms = model.readout_terms(comp.rho, comp.flag_clicks, heralded_only=True)
-            acc.add_expected(run.sub_index, terms.rows,
-                             terms.weights * (comp.weight / n_subs), terms.cells)
+            scale = comp.weight / n_subs
+            acc.add_expected(run.sub_index, terms.rows, terms.weights * scale,
+                             terms.leak * scale)
     return counts
 
 
@@ -180,7 +181,6 @@ class WitnessRun:
     outcome: WitnessOutcome
     subruns: list[SubRun]
     clicks: list[RunClicks]
-    rep_slices: list[np.ndarray]
     n_repetitions: int
     coincidence_rate_hz: float
 
@@ -198,7 +198,7 @@ def _count_clicks(acc: SettingCounts, sub_index: int, clicks: RunClicks
     heralded = clicks.readout_clicks
     photons = (clicks.signal + clicks.flagged)[heralded]
     total = acc.add_expected(sub_index, photons + clicks.background[heralded],
-                             np.ones((len(photons), 1))).sum()
+                             np.ones(len(photons))).sum()
     signal = acc.outcome_multiplicities(photons[clicks.readout_signal[heralded]]).sum()
     return float(total - signal), float(total)
 
@@ -223,14 +223,12 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
                                          params, noise, master_seed, all_reps)
     counts: dict[str, SettingCounts] = {}
     clicks_list: list[RunClicks] = []
-    slices: list[np.ndarray] = []
     leak_events = 0.0
     total_events = 0.0
     coincident_reps = 0
     for k, run in enumerate(subruns):
         rows = slice(k, None, len(subruns))
         reps = all_reps[rows]
-        slices.append(reps)
         acc = counts.setdefault(run.setting.label,
                                 SettingCounts(run.setting, n_qubits - 1))
         if reps.size == 0:
@@ -250,7 +248,7 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
     outcome = WitnessOutcome.from_counts(n_qubits, counts, leak_fraction)
     duration_s = n_repetitions / (params.repetition_rate_mhz * 1e6)
     rate = coincident_reps / duration_s if duration_s > 0 else 0.0
-    return WitnessRun(outcome, subruns, clicks_list, slices, n_repetitions, rate)
+    return WitnessRun(outcome, subruns, clicks_list, n_repetitions, rate)
 
 
 def _count_coincident(clicks: RunClicks) -> int:

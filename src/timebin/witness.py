@@ -21,10 +21,10 @@ Heralded events are counted with one outcome multiplicity, prod_k n_k(e_k)
 over the slots' clicks of each eigenvalue
 (`SettingCounts.outcome_multiplicities`).  `SettingCounts.add_expected`
 adds it in closed form for every click row: a sampled or analyzed
-repetition once, an exact-mode row with its expected weight and
-first-order background clicks.  `estimate_setting` turns one setting's
-counts into its population or correlator, and `fidelity_estimate`
-assembles the fidelity from them.
+repetition once, an exact-mode row with its expected weight and the
+weight of one first-order background click in any one cell.
+`estimate_setting` turns one setting's counts into its population or
+correlator, and `fidelity_estimate` assembles the fidelity from them.
 """
 from __future__ import annotations
 
@@ -324,42 +324,39 @@ class SettingCounts:
         eigenvalue = self.setting.subsettings[sub_index].eigenvalue
         return [(eigenvalue, tuple(e)) for e in _outcome_signs(self.n_slots).tolist()]
 
-    def add_expected(self, sub_index: int, rows, weights, cells=()) -> np.ndarray:
+    def add_expected(self, sub_index: int, rows, weights, leak=0.0) -> np.ndarray:
         """Add the heralded counts of click rows with first-order background
         clicks, measured in sub-setting sub_index; returns the weight added
         to each outcome of `_outcome_signs`.
 
         rows is a (heads, 6 * n_slots) matrix of click counts with a readout
-        click; weights[:, 0] weighs each row as it is and weights[:, c] the
-        row plus one click in cell cells[c - 1] (`DetectionModel.
-        readout_terms`).  A sampled or analyzed repetition is a row of
-        weight 1 without background columns.  Each term adds its weight
-        times the multiplicity prod_k n_k(e_k) (`outcome_multiplicities`)
-        to every outcome e, summed in closed form: a click in an eligible
-        cell of slot j with eigenvalue eps raises n_j(eps) by one, which
-        adds [e_j = eps] * prod_{k != j} n_k(e_k), and a click in an
-        ineligible cell leaves the product as it is.  Outcomes whose sum is
+        click; weights weighs each row as it is, and leak (one per row, or
+        one for all) weighs the row plus one background click in any one of
+        its 6 * n_slots cells (`DetectionModel.readout_terms`).  A sampled
+        or analyzed repetition is a row of weight 1 and leak 0.  Each term
+        adds its weight times the multiplicity prod_k n_k(e_k)
+        (`outcome_multiplicities`) to every outcome e, summed in closed
+        form: a click in an eligible cell of slot j with eigenvalue eps
+        raises n_j(eps) by one, which adds [e_j = eps] * prod_{k != j}
+        n_k(e_k), and a click in an ineligible cell leaves the product as
+        it is.  So slot j's raised counts are c_eps * leak, with c_eps the
+        number of a slot's cells of eigenvalue eps.  Outcomes whose sum is
         positive are added, in outcome order.
         """
         n = self.n_slots
         weights = np.asarray(weights, dtype=float)
-        # one product gives each head's total weight, and the leak weight
-        # that raises n_j(+1) or n_j(-1) of each slot j
-        cells = np.asarray(cells, dtype=np.intp)
-        eig = self._cell_eig()[cells % 6]
-        to_col = np.zeros((weights.shape[1], 1 + 2 * n))
-        to_col[:, 0] = 1.0
-        to_col[1 + np.arange(cells.size), 1 + 2 * (cells // 6) + (eig == -1)] = eig != 0
-        summed = to_col.T @ weights.T
+        leak = np.broadcast_to(np.asarray(leak, dtype=float), weights.shape)
         # in floats, so the product below runs in BLAS: an int64 matrix
         # would be summed in another order
         per_eig = self._eigen_counts(rows).astype(float)
-        sums = _outcome_products(per_eig) @ summed[0]
-        raised = summed[1:].reshape(n, 2, -1)
-        for j in range(n):
-            swapped = per_eig.copy()
-            swapped[j] = raised[j]
-            sums += _outcome_products(swapped).sum(axis=1)
+        sums = _outcome_products(per_eig) @ (weights + 6 * n * leak)
+        if leak.any():
+            cell_eig = self._cell_eig()
+            raised = np.outer([np.sum(cell_eig == 1), np.sum(cell_eig == -1)], leak)
+            for j in range(n):
+                swapped = per_eig.copy()
+                swapped[j] = raised
+                sums += _outcome_products(swapped).sum(axis=1)
         keys = self._outcome_keys(sub_index)
         for o in np.flatnonzero(sums > 0).tolist():
             self.counts[keys[o]] = self.counts.get(keys[o], 0.0) + float(sums[o])

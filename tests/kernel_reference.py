@@ -274,12 +274,14 @@ def full_distribution(model, state: np.ndarray, flag_clicks=()
     """(click record incl. background, readout click, probability) entries,
     aggregated in a dict in first-seen order."""
     base = distribution(model, state, flag_clicks)
-    leak = model.leak_window_probs()
+    lam = model.leak_window_prob()
+    windows = [(slot, w) for slot in range(model.layout.photon_slots)
+               for w in (EARLY, MIDDLE, LATE)]
     p_read_leak = model.leak_readout_prob()
     out: dict[tuple[int, bool], float] = {}
-    no_leak = math.prod(1.0 - lam for _, _, lam in leak)
-    leak_clicks = [(lam, [click_record(slot, w, det) for det in (0, 1)])
-                   for slot, w, lam in leak if lam > 0]
+    no_leak = math.prod(1.0 - lam for _ in windows)
+    leak_clicks = [[click_record(slot, w, det) for det in (0, 1)]
+                   for slot, w in windows if lam > 0]
     for record, spin, p in base:
         p_click = model.readout_click_prob(spin)
         p_click = p_click + (1 - p_click) * p_read_leak
@@ -289,7 +291,7 @@ def full_distribution(model, state: np.ndarray, flag_clicks=()
                 continue
             key = (record, read_click)
             out[key] = out.get(key, 0.0) + base_w
-            for lam, clicks in leak_clicks:
+            for clicks in leak_clicks:
                 w_l = base_w * (lam / 2) / (1.0 - lam)
                 if w_l <= PRUNE_TOL:
                     continue

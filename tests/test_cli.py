@@ -199,6 +199,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "a"))
         assert rc == 3
 
+    @pytest.mark.parametrize("points", [0, 1, -3])
+    def test_fringe_points_below_two(self, tmp_path, capsys, points):
+        # a fringe fit has two parameters, so it needs two angles: fewer is a
+        # configuration error, from the flag and from a config file alike
+        conf = tmp_path / "fringe.conf"
+        conf.write_text(f"[run]\nfringe_points = {points}\n")
+        for args in (("--points", str(points)), ("--config", str(conf))):
+            assert run_cli("fringe-scan", "--reps", "1000", *args,
+                           "--out", str(tmp_path / "fr")) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"got {points}" in err
+            assert "Traceback" not in err
+        with pytest.raises(ConfigurationError, match=f"got {points}"):
+            load_config(conf)
+
     def test_analyze_witness_crowded_cell(self, tmp_path, capsys):
         # one repetition's tags per cell are counted in uint8: 255 tags in
         # one cell still count, 256 are an error, not a silent wrap to 0
@@ -488,14 +503,15 @@ class TestArtifacts:
 
     def test_tag_artifacts_are_pinned(self, tmp_path):
         # sha256 of the files the %-template writer and np.lexsort gave, and
-        # of the witness reports and counts the per-group trajectory loop gave
+        # of the witness reports and counts the per-group trajectory loop gave,
+        # with the exact_reference_fidelity of one leak weight per exact term
         want = {
             ("bell", "timetags.csv"):
                 "6a33f82a6f1ef6edca20b93ae495474a405cb54d73a8edbfcc5735aeff256ac8",
             ("bell", "histogram.csv"):
                 "28e24d8a1f582bc5e1f929a426a0caf28b49677c2d5c6791b6f9af0e99af29a8",
             ("bell", "report.json"):
-                "e99aaf9bad4815e6e04e5e288e59d8c3d83360faa851d8f7ce93dd74b593e34d",
+                "d8f59e1b845fba47969b6ec00b17422679862d59eae27e4c1011a041709e7749",
             ("bell", "counts.csv"):
                 "cbe5879923fc29953ab4ba74ffe3aa87754c7ccfec24841e7c1b4a99695c90a3",
             ("hom", "timetags.csv"):
@@ -503,7 +519,7 @@ class TestArtifacts:
             ("hom", "histogram.csv"):
                 "7325245b66ee5fc689ce1a77043331eedcc35aa43a4a214bf2dc0c966419685c",
             ("ghz", "report.json"):
-                "01a975e87f93f8c5f46adfbe9fbc3d9b7239b365b7fe0b332d89e60c84b32009",
+                "b2b16f6a55ebd146ebcb05f69f54a872cdc851ed9bd1dfad49ca0ae4b98eef4c",
         }
         flags = {"bell": [], "hom": [], "ghz": ["--photons", "3", "--no-timetags"]}
         for experiment, extra in flags.items():

@@ -464,7 +464,7 @@ class TestExactMassBudget:
         run = _witness_subruns(n_qubits, params, paper_tbi())[0]
         exact = run_sequence_exact(run.sequence, params, noise)
         model = DetectionModel(exact.layout, run.tbi, noise, run.windows)
-        lams = [lam for _, _, lam in model.leak_window_probs()]
+        lams = [model.leak_window_prob()] * (3 * exact.layout.photon_slots)
         p_none = math.prod(1 - lam for lam in lams)
         p_one = sum(lam * p_none / (1 - lam) for lam in lams)
         p_two_or_more = 1 - p_none - p_one
@@ -601,8 +601,10 @@ class TestSharedGeneration:
         run = witness_trajectory(n_qubits, params, noise, paper_tbi(), n_reps, 17,
                                  keep_clicks=True)
         assert len(run.clicks) == len(run.subruns) == 2 * n_qubits + 2
-        for sub, reps, clicks in zip(run.subruns, run.rep_slices, run.clicks):
+        for k, (sub, clicks) in enumerate(zip(run.subruns, run.clicks)):
             shared = clicks.trajectory
+            # repetitions go to the sub-runs round-robin
+            reps = np.arange(k, n_reps, len(run.subruns), dtype=np.uint64)
             direct = run_sequence_trajectory(sub.sequence, params, noise, 17, reps)
             assert shared.sequence == direct.sequence
             for name in ("rep_indices", "branches", "blink_off"):

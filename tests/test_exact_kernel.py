@@ -7,6 +7,7 @@ also keeps the row-by-row exact witness counting, which the closed-form
 counts must match to rounding.
 """
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -101,6 +102,39 @@ class TestExactComponents:
                                                           comp.flag_clicks)
             assert len(full) == full.rows.shape[0]
 
+    @pytest.mark.parametrize("n_qubits, sub_run, thinned, p_leak, entries_, digest", [
+        (2, 0, False, 0.0011, 1107,
+         "4f51f8a0f2ace5223ca1e3af758b849d79032a4e4d4a5d4865f856f40cae7826"),
+        (2, 2, True, 0.0011, 185,
+         "77732abc4fb03d32be2158ac5c21459a399aa9d2d1032f577fd03b8e2dcac208"),
+        (3, 0, True, 0.0011, 1347,
+         "67660d1e310782196df32cda5509f4c1c9c140f6a82474f340b7884c58484a74"),
+        (3, 2, False, 0.0011, 86716,
+         "137fcf062fd02bccc5e945f108775ce753c53d0230970b4f232be81bd7f1b412"),
+        (2, 3, True, 0.05, 191,
+         "e9d69ffc8771b89f2213e7a4746b5154e562b5e7d692dc0c8698501d087a442a"),
+        (3, 1, True, 0.05, 1497,
+         "0843421a0b3405ff548acbb3299dfdf44b9c3ab66dbabe9a0992ac728befadc4"),
+    ])
+    def test_full_distribution_is_pinned(self, n_qubits, sub_run, thinned, p_leak,
+                                         entries_, digest):
+        # sha256 of every component's rows, labels and probabilities, in
+        # component order: the expansion of the leak terms must not move a
+        # byte of the output
+        params = paper_emitter()
+        noise = dataclasses.replace(paper_noise(), p_leak=p_leak)
+        run = _witness_subruns(n_qubits, params, paper_tbi())[sub_run]
+        exact = run_sequence_exact(run.sequence, params, noise)
+        model = DetectionModel(exact.layout, run.tbi, noise, run.windows, thinned)
+        assert any(comp.flag_clicks for comp in exact.components)
+        h, n = hashlib.sha256(), 0
+        for comp in exact.components:
+            full = model.full_distribution(comp.rho, comp.flag_clicks)
+            n += len(full)
+            for a in (full.rows, full.label, full.probs):
+                h.update(a.tobytes())
+        assert (n, h.hexdigest()) == (entries_, digest)
+
     @pytest.mark.parametrize("scale", [1e-13, 1e-9])
     def test_tiny_component(self, scale):
         # a component whose trace is near PRUNE_TOL: a whole level can be
@@ -141,7 +175,7 @@ class TestAddHeralded:
         # random click rows with up to 5 clicks per cell, two calls per
         # sub-setting so later calls add to existing outcomes: each row
         # counted once equals the loop exactly, and the rows under float
-        # weights (one weight column of add_expected) equal it to rounding
+        # weights equal it to rounding
         rng = np.random.default_rng(n_qubits)
         n_slots = n_qubits - 1
         for setting in ghz_settings(n_qubits):
@@ -154,14 +188,14 @@ class TestAddHeralded:
                                 rng.integers(1, 6, (m, 6 * n_slots)), 0).astype(np.uint8)
                 weights = rng.uniform(0.0, 2.0, m)
                 weights[::7] = rng.integers(1, 50, len(weights[::7]))
-                added = acc.add_expected(sub_index, rows, np.ones((m, 1)))
+                added = acc.add_expected(sub_index, rows, np.ones(m))
                 want = ref.add_heralded(counts, setting, sub_index,
                                         zip(row_records(rows), [1.0] * m), n_slots)
                 events = acc.outcome_multiplicities(rows).sum(axis=0)
                 assert events.tolist() == want
                 assert added.sum() == sum(want)
                 assert acc.counts == counts
-                weighted.add_expected(sub_index, rows, weights[:, None])
+                weighted.add_expected(sub_index, rows, weights)
                 ref.add_heralded(weighted_counts, setting, sub_index,
                                  zip(row_records(rows), weights.tolist()), n_slots)
                 assert weighted.counts.keys() == weighted_counts.keys()
@@ -173,34 +207,38 @@ class TestAddHeralded:
         acc = SettingCounts(ghz_settings(3)[0], 2)
         rows = np.zeros((0, 12), np.uint8)
         assert acc.outcome_multiplicities(rows).shape == (4, 0)
-        assert acc.add_expected(0, rows, np.ones((0, 1))).tolist() == [0.0] * 4
+        assert acc.add_expected(0, rows, np.ones(0)).tolist() == [0.0] * 4
         assert acc.counts == {}
 
 
 class TestAddExpected:
     @pytest.mark.parametrize("n_qubits", [2, 3, 4])
     def test_matches_expanded_rows(self, n_qubits):
-        # each (row, leak column) term expanded into its own click row and
-        # counted by the per-record loop; leak cells in every window,
-        # eligible or not for the setting, and some weights zeroed
+        # each row's leak weight spread over all 6n cells, eligible for the
+        # setting or not: every (row, cell) term expanded into its own click
+        # row and counted by the per-record loop; some leak weights are zero
         rng = np.random.default_rng(10 + n_qubits)
         n_slots = n_qubits - 1
-        cells = rng.permutation(6 * n_slots)[:5]
+        n_cells = 6 * n_slots
+        # term j of a row: the row alone (j = 0), or plus a click in cell j - 1
+        extra = np.eye(1 + n_cells, n_cells, -1, dtype=np.uint8)
         for setting in ghz_settings(n_qubits):
             got, want = SettingCounts(setting, n_slots), {}
             for sub_index in (0, 1, 0):
                 m = 30
-                rows = np.where(rng.random((m, 6 * n_slots)) < 0.4,
-                                rng.integers(1, 4, (m, 6 * n_slots)), 0).astype(np.uint8)
-                weights = rng.uniform(0.0, 1.0, (m, 1 + cells.size))
-                weights[rng.random(weights.shape) < 0.2] = 0.0
-                got.add_expected(sub_index, rows, weights, cells)
-                extra = np.zeros((1 + cells.size, 6 * n_slots), np.uint8)
-                extra[np.arange(1, len(extra)), cells] = 1
-                at = np.flatnonzero(weights)
+                rows = np.where(rng.random((m, n_cells)) < 0.4,
+                                rng.integers(1, 4, (m, n_cells)), 0).astype(np.uint8)
+                weights = rng.uniform(0.0, 1.0, m)
+                leak = rng.uniform(0.0, 1.0, m)
+                leak[rng.random(m) < 0.3] = 0.0
+                got.add_expected(sub_index, rows, weights, leak)
+                terms = np.empty((m, 1 + n_cells))
+                terms[:, 0] = weights
+                terms[:, 1:] = leak[:, None]
+                at = np.flatnonzero(terms)
                 expanded = rows[at // len(extra)] + extra[at % len(extra)]
                 ref.add_heralded(want, setting, sub_index,
-                                 zip(row_records(expanded), weights.ravel()[at].tolist()),
+                                 zip(row_records(expanded), terms.ravel()[at].tolist()),
                                  n_slots)
             assert got.counts.keys() == want.keys()
             assert all(got.counts[k] == pytest.approx(v, rel=1e-12)
@@ -208,7 +246,7 @@ class TestAddExpected:
 
     def test_empty(self):
         acc = SettingCounts(ghz_settings(3)[1], 2)
-        acc.add_expected(0, np.zeros((0, 12), np.uint8), np.zeros((0, 3)), [0, 7])
+        acc.add_expected(0, np.zeros((0, 12), np.uint8), np.zeros(0), np.zeros(0))
         assert acc.counts == {}
 
 

@@ -165,8 +165,8 @@ class TestEstimateSetting:
         zz = bell_settings()[0]
         acc = SettingCounts(zz, 1)
         late, early = click_record(0, LATE, 0), click_record(0, EARLY, 0)
-        acc.add_expected(0, record_rows([late, early], 6), [[n_up_l], [n_up_e]])
-        acc.add_expected(1, record_rows([early, late], 6), [[n_down_e], [n_down_l]])
+        acc.add_expected(0, record_rows([late, early], 6), [n_up_l, n_up_e])
+        acc.add_expected(1, record_rows([early, late], 6), [n_down_e, n_down_l])
         return acc
 
     def test_population_from_counts(self):
@@ -186,7 +186,7 @@ class TestEstimateSetting:
         acc = SettingCounts(zz, 1)
         rows = record_rows([click_record(0, MIDDLE, 0), 0], 6)
         assert acc.outcome_multiplicities(rows).sum(axis=0).tolist() == [0, 0]
-        acc.add_expected(0, rows, [[5], [3]])
+        acc.add_expected(0, rows, [5, 3])
         with pytest.raises(UndefinedEstimateError):
             estimate_setting(acc)
 
@@ -201,7 +201,7 @@ class TestEstimateSetting:
         rows = record_rows([click_record(0, MIDDLE, 1),   # (+, -)
                             click_record(0, MIDDLE, 0)], 6)
         assert acc.outcome_multiplicities(rows).sum(axis=0).tolist() == [1, 1]
-        acc.add_expected(0, rows, [[300], [100]])
+        acc.add_expected(0, rows, [300, 100])
         e, err = estimate_setting(acc)
         assert e == pytest.approx((100 - 300) / 400)
 
