@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import pickle
 import signal
@@ -302,12 +303,12 @@ def _run_rabi(config: RunConfig, out: Path) -> list[str]:
 
 
 def _run_analyze(args) -> list[str]:
+    cfg = _read_manifest(args.manifest) if args.manifest else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tags = coin.ingest_timetags(args.input)
     if len(tags) == 0:
         raise UndefinedEstimateError("input file holds no time tags")
-    cfg = _read_manifest(args.manifest) if args.manifest else None
     # the windows of the run's sequence, or without a manifest the ones
     # simulate hom analyses its own tags with at the default t_inf
     windows = _manifest_windows(cfg) if cfg else WindowConfig.for_sequence(1)
@@ -347,8 +348,9 @@ def _run_analyze(args) -> list[str]:
 
 def _read_manifest(path) -> dict:
     """The run configuration a manifest echoes, with every key analyze reads
-    checked: experiment, emitter.t_inf and emitter.photon_spacing_ns, and a
-    ghz run's n_qubits, an integer of 3..MAX_GHZ_QUBITS."""
+    checked: experiment, emitter.t_inf and emitter.photon_spacing_ns (finite
+    and positive), and a ghz run's n_qubits, an integer of
+    3..MAX_GHZ_QUBITS."""
     try:
         with open(path) as fh:
             manifest = json.load(fh)
@@ -364,9 +366,11 @@ def _read_manifest(path) -> dict:
     emitter = read(cfg, "emitter", "config.emitter")
     for key in ("t_inf", "photon_spacing_ns"):
         value = read(emitter, key, f"config.emitter.{key}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"manifest {path}: config.emitter.{key} "
-                                     f"must be a number, not {value!r}")
+        # json reads NaN and Infinity
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not (math.isfinite(value) and value > 0)):
+            raise ConfigurationError(f"manifest {path}: config.emitter.{key} must "
+                                     f"be a finite positive number, not {value!r}")
     if read(cfg, "experiment", "config.experiment") == "ghz":
         n_qubits = read(cfg, "n_qubits", "config.n_qubits")
         if isinstance(n_qubits, bool) or not isinstance(n_qubits, int):

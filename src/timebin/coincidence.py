@@ -13,7 +13,7 @@ import io
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -93,6 +93,10 @@ class WindowConfig:
     slot_spacing: float = 28.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ContractError(f"window {f.name} must be finite, "
+                                    f"not {getattr(self, f.name)}")
         if self.n_slots < 1:
             raise ContractError("a window configuration needs at least one slot")
         spans = [(self.window_start(s, w), self.window_start(s, w) + self.width)
@@ -288,8 +292,7 @@ def _analysis_view(tags: TagArrays, windows: WindowConfig
 # ---------------------------------------------------------------------------
 
 
-def build_histogram(tags: TagArrays, bin_width: float, t_max: float | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def build_histogram(tags: TagArrays, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
     """Counts per time bin summed over both detectors.
 
     Returns (bin_starts, counts); bin k covers [k*w, (k+1)*w).  A bin
@@ -301,14 +304,14 @@ def build_histogram(tags: TagArrays, bin_width: float, t_max: float | None = Non
         raise ContractError(f"bin width must be finite and positive, got {bin_width}")
     if len(tags) == 0:
         raise ContractError("cannot histogram an empty tag list")
-    t_max = float(tags.time.max()) if t_max is None else t_max
+    t_max = float(tags.time.max())
     last = t_max / bin_width
     if not last < MAX_HISTOGRAM_BINS:
         raise ContractError(f"bin width {bin_width} ns needs {last + 1:.3g} bins up to "
                             f"{t_max} ns, more than {MAX_HISTOGRAM_BINS}")
     n_bins = int(math.floor(last)) + 1
     idx = np.floor(tags.time / bin_width).astype(np.int64)
-    idx = idx[(idx >= 0) & (idx < n_bins)]
+    idx = idx[idx >= 0]
     counts = np.bincount(idx, minlength=n_bins)
     return np.arange(n_bins) * bin_width, counts
 

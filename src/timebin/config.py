@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
+from .coincidence import WindowConfig
 from .emitter import EmitterParams, NoiseParams, ideal_emitter, ideal_noise
 from .errors import ConfigurationError, ParseError
 from .interferometer import TBIParams
@@ -94,6 +95,15 @@ class RunConfig:
                 f"GHZ runs support at most {MAX_GHZ_QUBITS} qubits: the exact "
                 "witness reference evolves dense density components, about 256 "
                 f"of 107 MB each at {MAX_GHZ_QUBITS + 1} qubits")
+        # the sequence's windows: one photon slot, or n_qubits - 1 for ghz
+        windows = WindowConfig.for_sequence(
+            self.n_qubits - 1 if self.experiment == "ghz" else 1,
+            t_inf=self.emitter.t_inf, slot_spacing=self.emitter.photon_spacing_ns)
+        readout_end = windows.readout_start + windows.readout_width
+        if readout_end > self.emitter.repetition_period_ns:
+            raise ConfigurationError(
+                f"the readout window ends at {readout_end:.6g} ns, after the "
+                f"repetition period of {self.emitter.repetition_period_ns:.6g} ns")
 
     def echo(self) -> dict:
         d = {

@@ -115,6 +115,9 @@ class DetectionModel:
     `alphabet_support` (the slot levels each element touches).
     `photon[bin]` holds the (slot-0 count rows, probabilities) of one
     definite-bin photon, bin "early" or "late".
+
+    The alphabet reads states evolved at excitation phase 0: the setting's
+    phase is in its middle-window elements (`slot_window_povm`).
     """
 
     def __init__(self, layout: RegisterLayout, tbi: TBIParams, noise: NoiseParams,

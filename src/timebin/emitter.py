@@ -41,12 +41,8 @@ regardless of how the run is chunked.  A blinked-off component or
 repetition skips the excite steps.
 
 Both engines can continue from the result of a sequence's leading steps
-(start=...).  A witness uses this to evolve its generation sequence once:
-the late-pulse phase factors out of the evolution (K_phi = D K_0 D^dagger,
-D = exp(i phi L) with L the late-photon count, which commutes with every
-other step), so each sub-run conjugates the phase-0 result by its
-setting's D (`with_late_phase`) and then runs only its wait and readout
-rotation.
+(start=...): a witness evolves its generation sequence once and runs only
+each sub-run's wait and readout rotation from it.
 """
 from __future__ import annotations
 
@@ -79,6 +75,11 @@ class EmitterParams:
     repetition_rate_mhz: float = 1.65
 
     def __post_init__(self):
+        for name in ("t_opt", "t_inf", "rotation_ns", "photon_spacing_ns",
+                     "repetition_rate_mhz"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+                raise ConfigurationError(f"{name}={v!r} must be finite and positive")
         if self.gamma_y <= 0 or self.gamma_x < 0:
             raise ConfigurationError("decay rates must be positive (gamma_x may be 0)")
         if self.gamma_x > 0 and self.gamma_y / self.gamma_x <= 1.0:
@@ -523,26 +524,6 @@ def _conjugate(s: np.ndarray, rho: np.ndarray, slot: int) -> np.ndarray:
     return out.reshape(2, f, 2, f, a, b, a, b).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(n, n)
 
 
-_LATE_PHOTONS = np.array([0, 0, 1, 0, 1, 2])   # vacuum, e, l, ee, el, ll
-
-
-def _late_phase_diagonal(layout: RegisterLayout, phase: float) -> np.ndarray:
-    """Diagonal of D = exp(i phase L), L the late-photon count of each basis
-    state of the register.  Advancing every late excitation's optical phase
-    by phase turns its Kraus operators K into D K D^dagger and leaves every
-    other step's operators unchanged, because they commute with D."""
-    late = np.zeros(1, dtype=int)
-    for _ in range(layout.photon_slots):
-        late = (late[:, None] + _LATE_PHOTONS[:layout.slot_dim]).ravel()
-    return np.exp(1j * phase * np.tile(late, layout.spin_dim))
-
-
-def _advance_late_phase(seq: PulseSequence, phase: float) -> PulseSequence:
-    steps = tuple(replace(s, phase=s.phase + phase)
-                  if s.kind == "excite" and s.bin == "late" else s for s in seq.steps)
-    return PulseSequence(steps, seq.repetition_period, seq.name)
-
-
 def _continued_steps(seq: PulseSequence, done: PulseSequence) -> int:
     """Number of seq's leading steps already run by a start result of done."""
     steps = done.steps[:-1]
@@ -581,15 +562,6 @@ class ExactResult:
         """Pre-detection density operator, traced over classical flags."""
         mat = sum(c.weight * c.rho for c in self.components)
         return DensityOperator(self.layout, mat, validate=False)
-
-    def with_late_phase(self, phase: float) -> "ExactResult":
-        """The result of the same sequence with every late excitation's
-        optical phase advanced by phase: each component conjugated by D."""
-        d = _late_phase_diagonal(self.layout, phase)
-        dd = np.outer(d, d.conj())
-        return ExactResult(self.layout,
-                           [replace(c, rho=c.rho * dd) for c in self.components],
-                           _advance_late_phase(self.sequence, phase))
 
 
 def _initial_vector(layout: RegisterLayout) -> np.ndarray:
@@ -711,15 +683,6 @@ class TrajectoryResult:
                        state_table=[self.state_table[i] for i in used],
                        state_ids=renumber[ids], branches=self.branches[rows],
                        blink_off=self.blink_off[rows])
-
-    def with_late_phase(self, phase: float) -> "TrajectoryResult":
-        """The result of the same sequence with every late excitation's
-        optical phase advanced by phase: each table state multiplied by D.
-        Branch probabilities do not depend on the phase, so the records
-        stay those of the sampled repetitions."""
-        d = _late_phase_diagonal(self.layout, phase)
-        return replace(self, sequence=_advance_late_phase(self.sequence, phase),
-                       state_table=[d * v for v in self.state_table])
 
 
 def _canonical_key(vec: np.ndarray) -> bytes:

@@ -3,11 +3,11 @@ fringe scans and the rotation calibration sweep.
 
 Each witness run loops over the n+1 measurement settings; every setting has
 two spin sub-settings (the toggled readout rotation).  A sub-run's pulse
-sequence is the generation sequence at the setting's late-pulse phase,
-followed by a wait and the sub-setting's readout rotation.  The generation
-is evolved once per witness, at phase 0; each sub-run conjugates that
-result by its setting's phase diagonal D (`with_late_phase`) and continues
-it through its wait and rotation (the engines' start=...).
+sequence is the generation sequence at excitation phase 0, followed by a
+wait and the sub-setting's readout rotation; the setting's phase is a
+detection setting, carried by its click POVM (`slot_window_povm`).  The
+generation is evolved once per witness, and each sub-run continues it
+through its wait and rotation (the engines' start=...).
 Repetitions are assigned to sub-runs round-robin by repetition index.
 Both modes count heralded events with `SettingCounts.add_expected`:
 trajectory mode each heralded repetition's sampled click row once, exact
@@ -43,7 +43,6 @@ class SubRun:
     sequence: PulseSequence
     tbi: TBIParams
     windows: WindowConfig
-    phase_e: float
 
 
 def _generation_sequence(n_qubits: int, params: EmitterParams,
@@ -57,14 +56,13 @@ def _witness_subruns(n_qubits: int, params: EmitterParams, tbi: TBIParams
                      ) -> list[SubRun]:
     windows = WindowConfig.for_sequence(n_qubits - 1, t_inf=params.t_inf,
                                         slot_spacing=params.photon_spacing_ns)
+    base = _generation_sequence(n_qubits, params)
     subruns = []
     for setting in ghz_settings(n_qubits):
         tbi_s = tbi.with_theta_pol(tbi.theta0 + setting.theta_pol_offset)
-        phase_e = excitation_phase(tbi_s)
-        base = _generation_sequence(n_qubits, params, phase_e)
         for sub_i, sub in enumerate(setting.subsettings):
             seq = base.with_readout_rotation(sub.axis, sub.angle)
-            subruns.append(SubRun(setting, sub_i, seq, tbi_s, windows, phase_e))
+            subruns.append(SubRun(setting, sub_i, seq, tbi_s, windows))
     return subruns
 
 
@@ -141,16 +139,14 @@ def _exact_subruns(n_qubits: int, params: EmitterParams, noise: NoiseParams,
                    tbi: TBIParams):
     """(sub-run, its `ExactResult`) of every witness sub-run, in order.
 
-    The generation sequence is evolved once, at late-pulse phase 0; each
-    sub-run conjugates its components by its setting's D and continues them
-    through its wait and readout rotation.  The result equals a direct
-    evolution of the sub-run's sequence up to rounding.
+    The generation sequence is evolved once; each sub-run continues its
+    components through its wait and readout rotation.  The result equals a
+    direct evolution of the sub-run's sequence up to rounding.
     """
     generation = run_sequence_exact(_generation_sequence(n_qubits, params),
                                     params, noise)
     for run in _witness_subruns(n_qubits, params, tbi):
-        yield run, run_sequence_exact(run.sequence, params, noise,
-                                      start=generation.with_late_phase(run.phase_e))
+        yield run, run_sequence_exact(run.sequence, params, noise, start=generation)
 
 
 def _exact_distributions(run: SubRun, exact: ExactResult, noise: NoiseParams,
@@ -166,7 +162,9 @@ def exact_predetection_state(n_qubits: int, params: EmitterParams,
                              noise: NoiseParams, tbi: TBIParams
                              ) -> DensityOperator:
     """Pre-detection density operator of the generation sequence (no readout
-    rotation), mainly for direct-fidelity oracle checks."""
+    rotation), mainly for direct-fidelity oracle checks.  It has no click
+    POVM to carry the setting's phase, so the sequence is evolved at
+    `excitation_phase(tbi)`."""
     seq = _generation_sequence(n_qubits, params, excitation_phase(tbi))
     return run_sequence_exact(seq, params, noise).density()
 
@@ -211,9 +209,9 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
 
     Repetition r runs sub-setting r mod (2n+2); post-selected counts merge
     across sub-runs.  The generation sequence is sampled once for all
-    repetitions, at late-pulse phase 0; each sub-run takes its repetitions'
-    states, multiplies them by its setting's D and samples its wait and
-    readout rotation, with the records a direct run of its sequence gives.
+    repetitions; each sub-run takes its repetitions' states and samples its
+    wait and readout rotation, with the records a direct run of its sequence
+    gives.
     With thinned=True all efficiencies are applied and the post-selected
     coincidence rate is physical.
     """
@@ -233,9 +231,8 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
                                 SettingCounts(run.setting, n_qubits - 1))
         if reps.size == 0:
             continue
-        start = generation.select(rows).with_late_phase(run.phase_e)
         traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps,
-                                       start=start)
+                                       start=generation.select(rows))
         model = DetectionModel(traj.layout, run.tbi, noise, run.windows, thinned)
         clicks = model.sample_run(traj, master_seed)
         lk, tot = _count_clicks(acc, run.sub_index, clicks)
@@ -365,12 +362,12 @@ def spin_conditioned_fringe_scan(params: EmitterParams, noise: NoiseParams,
     theta_values = np.asarray(theta_values, dtype=float)
     curves = {"+X": np.empty_like(theta_values), "-X": np.empty_like(theta_values)}
     windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
+    # the angle is a detection setting: one phase-0 sequence per rotation
+    seqs = {label: build_bell_sequence(params).with_readout_rotation("y", angle)
+            for label, angle in (("+X", math.pi / 2), ("-X", -math.pi / 2))}
     for i, th in enumerate(theta_values):
         tbi_th = tbi.with_theta_pol(th)
-        phase_e = excitation_phase(tbi_th)
-        for label, angle in (("+X", math.pi / 2), ("-X", -math.pi / 2)):
-            seq = build_bell_sequence(params, phase_e=phase_e).with_readout_rotation(
-                "y", angle)
+        for label, seq in seqs.items():
             reps = np.arange(reps_per_point, dtype=np.uint64) \
                 + np.uint64((2 * i + (label == "-X")) * reps_per_point)
             traj = run_sequence_trajectory(seq, params, noise, master_seed, reps)

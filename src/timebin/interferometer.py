@@ -8,13 +8,17 @@ measures the time-bin qubit in an equatorial basis set by the phase between
 the excitation pulses and the analysis pass.
 
 Because the excitation pulses are themselves derived from a pass through the
-same interferometer, only the phase difference 2*(theta_pol - theta0) is
-observable; the absolute arm phase cancels and is exposed here only as a
-test knob (`drift_phase`).
+same interferometer, only the phase difference phi_e - phi_d =
+2*(theta_pol - theta0) is observable (`effective_phase`).  The click POVM
+carries that difference: a state evolved at excitation phase 0 and read
+with `slot_window_povm` gives the probabilities of the state evolved at
+phi_e and read at phi_d, so a common drift of both never enters detection.
+`drift_phase` and `excitation_phase` serve only the dense pre-detection
+state (`experiments.exact_predetection_state`), which has no POVM.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -53,8 +57,7 @@ class TBIParams:
             raise ConfigurationError("classical_visibility must lie in [0, 1]")
 
     def with_theta_pol(self, theta_pol: float) -> "TBIParams":
-        return TBIParams(self.theta0, theta_pol, self.classical_visibility,
-                         self.splitting_ratio, self.detector_efficiency, self.drift_phase)
+        return replace(self, theta_pol=theta_pol)
 
 
 def effective_phase(params: TBIParams) -> float:
@@ -71,10 +74,6 @@ def excitation_phase(params: TBIParams) -> float:
     return params.drift_phase + effective_phase(params)
 
 
-def detection_phase(params: TBIParams) -> float:
-    return params.drift_phase
-
-
 def slot_window_povm(params: TBIParams, slot_dim: int = 3) -> dict[tuple[Window, Detector], np.ndarray]:
     """Click POVM of one photon in a slot, on its {e, l} levels.
 
@@ -82,6 +81,13 @@ def slot_window_povm(params: TBIParams, slot_dim: int = 3) -> dict[tuple[Window,
     (a photon is always detected somewhere before efficiency losses).  The
     detection layer builds the no-click element and the doubly occupied
     levels' elements from these (`DetectionModel`).
+
+    The elements expect a state evolved at excitation phase 0.  The
+    physical element, with coherence exp(-i phi_d), read on the state
+    evolved at phi_e is the same as D^dagger M D read on the phase-0 state,
+    D = exp(i phi_e L) with L the late-photon count; D changes only the
+    middle-window coherence, to exp(i (phi_e - phi_d)) = exp(i
+    `effective_phase`).
     """
     s = params.splitting_ratio
     povm: dict[tuple[Window, Detector], np.ndarray] = {}
@@ -98,9 +104,9 @@ def slot_window_povm(params: TBIParams, slot_dim: int = 3) -> dict[tuple[Window,
     # middle window: the early photon arrives through the long arm (weight
     # 1-s), the late one through the short arm (weight s); the recombiner
     # shows their coherence with the classical visibility, with opposite
-    # signs on D1 and D2
+    # signs on D1 and D2, at the observable phase
     coherence = (0.5 * params.classical_visibility * np.sqrt(s * (1.0 - s))
-                 * np.exp(-1j * detection_phase(params)))
+                 * np.exp(1j * effective_phase(params)))
     for det, sign in ((Detector.D1, 1.0), (Detector.D2, -1.0)):
         povm[(Window.MIDDLE, det)] = slot_mat({
             (SLOT_EARLY, SLOT_EARLY): 0.5 * (1.0 - s), (SLOT_LATE, SLOT_LATE): 0.5 * s,

@@ -11,7 +11,10 @@ exact witness counting by expanded, grouped click rows that the
 closed-form `SettingCounts.add_expected` replaced; and the trajectory
 engine's per-state group loop (a sort of the repetitions by state, then an
 inverse-CDF search and a scatter per group) that its one branch table per
-step replaced.  The
+step replaced; and the physical phase convention (every sub-run evolved at
+its setting's excitation phase and read with the click POVM at the
+detection pass's phase) that the phase-0 generation, with the setting's
+phase in the click POVM, replaced.  The
 detection forms work on click records (`click_record` ints: a row of
 per-cell counts read as little-endian bytes, so records of separate clicks
 add and a record moves to slot k by `<< 48 * k`) and serve as bit-for-bit
@@ -27,8 +30,8 @@ import numpy as np
 from timebin.coincidence import DETECTORS, EARLY, LATE, MIDDLE, WINDOWS, click_cell
 from timebin.detection import PRUNE_TOL
 from timebin.hilbert import (SLOT_EARLY, SLOT_EE, SLOT_EL, SLOT_LATE, SLOT_LL,
-                             SLOT_VACUUM, SPIN_DOWN, SPIN_UP)
-from timebin.interferometer import Detector, Window, detection_phase
+                             SLOT_VACUUM, SPIN_DOWN, SPIN_UP, RegisterLayout)
+from timebin.interferometer import Detector, Window, excitation_phase
 
 
 def verify_kraus_complete(branches) -> float:
@@ -56,9 +59,29 @@ def dense_factor(k: np.ndarray, layout, slot: int) -> np.ndarray:
     return full
 
 
-def slot_window_povm(params, slot_dim: int = 3) -> dict:
+_LATE_PHOTONS = np.array([0, 0, 1, 0, 1, 2])   # vacuum, e, l, ee, el, ll
+
+
+def late_phase_diagonal(layout, phase: float) -> np.ndarray:
+    """Diagonal of D = exp(i phase L), L the late-photon count of each basis
+    state of the register.  Advancing every late excitation's optical phase
+    by phase turns its Kraus operators K into D K D^dagger and leaves every
+    other step's operators unchanged, because they commute with D."""
+    late = np.zeros(1, dtype=int)
+    for _ in range(layout.photon_slots):
+        late = (late[:, None] + _LATE_PHOTONS[:layout.slot_dim]).ravel()
+    return np.exp(1j * phase * np.tile(late, layout.spin_dim))
+
+
+def slot_window_povm(params, slot_dim: int = 3, physical: bool = False) -> dict:
     """The one-photon click POVM as (1 +- v)/2 mixes of the two detectors'
-    pure middle-window projectors."""
+    pure middle-window projectors.
+
+    The physical elements (physical=True) have the middle-window coherence
+    exp(-i phi_d) of the detection pass, phi_d = drift_phase, and read the
+    state evolved at the excitation phase phi_e.  Otherwise each is
+    conjugated by the slot's D = exp(i phi_e L), to D^dagger M D, which
+    reads the state evolved at phase 0."""
     s = params.splitting_ratio
     v = params.classical_visibility
     povm = {}
@@ -72,7 +95,7 @@ def slot_window_povm(params, slot_dim: int = 3) -> dict:
     for det, w in ((Detector.D1, 0.5), (Detector.D2, 0.5)):
         povm[(Window.EARLY, det)] = slot_mat({(SLOT_EARLY, SLOT_EARLY): s * w})
         povm[(Window.LATE, det)] = slot_mat({(SLOT_LATE, SLOT_LATE): (1.0 - s) * w})
-    chi1 = np.array([np.sqrt(1.0 - s), np.sqrt(s) * np.exp(1j * detection_phase(params))])
+    chi1 = np.array([np.sqrt(1.0 - s), np.sqrt(s) * np.exp(1j * params.drift_phase)])
     chi2 = np.array([chi1[0], -chi1[1]])
     e_idx = [SLOT_EARLY, SLOT_LATE]
     raw1 = np.zeros((slot_dim, slot_dim), dtype=np.complex128)
@@ -83,6 +106,10 @@ def slot_window_povm(params, slot_dim: int = 3) -> dict:
             raw2[gi, gj] = 0.5 * chi2[i] * chi2[j].conjugate()
     povm[(Window.MIDDLE, Detector.D1)] = (1 + v) / 2 * raw1 + (1 - v) / 2 * raw2
     povm[(Window.MIDDLE, Detector.D2)] = (1 + v) / 2 * raw2 + (1 - v) / 2 * raw1
+    if not physical:
+        layout = RegisterLayout(photon_slots=1, slot_dim=slot_dim)
+        d = late_phase_diagonal(layout, excitation_phase(params))[:slot_dim]
+        povm = {key: d.conj()[:, None] * m * d for key, m in povm.items()}
     return povm
 
 
@@ -154,9 +181,11 @@ def double_state_outcomes(state: int, tbi, noise, eta: float) -> list:
     return list(agg.items())
 
 
-def slot_alphabet(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def slot_alphabet(model, physical: bool = False
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, mats, support) of the model's slot alphabet, built from
-    tuple-of-cells patterns merged in a dict in insertion order."""
+    tuple-of-cells patterns merged in a dict in insertion order; physical
+    as in `slot_window_povm`."""
     d, eta = model.layout.slot_dim, model.eta
     entries: dict = {}
 
@@ -168,7 +197,7 @@ def slot_alphabet(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     none[SLOT_EARLY, SLOT_EARLY] = 1.0 - eta
     none[SLOT_LATE, SLOT_LATE] = 1.0 - eta
     add((), none)
-    for (window, det), mat in slot_window_povm(model.tbi, d).items():
+    for (window, det), mat in slot_window_povm(model.tbi, d, physical).items():
         add((click_cell(0, WINDOWS.index(window), DETECTORS.index(det)),), eta * mat)
     if d == 6:
         for state in (SLOT_EE, SLOT_EL, SLOT_LL):
@@ -357,6 +386,46 @@ def exact_counts(n_qubits: int, params, noise, tbi, thinned: bool = False) -> di
                          zip(row_records(dist.rows[sel]),
                              (weight * dist.probs[sel] / n_subs).tolist()),
                          n_qubits - 1)
+    return counts
+
+
+def physical_model(layout, tbi, noise, windows, thinned: bool = False):
+    """A `DetectionModel` whose slot alphabet holds the physical click POVM
+    (`slot_alphabet(..., physical=True)`), for a state evolved at the
+    setting's excitation phase."""
+    from timebin.detection import DetectionModel
+
+    model = DetectionModel(layout, tbi, noise, windows, thinned)
+    model.alphabet_rows, model.alphabet_mats, model.alphabet_support = \
+        slot_alphabet(model, physical=True)
+    return model
+
+
+def physical_exact_counts(n_qubits: int, params, noise, tbi, thinned: bool = False
+                          ) -> dict:
+    """label -> SettingCounts of the exact witness in the physical
+    convention: each sub-run's whole sequence evolved at its setting's
+    `excitation_phase`, its components read with `physical_model` and
+    counted by `SettingCounts.add_expected`."""
+    from timebin.emitter import run_sequence_exact
+    from timebin.experiments import _generation_sequence, _witness_subruns
+    from timebin.witness import SettingCounts
+
+    counts: dict = {}
+    for run in _witness_subruns(n_qubits, params, tbi):
+        acc = counts.setdefault(run.setting.label,
+                                SettingCounts(run.setting, n_qubits - 1))
+        sub = run.setting.subsettings[run.sub_index]
+        seq = _generation_sequence(n_qubits, params, excitation_phase(run.tbi))
+        exact = run_sequence_exact(seq.with_readout_rotation(sub.axis, sub.angle),
+                                   params, noise)
+        model = physical_model(exact.layout, run.tbi, noise, run.windows, thinned)
+        n_subs = len(run.setting.subsettings)
+        for comp in exact.components:
+            terms = model.readout_terms(comp.rho, comp.flag_clicks, heralded_only=True)
+            scale = comp.weight / n_subs
+            acc.add_expected(run.sub_index, terms.rows, terms.weights * scale,
+                             terms.leak * scale)
     return counts
 
 

@@ -214,6 +214,26 @@ class TestExitCodes:
         with pytest.raises(ConfigurationError, match=f"got {points}"):
             load_config(conf)
 
+    @pytest.mark.parametrize("experiment, emitter", [
+        ("bell", "t_inf = 1e999"), ("bell", "t_inf = 1e200"), ("hom", "t_inf = -11.8"),
+        ("bell", "t_opt = 0.0"), ("bell", "rotation_ns = -7.0"),
+        ("ghz", "photon_spacing_ns = 1e999"), ("hom", "repetition_rate_mhz = 0"),
+        ("bell", "repetition_rate_mhz = 1e999"), ("bell", "repetition_rate_mhz = 20.0"),
+        ("ghz", "photon_spacing_ns = 600.0")])
+    def test_bad_timing_rejected_before_output(self, tmp_path, capsys, experiment,
+                                               emitter):
+        # a timing that cannot place the windows inside one repetition is a
+        # validation error before any output, not a run that fails at the end
+        conf = tmp_path / "timing.conf"
+        conf.write_text(f"[emitter]\n{emitter}\n")
+        out = tmp_path / "r"
+        assert run_cli("simulate", experiment, "--config", str(conf), "--reps", "200",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert emitter.split()[0] in err or "readout window ends" in err
+        assert not out.exists()
+
     def test_analyze_witness_crowded_cell(self, tmp_path, capsys):
         # one repetition's tags per cell are counted in uint8: 255 tags in
         # one cell still count, 256 are an error, not a silent wrap to 0
@@ -426,6 +446,20 @@ class TestAnalyzeManifest:
         monkeypatch.setattr(witness, "_outcome_signs", table)
         assert self.analyze(tmp_path, tags, self.ghz_manifest(n_qubits), mode) == 1
         assert "must lie in 3..4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["witness", "hom"])
+    @pytest.mark.parametrize("key", ["t_inf", "photon_spacing_ns"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e300, 0.0])
+    def test_non_finite_or_negative_timing(self, tmp_path, tags, capsys, mode, key,
+                                           value):
+        # json reads NaN and Infinity; neither, nor a timing <= 0, places
+        # the run's windows
+        manifest = json.loads((tags / "manifest.json").read_text())
+        manifest["config"]["emitter"][key] = value
+        assert self.analyze(tmp_path, tags, manifest, mode) == 1
+        err = capsys.readouterr().err
+        assert f"config.emitter.{key} must be a finite positive number" in err
+        assert not (tmp_path / "ana").exists()
 
     def test_minimal_manifest_accepted(self, tmp_path, tags):
         manifest = {"config": {"experiment": "bell",

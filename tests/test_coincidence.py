@@ -1,3 +1,4 @@
+import math
 import os
 import warnings
 
@@ -252,6 +253,15 @@ class TestWindowConfig:
     def test_overlap_rejected(self):
         with pytest.raises(ContractError):
             WindowConfig(early_start=30.0, middle_start=31.0)
+
+    @pytest.mark.parametrize("field", ["early_start", "middle_start", "late_start",
+                                       "width", "readout_start", "readout_width",
+                                       "slot_spacing"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        # NaN would pass the overlap check, as every comparison with it fails
+        with pytest.raises(ContractError, match=f"window {field} must be finite"):
+            WindowConfig(**{field: value})
 
     def test_needs_a_slot(self):
         with pytest.raises(ContractError, match="at least one slot"):

@@ -51,6 +51,13 @@ class TestParams:
         assert math.isinf(p.cyclicity)
         assert p.spin_preserving_probability == 1.0
 
+    @pytest.mark.parametrize("name", ["t_opt", "t_inf", "rotation_ns",
+                                      "photon_spacing_ns", "repetition_rate_mhz"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0, "7"])
+    def test_bad_timing(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name}=.* finite and positive"):
+            dataclasses.replace(paper_emitter(), **{name: value})
+
     def test_bad_probability(self):
         with pytest.raises(ConfigurationError):
             NoiseParams(p_double=1.5)
@@ -536,7 +543,7 @@ class TestTableBranchChoice:
         k = 3
         run = subruns[k]
         rows = slice(k, None, len(subruns))
-        start = generation.select(rows).with_late_phase(run.phase_e)
+        start = generation.select(rows)
         got = run_sequence_trajectory(run.sequence, params, noise, 5, reps[rows],
                                       start=start)
         want, _ = grouped_trajectory(run.sequence, params, noise, 5, reps[rows],
@@ -566,9 +573,9 @@ class TestTableBranchChoice:
 
 
 class TestSharedGeneration:
-    """A witness evolves its generation once, at late-pulse phase 0, and
-    finishes each sub-run from it; a direct evolution of each sub-run's
-    whole sequence is the reference."""
+    """A witness evolves its generation once and finishes each sub-run from
+    it; a direct evolution of each sub-run's whole sequence is the
+    reference."""
 
     @pytest.mark.parametrize("blink", [False, True], ids=["steady", "blinking"])
     @pytest.mark.parametrize("n_qubits", [2, 3])
@@ -625,16 +632,17 @@ class TestSharedGeneration:
     def test_start_must_hold_the_leading_steps(self):
         params, noise = paper_emitter(), paper_noise()
         generation = build_bell_sequence(params)
-        seq = build_bell_sequence(params, phase_e=0.4).with_readout_rotation("y", 0.5)
+        seq = generation.with_readout_rotation("y", 0.5)
+        # a late pulse at another phase is another leading step
+        other = build_bell_sequence(params, phase_e=0.4).with_readout_rotation("y", 0.5)
         exact = run_sequence_exact(generation, params, noise)
         with pytest.raises(ContractError):
-            run_sequence_exact(seq, params, noise, start=exact)
-        tail = run_sequence_exact(seq, params, noise, start=exact.with_late_phase(0.4))
+            run_sequence_exact(other, params, noise, start=exact)
+        tail = run_sequence_exact(seq, params, noise, start=exact)
         assert len(tail.components) == len(exact.components)
         reps = np.arange(10, dtype=np.uint64)
         traj = run_sequence_trajectory(generation, params, noise, 3, reps)
         with pytest.raises(ContractError):
-            run_sequence_trajectory(seq, params, noise, 3, reps, start=traj)
+            run_sequence_trajectory(other, params, noise, 3, reps, start=traj)
         with pytest.raises(ContractError):
-            run_sequence_trajectory(seq, params, noise, 3, reps[:5],
-                                    start=traj.with_late_phase(0.4))
+            run_sequence_trajectory(seq, params, noise, 3, reps[:5], start=traj)

@@ -32,8 +32,10 @@ def entries(dist):
     return list(zip(row_records(dist.rows), dist.label.tolist(), dist.probs.tolist()))
 
 
-def slot_model(slot_dim, thinned=False, s=0.5, v=0.989, indistinguishability=0.935):
-    tbi = dataclasses.replace(paper_tbi(), splitting_ratio=s, classical_visibility=v)
+def slot_model(slot_dim, thinned=False, s=0.5, v=0.989, indistinguishability=0.935,
+               theta_pol=0.0, drift=0.0):
+    tbi = dataclasses.replace(paper_tbi(), splitting_ratio=s, classical_visibility=v,
+                              theta_pol=theta_pol, drift_phase=drift)
     noise = dataclasses.replace(paper_noise(), indistinguishability=indistinguishability)
     return DetectionModel(RegisterLayout(photon_slots=1, slot_dim=slot_dim), tbi, noise,
                           WindowConfig.for_sequence(1), thinned=thinned)
@@ -43,8 +45,12 @@ class TestSlotAlphabet:
     @pytest.mark.parametrize("slot_dim", [3, 6])
     @pytest.mark.parametrize("thinned", [False, True])
     def test_matches_reference_builder(self, slot_dim, thinned):
-        for s, v, ind in itertools.product((0.5, 0.3), (0.0, 0.989, 1.0), (0.935, 1.0)):
-            model = slot_model(slot_dim, thinned, s, v, ind)
+        # every GHZ-3 setting's polarizer offset, under a common drift
+        offsets = sorted({st.theta_pol_offset for st in ghz_settings(3)})
+        assert len(offsets) == 4
+        for s, v, ind, theta_pol, drift in itertools.product(
+                (0.5, 0.3), (0.0, 0.989, 1.0), (0.935, 1.0), offsets, (0.0, 0.9, -1.3)):
+            model = slot_model(slot_dim, thinned, s, v, ind, theta_pol, drift)
             rows, mats, support = ref.slot_alphabet(model)
             assert np.array_equal(model.alphabet_rows, rows)
             assert np.array_equal(model.alphabet_support, support)
@@ -106,13 +112,13 @@ class TestExactComponents:
         (2, 0, False, 0.0011, 1107,
          "4f51f8a0f2ace5223ca1e3af758b849d79032a4e4d4a5d4865f856f40cae7826"),
         (2, 2, True, 0.0011, 185,
-         "77732abc4fb03d32be2158ac5c21459a399aa9d2d1032f577fd03b8e2dcac208"),
+         "bcfdf4ba0aee63c075c497526abc155b624ddd6b66bb91ee16372f32138e04a6"),
         (3, 0, True, 0.0011, 1347,
          "67660d1e310782196df32cda5509f4c1c9c140f6a82474f340b7884c58484a74"),
         (3, 2, False, 0.0011, 86716,
-         "137fcf062fd02bccc5e945f108775ce753c53d0230970b4f232be81bd7f1b412"),
+         "285e4931e9cefeebcaf642a7cf71f522a727373b9f6d901ca9412f73f659b490"),
         (2, 3, True, 0.05, 191,
-         "e9d69ffc8771b89f2213e7a4746b5154e562b5e7d692dc0c8698501d087a442a"),
+         "7907aec341f0943185b308cd0313a7bc63cefaf8bedc59383f3bb53250136c32"),
         (3, 1, True, 0.05, 1497,
          "0843421a0b3405ff548acbb3299dfdf44b9c3ab66dbabe9a0992ac728befadc4"),
     ])
@@ -301,6 +307,28 @@ class TestExpectedCounts:
         monkeypatch.setattr(detection, "PRUNE_TOL", 0.0)
         out = witness_exact(2, paper_emitter(), paper_noise(), paper_tbi())
         assert 1e-10 < abs(out.fidelity - 0.6772859504890993) < 1e-7
+
+
+class TestPhaseConvention:
+    """The setting's phase as a detection setting: one phase-0 generation
+    read with `slot_window_povm` against the physical convention, each
+    sub-run's sequence evolved at its excitation phase and read with the
+    element at the detection phase (`kernel_reference.physical_exact_counts`)."""
+
+    @pytest.mark.parametrize("case", ["paper", "thinned", "blinking", "no-leak", "drift"])
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_counts_match_physical_convention(self, n_qubits, case):
+        noise, tbi = paper_noise(), paper_tbi()
+        if case == "blinking":
+            noise = dataclasses.replace(noise, blink_block_len=40, blink_on_fraction=0.7)
+        elif case == "no-leak":
+            noise = dataclasses.replace(noise, p_leak=0.0)
+        elif case == "drift":
+            tbi = dataclasses.replace(tbi, theta0=0.1, drift_phase=0.9)
+        args = n_qubits, paper_emitter(), noise, tbi, case == "thinned"
+        want = ref.physical_exact_counts(*args)
+        assert all(acc.counts for acc in want.values())
+        assert_counts_match(_exact_counts(*args), want)
 
 
 class TestExactReference:

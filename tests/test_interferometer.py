@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import kernel_reference as ref
 from timebin.coincidence import WindowConfig, cell_click
 from timebin.detection import DetectionModel
 from timebin.emitter import ideal_noise
@@ -166,22 +167,20 @@ class TestClassicalFringe:
 
 class TestDriftImmunity:
     def test_common_phase_cancels(self):
-        # adding a common drift to phi_e and phi_d leaves every detection
-        # probability unchanged
-        lay = RegisterLayout(photon_slots=1, slot_dim=3)
-        probs = []
+        # physically the photon is emitted at phi_e and read at phi_d, and a
+        # common drift of both cancels: for each drift, these probabilities
+        # equal those of the phase-0 photon read with slot_window_povm
+        v3 = np.zeros(3, complex)
+        v3[SLOT_EARLY] = v3[SLOT_LATE] = 1 / math.sqrt(2)
         for drift in (0.0, 0.9, 2.2, -1.3):
             tbi = TBIParams(theta0=0.1, theta_pol=0.45, drift_phase=drift)
-            phi_e = excitation_phase(tbi)
-            vec = np.zeros(6, complex)
-            vec[lay.basis_index([0, SLOT_EARLY])] = 1 / math.sqrt(2)
-            vec[lay.basis_index([0, SLOT_LATE])] = np.exp(1j * phi_e) / math.sqrt(2)
+            physical = ref.slot_window_povm(tbi, 3, physical=True)
+            emitted = v3 * np.exp(1j * excitation_phase(tbi) * (np.arange(3) == SLOT_LATE))
             povm = slot_window_povm(tbi, 3)
-            v3 = vec.reshape(2, 3)[0]
-            probs.append(sorted(np.vdot(v3, m @ v3).real
-                                for m in povm.values()))
-        for p in probs[1:]:
-            assert np.allclose(p, probs[0], atol=1e-12)
+            assert povm.keys() == physical.keys()
+            for key, m in povm.items():
+                want = np.vdot(emitted, physical[key] @ emitted).real
+                assert np.vdot(v3, m @ v3).real == pytest.approx(want, abs=1e-12), key
 
 
 def test_splitting_ratio_validation():
