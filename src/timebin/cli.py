@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import math
 import os
 import pickle
 import signal
@@ -28,9 +27,9 @@ import numpy as np
 from . import coincidence as coin
 from . import experiments as exp
 from . import witness as wit
-from .config import (MAX_GHZ_QUBITS, V_CLASSICAL_BACKSOLVED, RunConfig,
-                     load_config, noise_off, paper_emitter, paper_noise,
-                     paper_tbi, write_manifest)
+from .config import (FRINGE_MODES, V_CLASSICAL_BACKSOLVED, RunConfig,
+                     config_from_sections, load_config, noise_off, paper_emitter,
+                     paper_noise, paper_tbi, write_manifest)
 from .coincidence import WindowConfig
 from .errors import (ConfigurationError, ContractError, ParseError,
                      UndefinedEstimateError)
@@ -257,13 +256,11 @@ def _run_fringe_scan(config: RunConfig, out: Path) -> list[str]:
                                              config.n_repetitions
                                              // config.fringe_points, 100),
                                          master_seed=config.master_seed)
-    elif config.fringe_mode == "spin-conditioned":
+    else:
         scan = exp.spin_conditioned_fringe_scan(
             config.emitter, config.noise, config.tbi, theta,
             reps_per_point=max(config.n_repetitions // config.fringe_points, 100),
             master_seed=config.master_seed)
-    else:
-        raise ConfigurationError(f"unknown fringe mode {config.fringe_mode!r}")
     with open(out / "fringe.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         labels = list(scan.contrast)
@@ -311,7 +308,7 @@ def _run_analyze(args) -> list[str]:
         raise UndefinedEstimateError("input file holds no time tags")
     # the windows of the run's sequence, or without a manifest the ones
     # simulate hom analyses its own tags with at the default t_inf
-    windows = _manifest_windows(cfg) if cfg else WindowConfig.for_sequence(1)
+    windows = cfg.windows if cfg else WindowConfig.for_sequence(1)
     outputs = []
     if args.mode == "histogram":
         starts, counts = coin.build_histogram(tags, bin_width=args.bin_width)
@@ -346,11 +343,11 @@ def _run_analyze(args) -> list[str]:
     return outputs
 
 
-def _read_manifest(path) -> dict:
-    """The run configuration a manifest echoes, with every key analyze reads
-    checked: experiment, emitter.t_inf and emitter.photon_spacing_ns (finite
-    and positive), and a ghz run's n_qubits, an integer of
-    3..MAX_GHZ_QUBITS."""
+def _read_manifest(path) -> RunConfig:
+    """The run configuration a manifest echoes, read back as a config file's
+    is (`config_from_sections`).  The keys that place the windows have no
+    default: the experiment, emitter.t_inf and emitter.photon_spacing_ns,
+    and a ghz run's n_qubits."""
     try:
         with open(path) as fh:
             manifest = json.load(fh)
@@ -365,41 +362,27 @@ def _read_manifest(path) -> dict:
     cfg = read(manifest, "config", "config")
     emitter = read(cfg, "emitter", "config.emitter")
     for key in ("t_inf", "photon_spacing_ns"):
-        value = read(emitter, key, f"config.emitter.{key}")
-        # json reads NaN and Infinity
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not (math.isfinite(value) and value > 0)):
-            raise ConfigurationError(f"manifest {path}: config.emitter.{key} must "
-                                     f"be a finite positive number, not {value!r}")
+        read(emitter, key, f"config.emitter.{key}")
     if read(cfg, "experiment", "config.experiment") == "ghz":
-        n_qubits = read(cfg, "n_qubits", "config.n_qubits")
-        if isinstance(n_qubits, bool) or not isinstance(n_qubits, int):
-            raise ConfigurationError(f"manifest {path}: config.n_qubits must be "
-                                     f"an integer, not {n_qubits!r}")
-        if not 3 <= n_qubits <= MAX_GHZ_QUBITS:
-            raise ConfigurationError(f"manifest {path}: config.n_qubits of a ghz "
-                                     f"run must lie in 3..{MAX_GHZ_QUBITS}, not "
-                                     f"{n_qubits}")
-    return cfg
+        read(cfg, "n_qubits", "config.n_qubits")
+    # the manifest echoes the [run] keys beside the sections
+    sections = {"run": {k: v for k, v in cfg.items() if not isinstance(v, dict)},
+                **{k: v for k, v in cfg.items() if isinstance(v, dict)}}
+    try:
+        return config_from_sections(sections)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"manifest {path}: {exc}") from None
 
 
-def _manifest_windows(cfg: dict) -> WindowConfig:
-    """The detection windows of the sequence a manifest's run evolved: one
-    photon slot for bell and hom, n_qubits - 1 for ghz."""
-    n_slots = cfg["n_qubits"] - 1 if cfg["experiment"] == "ghz" else 1
-    return WindowConfig.for_sequence(n_slots, t_inf=cfg["emitter"]["t_inf"],
-                                     slot_spacing=cfg["emitter"]["photon_spacing_ns"])
-
-
-def _analyze_witness(tags, cfg: dict | None, windows: WindowConfig) -> dict:
+def _analyze_witness(tags, cfg: RunConfig | None, windows: WindowConfig) -> dict:
     """Reconstruct witness estimates from bare tags plus the configuration
     echoed in the run manifest, classified with the run's windows."""
     if cfg is None:
         raise ConfigurationError("witness analysis needs --manifest from the run")
-    if cfg["experiment"] not in ("bell", "ghz"):
+    if cfg.experiment not in ("bell", "ghz"):
         raise ConfigurationError("witness analysis needs the manifest of a bell "
-                                 f"or ghz run, not {cfg['experiment']!r}")
-    n_qubits = 2 if cfg["experiment"] == "bell" else cfg["n_qubits"]
+                                 f"or ghz run, not {cfg.experiment!r}")
+    n_qubits = 2 if cfg.experiment == "bell" else cfg.n_qubits
     settings = wit.ghz_settings(n_qubits)
     n_subs = 2 * len(settings)
     # one repetition's tags are contiguous in the sorted view: count its
@@ -446,10 +429,11 @@ def _analyze_witness(tags, cfg: dict | None, windows: WindowConfig) -> dict:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="configuration file (sectioned key = value)")
+    parser.add_argument("--config", help="configuration file (TOML)")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--reps", type=int, help="number of repetitions")
-    parser.add_argument("--out", default="runs", help="output directory")
+    # no default here, so a --config file's out_dir is not overridden
+    parser.add_argument("--out", help="output directory (default runs)")
     parser.add_argument("--defaults", choices=["paper"],
                         help="start from the characterized-source preset")
     parser.add_argument("--noise", choices=["off"],
@@ -484,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fr = sub.add_parser("fringe-scan", help="polarizer-angle fringe scan")
     # defaults live in RunConfig, so a --config file value is not overridden
-    fr.add_argument("--mode", choices=["classical", "spin-conditioned"],
+    fr.add_argument("--mode", choices=FRINGE_MODES,
                     help="default classical")
     fr.add_argument("--points", type=int, help="default 20")
     fr.add_argument("--span", type=float, nargs=2, help="default 0 pi")

@@ -1,16 +1,17 @@
-"""Run configuration: presets, file parsing, validation.
+"""Run configuration: presets, config files, validation.
 
-The configuration file is a sectioned key = value format (TOML-compatible
-for the subset used here): sections [run], [emitter], [noise] and [tbi];
-any other section is rejected.  CLI flags override file values; the
-`paper` preset pins every parameter to the characterized-source defaults
-baked into this module.
+A config file is TOML (read by `tomllib`) whose sections [run], [emitter],
+[noise] and [tbi] hold the fields of `RunConfig` and its three parameter
+dataclasses.  Its values, and a run manifest's, enter through
+`config_from_sections`, which checks every key and value type.  CLI flags
+override file values; the `paper` preset pins every parameter to the
+characterized-source defaults baked into this module.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .coincidence import WindowConfig
 from .emitter import EmitterParams, NoiseParams, ideal_emitter, ideal_noise
@@ -18,10 +19,16 @@ from .errors import ConfigurationError, ParseError
 from .interferometer import TBIParams
 
 EXPERIMENTS = ("bell", "ghz", "hom", "fringe-scan", "rabi-calibration")
+FRINGE_MODES = ("classical", "spin-conditioned")
 
 # the exact witness reference evolves dense density components of
 # 2 * 6^(n - 1) levels: at 5 qubits one is ~107 MB, and there are ~256
 MAX_GHZ_QUBITS = 4
+
+
+def _finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def paper_emitter() -> EmitterParams:
@@ -65,6 +72,9 @@ V_CLASSICAL_BACKSOLVED = 0.989
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's parameters, range-checked when built.  `echo` is what the
+    run's manifest records, and `config_from_sections` reads it back."""
+
     experiment: str = "bell"
     n_repetitions: int = 100_000
     master_seed: int = 1
@@ -81,44 +91,48 @@ class RunConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ConfigurationError(f"unknown experiment {self.experiment!r}")
+            raise ConfigurationError(f"run.experiment must be one of {EXPERIMENTS}, "
+                                     f"not {self.experiment!r}")
+        if self.fringe_mode not in FRINGE_MODES:
+            raise ConfigurationError(f"run.fringe_mode must be one of {FRINGE_MODES}, "
+                                     f"not {self.fringe_mode!r}")
         if self.n_repetitions < 1:
-            raise ConfigurationError("n_repetitions must be at least 1")
+            raise ConfigurationError("run.n_repetitions must be at least 1")
         if self.fringe_points < 2:
             # the fringe fit has two parameters
             raise ConfigurationError(
-                f"fringe_points must be at least 2, got {self.fringe_points}")
-        if self.n_qubits < 3 and self.experiment == "ghz":
-            raise ConfigurationError("GHZ runs need at least 3 qubits")
-        if self.n_qubits > MAX_GHZ_QUBITS and self.experiment == "ghz":
+                f"run.fringe_points must be at least 2, got {self.fringe_points}")
+        span = self.fringe_span
+        if not (isinstance(span, (tuple, list)) and len(span) == 2
+                and all(map(_finite_number, span)) and span[0] != span[1]):
+            raise ConfigurationError(f"run.fringe_span must be two different finite "
+                                     f"numbers, not {span!r}")
+        # a file or manifest gives a list
+        object.__setattr__(self, "fringe_span", tuple(span))
+        if self.experiment == "ghz" and not 3 <= self.n_qubits <= MAX_GHZ_QUBITS:
             raise ConfigurationError(
-                f"GHZ runs support at most {MAX_GHZ_QUBITS} qubits: the exact "
-                "witness reference evolves dense density components, about 256 "
-                f"of 107 MB each at {MAX_GHZ_QUBITS + 1} qubits")
-        # the sequence's windows: one photon slot, or n_qubits - 1 for ghz
-        windows = WindowConfig.for_sequence(
-            self.n_qubits - 1 if self.experiment == "ghz" else 1,
-            t_inf=self.emitter.t_inf, slot_spacing=self.emitter.photon_spacing_ns)
+                f"run.n_qubits of a ghz run must lie in 3..{MAX_GHZ_QUBITS}, not "
+                f"{self.n_qubits}: the exact witness reference evolves dense density "
+                f"components, about 256 of 107 MB each at {MAX_GHZ_QUBITS + 1} qubits")
+        windows = self.windows
         readout_end = windows.readout_start + windows.readout_width
         if readout_end > self.emitter.repetition_period_ns:
             raise ConfigurationError(
                 f"the readout window ends at {readout_end:.6g} ns, after the "
                 f"repetition period of {self.emitter.repetition_period_ns:.6g} ns")
 
+    @property
+    def windows(self) -> WindowConfig:
+        """The detection windows of the run's sequence: one photon slot, or
+        n_qubits - 1 for ghz."""
+        return WindowConfig.for_sequence(
+            self.n_qubits - 1 if self.experiment == "ghz" else 1,
+            t_inf=self.emitter.t_inf, slot_spacing=self.emitter.photon_spacing_ns)
+
     def echo(self) -> dict:
-        d = {
-            "experiment": self.experiment,
-            "n_repetitions": self.n_repetitions,
-            "master_seed": self.master_seed,
-            "n_qubits": self.n_qubits,
-            "thinned": self.thinned,
-            "emitter": asdict(self.emitter),
-            "noise": asdict(self.noise),
-            "tbi": asdict(self.tbi),
-            "fringe_points": self.fringe_points,
-            "fringe_span": list(self.fringe_span),
-            "fringe_mode": self.fringe_mode,
-        }
+        """Every field but where the run writes and whether it writes tags."""
+        d = asdict(self)
+        del d["out_dir"], d["write_timetags"]
         return d
 
 
@@ -131,72 +145,64 @@ def noise_off(config: RunConfig) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# config file parsing (sectioned key = value, TOML-compatible subset)
+# config files and manifests
 # ---------------------------------------------------------------------------
 
 
-def _parse_scalar(text: str, path: str, lineno: int):
-    text = text.strip()
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    try:
-        if any(c in text for c in ".eE") and not text.lstrip("+-").isdigit():
-            return float(text)
-        return int(text)
-    except ValueError:
-        raise ParseError(f"{path}: cannot parse value {text!r}", line=lineno) from None
-
-
 def read_config_file(path) -> dict[str, dict]:
-    """Parse a sectioned key = value file into {section: {key: value}}."""
-    sections: dict[str, dict] = {}
-    current = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
-                sections.setdefault(current, {})
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}: expected key = value", line=lineno)
-            key, _, value = line.partition("=")
-            if current is None:
-                raise ParseError(f"{path}: key outside any [section]", line=lineno)
-            sections[current][key.strip()] = _parse_scalar(value, str(path), lineno)
+    """Parse a TOML file into {section: {key: value}}."""
+    import tomllib  # here, so a run without --config imports no parser
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        sections = tomllib.loads(text)
+    except ValueError as exc:  # TOMLDecodeError names the line; or not UTF-8
+        raise ParseError(f"{path}: {exc}") from None
+    for key, value in sections.items():
+        if not isinstance(value, dict):
+            # TOML reads a key before the first [section] as a top-level value
+            lines = (n for n, line in enumerate(text.splitlines(), 1)
+                     if line.partition("=")[0].strip(" \t\"'") == key)
+            raise ParseError(f"{path}: key {key!r} outside any [section]",
+                             line=next(lines, None))
     return sections
 
 
-_SECTION_TYPES = {"emitter": EmitterParams, "noise": NoiseParams, "tbi": TBIParams}
+_SECTION_TYPES = {"run": RunConfig, "emitter": EmitterParams, "noise": NoiseParams,
+                  "tbi": TBIParams}
+
+# what a field of each declared type takes (RunConfig checks fringe_span)
+_FIELD_TYPES = {
+    "float": ("a finite number", _finite_number),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
 
 
 def config_from_sections(sections: dict, base: RunConfig | None = None) -> RunConfig:
+    """`base` with the values of a parsed config file or manifest.  Each key
+    and value type is checked, naming `section.key`, before any dataclass is
+    built, whose range checks would meet a wrong type as a TypeError."""
     cfg = base if base is not None else RunConfig()
-    unknown = set(sections) - {"run", *_SECTION_TYPES}
+    unknown = set(sections) - set(_SECTION_TYPES)
     if unknown:
         raise ConfigurationError(f"unknown sections: {sorted(unknown)}")
-    kwargs = {}
-    run = sections.get("run", {})
-    for key in ("experiment", "n_repetitions", "master_seed", "n_qubits",
-                "thinned", "out_dir", "fringe_points", "fringe_mode",
-                "write_timetags"):
-        if key in run:
-            kwargs[key] = run[key]
-    unknown = set(run) - set(kwargs)
-    if unknown:
-        raise ConfigurationError(f"unknown [run] keys: {sorted(unknown)}")
-    for name, cls in _SECTION_TYPES.items():
+    for section, values in sections.items():
+        # [run] holds RunConfig's own fields, not the sections it nests
+        declared = {f.name: f.type for f in fields(_SECTION_TYPES[section])
+                    if f.name not in _SECTION_TYPES}
+        for key, value in values.items():
+            if key not in declared:
+                raise ConfigurationError(f"unknown key {section}.{key}")
+            kind, accepts = _FIELD_TYPES.get(declared[key], (None, None))
+            if accepts and not accepts(value):
+                raise ConfigurationError(f"{section}.{key} must be {kind}, not {value!r}")
+    kwargs = dict(sections.get("run", {}))
+    for name in ("emitter", "noise", "tbi"):
         if name in sections:
-            current = getattr(cfg, name)
-            fields = {f for f in current.__dataclass_fields__}
-            bad = set(sections[name]) - fields
-            if bad:
-                raise ConfigurationError(f"unknown [{name}] keys: {sorted(bad)}")
-            kwargs[name] = replace(current, **sections[name])
+            kwargs[name] = replace(getattr(cfg, name), **sections[name])
     return replace(cfg, **kwargs)
 
 

@@ -80,8 +80,10 @@ class EmitterParams:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ConfigurationError(f"{name}={v!r} must be finite and positive")
-        if self.gamma_y <= 0 or self.gamma_x < 0:
-            raise ConfigurationError("decay rates must be positive (gamma_x may be 0)")
+        if not (0 < self.gamma_y < math.inf and 0 <= self.gamma_x < math.inf):
+            raise ConfigurationError(
+                f"decay rates gamma_y={self.gamma_y!r}, gamma_x={self.gamma_x!r} must "
+                "be finite and positive (gamma_x may be 0)")
         if self.gamma_x > 0 and self.gamma_y / self.gamma_x <= 1.0:
             raise ConfigurationError("cyclicity gamma_y/gamma_x must exceed 1")
 
@@ -137,10 +139,12 @@ class NoiseParams:
                 raise ConfigurationError(f"{name}={v} outside [0, 1]")
         if not 0.5 < self.f_pi <= 1.0:
             raise ConfigurationError(f"f_pi={self.f_pi} outside (0.5, 1]")
-        if self.p_leak < 0:
-            raise ConfigurationError("p_leak must be non-negative")
-        if self.rot_dephasing_ratio < 0:
-            raise ConfigurationError("rot_dephasing_ratio must be non-negative")
+        for name in ("p_leak", "rot_dephasing_ratio"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and non-negative")
+        if not (isinstance(self.blink_block_len, int) and self.blink_block_len >= 0):
+            raise ConfigurationError(f"blink_block_len={self.blink_block_len!r} must "
+                                     "be an integer >= 0")
 
     def flip_probability(self, angle: float) -> float:
         return (1.0 - self.f_pi) * abs(angle) / math.pi

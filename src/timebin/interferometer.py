@@ -18,6 +18,7 @@ state (`experiments.exact_predetection_state`), which has no POVM.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -53,8 +54,12 @@ class TBIParams:
     def __post_init__(self):
         if not 0.0 < self.splitting_ratio < 1.0:
             raise ConfigurationError("splitting_ratio must lie strictly in (0, 1)")
-        if not 0.0 <= self.classical_visibility <= 1.0:
-            raise ConfigurationError("classical_visibility must lie in [0, 1]")
+        for name in ("classical_visibility", "detector_efficiency"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigurationError(f"{name} must lie in [0, 1]")
+        for name in ("theta0", "theta_pol", "drift_phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
 
     def with_theta_pol(self, theta_pol: float) -> "TBIParams":
         return replace(self, theta_pol=theta_pol)

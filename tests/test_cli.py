@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -14,10 +16,12 @@ import numpy as np
 import pytest
 
 import timebin.experiments as exp
-from timebin.cli import _resolve_config, build_parser, main
-from timebin.config import load_config
+from timebin.cli import _read_manifest, _resolve_config, build_parser, main
+from timebin.config import RunConfig, load_config
+from timebin.emitter import EmitterParams, NoiseParams
 from timebin.errors import (ConfigurationError, ContractError, ParseError,
                             UndefinedEstimateError)
+from timebin.interferometer import TBIParams
 
 
 def run_cli(*args):
@@ -65,10 +69,10 @@ theta0 = 0.2
         monkeypatch.setattr(exp, "run_sequence_trajectory", no_evolution)
         assert run_cli("simulate", "ghz", "--photons", "5", "--reps", "100",
                        "--out", str(tmp_path / "r")) == 1
-        assert "at most 4 qubits" in capsys.readouterr().err
+        assert "run.n_qubits of a ghz run must lie in 3..4" in capsys.readouterr().err
         conf = tmp_path / "ghz5.conf"
         conf.write_text('[run]\nexperiment = "ghz"\nn_qubits = 5\n')
-        with pytest.raises(ConfigurationError, match="at most 4 qubits"):
+        with pytest.raises(ConfigurationError, match=r"run\.n_qubits .* 3\.\.4"):
             load_config(conf)
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -85,14 +89,36 @@ theta0 = 0.2
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.conf"
         path.write_text("[run]\njust some words\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="line 2"):
             load_config(path)
 
     def test_key_outside_section(self, tmp_path):
         path = tmp_path / "bad.conf"
         path.write_text("x = 1\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="line 1"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("[run]\nthinned = True\n", 2), ('[run]\nout_dir = "runs#1\n', 2),
+        ("\n# note\nn_qubits = 3\n[run]\n", 3)])
+    def test_parse_error_names_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.toml"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"line {line}"):
+            load_config(path)
+
+    def test_toml_values(self, tmp_path):
+        # a '#' inside a quoted string is part of it, booleans are lowercase
+        # and fringe_span is an array; a file's out_dir is where a run
+        # without --out writes
+        out = tmp_path / "runs#1"
+        path = tmp_path / "run.toml"
+        path.write_text(f'[run]\nout_dir = "{out}"  # a comment\nthinned = true\n'
+                        "fringe_span = [0.5, 2]\n")
+        cfg = load_config(path)
+        assert (cfg.out_dir, cfg.thinned, cfg.fringe_span) == (str(out), True, (0.5, 2))
+        assert run_cli("rabi-calibration", "--config", str(path)) == 0
+        assert (out / "manifest.json").exists()
 
     def test_file_values_survive_flag_defaults(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -116,7 +142,7 @@ theta0 = 0.2
         cfg = resolve("fringe-scan", "--config", str(conf), "--points", "5",
                       "--mode", "classical")
         assert (cfg.fringe_points, cfg.fringe_mode) == (5, "classical")
-        # [run] fringe_span is not a configuration key
+        # [run] fringe_span is a pair of angles, not one
         bad = tmp_path / "span.conf"
         bad.write_text("[run]\nfringe_span = 1.0\n")
         assert run_cli("fringe-scan", "--config", str(bad),
@@ -173,6 +199,24 @@ class TestReadme:
                         command + [name] + ([choice] if choice else []))
 
 
+    def test_config_example_loads(self, tmp_path):
+        # the example is TOML that load_config reads, and each of its values
+        # reaches the RunConfig
+        import tomllib
+
+        block = re.search(r"### Configuration file.*?```toml\n(.*?)```", self.text,
+                          re.S).group(1)
+        path = tmp_path / "example.toml"
+        path.write_text(block)
+        cfg = load_config(path)
+        sections = tomllib.loads(block)
+        assert set(sections) == {"run", "emitter", "noise", "tbi"}
+        for section, values in sections.items():
+            target = cfg if section == "run" else getattr(cfg, section)
+            for key, value in values.items():
+                assert getattr(target, key) == value, f"{section}.{key}"
+
+
 class TestExitCodes:
     def test_success(self, tmp_path):
         rc = run_cli("simulate", "bell", "--noise", "off", "--reps", "2000",
@@ -213,6 +257,28 @@ class TestExitCodes:
             assert "Traceback" not in err
         with pytest.raises(ConfigurationError, match=f"got {points}"):
             load_config(conf)
+
+    @pytest.mark.parametrize("first, last", [("0", "nan"), ("0", "inf"), ("1", "1"),
+                                             ("nan", "1")])
+    def test_fringe_span_rejected_before_output(self, tmp_path, capsys, first, last):
+        # a non-finite or repeated endpoint leaves no fringe to fit: exit 1
+        # from the flag and from [run] fringe_span alike, before any output
+        conf = tmp_path / "span.toml"
+        conf.write_text(f"[run]\nfringe_span = [{first}, {last}]\n")
+        out = tmp_path / "fr"
+        for args in (("--span", first, last), ("--config", str(conf))):
+            assert run_cli("fringe-scan", "--reps", "1000", *args, "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: run.fringe_span") and "Traceback" not in err
+            assert not out.exists()
+
+    def test_fringe_mode_rejected_before_output(self, tmp_path, capsys):
+        conf = tmp_path / "mode.toml"
+        conf.write_text('[run]\nfringe_mode = "spin"\n')
+        out = tmp_path / "fr"
+        assert run_cli("fringe-scan", "--config", str(conf), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: run.fringe_mode")
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment, emitter", [
         ("bell", "t_inf = 1e999"), ("bell", "t_inf = 1e200"), ("hom", "t_inf = -11.8"),
@@ -430,7 +496,7 @@ class TestAnalyzeManifest:
     @pytest.mark.parametrize("n_qubits", ["3", 3.0, True, None])
     def test_non_integer_qubits(self, tmp_path, tags, capsys, n_qubits):
         assert self.analyze(tmp_path, tags, self.ghz_manifest(n_qubits)) == 1
-        assert "config.n_qubits must be an integer" in capsys.readouterr().err
+        assert "run.n_qubits must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["witness", "g2"])
     @pytest.mark.parametrize("n_qubits", [2, 5, 40])
@@ -458,13 +524,106 @@ class TestAnalyzeManifest:
         manifest["config"]["emitter"][key] = value
         assert self.analyze(tmp_path, tags, manifest, mode) == 1
         err = capsys.readouterr().err
-        assert f"config.emitter.{key} must be a finite positive number" in err
+        assert re.search(rf"{key}\S* must be (a )?finite", err)
         assert not (tmp_path / "ana").exists()
+
+    @pytest.mark.parametrize("section, key", [(None, "workers"), ("noise", "not_a_knob"),
+                                              ("tbi", "windows")])
+    def test_unknown_key_rejected(self, tmp_path, tags, capsys, section, key):
+        # a manifest holds config keys only, as a config file does
+        manifest = json.loads((tags / "manifest.json").read_text())
+        (manifest["config"][section] if section else manifest["config"])[key] = 1
+        assert self.analyze(tmp_path, tags, manifest, "g2") == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "ana").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "bell", "--defaults", "paper", "--reps", "2000", "--seed", "3"],
+        ["simulate", "bell", "--noise", "off", "--reps", "2000", "--config", "{conf}"],
+        ["simulate", "ghz", "--photons", "3", "--reps", "300", "--seed", "5"],
+        ["simulate", "hom", "--reps", "2000", "--config", "{conf}"],
+        ["fringe-scan", "--mode", "classical", "--span", "0.5", "2.5", "--points", "5",
+         "--reps", "1000"],
+        ["rabi-calibration", "--f-pi", "0.9", "--thinning", "on", "--config", "{conf}"]])
+    def test_manifest_reads_back_as_run_config(self, tmp_path, argv):
+        # a run's manifest is its RunConfig, apart from where it wrote and
+        # whether it wrote tags
+        conf = tmp_path / "run.toml"
+        conf.write_text("[emitter]\nt_inf = 9\n[noise]\nblink_block_len = 40\n"
+                        "blink_on_fraction = 0.7\n")
+        argv = [a.format(conf=conf) for a in argv] + ["--no-timetags",
+                                                      "--out", str(tmp_path / "r")]
+        assert run_cli(*argv) == 0
+        own = _resolve_config(build_parser().parse_args(argv))
+        back = _read_manifest(tmp_path / "r" / "manifest.json")
+        assert back == dataclasses.replace(own, out_dir=back.out_dir,
+                                           write_timetags=back.write_timetags)
 
     def test_minimal_manifest_accepted(self, tmp_path, tags):
         manifest = {"config": {"experiment": "bell",
                                "emitter": {"t_inf": 11.8, "photon_spacing_ns": 28.0}}}
         assert self.analyze(tmp_path, tags, manifest) == 0
+
+
+def _toml(value) -> str:
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_toml, value)) + "]"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return json.dumps(value) if isinstance(value, str) else repr(value)
+
+
+# wrong values for a field of each declared type: a string, a bool in a
+# numeric field, nan and inf in a float field, a fraction in an int field;
+# the cases are built from the fields, so every key of every section is one
+WRONG_VALUES = {
+    "float": ["x", True, math.nan, math.inf],
+    "int": ["x", True, 2.5],
+    "bool": ["x", 2],
+    "str": [3, True],
+    "tuple[float, float]": ["x", [True, 1.0], [0.0, math.nan], [0.0, math.inf]],
+}
+SECTIONS = {"run": RunConfig, "emitter": EmitterParams, "noise": NoiseParams,
+            "tbi": TBIParams}
+FIELD_CASES = [pytest.param(section, f.name, value, id=f"{section}.{f.name}={value!r}")
+               for section, cls in SECTIONS.items()
+               for f in dataclasses.fields(cls) if f.name not in SECTIONS
+               for value in WRONG_VALUES[f.type]]
+
+
+class TestFieldTypes:
+    """Every config key takes only its declared type, from a config file and
+    from an edited run manifest alike: anything else is exit 1 naming
+    section.key, before any output directory exists."""
+
+    @pytest.fixture(scope="class")
+    def sim(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fields") / "sim"
+        assert run_cli("simulate", "bell", "--reps", "200", "--out", str(out)) == 0
+        return out
+
+    @pytest.mark.parametrize("section, key, value", FIELD_CASES)
+    def test_wrong_value_rejected(self, tmp_path, capsys, sim, section, key, value):
+        conf = tmp_path / "bad.toml"
+        conf.write_text(f"[{section}]\n{key} = {_toml(value)}\n")
+        out = tmp_path / "r"
+        assert run_cli("simulate", "bell", "--config", str(conf), "--no-timetags",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{section}.{key}" in err
+        assert "Traceback" not in err and not out.exists()
+
+        manifest = json.loads((sim / "manifest.json").read_text())
+        config = manifest["config"]
+        (config if section == "run" else config[section])[key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        ana = tmp_path / "ana"
+        assert run_cli("analyze", "--input", str(sim / "timetags.csv"), "--mode", "g2",
+                       "--manifest", str(path), "--out", str(ana)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {path}: {section}.{key}")
+        assert not ana.exists()
 
 
 class TestArtifacts:

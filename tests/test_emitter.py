@@ -8,7 +8,7 @@ from kernel_reference import dense_factor, grouped_trajectory, verify_kraus_comp
 from timebin.coincidence import WindowConfig
 from timebin.config import paper_emitter, paper_noise, paper_tbi
 from timebin.detection import DetectionModel
-from timebin.emitter import (BRANCH_LABELS, NoiseParams, PulseOp,
+from timebin.emitter import (BRANCH_LABELS, EmitterParams, NoiseParams, PulseOp,
                              PulseSequence, apply_branch, build_bell_sequence,
                              build_ghz_sequence, build_hom_sequence,
                              conjugate_branches, excite_kraus, ideal_emitter,
@@ -63,6 +63,20 @@ class TestParams:
             NoiseParams(p_double=1.5)
         with pytest.raises(ConfigurationError):
             NoiseParams(f_pi=0.4)
+
+    @pytest.mark.parametrize("params, kwargs", [
+        (EmitterParams, {"gamma_y": math.inf}), (EmitterParams, {"gamma_y": math.nan}),
+        (EmitterParams, {"gamma_x": math.inf}), (EmitterParams, {"gamma_x": math.nan}),
+        (NoiseParams, {"p_leak": math.inf}), (NoiseParams, {"p_leak": math.nan}),
+        (NoiseParams, {"rot_dephasing_ratio": math.inf}),
+        (NoiseParams, {"rot_dephasing_ratio": math.nan}),
+        (NoiseParams, {"blink_block_len": -3, "blink_on_fraction": 0.5}),
+        (NoiseParams, {"blink_block_len": 2.5})])
+    def test_non_finite_or_negative_parameter(self, params, kwargs):
+        # a library caller gets the checks a config file gets: no rate is
+        # infinite and blinking is not switched off by a negative block
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+            params(**kwargs)
 
 
 class TestSequences:

@@ -188,3 +188,13 @@ def test_splitting_ratio_validation():
         TBIParams(splitting_ratio=0.0)
     with pytest.raises(ConfigurationError):
         TBIParams(classical_visibility=1.2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"theta0": math.inf}, {"theta0": math.nan}, {"theta_pol": -math.inf},
+    {"drift_phase": math.nan}, {"detector_efficiency": 5.0},
+    {"detector_efficiency": -0.1}, {"detector_efficiency": math.nan}])
+def test_non_finite_or_out_of_range(kwargs):
+    # a non-finite angle has no fringe, and an efficiency is a probability
+    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+        TBIParams(**kwargs)
