@@ -128,8 +128,7 @@ def _run_simulate(config: RunConfig, out: Path) -> list[str]:
         _counts_csv(out / "counts.csv", run.outcome)
         outputs.append("counts.csv")
         if config.write_timetags and run.clicks:
-            tags = _concat_tags([c.to_tags(config.emitter.gamma0)
-                                 for c in run.clicks])
+            tags = run.clicks[0].to_tags(config.emitter.gamma0, run.clicks[1:])
             coin.export_timetags(out / "timetags.csv", tags)
             outputs.append("timetags.csv")
             if len(tags):
@@ -228,21 +227,6 @@ def _beside(compute):
                     os.kill(pid, signal.SIGKILL)
                 with contextlib.suppress(ChildProcessError):
                     os.waitpid(pid, 0)
-
-
-def _concat_tags(tag_list):
-    """The tags of every sub-run in one sorted TagArrays; empties tag_list,
-    so the parts are freed before the sort.
-
-    Each part is in (repetition, time, detector) order and no two parts
-    share a repetition, so a stable sort by repetition alone gives the
-    order `coin.sorted_tags` gives."""
-    det = np.concatenate([t.detector for t in tag_list])
-    time = np.concatenate([t.time for t in tag_list])
-    rep = np.concatenate([t.repetition for t in tag_list])
-    tag_list.clear()
-    order = np.argsort(rep, kind="stable")
-    return coin.TagArrays(det[order], time[order], rep[order])
 
 
 def _run_fringe_scan(config: RunConfig, out: Path) -> list[str]:

@@ -27,6 +27,9 @@ EARLY, MIDDLE, LATE, READOUT = range(4)
 # detector codes of TagArrays.detector; DETECTORS[code] is the Detector
 DETECTORS = (Detector.D1, Detector.D2)
 _EXPORT_CHUNK = 65_536
+# tags per block of the order check and the HOM pairing: their temporaries
+# are a few of these blocks' size, not the size of all the tags
+SCAN_BLOCK = 1 << 17
 # the longest repetition offset g2_zero's long-delay mean averages over
 G2_MAX_DELAY_REPS = 50
 # the most bins build_histogram makes (80 MB of int64 counts)
@@ -160,16 +163,20 @@ class HomCounts:
 class TagArrays:
     """Time tags as columns; the input of every analysis function here.
 
-    `RunClicks.to_tags` and `ingest_timetags` return tags in (repetition,
-    time, detector) order, and the g2, HOM and witness analyses rely on it
-    (tags in another order are analysed as a sorted copy).  The first
-    analysis of tags in order caches their (slot, window) codes on them, so
-    their columns must not be changed in place afterwards.
+    `RunClicks.to_tags`, `sorted_tags` and `ingest_timetags` return tags
+    in (repetition, time, detector) order and mark them so (`_ordered`),
+    and the g2, HOM and witness analyses rely on that order (tags in
+    another order are analysed as a sorted copy).  The first analysis of
+    tags in order caches that they are and their (slot, window) codes on
+    them, so their columns must not be changed in place afterwards.
     """
 
     detector: np.ndarray   # 0 = D1, 1 = D2
     time: np.ndarray
     repetition: np.ndarray
+    # whether the tags are known to be in order, set by their producer or by
+    # _analysis_view's check
+    _ordered: bool = field(default=False, init=False, repr=False, compare=False)
     # (slot, window) codes per WindowConfig, set by _analysis_view
     _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -226,7 +233,9 @@ def sorted_tags(det, time, rep) -> TagArrays:
     """The tags of the columns det, time and rep in (repetition, time,
     detector) order (`tag_order`)."""
     order = tag_order(det, time, rep)
-    return TagArrays(det[order], time[order], rep[order])
+    tags = TagArrays(det[order], time[order], rep[order])
+    tags._ordered = True
+    return tags
 
 
 def _dense_rank(values) -> tuple[np.ndarray, int]:
@@ -250,12 +259,29 @@ def _dense_rank(values) -> tuple[np.ndarray, int]:
 
 def _in_order(tags: TagArrays) -> bool:
     """Whether tags are in (repetition, time, detector) order, equal keys
-    in any order; tag_order is stable, so it would leave them as they are."""
-    d_rep = np.diff(tags.repetition)
-    d_time = np.diff(tags.time)
-    d_det = np.diff(tags.detector)
-    return not np.any((d_rep < 0) | ((d_rep == 0) & (
-        (d_time < 0) | ((d_time == 0) & (d_det < 0)))))
+    in any order; tag_order is stable, so it would leave them as they are.
+
+    Each block of SCAN_BLOCK tags is compared with the tag after it too,
+    so every neighbouring pair is checked once, a block at a time.
+    """
+    for lo in range(0, len(tags) - 1, SCAN_BLOCK):
+        at = slice(lo, lo + SCAN_BLOCK + 1)
+        d_rep = np.diff(tags.repetition[at])
+        d_time = np.diff(tags.time[at])
+        d_det = np.diff(tags.detector[at])
+        if np.any((d_rep < 0) | ((d_rep == 0) & (
+                (d_time < 0) | ((d_time == 0) & (d_det < 0))))):
+            return False
+    return True
+
+
+def _repetition_blocks(rep: np.ndarray) -> list[tuple[int, int]]:
+    """(start, end) of consecutive blocks of sorted tags, each about
+    SCAN_BLOCK tags long and starting where a repetition starts, so no
+    repetition's tags are split between two blocks."""
+    edges = [0, *np.searchsorted(rep, rep[SCAN_BLOCK::SCAN_BLOCK]).tolist(), len(rep)]
+    # a repetition of more than SCAN_BLOCK tags leaves empty blocks
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
 
 
 def _analysis_view(tags: TagArrays, windows: WindowConfig
@@ -268,21 +294,27 @@ def _analysis_view(tags: TagArrays, windows: WindowConfig
     slots and wider beyond (a manifest may name more); widen them before
     arithmetic that could overflow.
 
-    Tags already in that order, as every producer returns them, are used as
-    they are and classified once per WindowConfig: the codes are cached on
-    them.  Tags in another order are sorted into a new TagArrays, so the
-    caller's arrays are never changed.
+    Tags already in that order are used as they are and classified once
+    per WindowConfig, SCAN_BLOCK tags at a time: the codes are cached on
+    them.  Tags a producer marked as ordered are not checked again.  Tags
+    in another order are sorted into a new TagArrays, so the caller's
+    arrays are never changed.
     """
     code = tags._codes.get(windows)
     if code is None:
-        if not _in_order(tags):
-            tags = sorted_tags(tags.detector, tags.time, tags.repetition)
+        if not tags._ordered:
+            if _in_order(tags):
+                tags._ordered = True
+            else:
+                tags = sorted_tags(tags.detector, tags.time, tags.repetition)
         # every difference 4 * slot + c - code below fits this type too
         code = np.full(len(tags), -1, np.min_scalar_type(-4 * windows.n_slots))
-        for s, c, hit in windows._hits(tags.time):
-            # code = 4 * s + c where hit, in arithmetic: faster than a
-            # masked store
-            code += hit.view(np.int8) * (4 * s + c - code)
+        for lo in range(0, len(tags), SCAN_BLOCK):
+            part = code[lo:lo + SCAN_BLOCK]
+            for s, c, hit in windows._hits(tags.time[lo:lo + SCAN_BLOCK]):
+                # code = 4 * s + c where hit, in arithmetic: faster than a
+                # masked store
+                part += hit.view(np.int8) * (4 * s + c - part)
         tags._codes[windows] = code
     return tags, code
 
@@ -421,35 +453,38 @@ def hom_counts_from_tags(tags: TagArrays, windows: WindowConfig,
     centered at 0 and +-T_inf (the side/center/side regions).  The
     photonic tags are taken in their sorted order (`_analysis_view`),
     where each repetition's tags are contiguous, and paired within those
-    groups.
+    groups, one block of whole repetitions at a time
+    (`_repetition_blocks`).
     """
     t_inf = windows.bin_separation
     half = t_inf / 2.0 if center_halfwidth is None else center_halfwidth
     tags, code = _analysis_view(tags, windows)
-    window_code = code & 3
-    photonic = np.flatnonzero(window_code != READOUT)
-    det, time, rep = tags.detector[photonic], tags.time[photonic], tags.repetition[photonic]
-    mid = window_code[photonic] == MIDDLE
     n1 = n2 = n3 = 0
-    # the pairs (i, i + k) within one repetition, for k = 1, 2, ..., are each
-    # same-repetition pair exactly once; (i, i + k) is one only if
-    # (i, i + k - 1) is
-    k = 1
-    i = np.flatnonzero(rep[1:] == rep[:-1])
-    while len(i):
-        j = i + k
-        keep = (det[i] != det[j]) & (mid[i] | mid[j])
-        a, b = i[keep], j[keep]
-        tau = np.where(det[a] == 0, time[b] - time[a], time[a] - time[b])
-        center = np.abs(tau) < half
-        left = ~center & (np.abs(tau + t_inf) < half)
-        right = ~center & ~left & (np.abs(tau - t_inf) < half)
-        n1 += int(np.count_nonzero(left))
-        n2 += int(np.count_nonzero(center))
-        n3 += int(np.count_nonzero(right))
-        k += 1
-        i = i[i + k < len(rep)]
-        i = i[rep[i + k] == rep[i]]
+    for lo, hi in _repetition_blocks(tags.repetition):
+        window_code = code[lo:hi] & 3
+        photonic = np.flatnonzero(window_code != READOUT)
+        det, time, rep = (a[lo:hi][photonic]
+                          for a in (tags.detector, tags.time, tags.repetition))
+        mid = window_code[photonic] == MIDDLE
+        # the pairs (i, i + k) within one repetition, for k = 1, 2, ..., are
+        # each same-repetition pair exactly once; (i, i + k) is one only if
+        # (i, i + k - 1) is
+        k = 1
+        i = np.flatnonzero(rep[1:] == rep[:-1])
+        while len(i):
+            j = i + k
+            keep = (det[i] != det[j]) & (mid[i] | mid[j])
+            a, b = i[keep], j[keep]
+            tau = np.where(det[a] == 0, time[b] - time[a], time[a] - time[b])
+            center = np.abs(tau) < half
+            left = ~center & (np.abs(tau + t_inf) < half)
+            right = ~center & ~left & (np.abs(tau - t_inf) < half)
+            n1 += int(np.count_nonzero(left))
+            n2 += int(np.count_nonzero(center))
+            n3 += int(np.count_nonzero(right))
+            k += 1
+            i = i[i + k < len(rep)]
+            i = i[rep[i + k] == rep[i]]
     return HomCounts(n1, n2, n3)
 
 
@@ -613,6 +648,7 @@ def ingest_timetags(path) -> TagArrays:
         if arr is None:
             arr = _parse_rows(fh)
     if _in_order(arr):
+        arr._ordered = True
         return arr
     for d in (0, 1):
         sel = arr.detector == d

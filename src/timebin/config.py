@@ -14,7 +14,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .coincidence import WindowConfig
-from .emitter import EmitterParams, NoiseParams, ideal_emitter, ideal_noise
+from .emitter import (EmitterParams, NoiseParams, finite_number, ideal_emitter,
+                      ideal_noise)
 from .errors import ConfigurationError, ParseError
 from .interferometer import TBIParams
 
@@ -24,11 +25,6 @@ FRINGE_MODES = ("classical", "spin-conditioned")
 # the exact witness reference evolves dense density components of
 # 2 * 6^(n - 1) levels: at 5 qubits one is ~107 MB, and there are ~256
 MAX_GHZ_QUBITS = 4
-
-
-def _finite_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def paper_emitter() -> EmitterParams:
@@ -90,6 +86,10 @@ class RunConfig:
     write_timetags: bool = True
 
     def __post_init__(self):
+        # types first: the range checks below would meet a wrong one as a
+        # TypeError, or pass it (thinned = 2, n_repetitions = 2.5)
+        _check_fields("run", RunConfig, {f.name: getattr(self, f.name) for f in fields(self)
+                                         if f.name not in _SECTION_TYPES})
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(f"run.experiment must be one of {EXPERIMENTS}, "
                                      f"not {self.experiment!r}")
@@ -104,7 +104,7 @@ class RunConfig:
                 f"run.fringe_points must be at least 2, got {self.fringe_points}")
         span = self.fringe_span
         if not (isinstance(span, (tuple, list)) and len(span) == 2
-                and all(map(_finite_number, span)) and span[0] != span[1]):
+                and all(map(finite_number, span)) and span[0] != span[1]):
             raise ConfigurationError(f"run.fringe_span must be two different finite "
                                      f"numbers, not {span!r}")
         # a file or manifest gives a list
@@ -174,11 +174,24 @@ _SECTION_TYPES = {"run": RunConfig, "emitter": EmitterParams, "noise": NoisePara
 
 # what a field of each declared type takes (RunConfig checks fringe_span)
 _FIELD_TYPES = {
-    "float": ("a finite number", _finite_number),
+    "float": ("a finite number", finite_number),
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
 }
+
+
+def _check_fields(section: str, cls, values: dict) -> None:
+    """Raise ConfigurationError naming `section.key` for a key that is not
+    a field of cls or a value that is not of its field's declared type.
+    [run] holds RunConfig's own fields, not the sections it nests."""
+    declared = {f.name: f.type for f in fields(cls) if f.name not in _SECTION_TYPES}
+    for key, value in values.items():
+        if key not in declared:
+            raise ConfigurationError(f"unknown key {section}.{key}")
+        kind, accepts = _FIELD_TYPES.get(declared[key], (None, None))
+        if accepts and not accepts(value):
+            raise ConfigurationError(f"{section}.{key} must be {kind}, not {value!r}")
 
 
 def config_from_sections(sections: dict, base: RunConfig | None = None) -> RunConfig:
@@ -190,15 +203,7 @@ def config_from_sections(sections: dict, base: RunConfig | None = None) -> RunCo
     if unknown:
         raise ConfigurationError(f"unknown sections: {sorted(unknown)}")
     for section, values in sections.items():
-        # [run] holds RunConfig's own fields, not the sections it nests
-        declared = {f.name: f.type for f in fields(_SECTION_TYPES[section])
-                    if f.name not in _SECTION_TYPES}
-        for key, value in values.items():
-            if key not in declared:
-                raise ConfigurationError(f"unknown key {section}.{key}")
-            kind, accepts = _FIELD_TYPES.get(declared[key], (None, None))
-            if accepts and not accepts(value):
-                raise ConfigurationError(f"{section}.{key} must be {kind}, not {value!r}")
+        _check_fields(section, _SECTION_TYPES[section], values)
     kwargs = dict(sections.get("run", {}))
     for name in ("emitter", "noise", "tbi"):
         if name in sections:

@@ -37,13 +37,14 @@ in thinned mode.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as crng
 from .coincidence import (DETECTORS, MIDDLE, WINDOWS, TagArrays, WindowConfig,
-                          cell_click, click_cell, first_seen_groups, sorted_tags)
+                          cell_click, click_cell, first_seen_groups, tag_order)
 from .emitter import EXTRA_PHOTON_BRANCHES, NoiseParams, TrajectoryResult
 from .errors import ContractError
 from .hilbert import (SLOT_EARLY, SLOT_EE, SLOT_EL, SLOT_LATE, SLOT_LL,
@@ -57,6 +58,8 @@ PRUNE_TOL = 1e-11
 # wavepacket tag times of click ordinal k in cell c draw on stream
 # detection.tag at offset TAG_STREAMS_PER_CELL * c + k
 TAG_STREAMS_PER_CELL = 8
+# RunClicks.to_tags expands and sorts this many repetitions' tags at a time
+TAG_BLOCK_REPS = 65_536
 
 
 def group_by_id(ids: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -445,67 +448,122 @@ class RunClicks:
     def n_reps(self) -> int:
         return self.spins.size
 
-    def to_tags(self, gamma0: float = 2.54) -> TagArrays:
-        """Expand sampled clicks into time tags.
+    def to_tags(self, gamma0: float = 2.54, others: Sequence[RunClicks] = ()
+                ) -> TagArrays:
+        """Expand sampled clicks into time tags, in (repetition, time,
+        detector) order.
 
-        Photonic clicks get an exponential wavepacket offset inside their
-        window, background clicks a uniform one; readout clicks are uniform
-        in the readout window.  A wavepacket click's draw is keyed by its
-        repetition, cell and ordinal within the cell, so tag times do not
-        depend on which other repetitions are expanded in the same call.
+        others are runs on other repetitions with the same windows and
+        master seed, such as a witness run's other sub-runs: their tags are
+        merged into the same columns.  Photonic clicks get an exponential
+        wavepacket offset inside their window, background clicks a uniform
+        one; readout clicks are uniform in the readout window.  A wavepacket
+        click's draw is keyed by its repetition, cell and ordinal within the
+        cell, so tag times do not depend on which other repetitions are
+        expanded in the same call.
+
+        The columns are allocated once, from the runs' tag counts.  The
+        repetitions of all the runs are cut into blocks of TAG_BLOCK_REPS
+        ascending repetitions; each block's tags are expanded, sorted
+        (`tag_order`) and written after the previous block's, so no step
+        holds a temporary the size of all the tags.
         """
+        runs = [self, *others]
         windows = self.model.windows
-        reps = self.trajectory.rep_indices.astype(np.int64)
-        det_rows: list[np.ndarray] = []
-        time_rows: list[np.ndarray] = []
-        rep_rows: list[np.ndarray] = []
+        if any(run.model.windows != windows or run.master_seed != self.master_seed
+               for run in others):
+            raise ContractError("runs whose tags are merged must share their windows "
+                                "and master seed")
+        # the int64 tag column's values, without a copy
+        reps = [np.asarray(run.trajectory.rep_indices, np.uint64).view(np.int64)
+                for run in runs]
+        # each run's rows in repetition order (None: already in it), so that
+        # a block's rows of a run are one range of them
+        by_rep = [None if np.all(r[:-1] <= r[1:]) else np.argsort(r, kind="stable")
+                  for r in reps]
+        cuts = np.sort(np.concatenate(reps))[TAG_BLOCK_REPS::TAG_BLOCK_REPS].copy()
+        bounds = [np.r_[0, np.searchsorted(r if o is None else r[o], cuts), r.size]
+                  for r, o in zip(reps, by_rep)]
+        sources = [(r, run.signal, run.flagged, run.background, run.readout_signal,
+                    run.readout_leak) for r, run in zip(reps, runs)]
+        total = sum(run._tag_count() for run in runs)
+        columns = np.empty(total, np.int8), np.empty(total), np.empty(total, np.int64)
+        at = 0
+        for i in range(cuts.size + 1):
+            rows = [slice(b[i], b[i + 1]) if o is None else o[b[i]:b[i + 1]]
+                    for b, o in zip(bounds, by_rep)]
+            # every run's rows of the block as one set of click arrays
+            block = [np.concatenate([a[r] for a, r in zip(arrays, rows)])
+                     for arrays in zip(*sources)]
+            at = _put_sorted(columns, at, _block_tags(windows, self.master_seed, gamma0,
+                                                      *block))
+        tags = TagArrays(*columns)
+        tags._ordered = True
+        return tags
 
-        def add(rows, det, time):
-            det_rows.append(det)
-            time_rows.append(time)
-            rep_rows.append(reps[rows])
+    def _tag_count(self) -> int:
+        """The run's tags: its wavepacket clicks, one per photonic window
+        with a background click, and its readout clicks."""
+        background = self.background[:, 0::2] | self.background[:, 1::2]
+        return (int(self.signal.sum(dtype=np.int64)) + int(self.flagged.sum(dtype=np.int64))
+                + int(np.count_nonzero(background))
+                + int(np.count_nonzero(self.readout_signal | self.readout_leak)))
 
-        # at most 4 photons reach one cell (a doubly occupied slot plus one
-        # wrong-transition and one re-excitation photon); a cell's ordinals
-        # draw on its own block of TAG_STREAMS_PER_CELL streams
-        wave = self.signal + self.flagged
-        if int(wave.max(initial=0)) > TAG_STREAMS_PER_CELL:
-            raise ContractError(f"a cell holds more than {TAG_STREAMS_PER_CELL} "
-                                "clicks; its tag streams would overlap the next cell's")
-        for cell in range(wave.shape[1]):
-            slot, window, _ = cell_click(cell)
-            start = windows.window_start(slot, window)
-            for ordinal in range(int(wave[:, cell].max(initial=0))):
-                rows = np.flatnonzero(wave[:, cell] > ordinal)
-                u = crng.uniforms(self.master_seed, reps[rows],
-                                  crng.stream("detection.tag",
-                                              TAG_STREAMS_PER_CELL * cell + ordinal))
-                offset = np.minimum(-np.log(1.0 - u) / gamma0, windows.width * 0.999)
-                add(rows, np.full(rows.size, cell % 2, dtype=np.int8), start + offset)
-        for k in range(self.background.shape[1] // 2):
-            pair = self.background[:, 2 * k:2 * k + 2]
-            rows = np.flatnonzero(pair.any(axis=1))
-            if rows.size == 0:
-                continue
-            slot, window, _ = cell_click(2 * k)
-            u = crng.uniforms(self.master_seed, reps[rows],
-                              crng.stream("detection.background_tag", k))
-            add(rows, pair[rows, 1].astype(np.int8),
-                windows.window_start(slot, window) + u * windows.width)
-        rows = np.flatnonzero(self.readout_clicks)
-        if rows.size:
-            u = crng.uniforms(self.master_seed, reps[rows],
-                              crng.stream("detection.readout_tag"))
-            ud = crng.uniforms(self.master_seed, reps[rows],
-                               crng.stream("detection.readout_tag_detector"))
-            add(rows, (ud < 0.5).astype(np.int8),
-                windows.readout_start + u * windows.readout_width)
-        if not det_rows:
-            return TagArrays(np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64))
-        det = np.concatenate(det_rows)
-        time = np.concatenate(time_rows)
-        rep = np.concatenate(rep_rows)
-        # free the blocks before the sort
-        for rows in (det_rows, time_rows, rep_rows):
-            rows.clear()
-        return sorted_tags(det, time, rep)
+
+def _block_tags(windows: WindowConfig, master_seed: int, gamma0: float, reps, signal,
+                flagged, background, readout_signal, readout_leak
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (detector, time, repetition) columns of the tags of repetitions
+    reps, from their rows of `RunClicks` arrays, unsorted."""
+    det_rows: list[np.ndarray] = []
+    time_rows: list[np.ndarray] = []
+    rep_rows: list[np.ndarray] = []
+
+    def add(at, det, time):
+        det_rows.append(det)
+        time_rows.append(time)
+        rep_rows.append(reps[at])
+
+    # at most 4 photons reach one cell (a doubly occupied slot plus one
+    # wrong-transition and one re-excitation photon); a cell's ordinals draw
+    # on its own block of TAG_STREAMS_PER_CELL streams
+    wave = signal + flagged
+    if int(wave.max(initial=0)) > TAG_STREAMS_PER_CELL:
+        raise ContractError(f"a cell holds more than {TAG_STREAMS_PER_CELL} "
+                            "clicks; its tag streams would overlap the next cell's")
+    for cell in range(wave.shape[1]):
+        slot, window, _ = cell_click(cell)
+        start = windows.window_start(slot, window)
+        for ordinal in range(int(wave[:, cell].max(initial=0))):
+            at = np.flatnonzero(wave[:, cell] > ordinal)
+            u = crng.uniforms(master_seed, reps[at],
+                              crng.stream("detection.tag",
+                                          TAG_STREAMS_PER_CELL * cell + ordinal))
+            offset = np.minimum(-np.log(1.0 - u) / gamma0, windows.width * 0.999)
+            add(at, np.full(at.size, cell % 2, dtype=np.int8), start + offset)
+    for k in range(background.shape[1] // 2):
+        at = np.flatnonzero(background[:, 2 * k] | background[:, 2 * k + 1])
+        if at.size == 0:
+            continue
+        slot, window, _ = cell_click(2 * k)
+        u = crng.uniforms(master_seed, reps[at], crng.stream("detection.background_tag", k))
+        add(at, background[at, 2 * k + 1].astype(np.int8),
+            windows.window_start(slot, window) + u * windows.width)
+    at = np.flatnonzero(readout_signal | readout_leak)
+    if at.size:
+        u = crng.uniforms(master_seed, reps[at], crng.stream("detection.readout_tag"))
+        ud = crng.uniforms(master_seed, reps[at],
+                           crng.stream("detection.readout_tag_detector"))
+        add(at, (ud < 0.5).astype(np.int8), windows.readout_start + u * windows.readout_width)
+    if not det_rows:
+        return np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64)
+    return np.concatenate(det_rows), np.concatenate(time_rows), np.concatenate(rep_rows)
+
+
+def _put_sorted(columns, at: int, block) -> int:
+    """Write the tags of block, (detector, time, repetition) columns, in
+    `tag_order` into columns from row `at`; returns the row after them."""
+    order = tag_order(*block)
+    for column, values in zip(columns, block):
+        np.take(values, order, out=column[at:at + order.size])
+    return at + order.size

@@ -61,6 +61,12 @@ from .hilbert import (SIGMA_X, SIGMA_Y, SIGMA_Z, SLOT_EARLY, SLOT_EE, SLOT_EL,
 TWO_PI = 2.0 * math.pi
 
 
+def finite_number(value) -> bool:
+    """Whether value is a finite int or float (a bool is not a number here)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class EmitterParams:
     """Physical constants of the emitter and protocol timing."""
@@ -78,8 +84,10 @@ class EmitterParams:
         for name in ("t_opt", "t_inf", "rotation_ns", "photon_spacing_ns",
                      "repetition_rate_mhz"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (finite_number(v) and v > 0):
                 raise ConfigurationError(f"{name}={v!r} must be finite and positive")
+        if not finite_number(self.delta0):
+            raise ConfigurationError(f"delta0={self.delta0!r} must be a finite number")
         if not (0 < self.gamma_y < math.inf and 0 <= self.gamma_x < math.inf):
             raise ConfigurationError(
                 f"decay rates gamma_y={self.gamma_y!r}, gamma_x={self.gamma_x!r} must "

@@ -626,6 +626,15 @@ class TestFieldTypes:
         assert not ana.exists()
 
 
+    @pytest.mark.parametrize("section, key, value",
+                             [case for case in FIELD_CASES if case.values[0] == "run"])
+    def test_library_caller_rejected(self, section, key, value):
+        # RunConfig checks its own fields' types when a library caller
+        # builds it, as config_from_sections does for a file
+        with pytest.raises(ConfigurationError, match=f"^run.{key} "):
+            RunConfig(**{key: value})
+
+
 class TestArtifacts:
     def test_bell_outputs(self, tmp_path):
         out = tmp_path / "bell"
@@ -725,11 +734,12 @@ class TestArtifacts:
                     assert got == digest, (experiment, name)
 
     @pytest.mark.parametrize("n_qubits", [2, 3])
-    def test_concat_tags_matches_full_sort(self, n_qubits):
-        # the sub-runs' tags, each sorted and on disjoint repetitions, merged
-        # by repetition alone: the order a sort by every key gives
-        from timebin.cli import _concat_tags
-        from timebin.coincidence import TagArrays, sorted_tags
+    def test_concat_tags_matches_full_sort(self, n_qubits, monkeypatch):
+        # the sub-runs' tags merged into one set of columns, in blocks of 500
+        # repetitions that each hold some of every sub-run's: the order a
+        # sort of all the tags by every key gives
+        from timebin import detection
+        from timebin.coincidence import sorted_tags
         from timebin.config import paper_emitter, paper_noise, paper_tbi
         from timebin.experiments import witness_trajectory
 
@@ -737,11 +747,11 @@ class TestArtifacts:
         run = witness_trajectory(n_qubits, emitter, paper_noise(), paper_tbi(), 6000, 3,
                                  keep_clicks=True)
         parts = [c.to_tags(emitter.gamma0) for c in run.clicks]
-        parts.insert(2, TagArrays(np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64)))
         want = sorted_tags(*(np.concatenate([getattr(t, name) for t in parts])
                              for name in ("detector", "time", "repetition")))
-        got = _concat_tags(parts)
-        assert not parts
+        monkeypatch.setattr(detection, "TAG_BLOCK_REPS", 500)
+        got = run.clicks[0].to_tags(emitter.gamma0, run.clicks[1:])
+        assert got._ordered
         for name in ("detector", "time", "repetition"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -782,7 +792,6 @@ class TestArtifacts:
 
     def test_analyze_ghz3_witness_roundtrip(self, tmp_path):
         # two photonic slots: the analysis places clicks by slot_spacing
-        from timebin.cli import _concat_tags
         from timebin.coincidence import export_timetags
         from timebin.config import paper_emitter, paper_noise, paper_tbi
         from timebin.experiments import witness_trajectory
@@ -790,7 +799,7 @@ class TestArtifacts:
         emitter = paper_emitter()
         run = witness_trajectory(3, emitter, paper_noise(), paper_tbi(), 24_000, 11,
                                  keep_clicks=True)
-        tags = _concat_tags([c.to_tags(emitter.gamma0) for c in run.clicks])
+        tags = run.clicks[0].to_tags(emitter.gamma0, run.clicks[1:])
         export_timetags(tmp_path / "timetags.csv", tags)
         manifest = {"config": {"experiment": "ghz", "n_qubits": 3,
                                "emitter": {"t_inf": emitter.t_inf,

@@ -447,6 +447,31 @@ class TestSortedTagEntry:
         assert view is tags and code.dtype == np.int8
         assert np.array_equal(code, _reference_codes(run.windows, tags.time))
 
+    def test_order_checked_once(self, monkeypatch, tmp_path):
+        # producers mark their tags as ordered; hand-built tags are checked
+        # once, and simulate hom and analyze --mode hom check no order
+        # but the one of the file they read
+        from timebin import coincidence
+
+        calls = []
+        in_order = coincidence._in_order
+        monkeypatch.setattr(coincidence, "_in_order",
+                            lambda tags: calls.append(len(tags)) or in_order(tags))
+        out, ana = tmp_path / "sim", tmp_path / "ana"
+        assert main(["simulate", "hom", "--reps", "3000", "--out", str(out)]) == 0
+        assert calls == []
+        assert main(["analyze", "--input", str(out / "timetags.csv"), "--mode", "hom",
+                     "--out", str(ana)]) == 0
+        assert len(calls) == 1 and calls[0] > 3000
+        tags = ingest_timetags(out / "timetags.csv")
+        assert tags._ordered and len(calls) == 2
+        built = TagArrays(tags.detector, tags.time, tags.repetition)
+        assert not built._ordered
+        for windows in (WindowConfig(), WindowConfig.for_sequence(1)):
+            g2_zero(built, windows)
+            hom_counts_from_tags(built, windows)
+        assert built._ordered and len(calls) == 3
+
     @pytest.mark.parametrize("windows", [WindowConfig(), WindowConfig.for_sequence(2)])
     def test_codes_match_reference_at_window_edges(self, windows):
         from timebin.coincidence import _analysis_view
@@ -733,3 +758,199 @@ class TestBlinking:
             far += float(np.sum(n1[:-d] * n2[d:]) + np.sum(n2[:-d] * n1[d:])) / 2
             k += 1
         assert short > 1.15 * far / k
+
+
+def _clicks(windows, reps, signal, flagged=None, background=None, readout=None, seed=11):
+    """RunClicks of hand-built count rows for repetitions reps."""
+    from types import SimpleNamespace
+
+    from timebin.detection import RunClicks
+
+    n = len(reps)
+    zeros = np.zeros_like(signal)
+    return RunClicks(SimpleNamespace(windows=windows),
+                     SimpleNamespace(rep_indices=np.asarray(reps, np.uint64)), [],
+                     np.zeros(n, np.int8),
+                     np.zeros(n, bool) if readout is None else readout, np.zeros(n, bool),
+                     signal, zeros if flagged is None else flagged,
+                     zeros if background is None else background, seed)
+
+
+def _same_tags(got, want):
+    for name in ("detector", "time", "repetition"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestBlocks:
+    """The tag path works in blocks of repetitions (`RunClicks.to_tags`) and
+    of tags (`_in_order`, `hom_counts_from_tags`); with small blocks it
+    gives what one block over everything gives."""
+
+    @pytest.mark.parametrize("block", [1, 7, 500, 1999])
+    def test_to_tags_hom(self, monkeypatch, block):
+        from timebin import detection
+        from timebin.detection import DetectionModel
+        from timebin.emitter import build_hom_sequence, run_sequence_trajectory
+
+        params, noise = paper_emitter(), paper_noise()
+        windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
+        traj = run_sequence_trajectory(build_hom_sequence(params), params, noise, 5,
+                                       np.arange(4000, dtype=np.uint64))
+        clicks = DetectionModel(traj.layout, paper_tbi(), noise, windows).sample_run(traj, 5)
+        whole = clicks.to_tags(params.gamma0)
+        monkeypatch.setattr(detection, "TAG_BLOCK_REPS", block)
+        got = clicks.to_tags(params.gamma0)
+        _same_tags(got, whole)
+        assert got._ordered and len(got) > 4000
+
+    def test_to_tags_block_edges(self, monkeypatch):
+        # blocks of 8 repetitions: several tags in the repetitions on either
+        # side of an edge, a block without any click, one without rows of
+        # one of the runs, and runs on interleaved and shuffled repetitions
+        from timebin import detection
+
+        windows = WindowConfig.for_sequence(1)
+        rng = np.random.default_rng(4)
+        n = 48
+        signal = rng.integers(0, 3, (n, 6)).astype(np.uint8)
+        background = np.zeros((n, 6), np.uint8)
+        background[rng.random(n) < 0.3, 2] = 1
+        readout = rng.random(n) < 0.5
+        signal[7] = signal[8] = 3
+        readout[7] = readout[8] = True
+        signal[16:24] = 0
+        background[16:24] = 0
+        readout[16:24] = False
+        reps = np.arange(n)
+        whole = _clicks(windows, reps, signal, background=background,
+                        readout=readout).to_tags()
+        halves = [(reps[k::2], signal[k::2], background[k::2], readout[k::2])
+                  for k in (0, 1)]
+        # the second run's rows shuffled, and none of its repetitions from 30
+        # to 39: the block of 32..39 has rows of the first run only
+        perm = np.random.default_rng(5).permutation(len(halves[1][0]))
+        halves[1] = tuple(a[perm] for a in halves[1])
+        keep = (halves[1][0] < 30) | (halves[1][0] >= 40)
+        halves[1] = tuple(a[keep] for a in halves[1])
+        runs = [_clicks(windows, r, s, background=b, readout=o) for r, s, b, o in halves]
+        dropped = np.isin(whole.repetition, np.arange(31, 40, 2))
+        want = TagArrays(*(getattr(whole, name)[~dropped]
+                           for name in ("detector", "time", "repetition")))
+        monkeypatch.setattr(detection, "TAG_BLOCK_REPS", 4)
+        _same_tags(runs[0].to_tags(2.54, runs[1:]), want)
+        _same_tags(runs[1].to_tags(2.54, runs[:1]), want)
+        monkeypatch.setattr(detection, "TAG_BLOCK_REPS", 8)
+        _same_tags(_clicks(windows, reps, signal, background=background,
+                           readout=readout).to_tags(), whole)
+
+    def test_to_tags_none(self, monkeypatch):
+        from timebin import detection
+
+        monkeypatch.setattr(detection, "TAG_BLOCK_REPS", 3)
+        windows = WindowConfig.for_sequence(1)
+        clicks = _clicks(windows, np.arange(10), np.zeros((10, 6), np.uint8))
+        other = _clicks(windows, np.arange(10, 20), np.zeros((10, 6), np.uint8))
+        tags = clicks.to_tags(2.54, [other])
+        assert len(tags) == 0 and tags._ordered
+        assert (tags.detector.dtype, tags.time.dtype, tags.repetition.dtype) == (
+            np.int8, np.float64, np.int64)
+
+    def test_to_tags_rejects_other_windows(self):
+        clicks = _clicks(WindowConfig.for_sequence(1), np.arange(3),
+                         np.ones((3, 6), np.uint8))
+        other = _clicks(WindowConfig.for_sequence(2), np.arange(3, 6),
+                        np.ones((3, 12), np.uint8))
+        with pytest.raises(ContractError, match="share their windows"):
+            clicks.to_tags(2.54, [other])
+
+    @pytest.mark.parametrize("column", ["repetition", "time", "detector"])
+    @pytest.mark.parametrize("at", [0, 15, 16, 17, 63])
+    def test_in_order_block_edges(self, monkeypatch, column, at):
+        # a pair out of order at, before and after the edges of blocks of 16
+        from timebin import coincidence
+        from timebin.coincidence import _in_order
+
+        monkeypatch.setattr(coincidence, "SCAN_BLOCK", 16)
+        n = 64
+        rep = np.repeat(np.arange(16), 4).astype(np.int64)
+        time = np.tile([1.0, 2.0, 2.0, 3.0], 16)
+        det = np.tile(np.array([0, 0, 1, 0], np.int8), 16)
+        assert _in_order(TagArrays(det, time, rep))
+        columns = {"repetition": rep, "time": time, "detector": det}
+        # the tags at-1 and at with the same repetition, time and detector
+        # up to the changed column, which falls
+        i = max(at, 1)
+        rep[i - 1] = rep[i]
+        time[i - 1] = time[i]
+        det[i - 1] = det[i]
+        columns[column][i - 1] = columns[column][i] + 1
+        tags = TagArrays(det, time, rep)
+        assert not _in_order(tags)
+        monkeypatch.setattr(coincidence, "SCAN_BLOCK", n)
+        assert not _in_order(tags)
+        assert _in_order(TagArrays(det[:i - 1], time[:i - 1], rep[:i - 1]))
+
+    @pytest.mark.parametrize("windows", [WindowConfig(), WindowConfig.for_sequence(2)])
+    def test_codes(self, monkeypatch, windows):
+        from timebin import coincidence
+        from timebin.coincidence import _analysis_view
+
+        monkeypatch.setattr(coincidence, "SCAN_BLOCK", 7)
+        view, code = _analysis_view(TestHomPairCounting()._tags(windows, 300, 5), windows)
+        assert np.array_equal(code, _reference_codes(windows, view.time))
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 64])
+    def test_hom_counts(self, monkeypatch, block):
+        # with blocks of a few tags, up to nine tags in a repetition: every
+        # repetition's tags stay in one block, however long
+        from timebin import coincidence
+
+        for windows in (WindowConfig(), WindowConfig.for_sequence(2)):
+            tags = TestHomPairCounting()._tags(windows, 300, 23)
+            whole = hom_counts_from_tags(tags, windows, 10.5)
+            monkeypatch.setattr(coincidence, "SCAN_BLOCK", block)
+            assert hom_counts_from_tags(tags, windows, 10.5) == whole
+            assert whole == _reference_hom_counts(tags, windows, 10.5)
+            monkeypatch.setattr(coincidence, "SCAN_BLOCK", 1 << 17)
+
+    def test_hom_counts_simulated(self, monkeypatch):
+        from timebin import coincidence
+
+        run = simulate_hom(paper_emitter(), paper_noise(), paper_tbi(), 6000, 2)
+        for block in (3, 1000):
+            monkeypatch.setattr(coincidence, "SCAN_BLOCK", block)
+            assert hom_counts_from_tags(run.tags, run.windows) == run.hom_counts
+
+    def test_peak_memory(self, monkeypatch):
+        # to_tags and the HOM pairing of a run of 20 blocks hold the tags and
+        # a few blocks' temporaries, not temporaries the size of all the tags
+        import tracemalloc
+
+        from timebin import coincidence, detection
+        from timebin.detection import DetectionModel
+        from timebin.emitter import build_hom_sequence, run_sequence_trajectory
+
+        params, noise = paper_emitter(), paper_noise()
+        windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
+        n = 40_000
+        traj = run_sequence_trajectory(build_hom_sequence(params), params, noise, 5,
+                                       np.arange(n, dtype=np.uint64))
+        clicks = DetectionModel(traj.layout, paper_tbi(), noise, windows).sample_run(traj, 5)
+        monkeypatch.setattr(detection, "TAG_BLOCK_REPS", n // 20)
+        tags_per_rep = 2.4
+        monkeypatch.setattr(coincidence, "SCAN_BLOCK", int(tags_per_rep * n // 20))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tags = clicks.to_tags(params.gamma0)
+            counts = hom_counts_from_tags(tags, windows)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert counts.n1 + counts.n2 + counts.n3 > 0
+        output = sum(a.nbytes for a in (tags.detector, tags.time, tags.repetition))
+        assert abs(len(tags) / n - tags_per_rep) < 0.1
+        # the window codes cached on the tags are one byte a tag
+        block = output / 20
+        assert peak < output + len(tags) + 4 * block, (peak, output)

@@ -53,10 +53,16 @@ class TestParams:
 
     @pytest.mark.parametrize("name", ["t_opt", "t_inf", "rotation_ns",
                                       "photon_spacing_ns", "repetition_rate_mhz"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0, "7"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0, "7",
+                                       True])
     def test_bad_timing(self, name, value):
         with pytest.raises(ConfigurationError, match=f"{name}=.* finite and positive"):
             dataclasses.replace(paper_emitter(), **{name: value})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "17", True])
+    def test_bad_delta0(self, value):
+        with pytest.raises(ConfigurationError, match="delta0=.* must be a finite number"):
+            dataclasses.replace(paper_emitter(), delta0=value)
 
     def test_bad_probability(self):
         with pytest.raises(ConfigurationError):
