@@ -499,7 +499,7 @@ def _resolve_config(args) -> RunConfig:
     config = dataclasses.replace(config, **over)
     if getattr(args, "noise", None) == "off":
         config = noise_off(config)
-    if args.command == "rabi-calibration" and getattr(args, "f_pi", None):
+    if args.command == "rabi-calibration" and args.f_pi is not None:
         config = dataclasses.replace(
             config, noise=dataclasses.replace(config.noise, f_pi=args.f_pi))
     return config

@@ -69,25 +69,21 @@ def finite_number(value) -> bool:
 
 @dataclass(frozen=True)
 class EmitterParams:
-    """Physical constants of the emitter and protocol timing."""
+    """Decay rates of the emitter and the timings that place its detection
+    windows.  Pulses have no duration: the pi pulse and the spin rotations act
+    only through the calibrated probabilities of `NoiseParams` (f_pi, ...)."""
 
     gamma_y: float = 2.54 * 14.7 / 15.7   # spin-preserving decay rate (1/ns)
     gamma_x: float = 2.54 / 15.7          # spin-flipping decay rate (1/ns)
-    delta0: float = TWO_PI * 17.0         # trion Zeeman splitting sum (rad/ns)
-    t_opt: float = 0.035                  # optical pi-pulse FWHM (ns)
     t_inf: float = 11.8                   # time-bin separation / long arm delay (ns)
-    rotation_ns: float = 7.0              # Raman pi-rotation duration (ns)
     photon_spacing_ns: float = 28.0       # emission block spacing for extra photons (ns)
     repetition_rate_mhz: float = 1.65
 
     def __post_init__(self):
-        for name in ("t_opt", "t_inf", "rotation_ns", "photon_spacing_ns",
-                     "repetition_rate_mhz"):
+        for name in ("t_inf", "photon_spacing_ns", "repetition_rate_mhz"):
             v = getattr(self, name)
             if not (finite_number(v) and v > 0):
                 raise ConfigurationError(f"{name}={v!r} must be finite and positive")
-        if not finite_number(self.delta0):
-            raise ConfigurationError(f"delta0={self.delta0!r} must be a finite number")
         if not (0 < self.gamma_y < math.inf and 0 <= self.gamma_x < math.inf):
             raise ConfigurationError(
                 f"decay rates gamma_y={self.gamma_y!r}, gamma_x={self.gamma_x!r} must "
@@ -195,9 +191,11 @@ def _axis_angle(axis) -> float:
 class PulseOp:
     """One protocol step.
 
-    kind: pump | rotate | excite | readout.  Rotations carry an axis (either
-    'x'/'y' or an equatorial azimuth in radians) and an angle; excitations
-    carry the slot index, bin ('early'/'late') and optical phase.
+    kind: pump | rotate | excite | wait | readout.  Rotations carry an axis
+    (either 'x'/'y' or an equatorial azimuth in radians) and an angle;
+    excitations carry the slot index, bin ('early'/'late') and a finite
+    optical phase.  duration is a wait's idle length in ns, which scales its
+    dephasing (`wait_kraus`); no other kind has one.
     """
 
     kind: str
@@ -215,14 +213,25 @@ class PulseOp:
             if not -TWO_PI <= self.angle <= TWO_PI:
                 raise ContractError("rotation angle outside [-2pi, 2pi]")
             _axis_angle(self.axis)
-        if self.kind == "excite" and self.bin not in ("early", "late"):
-            raise ContractError(f"unknown time bin {self.bin!r}")
+        if self.kind == "excite":
+            if self.bin not in ("early", "late"):
+                raise ContractError(f"unknown time bin {self.bin!r}")
+            if not finite_number(self.phase):
+                raise ContractError(f"excitation phase {self.phase!r} is not finite")
+        if self.kind == "wait":
+            if not (finite_number(self.duration) and self.duration >= 0):
+                raise ContractError(f"wait duration {self.duration!r} must be finite "
+                                    "and non-negative")
+        elif self.duration != 0:
+            raise ContractError(f"a {self.kind} step has no duration")
 
 
 @dataclass(frozen=True)
 class PulseSequence:
+    """The steps of one repetition, ending with its one readout; name also
+    selects the register size (`sequence_layout`)."""
+
     steps: tuple[PulseOp, ...]
-    repetition_period: float = 606.06
     name: str = ""
 
     def __post_init__(self):
@@ -248,64 +257,55 @@ class PulseSequence:
         so residual spin dephasing is attached here.
         """
         wait = PulseOp("wait", duration=WAIT_REFERENCE_NS)
-        rot = PulseOp("rotate", axis=axis, angle=angle, duration=7.0)
-        steps = self.steps[:-1] + (wait, rot) + self.steps[-1:]
-        return PulseSequence(steps, self.repetition_period, self.name)
+        rot = PulseOp("rotate", axis=axis, angle=angle)
+        return PulseSequence(self.steps[:-1] + (wait, rot) + self.steps[-1:], self.name)
 
 
-def build_bell_sequence(params: EmitterParams, phase_e: float = 0.0) -> PulseSequence:
+def build_bell_sequence(phase_e: float = 0.0) -> PulseSequence:
     """Pump, half rotation, early excitation, pi swap, late excitation, readout.
 
     phase_e is the relative phase between the late and early pulses; the
     readout rotation R_i is inserted per measurement setting.
     """
     steps = (
-        PulseOp("pump", duration=100.0),
-        PulseOp("rotate", axis="y", angle=math.pi / 2, duration=params.rotation_ns),
-        PulseOp("excite", slot=0, bin="early", phase=0.0, duration=params.t_opt),
-        PulseOp("rotate", axis="y", angle=math.pi, duration=params.rotation_ns),
-        PulseOp("excite", slot=0, bin="late", phase=phase_e, duration=params.t_opt),
-        PulseOp("readout", duration=50.0),
+        PulseOp("pump"),
+        PulseOp("rotate", axis="y", angle=math.pi / 2),
+        PulseOp("excite", slot=0, bin="early"),
+        PulseOp("rotate", axis="y", angle=math.pi),
+        PulseOp("excite", slot=0, bin="late", phase=phase_e),
+        PulseOp("readout"),
     )
-    return PulseSequence(steps, params.repetition_period_ns, name="bell")
+    return PulseSequence(steps, name="bell")
 
 
-def build_ghz_sequence(n_photons: int, params: EmitterParams,
-                       phase_e: float = 0.0) -> PulseSequence:
+def build_ghz_sequence(n_photons: int, phase_e: float = 0.0) -> PulseSequence:
     """Bell sequence extended by one (pi swap, excitation pair) block per photon."""
     if n_photons < 2:
         raise ContractError("GHZ generation requires at least 2 photons")
-    steps = [
-        PulseOp("pump", duration=100.0),
-        PulseOp("rotate", axis="y", angle=math.pi / 2, duration=params.rotation_ns),
-    ]
+    steps = [PulseOp("pump"), PulseOp("rotate", axis="y", angle=math.pi / 2)]
     for slot in range(n_photons):
         if slot > 0:
             # each further emission block adds two unechoed idle segments
             # (trailing the previous block and leading this one)
             steps.append(PulseOp("wait", duration=2 * WAIT_REFERENCE_NS))
-            steps.append(PulseOp("rotate", axis="y", angle=math.pi,
-                                 duration=params.rotation_ns))
-        steps.append(PulseOp("excite", slot=slot, bin="early", phase=0.0,
-                             duration=params.t_opt))
-        steps.append(PulseOp("rotate", axis="y", angle=math.pi,
-                             duration=params.rotation_ns))
-        steps.append(PulseOp("excite", slot=slot, bin="late", phase=phase_e,
-                             duration=params.t_opt))
-    steps.append(PulseOp("readout", duration=50.0))
-    return PulseSequence(tuple(steps), params.repetition_period_ns, name="ghz")
+            steps.append(PulseOp("rotate", axis="y", angle=math.pi))
+        steps.append(PulseOp("excite", slot=slot, bin="early"))
+        steps.append(PulseOp("rotate", axis="y", angle=math.pi))
+        steps.append(PulseOp("excite", slot=slot, bin="late", phase=phase_e))
+    steps.append(PulseOp("readout"))
+    return PulseSequence(tuple(steps), name="ghz")
 
 
-def build_hom_sequence(params: EmitterParams) -> PulseSequence:
+def build_hom_sequence() -> PulseSequence:
     """Prepare up, then emit two separable photons into the early and late bins."""
     steps = (
-        PulseOp("pump", duration=100.0),
-        PulseOp("rotate", axis="y", angle=math.pi, duration=params.rotation_ns),
-        PulseOp("excite", slot=0, bin="early", phase=0.0, duration=params.t_opt),
-        PulseOp("excite", slot=0, bin="late", phase=0.0, duration=params.t_opt),
-        PulseOp("readout", duration=50.0),
+        PulseOp("pump"),
+        PulseOp("rotate", axis="y", angle=math.pi),
+        PulseOp("excite", slot=0, bin="early"),
+        PulseOp("excite", slot=0, bin="late"),
+        PulseOp("readout"),
     )
-    return PulseSequence(steps, params.repetition_period_ns, name="hom")
+    return PulseSequence(steps, name="hom")
 
 
 def sequence_layout(seq: PulseSequence, noise: NoiseParams) -> RegisterLayout:

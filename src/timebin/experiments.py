@@ -32,7 +32,7 @@ from .emitter import (EmitterParams, ExactResult, NoiseParams, PulseSequence,
                       build_hom_sequence, rabi_curve, rabi_population,
                       run_sequence_exact, run_sequence_trajectory)
 from .hilbert import DensityOperator
-from .interferometer import TBIParams, excitation_phase, fit_fringe
+from .interferometer import TBIParams, classical_fringe, excitation_phase, fit_fringe
 from .witness import MeasurementSetting, SettingCounts, ghz_settings
 
 
@@ -45,18 +45,17 @@ class SubRun:
     windows: WindowConfig
 
 
-def _generation_sequence(n_qubits: int, params: EmitterParams,
-                         phase_e: float = 0.0) -> PulseSequence:
+def _generation_sequence(n_qubits: int, phase_e: float = 0.0) -> PulseSequence:
     if n_qubits == 2:
-        return build_bell_sequence(params, phase_e=phase_e)
-    return build_ghz_sequence(n_qubits - 1, params, phase_e=phase_e)
+        return build_bell_sequence(phase_e=phase_e)
+    return build_ghz_sequence(n_qubits - 1, phase_e=phase_e)
 
 
 def _witness_subruns(n_qubits: int, params: EmitterParams, tbi: TBIParams
                      ) -> list[SubRun]:
     windows = WindowConfig.for_sequence(n_qubits - 1, t_inf=params.t_inf,
                                         slot_spacing=params.photon_spacing_ns)
-    base = _generation_sequence(n_qubits, params)
+    base = _generation_sequence(n_qubits)
     subruns = []
     for setting in ghz_settings(n_qubits):
         tbi_s = tbi.with_theta_pol(tbi.theta0 + setting.theta_pol_offset)
@@ -143,8 +142,7 @@ def _exact_subruns(n_qubits: int, params: EmitterParams, noise: NoiseParams,
     components through its wait and readout rotation.  The result equals a
     direct evolution of the sub-run's sequence up to rounding.
     """
-    generation = run_sequence_exact(_generation_sequence(n_qubits, params),
-                                    params, noise)
+    generation = run_sequence_exact(_generation_sequence(n_qubits), params, noise)
     for run in _witness_subruns(n_qubits, params, tbi):
         yield run, run_sequence_exact(run.sequence, params, noise, start=generation)
 
@@ -165,7 +163,7 @@ def exact_predetection_state(n_qubits: int, params: EmitterParams,
     rotation), mainly for direct-fidelity oracle checks.  It has no click
     POVM to carry the setting's phase, so the sequence is evolved at
     `excitation_phase(tbi)`."""
-    seq = _generation_sequence(n_qubits, params, excitation_phase(tbi))
+    seq = _generation_sequence(n_qubits, excitation_phase(tbi))
     return run_sequence_exact(seq, params, noise).density()
 
 
@@ -217,7 +215,7 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
     """
     subruns = _witness_subruns(n_qubits, params, tbi)
     all_reps = np.arange(n_repetitions, dtype=np.uint64)
-    generation = run_sequence_trajectory(_generation_sequence(n_qubits, params),
+    generation = run_sequence_trajectory(_generation_sequence(n_qubits),
                                          params, noise, master_seed, all_reps)
     counts: dict[str, SettingCounts] = {}
     clicks_list: list[RunClicks] = []
@@ -307,7 +305,7 @@ def simulate_hom(params: EmitterParams, noise: NoiseParams, tbi: TBIParams,
                  v_classical_assumed: float | None = None) -> HomRun:
     """Run the two-photon sequence and analyze g2(0) and HOM visibility."""
     windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
-    seq = build_hom_sequence(params)
+    seq = build_hom_sequence()
     reps = np.arange(n_repetitions, dtype=np.uint64)
     traj = run_sequence_trajectory(seq, params, noise, master_seed, reps)
     model = DetectionModel(traj.layout, tbi, noise, windows, thinned)
@@ -339,8 +337,7 @@ def classical_fringe_scan(tbi: TBIParams, theta_values: np.ndarray,
     """Middle-window contrast of a classical double-pass input, with shot noise."""
     theta_values = np.asarray(theta_values, dtype=float)
     contrast = np.empty_like(theta_values)
-    for i, th in enumerate(theta_values):
-        p1 = 0.5 * (1.0 + tbi.classical_visibility * math.cos(2.0 * (th - tbi.theta0)))
+    for i, p1 in enumerate(0.5 * (1.0 + classical_fringe(theta_values, tbi))):
         u = crng.uniforms(master_seed, np.arange(photons_per_point, dtype=np.uint64)
                           + np.uint64(i * photons_per_point),
                           crng.stream("fringe.photon"))
@@ -363,7 +360,7 @@ def spin_conditioned_fringe_scan(params: EmitterParams, noise: NoiseParams,
     curves = {"+X": np.empty_like(theta_values), "-X": np.empty_like(theta_values)}
     windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
     # the angle is a detection setting: one phase-0 sequence per rotation
-    seqs = {label: build_bell_sequence(params).with_readout_rotation("y", angle)
+    seqs = {label: build_bell_sequence().with_readout_rotation("y", angle)
             for label, angle in (("+X", math.pi / 2), ("-X", -math.pi / 2))}
     for i, th in enumerate(theta_values):
         tbi_th = tbi.with_theta_pol(th)

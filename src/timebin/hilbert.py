@@ -37,15 +37,13 @@ PSD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Shape of the composite register: one spin plus photon_slots time-bin slots."""
+    """Shape of the composite register: one two-level spin plus photon_slots
+    time-bin slots."""
 
     photon_slots: int
     slot_dim: int = 3
-    spin_dim: int = 2
 
     def __post_init__(self):
-        if self.spin_dim != 2:
-            raise LayoutError("spin register must be two-dimensional")
         if self.slot_dim not in (3, 6):
             raise LayoutError(f"slot_dim must be 3 or 6, got {self.slot_dim}")
         if self.photon_slots < 0:
@@ -53,11 +51,11 @@ class RegisterLayout:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return (self.spin_dim,) + (self.slot_dim,) * self.photon_slots
+        return (2,) + (self.slot_dim,) * self.photon_slots
 
     @property
     def total_dim(self) -> int:
-        return self.spin_dim * self.slot_dim**self.photon_slots
+        return 2 * self.slot_dim**self.photon_slots
 
     @property
     def n_registers(self) -> int:

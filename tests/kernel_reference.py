@@ -70,7 +70,7 @@ def late_phase_diagonal(layout, phase: float) -> np.ndarray:
     late = np.zeros(1, dtype=int)
     for _ in range(layout.photon_slots):
         late = (late[:, None] + _LATE_PHOTONS[:layout.slot_dim]).ravel()
-    return np.exp(1j * phase * np.tile(late, layout.spin_dim))
+    return np.exp(1j * phase * np.tile(late, 2))  # spin-down block, spin-up block
 
 
 def slot_window_povm(params, slot_dim: int = 3, physical: bool = False) -> dict:
@@ -416,7 +416,7 @@ def physical_exact_counts(n_qubits: int, params, noise, tbi, thinned: bool = Fal
         acc = counts.setdefault(run.setting.label,
                                 SettingCounts(run.setting, n_qubits - 1))
         sub = run.setting.subsettings[run.sub_index]
-        seq = _generation_sequence(n_qubits, params, excitation_phase(run.tbi))
+        seq = _generation_sequence(n_qubits, excitation_phase(run.tbi))
         exact = run_sequence_exact(seq.with_readout_rotation(sub.axis, sub.angle),
                                    params, noise)
         model = physical_model(exact.layout, run.tbi, noise, run.windows, thinned)

@@ -300,6 +300,25 @@ class TestExitCodes:
         assert emitter.split()[0] in err or "readout window ends" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["delta0", "t_opt", "rotation_ns"])
+    def test_pulse_timing_keys_rejected(self, tmp_path, capsys, key):
+        # the model's pulses have no duration: the calibrated error
+        # probabilities (f_pi, p_double, ...) stand for them
+        conf = tmp_path / "old.toml"
+        conf.write_text(f"[emitter]\n{key} = 1.0\n")
+        out = tmp_path / "r"
+        assert run_cli("simulate", "bell", "--config", str(conf), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: unknown key emitter.{key}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("f_pi", ["0", "0.4"])
+    def test_rabi_f_pi_checked_before_output(self, tmp_path, capsys, f_pi):
+        # --f-pi 0 is a value to range-check, not an absent flag
+        out = tmp_path / "rabi"
+        assert run_cli("rabi-calibration", "--f-pi", f_pi, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: f_pi=")
+        assert not out.exists()
+
     def test_analyze_witness_crowded_cell(self, tmp_path, capsys):
         # one repetition's tags per cell are counted in uint8: 255 tags in
         # one cell still count, 256 are an error, not a silent wrap to 0
@@ -528,7 +547,9 @@ class TestAnalyzeManifest:
         assert not (tmp_path / "ana").exists()
 
     @pytest.mark.parametrize("section, key", [(None, "workers"), ("noise", "not_a_knob"),
-                                              ("tbi", "windows")])
+                                              ("tbi", "windows"), ("emitter", "delta0"),
+                                              ("emitter", "t_opt"),
+                                              ("emitter", "rotation_ns")])
     def test_unknown_key_rejected(self, tmp_path, tags, capsys, section, key):
         # a manifest holds config keys only, as a config file does
         manifest = json.loads((tags / "manifest.json").read_text())
@@ -633,6 +654,60 @@ class TestFieldTypes:
         # builds it, as config_from_sections does for a file
         with pytest.raises(ConfigurationError, match=f"^run.{key} "):
             RunConfig(**{key: value})
+
+
+class TestEveryFieldActs:
+    """Every field of the three parameter dataclasses changes some output:
+    a key that no run reads would be echoed in every manifest as if it had
+    shaped the run.  Each field is moved by 10 % (0.05 from 0, an int
+    halved) in a config file, from a base where blinking is on and the
+    efficiencies leave clicks for a thinned run of 2000 repetitions.
+    photon_spacing_ns grows instead: 10 % less overlaps the ghz windows."""
+
+    BASE = {"noise": {"blink_block_len": 40, "blink_on_fraction": 0.7,
+                      "eta_total": 0.3, "eta_readout": 0.5}}
+    RUNS = (["bell"], ["bell", "--thinning", "on"], ["hom"], ["ghz", "--photons", "3"])
+
+    @staticmethod
+    def moved(key, value):
+        if isinstance(value, int):
+            return value // 2
+        if not value:
+            return 0.05
+        return value * (1.1 if key == "photon_spacing_ns" else 0.9)
+
+    def outputs(self, tmp_path, sections):
+        """Every artifact but the manifest of each small run, then the exact
+        pre-detection state, the one output of `drift_phase` (a common drift
+        of both interferometer passes must leave every click unchanged)."""
+        conf = tmp_path / "run.toml"
+        conf.write_text("".join(f"[{section}]\n" + "".join(
+            f"{key} = {_toml(value)}\n" for key, value in values.items())
+            for section, values in sections.items()))
+        for i, run in enumerate(self.RUNS):
+            out = tmp_path / f"r{i}"
+            assert run_cli("simulate", *run, "--reps", "2000", "--config", str(conf),
+                           "--out", str(out)) == 0
+            yield {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                   if p.name != "manifest.json"}
+        cfg = load_config(conf)
+        yield exp.exact_predetection_state(2, cfg.emitter, cfg.noise, cfg.tbi).matrix.tobytes()
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        return list(self.outputs(tmp_path_factory.mktemp("base"), self.BASE))
+
+    @pytest.mark.parametrize("section, key", [
+        pytest.param(section, f.name, id=f"{section}.{f.name}")
+        for section, cls in SECTIONS.items() if section != "run"
+        for f in dataclasses.fields(cls)])
+    def test_field_changes_an_output(self, tmp_path, base, section, key):
+        default = getattr(getattr(RunConfig(), section), key)
+        values = dict(self.BASE.get(section, {}))
+        values[key] = self.moved(key, values.get(key, default))
+        sections = {**self.BASE, section: values}
+        changed = (new != old for new, old in zip(self.outputs(tmp_path, sections), base))
+        assert any(changed), f"{section}.{key} changed no output"
 
 
 class TestArtifacts:

@@ -795,7 +795,7 @@ class TestBlocks:
 
         params, noise = paper_emitter(), paper_noise()
         windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
-        traj = run_sequence_trajectory(build_hom_sequence(params), params, noise, 5,
+        traj = run_sequence_trajectory(build_hom_sequence(), params, noise, 5,
                                        np.arange(4000, dtype=np.uint64))
         clicks = DetectionModel(traj.layout, paper_tbi(), noise, windows).sample_run(traj, 5)
         whole = clicks.to_tags(params.gamma0)
@@ -934,7 +934,7 @@ class TestBlocks:
         params, noise = paper_emitter(), paper_noise()
         windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
         n = 40_000
-        traj = run_sequence_trajectory(build_hom_sequence(params), params, noise, 5,
+        traj = run_sequence_trajectory(build_hom_sequence(), params, noise, 5,
                                        np.arange(n, dtype=np.uint64))
         clicks = DetectionModel(traj.layout, paper_tbi(), noise, windows).sample_run(traj, 5)
         monkeypatch.setattr(detection, "TAG_BLOCK_REPS", n // 20)

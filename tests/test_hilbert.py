@@ -190,7 +190,7 @@ class TestSampleProjective:
 
     def test_seed_reproducibility(self):
         params, noise = paper_emitter(), paper_noise()
-        seq = build_bell_sequence(params).with_readout_rotation("y", math.pi / 2)
+        seq = build_bell_sequence().with_readout_rotation("y", math.pi / 2)
         traj = run_sequence_trajectory(seq, params, noise, 42,
                                        np.arange(5000, dtype=np.uint64))
         model = DetectionModel(traj.layout, paper_tbi(), noise, WindowConfig())
