@@ -20,8 +20,9 @@ SEED = 5
 def main():
     emitter, noise, tbi = paper_emitter(), paper_noise(), paper_tbi()
 
-    print("oracle check on the pre-detection state:")
-    rho = exact_predetection_state(3, emitter, noise, tbi)
+    print("oracle check on the pre-detection state (evolved at excitation phase 0,\n"
+          "the state every setting reads at its own analysis phase):")
+    rho = exact_predetection_state(3, emitter, noise)
     target = TargetState(3).state(rho.layout)
     print(f"  direct overlap  <target|rho|target> = {direct_fidelity(rho, target):.6f}")
     print(f"  witness decomposition on same rho   = {witness_fidelity_exact(rho):.6f}")

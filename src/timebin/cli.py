@@ -514,13 +514,15 @@ def main(argv=None) -> int:
             return 0
         config = _resolve_config(args)
         out = Path(config.out_dir)
+        fresh = not out.exists()
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "simulate":
-            outputs = _run_simulate(config, out)
-        elif args.command == "fringe-scan":
-            outputs = _run_fringe_scan(config, out)
-        else:
-            outputs = _run_rabi(config, out)
+        try:
+            run = {"simulate": _run_simulate, "fringe-scan": _run_fringe_scan}
+            outputs = run.get(args.command, _run_rabi)(config, out)
+        except BaseException:
+            if fresh and not any(out.iterdir()):  # a failed run leaves no empty directory
+                out.rmdir()
+            raise
         write_manifest(out / "manifest.json", config, outputs)
         print(f"run written to {out}: manifest.json, {', '.join(outputs)}")
         return 0

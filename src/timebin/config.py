@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .coincidence import WindowConfig
-from .emitter import (EmitterParams, NoiseParams, finite_number, ideal_emitter,
-                      ideal_noise)
+from .emitter import (EmitterParams, NoiseParams, check_fields, finite_number,
+                      ideal_emitter, ideal_noise)
 from .errors import ConfigurationError, ParseError
 from .interferometer import TBIParams
 
@@ -57,8 +57,7 @@ def paper_noise() -> NoiseParams:
 
 
 def paper_tbi() -> TBIParams:
-    return TBIParams(theta0=0.0, theta_pol=0.0, classical_visibility=0.989,
-                     splitting_ratio=0.5)
+    return TBIParams(theta0=0.0, classical_visibility=0.989, splitting_ratio=0.5)
 
 
 # the interferometer-imperfection divisor used when correcting the raw HOM
@@ -88,8 +87,7 @@ class RunConfig:
     def __post_init__(self):
         # types first: the range checks below would meet a wrong one as a
         # TypeError, or pass it (thinned = 2, n_repetitions = 2.5)
-        _check_fields("run", RunConfig, {f.name: getattr(self, f.name) for f in fields(self)
-                                         if f.name not in _SECTION_TYPES})
+        check_fields("run", RunConfig, vars(self))
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(f"run.experiment must be one of {EXPERIMENTS}, "
                                      f"not {self.experiment!r}")
@@ -139,9 +137,7 @@ class RunConfig:
 def noise_off(config: RunConfig) -> RunConfig:
     """All error channels disabled; infinite cyclicity; unit efficiencies."""
     return replace(config, emitter=ideal_emitter(), noise=ideal_noise(),
-                   tbi=TBIParams(theta0=config.tbi.theta0,
-                                 theta_pol=config.tbi.theta_pol,
-                                 classical_visibility=1.0))
+                   tbi=TBIParams(theta0=config.tbi.theta0, classical_visibility=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -172,27 +168,6 @@ def read_config_file(path) -> dict[str, dict]:
 _SECTION_TYPES = {"run": RunConfig, "emitter": EmitterParams, "noise": NoiseParams,
                   "tbi": TBIParams}
 
-# what a field of each declared type takes (RunConfig checks fringe_span)
-_FIELD_TYPES = {
-    "float": ("a finite number", finite_number),
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-}
-
-
-def _check_fields(section: str, cls, values: dict) -> None:
-    """Raise ConfigurationError naming `section.key` for a key that is not
-    a field of cls or a value that is not of its field's declared type.
-    [run] holds RunConfig's own fields, not the sections it nests."""
-    declared = {f.name: f.type for f in fields(cls) if f.name not in _SECTION_TYPES}
-    for key, value in values.items():
-        if key not in declared:
-            raise ConfigurationError(f"unknown key {section}.{key}")
-        kind, accepts = _FIELD_TYPES.get(declared[key], (None, None))
-        if accepts and not accepts(value):
-            raise ConfigurationError(f"{section}.{key} must be {kind}, not {value!r}")
-
 
 def config_from_sections(sections: dict, base: RunConfig | None = None) -> RunConfig:
     """`base` with the values of a parsed config file or manifest.  Each key
@@ -203,9 +178,11 @@ def config_from_sections(sections: dict, base: RunConfig | None = None) -> RunCo
     if unknown:
         raise ConfigurationError(f"unknown sections: {sorted(unknown)}")
     for section, values in sections.items():
-        _check_fields(section, _SECTION_TYPES[section], values)
+        check_fields(section, _SECTION_TYPES[section], values)
     kwargs = dict(sections.get("run", {}))
     for name in ("emitter", "noise", "tbi"):
+        if name in kwargs:  # [run] holds RunConfig's own fields, not its sections
+            raise ConfigurationError(f"unknown key run.{name}")
         if name in sections:
             kwargs[name] = replace(getattr(cfg, name), **sections[name])
     return replace(cfg, **kwargs)

@@ -111,7 +111,8 @@ class ReadoutTerms:
 
 
 class DetectionModel:
-    """Precomputed click POVM alphabet for one (layout, TBI, noise, mode).
+    """Precomputed click POVM alphabet for one (layout, TBI, phase, noise,
+    mode), phase the measurement's observable phase phi_e - phi_d.
 
     The slot alphabet is stacked as arrays: `alphabet_rows` (slot-0 count
     rows, 6 cells), `alphabet_mats` (POVM elements on one slot) and
@@ -119,14 +120,15 @@ class DetectionModel:
     `photon[bin]` holds the (slot-0 count rows, probabilities) of one
     definite-bin photon, bin "early" or "late".
 
-    The alphabet reads states evolved at excitation phase 0: the setting's
-    phase is in its middle-window elements (`slot_window_povm`).
+    The alphabet reads states evolved at excitation phase 0: the phase is
+    in its middle-window elements (`slot_window_povm`).
     """
 
-    def __init__(self, layout: RegisterLayout, tbi: TBIParams, noise: NoiseParams,
-                 windows: WindowConfig, thinned: bool = False):
+    def __init__(self, layout: RegisterLayout, tbi: TBIParams, phase: float,
+                 noise: NoiseParams, windows: WindowConfig, thinned: bool = False):
         self.layout = layout
         self.tbi = tbi
+        self.phase = phase
         self.noise = noise
         self.windows = windows
         self.thinned = thinned
@@ -161,7 +163,7 @@ class DetectionModel:
         that.
         """
         d, eta = self.layout.slot_dim, self.eta
-        povm = slot_window_povm(self.tbi, d)
+        povm = slot_window_povm(self.tbi, self.phase, d)
         none = np.zeros((d, d), dtype=np.complex128)
         none[SLOT_VACUUM, SLOT_VACUUM] = 1.0
         none[SLOT_EARLY, SLOT_EARLY] = 1.0 - eta

@@ -47,7 +47,7 @@ each sub-run's wait and readout rotation from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,6 +67,31 @@ def finite_number(value) -> bool:
             and math.isfinite(value))
 
 
+# what a field of each declared type takes (a field of any other type is
+# checked by its class)
+_FIELD_TYPES = {
+    "float": ("a finite number", finite_number),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def check_fields(section: str, cls, values: dict) -> None:
+    """Raise ConfigurationError naming `section.key` for a key that is not
+    a field of the dataclass cls or a value that is not of its field's
+    declared type.  The parameter dataclasses run it on their own fields
+    before their range checks, which would meet a wrong type as a TypeError
+    or pass it (True as 1.0)."""
+    declared = {f.name: f.type for f in fields(cls)}
+    for key, value in values.items():
+        if key not in declared:
+            raise ConfigurationError(f"unknown key {section}.{key}")
+        kind, accepts = _FIELD_TYPES.get(declared[key], (None, None))
+        if accepts and not accepts(value):
+            raise ConfigurationError(f"{section}.{key} must be {kind}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class EmitterParams:
     """Decay rates of the emitter and the timings that place its detection
@@ -84,10 +109,11 @@ class EmitterParams:
             v = getattr(self, name)
             if not (finite_number(v) and v > 0):
                 raise ConfigurationError(f"{name}={v!r} must be finite and positive")
-        if not (0 < self.gamma_y < math.inf and 0 <= self.gamma_x < math.inf):
+        check_fields("emitter", EmitterParams, vars(self))
+        if not (self.gamma_y > 0 and self.gamma_x >= 0):
             raise ConfigurationError(
                 f"decay rates gamma_y={self.gamma_y!r}, gamma_x={self.gamma_x!r} must "
-                "be finite and positive (gamma_x may be 0)")
+                "be positive (gamma_x may be 0)")
         if self.gamma_x > 0 and self.gamma_y / self.gamma_x <= 1.0:
             raise ConfigurationError("cyclicity gamma_y/gamma_x must exceed 1")
 
@@ -135,6 +161,7 @@ class NoiseParams:
     blink_on_fraction: float = 1.0
 
     def __post_init__(self):
+        check_fields("noise", NoiseParams, vars(self))
         for name in ("p_init_error", "p_wrong_transition", "p_double", "eta_total",
                      "eta_readout", "readout_fidelity", "readout_dark",
                      "indistinguishability", "blink_on_fraction", "p_wait_dephasing"):
@@ -143,12 +170,9 @@ class NoiseParams:
                 raise ConfigurationError(f"{name}={v} outside [0, 1]")
         if not 0.5 < self.f_pi <= 1.0:
             raise ConfigurationError(f"f_pi={self.f_pi} outside (0.5, 1]")
-        for name in ("p_leak", "rot_dephasing_ratio"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigurationError(f"{name} must be finite and non-negative")
-        if not (isinstance(self.blink_block_len, int) and self.blink_block_len >= 0):
-            raise ConfigurationError(f"blink_block_len={self.blink_block_len!r} must "
-                                     "be an integer >= 0")
+        for name in ("p_leak", "rot_dephasing_ratio", "blink_block_len"):
+            if (v := getattr(self, name)) < 0:
+                raise ConfigurationError(f"{name}={v} must not be negative")
 
     def flip_probability(self, angle: float) -> float:
         return (1.0 - self.f_pi) * abs(angle) / math.pi
@@ -228,11 +252,9 @@ class PulseOp:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """The steps of one repetition, ending with its one readout; name also
-    selects the register size (`sequence_layout`)."""
+    """The steps of one repetition, ending with its one readout."""
 
     steps: tuple[PulseOp, ...]
-    name: str = ""
 
     def __post_init__(self):
         steps = tuple(self.steps)
@@ -258,7 +280,7 @@ class PulseSequence:
         """
         wait = PulseOp("wait", duration=WAIT_REFERENCE_NS)
         rot = PulseOp("rotate", axis=axis, angle=angle)
-        return PulseSequence(self.steps[:-1] + (wait, rot) + self.steps[-1:], self.name)
+        return PulseSequence(self.steps[:-1] + (wait, rot) + self.steps[-1:])
 
 
 def build_bell_sequence(phase_e: float = 0.0) -> PulseSequence:
@@ -275,7 +297,7 @@ def build_bell_sequence(phase_e: float = 0.0) -> PulseSequence:
         PulseOp("excite", slot=0, bin="late", phase=phase_e),
         PulseOp("readout"),
     )
-    return PulseSequence(steps, name="bell")
+    return PulseSequence(steps)
 
 
 def build_ghz_sequence(n_photons: int, phase_e: float = 0.0) -> PulseSequence:
@@ -293,7 +315,7 @@ def build_ghz_sequence(n_photons: int, phase_e: float = 0.0) -> PulseSequence:
         steps.append(PulseOp("rotate", axis="y", angle=math.pi))
         steps.append(PulseOp("excite", slot=slot, bin="late", phase=phase_e))
     steps.append(PulseOp("readout"))
-    return PulseSequence(tuple(steps), name="ghz")
+    return PulseSequence(tuple(steps))
 
 
 def build_hom_sequence() -> PulseSequence:
@@ -305,12 +327,22 @@ def build_hom_sequence() -> PulseSequence:
         PulseOp("excite", slot=0, bin="late"),
         PulseOp("readout"),
     )
-    return PulseSequence(steps, name="hom")
+    return PulseSequence(steps)
 
 
 def sequence_layout(seq: PulseSequence, noise: NoiseParams) -> RegisterLayout:
-    """Smallest register that can hold the sequence output under this noise."""
-    slot_dim = 6 if (noise.needs_double_slots or seq.name == "hom") else 3
+    """Smallest register that can hold the sequence output under this noise:
+    a slot holds two photons if a rotation flip can leave the spin up with a
+    photon in the bin (f_pi < 1) or if it is excited twice with no rotation
+    between (hom)."""
+    excited, refilled = set(), False
+    for step in seq.steps:
+        if step.kind == "rotate":
+            excited.clear()
+        elif step.kind == "excite":
+            refilled |= step.slot in excited
+            excited.add(step.slot)
+    slot_dim = 6 if (noise.needs_double_slots or refilled) else 3
     return RegisterLayout(photon_slots=max(seq.n_slots, 1), slot_dim=slot_dim)
 
 

@@ -31,8 +31,9 @@ from .emitter import (EmitterParams, ExactResult, NoiseParams, PulseSequence,
                       build_bell_sequence, build_ghz_sequence,
                       build_hom_sequence, rabi_curve, rabi_population,
                       run_sequence_exact, run_sequence_trajectory)
+from .errors import UndefinedEstimateError
 from .hilbert import DensityOperator
-from .interferometer import TBIParams, classical_fringe, excitation_phase, fit_fringe
+from .interferometer import TBIParams, classical_fringe, effective_phase, fit_fringe
 from .witness import MeasurementSetting, SettingCounts, ghz_settings
 
 
@@ -41,27 +42,23 @@ class SubRun:
     setting: MeasurementSetting
     sub_index: int
     sequence: PulseSequence
-    tbi: TBIParams
+    phase: float                      # the setting's analysis phase
     windows: WindowConfig
 
 
-def _generation_sequence(n_qubits: int, phase_e: float = 0.0) -> PulseSequence:
-    if n_qubits == 2:
-        return build_bell_sequence(phase_e=phase_e)
-    return build_ghz_sequence(n_qubits - 1, phase_e=phase_e)
+def _generation_sequence(n_qubits: int) -> PulseSequence:
+    return build_bell_sequence() if n_qubits == 2 else build_ghz_sequence(n_qubits - 1)
 
 
-def _witness_subruns(n_qubits: int, params: EmitterParams, tbi: TBIParams
-                     ) -> list[SubRun]:
+def _witness_subruns(n_qubits: int, params: EmitterParams) -> list[SubRun]:
     windows = WindowConfig.for_sequence(n_qubits - 1, t_inf=params.t_inf,
                                         slot_spacing=params.photon_spacing_ns)
     base = _generation_sequence(n_qubits)
     subruns = []
     for setting in ghz_settings(n_qubits):
-        tbi_s = tbi.with_theta_pol(tbi.theta0 + setting.theta_pol_offset)
         for sub_i, sub in enumerate(setting.subsettings):
             seq = base.with_readout_rotation(sub.axis, sub.angle)
-            subruns.append(SubRun(setting, sub_i, seq, tbi_s, windows))
+            subruns.append(SubRun(setting, sub_i, seq, setting.phase, windows))
     return subruns
 
 
@@ -121,11 +118,11 @@ def _exact_counts(n_qubits: int, params: EmitterParams, noise: NoiseParams,
     component's weight over the setting's sub-setting count.
     """
     counts: dict[str, SettingCounts] = {}
-    for run, exact in _exact_subruns(n_qubits, params, noise, tbi):
+    for run, exact in _exact_subruns(n_qubits, params, noise):
         acc = counts.setdefault(run.setting.label,
                                 SettingCounts(run.setting, n_qubits - 1))
         n_subs = len(run.setting.subsettings)
-        model = DetectionModel(exact.layout, run.tbi, noise, run.windows, thinned)
+        model = DetectionModel(exact.layout, tbi, run.phase, noise, run.windows, thinned)
         for comp in exact.components:
             terms = model.readout_terms(comp.rho, comp.flag_clicks, heralded_only=True)
             scale = comp.weight / n_subs
@@ -134,8 +131,7 @@ def _exact_counts(n_qubits: int, params: EmitterParams, noise: NoiseParams,
     return counts
 
 
-def _exact_subruns(n_qubits: int, params: EmitterParams, noise: NoiseParams,
-                   tbi: TBIParams):
+def _exact_subruns(n_qubits: int, params: EmitterParams, noise: NoiseParams):
     """(sub-run, its `ExactResult`) of every witness sub-run, in order.
 
     The generation sequence is evolved once; each sub-run continues its
@@ -143,28 +139,25 @@ def _exact_subruns(n_qubits: int, params: EmitterParams, noise: NoiseParams,
     direct evolution of the sub-run's sequence up to rounding.
     """
     generation = run_sequence_exact(_generation_sequence(n_qubits), params, noise)
-    for run in _witness_subruns(n_qubits, params, tbi):
+    for run in _witness_subruns(n_qubits, params):
         yield run, run_sequence_exact(run.sequence, params, noise, start=generation)
 
 
-def _exact_distributions(run: SubRun, exact: ExactResult, noise: NoiseParams,
-                         thinned: bool):
+def _exact_distributions(run: SubRun, exact: ExactResult, tbi: TBIParams,
+                         noise: NoiseParams, thinned: bool):
     """(weight, `DetectionModel.full_distribution`) of each component of a
     sub-run's exact evolution, in component order."""
-    model = DetectionModel(exact.layout, run.tbi, noise, run.windows, thinned)
+    model = DetectionModel(exact.layout, tbi, run.phase, noise, run.windows, thinned)
     for comp in exact.components:
         yield comp.weight, model.full_distribution(comp.rho, comp.flag_clicks)
 
 
 def exact_predetection_state(n_qubits: int, params: EmitterParams,
-                             noise: NoiseParams, tbi: TBIParams
-                             ) -> DensityOperator:
+                             noise: NoiseParams) -> DensityOperator:
     """Pre-detection density operator of the generation sequence (no readout
-    rotation), mainly for direct-fidelity oracle checks.  It has no click
-    POVM to carry the setting's phase, so the sequence is evolved at
-    `excitation_phase(tbi)`."""
-    seq = _generation_sequence(n_qubits, excitation_phase(tbi))
-    return run_sequence_exact(seq, params, noise).density()
+    rotation) at excitation phase 0, the state every setting reads, mainly
+    for direct-fidelity oracle checks."""
+    return run_sequence_exact(_generation_sequence(n_qubits), params, noise).density()
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +206,7 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
     With thinned=True all efficiencies are applied and the post-selected
     coincidence rate is physical.
     """
-    subruns = _witness_subruns(n_qubits, params, tbi)
+    subruns = _witness_subruns(n_qubits, params)
     all_reps = np.arange(n_repetitions, dtype=np.uint64)
     generation = run_sequence_trajectory(_generation_sequence(n_qubits),
                                          params, noise, master_seed, all_reps)
@@ -231,7 +224,7 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
             continue
         traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps,
                                        start=generation.select(rows))
-        model = DetectionModel(traj.layout, run.tbi, noise, run.windows, thinned)
+        model = DetectionModel(traj.layout, tbi, run.phase, noise, run.windows, thinned)
         clicks = model.sample_run(traj, master_seed)
         lk, tot = _count_clicks(acc, run.sub_index, clicks)
         leak_events += lk
@@ -262,16 +255,15 @@ def trajectory_exact_tvd(n_qubits: int, params: EmitterParams, noise: NoiseParam
     empirical frequencies of (click counts, readout flag) outcomes against
     the exact-mode distribution of the same sequence.
     """
-    subruns = _witness_subruns(n_qubits, params, tbi)
-    run = subruns[2 * setting_index + sub_index]
+    run = _witness_subruns(n_qubits, params)[2 * setting_index + sub_index]
     reps = np.arange(n_repetitions, dtype=np.uint64)
     traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps)
-    model = DetectionModel(traj.layout, run.tbi, noise, run.windows, thinned)
+    model = DetectionModel(traj.layout, tbi, run.phase, noise, run.windows, thinned)
     clicks = model.sample_run(traj, master_seed)
     sampled = np.column_stack([clicks.signal + clicks.flagged + clicks.background,
                                clicks.readout_clicks])
     dists = list(_exact_distributions(run, run_sequence_exact(run.sequence, params, noise),
-                                      noise, thinned))
+                                      tbi, noise, thinned))
     exact = np.concatenate([np.column_stack([d.rows, d.label]) for _, d in dists])
     predicted = np.concatenate([w * d.probs for w, d in dists])
     _, group = coin.distinct_rows(np.concatenate([sampled, exact]))
@@ -308,7 +300,8 @@ def simulate_hom(params: EmitterParams, noise: NoiseParams, tbi: TBIParams,
     seq = build_hom_sequence()
     reps = np.arange(n_repetitions, dtype=np.uint64)
     traj = run_sequence_trajectory(seq, params, noise, master_seed, reps)
-    model = DetectionModel(traj.layout, tbi, noise, windows, thinned)
+    # no early-late coherence: every phase reads the two photons alike
+    model = DetectionModel(traj.layout, tbi, 0.0, noise, windows, thinned)
     clicks = model.sample_run(traj, master_seed)
     tags = clicks.to_tags(gamma0=params.gamma0)
     g2, g2_err, detail = coin.g2_zero(tags, windows)
@@ -355,6 +348,7 @@ def spin_conditioned_fringe_scan(params: EmitterParams, noise: NoiseParams,
     Uses the readout rotations R_y(+-pi/2); each angle point is an
     independent pair of sub-runs, and point i's +X (-X) sub-run draws on
     its own repetition indices from 2i (2i + 1) * reps_per_point onwards.
+    A point with no heralded middle-window click raises UndefinedEstimateError.
     """
     theta_values = np.asarray(theta_values, dtype=float)
     curves = {"+X": np.empty_like(theta_values), "-X": np.empty_like(theta_values)}
@@ -363,19 +357,20 @@ def spin_conditioned_fringe_scan(params: EmitterParams, noise: NoiseParams,
     seqs = {label: build_bell_sequence().with_readout_rotation("y", angle)
             for label, angle in (("+X", math.pi / 2), ("-X", -math.pi / 2))}
     for i, th in enumerate(theta_values):
-        tbi_th = tbi.with_theta_pol(th)
         for label, seq in seqs.items():
             reps = np.arange(reps_per_point, dtype=np.uint64) \
                 + np.uint64((2 * i + (label == "-X")) * reps_per_point)
             traj = run_sequence_trajectory(seq, params, noise, master_seed, reps)
-            model = DetectionModel(traj.layout, tbi_th, noise, windows, thinned=False)
+            model = DetectionModel(traj.layout, tbi, effective_phase(th, tbi), noise,
+                                   windows, thinned=False)
             clicks = model.sample_run(traj, master_seed)
-            # middle-window signal clicks of the heralded repetitions, by detector
-            signal = clicks.signal[clicks.readout_clicks]
-            cells = signal.reshape(len(signal), -1, 3, 2)  # (rep, slot, window, det)
-            n1, n2 = cells[:, :, MIDDLE].sum(axis=(0, 1)).tolist()
-            total = n1 + n2
-            curves[label][i] = (n1 - n2) / total if total else 0.0
+            # signal clicks of the heralded repetitions, per (slot, window, detector)
+            cells = clicks.signal[clicks.readout_clicks].reshape(-1, 3, 2)
+            n1, n2 = cells[:, MIDDLE].sum(axis=0).tolist()
+            if n1 + n2 == 0:
+                raise UndefinedEstimateError(f"no heralded middle-window click at "
+                                             f"theta_pol = {th:.6g} rad ({label})")
+            curves[label][i] = (n1 - n2) / (n1 + n2)
     fits = {label: fit_fringe(theta_values, c) for label, c in curves.items()}
     return FringeScan(theta_values, curves, fits)
 

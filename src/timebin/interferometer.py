@@ -9,21 +9,21 @@ the excitation pulses and the analysis pass.
 
 Because the excitation pulses are themselves derived from a pass through the
 same interferometer, only the phase difference phi_e - phi_d =
-2*(theta_pol - theta0) is observable (`effective_phase`).  The click POVM
-carries that difference: a state evolved at excitation phase 0 and read
-with `slot_window_povm` gives the probabilities of the state evolved at
-phi_e and read at phi_d, so a common drift of both never enters detection.
-`drift_phase` and `excitation_phase` serve only the dense pre-detection
-state (`experiments.exact_predetection_state`), which has no POVM.
+2*(theta_pol - theta0) is observable (`effective_phase`), and a common
+drift of both passes has no effect.  So `TBIParams` describes the device
+alone; the polarizer angle is a setting of each measurement, and the
+click POVM takes its observable phase (`slot_window_povm`): a state
+evolved at excitation phase 0 and read with it gives the probabilities of
+the state evolved at phi_e and read at phi_d.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .emitter import check_fields
 from .errors import ConfigurationError
 from .hilbert import SLOT_EARLY, SLOT_LATE
 
@@ -42,45 +42,33 @@ class Detector(str, Enum):
 
 @dataclass(frozen=True)
 class TBIParams:
-    """Interferometer settings and imperfections."""
+    """The interferometer device: its imperfections and the polarizer angle
+    theta0 at which the detection pass matches the excitation pass."""
 
     theta0: float = 0.0            # polarizer angle at which phi_d = phi_e (rad)
-    theta_pol: float = 0.0         # polarizer setting (rad)
     classical_visibility: float = 0.99
     splitting_ratio: float = 0.5   # routing splitter transmission
     detector_efficiency: float = 1.0
-    drift_phase: float = 0.0       # common drift of phi_e and phi_d; unobservable
 
     def __post_init__(self):
+        check_fields("tbi", TBIParams, vars(self))
         if not 0.0 < self.splitting_ratio < 1.0:
             raise ConfigurationError("splitting_ratio must lie strictly in (0, 1)")
         for name in ("classical_visibility", "detector_efficiency"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1]")
-        for name in ("theta0", "theta_pol", "drift_phase"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite")
-
-    def with_theta_pol(self, theta_pol: float) -> "TBIParams":
-        return replace(self, theta_pol=theta_pol)
 
 
-def effective_phase(params: TBIParams) -> float:
-    """Observable phase difference phi_e - phi_d = 2*(theta_pol - theta0)."""
-    return 2.0 * (params.theta_pol - params.theta0)
+def effective_phase(theta_pol, params: TBIParams):
+    """Observable phase difference phi_e - phi_d = 2*(theta_pol - theta0)
+    at polarizer angle theta_pol (a float or an array)."""
+    return 2.0 * (theta_pol - params.theta0)
 
 
-def excitation_phase(params: TBIParams) -> float:
-    """Phase imprinted between late and early excitation pulses.
-
-    Equals the detection-pass phase plus the polarizer offset, so downstream
-    probabilities depend only on their difference.
-    """
-    return params.drift_phase + effective_phase(params)
-
-
-def slot_window_povm(params: TBIParams, slot_dim: int = 3) -> dict[tuple[Window, Detector], np.ndarray]:
-    """Click POVM of one photon in a slot, on its {e, l} levels.
+def slot_window_povm(params: TBIParams, phase: float, slot_dim: int = 3
+                     ) -> dict[tuple[Window, Detector], np.ndarray]:
+    """Click POVM of one photon in a slot, on its {e, l} levels, read at the
+    observable phase phi_e - phi_d (`effective_phase`).
 
     Keys are (window, detector); elements sum to the identity on span{e, l}
     (a photon is always detected somewhere before efficiency losses).  The
@@ -91,8 +79,7 @@ def slot_window_povm(params: TBIParams, slot_dim: int = 3) -> dict[tuple[Window,
     physical element, with coherence exp(-i phi_d), read on the state
     evolved at phi_e is the same as D^dagger M D read on the phase-0 state,
     D = exp(i phi_e L) with L the late-photon count; D changes only the
-    middle-window coherence, to exp(i (phi_e - phi_d)) = exp(i
-    `effective_phase`).
+    middle-window coherence, to exp(i (phi_e - phi_d)) = exp(i phase).
     """
     s = params.splitting_ratio
     povm: dict[tuple[Window, Detector], np.ndarray] = {}
@@ -111,7 +98,7 @@ def slot_window_povm(params: TBIParams, slot_dim: int = 3) -> dict[tuple[Window,
     # shows their coherence with the classical visibility, with opposite
     # signs on D1 and D2, at the observable phase
     coherence = (0.5 * params.classical_visibility * np.sqrt(s * (1.0 - s))
-                 * np.exp(1j * effective_phase(params)))
+                 * np.exp(1j * phase))
     for det, sign in ((Detector.D1, 1.0), (Detector.D2, -1.0)):
         povm[(Window.MIDDLE, det)] = slot_mat({
             (SLOT_EARLY, SLOT_EARLY): 0.5 * (1.0 - s), (SLOT_LATE, SLOT_LATE): 0.5 * s,
@@ -126,7 +113,7 @@ def classical_fringe(theta_pol, params: TBIParams) -> np.ndarray:
     Follows V_c * cos(2*(theta_pol - theta0)).
     """
     theta = np.atleast_1d(np.asarray(theta_pol, dtype=float))
-    return params.classical_visibility * np.cos(2.0 * (theta - params.theta0))
+    return params.classical_visibility * np.cos(effective_phase(theta, params))
 
 
 def fit_fringe(theta: np.ndarray, contrast: np.ndarray) -> tuple[float, float]:

@@ -144,10 +144,15 @@ class MeasurementSetting:
 
     label: str
     theta: float | None                 # equatorial angle; None for the Z setting
-    theta_pol_offset: float             # polarizer offset from theta0
     subsettings: tuple[SpinSubsetting, ...]
     photon_outcome_map: dict
     allowed_windows: tuple[Window, ...]
+
+    @property
+    def phase(self) -> float:
+        """The photons' analysis phase phi_e - phi_d: theta, or 0 for the Z
+        setting, whose windows see no coherence."""
+        return 0.0 if self.theta is None else self.theta
 
     def photon_eigenvalue(self, window: Window, detector: Detector) -> int | None:
         return self.photon_outcome_map.get((window, detector))
@@ -157,8 +162,7 @@ def _z_setting() -> MeasurementSetting:
     photon_map = {(Window.EARLY, Detector.D1): -1, (Window.EARLY, Detector.D2): -1,
                   (Window.LATE, Detector.D1): +1, (Window.LATE, Detector.D2): +1}
     subs = (SpinSubsetting("y", 0.0, +1), SpinSubsetting("y", math.pi, -1))
-    return MeasurementSetting("ZZ", None, 0.0, subs, photon_map,
-                              (Window.EARLY, Window.LATE))
+    return MeasurementSetting("ZZ", None, subs, photon_map, (Window.EARLY, Window.LATE))
 
 
 def _equatorial_setting(label: str, theta: float) -> MeasurementSetting:
@@ -166,13 +170,13 @@ def _equatorial_setting(label: str, theta: float) -> MeasurementSetting:
 
     The spin rotation R(pi/2) about the equatorial axis at azimuth
     pi/2 - theta maps the +1 eigenvector of M(theta) onto spin-up; the
-    polarizer offset theta/2 sets the photonic analysis phase to theta.
+    photons are read at analysis phase theta (the polarizer at theta0 +
+    theta/2).
     """
     axis = math.pi / 2 - theta
     photon_map = {(Window.MIDDLE, Detector.D1): +1, (Window.MIDDLE, Detector.D2): -1}
     subs = (SpinSubsetting(axis, math.pi / 2, +1), SpinSubsetting(axis, -math.pi / 2, -1))
-    return MeasurementSetting(label, theta, theta / 2.0, subs, photon_map,
-                              (Window.MIDDLE,))
+    return MeasurementSetting(label, theta, subs, photon_map, (Window.MIDDLE,))
 
 
 def ghz_settings(n_qubits: int) -> list[MeasurementSetting]:

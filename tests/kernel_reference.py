@@ -31,7 +31,7 @@ from timebin.coincidence import DETECTORS, EARLY, LATE, MIDDLE, WINDOWS, click_c
 from timebin.detection import PRUNE_TOL
 from timebin.hilbert import (SLOT_EARLY, SLOT_EE, SLOT_EL, SLOT_LATE, SLOT_LL,
                              SLOT_VACUUM, SPIN_DOWN, SPIN_UP, RegisterLayout)
-from timebin.interferometer import Detector, Window, excitation_phase
+from timebin.interferometer import Detector, Window, effective_phase
 
 
 def verify_kraus_complete(branches) -> float:
@@ -73,15 +73,24 @@ def late_phase_diagonal(layout, phase: float) -> np.ndarray:
     return np.exp(1j * phase * np.tile(late, 2))  # spin-down block, spin-up block
 
 
-def slot_window_povm(params, slot_dim: int = 3, physical: bool = False) -> dict:
-    """The one-photon click POVM as (1 +- v)/2 mixes of the two detectors'
-    pure middle-window projectors.
+def excitation_phase(theta_pol: float, drift: float, params) -> float:
+    """The phase phi_e between the late and early excitation pulses at
+    polarizer angle theta_pol: the detection pass's phase phi_d = drift
+    plus the observable difference 2(theta_pol - theta0)."""
+    return drift + effective_phase(theta_pol, params)
+
+
+def slot_window_povm(params, theta_pol: float, drift: float = 0.0, slot_dim: int = 3,
+                     physical: bool = False) -> dict:
+    """The one-photon click POVM at polarizer angle theta_pol under a common
+    drift of both interferometer passes, as (1 +- v)/2 mixes of the two
+    detectors' pure middle-window projectors.
 
     The physical elements (physical=True) have the middle-window coherence
-    exp(-i phi_d) of the detection pass, phi_d = drift_phase, and read the
-    state evolved at the excitation phase phi_e.  Otherwise each is
-    conjugated by the slot's D = exp(i phi_e L), to D^dagger M D, which
-    reads the state evolved at phase 0."""
+    exp(-i phi_d) of the detection pass, phi_d = drift, and read the state
+    evolved at the excitation phase phi_e (`excitation_phase`).  Otherwise
+    each is conjugated by the slot's D = exp(i phi_e L), to D^dagger M D,
+    which reads the state evolved at phase 0."""
     s = params.splitting_ratio
     v = params.classical_visibility
     povm = {}
@@ -95,7 +104,7 @@ def slot_window_povm(params, slot_dim: int = 3, physical: bool = False) -> dict:
     for det, w in ((Detector.D1, 0.5), (Detector.D2, 0.5)):
         povm[(Window.EARLY, det)] = slot_mat({(SLOT_EARLY, SLOT_EARLY): s * w})
         povm[(Window.LATE, det)] = slot_mat({(SLOT_LATE, SLOT_LATE): (1.0 - s) * w})
-    chi1 = np.array([np.sqrt(1.0 - s), np.sqrt(s) * np.exp(1j * params.drift_phase)])
+    chi1 = np.array([np.sqrt(1.0 - s), np.sqrt(s) * np.exp(1j * drift)])
     chi2 = np.array([chi1[0], -chi1[1]])
     e_idx = [SLOT_EARLY, SLOT_LATE]
     raw1 = np.zeros((slot_dim, slot_dim), dtype=np.complex128)
@@ -108,7 +117,8 @@ def slot_window_povm(params, slot_dim: int = 3, physical: bool = False) -> dict:
     povm[(Window.MIDDLE, Detector.D2)] = (1 + v) / 2 * raw2 + (1 - v) / 2 * raw1
     if not physical:
         layout = RegisterLayout(photon_slots=1, slot_dim=slot_dim)
-        d = late_phase_diagonal(layout, excitation_phase(params))[:slot_dim]
+        phase_e = excitation_phase(theta_pol, drift, params)
+        d = late_phase_diagonal(layout, phase_e)[:slot_dim]
         povm = {key: d.conj()[:, None] * m * d for key, m in povm.items()}
     return povm
 
@@ -181,11 +191,11 @@ def double_state_outcomes(state: int, tbi, noise, eta: float) -> list:
     return list(agg.items())
 
 
-def slot_alphabet(model, physical: bool = False
+def slot_alphabet(model, theta_pol: float, drift: float = 0.0, physical: bool = False
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, mats, support) of the model's slot alphabet, built from
-    tuple-of-cells patterns merged in a dict in insertion order; physical
-    as in `slot_window_povm`."""
+    """(rows, mats, support) of the model's slot alphabet at polarizer angle
+    theta_pol, built from tuple-of-cells patterns merged in a dict in
+    insertion order; drift and physical as in `slot_window_povm`."""
     d, eta = model.layout.slot_dim, model.eta
     entries: dict = {}
 
@@ -197,7 +207,8 @@ def slot_alphabet(model, physical: bool = False
     none[SLOT_EARLY, SLOT_EARLY] = 1.0 - eta
     none[SLOT_LATE, SLOT_LATE] = 1.0 - eta
     add((), none)
-    for (window, det), mat in slot_window_povm(model.tbi, d, physical).items():
+    for (window, det), mat in slot_window_povm(model.tbi, theta_pol, drift, d,
+                                               physical).items():
         add((click_cell(0, WINDOWS.index(window), DETECTORS.index(det)),), eta * mat)
     if d == 6:
         for state in (SLOT_EE, SLOT_EL, SLOT_LL):
@@ -376,11 +387,11 @@ def exact_counts(n_qubits: int, params, noise, tbi, thinned: bool = False) -> di
     from timebin.witness import SettingCounts
 
     counts: dict = {}
-    for run, exact in _exact_subruns(n_qubits, params, noise, tbi):
+    for run, exact in _exact_subruns(n_qubits, params, noise):
         acc = counts.setdefault(run.setting.label,
                                 SettingCounts(run.setting, n_qubits - 1))
         n_subs = len(run.setting.subsettings)
-        for weight, dist in _exact_distributions(run, exact, noise, thinned):
+        for weight, dist in _exact_distributions(run, exact, tbi, noise, thinned):
             sel = dist.label & (dist.probs > 0)
             add_heralded(acc.counts, run.setting, run.sub_index,
                          zip(row_records(dist.rows[sel]),
@@ -389,37 +400,45 @@ def exact_counts(n_qubits: int, params, noise, tbi, thinned: bool = False) -> di
     return counts
 
 
-def physical_model(layout, tbi, noise, windows, thinned: bool = False):
+def physical_model(layout, tbi, theta_pol: float, drift: float, noise, windows,
+                   thinned: bool = False):
     """A `DetectionModel` whose slot alphabet holds the physical click POVM
-    (`slot_alphabet(..., physical=True)`), for a state evolved at the
-    setting's excitation phase."""
+    at polarizer angle theta_pol under the drift (`slot_alphabet(...,
+    physical=True)`), for a state evolved at the excitation phase."""
     from timebin.detection import DetectionModel
 
-    model = DetectionModel(layout, tbi, noise, windows, thinned)
+    model = DetectionModel(layout, tbi, effective_phase(theta_pol, tbi), noise, windows,
+                           thinned)
     model.alphabet_rows, model.alphabet_mats, model.alphabet_support = \
-        slot_alphabet(model, physical=True)
+        slot_alphabet(model, theta_pol, drift, physical=True)
     return model
 
 
-def physical_exact_counts(n_qubits: int, params, noise, tbi, thinned: bool = False
-                          ) -> dict:
+def physical_exact_counts(n_qubits: int, params, noise, tbi, thinned: bool = False,
+                          drift: float = 0.0) -> dict:
     """label -> SettingCounts of the exact witness in the physical
-    convention: each sub-run's whole sequence evolved at its setting's
-    `excitation_phase`, its components read with `physical_model` and
-    counted by `SettingCounts.add_expected`."""
-    from timebin.emitter import run_sequence_exact
-    from timebin.experiments import _generation_sequence, _witness_subruns
+    convention: each setting sets the polarizer to theta0 + phase / 2, and
+    each sub-run's whole sequence is evolved at that angle's
+    `excitation_phase` under the drift, its components read with
+    `physical_model` and counted by `SettingCounts.add_expected`."""
+    from timebin.emitter import (build_bell_sequence, build_ghz_sequence,
+                                 run_sequence_exact)
+    from timebin.experiments import _witness_subruns
     from timebin.witness import SettingCounts
 
     counts: dict = {}
-    for run in _witness_subruns(n_qubits, params, tbi):
+    for run in _witness_subruns(n_qubits, params):
         acc = counts.setdefault(run.setting.label,
                                 SettingCounts(run.setting, n_qubits - 1))
         sub = run.setting.subsettings[run.sub_index]
-        seq = _generation_sequence(n_qubits, excitation_phase(run.tbi))
+        theta_pol = tbi.theta0 + run.phase / 2
+        phase_e = excitation_phase(theta_pol, drift, tbi)
+        seq = (build_bell_sequence(phase_e) if n_qubits == 2
+               else build_ghz_sequence(n_qubits - 1, phase_e))
         exact = run_sequence_exact(seq.with_readout_rotation(sub.axis, sub.angle),
                                    params, noise)
-        model = physical_model(exact.layout, run.tbi, noise, run.windows, thinned)
+        model = physical_model(exact.layout, tbi, theta_pol, drift, noise, run.windows,
+                               thinned)
         n_subs = len(run.setting.subsettings)
         for comp in exact.components:
             terms = model.readout_terms(comp.rho, comp.flag_clicks, heralded_only=True)

@@ -84,7 +84,7 @@ def test_criterion_05_cyclicity_branching():
     seq = PulseSequence((PulseOp("pump"),
                          PulseOp("rotate", axis="y", angle=math.pi),
                          PulseOp("excite", slot=0, bin="early"),
-                         PulseOp("readout")), name="cyclicity")
+                         PulseOp("readout")))
     traj = run_sequence_trajectory(seq, params, ideal_noise(), 55,
                                    np.arange(1_000_000, dtype=np.uint64))
     emits = int(np.sum(traj.took(2, "emit")))

@@ -53,10 +53,12 @@ theta0 = 0.2
         assert cfg.tbi.theta0 == 0.2
 
     def test_unknown_key_rejected(self, tmp_path):
+        # [run] holds RunConfig's own fields, not the sections it nests
         path = tmp_path / "bad.conf"
-        path.write_text("[noise]\nnot_a_knob = 1\n")
-        with pytest.raises(ConfigurationError):
-            load_config(path)
+        for section, key in (("noise", "not_a_knob"), ("run", "noise")):
+            path.write_text(f"[{section}]\n{key} = 1\n")
+            with pytest.raises(ConfigurationError, match=f"^unknown key {section}.{key}$"):
+                load_config(path)
 
     def test_ghz_size_limit(self, tmp_path, monkeypatch, capsys):
         # rejected while the configuration is validated, before any evolution
@@ -311,6 +313,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: unknown key emitter.{key}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["theta_pol", "drift_phase"])
+    def test_measurement_phase_keys_rejected(self, tmp_path, capsys, key):
+        # each measurement sets its own polarizer angle, and a common drift
+        # of both interferometer passes is unobservable: neither is a
+        # parameter of the device
+        conf = tmp_path / "old.toml"
+        conf.write_text(f"[tbi]\n{key} = 0.3\n")
+        out = tmp_path / "r"
+        assert run_cli("simulate", "bell", "--config", str(conf), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: unknown key tbi.{key}\n"
+        assert not out.exists()
+
+    def test_spin_fringe_without_heralds(self, tmp_path, capsys):
+        # with the readout laser off no repetition is heralded, so no angle
+        # has a spin-conditioned contrast: exit 3 naming the first angle,
+        # and no output directory
+        conf = tmp_path / "dark.toml"
+        conf.write_text("[noise]\neta_readout = 0.0\n")
+        out = tmp_path / "fr"
+        assert run_cli("fringe-scan", "--mode", "spin-conditioned", "--config", str(conf),
+                       "--reps", "2000", "--points", "4", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == ("undefined estimate: no heralded middle-window click at "
+                       "theta_pol = 0 rad (+X)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("f_pi", ["0", "0.4"])
     def test_rabi_f_pi_checked_before_output(self, tmp_path, capsys, f_pi):
         # --f-pi 0 is a value to range-check, not an absent flag
@@ -549,7 +577,9 @@ class TestAnalyzeManifest:
     @pytest.mark.parametrize("section, key", [(None, "workers"), ("noise", "not_a_knob"),
                                               ("tbi", "windows"), ("emitter", "delta0"),
                                               ("emitter", "t_opt"),
-                                              ("emitter", "rotation_ns")])
+                                              ("emitter", "rotation_ns"),
+                                              ("tbi", "theta_pol"),
+                                              ("tbi", "drift_phase")])
     def test_unknown_key_rejected(self, tmp_path, tags, capsys, section, key):
         # a manifest holds config keys only, as a config file does
         manifest = json.loads((tags / "manifest.json").read_text())
@@ -647,13 +677,13 @@ class TestFieldTypes:
         assert not ana.exists()
 
 
-    @pytest.mark.parametrize("section, key, value",
-                             [case for case in FIELD_CASES if case.values[0] == "run"])
+    @pytest.mark.parametrize("section, key, value", FIELD_CASES)
     def test_library_caller_rejected(self, section, key, value):
-        # RunConfig checks its own fields' types when a library caller
-        # builds it, as config_from_sections does for a file
-        with pytest.raises(ConfigurationError, match=f"^run.{key} "):
-            RunConfig(**{key: value})
+        # RunConfig and the parameter dataclasses check their own fields'
+        # types when a library caller builds them, as config_from_sections
+        # does for a file; EmitterParams names a bad timing as key=value
+        with pytest.raises(ConfigurationError, match=rf"^({section}\.{key} |{key}=)"):
+            SECTIONS[section](**{key: value})
 
 
 class TestEveryFieldActs:
@@ -662,11 +692,15 @@ class TestEveryFieldActs:
     shaped the run.  Each field is moved by 10 % (0.05 from 0, an int
     halved) in a config file, from a base where blinking is on and the
     efficiencies leave clicks for a thinned run of 2000 repetitions.
-    photon_spacing_ns grows instead: 10 % less overlaps the ghz windows."""
+    photon_spacing_ns grows instead: 10 % less overlaps the ghz windows.
+    theta0 acts only where the polarizer angle is scanned: the fringes."""
 
     BASE = {"noise": {"blink_block_len": 40, "blink_on_fraction": 0.7,
                       "eta_total": 0.3, "eta_readout": 0.5}}
-    RUNS = (["bell"], ["bell", "--thinning", "on"], ["hom"], ["ghz", "--photons", "3"])
+    RUNS = (["simulate", "bell"], ["simulate", "bell", "--thinning", "on"],
+            ["simulate", "hom"], ["simulate", "ghz", "--photons", "3"],
+            ["fringe-scan", "--points", "5"],
+            ["fringe-scan", "--mode", "spin-conditioned", "--points", "5"])
 
     @staticmethod
     def moved(key, value):
@@ -677,21 +711,17 @@ class TestEveryFieldActs:
         return value * (1.1 if key == "photon_spacing_ns" else 0.9)
 
     def outputs(self, tmp_path, sections):
-        """Every artifact but the manifest of each small run, then the exact
-        pre-detection state, the one output of `drift_phase` (a common drift
-        of both interferometer passes must leave every click unchanged)."""
+        """Every artifact but the manifest of each small run."""
         conf = tmp_path / "run.toml"
         conf.write_text("".join(f"[{section}]\n" + "".join(
             f"{key} = {_toml(value)}\n" for key, value in values.items())
             for section, values in sections.items()))
         for i, run in enumerate(self.RUNS):
             out = tmp_path / f"r{i}"
-            assert run_cli("simulate", *run, "--reps", "2000", "--config", str(conf),
+            assert run_cli(*run, "--reps", "2000", "--config", str(conf),
                            "--out", str(out)) == 0
             yield {p.name: p.read_bytes() for p in sorted(out.iterdir())
                    if p.name != "manifest.json"}
-        cfg = load_config(conf)
-        yield exp.exact_predetection_state(2, cfg.emitter, cfg.noise, cfg.tbi).matrix.tobytes()
 
     @pytest.fixture(scope="class")
     def base(self, tmp_path_factory):
@@ -1012,6 +1042,22 @@ class TestArtifacts:
         assert run_cli("analyze", "--input", str(out / "timetags.csv"),
                        "--mode", "witness", "--manifest", str(out / "manifest.json"),
                        "--out", str(tmp_path / "witness")) == 1
+
+    def test_theta0_leaves_witness_and_hom_runs(self, tmp_path):
+        # a witness setting reads the photons at its own phase, theta0
+        # cancels in 2(theta_pol - theta0), and hom reads no early-late
+        # coherence: only the manifest records theta0
+        for run in (["bell"], ["ghz", "--photons", "3"], ["hom"]):
+            got = []
+            for theta0 in (0.0, 0.3):
+                conf = tmp_path / "tbi.toml"
+                conf.write_text(f"[tbi]\ntheta0 = {theta0}\n")
+                out = tmp_path / f"{run[0]}-{theta0}"
+                assert run_cli("simulate", *run, "--reps", "1200", "--seed", "4",
+                               "--config", str(conf), "--out", str(out)) == 0
+                got.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "manifest.json"})
+            assert "report.json" in got[0] and got[0] == got[1], run[0]
 
     def test_fringe_scan_outputs(self, tmp_path):
         out = tmp_path / "fr"

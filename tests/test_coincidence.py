@@ -797,7 +797,8 @@ class TestBlocks:
         windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
         traj = run_sequence_trajectory(build_hom_sequence(), params, noise, 5,
                                        np.arange(4000, dtype=np.uint64))
-        clicks = DetectionModel(traj.layout, paper_tbi(), noise, windows).sample_run(traj, 5)
+        clicks = DetectionModel(traj.layout, paper_tbi(), 0.0, noise,
+                                windows).sample_run(traj, 5)
         whole = clicks.to_tags(params.gamma0)
         monkeypatch.setattr(detection, "TAG_BLOCK_REPS", block)
         got = clicks.to_tags(params.gamma0)
@@ -936,7 +937,8 @@ class TestBlocks:
         n = 40_000
         traj = run_sequence_trajectory(build_hom_sequence(), params, noise, 5,
                                        np.arange(n, dtype=np.uint64))
-        clicks = DetectionModel(traj.layout, paper_tbi(), noise, windows).sample_run(traj, 5)
+        clicks = DetectionModel(traj.layout, paper_tbi(), 0.0, noise,
+                                windows).sample_run(traj, 5)
         monkeypatch.setattr(detection, "TAG_BLOCK_REPS", n // 20)
         tags_per_rep = 2.4
         monkeypatch.setattr(coincidence, "SCAN_BLOCK", int(tags_per_rep * n // 20))

@@ -26,7 +26,7 @@ SLOT_LAYOUT = RegisterLayout(photon_slots=1, slot_dim=3)
 
 
 def short_sequence(*steps):
-    return PulseSequence(tuple(steps) + (PulseOp("readout"),), name="short")
+    return PulseSequence(tuple(steps) + (PulseOp("readout"),))
 
 
 def exact_rho(params, noise, *steps, layout=SLOT_LAYOUT):
@@ -120,6 +120,25 @@ class TestSequences:
         # NaN; only a wait's duration is read (wait_kraus)
         with pytest.raises(ContractError, match=message):
             PulseOp(**kwargs)
+
+    @pytest.mark.parametrize("paper", [True, False], ids=["paper", "ideal"])
+    def test_register_size(self, paper):
+        # a slot holds two photons under rotation flips (f_pi < 1), or when
+        # the sequence excites it twice with no rotation between (hom)
+        noise = paper_noise() if paper else ideal_noise()
+        for seq, slots, double in ((build_bell_sequence(), 1, paper),
+                                   (build_ghz_sequence(2), 2, paper),
+                                   (build_ghz_sequence(3), 3, paper),
+                                   (build_hom_sequence(), 1, True)):
+            for s in (seq, seq.with_readout_rotation("y", math.pi / 2)):
+                assert sequence_layout(s, noise) == RegisterLayout(
+                    photon_slots=slots, slot_dim=6 if double else 3)
+        # an excitation of another slot between the two is no rotation
+        twice = PulseSequence((PulseOp("pump"), PulseOp("rotate", angle=math.pi),
+                               PulseOp("excite", slot=0, bin="early"),
+                               PulseOp("excite", slot=1, bin="early"),
+                               PulseOp("excite", slot=0, bin="late"), PulseOp("readout")))
+        assert sequence_layout(twice, ideal_noise()).slot_dim == 6
 
 
 class TestPump:
@@ -262,7 +281,7 @@ class TestExcitation:
             comps = [c for c in res.components if c.blink_off == off]
             return sum(c.weight * c.rho for c in comps)
 
-        dark = PulseSequence(tuple(s for s in seq.steps if s.kind != "excite"), seq.name)
+        dark = PulseSequence(tuple(s for s in seq.steps if s.kind != "excite"))
         no_blink = dataclasses.replace(noise, blink_block_len=0)
         expect_off = run_sequence_exact(dark, params, no_blink, lay).density().matrix
         expect_on = run_sequence_exact(seq, params, no_blink, lay).density().matrix
@@ -361,7 +380,7 @@ class TestTrajectoryEngine:
         seq = PulseSequence((PulseOp("pump"),
                              PulseOp("rotate", axis="y", angle=math.pi),
                              PulseOp("excite", slot=0, bin="early"),
-                             PulseOp("readout")), name="cyc")
+                             PulseOp("readout")))
         traj = run_sequence_trajectory(seq, params, ideal_noise(), 5,
                                        np.arange(200_000, dtype=np.uint64))
         emits = int(np.sum(traj.took(2, "emit")))
@@ -400,16 +419,16 @@ class TestTrajectoryEngine:
 
         params = paper_emitter()
         noise = dataclasses.replace(paper_noise(), p_wrong_transition=0.2, p_double=0.2)
-        run = _witness_subruns(3, params, paper_tbi())[0]
+        run = _witness_subruns(3, params)[0]
         reps = np.arange(3000, dtype=np.uint64)
         traj = run_sequence_trajectory(run.sequence, params, noise, 5, reps)
-        model = DetectionModel(traj.layout, run.tbi, noise, run.windows)
+        model = DetectionModel(traj.layout, paper_tbi(), run.phase, noise, run.windows)
         clicks = model.sample_run(traj, 5)
         excites = [(i, op) for i, op in enumerate(run.sequence.steps) if op.kind == "excite"]
         want = np.zeros_like(clicks.flagged)
         for e_i, (step_i, op) in enumerate(excites):
             outs = single_photon_outcomes(SLOT_EARLY if op.bin == "early" else SLOT_LATE,
-                                          run.tbi, model.eta)
+                                          model.tbi, model.eta)
             patterns = pattern_rows([c for c, _ in outs], want.shape[1], op.slot)
             for stream, labels in ((e_i, ("wrong",)),
                                    (len(excites) + e_i, ("emit_double", "sat_emit"))):
@@ -444,7 +463,7 @@ class TestTrajectoryEngine:
 
             def per_repetition(rep_slice):
                 traj = run_sequence_trajectory(seq, params, noise, 17, rep_slice)
-                model = DetectionModel(traj.layout, paper_tbi(), noise, windows)
+                model = DetectionModel(traj.layout, paper_tbi(), 0.0, noise, windows)
                 c = model.sample_run(traj, 17)
                 tags = c.to_tags(params.gamma0)
                 bounds = np.searchsorted(tags.repetition, rep_slice.astype(np.int64),
@@ -501,9 +520,9 @@ class TestExactMassBudget:
         from timebin.experiments import _witness_subruns
 
         params, noise = paper_emitter(), paper_noise()
-        run = _witness_subruns(n_qubits, params, paper_tbi())[0]
+        run = _witness_subruns(n_qubits, params)[0]
         exact = run_sequence_exact(run.sequence, params, noise)
-        model = DetectionModel(exact.layout, run.tbi, noise, run.windows)
+        model = DetectionModel(exact.layout, paper_tbi(), run.phase, noise, run.windows)
         lams = [model.leak_window_prob()] * (3 * exact.layout.photon_slots)
         p_none = math.prod(1 - lam for lam in lams)
         p_one = sum(lam * p_none / (1 - lam) for lam in lams)
@@ -572,7 +591,7 @@ class TestTableBranchChoice:
         if n_qubits == 4:
             # many states share each step
             assert max(len(kept) for kept, _ in counts) > 40
-        subruns = _witness_subruns(n_qubits, params, paper_tbi())
+        subruns = _witness_subruns(n_qubits, params)
         k = 3
         run = subruns[k]
         rows = slice(k, None, len(subruns))
@@ -618,7 +637,7 @@ class TestSharedGeneration:
         params = paper_emitter()
         noise = dataclasses.replace(paper_noise(), **(BLINKING if blink else {}))
         n_subruns = 0
-        for run, shared in _exact_subruns(n_qubits, params, noise, paper_tbi()):
+        for run, shared in _exact_subruns(n_qubits, params, noise):
             direct = run_sequence_exact(run.sequence, params, noise)
             assert shared.sequence == run.sequence
             assert shared.layout == direct.layout
@@ -656,7 +675,8 @@ class TestSharedGeneration:
                 b = direct.state_table[direct.state_ids[r]]
                 overlap = np.vdot(b, a)
                 assert np.max(np.abs(a - b * overlap / abs(overlap))) <= 1e-12
-            model = DetectionModel(direct.layout, sub.tbi, noise, sub.windows)
+            model = DetectionModel(direct.layout, paper_tbi(), sub.phase, noise,
+                                   sub.windows)
             want = model.sample_run(direct, 17)
             for name in ("signal", "flagged", "background", "spins",
                          "readout_signal", "readout_leak"):

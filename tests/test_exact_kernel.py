@@ -33,25 +33,25 @@ def entries(dist):
 
 
 def slot_model(slot_dim, thinned=False, s=0.5, v=0.989, indistinguishability=0.935,
-               theta_pol=0.0, drift=0.0):
-    tbi = dataclasses.replace(paper_tbi(), splitting_ratio=s, classical_visibility=v,
-                              theta_pol=theta_pol, drift_phase=drift)
+               phase=0.0):
+    tbi = dataclasses.replace(paper_tbi(), splitting_ratio=s, classical_visibility=v)
     noise = dataclasses.replace(paper_noise(), indistinguishability=indistinguishability)
-    return DetectionModel(RegisterLayout(photon_slots=1, slot_dim=slot_dim), tbi, noise,
-                          WindowConfig.for_sequence(1), thinned=thinned)
+    return DetectionModel(RegisterLayout(photon_slots=1, slot_dim=slot_dim), tbi, phase,
+                          noise, WindowConfig.for_sequence(1), thinned=thinned)
 
 
 class TestSlotAlphabet:
     @pytest.mark.parametrize("slot_dim", [3, 6])
     @pytest.mark.parametrize("thinned", [False, True])
     def test_matches_reference_builder(self, slot_dim, thinned):
-        # every GHZ-3 setting's polarizer offset, under a common drift
-        offsets = sorted({st.theta_pol_offset for st in ghz_settings(3)})
-        assert len(offsets) == 4
-        for s, v, ind, theta_pol, drift in itertools.product(
-                (0.5, 0.3), (0.0, 0.989, 1.0), (0.935, 1.0), offsets, (0.0, 0.9, -1.3)):
-            model = slot_model(slot_dim, thinned, s, v, ind, theta_pol, drift)
-            rows, mats, support = ref.slot_alphabet(model)
+        # every GHZ-3 setting's phase, its polarizer at theta0 + phase / 2
+        # (theta0 = 0), under a common drift of both passes
+        phases = sorted({st.phase for st in ghz_settings(3)})
+        assert len(phases) == 4
+        for s, v, ind, phase, drift in itertools.product(
+                (0.5, 0.3), (0.0, 0.989, 1.0), (0.935, 1.0), phases, (0.0, 0.9, -1.3)):
+            model = slot_model(slot_dim, thinned, s, v, ind, phase)
+            rows, mats, support = ref.slot_alphabet(model, phase / 2, drift)
             assert np.array_equal(model.alphabet_rows, rows)
             assert np.array_equal(model.alphabet_support, support)
             assert np.max(np.abs(model.alphabet_mats - mats)) < 1e-15
@@ -95,9 +95,9 @@ class TestExactComponents:
     def test_distributions_match_reference(self, n_qubits, sub_run):
         # every component of the sub-run, with its flag clicks
         params, noise = paper_emitter(), paper_noise()
-        run = _witness_subruns(n_qubits, params, paper_tbi())[sub_run]
+        run = _witness_subruns(n_qubits, params)[sub_run]
         exact = run_sequence_exact(run.sequence, params, noise)
-        model = DetectionModel(exact.layout, run.tbi, noise, run.windows)
+        model = DetectionModel(exact.layout, paper_tbi(), run.phase, noise, run.windows)
         assert any(comp.flag_clicks for comp in exact.components)
         for comp in exact.components:
             base = model.distribution(comp.rho, comp.flag_clicks)
@@ -129,9 +129,10 @@ class TestExactComponents:
         # byte of the output
         params = paper_emitter()
         noise = dataclasses.replace(paper_noise(), p_leak=p_leak)
-        run = _witness_subruns(n_qubits, params, paper_tbi())[sub_run]
+        run = _witness_subruns(n_qubits, params)[sub_run]
         exact = run_sequence_exact(run.sequence, params, noise)
-        model = DetectionModel(exact.layout, run.tbi, noise, run.windows, thinned)
+        model = DetectionModel(exact.layout, paper_tbi(), run.phase, noise, run.windows,
+                               thinned)
         assert any(comp.flag_clicks for comp in exact.components)
         h, n = hashlib.sha256(), 0
         for comp in exact.components:
@@ -146,9 +147,9 @@ class TestExactComponents:
         # a component whose trace is near PRUNE_TOL: a whole level can be
         # pruned away, leaving an empty or short distribution
         params, noise = paper_emitter(), paper_noise()
-        run = _witness_subruns(3, params, paper_tbi())[2]
+        run = _witness_subruns(3, params)[2]
         exact = run_sequence_exact(run.sequence, params, noise)
-        model = DetectionModel(exact.layout, run.tbi, noise, run.windows)
+        model = DetectionModel(exact.layout, paper_tbi(), run.phase, noise, run.windows)
         comp = max(exact.components, key=lambda c: len(c.flag_clicks))
         rho = comp.rho * (scale / np.trace(comp.rho).real)
         for flags in ((), comp.flag_clicks):
@@ -166,10 +167,10 @@ class TestTrajectoryStates:
     def test_distributions_match_reference(self, n_qubits, n_reps):
         # every distinct pure state the sub-run samples
         params, noise = paper_emitter(), paper_noise()
-        run = _witness_subruns(n_qubits, params, paper_tbi())[2]
+        run = _witness_subruns(n_qubits, params)[2]
         traj = run_sequence_trajectory(run.sequence, params, noise, 11,
                                        np.arange(n_reps, dtype=np.uint64))
-        model = DetectionModel(traj.layout, run.tbi, noise, run.windows)
+        model = DetectionModel(traj.layout, paper_tbi(), run.phase, noise, run.windows)
         assert len(traj.state_table) > 50
         for state in traj.state_table:
             assert entries(model.distribution(state)) == ref.distribution(model, state)
@@ -324,9 +325,9 @@ class TestPhaseConvention:
         elif case == "no-leak":
             noise = dataclasses.replace(noise, p_leak=0.0)
         elif case == "drift":
-            tbi = dataclasses.replace(tbi, theta0=0.1, drift_phase=0.9)
+            tbi = dataclasses.replace(tbi, theta0=0.1)
         args = n_qubits, paper_emitter(), noise, tbi, case == "thinned"
-        want = ref.physical_exact_counts(*args)
+        want = ref.physical_exact_counts(*args, drift=0.9 if case == "drift" else 0.0)
         assert all(acc.counts for acc in want.values())
         assert_counts_match(_exact_counts(*args), want)
 

@@ -119,7 +119,7 @@ def exact_spin_rho(noise, *steps):
 
 
 def spin_model(noise, layout=SPIN_ONLY):
-    return DetectionModel(layout, TBIParams(), noise, WindowConfig())
+    return DetectionModel(layout, TBIParams(), 0.0, noise, WindowConfig())
 
 
 class TestApplyChannel:
@@ -193,7 +193,7 @@ class TestSampleProjective:
         seq = build_bell_sequence().with_readout_rotation("y", math.pi / 2)
         traj = run_sequence_trajectory(seq, params, noise, 42,
                                        np.arange(5000, dtype=np.uint64))
-        model = DetectionModel(traj.layout, paper_tbi(), noise, WindowConfig())
+        model = DetectionModel(traj.layout, paper_tbi(), 0.0, noise, WindowConfig())
         a, b = model.sample_run(traj, 42), model.sample_run(traj, 42)
         assert np.array_equal(a.pattern_catalog, b.pattern_catalog)
         for name in ("spins", "readout_signal", "readout_leak", "signal",

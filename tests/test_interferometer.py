@@ -10,15 +10,14 @@ from timebin.emitter import ideal_noise
 from timebin.errors import ConfigurationError
 from timebin.hilbert import SLOT_EARLY, SLOT_LATE, SPIN_DOWN, RegisterLayout
 from timebin.interferometer import (Detector, TBIParams, Window,
-                                    classical_fringe, effective_phase,
-                                    excitation_phase, fit_fringe,
+                                    classical_fringe, effective_phase, fit_fringe,
                                     slot_window_povm)
 
 
 def window_probabilities(slot_label, splitting_ratio):
     """Click-window distribution of |down, slot_label> in the detection model."""
     lay = RegisterLayout(photon_slots=1, slot_dim=3)
-    model = DetectionModel(lay, TBIParams(splitting_ratio=splitting_ratio),
+    model = DetectionModel(lay, TBIParams(splitting_ratio=splitting_ratio), 0.0,
                            ideal_noise(), WindowConfig())
     psi = np.zeros(lay.total_dim, complex)
     psi[lay.basis_index([SPIN_DOWN, slot_label])] = 1.0
@@ -33,7 +32,7 @@ def window_probabilities(slot_label, splitting_ratio):
 
 def middle_click_probabilities(tbi, early_amp, late_amp):
     """P(D1), P(D2) given a middle-window click, from slot_window_povm."""
-    povm = slot_window_povm(tbi, 3)
+    povm = slot_window_povm(tbi, 0.0, 3)
     vec = np.zeros(3, complex)
     vec[SLOT_EARLY], vec[SLOT_LATE] = early_amp, late_amp
     p1, p2 = (np.vdot(vec, povm[(Window.MIDDLE, det)] @ vec).real
@@ -43,16 +42,15 @@ def middle_click_probabilities(tbi, early_amp, late_amp):
 
 class TestEffectivePhase:
     def test_x_basis_condition(self):
-        tbi = TBIParams(theta0=0.4, theta_pol=0.4)
-        assert effective_phase(tbi) == pytest.approx(0.0)
+        assert effective_phase(0.4, TBIParams(theta0=0.4)) == pytest.approx(0.0)
 
     def test_y_basis_condition(self):
-        tbi = TBIParams(theta0=0.4, theta_pol=0.4 + math.pi / 4)
-        assert effective_phase(tbi) == pytest.approx(math.pi / 2)
+        tbi = TBIParams(theta0=0.4)
+        assert effective_phase(0.4 + math.pi / 4, tbi) == pytest.approx(math.pi / 2)
 
     def test_half_turn_swaps_detectors(self):
-        tbi = TBIParams(theta0=0.0, theta_pol=math.pi / 2)
-        assert effective_phase(tbi) == pytest.approx(math.pi)
+        tbi = TBIParams(theta0=0.0)
+        assert effective_phase(math.pi / 2, tbi) == pytest.approx(math.pi)
 
 
 class TestRouting:
@@ -72,7 +70,7 @@ class TestRouting:
 
     def test_superposition_window_probabilities(self):
         # (|e> + |l>)/sqrt(2): quarter early, quarter late, half middle
-        povm = slot_window_povm(TBIParams(classical_visibility=1.0), slot_dim=3)
+        povm = slot_window_povm(TBIParams(classical_visibility=1.0), 0.0, slot_dim=3)
         vec = np.zeros(3, complex)
         vec[SLOT_EARLY] = vec[SLOT_LATE] = 1 / math.sqrt(2)
         probs = {}
@@ -91,7 +89,7 @@ class TestRouting:
         for v_c in (1.0, 0.9):
             for s in (0.5, 0.3):
                 povm = slot_window_povm(
-                    TBIParams(classical_visibility=v_c, splitting_ratio=s), 3)
+                    TBIParams(classical_visibility=v_c, splitting_ratio=s), 0.0, 3)
                 total = sum(povm.values())
                 expected = np.diag([0.0, 1.0, 1.0]).astype(complex)
                 assert np.max(np.abs(total - expected)) < 1e-12
@@ -122,7 +120,7 @@ class TestMiddleProjectors:
         # so a middle-window click always lands on one of the two detectors
         for s in (0.5, 0.3):
             povm = slot_window_povm(TBIParams(classical_visibility=0.97,
-                                              splitting_ratio=s), 3)
+                                              splitting_ratio=s), 0.0, 3)
             total = povm[(Window.MIDDLE, Detector.D1)] + povm[(Window.MIDDLE, Detector.D2)]
             expected = np.zeros((3, 3))
             expected[SLOT_EARLY, SLOT_EARLY], expected[SLOT_LATE, SLOT_LATE] = 1 - s, s
@@ -135,7 +133,7 @@ class TestMiddleProjectors:
         for s in (0.5, 0.3, 0.71):
             for v in (0.0, 0.37, 0.989, 1.0):
                 povm = slot_window_povm(TBIParams(classical_visibility=v,
-                                                  splitting_ratio=s, drift_phase=0.4), 3)
+                                                  splitting_ratio=s), 0.4, 3)
                 for det in Detector:
                     m = povm[(Window.MIDDLE, det)]
                     assert m[SLOT_EARLY, SLOT_EARLY] == 0.5 * (1 - s)
@@ -144,7 +142,7 @@ class TestMiddleProjectors:
 
 class TestClassicalFringe:
     def test_reference_angle(self):
-        tbi = TBIParams(theta0=0.2, theta_pol=0.2, classical_visibility=1.0)
+        tbi = TBIParams(theta0=0.2, classical_visibility=1.0)
         assert classical_fringe(0.2, tbi)[0] == pytest.approx(1.0)
 
     def test_quadrature_zero(self):
@@ -169,14 +167,16 @@ class TestDriftImmunity:
     def test_common_phase_cancels(self):
         # physically the photon is emitted at phi_e and read at phi_d, and a
         # common drift of both cancels: for each drift, these probabilities
-        # equal those of the phase-0 photon read with slot_window_povm
+        # equal those of the phase-0 photon read with slot_window_povm at
+        # the observable phase
         v3 = np.zeros(3, complex)
         v3[SLOT_EARLY] = v3[SLOT_LATE] = 1 / math.sqrt(2)
+        tbi, theta_pol = TBIParams(theta0=0.1), 0.45
+        povm = slot_window_povm(tbi, effective_phase(theta_pol, tbi), 3)
         for drift in (0.0, 0.9, 2.2, -1.3):
-            tbi = TBIParams(theta0=0.1, theta_pol=0.45, drift_phase=drift)
-            physical = ref.slot_window_povm(tbi, 3, physical=True)
-            emitted = v3 * np.exp(1j * excitation_phase(tbi) * (np.arange(3) == SLOT_LATE))
-            povm = slot_window_povm(tbi, 3)
+            physical = ref.slot_window_povm(tbi, theta_pol, drift, 3, physical=True)
+            phase_e = ref.excitation_phase(theta_pol, drift, tbi)
+            emitted = v3 * np.exp(1j * phase_e * (np.arange(3) == SLOT_LATE))
             assert povm.keys() == physical.keys()
             for key, m in povm.items():
                 want = np.vdot(emitted, physical[key] @ emitted).real
@@ -191,8 +191,8 @@ def test_splitting_ratio_validation():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"theta0": math.inf}, {"theta0": math.nan}, {"theta_pol": -math.inf},
-    {"drift_phase": math.nan}, {"detector_efficiency": 5.0},
+    {"theta0": math.inf}, {"theta0": math.nan}, {"theta0": -math.inf},
+    {"classical_visibility": math.nan}, {"detector_efficiency": 5.0},
     {"detector_efficiency": -0.1}, {"detector_efficiency": math.nan}])
 def test_non_finite_or_out_of_range(kwargs):
     # a non-finite angle has no fringe, and an efficiency is a probability

@@ -12,7 +12,7 @@ def ghz_stream_keys(n_qubits: int) -> list[tuple[str, int]]:
     """Every (namespace, offset) a GHZ witness run of n_qubits can request,
     tag expansion included."""
     steps = max((run.sequence.steps for run in
-                 _witness_subruns(n_qubits, paper_emitter(), paper_tbi())), key=len)
+                 _witness_subruns(n_qubits, paper_emitter())), key=len)
     n_excite = sum(op.kind == "excite" for op in steps)
     n_windows = 3 * (n_qubits - 1)
     keys = [("emitter.step", i) for i in range(len(steps) - 1)]

@@ -138,7 +138,8 @@ class TestSettings:
         assert zz.allowed_windows == (Window.EARLY, Window.LATE)
         assert yy.allowed_windows == (Window.MIDDLE,)
         assert xx.theta == pytest.approx(math.pi)
-        assert yy.theta_pol_offset == pytest.approx(math.pi / 4)
+        # each setting reads the photons at its own phase: theta, or 0 for ZZ
+        assert (zz.phase, yy.phase, xx.phase) == (0.0, math.pi / 2, math.pi)
 
     def test_ghz_setting_count(self):
         assert len(ghz_settings(3)) == 4
