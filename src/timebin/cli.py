@@ -101,9 +101,27 @@ def _counts_csv(path: Path, outcome) -> None:
 
 
 def _run_simulate(config: RunConfig, out: Path) -> list[str]:
-    outputs = []
+    # a witness run writes its tag file even without tags, hom only with some
+    tag_files = (_TagFiles(out, always=config.experiment != "hom")
+                 if config.write_timetags else None)
+    try:
+        outputs = _simulate(config, out, tag_files)
+        return outputs + (tag_files.close() if tag_files else [])
+    except BaseException:
+        if tag_files:
+            tag_files.discard()
+        raise
+
+
+def _simulate(config: RunConfig, out: Path, tag_files) -> list[str]:
+    """Run the experiment and write its report (and counts); each block's
+    tags go to tag_files."""
     if config.experiment in ("bell", "ghz"):
         n_qubits = 2 if config.experiment == "bell" else config.n_qubits
+
+        def on_block(clicks):
+            tag_files.add(clicks[0].to_tags(config.emitter.gamma0, clicks[1:]))
+
         # the exact reference shares no state with the sampled run, so it is
         # computed beside it, before the run's arrays exist
         with _beside(lambda: exp.witness_exact(
@@ -113,7 +131,7 @@ def _run_simulate(config: RunConfig, out: Path) -> list[str]:
                                          config.tbi, config.n_repetitions,
                                          config.master_seed,
                                          thinned=config.thinned,
-                                         keep_clicks=config.write_timetags)
+                                         on_block=on_block if tag_files else None)
             exact = exact_fidelity()
         report = _witness_report(run.outcome, {
             "experiment": config.experiment,
@@ -124,22 +142,14 @@ def _run_simulate(config: RunConfig, out: Path) -> list[str]:
             "thinned": config.thinned,
         })
         _write_report(out / "report.json", report)
-        outputs.append("report.json")
         _counts_csv(out / "counts.csv", run.outcome)
-        outputs.append("counts.csv")
-        if config.write_timetags and run.clicks:
-            tags = run.clicks[0].to_tags(config.emitter.gamma0, run.clicks[1:])
-            coin.export_timetags(out / "timetags.csv", tags)
-            outputs.append("timetags.csv")
-            if len(tags):
-                starts, counts = coin.build_histogram(tags, bin_width=0.5)
-                coin.histogram_to_csv(out / "histogram.csv", starts, counts)
-                outputs.append("histogram.csv")
-    elif config.experiment == "hom":
+        return ["report.json", "counts.csv"]
+    if config.experiment == "hom":
         run = exp.simulate_hom(config.emitter, config.noise, config.tbi,
                                config.n_repetitions, config.master_seed,
                                thinned=config.thinned,
-                               v_classical_assumed=V_CLASSICAL_BACKSOLVED)
+                               v_classical_assumed=V_CLASSICAL_BACKSOLVED,
+                               on_block=tag_files.add if tag_files else None)
         report = {
             "experiment": "hom",
             "n_repetitions": config.n_repetitions,
@@ -155,16 +165,46 @@ def _run_simulate(config: RunConfig, out: Path) -> list[str]:
                                     "characterization chain, not measured"},
         }
         _write_report(out / "report.json", report)
-        outputs.append("report.json")
-        if config.write_timetags and len(run.tags):
-            coin.export_timetags(out / "timetags.csv", run.tags)
-            outputs.append("timetags.csv")
-            starts, counts = coin.build_histogram(run.tags, bin_width=0.5)
-            coin.histogram_to_csv(out / "histogram.csv", starts, counts)
-            outputs.append("histogram.csv")
-    else:
-        raise ConfigurationError(f"simulate cannot run {config.experiment!r}")
-    return outputs
+        return ["report.json"]
+    raise ConfigurationError(f"simulate cannot run {config.experiment!r}")
+
+
+class _TagFiles:
+    """A simulate run's timetags.csv and histogram.csv, written as its
+    blocks' tags arrive (`add`).  timetags.csv is begun at the first block
+    with tags, or at the first block at all when always is set;
+    histogram.csv is written by `close` if there were tags."""
+
+    def __init__(self, out: Path, always: bool):
+        self.out = out
+        self.always = always
+        self.fh = None
+        self.histogram = coin.Histogram(bin_width=0.5)
+
+    def add(self, tags) -> None:
+        if self.fh is None:
+            if not (len(tags) or self.always):
+                return
+            self.fh = open(self.out / "timetags.csv", "wb")
+            self.writer = coin.TagWriter(self.fh)
+        self.writer.write(tags)
+        self.histogram.add(tags)
+
+    def close(self) -> list[str]:
+        """Finish the files; returns the names of those written."""
+        if self.fh is None:
+            return []
+        self.fh.close()
+        if self.histogram.n_tags == 0:
+            return ["timetags.csv"]
+        coin.histogram_to_csv(self.out / "histogram.csv", *self.histogram.result())
+        return ["timetags.csv", "histogram.csv"]
+
+    def discard(self) -> None:
+        """Remove the tag file of a run that failed."""
+        if self.fh is not None:
+            self.fh.close()
+            (self.out / "timetags.csv").unlink()
 
 
 @contextlib.contextmanager
@@ -287,27 +327,35 @@ def _run_analyze(args) -> list[str]:
     cfg = _read_manifest(args.manifest) if args.manifest else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tags = coin.ingest_timetags(args.input)
-    if len(tags) == 0:
-        raise UndefinedEstimateError("input file holds no time tags")
     # the windows of the run's sequence, or without a manifest the ones
     # simulate hom analyses its own tags with at the default t_inf
     windows = cfg.windows if cfg else WindowConfig.for_sequence(1)
+    analyses = {
+        "histogram": lambda: [coin.Histogram(args.bin_width)],
+        "g2": lambda: [coin.G2Counts(windows)],
+        "hom": lambda: [coin.HomPairs(windows), coin.G2Counts(windows)],
+        "witness": lambda: [_WitnessCounts(cfg, windows)],
+    }
+    if args.mode not in analyses:
+        raise ConfigurationError(f"unknown analyze mode {args.mode!r}")
+    consumers, n_tags = coin.read_timetags(args.input, analyses[args.mode], windows)
+    if n_tags == 0:
+        raise UndefinedEstimateError("input file holds no time tags")
     outputs = []
     if args.mode == "histogram":
-        starts, counts = coin.build_histogram(tags, bin_width=args.bin_width)
+        starts, counts = consumers[0].result()
         coin.histogram_to_csv(out / "histogram.csv", starts, counts)
-        report = {"mode": "histogram", "n_tags": len(tags),
+        report = {"mode": "histogram", "n_tags": n_tags,
                   "bin_width_ns": args.bin_width}
         outputs.append("histogram.csv")
     elif args.mode == "g2":
-        g2, err, detail = coin.g2_zero(tags, windows)
+        g2, err, detail = consumers[0].result()
         report = {"mode": "g2", "g2_zero": {"value": g2, "error": err},
                   "per_class": detail}
     elif args.mode == "hom":
-        counts = coin.hom_counts_from_tags(tags, windows)
+        counts = consumers[0].result()
         v_raw, v_err = coin.hom_visibility(counts)
-        g2, g2_err, detail = coin.g2_zero(tags, windows)
+        g2, g2_err, _ = consumers[1].result()
         v_corr = coin.hom_correct(v_raw, g2, V_CLASSICAL_BACKSOLVED)
         report = {"mode": "hom",
                   "hom_counts": {"n1": counts.n1, "n2": counts.n2, "n3": counts.n3},
@@ -315,10 +363,8 @@ def _run_analyze(args) -> list[str]:
                   "g2_zero": {"value": g2, "error": g2_err},
                   "v_corrected": {"value": v_corr,
                                   "v_classical_assumed": V_CLASSICAL_BACKSOLVED}}
-    elif args.mode == "witness":
-        report = _analyze_witness(tags, cfg, windows)
     else:
-        raise ConfigurationError(f"unknown analyze mode {args.mode!r}")
+        report = consumers[0].result()
     report["configuration"] = {"input": str(args.input), "mode": args.mode,
                                "bin_width_ns": args.bin_width,
                                "windows": dataclasses.asdict(windows)}
@@ -358,53 +404,64 @@ def _read_manifest(path) -> RunConfig:
         raise ConfigurationError(f"manifest {path}: {exc}") from None
 
 
-def _analyze_witness(tags, cfg: RunConfig | None, windows: WindowConfig) -> dict:
-    """Reconstruct witness estimates from bare tags plus the configuration
-    echoed in the run manifest, classified with the run's windows."""
-    if cfg is None:
-        raise ConfigurationError("witness analysis needs --manifest from the run")
-    if cfg.experiment not in ("bell", "ghz"):
-        raise ConfigurationError("witness analysis needs the manifest of a bell "
-                                 f"or ghz run, not {cfg.experiment!r}")
-    n_qubits = 2 if cfg.experiment == "bell" else cfg.n_qubits
-    settings = wit.ghz_settings(n_qubits)
-    n_subs = 2 * len(settings)
-    # one repetition's tags are contiguous in the sorted view: count its
-    # photonic tags per (slot, window, detector) cell, then count the
-    # readout-clicked repetitions of each sub-run row by row
-    tags, code = coin._analysis_view(tags, windows)
-    new_rep = np.r_[True, tags.repetition[1:] != tags.repetition[:-1]]
-    starts = np.flatnonzero(new_rep)
-    readout = np.logical_or.reduceat(code == coin.READOUT, starts)
-    photonic = (code & 3) != coin.READOUT
-    n_cells = 6 * windows.n_slots
-    flat = np.cumsum(new_rep)[photonic]
-    flat -= 1
-    flat *= n_cells
-    # (slot, window) of each photonic tag, widened first: click_cell of
-    # int8 codes would wrap past slot 20
-    flat += coin.click_cell(*np.divmod(code[photonic].astype(np.intp), 4),
-                            tags.detector[photonic])
-    # counted per occupied (repetition, cell) rather than in a table of
-    # every repetition's cells
-    flat, n_tags = np.unique(flat, return_counts=True)
-    if n_tags.max(initial=0) > 255:
-        rep = tags.repetition[starts[flat[np.argmax(n_tags > 255)] // n_cells]]
-        raise ContractError(f"repetition {rep} holds more than 255 tags in one "
-                            "window on one detector")
-    cells = np.zeros((len(starts), n_cells), np.uint8)
-    cells.ravel()[flat] = n_tags
-    sub_run = tags.repetition[starts] % n_subs
-    counts = {s.label: wit.SettingCounts(s, n_qubits - 1) for s in settings}
-    for sub in range(n_subs):
-        rows = cells[readout & (sub_run == sub)]
-        counts[settings[sub // 2].label].add_expected(sub % 2, rows, np.ones(len(rows)))
-    estimates, (f, f_err) = wit.fidelity_estimate(n_qubits, counts)
-    return {"mode": "witness", "n_qubits": n_qubits,
-            "estimates": {label: {"value": v, "error": e}
-                          for label, (v, e) in estimates.items()},
-            "fidelity": {"value": f, "error": f_err},
-            "witness_violated": f > 0.5}
+class _WitnessCounts:
+    """Witness estimates from bare tags plus the configuration echoed in the
+    run manifest, classified with the run's windows; tags are added a block
+    of whole repetitions at a time (`coincidence.read_timetags`)."""
+
+    def __init__(self, cfg: RunConfig | None, windows: WindowConfig):
+        if cfg is None:
+            raise ConfigurationError("witness analysis needs --manifest from the run")
+        if cfg.experiment not in ("bell", "ghz"):
+            raise ConfigurationError("witness analysis needs the manifest of a bell "
+                                     f"or ghz run, not {cfg.experiment!r}")
+        self.n_qubits = 2 if cfg.experiment == "bell" else cfg.n_qubits
+        self.windows = windows
+        self.settings = wit.ghz_settings(self.n_qubits)
+        self.counts = {s.label: wit.SettingCounts(s, self.n_qubits - 1)
+                       for s in self.settings}
+
+    def add(self, tags) -> None:
+        """Count a block's heralded repetitions.  A repetition's tags are
+        contiguous: count its photonic tags per (slot, window, detector)
+        cell, then count the readout-clicked repetitions of each sub-run
+        row by row."""
+        windows, n_subs = self.windows, 2 * len(self.settings)
+        tags, code = coin._analysis_view(tags, windows)
+        new_rep = np.r_[True, tags.repetition[1:] != tags.repetition[:-1]]
+        starts = np.flatnonzero(new_rep)
+        readout = np.logical_or.reduceat(code == coin.READOUT, starts)
+        photonic = (code & 3) != coin.READOUT
+        n_cells = 6 * windows.n_slots
+        flat = np.cumsum(new_rep)[photonic]
+        flat -= 1
+        flat *= n_cells
+        # (slot, window) of each photonic tag, widened first: click_cell of
+        # int8 codes would wrap past slot 20
+        flat += coin.click_cell(*np.divmod(code[photonic].astype(np.intp), 4),
+                                tags.detector[photonic])
+        # counted per occupied (repetition, cell) rather than in a table of
+        # every repetition's cells
+        flat, n_tags = np.unique(flat, return_counts=True)
+        if n_tags.max(initial=0) > 255:
+            rep = tags.repetition[starts[flat[np.argmax(n_tags > 255)] // n_cells]]
+            raise ContractError(f"repetition {rep} holds more than 255 tags in one "
+                                "window on one detector")
+        cells = np.zeros((len(starts), n_cells), np.uint8)
+        cells.ravel()[flat] = n_tags
+        sub_run = tags.repetition[starts] % n_subs
+        for sub in range(n_subs):
+            rows = cells[readout & (sub_run == sub)]
+            self.counts[self.settings[sub // 2].label].add_expected(sub % 2, rows,
+                                                                    np.ones(len(rows)))
+
+    def result(self) -> dict:
+        estimates, (f, f_err) = wit.fidelity_estimate(self.n_qubits, self.counts)
+        return {"mode": "witness", "n_qubits": self.n_qubits,
+                "estimates": {label: {"value": v, "error": e}
+                              for label, (v, e) in estimates.items()},
+                "fidelity": {"value": f, "error": f_err},
+                "witness_violated": f > 0.5}
 
 
 # ---------------------------------------------------------------------------

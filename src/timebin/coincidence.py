@@ -4,7 +4,11 @@ Operates on `TagArrays` columns of (detector, time, repetition) clicks,
 whether they came from the trajectory simulator or from an external CSV,
 and implements fluorescence histograms, window gating, the pulsed
 autocorrelation g2(0), and the two-photon interference (HOM) estimators
-with their corrections.
+with their corrections.  Each analysis is one set of sums that takes tags
+a block of whole repetitions at a time (`Histogram`, `G2Counts`,
+`HomPairs`), fed by `simulate` as it runs and by `read_timetags` as it
+reads a file; `build_histogram`, `g2_zero` and `hom_counts_from_tags`
+apply them to whole tag arrays.
 """
 from __future__ import annotations
 
@@ -233,9 +237,7 @@ def sorted_tags(det, time, rep) -> TagArrays:
     """The tags of the columns det, time and rep in (repetition, time,
     detector) order (`tag_order`)."""
     order = tag_order(det, time, rep)
-    tags = TagArrays(det[order], time[order], rep[order])
-    tags._ordered = True
-    return tags
+    return _ordered(det[order], time[order], rep[order])
 
 
 def _dense_rank(values) -> tuple[np.ndarray, int]:
@@ -325,27 +327,62 @@ def _analysis_view(tags: TagArrays, windows: WindowConfig
 
 
 def build_histogram(tags: TagArrays, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Counts per time bin summed over both detectors.
+    """Counts per time bin summed over both detectors (`Histogram` of all
+    the tags at once).
 
     Returns (bin_starts, counts); bin k covers [k*w, (k+1)*w).  A bin
     width that is not finite and positive, or one that would need more
     than MAX_HISTOGRAM_BINS bins, raises ContractError before any array is
     made.
     """
-    if not (math.isfinite(bin_width) and bin_width > 0):
-        raise ContractError(f"bin width must be finite and positive, got {bin_width}")
-    if len(tags) == 0:
-        raise ContractError("cannot histogram an empty tag list")
-    t_max = float(tags.time.max())
-    last = t_max / bin_width
-    if not last < MAX_HISTOGRAM_BINS:
-        raise ContractError(f"bin width {bin_width} ns needs {last + 1:.3g} bins up to "
-                            f"{t_max} ns, more than {MAX_HISTOGRAM_BINS}")
-    n_bins = int(math.floor(last)) + 1
-    idx = np.floor(tags.time / bin_width).astype(np.int64)
-    idx = idx[idx >= 0]
-    counts = np.bincount(idx, minlength=n_bins)
-    return np.arange(n_bins) * bin_width, counts
+    histogram = Histogram(bin_width)
+    histogram.add(tags)
+    return histogram.result()
+
+
+class Histogram:
+    """Counts per time bin of both detectors, added a block of tags at a
+    time in any order: the counts grow to bin floor(t_max / w), t_max the
+    latest time so far.  A width that is not finite and positive raises
+    ContractError at once; times that would need more than
+    MAX_HISTOGRAM_BINS bins are not counted, and `result` raises
+    ContractError for them."""
+
+    def __init__(self, bin_width: float):
+        if not (math.isfinite(bin_width) and bin_width > 0):
+            raise ContractError(f"bin width must be finite and positive, got {bin_width}")
+        self.bin_width = bin_width
+        self.n_tags = 0
+        self.t_max = -math.inf
+        self.counts = np.zeros(0, np.int64)
+
+    def add(self, tags: TagArrays) -> None:
+        if len(tags) == 0:
+            return
+        self.n_tags += len(tags)
+        # NaN stays the maximum, as it is of the times
+        self.t_max = float(np.max((self.t_max, tags.time.max())))
+        if not self.t_max / self.bin_width < MAX_HISTOGRAM_BINS:
+            return
+        idx = np.floor(tags.time / self.bin_width).astype(np.int64)
+        part = np.bincount(idx[idx >= 0])
+        if part.size > self.counts.size:
+            self.counts = np.concatenate([self.counts,
+                                          np.zeros(part.size - self.counts.size, np.int64)])
+        self.counts[:part.size] += part
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """(bin_starts, counts), as `build_histogram` returns them."""
+        if self.n_tags == 0:
+            raise ContractError("cannot histogram an empty tag list")
+        last = self.t_max / self.bin_width
+        if not last < MAX_HISTOGRAM_BINS:
+            raise ContractError(f"bin width {self.bin_width} ns needs {last + 1:.3g} bins "
+                                f"up to {self.t_max} ns, more than {MAX_HISTOGRAM_BINS}")
+        n_bins = int(math.floor(last)) + 1
+        counts = np.zeros(n_bins, np.int64)
+        counts[:self.counts.size] = self.counts
+        return np.arange(n_bins) * self.bin_width, counts
 
 
 def histogram_to_csv(path, bin_starts: np.ndarray, counts: np.ndarray) -> None:
@@ -400,44 +437,100 @@ def _long_delay_pairs(reps: np.ndarray, n1: np.ndarray, n2: np.ndarray, k: int) 
     return int(np.dot(n1, c2[hi] - c2[1:]) + np.dot(n2, c1[hi] - c1[1:]))
 
 
+def _repetition_parts(tags: TagArrays, windows: WindowConfig):
+    """The tags in (repetition, time, detector) order (`_analysis_view`),
+    as TagArrays of whole repetitions, about SCAN_BLOCK tags each
+    (`_repetition_blocks`), marked as ordered and holding their slice of
+    the codes, so the tags are classified once."""
+    tags, code = _analysis_view(tags, windows)
+    for lo, hi in _repetition_blocks(tags.repetition):
+        part = _ordered(tags.detector[lo:hi], tags.time[lo:hi], tags.repetition[lo:hi])
+        part._codes[windows] = code[lo:hi]
+        yield part
+
+
 def g2_zero(tags: TagArrays, windows: WindowConfig) -> tuple[float, float, dict]:
-    """Pulsed autocorrelation at zero delay.
+    """Pulsed autocorrelation at zero delay (`G2Counts` of the tags, a block
+    of whole repetitions at a time).  Returns (g2, standard error,
+    per-class detail)."""
+    counts = G2Counts(windows)
+    for part in _repetition_parts(tags, windows):
+        counts.add(part)
+    return counts.result()
+
+
+class G2Counts:
+    """The sums of the pulsed g2(0), added a block of tags at a time.
 
     Same-repetition cross-detector coincidences within a window class,
     normalized by the mean coincidence rate at repetition offsets 1..k,
     k = min(G2_MAX_DELAY_REPS, span of the tags' repetitions), averaged over
     the early and late classes, so only repetition differences matter.
-    The tags are classified once (`_analysis_view`); each class's clicked
-    repetitions come from the group starts of the sorted repetitions, and
-    its long-delay pairs from offsets into them (`_long_delay_pairs`), so
-    time and memory grow with the tags, not with the repetition indices.
-    Returns (g2, standard error, per-class detail).
+    Each block is whole repetitions in (repetition, time, detector) order,
+    after the blocks before; it is classified once (`_analysis_view`).
+    Each class's clicked repetitions come from the group starts of the
+    block's repetitions (`_window_counts`) and its long-delay pairs from
+    offsets into them (`_long_delay_pairs`), so time and memory grow with
+    the tags, not with the repetition indices.  The last
+    G2_MAX_DELAY_REPS repetitions' counts are carried to the next block,
+    so pairs across a block edge count too; pairs are counted up to that
+    offset, which are all of them when the span is shorter, and divided by
+    k in `result`.  Every sum is an integer, exact in any order.
     """
-    if len(tags) == 0:
-        raise UndefinedEstimateError("no tags to analyze")
-    tags, code = _analysis_view(tags, windows)
-    window_code = code & 3
-    span = int(tags.repetition[-1]) - int(tags.repetition[0])
-    if span < 1:
-        raise UndefinedEstimateError("g2 needs at least two repetitions")
-    k = min(G2_MAX_DELAY_REPS, span)
-    detail = {}
-    values, weights = [], []
-    for window in (Window.EARLY, Window.LATE):
-        reps, n1, n2 = _window_counts(tags, window_code, window)
-        same = float(np.sum(n1 * n2))
-        # integer sums: exact in any order
-        far_mean = 0.5 * _long_delay_pairs(reps, n1, n2, k) / k
-        if far_mean <= 0:
-            raise UndefinedEstimateError(f"no long-delay coincidences in {window.value}")
-        g2 = same / far_mean
-        err = math.sqrt(max(same, 1.0)) / far_mean
-        detail[window.value] = {"same": same, "far_mean": far_mean, "g2": g2, "err": err}
-        values.append(g2)
-        weights.append(err)
-    g2_avg = 0.5 * (values[0] + values[1])
-    err_avg = 0.5 * math.hypot(weights[0], weights[1])
-    return g2_avg, err_avg, detail
+
+    def __init__(self, windows: WindowConfig):
+        self.windows = windows
+        self.n_tags = 0
+        self.first = self.last = 0
+        self.same = [0, 0]
+        self.far = [0, 0]
+        nothing = np.zeros(0, np.int64)
+        self.carry = [(nothing,) * 3] * 2
+
+    def add(self, tags: TagArrays) -> None:
+        if len(tags) == 0:
+            return
+        tags, code = _analysis_view(tags, self.windows)
+        if self.n_tags == 0:
+            self.first = int(tags.repetition[0])
+        self.n_tags += len(tags)
+        self.last = int(tags.repetition[-1])
+        window_code = code & 3
+        for i, window in enumerate((Window.EARLY, Window.LATE)):
+            reps, n1, n2 = _window_counts(tags, window_code, window)
+            self.same[i] += int(np.dot(n1, n2))
+            carry = self.carry[i]
+            reps, n1, n2 = (np.concatenate(pair) for pair in zip(carry, (reps, n1, n2)))
+            self.far[i] += (_long_delay_pairs(reps, n1, n2, G2_MAX_DELAY_REPS)
+                            - _long_delay_pairs(*carry, G2_MAX_DELAY_REPS))
+            # a later block's repetitions are above last
+            keep = reps > self.last - G2_MAX_DELAY_REPS
+            self.carry[i] = reps[keep], n1[keep], n2[keep]
+
+    def result(self) -> tuple[float, float, dict]:
+        """(g2, standard error, per-class detail)."""
+        if self.n_tags == 0:
+            raise UndefinedEstimateError("no tags to analyze")
+        span = self.last - self.first
+        if span < 1:
+            raise UndefinedEstimateError("g2 needs at least two repetitions")
+        k = min(G2_MAX_DELAY_REPS, span)
+        detail = {}
+        values, weights = [], []
+        for i, window in enumerate((Window.EARLY, Window.LATE)):
+            same = float(self.same[i])
+            far_mean = 0.5 * self.far[i] / k
+            if far_mean <= 0:
+                raise UndefinedEstimateError(f"no long-delay coincidences in {window.value}")
+            g2 = same / far_mean
+            err = math.sqrt(max(same, 1.0)) / far_mean
+            detail[window.value] = {"same": same, "far_mean": far_mean, "g2": g2,
+                                    "err": err}
+            values.append(g2)
+            weights.append(err)
+        g2_avg = 0.5 * (values[0] + values[1])
+        err_avg = 0.5 * math.hypot(weights[0], weights[1])
+        return g2_avg, err_avg, detail
 
 
 # ---------------------------------------------------------------------------
@@ -447,24 +540,37 @@ def g2_zero(tags: TagArrays, windows: WindowConfig) -> tuple[float, float, dict]
 
 def hom_counts_from_tags(tags: TagArrays, windows: WindowConfig,
                          center_halfwidth: float | None = None) -> HomCounts:
-    """Same-repetition cross-detector delay histogram, gated on a middle click.
+    """Same-repetition cross-detector delay histogram, gated on a middle
+    click (`HomPairs` of the tags, a block of whole repetitions at a
+    time)."""
+    pairs = HomPairs(windows, center_halfwidth)
+    for part in _repetition_parts(tags, windows):
+        pairs.add(part)
+    return pairs.result()
+
+
+class HomPairs:
+    """HOM coincidence counts, added a block of tags at a time.
 
     Integration windows default to bins of half the time-bin separation
-    centered at 0 and +-T_inf (the side/center/side regions).  The
-    photonic tags are taken in their sorted order (`_analysis_view`),
-    where each repetition's tags are contiguous, and paired within those
-    groups, one block of whole repetitions at a time
-    (`_repetition_blocks`).
+    centered at 0 and +-T_inf (the side/center/side regions).  Each block
+    is whole repetitions in (repetition, time, detector) order; its
+    photonic tags, where each repetition's tags are contiguous, are paired
+    within those groups.
     """
-    t_inf = windows.bin_separation
-    half = t_inf / 2.0 if center_halfwidth is None else center_halfwidth
-    tags, code = _analysis_view(tags, windows)
-    n1 = n2 = n3 = 0
-    for lo, hi in _repetition_blocks(tags.repetition):
-        window_code = code[lo:hi] & 3
+
+    def __init__(self, windows: WindowConfig, center_halfwidth: float | None = None):
+        self.windows = windows
+        self.t_inf = windows.bin_separation
+        self.half = self.t_inf / 2.0 if center_halfwidth is None else center_halfwidth
+        self.n1 = self.n2 = self.n3 = 0
+
+    def add(self, tags: TagArrays) -> None:
+        t_inf, half = self.t_inf, self.half
+        tags, code = _analysis_view(tags, self.windows)
+        window_code = code & 3
         photonic = np.flatnonzero(window_code != READOUT)
-        det, time, rep = (a[lo:hi][photonic]
-                          for a in (tags.detector, tags.time, tags.repetition))
+        det, time, rep = (a[photonic] for a in (tags.detector, tags.time, tags.repetition))
         mid = window_code[photonic] == MIDDLE
         # the pairs (i, i + k) within one repetition, for k = 1, 2, ..., are
         # each same-repetition pair exactly once; (i, i + k) is one only if
@@ -479,13 +585,15 @@ def hom_counts_from_tags(tags: TagArrays, windows: WindowConfig,
             center = np.abs(tau) < half
             left = ~center & (np.abs(tau + t_inf) < half)
             right = ~center & ~left & (np.abs(tau - t_inf) < half)
-            n1 += int(np.count_nonzero(left))
-            n2 += int(np.count_nonzero(center))
-            n3 += int(np.count_nonzero(right))
+            self.n1 += int(np.count_nonzero(left))
+            self.n2 += int(np.count_nonzero(center))
+            self.n3 += int(np.count_nonzero(right))
             k += 1
             i = i[i + k < len(rep)]
             i = i[rep[i + k] == rep[i]]
-    return HomCounts(n1, n2, n3)
+
+    def result(self) -> HomCounts:
+        return HomCounts(self.n1, self.n2, self.n3)
 
 
 def hom_visibility(counts: HomCounts) -> tuple[float, float]:
@@ -540,14 +648,27 @@ del _PLACES
 
 def export_timetags(path, tags: TagArrays) -> None:
     """Write tags as `detector,time_ns,repetition` rows with csv line ends,
-    the bytes of `"%s,%.6f,%d\r\n"` (`D1`/`D2`, time to 6 decimals).
+    the bytes of `"%s,%.6f,%d\r\n"` (`D1`/`D2`, time to 6 decimals), after
+    the header line (`TagWriter`)."""
+    with open(path, "wb") as fh:
+        TagWriter(fh).write(tags)
+
+
+class TagWriter:
+    """A time-tag CSV written a block of tags at a time into a binary file:
+    the header line, then each block's rows, as `export_timetags` writes
+    all the tags at once.
 
     Each chunk of 65,536 rows is built as one byte matrix and written with
-    one `tobytes()`, so a large run adds no full-size copy.  A chunk that
+    one `tobytes()`, so a large block adds no full-size copy.  A chunk that
     `_format_rows` cannot format exactly goes through the %-template.
     """
-    with open(path, "wb") as fh:
+
+    def __init__(self, fh):
+        self.fh = fh
         fh.write(_HEADER_LINE)
+
+    def write(self, tags: TagArrays) -> None:
         for lo in range(0, len(tags), _EXPORT_CHUNK):
             det, time, rep = (a[lo:lo + _EXPORT_CHUNK]
                               for a in (tags.detector, tags.time, tags.repetition))
@@ -558,7 +679,7 @@ def export_timetags(path, tags: TagArrays) -> None:
                 fields[1::3] = time.tolist()
                 fields[2::3] = rep.tolist()
                 rows = ((_ROW_FORMAT * len(time)) % tuple(fields)).encode()
-            fh.write(rows)
+            self.fh.write(rows)
 
 
 def _format_rows(det, time, rep) -> bytes | None:
@@ -626,12 +747,13 @@ def _words(matrix, col: int) -> np.ndarray:
 
 
 def ingest_timetags(path) -> TagArrays:
-    """Parse, validate and sort a time-tag CSV.
+    """Parse, validate and sort a time-tag CSV, all of it at once.
 
     Raises ParseError naming the offending line (also for a byte that is
     not UTF-8); warns on non-monotone timestamps within a detector stream.
     Rows already in (repetition, time, detector) order, as export_timetags
-    writes them, are not sorted again.
+    writes them, are not sorted again.  `read_timetags` passes a file on a
+    block at a time instead.
 
     A file holding exactly the bytes export_timetags writes is decoded as
     byte blocks by `_decode_rows`, the inverse of `_format_rows`.
@@ -640,13 +762,22 @@ def ingest_timetags(path) -> TagArrays:
     also accepts the syntax export never writes (other line ends, blank
     lines, quoted fields, exponents, `1_0`, non-ASCII digits).
     """
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        arr = None
-        if fh.seekable():
-            arr = _decode_rows(fh.buffer)
-            fh.seek(0)
-        if arr is None:
-            arr = _parse_rows(fh)
+    with _open_tags(path) as fh:
+        return _ingest(fh)
+
+
+def _open_tags(path):
+    return open(path, encoding="utf-8", errors="surrogateescape", newline="")
+
+
+def _ingest(fh) -> TagArrays:
+    """The tags of an open tag file (`ingest_timetags`), sorted."""
+    arr = None
+    if fh.seekable():
+        arr = _decode_rows(fh.buffer)
+        fh.seek(0)
+    if arr is None:
+        arr = _parse_rows(fh)
     if _in_order(arr):
         arr._ordered = True
         return arr
@@ -655,12 +786,93 @@ def ingest_timetags(path) -> TagArrays:
         d_rep = np.diff(arr.repetition[sel])
         if np.any((d_rep < 0) | ((d_rep == 0) & (np.diff(arr.time[sel]) < 0))):
             warnings.warn(f"non-monotone timestamps in detector D{d + 1} stream; sorting",
-                          stacklevel=2)
+                          stacklevel=3)
     return sorted_tags(arr.detector, arr.time, arr.repetition)
 
 
+def read_timetags(path, new_consumers, windows: WindowConfig) -> tuple[list, int]:
+    """Pass the tags of a time-tag CSV to consumers, objects with
+    `add(tags)` such as `G2Counts`, a block of whole repetitions at a time
+    in (repetition, time, detector) order; returns (the consumers, the
+    number of tags).  new_consumers() makes the consumers.
+
+    A file in export_timetags' form and in order is decoded and passed on
+    as it is read (`_ordered_blocks`), so no array holds all its tags.  At
+    a row in another form or a tag out of order, the consumers' partial
+    sums are dropped and the file is read whole as `ingest_timetags` reads
+    it, with its errors and warning; its sorted tags then go to new
+    consumers in blocks of about SCAN_BLOCK tags (`_repetition_parts`).
+    """
+    with _open_tags(path) as fh:
+        if fh.seekable():
+            consumers, n_tags = new_consumers(), 0
+            try:
+                for block in _ordered_blocks(fh.buffer):
+                    n_tags += len(block)
+                    for consumer in consumers:
+                        consumer.add(block)
+                return consumers, n_tags
+            except _Unstreamable:
+                fh.seek(0)
+        tags = _ingest(fh)
+    consumers = new_consumers()
+    for part in _repetition_parts(tags, windows):
+        for consumer in consumers:
+            consumer.add(part)
+    return consumers, len(tags)
+
+
+class _Unstreamable(Exception):
+    """A tag file that `_ordered_blocks` cannot pass on as it reads it."""
+
+
+def _ordered_blocks(fh):
+    """The tags of a binary tag file in export_timetags' form and in order,
+    as ordered TagArrays of whole repetitions, one per block `_decode_rows`
+    reads: each block's last repetition is held back and put before the
+    next block's tags.  Raises _Unstreamable at a row in another form or
+    a tag out of order (`_in_order`, which also compares the tags on
+    either side of each edge)."""
+    held = None
+    for columns in _decoded_blocks(fh):
+        if held is not None:
+            columns = [np.concatenate(pair) for pair in zip(held, columns)]
+        block = TagArrays(*columns)
+        if not _in_order(block):
+            raise _Unstreamable
+        if len(block) == 0:
+            continue
+        rep = block.repetition
+        cut = int(np.searchsorted(rep, rep[-1]))
+        held = [column[cut:] for column in columns]
+        if cut:
+            yield _ordered(*(column[:cut] for column in columns))
+    if held is not None:
+        yield _ordered(*held)
+
+
+def _ordered(det, time, rep) -> TagArrays:
+    """TagArrays of columns known to be in (repetition, time, detector) order."""
+    tags = TagArrays(det, time, rep)
+    tags._ordered = True
+    return tags
+
+
 def _decode_rows(fh) -> TagArrays | None:
-    """The rows of a binary tag file in file order, or None unless it holds
+    """The rows of a binary tag file in file order (`_decoded_blocks`), or
+    None unless it is in export_timetags' form."""
+    try:
+        parts = list(_decoded_blocks(fh))
+    except _Unstreamable:
+        return None
+    if not parts:
+        return TagArrays(np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64))
+    return TagArrays(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def _decoded_blocks(fh):
+    """The (detector, time, repetition) columns of a binary tag file's rows,
+    in file order, a block at a time; raises _Unstreamable unless it holds
     the header line and then only rows `D1|D2,<int>.<6 decimals>,<int>\r\n`
     with integer parts and repetitions of 1 to 8 digits.
 
@@ -673,28 +885,24 @@ def _decode_rows(fh) -> TagArrays | None:
     quotient of exact doubles, as float() of its text is.
     """
     if fh.read(len(_HEADER_LINE)) != _HEADER_LINE:
-        return None
+        raise _Unstreamable
     buf = np.full(8 + _MAX_ROW + _READ_BLOCK, ord("0"), np.uint8)
     # words[k] is the 8 bytes before byte k of the block (buf[k:k + 8])
     words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
-    parts = []
     held = 0
     while got := fh.readinto(memoryview(buf)[8 + held:8 + held + _READ_BLOCK]):
         block = buf[8:8 + held + got]
         decoded = _decode_block(block, words)
         if decoded is None:
-            return None
+            raise _Unstreamable
         columns, done = decoded
         held = len(block) - done
         if held >= _MAX_ROW:
-            return None
+            raise _Unstreamable
         buf[8:8 + held] = block[done:]
-        parts.append(columns)
+        yield columns
     if held:
-        return None
-    if not parts:
-        return TagArrays(np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64))
-    return TagArrays(*(np.concatenate(column) for column in zip(*parts)))
+        raise _Unstreamable
 
 
 def _decode_block(block, words) -> tuple[tuple, int] | None:

@@ -58,8 +58,6 @@ PRUNE_TOL = 1e-11
 # wavepacket tag times of click ordinal k in cell c draw on stream
 # detection.tag at offset TAG_STREAMS_PER_CELL * c + k
 TAG_STREAMS_PER_CELL = 8
-# RunClicks.to_tags expands and sorts this many repetitions' tags at a time
-TAG_BLOCK_REPS = 65_536
 
 
 def group_by_id(ids: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -143,6 +141,9 @@ class DetectionModel:
         mags = np.abs(self.alphabet_mats)
         self.alphabet_support = (np.diagonal(mags, axis1=1, axis2=2)
                                  + mags.sum(axis=2) + mags.sum(axis=1)) > 1e-15
+        # id() of a sampled state -> (that state, its distribution, the CDF
+        # of its probabilities)
+        self._distributions: dict[int, tuple] = {}
 
     # -- per-slot alphabet -------------------------------------------------
 
@@ -358,7 +359,12 @@ class DetectionModel:
     # -- trajectory sampling ---------------------------------------------------
 
     def sample_run(self, result: TrajectoryResult, master_seed: int) -> "RunClicks":
-        """Sample detection for every repetition of a trajectory run."""
+        """Sample detection for every repetition of a trajectory run.
+
+        Each state's `distribution` is computed once per model: a run
+        sampled in blocks with one model, on results that share their state
+        table (`TrajectoryTables`), evaluates no state twice.
+        """
         n = result.rep_indices.size
         reps = result.rep_indices
         n_cells = 6 * self.layout.photon_slots
@@ -367,8 +373,13 @@ class DetectionModel:
         spins = np.zeros(n, dtype=np.int8)
         u_pat = crng.uniforms(master_seed, reps, crng.stream("detection.pattern"))
         for sid, idx in group_by_id(result.state_ids):
-            dist = self.distribution(result.state_table[sid])
-            choice = crng.choose(dist.probs, u_pat[idx])
+            state = result.state_table[sid]
+            hit = self._distributions.get(id(state))
+            if hit is None:
+                dist = self.distribution(state)
+                hit = self._distributions[id(state)] = state, dist, crng.cdf(dist.probs)
+            _, dist, cum = hit
+            choice = crng.pick(cum, u_pat[idx])
             catalog.append(dist.rows)
             signal[idx] = dist.rows[choice]
             spins[idx] = dist.label[choice]
@@ -462,13 +473,10 @@ class RunClicks:
         one; readout clicks are uniform in the readout window.  A wavepacket
         click's draw is keyed by its repetition, cell and ordinal within the
         cell, so tag times do not depend on which other repetitions are
-        expanded in the same call.
-
-        The columns are allocated once, from the runs' tag counts.  The
-        repetitions of all the runs are cut into blocks of TAG_BLOCK_REPS
-        ascending repetitions; each block's tags are expanded, sorted
-        (`tag_order`) and written after the previous block's, so no step
-        holds a temporary the size of all the tags.
+        expanded in the same call.  The tags of all the runs are expanded
+        and sorted (`tag_order`) at once: a run sampled in blocks of
+        repetitions (`experiments.BLOCK_REPS`) is expanded a block at a
+        time, and the blocks' tags follow each other in order.
         """
         runs = [self, *others]
         windows = self.model.windows
@@ -476,40 +484,17 @@ class RunClicks:
                for run in others):
             raise ContractError("runs whose tags are merged must share their windows "
                                 "and master seed")
-        # the int64 tag column's values, without a copy
-        reps = [np.asarray(run.trajectory.rep_indices, np.uint64).view(np.int64)
-                for run in runs]
-        # each run's rows in repetition order (None: already in it), so that
-        # a block's rows of a run are one range of them
-        by_rep = [None if np.all(r[:-1] <= r[1:]) else np.argsort(r, kind="stable")
-                  for r in reps]
-        cuts = np.sort(np.concatenate(reps))[TAG_BLOCK_REPS::TAG_BLOCK_REPS].copy()
-        bounds = [np.r_[0, np.searchsorted(r if o is None else r[o], cuts), r.size]
-                  for r, o in zip(reps, by_rep)]
-        sources = [(r, run.signal, run.flagged, run.background, run.readout_signal,
-                    run.readout_leak) for r, run in zip(reps, runs)]
-        total = sum(run._tag_count() for run in runs)
-        columns = np.empty(total, np.int8), np.empty(total), np.empty(total, np.int64)
-        at = 0
-        for i in range(cuts.size + 1):
-            rows = [slice(b[i], b[i + 1]) if o is None else o[b[i]:b[i + 1]]
-                    for b, o in zip(bounds, by_rep)]
-            # every run's rows of the block as one set of click arrays
-            block = [np.concatenate([a[r] for a, r in zip(arrays, rows)])
-                     for arrays in zip(*sources)]
-            at = _put_sorted(columns, at, _block_tags(windows, self.master_seed, gamma0,
-                                                      *block))
-        tags = TagArrays(*columns)
+        # the int64 tag column's values
+        reps = np.concatenate([np.asarray(run.trajectory.rep_indices, np.uint64)
+                               for run in runs]).view(np.int64)
+        columns = _block_tags(windows, self.master_seed, gamma0, reps,
+                              *(np.concatenate([getattr(run, name) for run in runs])
+                                for name in ("signal", "flagged", "background",
+                                             "readout_signal", "readout_leak")))
+        order = tag_order(*columns)
+        tags = TagArrays(*(column[order] for column in columns))
         tags._ordered = True
         return tags
-
-    def _tag_count(self) -> int:
-        """The run's tags: its wavepacket clicks, one per photonic window
-        with a background click, and its readout clicks."""
-        background = self.background[:, 0::2] | self.background[:, 1::2]
-        return (int(self.signal.sum(dtype=np.int64)) + int(self.flagged.sum(dtype=np.int64))
-                + int(np.count_nonzero(background))
-                + int(np.count_nonzero(self.readout_signal | self.readout_leak)))
 
 
 def _block_tags(windows: WindowConfig, master_seed: int, gamma0: float, reps, signal,
@@ -560,12 +545,3 @@ def _block_tags(windows: WindowConfig, master_seed: int, gamma0: float, reps, si
     if not det_rows:
         return np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64)
     return np.concatenate(det_rows), np.concatenate(time_rows), np.concatenate(rep_rows)
-
-
-def _put_sorted(columns, at: int, block) -> int:
-    """Write the tags of block, (detector, time, repetition) columns, in
-    `tag_order` into columns from row `at`; returns the row after them."""
-    order = tag_order(*block)
-    for column, values in zip(columns, block):
-        np.take(values, order, out=column[at:at + order.size])
-    return at + order.size

@@ -283,24 +283,24 @@ class PulseSequence:
         return PulseSequence(self.steps[:-1] + (wait, rot) + self.steps[-1:])
 
 
-def build_bell_sequence(phase_e: float = 0.0) -> PulseSequence:
+def build_bell_sequence() -> PulseSequence:
     """Pump, half rotation, early excitation, pi swap, late excitation, readout.
 
-    phase_e is the relative phase between the late and early pulses; the
-    readout rotation R_i is inserted per measurement setting.
+    Both pulses have phase 0; the readout rotation R_i is inserted per
+    measurement setting.
     """
     steps = (
         PulseOp("pump"),
         PulseOp("rotate", axis="y", angle=math.pi / 2),
         PulseOp("excite", slot=0, bin="early"),
         PulseOp("rotate", axis="y", angle=math.pi),
-        PulseOp("excite", slot=0, bin="late", phase=phase_e),
+        PulseOp("excite", slot=0, bin="late"),
         PulseOp("readout"),
     )
     return PulseSequence(steps)
 
 
-def build_ghz_sequence(n_photons: int, phase_e: float = 0.0) -> PulseSequence:
+def build_ghz_sequence(n_photons: int) -> PulseSequence:
     """Bell sequence extended by one (pi swap, excitation pair) block per photon."""
     if n_photons < 2:
         raise ContractError("GHZ generation requires at least 2 photons")
@@ -313,7 +313,7 @@ def build_ghz_sequence(n_photons: int, phase_e: float = 0.0) -> PulseSequence:
             steps.append(PulseOp("rotate", axis="y", angle=math.pi))
         steps.append(PulseOp("excite", slot=slot, bin="early"))
         steps.append(PulseOp("rotate", axis="y", angle=math.pi))
-        steps.append(PulseOp("excite", slot=slot, bin="late", phase=phase_e))
+        steps.append(PulseOp("excite", slot=slot, bin="late"))
     steps.append(PulseOp("readout"))
     return PulseSequence(tuple(steps))
 
@@ -715,7 +715,11 @@ class TrajectoryResult:
 
     def took(self, step: int, *labels: str) -> np.ndarray:
         """Mask of the repetitions whose branch at step is one of labels."""
-        return np.isin(self.branches[:, step], [BRANCH_CODES[label] for label in labels])
+        column = self.branches[:, step]
+        mask = np.zeros(column.size, dtype=bool)
+        for label in labels:
+            mask |= column == BRANCH_CODES[label]
+        return mask
 
     def select(self, rows) -> "TrajectoryResult":
         """The repetitions at rows, with a table of only the states they use."""
@@ -751,11 +755,80 @@ class _StateTable:
         return sid
 
 
+class _StepTable:
+    """One step's Kraus branches and, per state id, the normalised CDF of
+    the branches the state keeps, padded with 2 (above every draw), and the
+    state id and code each leads to."""
+
+    def __init__(self, branches):
+        self.branches = branches
+        self.codes = np.array([BRANCH_CODES[label] for label, _, _ in branches],
+                              dtype=np.int8)
+        width = len(branches)
+        self.cum = np.full((0, width), 2.0)
+        self.next_ids = np.zeros((0, width), dtype=np.int64)
+        self.next_codes = np.zeros((0, width), dtype=np.int8)
+        self.known = np.zeros(0, dtype=bool)
+        # the most branches a known state keeps
+        self.widest = 0
+
+    def fill(self, table: _StateTable, occupied: np.ndarray, slot: int) -> None:
+        """Evolve the occupied states not yet known, in ascending id order."""
+        counts = np.bincount(occupied, minlength=self.known.size)
+        grow = counts.size - self.known.size
+        if grow:
+            width = len(self.branches)
+            self.cum = np.concatenate([self.cum, np.full((grow, width), 2.0)])
+            self.next_ids = np.concatenate([self.next_ids, np.zeros((grow, width), np.int64)])
+            self.next_codes = np.concatenate([self.next_codes,
+                                              np.zeros((grow, width), np.int8)])
+            self.known = np.concatenate([self.known, np.zeros(grow, bool)])
+        for sid in np.flatnonzero((counts > 0) & ~self.known).tolist():
+            psi = table.states[sid]
+            outs, probs, taken = [], [], []
+            for b, (_, k, _) in enumerate(self.branches):
+                phi = apply_branch(k, psi, slot)
+                p = float(np.vdot(phi, phi).real)
+                if p > 1e-14:
+                    outs.append(phi / math.sqrt(p))
+                    probs.append(p)
+                    taken.append(b)
+            _check_overflow(1.0 - sum(probs))
+            kept = len(probs)
+            self.widest = max(self.widest, kept)
+            self.cum[sid, :kept] = crng.cdf(probs)
+            self.next_ids[sid, :kept] = [table.add(v) for v in outs]
+            self.next_codes[sid, :kept] = self.codes[taken]
+            self.known[sid] = True
+
+
+class TrajectoryTables:
+    """What `run_sequence_trajectory` learns of one sequence's states, kept
+    across its calls on successive blocks of a run's repetitions: the state
+    table, each step's branch table and the ids of the start results'
+    states.  With them each state is evolved through each step once per
+    run, however the run's repetitions are split."""
+
+    def __init__(self):
+        self.states = _StateTable()
+        self.steps: dict[int, _StepTable] = {}
+        # id() of a start result's state -> (that state, its id here)
+        self._start_ids: dict[int, tuple[np.ndarray, int]] = {}
+
+    def start_id(self, vec: np.ndarray) -> int:
+        """The id here of a start result's state, added when first seen."""
+        hit = self._start_ids.get(id(vec))
+        if hit is None:
+            hit = self._start_ids[id(vec)] = vec, self.states.add(vec)
+        return hit[1]
+
+
 def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
                             noise: NoiseParams, master_seed: int,
                             rep_indices: np.ndarray,
                             layout: RegisterLayout | None = None,
-                            start: TrajectoryResult | None = None) -> TrajectoryResult:
+                            start: TrajectoryResult | None = None,
+                            tables: TrajectoryTables | None = None) -> TrajectoryResult:
     """Sample one noise-branch path per repetition.
 
     Randomness is addressed by (master_seed, repetition index, step), so each
@@ -770,14 +843,19 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
     ascending id order, and builds one table: per state, the normalised
     CDF of the branches it keeps and the state id and code each leads to.
     A repetition's branch is then one count, of its state's CDF entries at
-    or below its draw, and one lookup in that table.
+    or below its draw, and one lookup in that table.  tables, passed again
+    with each block of a run's repetitions, keeps the states and the step
+    tables of the blocks before, so only the states new to a step are
+    evolved; the result's state_table is then the run's table so far.
     """
     reps = np.asarray(rep_indices, dtype=np.uint64)
     n = reps.size
+    if tables is None:
+        tables = TrajectoryTables()
+    table = tables.states
     # each step from first on writes every repetition's entry, except the
     # excite steps of blinked-off repetitions, which stay 'skipped'
     record = np.full((n, len(seq.steps) - 1), BRANCH_CODES["skipped"], dtype=np.int8)
-    table = _StateTable()
 
     first = 0
     if start is not None:
@@ -785,7 +863,7 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
             raise ContractError("the start result holds other repetitions")
         first = _continued_steps(seq, start.sequence)
         layout, blink_off = start.layout, start.blink_off
-        ids = np.array([table.add(v) for v in start.state_table],
+        ids = np.array([tables.start_id(v) for v in start.state_table],
                        dtype=np.int64)[start.state_ids]
         record[:, :first] = start.branches[:, :first]
     else:
@@ -801,47 +879,26 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
 
     blinking = bool(blink_off.any())
     for step_i, op in enumerate(seq.steps[first:-1], start=first):
-        branches = step_branches(op, params, noise, layout)
-        codes = np.array([BRANCH_CODES[label] for label, _, _ in branches], dtype=np.int8)
+        step = tables.steps.get(step_i)
+        if step is None:
+            step = tables.steps[step_i] = _StepTable(step_branches(op, params, noise,
+                                                                   layout))
         u = crng.uniforms(master_seed, reps, crng.stream("emitter.step", step_i))
         # an excite step skips the blinked-off repetitions
         rows = np.flatnonzero(~blink_off) if op.kind == "excite" and blinking else slice(None)
         occupied = ids[rows]
-        # row sid: the normalised CDF of state sid's kept branches, padded
-        # with 2 (above every draw), and the id and code each branch leads to
-        width = len(branches)
-        counts = np.bincount(occupied)
-        cum = np.full((counts.size, width), 2.0)
-        next_ids = np.zeros((counts.size, width), dtype=np.int64)
-        next_codes = np.zeros((counts.size, width), dtype=np.int8)
-        widest = 0
-        for sid in np.flatnonzero(counts).tolist():
-            psi = table.states[sid]
-            outs, probs, taken = [], [], []
-            for b, (_, k, _) in enumerate(branches):
-                phi = apply_branch(k, psi, op.slot)
-                p = float(np.vdot(phi, phi).real)
-                if p > 1e-14:
-                    outs.append(phi / math.sqrt(p))
-                    probs.append(p)
-                    taken.append(b)
-            _check_overflow(1.0 - sum(probs))
-            kept = len(probs)
-            widest = max(widest, kept)
-            cum[sid, :kept] = crng.cdf(probs)
-            next_ids[sid, :kept] = [table.add(v) for v in outs]
-            next_codes[sid, :kept] = codes[taken]
+        step.fill(table, occupied, op.slot)
         # each repetition's branch is the count of its state's CDF entries at
         # or below its draw, the index crng.choose returns; from column
         # widest - 1 on every entry is 1 or 2, above every draw
         u = u[rows]
         choice = np.zeros(u.size, dtype=np.uint8)
-        for column in cum.T[:widest - 1]:
+        for column in step.cum.T[:step.widest - 1]:
             choice += column[occupied] <= u
-        flat = occupied * width
+        flat = occupied * len(step.branches)
         flat += choice
-        ids[rows] = next_ids.ravel()[flat]
-        record[rows, step_i] = next_codes.ravel()[flat]
+        ids[rows] = step.next_ids.ravel()[flat]
+        record[rows, step_i] = step.next_codes.ravel()[flat]
     return TrajectoryResult(layout, seq, reps, table.states, ids, record, blink_off)
 
 

@@ -14,6 +14,14 @@ trajectory mode each heralded repetition's sampled click row once, exact
 mode the rows of the truncated click distribution with their expected
 weights and first-order background clicks.  Both assemble the fidelity
 with `witness.fidelity_estimate`, as `analyze --mode witness` does.
+
+Trajectory runs walk their repetitions in blocks of about BLOCK_REPS
+ascending repetitions (`_blocks`), so memory does not grow with the run.
+Every draw is keyed by (master seed, repetition, stream), so a
+repetition's record and clicks do not depend on its block.  The engine's
+tables (`TrajectoryTables`) and each sub-run's `DetectionModel` are kept
+across blocks, so no state is evolved or read out twice.  Counts are
+integer-valued sums, exact in any order.
 """
 from __future__ import annotations
 
@@ -28,13 +36,27 @@ from . import witness as wit
 from .coincidence import MIDDLE, WindowConfig
 from .detection import DetectionModel, RunClicks
 from .emitter import (EmitterParams, ExactResult, NoiseParams, PulseSequence,
-                      build_bell_sequence, build_ghz_sequence,
+                      TrajectoryTables, build_bell_sequence, build_ghz_sequence,
                       build_hom_sequence, rabi_curve, rabi_population,
                       run_sequence_exact, run_sequence_trajectory)
 from .errors import UndefinedEstimateError
 from .hilbert import DensityOperator
 from .interferometer import TBIParams, classical_fringe, effective_phase, fit_fringe
 from .witness import MeasurementSetting, SettingCounts, ghz_settings
+
+# repetitions per block of a trajectory run, rounded down to a multiple of
+# its sub-run count (`_blocks`)
+BLOCK_REPS = 65_536
+
+
+def _blocks(n_repetitions: int, n_subruns: int = 1):
+    """Ascending repetition indices, in blocks of BLOCK_REPS rounded down to
+    a multiple of n_subruns (at least n_subruns), so that the rows k,
+    k + n_subruns, ... of every block are sub-run k's; the last block is
+    shorter when the size does not divide the run."""
+    size = max(BLOCK_REPS // n_subruns, 1) * n_subruns
+    for lo in range(0, n_repetitions, size):
+        yield np.arange(lo, min(lo + size, n_repetitions), dtype=np.uint64)
 
 
 @dataclass
@@ -169,7 +191,6 @@ def exact_predetection_state(n_qubits: int, params: EmitterParams,
 class WitnessRun:
     outcome: WitnessOutcome
     subruns: list[SubRun]
-    clicks: list[RunClicks]
     n_repetitions: int
     coincidence_rate_hz: float
 
@@ -194,49 +215,58 @@ def _count_clicks(acc: SettingCounts, sub_index: int, clicks: RunClicks
 
 def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
                        tbi: TBIParams, n_repetitions: int, master_seed: int,
-                       thinned: bool = False, keep_clicks: bool = False
-                       ) -> WitnessRun:
+                       thinned: bool = False, on_block=None) -> WitnessRun:
     """Monte Carlo witness estimate over n_repetitions sampled repetitions.
 
     Repetition r runs sub-setting r mod (2n+2); post-selected counts merge
     across sub-runs.  The generation sequence is sampled once for all
     repetitions; each sub-run takes its repetitions' states and samples its
     wait and readout rotation, with the records a direct run of its sequence
-    gives.
+    gives.  The run walks blocks of repetitions (`_blocks`); on_block, if
+    given, is called with each block's `RunClicks` of every sub-run with
+    repetitions in it, in sub-run order.
     With thinned=True all efficiencies are applied and the post-selected
     coincidence rate is physical.
     """
     subruns = _witness_subruns(n_qubits, params)
-    all_reps = np.arange(n_repetitions, dtype=np.uint64)
-    generation = run_sequence_trajectory(_generation_sequence(n_qubits),
-                                         params, noise, master_seed, all_reps)
-    counts: dict[str, SettingCounts] = {}
-    clicks_list: list[RunClicks] = []
+    generation_seq = _generation_sequence(n_qubits)
+    counts = {}
+    for run in subruns:
+        counts.setdefault(run.setting.label, SettingCounts(run.setting, n_qubits - 1))
+    generation_tables = TrajectoryTables()
+    tables = [TrajectoryTables() for _ in subruns]
+    models: list[DetectionModel | None] = [None] * len(subruns)
     leak_events = 0.0
     total_events = 0.0
     coincident_reps = 0
-    for k, run in enumerate(subruns):
-        rows = slice(k, None, len(subruns))
-        reps = all_reps[rows]
-        acc = counts.setdefault(run.setting.label,
-                                SettingCounts(run.setting, n_qubits - 1))
-        if reps.size == 0:
-            continue
-        traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps,
-                                       start=generation.select(rows))
-        model = DetectionModel(traj.layout, tbi, run.phase, noise, run.windows, thinned)
-        clicks = model.sample_run(traj, master_seed)
-        lk, tot = _count_clicks(acc, run.sub_index, clicks)
-        leak_events += lk
-        total_events += tot
-        coincident_reps += _count_coincident(clicks)
-        if keep_clicks:
-            clicks_list.append(clicks)
+    for block in _blocks(n_repetitions, len(subruns)):
+        generation = run_sequence_trajectory(generation_seq, params, noise, master_seed,
+                                             block, tables=generation_tables)
+        block_clicks = []
+        for k, run in enumerate(subruns):
+            rows = slice(k, None, len(subruns))
+            reps = block[rows]
+            if reps.size == 0:
+                continue
+            traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps,
+                                           start=generation.select(rows), tables=tables[k])
+            if models[k] is None:
+                models[k] = DetectionModel(traj.layout, tbi, run.phase, noise,
+                                           run.windows, thinned)
+            clicks = models[k].sample_run(traj, master_seed)
+            lk, tot = _count_clicks(counts[run.setting.label], run.sub_index, clicks)
+            leak_events += lk
+            total_events += tot
+            coincident_reps += _count_coincident(clicks)
+            if on_block is not None:
+                block_clicks.append(clicks)
+        if on_block is not None:
+            on_block(block_clicks)
     leak_fraction = leak_events / total_events if total_events > 0 else 0.0
     outcome = WitnessOutcome.from_counts(n_qubits, counts, leak_fraction)
     duration_s = n_repetitions / (params.repetition_rate_mhz * 1e6)
     rate = coincident_reps / duration_s if duration_s > 0 else 0.0
-    return WitnessRun(outcome, subruns, clicks_list, n_repetitions, rate)
+    return WitnessRun(outcome, subruns, n_repetitions, rate)
 
 
 def _count_coincident(clicks: RunClicks) -> int:
@@ -280,7 +310,6 @@ def trajectory_exact_tvd(n_qubits: int, params: EmitterParams, noise: NoiseParam
 
 @dataclass
 class HomRun:
-    tags: coin.TagArrays
     windows: WindowConfig
     g2: float
     g2_err: float
@@ -294,23 +323,39 @@ class HomRun:
 
 def simulate_hom(params: EmitterParams, noise: NoiseParams, tbi: TBIParams,
                  n_repetitions: int, master_seed: int, thinned: bool = False,
-                 v_classical_assumed: float | None = None) -> HomRun:
-    """Run the two-photon sequence and analyze g2(0) and HOM visibility."""
+                 v_classical_assumed: float | None = None, on_block=None) -> HomRun:
+    """Run the two-photon sequence and analyze g2(0) and HOM visibility.
+
+    The run walks blocks of repetitions (`_blocks`): each block's clicks are
+    expanded into time tags and added to the g2 and HOM sums
+    (`coincidence.G2Counts`, `coincidence.HomPairs`); on_block, if given,
+    is called with each block's tags, which follow the blocks before in
+    (repetition, time, detector) order.
+    """
     windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
     seq = build_hom_sequence()
-    reps = np.arange(n_repetitions, dtype=np.uint64)
-    traj = run_sequence_trajectory(seq, params, noise, master_seed, reps)
-    # no early-late coherence: every phase reads the two photons alike
-    model = DetectionModel(traj.layout, tbi, 0.0, noise, windows, thinned)
-    clicks = model.sample_run(traj, master_seed)
-    tags = clicks.to_tags(gamma0=params.gamma0)
-    g2, g2_err, detail = coin.g2_zero(tags, windows)
-    hom_counts = coin.hom_counts_from_tags(tags, windows)
+    tables = TrajectoryTables()
+    model = None
+    g2_counts = coin.G2Counts(windows)
+    pairs = coin.HomPairs(windows)
+    for reps in _blocks(n_repetitions):
+        traj = run_sequence_trajectory(seq, params, noise, master_seed, reps,
+                                       tables=tables)
+        if model is None:
+            # no early-late coherence: every phase reads the two photons alike
+            model = DetectionModel(traj.layout, tbi, 0.0, noise, windows, thinned)
+        tags = model.sample_run(traj, master_seed).to_tags(gamma0=params.gamma0)
+        g2_counts.add(tags)
+        pairs.add(tags)
+        if on_block is not None:
+            on_block(tags)
+    g2, g2_err, detail = g2_counts.result()
+    hom_counts = pairs.result()
     v_raw, v_err = coin.hom_visibility(hom_counts)
     v_cl = tbi.classical_visibility if v_classical_assumed is None else v_classical_assumed
     v_corr = coin.hom_correct(v_raw, g2, v_cl)
-    return HomRun(tags, windows, g2, g2_err, detail, hom_counts, v_raw, v_err,
-                  v_corr, n_repetitions)
+    return HomRun(windows, g2, g2_err, detail, hom_counts, v_raw, v_err, v_corr,
+                  n_repetitions)
 
 
 # ---------------------------------------------------------------------------

@@ -105,5 +105,9 @@ def choose(probs, u: np.ndarray) -> np.ndarray:
     probs need not be normalised; a draw at the top of the last bin is
     clamped to the last branch.
     """
-    cum = cdf(probs)
+    return pick(cdf(probs), u)
+
+
+def pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`choose` for a CDF already built by `cdf`."""
     return np.minimum(np.searchsorted(cum, u, "right"), len(cum) - 1)

@@ -22,6 +22,7 @@ oracles for the equivalence tests.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from itertools import product
 
@@ -432,9 +433,9 @@ def physical_exact_counts(n_qubits: int, params, noise, tbi, thinned: bool = Fal
                                 SettingCounts(run.setting, n_qubits - 1))
         sub = run.setting.subsettings[run.sub_index]
         theta_pol = tbi.theta0 + run.phase / 2
-        phase_e = excitation_phase(theta_pol, drift, tbi)
-        seq = (build_bell_sequence(phase_e) if n_qubits == 2
-               else build_ghz_sequence(n_qubits - 1, phase_e))
+        seq = with_late_phase(build_bell_sequence() if n_qubits == 2
+                              else build_ghz_sequence(n_qubits - 1),
+                              excitation_phase(theta_pol, drift, tbi))
         exact = run_sequence_exact(seq.with_readout_rotation(sub.axis, sub.angle),
                                    params, noise)
         model = physical_model(exact.layout, tbi, theta_pol, drift, noise, run.windows,
@@ -446,6 +447,14 @@ def physical_exact_counts(n_qubits: int, params, noise, tbi, thinned: bool = Fal
             acc.add_expected(run.sub_index, terms.rows, terms.weights * scale,
                              terms.leak * scale)
     return counts
+
+
+def with_late_phase(seq, phase: float):
+    """seq with every late excitation at phase, the relative phase between
+    the late and early pulses (the builders put both at 0)."""
+    return dataclasses.replace(seq, steps=tuple(
+        dataclasses.replace(op, phase=phase) if op.kind == "excite" and op.bin == "late"
+        else op for op in seq.steps))
 
 
 def grouped_trajectory(seq, params, noise, master_seed: int, rep_indices,

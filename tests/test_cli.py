@@ -284,7 +284,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("experiment, emitter", [
         ("bell", "t_inf = 1e999"), ("bell", "t_inf = 1e200"), ("hom", "t_inf = -11.8"),
-        ("bell", "t_opt = 0.0"), ("bell", "rotation_ns = -7.0"),
+        ("bell", "t_inf = 0.0"), ("bell", "photon_spacing_ns = -28.0"),
         ("ghz", "photon_spacing_ns = 1e999"), ("hom", "repetition_rate_mhz = 0"),
         ("bell", "repetition_rate_mhz = 1e999"), ("bell", "repetition_rate_mhz = 20.0"),
         ("ghz", "photon_spacing_ns = 600.0")])
@@ -299,6 +299,7 @@ class TestExitCodes:
                        "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert "unknown key" not in err
         assert emitter.split()[0] in err or "readout window ends" in err
         assert not out.exists()
 
@@ -840,27 +841,35 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("n_qubits", [2, 3])
     def test_concat_tags_matches_full_sort(self, n_qubits, monkeypatch):
-        # the sub-runs' tags merged into one set of columns, in blocks of 500
-        # repetitions that each hold some of every sub-run's: the order a
-        # sort of all the tags by every key gives
-        from timebin import detection
+        # each block's sub-runs' tags merged into one set of columns, in
+        # blocks of about 500 repetitions that each hold some of every
+        # sub-run's, joined: the order a sort of all the tags by every key
+        # gives
+        from timebin import experiments
         from timebin.coincidence import sorted_tags
         from timebin.config import paper_emitter, paper_noise, paper_tbi
         from timebin.experiments import witness_trajectory
 
         emitter = paper_emitter()
-        run = witness_trajectory(n_qubits, emitter, paper_noise(), paper_tbi(), 6000, 3,
-                                 keep_clicks=True)
-        parts = [c.to_tags(emitter.gamma0) for c in run.clicks]
+
+        def blocks():
+            clicks = []
+            witness_trajectory(n_qubits, emitter, paper_noise(), paper_tbi(), 6000, 3,
+                               on_block=clicks.append)
+            return clicks
+
+        (whole,) = blocks()
+        parts = [c.to_tags(emitter.gamma0) for c in whole]
         want = sorted_tags(*(np.concatenate([getattr(t, name) for t in parts])
                              for name in ("detector", "time", "repetition")))
-        monkeypatch.setattr(detection, "TAG_BLOCK_REPS", 500)
-        got = run.clicks[0].to_tags(emitter.gamma0, run.clicks[1:])
-        assert got._ordered
+        monkeypatch.setattr(experiments, "BLOCK_REPS", 500)
+        merged = [b[0].to_tags(emitter.gamma0, b[1:]) for b in blocks()]
+        assert len(merged) == 13 and all(t._ordered for t in merged)
         for name in ("detector", "time", "repetition"):
-            a, b = getattr(got, name), getattr(want, name)
+            a = np.concatenate([getattr(t, name) for t in merged])
+            b = getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert len(got) > 1000
+        assert len(want) > 1000
 
     def test_hom_estimates_are_pinned(self, tmp_path):
         # the values of the analysis that re-sorted and re-classified tags
@@ -902,9 +911,11 @@ class TestArtifacts:
         from timebin.experiments import witness_trajectory
 
         emitter = paper_emitter()
+        blocks = []
         run = witness_trajectory(3, emitter, paper_noise(), paper_tbi(), 24_000, 11,
-                                 keep_clicks=True)
-        tags = run.clicks[0].to_tags(emitter.gamma0, run.clicks[1:])
+                                 on_block=blocks.append)
+        (clicks,) = blocks
+        tags = clicks[0].to_tags(emitter.gamma0, clicks[1:])
         export_timetags(tmp_path / "timetags.csv", tags)
         manifest = {"config": {"experiment": "ghz", "n_qubits": 3,
                                "emitter": {"t_inf": emitter.t_inf,
@@ -1081,3 +1092,132 @@ class TestArtifacts:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
+
+
+class TestRunBlocks:
+    """simulate walks its repetitions in blocks (`experiments.BLOCK_REPS`)
+    and analyze passes its file on as it reads it (`coincidence._READ_BLOCK`
+    bytes at a time): no artifact depends on their sizes."""
+
+    @staticmethod
+    def artifacts(root: Path, n_reps: int, seed: int) -> dict:
+        """sha256 of every artifact of simulate bell, ghz --photons 3 and hom
+        and of analyze --mode witness (bell) and hom, g2 and histogram (hom);
+        analysis.json without its input path."""
+        common = ("--defaults", "paper", "--reps", str(n_reps), "--seed", str(seed))
+        for run in (("bell",), ("ghz", "--photons", "3"), ("hom",)):
+            assert run_cli("simulate", *run, *common, "--out", str(root / run[0])) == 0
+        bell, hom = root / "bell", root / "hom"
+        assert run_cli("analyze", "--mode", "witness", "--input", str(bell / "timetags.csv"),
+                       "--manifest", str(bell / "manifest.json"),
+                       "--out", str(bell / "witness")) == 0
+        for mode in ("hom", "g2", "histogram"):
+            assert run_cli("analyze", "--mode", mode, "--input", str(hom / "timetags.csv"),
+                           "--out", str(hom / mode)) == 0
+        digests = {}
+        for path in sorted(root.rglob("*.*")):
+            data = path.read_bytes()
+            if path.name == "analysis.json":
+                report = json.loads(data)
+                report["configuration"].pop("input")
+                data = json.dumps(report, sort_keys=True).encode()
+            digests[str(path.relative_to(root))] = hashlib.sha256(data).hexdigest()
+        return digests
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("block, n_reps", [(1, 600), (4096, 10_000)],
+                             ids=["subrun-count", "4096"])
+    def test_artifacts_do_not_depend_on_blocks(self, tmp_path, monkeypatch, seed,
+                                               block, n_reps):
+        # BLOCK_REPS = 1 is rounded up to one repetition per sub-run (2n + 2
+        # for a witness, 1 for hom); the reference is one block over the run
+        from timebin import coincidence
+
+        # the exact reference inline: a forked one is slow beside BLAS threads
+        monkeypatch.delattr(os, "fork")
+        assert exp.BLOCK_REPS >= n_reps
+        want = self.artifacts(tmp_path / "whole", n_reps, seed)
+        monkeypatch.setattr(exp, "BLOCK_REPS", block)
+        monkeypatch.setattr(coincidence, "_READ_BLOCK", 512)
+        got = self.artifacts(tmp_path / "blocks", n_reps, seed)
+        assert got == want
+        for name in ("bell/timetags.csv", "bell/histogram.csv", "bell/counts.csv",
+                     "ghz/timetags.csv", "hom/timetags.csv", "hom/histogram.csv",
+                     "hom/histogram/histogram.csv", "bell/witness/analysis.json",
+                     "hom/g2/analysis.json"):
+            assert name in want, name
+
+    def test_distributions_evaluated_once(self, monkeypatch):
+        # the engine tables and each sub-run's detection model are kept
+        # across blocks: no state's distribution is evaluated twice
+        from timebin.config import paper_emitter, paper_noise, paper_tbi
+        from timebin.detection import DetectionModel
+
+        calls = []
+        distribution = DetectionModel.distribution
+        monkeypatch.setattr(DetectionModel, "distribution",
+                            lambda self, *a, **k: calls.append(1) or distribution(
+                                self, *a, **k))
+
+        def count(block):
+            monkeypatch.setattr(exp, "BLOCK_REPS", block)
+            calls.clear()
+            run = exp.witness_trajectory(2, paper_emitter(), paper_noise(), paper_tbi(),
+                                         1200, 4)
+            hom = exp.simulate_hom(paper_emitter(), paper_noise(), paper_tbi(), 1200, 4)
+            return len(calls), run.outcome.fidelity, hom.g2
+
+        whole = count(1200)
+        assert count(1) == count(100) == whole and whole[0] > 10
+
+    @pytest.mark.parametrize("mode", ["hom", "witness"])
+    def test_disorder_in_last_block(self, tmp_path, monkeypatch, mode):
+        # a file in order but for its last block: the blocks already passed
+        # on are dropped, and the file is read and sorted whole, with the
+        # warning of an unsorted file
+        from timebin import coincidence
+
+        sim = tmp_path / "sim"
+        experiment = "hom" if mode == "hom" else "bell"
+        assert run_cli("simulate", experiment, "--defaults", "paper", "--reps", "3000",
+                       "--seed", "6", "--out", str(sim)) == 0
+        args = ["analyze", "--mode", mode, "--manifest", str(sim / "manifest.json")]
+        assert run_cli(*args, "--input", str(sim / "timetags.csv"),
+                       "--out", str(tmp_path / "sorted")) == 0
+        lines = (sim / "timetags.csv").read_bytes().splitlines(keepends=True)
+        # the last row, of the last repetition, moved up past five rows of
+        # earlier repetitions
+        assert lines[-1].split(b",")[2] != lines[-6].split(b",")[2]
+        lines.insert(-6, lines.pop())
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_bytes(b"".join(lines))
+        monkeypatch.setattr(coincidence, "_READ_BLOCK", 4096)
+        assert len(lines) * 20 > 10 * 4096
+        with pytest.warns(UserWarning, match="non-monotone"):
+            assert run_cli(*args, "--input", str(shuffled),
+                           "--out", str(tmp_path / "out")) == 0
+        got, want = (json.loads((tmp_path / d / "analysis.json").read_text())
+                     for d in ("out", "sorted"))
+        for report in (got, want):
+            report["configuration"].pop("input")
+        assert got == want
+
+    def test_simulate_hom_memory_bounded(self, tmp_path, monkeypatch):
+        # at 4x the repetitions in blocks of 1,000, simulate hom (its tags
+        # written, its g2 and HOM sums counted) peaks no higher than 1.25x
+        import tracemalloc
+
+        monkeypatch.setattr(exp, "BLOCK_REPS", 1000)
+
+        def peak(n_reps):
+            tracemalloc.start()
+            try:
+                assert run_cli("simulate", "hom", "--defaults", "paper", "--reps",
+                               str(n_reps), "--out", str(tmp_path / str(n_reps))) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4000)  # the first run's one-off allocations
+        small, large = peak(4000), peak(16_000)
+        assert large <= 1.25 * small, (small, large)

@@ -19,6 +19,17 @@ from timebin.experiments import simulate_hom
 from timebin.interferometer import Window
 
 
+def hom_run(*args):
+    """simulate_hom's result and its tags: the blocks' tags, which follow
+    each other in order, joined."""
+    parts = []
+    run = simulate_hom(*args, on_block=parts.append)
+    tags = TagArrays(*(np.concatenate([getattr(part, name) for part in parts])
+                       for name in ("detector", "time", "repetition")))
+    tags._ordered = True
+    return run, tags
+
+
 def tag_arrays(*rows):
     """TagArrays from (detector, time, repetition) rows; detector 0 = D1."""
     det, time, rep = zip(*rows) if rows else ((), (), ())
@@ -73,11 +84,13 @@ class TestHistogram:
         # ideal Bell run: three photonic peaks with early:middle:late
         # integrated weights 1:2:1, plus the readout plateau
         from timebin.experiments import witness_trajectory
+        blocks = []
         run = witness_trajectory(2, ideal_emitter(), ideal_noise(), paper_tbi(),
-                                 30_000, 3, keep_clicks=True)
-        tags = run.clicks[0].to_tags()
+                                 30_000, 3, on_block=blocks.append)
+        (clicks_list,) = blocks
+        tags = clicks_list[0].to_tags()
         windows = run.subruns[0].windows
-        for clicks in run.clicks[1:]:
+        for clicks in clicks_list[1:]:
             more = clicks.to_tags()
             tags = TagArrays(np.concatenate([tags.detector, more.detector]),
                              np.concatenate([tags.time, more.time]),
@@ -100,8 +113,8 @@ class TestHistogram:
         # readout detection off: the readout window stays empty
         import dataclasses
         noise = dataclasses.replace(ideal_noise(), eta_readout=0.0)
-        run = simulate_hom(ideal_emitter(), noise, paper_tbi(), 5000, 3)
-        sel = (run.tags.time >= run.windows.readout_start)
+        run, tags = hom_run(ideal_emitter(), noise, paper_tbi(), 5000, 3)
+        sel = (tags.time >= run.windows.readout_start)
         assert int(np.sum(sel)) == 0
 
 
@@ -124,19 +137,18 @@ class TestG2:
     def test_repetition_offset_invariant(self, tmp_path):
         # g2 depends on repetition differences only; a counter starting near
         # 2^40 must neither change it nor allocate per repetition index
-        run = simulate_hom(paper_emitter(), paper_noise(), paper_tbi(), 4000, 9)
-        assert run.tags.repetition.max() - run.tags.repetition.min() >= 50
-        shifted = TagArrays(run.tags.detector, run.tags.time,
-                            run.tags.repetition + np.int64(2**40))
-        g2, err, detail = g2_zero(run.tags, run.windows)
+        run, tags = hom_run(paper_emitter(), paper_noise(), paper_tbi(), 4000, 9)
+        assert tags.repetition.max() - tags.repetition.min() >= 50
+        shifted = TagArrays(tags.detector, tags.time, tags.repetition + np.int64(2**40))
+        g2, err, detail = g2_zero(tags, run.windows)
         assert g2_zero(shifted, run.windows) == (g2, err, detail)
         # the dense per-repetition sums that the pairing of distinct
         # repetitions replaces
-        code = _reference_codes(run.windows, run.tags.time) & 3
-        n_reps = int(run.tags.repetition.max()) + 1
+        code = _reference_codes(run.windows, tags.time) & 3
+        n_reps = int(tags.repetition.max()) + 1
         for window in (Window.EARLY, Window.LATE):
             sel = code == WINDOWS.index(window)
-            n1, n2 = (np.bincount(run.tags.repetition[sel & (run.tags.detector == d)],
+            n1, n2 = (np.bincount(tags.repetition[sel & (tags.detector == d)],
                                   minlength=n_reps) for d in (0, 1))
             far = sum(0.5 * float(np.sum(n1[:-d] * n2[d:]) + np.sum(n2[:-d] * n1[d:]))
                       for d in range(1, 51))
@@ -418,10 +430,9 @@ class TestHomPairCounting:
 
 class TestSortedTagEntry:
     def test_shuffled_tags_give_the_same_results(self):
-        run = simulate_hom(paper_emitter(), paper_noise(), paper_tbi(), 4000, 9)
-        perm = np.random.default_rng(2).permutation(len(run.tags))
-        columns = (run.tags.detector[perm], run.tags.time[perm],
-                   run.tags.repetition[perm])
+        run, tags = hom_run(paper_emitter(), paper_noise(), paper_tbi(), 4000, 9)
+        perm = np.random.default_rng(2).permutation(len(tags))
+        columns = (tags.detector[perm], tags.time[perm], tags.repetition[perm])
         before = [c.copy() for c in columns]
         shuffled = TagArrays(*columns)
         assert g2_zero(shuffled, run.windows) == (run.g2, run.g2_err, run.g2_detail)
@@ -432,8 +443,8 @@ class TestSortedTagEntry:
 
     def test_one_classification_per_window_config(self, monkeypatch):
         from timebin.coincidence import _analysis_view
-        run = simulate_hom(paper_emitter(), paper_noise(), paper_tbi(), 2000, 3)
-        tags = TagArrays(run.tags.detector, run.tags.time, run.tags.repetition)
+        run, tags = hom_run(paper_emitter(), paper_noise(), paper_tbi(), 2000, 3)
+        tags = TagArrays(tags.detector, tags.time, tags.repetition)
         calls = []
         hits = WindowConfig._hits
         monkeypatch.setattr(WindowConfig, "_hits",
@@ -483,9 +494,9 @@ class TestSortedTagEntry:
 
 class TestTimeTagIO:
     def test_roundtrip(self, tmp_path):
-        run = simulate_hom(paper_emitter(), paper_noise(), paper_tbi(), 20_000, 12)
+        run, tags = hom_run(paper_emitter(), paper_noise(), paper_tbi(), 20_000, 12)
         path = tmp_path / "tags.csv"
-        export_timetags(path, run.tags)
+        export_timetags(path, tags)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # sorted input: no warning
             back = ingest_timetags(path)
@@ -493,14 +504,14 @@ class TestTimeTagIO:
         export_timetags(again, back)
         assert again.read_bytes() == path.read_bytes()
         assert back.detector.dtype == np.int8 and back.repetition.dtype == np.int64
-        assert back.detector.tolist() == run.tags.detector.tolist()
-        assert back.repetition.tolist() == run.tags.repetition.tolist()
-        assert back.time.tolist() == [float(f"{t:.6f}") for t in run.tags.time.tolist()]
-        assert len(back) == len(run.tags)
-        g2_a = g2_zero(run.tags, run.windows)[0]
+        assert back.detector.tolist() == tags.detector.tolist()
+        assert back.repetition.tolist() == tags.repetition.tolist()
+        assert back.time.tolist() == [float(f"{t:.6f}") for t in tags.time.tolist()]
+        assert len(back) == len(tags)
+        g2_a = g2_zero(tags, run.windows)[0]
         g2_b = g2_zero(back, run.windows)[0]
         assert g2_a == pytest.approx(g2_b, abs=1e-9)
-        hom_a = hom_counts_from_tags(run.tags, run.windows)
+        hom_a = hom_counts_from_tags(tags, run.windows)
         hom_b = hom_counts_from_tags(back, run.windows)
         assert (hom_a.n1, hom_a.n2, hom_a.n3) == (hom_b.n1, hom_b.n2, hom_b.n3)
 
@@ -742,8 +753,7 @@ class TestBlinking:
         import dataclasses
         noise = dataclasses.replace(paper_noise(), blink_block_len=40,
                                     blink_on_fraction=0.7)
-        run = simulate_hom(paper_emitter(), noise, paper_tbi(), 60_000, 21)
-        arr = run.tags
+        run, arr = hom_run(paper_emitter(), noise, paper_tbi(), 60_000, 21)
         n_reps = int(arr.repetition.max()) + 1
         from timebin.coincidence import _window_counts
         from timebin.interferometer import Window
@@ -783,34 +793,29 @@ def _same_tags(got, want):
 
 
 class TestBlocks:
-    """The tag path works in blocks of repetitions (`RunClicks.to_tags`) and
-    of tags (`_in_order`, `hom_counts_from_tags`); with small blocks it
-    gives what one block over everything gives."""
+    """The tag path works in blocks of repetitions (`simulate_hom`,
+    `RunClicks.to_tags` of a block) and of tags (`_in_order`,
+    `hom_counts_from_tags`); with small blocks it gives what one block over
+    everything gives."""
 
     @pytest.mark.parametrize("block", [1, 7, 500, 1999])
     def test_to_tags_hom(self, monkeypatch, block):
-        from timebin import detection
-        from timebin.detection import DetectionModel
-        from timebin.emitter import build_hom_sequence, run_sequence_trajectory
+        # the blocks' tags, joined, are those of one block over the run, and
+        # the g2 and HOM sums, carried across the block edges, are the same
+        from timebin import experiments
 
-        params, noise = paper_emitter(), paper_noise()
-        windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
-        traj = run_sequence_trajectory(build_hom_sequence(), params, noise, 5,
-                                       np.arange(4000, dtype=np.uint64))
-        clicks = DetectionModel(traj.layout, paper_tbi(), 0.0, noise,
-                                windows).sample_run(traj, 5)
-        whole = clicks.to_tags(params.gamma0)
-        monkeypatch.setattr(detection, "TAG_BLOCK_REPS", block)
-        got = clicks.to_tags(params.gamma0)
+        args = paper_emitter(), paper_noise(), paper_tbi(), 4000, 5
+        whole_run, whole = hom_run(*args)
+        monkeypatch.setattr(experiments, "BLOCK_REPS", block)
+        run, got = hom_run(*args)
         _same_tags(got, whole)
-        assert got._ordered and len(got) > 4000
+        assert run == whole_run
+        assert len(got) > 4000
 
-    def test_to_tags_block_edges(self, monkeypatch):
-        # blocks of 8 repetitions: several tags in the repetitions on either
-        # side of an edge, a block without any click, one without rows of
-        # one of the runs, and runs on interleaved and shuffled repetitions
-        from timebin import detection
-
+    def test_to_tags_block_edges(self):
+        # runs on interleaved and shuffled repetitions, with several tags in
+        # a repetition, repetitions without any click and repetitions that
+        # one run lacks: their tags merged into one order
         windows = WindowConfig.for_sequence(1)
         rng = np.random.default_rng(4)
         n = 48
@@ -838,17 +843,10 @@ class TestBlocks:
         dropped = np.isin(whole.repetition, np.arange(31, 40, 2))
         want = TagArrays(*(getattr(whole, name)[~dropped]
                            for name in ("detector", "time", "repetition")))
-        monkeypatch.setattr(detection, "TAG_BLOCK_REPS", 4)
         _same_tags(runs[0].to_tags(2.54, runs[1:]), want)
         _same_tags(runs[1].to_tags(2.54, runs[:1]), want)
-        monkeypatch.setattr(detection, "TAG_BLOCK_REPS", 8)
-        _same_tags(_clicks(windows, reps, signal, background=background,
-                           readout=readout).to_tags(), whole)
 
-    def test_to_tags_none(self, monkeypatch):
-        from timebin import detection
-
-        monkeypatch.setattr(detection, "TAG_BLOCK_REPS", 3)
+    def test_to_tags_none(self):
         windows = WindowConfig.for_sequence(1)
         clicks = _clicks(windows, np.arange(10), np.zeros((10, 6), np.uint8))
         other = _clicks(windows, np.arange(10, 20), np.zeros((10, 6), np.uint8))
@@ -918,41 +916,33 @@ class TestBlocks:
     def test_hom_counts_simulated(self, monkeypatch):
         from timebin import coincidence
 
-        run = simulate_hom(paper_emitter(), paper_noise(), paper_tbi(), 6000, 2)
+        run, tags = hom_run(paper_emitter(), paper_noise(), paper_tbi(), 6000, 2)
         for block in (3, 1000):
             monkeypatch.setattr(coincidence, "SCAN_BLOCK", block)
-            assert hom_counts_from_tags(run.tags, run.windows) == run.hom_counts
+            assert hom_counts_from_tags(tags, run.windows) == run.hom_counts
 
     def test_peak_memory(self, monkeypatch):
-        # to_tags and the HOM pairing of a run of 20 blocks hold the tags and
+        # the g2 and HOM sums of tags in 20 blocks hold the window codes and
         # a few blocks' temporaries, not temporaries the size of all the tags
         import tracemalloc
 
-        from timebin import coincidence, detection
-        from timebin.detection import DetectionModel
-        from timebin.emitter import build_hom_sequence, run_sequence_trajectory
+        from timebin import coincidence
 
-        params, noise = paper_emitter(), paper_noise()
-        windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
         n = 40_000
-        traj = run_sequence_trajectory(build_hom_sequence(), params, noise, 5,
-                                       np.arange(n, dtype=np.uint64))
-        clicks = DetectionModel(traj.layout, paper_tbi(), 0.0, noise,
-                                windows).sample_run(traj, 5)
-        monkeypatch.setattr(detection, "TAG_BLOCK_REPS", n // 20)
+        run, tags = hom_run(paper_emitter(), paper_noise(), paper_tbi(), n, 5)
+        tags = TagArrays(tags.detector, tags.time, tags.repetition)
         tags_per_rep = 2.4
+        assert abs(len(tags) / n - tags_per_rep) < 0.1
         monkeypatch.setattr(coincidence, "SCAN_BLOCK", int(tags_per_rep * n // 20))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            tags = clicks.to_tags(params.gamma0)
-            counts = hom_counts_from_tags(tags, windows)
+            counts = hom_counts_from_tags(tags, run.windows)
+            g2 = g2_zero(tags, run.windows)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert counts.n1 + counts.n2 + counts.n3 > 0
-        output = sum(a.nbytes for a in (tags.detector, tags.time, tags.repetition))
-        assert abs(len(tags) / n - tags_per_rep) < 0.1
+        assert (counts, g2) == (run.hom_counts, (run.g2, run.g2_err, run.g2_detail))
         # the window codes cached on the tags are one byte a tag
-        block = output / 20
-        assert peak < output + len(tags) + 4 * block, (peak, output)
+        block = sum(a.nbytes for a in (tags.detector, tags.time, tags.repetition)) / 20
+        assert peak < len(tags) + 4 * block, (peak, block)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from kernel_reference import dense_factor, grouped_trajectory, verify_kraus_complete
+from kernel_reference import (dense_factor, grouped_trajectory, verify_kraus_complete,
+                              with_late_phase)
 from timebin.coincidence import WindowConfig
 from timebin.config import paper_emitter, paper_noise, paper_tbi
 from timebin.detection import DetectionModel
@@ -316,7 +317,7 @@ class TestExcitation:
 class TestIdealProtocols:
     def test_bell_sequence_gives_target(self):
         params = ideal_emitter()
-        seq = build_bell_sequence(phase_e=0.7)
+        seq = with_late_phase(build_bell_sequence(), 0.7)
         rho = run_sequence_exact(seq, params, ideal_noise()).density()
         target = TargetState(2, phi_e=0.7).state(rho.layout)
         assert direct_fidelity(rho, target) == pytest.approx(1.0, abs=1e-10)
@@ -657,10 +658,12 @@ class TestSharedGeneration:
 
         params = paper_emitter()
         noise = dataclasses.replace(paper_noise(), **(BLINKING if blink else {}))
+        blocks = []
         run = witness_trajectory(n_qubits, params, noise, paper_tbi(), n_reps, 17,
-                                 keep_clicks=True)
-        assert len(run.clicks) == len(run.subruns) == 2 * n_qubits + 2
-        for k, (sub, clicks) in enumerate(zip(run.subruns, run.clicks)):
+                                 on_block=blocks.append)
+        (block,) = blocks
+        assert len(block) == len(run.subruns) == 2 * n_qubits + 2
+        for k, (sub, clicks) in enumerate(zip(run.subruns, block)):
             shared = clicks.trajectory
             # repetitions go to the sub-runs round-robin
             reps = np.arange(k, n_reps, len(run.subruns), dtype=np.uint64)
@@ -687,7 +690,7 @@ class TestSharedGeneration:
         generation = build_bell_sequence()
         seq = generation.with_readout_rotation("y", 0.5)
         # a late pulse at another phase is another leading step
-        other = build_bell_sequence(phase_e=0.4).with_readout_rotation("y", 0.5)
+        other = with_late_phase(build_bell_sequence(), 0.4).with_readout_rotation("y", 0.5)
         exact = run_sequence_exact(generation, params, noise)
         with pytest.raises(ContractError):
             run_sequence_exact(other, params, noise, start=exact)

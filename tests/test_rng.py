@@ -54,9 +54,10 @@ def test_keys_cover_a_run(monkeypatch):
         return uniforms(master_seed, reps, stream)
 
     monkeypatch.setattr(crng, "uniforms", recording)
-    run = witness_trajectory(3, paper_emitter(), paper_noise(), paper_tbi(), 6000, 3,
-                             keep_clicks=True)
-    for clicks in run.clicks:
+    blocks = []
+    witness_trajectory(3, paper_emitter(), paper_noise(), paper_tbi(), 6000, 3,
+                       on_block=blocks.append)
+    for clicks in blocks[0]:
         clicks.to_tags()
     enumerated = {crng.stream(name, offset) for name, offset in ghz_stream_keys(3)}
     assert len(requested) > 20

@@ -290,10 +290,12 @@ class TestHeraldedCounting:
         from timebin.experiments import witness_trajectory
         from kernel_reference import clicks_of, pattern_outcomes
 
+        blocks = []
         run = witness_trajectory(2, paper_emitter(), paper_noise(), paper_tbi(),
-                                 24_000, 5, keep_clicks=True)
+                                 24_000, 5, on_block=blocks.append)
+        (block,) = blocks
         counts, leak, total = {}, 0, 0
-        for sub_run, clicks in zip(run.subruns, run.clicks):
+        for sub_run, clicks in zip(run.subruns, block):
             setting = sub_run.setting
             sub = setting.subsettings[sub_run.sub_index]
             acc = counts.setdefault(setting.label, SettingCounts(setting, 1))
@@ -319,7 +321,7 @@ class TestHeraldedCounting:
         assert run.outcome.leak_event_fraction == leak / total
         # the coincidence rate counts heralded repetitions with any photonic
         # click: signal, flagged or background
-        coincident = sum(bool(clicks_of(clicks, r)) for clicks in run.clicks
+        coincident = sum(bool(clicks_of(clicks, r)) for clicks in block
                          for r in np.flatnonzero(clicks.readout_clicks))
         duration_s = 24_000 / (paper_emitter().repetition_rate_mhz * 1e6)
         assert run.coincidence_rate_hz == coincident / duration_s
