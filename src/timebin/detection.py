@@ -361,9 +361,9 @@ class DetectionModel:
     def sample_run(self, result: TrajectoryResult, master_seed: int) -> "RunClicks":
         """Sample detection for every repetition of a trajectory run.
 
-        Each state's `distribution` is computed once per model: a run
-        sampled in blocks with one model, on results that share their state
-        table (`TrajectoryTables`), evaluates no state twice.
+        Each state's `distribution` is computed once per model: the
+        results of a run's blocks share one state table (`TrajectoryTables`),
+        so a model kept across them evaluates no state twice.
         """
         n = result.rep_indices.size
         reps = result.rep_indices

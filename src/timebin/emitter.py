@@ -40,9 +40,12 @@ counter-based randomness, so a repetition's record is reproducible
 regardless of how the run is chunked.  A blinked-off component or
 repetition skips the excite steps.
 
-Both engines can continue from the result of a sequence's leading steps
-(start=...): a witness evolves its generation sequence once and runs only
-each sub-run's wait and readout rotation from it.
+The two engines share a witness's generation sequence differently.  Exact
+mode continues from the result of a sequence's leading steps (start=...):
+a witness evolves its generation once and runs only each sub-run's wait
+and readout rotation from it.  Trajectory mode samples every sub-run's
+whole sequence on one `TrajectoryTables`, which holds one branch table per
+pulse operation, so each state is evolved through each operation once.
 """
 from __future__ import annotations
 
@@ -721,17 +724,6 @@ class TrajectoryResult:
             mask |= column == BRANCH_CODES[label]
         return mask
 
-    def select(self, rows) -> "TrajectoryResult":
-        """The repetitions at rows, with a table of only the states they use."""
-        ids = self.state_ids[rows]
-        used = np.flatnonzero(np.bincount(ids, minlength=len(self.state_table)))
-        renumber = np.zeros(len(self.state_table), dtype=np.int64)
-        renumber[used] = np.arange(used.size)
-        return replace(self, rep_indices=self.rep_indices[rows],
-                       state_table=[self.state_table[i] for i in used],
-                       state_ids=renumber[ids], branches=self.branches[rows],
-                       blink_off=self.blink_off[rows])
-
 
 def _canonical_key(vec: np.ndarray) -> bytes:
     idx = int(np.argmax(np.abs(vec) > 1e-9))
@@ -803,86 +795,76 @@ class _StepTable:
 
 
 class TrajectoryTables:
-    """What `run_sequence_trajectory` learns of one sequence's states, kept
-    across its calls on successive blocks of a run's repetitions: the state
-    table, each step's branch table and the ids of the start results'
-    states.  With them each state is evolved through each step once per
-    run, however the run's repetitions are split."""
+    """What `run_sequence_trajectory` learns of a run's states, kept across
+    its calls: the state table and one branch table per pulse operation.
+    A branch table depends only on its operation and the params, noise and
+    layout, which the first call records and every later call must repeat.
+    Passed to every call of a run, on each block of its repetitions and
+    each sequence (a witness's sub-runs share their generation steps), the
+    tables evolve each state through each operation once per run."""
 
     def __init__(self):
         self.states = _StateTable()
-        self.steps: dict[int, _StepTable] = {}
-        # id() of a start result's state -> (that state, its id here)
-        self._start_ids: dict[int, tuple[np.ndarray, int]] = {}
+        self.steps: dict[PulseOp, _StepTable] = {}
+        self.inputs: tuple | None = None
 
-    def start_id(self, vec: np.ndarray) -> int:
-        """The id here of a start result's state, added when first seen."""
-        hit = self._start_ids.get(id(vec))
-        if hit is None:
-            hit = self._start_ids[id(vec)] = vec, self.states.add(vec)
-        return hit[1]
+    def check(self, params: EmitterParams, noise: NoiseParams,
+              layout: RegisterLayout) -> None:
+        """Record the first call's inputs; raise ContractError on others,
+        whose branches these tables do not hold."""
+        inputs = (params, noise, layout)
+        if self.inputs is None:
+            self.inputs = inputs
+        elif inputs != self.inputs:
+            raise ContractError("the trajectory tables hold another run's params, "
+                                "noise or layout")
 
 
 def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
                             noise: NoiseParams, master_seed: int,
                             rep_indices: np.ndarray,
                             layout: RegisterLayout | None = None,
-                            start: TrajectoryResult | None = None,
                             tables: TrajectoryTables | None = None) -> TrajectoryResult:
     """Sample one noise-branch path per repetition.
 
     Randomness is addressed by (master_seed, repetition index, step), so each
     repetition samples the same branches however the repetitions are split
-    across calls.  start, the result of a sequence whose steps before its
-    readout are seq's leading steps, for the same repetitions, continues
-    from its states, records and layout with the steps after those; they
-    keep their step indices in seq, so each repetition draws what a run of
-    the whole sequence draws.
+    across calls.
 
     Each step evolves every state that repetitions occupy once, in
     ascending id order, and builds one table: per state, the normalised
     CDF of the branches it keeps and the state id and code each leads to.
     A repetition's branch is then one count, of its state's CDF entries at
     or below its draw, and one lookup in that table.  tables, passed again
-    with each block of a run's repetitions, keeps the states and the step
-    tables of the blocks before, so only the states new to a step are
-    evolved; the result's state_table is then the run's table so far.
+    with each block of a run's repetitions and each of its sequences, keeps
+    the states and the branch tables of the calls before, so only the
+    states new to a step's operation are evolved; the result's state_table
+    is then the run's table so far.
     """
     reps = np.asarray(rep_indices, dtype=np.uint64)
     n = reps.size
+    if layout is None:
+        layout = sequence_layout(seq, noise)
     if tables is None:
         tables = TrajectoryTables()
+    tables.check(params, noise, layout)
     table = tables.states
-    # each step from first on writes every repetition's entry, except the
-    # excite steps of blinked-off repetitions, which stay 'skipped'
+    # each step writes every repetition's entry, except the excite steps of
+    # blinked-off repetitions, which stay 'skipped'
     record = np.full((n, len(seq.steps) - 1), BRANCH_CODES["skipped"], dtype=np.int8)
-
-    first = 0
-    if start is not None:
-        if not np.array_equal(start.rep_indices, reps):
-            raise ContractError("the start result holds other repetitions")
-        first = _continued_steps(seq, start.sequence)
-        layout, blink_off = start.layout, start.blink_off
-        ids = np.array([tables.start_id(v) for v in start.state_table],
-                       dtype=np.int64)[start.state_ids]
-        record[:, :first] = start.branches[:, :first]
+    ids = np.full(n, table.add(_initial_vector(layout)), dtype=np.int64)
+    if noise.blink_block_len > 0 and noise.blink_on_fraction < 1.0:
+        blocks = reps // np.uint64(noise.blink_block_len)
+        blink_off = (crng.uniforms(master_seed, blocks, crng.stream("emitter.blink"))
+                     >= noise.blink_on_fraction)
     else:
-        if layout is None:
-            layout = sequence_layout(seq, noise)
-        ids = np.full(n, table.add(_initial_vector(layout)), dtype=np.int64)
-        if noise.blink_block_len > 0 and noise.blink_on_fraction < 1.0:
-            blocks = reps // np.uint64(noise.blink_block_len)
-            blink_off = (crng.uniforms(master_seed, blocks, crng.stream("emitter.blink"))
-                         >= noise.blink_on_fraction)
-        else:
-            blink_off = np.zeros(n, dtype=bool)
+        blink_off = np.zeros(n, dtype=bool)
 
     blinking = bool(blink_off.any())
-    for step_i, op in enumerate(seq.steps[first:-1], start=first):
-        step = tables.steps.get(step_i)
+    for step_i, op in enumerate(seq.steps[:-1]):
+        step = tables.steps.get(op)
         if step is None:
-            step = tables.steps[step_i] = _StepTable(step_branches(op, params, noise,
-                                                                   layout))
+            step = tables.steps[op] = _StepTable(step_branches(op, params, noise, layout))
         u = crng.uniforms(master_seed, reps, crng.stream("emitter.step", step_i))
         # an excite step skips the blinked-off repetitions
         rows = np.flatnonzero(~blink_off) if op.kind == "excite" and blinking else slice(None)

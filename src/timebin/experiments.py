@@ -5,9 +5,11 @@ Each witness run loops over the n+1 measurement settings; every setting has
 two spin sub-settings (the toggled readout rotation).  A sub-run's pulse
 sequence is the generation sequence at excitation phase 0, followed by a
 wait and the sub-setting's readout rotation; the setting's phase is a
-detection setting, carried by its click POVM (`slot_window_povm`).  The
-generation is evolved once per witness, and each sub-run continues it
-through its wait and rotation (the engines' start=...).
+detection setting, carried by its click POVM (`slot_window_povm`).  Exact
+mode evolves the generation once per witness and continues each sub-run
+from it through its wait and rotation (`run_sequence_exact`'s start=...);
+trajectory mode samples each sub-run's whole sequence on the run's one
+`TrajectoryTables`, which evolves the shared steps once per state.
 Repetitions are assigned to sub-runs round-robin by repetition index.
 Both modes count heralded events with `SettingCounts.add_expected`:
 trajectory mode each heralded repetition's sampled click row once, exact
@@ -18,10 +20,10 @@ with `witness.fidelity_estimate`, as `analyze --mode witness` does.
 Trajectory runs walk their repetitions in blocks of about BLOCK_REPS
 ascending repetitions (`_blocks`), so memory does not grow with the run.
 Every draw is keyed by (master seed, repetition, stream), so a
-repetition's record and clicks do not depend on its block.  The engine's
-tables (`TrajectoryTables`) and each sub-run's `DetectionModel` are kept
-across blocks, so no state is evolved or read out twice.  Counts are
-integer-valued sums, exact in any order.
+repetition's record and clicks do not depend on its block.  The run's
+`TrajectoryTables` and each sub-run's `DetectionModel` are kept across
+blocks, so no state is evolved twice and no sub-run reads a state out
+twice.  Counts are integer-valued sums, exact in any order.
 """
 from __future__ import annotations
 
@@ -219,37 +221,33 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
     """Monte Carlo witness estimate over n_repetitions sampled repetitions.
 
     Repetition r runs sub-setting r mod (2n+2); post-selected counts merge
-    across sub-runs.  The generation sequence is sampled once for all
-    repetitions; each sub-run takes its repetitions' states and samples its
-    wait and readout rotation, with the records a direct run of its sequence
-    gives.  The run walks blocks of repetitions (`_blocks`); on_block, if
-    given, is called with each block's `RunClicks` of every sub-run with
-    repetitions in it, in sub-run order.
+    across sub-runs.  Every sub-run samples its whole sequence on one
+    `TrajectoryTables`, so the generation steps the sub-runs share are
+    evolved once per state for the whole run, and each sub-run's records
+    are those of a direct run of its sequence.  The run walks blocks of
+    repetitions (`_blocks`); on_block, if given, is called with each
+    block's `RunClicks` of every sub-run with repetitions in it, in sub-run
+    order.
     With thinned=True all efficiencies are applied and the post-selected
     coincidence rate is physical.
     """
     subruns = _witness_subruns(n_qubits, params)
-    generation_seq = _generation_sequence(n_qubits)
     counts = {}
     for run in subruns:
         counts.setdefault(run.setting.label, SettingCounts(run.setting, n_qubits - 1))
-    generation_tables = TrajectoryTables()
-    tables = [TrajectoryTables() for _ in subruns]
+    tables = TrajectoryTables()
     models: list[DetectionModel | None] = [None] * len(subruns)
     leak_events = 0.0
     total_events = 0.0
     coincident_reps = 0
     for block in _blocks(n_repetitions, len(subruns)):
-        generation = run_sequence_trajectory(generation_seq, params, noise, master_seed,
-                                             block, tables=generation_tables)
         block_clicks = []
         for k, run in enumerate(subruns):
-            rows = slice(k, None, len(subruns))
-            reps = block[rows]
+            reps = block[k::len(subruns)]
             if reps.size == 0:
                 continue
             traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps,
-                                           start=generation.select(rows), tables=tables[k])
+                                           tables=tables)
             if models[k] is None:
                 models[k] = DetectionModel(traj.layout, tbi, run.phase, noise,
                                            run.windows, thinned)

@@ -457,8 +457,7 @@ def with_late_phase(seq, phase: float):
         else op for op in seq.steps))
 
 
-def grouped_trajectory(seq, params, noise, master_seed: int, rep_indices,
-                       start=None):
+def grouped_trajectory(seq, params, noise, master_seed: int, rep_indices):
     """(run_sequence_trajectory's result, the (kept, step) branch counts):
     each step groups the repetitions by state id (`group_by_id`), evolves
     each group's state and draws its branches by `rng.choose`, scattering
@@ -467,32 +466,23 @@ def grouped_trajectory(seq, params, noise, master_seed: int, rep_indices,
     from timebin import rng as crng
     from timebin.detection import group_by_id
     from timebin.emitter import (BRANCH_CODES, TrajectoryResult, _StateTable,
-                                 _check_overflow, _continued_steps,
-                                 _initial_vector, apply_branch,
+                                 _check_overflow, _initial_vector, apply_branch,
                                  sequence_layout, step_branches)
 
     reps = np.asarray(rep_indices, dtype=np.uint64)
     n = reps.size
     record = np.full((n, len(seq.steps) - 1), BRANCH_CODES["skipped"], dtype=np.int8)
     table = _StateTable()
-    first = 0
-    if start is not None:
-        first = _continued_steps(seq, start.sequence)
-        layout, blink_off = start.layout, start.blink_off
-        ids = np.array([table.add(v) for v in start.state_table],
-                       dtype=np.int64)[start.state_ids]
-        record[:, :first] = start.branches[:, :first]
+    layout = sequence_layout(seq, noise)
+    ids = np.full(n, table.add(_initial_vector(layout)), dtype=np.int64)
+    if noise.blink_block_len > 0 and noise.blink_on_fraction < 1.0:
+        blocks = reps // np.uint64(noise.blink_block_len)
+        blink_off = (crng.uniforms(master_seed, blocks, crng.stream("emitter.blink"))
+                     >= noise.blink_on_fraction)
     else:
-        layout = sequence_layout(seq, noise)
-        ids = np.full(n, table.add(_initial_vector(layout)), dtype=np.int64)
-        if noise.blink_block_len > 0 and noise.blink_on_fraction < 1.0:
-            blocks = reps // np.uint64(noise.blink_block_len)
-            blink_off = (crng.uniforms(master_seed, blocks, crng.stream("emitter.blink"))
-                         >= noise.blink_on_fraction)
-        else:
-            blink_off = np.zeros(n, dtype=bool)
+        blink_off = np.zeros(n, dtype=bool)
     counts = []
-    for step_i, op in enumerate(seq.steps[first:-1], start=first):
+    for step_i, op in enumerate(seq.steps[:-1]):
         branches = step_branches(op, params, noise, layout)
         codes = np.array([BRANCH_CODES[label] for label, _, _ in branches], dtype=np.int8)
         u = crng.uniforms(master_seed, reps, crng.stream("emitter.step", step_i))

@@ -10,8 +10,8 @@ from timebin.coincidence import WindowConfig
 from timebin.config import paper_emitter, paper_noise, paper_tbi
 from timebin.detection import DetectionModel
 from timebin.emitter import (BRANCH_LABELS, EmitterParams, NoiseParams, PulseOp,
-                             PulseSequence, apply_branch, build_bell_sequence,
-                             build_ghz_sequence, build_hom_sequence,
+                             PulseSequence, TrajectoryTables, apply_branch,
+                             build_bell_sequence, build_ghz_sequence, build_hom_sequence,
                              conjugate_branches, excite_kraus, ideal_emitter,
                              ideal_noise, pump_kraus, rabi_curve,
                              rabi_population, rotation_kraus,
@@ -560,11 +560,27 @@ class TestRotationCeiling:
 BLINKING = {"blink_block_len": 40, "blink_on_fraction": 0.7}
 
 
+def assert_same_repetitions(got, want):
+    """got and want sample the same branches for the same repetitions, into
+    states equal up to a global phase (a table holds one representative per
+    state, the first one it meets)."""
+    assert got.sequence == want.sequence and got.layout == want.layout
+    for name in ("rep_indices", "branches", "blink_off"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for r in range(want.rep_indices.size):
+        a = got.state_table[got.state_ids[r]]
+        b = want.state_table[want.state_ids[r]]
+        overlap = np.vdot(b, a)
+        assert np.max(np.abs(a - b * overlap / abs(overlap))) <= 1e-12
+
+
 class TestTableBranchChoice:
     """Each step draws every repetition's branch from one table per state;
     `kernel_reference.grouped_trajectory`, which sorts the repetitions into
     groups by state and searches each group's CDF, is the reference: the
-    same ids, records and state table, bit for bit."""
+    same ids, records and state table, bit for bit, on fresh tables, and the
+    same records and states up to a global phase on tables that other
+    sequences have filled."""
 
     @staticmethod
     def assert_same(got, want):
@@ -592,16 +608,16 @@ class TestTableBranchChoice:
         if n_qubits == 4:
             # many states share each step
             assert max(len(kept) for kept, _ in counts) > 40
+        # sub-run k samples its whole sequence on a table that sub-runs
+        # 0..k-1 have filled, as in a witness run
         subruns = _witness_subruns(n_qubits, params)
-        k = 3
-        run = subruns[k]
-        rows = slice(k, None, len(subruns))
-        start = generation.select(rows)
-        got = run_sequence_trajectory(run.sequence, params, noise, 5, reps[rows],
-                                      start=start)
-        want, _ = grouped_trajectory(run.sequence, params, noise, 5, reps[rows],
-                                     start=start)
-        self.assert_same(got, want)
+        tables = TrajectoryTables()
+        for k, run in enumerate(subruns[:4]):
+            rows = reps[k::len(subruns)]
+            got = run_sequence_trajectory(run.sequence, params, noise, 5, rows,
+                                          tables=tables)
+            want, _ = grouped_trajectory(run.sequence, params, noise, 5, rows)
+            assert_same_repetitions(got, want)
 
     def test_hom(self):
         params = paper_emitter()
@@ -625,9 +641,43 @@ class TestTableBranchChoice:
         self.assert_same(run_sequence_trajectory(seq, params, noise, 2, reps), want)
 
 
+def assert_witness_matches_direct_runs(n_qubits, n_reps, blink, n_blocks):
+    """Each sub-run of a witness_trajectory run in n_blocks blocks samples,
+    block by block on the run's one table, the records and clicks of a
+    direct run of its whole sequence over all its repetitions."""
+    from timebin.experiments import witness_trajectory
+
+    params = paper_emitter()
+    noise = dataclasses.replace(paper_noise(), **(BLINKING if blink else {}))
+    blocks = []
+    run = witness_trajectory(n_qubits, params, noise, paper_tbi(), n_reps, 17,
+                             on_block=blocks.append)
+    assert len(blocks) == n_blocks
+    assert len(run.subruns) == 2 * n_qubits + 2
+    assert all(len(block) == len(run.subruns) for block in blocks)
+    for k, sub in enumerate(run.subruns):
+        parts = [block[k] for block in blocks]
+        shared = parts[0].trajectory
+        assert all(p.trajectory.state_table is shared.state_table for p in parts)
+        # repetitions go to the sub-runs round-robin
+        reps = np.arange(k, n_reps, len(run.subruns), dtype=np.uint64)
+        direct = run_sequence_trajectory(sub.sequence, params, noise, 17, reps)
+        assert direct.blink_off.any() == blink
+        assert_same_repetitions(dataclasses.replace(shared, **{
+            name: np.concatenate([getattr(p.trajectory, name) for p in parts])
+            for name in ("rep_indices", "state_ids", "branches", "blink_off")}), direct)
+        model = DetectionModel(direct.layout, paper_tbi(), sub.phase, noise, sub.windows)
+        want = model.sample_run(direct, 17)
+        for name in ("signal", "flagged", "background", "spins",
+                     "readout_signal", "readout_leak"):
+            got = np.concatenate([getattr(p, name) for p in parts])
+            assert np.array_equal(got, getattr(want, name)), name
+
+
 class TestSharedGeneration:
-    """A witness evolves its generation once and finishes each sub-run from
-    it; a direct evolution of each sub-run's whole sequence is the
+    """Exact mode evolves a witness's generation once and finishes each
+    sub-run from it; trajectory mode samples every sub-run on one shared
+    table.  A direct evolution of each sub-run's whole sequence is the
     reference."""
 
     @pytest.mark.parametrize("blink", [False, True], ids=["steady", "blinking"])
@@ -654,36 +704,21 @@ class TestSharedGeneration:
     @pytest.mark.parametrize("blink", [False, True], ids=["steady", "blinking"])
     @pytest.mark.parametrize("n_qubits, n_reps", [(2, 6000), (3, 3000)])
     def test_trajectory_repetitions_match_direct_runs(self, n_qubits, n_reps, blink):
-        from timebin.experiments import witness_trajectory
+        assert_witness_matches_direct_runs(n_qubits, n_reps, blink, n_blocks=1)
 
-        params = paper_emitter()
-        noise = dataclasses.replace(paper_noise(), **(BLINKING if blink else {}))
-        blocks = []
-        run = witness_trajectory(n_qubits, params, noise, paper_tbi(), n_reps, 17,
-                                 on_block=blocks.append)
-        (block,) = blocks
-        assert len(block) == len(run.subruns) == 2 * n_qubits + 2
-        for k, (sub, clicks) in enumerate(zip(run.subruns, block)):
-            shared = clicks.trajectory
-            # repetitions go to the sub-runs round-robin
-            reps = np.arange(k, n_reps, len(run.subruns), dtype=np.uint64)
-            direct = run_sequence_trajectory(sub.sequence, params, noise, 17, reps)
-            assert shared.sequence == direct.sequence
-            for name in ("rep_indices", "branches", "blink_off"):
-                assert np.array_equal(getattr(shared, name), getattr(direct, name)), name
-            assert shared.blink_off.any() == blink
-            # a table holds one representative per state up to a global phase
-            for r in range(reps.size):
-                a = shared.state_table[shared.state_ids[r]]
-                b = direct.state_table[direct.state_ids[r]]
-                overlap = np.vdot(b, a)
-                assert np.max(np.abs(a - b * overlap / abs(overlap))) <= 1e-12
-            model = DetectionModel(direct.layout, paper_tbi(), sub.phase, noise,
-                                   sub.windows)
-            want = model.sample_run(direct, 17)
-            for name in ("signal", "flagged", "background", "spins",
-                         "readout_signal", "readout_leak"):
-                assert np.array_equal(getattr(clicks, name), getattr(want, name)), name
+    @pytest.mark.parametrize("blink", [False, True], ids=["steady", "blinking"])
+    @pytest.mark.parametrize("n_qubits, block, n_reps, n_blocks", [
+        (2, "subruns", 600, 100), (3, "subruns", 400, 50),
+        (2, 500, 6000, 13), (3, 500, 3000, 7)])
+    def test_trajectory_blocks_match_direct_runs(self, n_qubits, block, n_reps, n_blocks,
+                                                 blink, monkeypatch):
+        # one repetition per sub-run per block, or a few dozen: the run's
+        # one table spans the sub-runs and the blocks
+        from timebin import experiments
+
+        size = 2 * n_qubits + 2 if block == "subruns" else block
+        monkeypatch.setattr(experiments, "BLOCK_REPS", size)
+        assert_witness_matches_direct_runs(n_qubits, n_reps, blink, n_blocks)
 
     def test_start_must_hold_the_leading_steps(self):
         params, noise = paper_emitter(), paper_noise()
@@ -696,9 +731,27 @@ class TestSharedGeneration:
             run_sequence_exact(other, params, noise, start=exact)
         tail = run_sequence_exact(seq, params, noise, start=exact)
         assert len(tail.components) == len(exact.components)
-        reps = np.arange(10, dtype=np.uint64)
-        traj = run_sequence_trajectory(generation, params, noise, 3, reps)
-        with pytest.raises(ContractError):
-            run_sequence_trajectory(other, params, noise, 3, reps, start=traj)
-        with pytest.raises(ContractError):
-            run_sequence_trajectory(seq, params, noise, 3, reps[:5], start=traj)
+
+    def test_tables_hold_one_runs_inputs(self):
+        # a table filled under one noise would hand another noise its
+        # branches: hom at p_init_error 0.3 would sample the pump of 0.005
+        params, noise = paper_emitter(), paper_noise()
+        seq = build_hom_sequence()
+        reps = np.arange(2000, dtype=np.uint64)
+        tables = TrajectoryTables()
+        first = run_sequence_trajectory(seq, params, noise, 4, reps, tables=tables)
+        noisier = dataclasses.replace(noise, p_init_error=0.3)
+        fresh = run_sequence_trajectory(seq, params, noisier, 4, reps)
+        assert not np.array_equal(fresh.branches, first.branches)
+        wider = RegisterLayout(photon_slots=2, slot_dim=6)
+        for other_params, other_noise, layout in ((params, noisier, None),
+                                                  (ideal_emitter(), noise, None),
+                                                  (params, noise, wider)):
+            with pytest.raises(ContractError):
+                run_sequence_trajectory(seq, other_params, other_noise, 4, reps,
+                                        layout=layout, tables=tables)
+        # the same inputs, on the next block, still fill the tables
+        more = np.arange(2000, 4000, dtype=np.uint64)
+        again = run_sequence_trajectory(seq, params, noise, 4, more, tables=tables)
+        alone = run_sequence_trajectory(seq, params, noise, 4, more)
+        assert np.array_equal(again.branches, alone.branches)
