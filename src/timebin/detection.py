@@ -25,7 +25,13 @@ Both simulation modes work on (n, 6 * slots) count rows:
   that repetition's pure state (`sample_run`), then adds flagged and
   background clicks and the spin-readout click, all from counter-based
   streams.  It keeps each repetition's clicks as count rows (`RunClicks`),
-  and its time tags are keyed by repetition and click content.
+  and its time tags are keyed by repetition and click content.  Steps
+  after a sequence's last excite step (a witness sub-run's wait and
+  readout rotation) act on the spin alone and so commute with the
+  detection: such a run is read where that tail starts.  The slots of
+  each tail-start state are contracted once into the 2 x 2 spin blocks of
+  its rows (`spin_blocks`), and a final state's distribution is those
+  blocks carried through its tail (`tail_distribution`).
 
 Efficiency handling: with thinned=True every photon and readout click is
 Bernoulli-thinned by the physical efficiencies; with thinned=False clicks
@@ -142,8 +148,10 @@ class DetectionModel:
         self.alphabet_support = (np.diagonal(mags, axis1=1, axis2=2)
                                  + mags.sum(axis=2) + mags.sum(axis=1)) > 1e-15
         # id() of a sampled state -> (that state, its distribution, the CDF
-        # of its probabilities)
+        # of its probabilities); id() of a tail-start state -> (that state,
+        # its spin_blocks)
         self._distributions: dict[int, tuple] = {}
+        self._blocks: dict[int, tuple] = {}
 
     # -- per-slot alphabet -------------------------------------------------
 
@@ -211,20 +219,16 @@ class DetectionModel:
 
     # -- exact distributions -------------------------------------------------
 
-    def distribution(self, state: np.ndarray, flag_clicks=()) -> ClickDistribution:
-        """Joint click distribution of a pure state or density: count rows,
-        spins and probabilities, in depth-first order of the per-slot
-        alphabet indices.
+    def spin_blocks(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The click rows of a pure state or density and each row's 2 x 2
+        spin block Tr_slots[(I (x) M_a) rho], (spin ket, spin bra), in
+        depth-first order of the per-slot alphabet indices.
 
         Slots are contracted level by level.  At slot k every surviving
         prefix tensor meets every alphabet entry in one matrix-vector
         product per entry; a (prefix, entry) pair is dropped when the
         prefix's slot occupancy misses the entry's support or the
         contracted tensor stays below PRUNE_TOL everywhere.
-
-        flag_clicks lists (slot, bin) labels of distinguishable background
-        photons (detuned-transition scatter, re-excitation); each is routed
-        like a definite-bin photon and added to the rows.
         """
         d, n = self.layout.slot_dim, self.layout.photon_slots
         rho = np.outer(state, state.conj()) if state.ndim == 1 else state
@@ -254,16 +258,37 @@ class DetectionModel:
             prefix, entry = np.nonzero(live)
             t = sub[prefix, entry]
             paths = np.concatenate([paths[prefix], entry[:, None]], axis=1)
-        # leaves: (spin ket, spin bra) blocks
-        p = np.stack([t.reshape(-1, 2, 2)[:, s, s].real for s in (SPIN_DOWN, SPIN_UP)],
-                     axis=1)
-        leaf, spin = np.nonzero(p > PRUNE_TOL)
-        dist = ClickDistribution(
-            self.alphabet_rows[paths[leaf]].reshape(leaf.size, 6 * n),
-            np.array((SPIN_DOWN, SPIN_UP), dtype=np.int8)[spin], p[leaf, spin])
+        return (self.alphabet_rows[paths].reshape(len(paths), 6 * n),
+                t.reshape(-1, 2, 2))
+
+    def distribution(self, state: np.ndarray, flag_clicks=()) -> ClickDistribution:
+        """Joint click distribution of a pure state or density: count rows,
+        spins and probabilities, the diagonals of its `spin_blocks` above
+        PRUNE_TOL.
+
+        flag_clicks lists (slot, bin) labels of distinguishable background
+        photons (detuned-transition scatter, re-excitation); each is routed
+        like a definite-bin photon and added to the rows.
+        """
+        rows, blocks = self.spin_blocks(state)
+        dist = _leaves(rows, np.stack([blocks[:, s, s].real for s in (SPIN_DOWN, SPIN_UP)],
+                                      axis=1))
         for slot, bin_label in flag_clicks:
             dist = self._convolve_flag(dist, slot, bin_label)
         return dist
+
+    def tail_distribution(self, start: np.ndarray, k: np.ndarray) -> ClickDistribution:
+        """`distribution` of the pure state K start / ||K start||, for K a
+        2 x 2 factor on the spin, from start's `spin_blocks` (kept by the
+        model): the detection commutes with K, so row a and spin s have
+        probability <s|K sigma_a K^dagger|s> / ||K start||^2."""
+        hit = self._blocks.get(id(start))
+        if hit is None:
+            hit = self._blocks[id(start)] = (start, *self.spin_blocks(start))
+        _, rows, blocks = hit
+        psi = k @ start.reshape(2, -1)
+        spin = np.diagonal(k @ blocks @ k.conj().T, axis1=1, axis2=2).real
+        return _leaves(rows, spin[:, (SPIN_DOWN, SPIN_UP)] / np.vdot(psi, psi).real)
 
     def _convolve_flag(self, dist: ClickDistribution, slot: int, bin_label: str
                        ) -> ClickDistribution:
@@ -361,9 +386,14 @@ class DetectionModel:
     def sample_run(self, result: TrajectoryResult, master_seed: int) -> "RunClicks":
         """Sample detection for every repetition of a trajectory run.
 
-        Each state's `distribution` is computed once per model: the
+        Each final state's distribution is computed once per model: the
         results of a run's blocks share one state table (`TrajectoryTables`),
-        so a model kept across them evaluates no state twice.
+        so a model kept across them evaluates no state twice.  A sequence
+        with a spin-only tail (`TrajectoryResult.tail_ids`) reads the
+        photons where the tail starts: a final state's distribution is the
+        `tail_distribution` of the first of its repetitions, so the slots
+        are contracted once per tail-start state, not once per final state.
+        Without a tail it is the final state's `distribution`.
         """
         n = result.rep_indices.size
         reps = result.rep_indices
@@ -376,7 +406,13 @@ class DetectionModel:
             state = result.state_table[sid]
             hit = self._distributions.get(id(state))
             if hit is None:
-                dist = self.distribution(state)
+                if result.tail_ids is None:
+                    dist = self.distribution(state)
+                else:
+                    first = idx[0]
+                    dist = self.tail_distribution(
+                        result.state_table[result.tail_ids[first]],
+                        result.tail_operator(first))
                 hit = self._distributions[id(state)] = state, dist, crng.cdf(dist.probs)
             _, dist, cum = hit
             choice = crng.pick(cum, u_pat[idx])
@@ -427,6 +463,14 @@ class DetectionModel:
         first, _ = first_seen_groups(catalog_rows)
         return RunClicks(self, result, catalog_rows[first], spins, readout_signal,
                          readout_leak, signal, flagged, background, master_seed)
+
+
+def _leaves(rows: np.ndarray, p: np.ndarray) -> ClickDistribution:
+    """The (row, spin) entries of p, an (entries, 2) array of probabilities
+    by spin, above PRUNE_TOL, in row order and spin down first."""
+    leaf, spin = np.nonzero(p > PRUNE_TOL)
+    return ClickDistribution(rows[leaf], np.array((SPIN_DOWN, SPIN_UP), dtype=np.int8)[spin],
+                             p[leaf, spin])
 
 
 @dataclass

@@ -274,6 +274,13 @@ class PulseSequence:
         slots = [s.slot for s in self.steps if s.kind == "excite"]
         return max(slots) + 1 if slots else 0
 
+    @property
+    def tail_start(self) -> int:
+        """Index of the first step of the tail, the steps after the last
+        excite step and before the readout; they act on the spin alone."""
+        excites = [i for i, s in enumerate(self.steps) if s.kind == "excite"]
+        return excites[-1] + 1 if excites else 0
+
     def with_readout_rotation(self, axis, angle: float) -> "PulseSequence":
         """Insert the basis-selection rotation R_i just before readout.
 
@@ -706,6 +713,12 @@ class TrajectoryResult:
     step before the readout: the code of the branch the repetition took
     there, its label BRANCH_LABELS[code] ('skipped' for an excite step of a
     blinked-off repetition).
+
+    A sequence with a tail (`PulseSequence.tail_start`: a witness sub-run's
+    wait and readout rotation) also records tail_ids, each repetition's
+    state id where the tail starts, and tail_factors, per tail step the 2 x 2
+    factor of each branch code; `tail_operator` multiplies a repetition's.
+    Without a tail, tail_ids is None.
     """
 
     layout: RegisterLayout
@@ -715,6 +728,8 @@ class TrajectoryResult:
     state_ids: np.ndarray
     branches: np.ndarray         # int8 (n_reps, n_steps)
     blink_off: np.ndarray
+    tail_ids: np.ndarray | None = None
+    tail_factors: tuple[dict[int, np.ndarray], ...] = ()
 
     def took(self, step: int, *labels: str) -> np.ndarray:
         """Mask of the repetitions whose branch at step is one of labels."""
@@ -723,6 +738,15 @@ class TrajectoryResult:
         for label in labels:
             mask |= column == BRANCH_CODES[label]
         return mask
+
+    def tail_operator(self, row: int) -> np.ndarray:
+        """K, the product of the tail factors repetition row took: its final
+        state is K applied to the spin of its tail-start state, normalised."""
+        k = np.eye(2, dtype=np.complex128)
+        codes = self.branches[row, self.sequence.tail_start:].tolist()
+        for factors, code in zip(self.tail_factors, codes):
+            k = factors[code] @ k
+        return k
 
 
 def _canonical_key(vec: np.ndarray) -> bytes:
@@ -839,7 +863,8 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
     with each block of a run's repetitions and each of its sequences, keeps
     the states and the branch tables of the calls before, so only the
     states new to a step's operation are evolved; the result's state_table
-    is then the run's table so far.
+    is then the run's table so far.  The result records where each
+    repetition's tail starts and the tail's factors (`TrajectoryResult`).
     """
     reps = np.asarray(rep_indices, dtype=np.uint64)
     n = reps.size
@@ -861,10 +886,19 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
         blink_off = np.zeros(n, dtype=bool)
 
     blinking = bool(blink_off.any())
+    tail = seq.tail_start
+    tail_ids, tail_factors = None, []
     for step_i, op in enumerate(seq.steps[:-1]):
         step = tables.steps.get(op)
         if step is None:
             step = tables.steps[op] = _StepTable(step_branches(op, params, noise, layout))
+        if step_i == tail:
+            # in the smallest type that holds every id so far (a block's
+            # int64 ids would be 8 bytes per repetition)
+            tail_ids = ids.astype(np.min_scalar_type(len(table.states) - 1))
+        if step_i >= tail:
+            tail_factors.append({int(code): k for code, (_, k, _)
+                                 in zip(step.codes, step.branches)})
         u = crng.uniforms(master_seed, reps, crng.stream("emitter.step", step_i))
         # an excite step skips the blinked-off repetitions
         rows = np.flatnonzero(~blink_off) if op.kind == "excite" and blinking else slice(None)
@@ -881,7 +915,8 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
         flat += choice
         ids[rows] = step.next_ids.ravel()[flat]
         record[rows, step_i] = step.next_codes.ravel()[flat]
-    return TrajectoryResult(layout, seq, reps, table.states, ids, record, blink_off)
+    return TrajectoryResult(layout, seq, reps, table.states, ids, record, blink_off,
+                            tail_ids, tuple(tail_factors))
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,13 @@ Trajectory runs walk their repetitions in blocks of about BLOCK_REPS
 ascending repetitions (`_blocks`), so memory does not grow with the run.
 Every draw is keyed by (master seed, repetition, stream), so a
 repetition's record and clicks do not depend on its block.  The run's
-`TrajectoryTables` and each sub-run's `DetectionModel` are kept across
-blocks, so no state is evolved twice and no sub-run reads a state out
-twice.  Counts are integer-valued sums, exact in any order.
+`TrajectoryTables` and each setting's `DetectionModel` are kept across
+blocks, so no state is evolved twice and no model reads a state out
+twice.  A setting's two sub-runs share its phase and so its model, in
+both modes; in trajectory mode the model contracts the photon slots once
+per state where a sub-run's spin-only tail (wait and readout rotation)
+starts, for both sub-runs (`DetectionModel.sample_run`).  Counts are
+integer-valued sums, exact in any order.
 """
 from __future__ import annotations
 
@@ -142,11 +146,15 @@ def _exact_counts(n_qubits: int, params: EmitterParams, noise: NoiseParams,
     component's weight over the setting's sub-setting count.
     """
     counts: dict[str, SettingCounts] = {}
+    models: dict[str, DetectionModel] = {}
     for run, exact in _exact_subruns(n_qubits, params, noise):
-        acc = counts.setdefault(run.setting.label,
-                                SettingCounts(run.setting, n_qubits - 1))
+        label = run.setting.label
+        acc = counts.setdefault(label, SettingCounts(run.setting, n_qubits - 1))
         n_subs = len(run.setting.subsettings)
-        model = DetectionModel(exact.layout, tbi, run.phase, noise, run.windows, thinned)
+        model = models.get(label)
+        if model is None:
+            model = models[label] = DetectionModel(exact.layout, tbi, run.phase, noise,
+                                                   run.windows, thinned)
         for comp in exact.components:
             terms = model.readout_terms(comp.rho, comp.flag_clicks, heralded_only=True)
             scale = comp.weight / n_subs
@@ -236,7 +244,8 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
     for run in subruns:
         counts.setdefault(run.setting.label, SettingCounts(run.setting, n_qubits - 1))
     tables = TrajectoryTables()
-    models: list[DetectionModel | None] = [None] * len(subruns)
+    # a setting's sub-runs share its phase, so one model reads them all
+    models: dict[str, DetectionModel] = {}
     leak_events = 0.0
     total_events = 0.0
     coincident_reps = 0
@@ -248,10 +257,11 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
                 continue
             traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps,
                                            tables=tables)
-            if models[k] is None:
-                models[k] = DetectionModel(traj.layout, tbi, run.phase, noise,
-                                           run.windows, thinned)
-            clicks = models[k].sample_run(traj, master_seed)
+            model = models.get(run.setting.label)
+            if model is None:
+                model = models[run.setting.label] = DetectionModel(
+                    traj.layout, tbi, run.phase, noise, run.windows, thinned)
+            clicks = model.sample_run(traj, master_seed)
             lk, tot = _count_clicks(counts[run.setting.label], run.sub_index, clicks)
             leak_events += lk
             total_events += tot

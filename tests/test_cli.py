@@ -1148,27 +1148,34 @@ class TestRunBlocks:
             assert name in want, name
 
     def test_distributions_evaluated_once(self, monkeypatch):
-        # the engine tables and each sub-run's detection model are kept
-        # across blocks: no state's distribution is evaluated twice
+        # the engine tables and each setting's detection model are kept
+        # across blocks: no model contracts a state's slots twice, at a
+        # witness sub-run's tail-start states or at hom's final states
         from timebin.config import paper_emitter, paper_noise, paper_tbi
         from timebin.detection import DetectionModel
 
         calls = []
-        distribution = DetectionModel.distribution
-        monkeypatch.setattr(DetectionModel, "distribution",
-                            lambda self, *a, **k: calls.append(1) or distribution(
-                                self, *a, **k))
+        spin_blocks = DetectionModel.spin_blocks
+        # the calls hold their model and state, so no id is reused in a run
+        monkeypatch.setattr(DetectionModel, "spin_blocks",
+                            lambda self, state: calls.append((self, state))
+                            or spin_blocks(self, state))
 
         def count(block):
             monkeypatch.setattr(exp, "BLOCK_REPS", block)
             calls.clear()
             run = exp.witness_trajectory(2, paper_emitter(), paper_noise(), paper_tbi(),
                                          1200, 4)
+            witness = len(calls)
             hom = exp.simulate_hom(paper_emitter(), paper_noise(), paper_tbi(), 1200, 4)
-            return len(calls), run.outcome.fidelity, hom.g2
+            keys = {(id(model), id(state)) for model, state in calls}
+            assert len(keys) == len(calls)
+            # a witness run's three settings: one model each
+            assert len({id(model) for model, _ in calls[:witness]}) == 3
+            return witness, len(calls) - witness, run.outcome.fidelity, hom.g2
 
         whole = count(1200)
-        assert count(1) == count(100) == whole and whole[0] > 10
+        assert count(1) == count(100) == whole and whole[0] > 10 and whole[1] > 0
 
     @pytest.mark.parametrize("mode", ["hom", "witness"])
     def test_disorder_in_last_block(self, tmp_path, monkeypatch, mode):

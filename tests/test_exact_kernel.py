@@ -22,7 +22,7 @@ from timebin.detection import DetectionModel
 from timebin.emitter import run_sequence_exact, run_sequence_trajectory
 from timebin.errors import UndefinedEstimateError
 from timebin.experiments import (WitnessOutcome, _exact_counts, _witness_subruns,
-                                 witness_exact)
+                                 simulate_hom, witness_exact, witness_trajectory)
 from timebin.hilbert import SLOT_EARLY, SLOT_EL, SLOT_LATE, RegisterLayout
 from timebin.witness import SettingCounts, ghz_settings
 
@@ -174,6 +174,54 @@ class TestTrajectoryStates:
         assert len(traj.state_table) > 50
         for state in traj.state_table:
             assert entries(model.distribution(state)) == ref.distribution(model, state)
+
+
+class TestTailDistribution:
+    """A sub-run's wait and readout rotation act on the spin alone, so
+    sample_run reads its photons where that tail starts
+    (`DetectionModel.tail_distribution`); the distribution it draws from
+    for each final state must be the state's own `distribution`."""
+
+    @staticmethod
+    def sampled(monkeypatch, run):
+        """The detection models run() samples with, and the (model, final
+        state, distribution) of every state they drew from."""
+        models = {}
+        sample_run = DetectionModel.sample_run
+        monkeypatch.setattr(DetectionModel, "sample_run", lambda self, *a: (
+            models.setdefault(id(self), self), sample_run(self, *a))[1])
+        run()
+        return list(models.values()), [(m, state, dist) for m in models.values()
+                                       for state, dist, _ in m._distributions.values()]
+
+    @pytest.mark.parametrize("blink", [False, True], ids=["steady", "blinking"])
+    @pytest.mark.parametrize("n_qubits, n_reps", [(2, 20_000), (3, 6000), (4, 1000)])
+    def test_witness_states(self, monkeypatch, n_qubits, n_reps, blink):
+        noise = dataclasses.replace(paper_noise(), **(
+            {"blink_block_len": 50, "blink_on_fraction": 0.7} if blink else {}))
+        models, sampled = self.sampled(monkeypatch, lambda: witness_trajectory(
+            n_qubits, paper_emitter(), noise, paper_tbi(), n_reps, 3))
+        # one model per setting, which contracts fewer tail-start states
+        # than it reads final states
+        assert len(models) == n_qubits + 1
+        assert sum(len(m._blocks) for m in models) < len(sampled)
+        assert len(sampled) > 40
+        for model, state, got in sampled:
+            want = model.distribution(state)
+            assert np.array_equal(got.rows, want.rows)
+            assert np.array_equal(got.label, want.label)
+            np.testing.assert_allclose(got.probs, want.probs, rtol=1e-12, atol=0)
+
+    def test_hom_has_no_tail(self, monkeypatch):
+        # hom's last excite step precedes its readout: each final state's
+        # distribution is its own, bit for bit
+        (model,), sampled = self.sampled(monkeypatch, lambda: simulate_hom(
+            paper_emitter(), paper_noise(), paper_tbi(), 20_000, 3))
+        assert not model._blocks and sampled
+        for _, state, got in sampled:
+            want = model.distribution(state)
+            for name in ("rows", "label", "probs"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestAddHeralded:

@@ -366,6 +366,30 @@ class TestHeraldedCounting:
         assert (leak, total) == (n_events - n_signal, n_events)
 
 
+class TestTrajectoryPins:
+    def test_ghz4_paper_defaults(self):
+        # four qubits, where reading the photons at the tail start saves
+        # most: the counts and estimates of the trajectory witness
+        import hashlib
+
+        from timebin.config import paper_emitter, paper_noise, paper_tbi
+        from timebin.experiments import witness_trajectory
+
+        run = witness_trajectory(4, paper_emitter(), paper_noise(), paper_tbi(), 3000, 1)
+        out = run.outcome
+        items = sorted((label, key, value) for label, acc in out.counts.items()
+                       for key, value in acc.counts.items())
+        assert len(items) == 65
+        assert hashlib.sha256(repr(items).encode()).hexdigest() == (
+            "e7c9c9d431d3132744fddaf1a8f5b682b24e183b52de3fd2966addd494606968")
+        assert out.n_heralded == {"ZZ": 41.0, "M1": 40.0, "M2": 39.0, "M3": 37.0,
+                                  "M4": 42.0}
+        assert (out.fidelity, out.fidelity_err) == (0.29157940773794433,
+                                                    0.05471439407701364)
+        assert out.leak_event_fraction == 0.01507537688442211
+        assert run.coincidence_rate_hz == 825550.0
+
+
 class TestTargetState:
     def test_bell_amplitudes(self):
         lay = RegisterLayout(photon_slots=1, slot_dim=3)
