@@ -629,21 +629,28 @@ _CSV_HEADER = ["detector", "time_ns", "repetition"]
 _HEADER_LINE = (",".join(_CSV_HEADER) + "\r\n").encode()
 _ROW_FORMAT = "%s,%.6f,%d\r\n"
 # _decode_rows: bytes read per block, the longest row it decodes (integer
-# part and repetition of 8 digits), and the bytes of its non-digit columns
+# part and repetition of 8 digits), and the three bytes that open a row
 _READ_BLOCK = 1 << 20
 _MAX_ROW = len("D1,12345678.123456,12345678\r\n")
-_ROW_MARKS = np.frombuffer(b"D,.,\r\n", np.uint8)
+_ROW_HEAD = np.uint64(int.from_bytes(b"D1,", "little"))
 # for width w in 0..8: the mask of an 8-byte little-endian word that keeps
 # its last w bytes, the w digits of a field that ends with the word
 _KEEP_LAST = np.array([2**64 - 2**(64 - 8 * w) for w in range(9)], np.uint64)
-# for k in 0..9999: its four ASCII digits, zero-padded, as one word, and
-# the word of which of them are not leading zeros (0 shows none), 1 byte each
+# _LEAD_WORDS[k] for k in 0..19,999: a field's group of four digits k % 10^4
+# as one word, zero-padded when k >= 10^4 (a higher group shows a digit),
+# else with its leading zeros the filler byte 0x00, which no row holds (0
+# shows none).  Its second half, _DIGIT_WORDS[k] for k in 0..9999, is k's
+# four digits zero-padded.  _LAST_WORDS, for a field's last group, shows 0
+# as one zero.
 _PLACES = np.arange(10_000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1],
                                                                   np.int16)
-_DIGIT_WORDS = (_PLACES % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-_SHOWN_WORDS = (_PLACES > 0).astype(np.uint8).view(np.uint32).ravel()
-_ALL_SHOWN = _SHOWN_WORDS[9999]
-del _PLACES
+_DIGITS = (_PLACES % 10 + ord("0")).astype(np.uint8)
+_LEAD_WORDS = np.concatenate([np.where(_PLACES > 0, _DIGITS, 0), _DIGITS]).view(
+    np.uint32).ravel()
+_DIGIT_WORDS = _LEAD_WORDS[10_000:]
+_LAST_WORDS = _LEAD_WORDS.copy()
+_LAST_WORDS[0] = _DIGIT_WORDS[0] & np.uint32(0xFF000000)
+del _PLACES, _DIGITS
 
 
 def export_timetags(path, tags: TagArrays) -> None:
@@ -654,13 +661,44 @@ def export_timetags(path, tags: TagArrays) -> None:
         TagWriter(fh).write(tags)
 
 
+def inside_as_written(times, start: float, end: float) -> np.ndarray:
+    """times drawn for the window [start, end), after moving in place each
+    one that is outside it, or whose 6-decimal text (`export_timetags`)
+    reads back outside it, to the nearest 6-decimal time inside: the first
+    from start or the last before end.
+
+    start + u * width can round to end, and its text does from end - 5e-7
+    on (or to below a start off the 1e-6 grid).  Only a time within 1e-6 of
+    start or end can move, and no other time or text changes.  A window
+    holding no 6-decimal time leaves every time as it is.
+    """
+    near = np.flatnonzero((times < start + 1e-6) | (times >= end - 1e-6))
+    for at in near.tolist():
+        time = float(times[at])
+        written = float("%.6f" % time)
+        # k / 1e6 rises with k; the estimates are within one step
+        if min(time, written) < start:
+            micro = math.ceil(start * 1e6) - 2
+            while micro / 1e6 < start:
+                micro += 1
+        elif max(time, written) >= end:
+            micro = math.floor(end * 1e6) + 2
+            while micro / 1e6 >= end:
+                micro -= 1
+        else:
+            continue
+        if start <= micro / 1e6 < end:
+            times[at] = micro / 1e6
+    return times
+
+
 class TagWriter:
     """A time-tag CSV written a block of tags at a time into a binary file:
     the header line, then each block's rows, as `export_timetags` writes
     all the tags at once.
 
-    Each chunk of 65,536 rows is built as one byte matrix and written with
-    one `tobytes()`, so a large block adds no full-size copy.  A chunk that
+    Each chunk of 65,536 rows is formatted by `_format_rows` into one bytes
+    object, so a large block adds no full-size copy.  A chunk that
     `_format_rows` cannot format exactly goes through the %-template.
     """
 
@@ -683,44 +721,54 @@ class TagWriter:
 
 
 def _format_rows(det, time, rep) -> bytes | None:
-    """The bytes `_ROW_FORMAT` gives for each row, built as a uint8 matrix,
-    or None for a chunk holding a time that is negative (or -0.0), not
-    finite, at least 2^52 / 10^6, or too near a rounding tie, or a negative
-    repetition.
+    """The bytes `_ROW_FORMAT` gives for each row, or None for a chunk
+    holding a time that is negative (or -0.0), not finite, at least
+    2^52 / 10^6, or too near a rounding tie, or a negative repetition.
 
     A time is printed as round-half-even(t * 10^6) split into its integer
     part and six decimals.  fl(t * 1e6) is within half an ulp of t * 10^6,
     so np.rint of it is that rounding unless it lies within a few ulps of
-    k + 1/2 (as every time from 2^49 / 10^6 on does).  Digits are looked up
-    four at a time, and the leading zeros of the integer part and the
-    repetition are masked out of the matrix.
+    k + 1/2 (as every time from 2^49 / 10^6 on does).
+
+    The rows are a uint8 matrix, each row as wide as the chunk's widest
+    fields with their widths rounded up to four digits.  It is filled from
+    one row template (`D1,`, point, comma, CR LF), and the digits are
+    written over it as 4-byte words looked up four digits at a time.  The
+    leading zeros of the integer part and the repetition come from the
+    table as the filler byte 0x00, and one pass drops every filler byte.
     """
     scaled = time * 1e6
     if not (np.all(scaled < 2.0**52) and not np.any(np.signbit(time))
             and np.all(rep >= 0)):
         return None
     micro = np.rint(scaled)
-    if np.any(0.5 - np.abs(scaled - micro) <= scaled * 2.0**-50):
+    gap = np.subtract(scaled, micro)
+    np.abs(gap, out=gap)
+    np.subtract(0.5, gap, out=gap)
+    scaled *= 2.0**-50
+    if np.any(gap <= scaled):
         return None
-    whole, frac = np.divmod(micro.astype(np.int64), 1_000_000)
+    micro = micro.astype(np.int64)
+    whole = micro // 1_000_000
+    frac = micro
+    frac -= whole * 1_000_000
     int_width = _digit_width(whole)
     rep_width = _digit_width(rep)
     # D, 1|2, comma, integer part, point, 6 decimals, comma, repetition, CR LF
     frac_at = 3 + int_width + 1
     rep_at = frac_at + 7
     rows = np.empty((len(time), rep_at + rep_width + 2), np.uint8)
-    shown = np.ones(rows.shape, np.uint8)
-    rows[:, :3] = np.frombuffer(b"D1,", np.uint8)
+    rows[:] = np.frombuffer(b"D1," + bytes(int_width) + b"." + bytes(6) + b","
+                            + bytes(rep_width) + b"\r\n", np.uint8)
     rows[:, 1] += det != 0
-    _put_digits(rows, shown, 3, int_width, whole)
-    rows[:, frac_at - 1] = ord(".")
+    _put_digits(rows, 3, int_width, whole)
+    high = frac // 100
+    frac -= high * 100
     # the low two decimals first: the high four overwrite their word's zeros
-    _words(rows, frac_at + 2)[:] = _DIGIT_WORDS.take(frac % 100)
-    _words(rows, frac_at)[:] = _DIGIT_WORDS.take(frac // 100)
-    rows[:, rep_at - 1] = ord(",")
-    _put_digits(rows, shown, rep_at, rep_width, rep)
-    rows[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
-    return rows[shown.view(bool)].tobytes()
+    _words(rows, frac_at + 2)[:] = _DIGIT_WORDS.take(frac)
+    _words(rows, frac_at)[:] = _DIGIT_WORDS.take(high)
+    _put_digits(rows, rep_at, rep_width, rep)
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _digit_width(values) -> int:
@@ -729,15 +777,27 @@ def _digit_width(values) -> int:
     return (len(str(int(values.max()))) + 3) // 4 * 4
 
 
-def _put_digits(rows, shown, col: int, width: int, values) -> None:
-    """Write non-negative integers as `width` zero-padded decimals from
-    column `col` of a uint8 row matrix, four digits per lookup, and clear
-    the `shown` bytes of their leading zeros (a zero keeps one digit)."""
-    for at in range(col + width - 4, col - 1, -4):
-        values, low = np.divmod(values, 10_000)
-        _words(rows, at)[:] = _DIGIT_WORDS.take(low)
-        _words(shown, at)[:] = np.where(values > 0, _ALL_SHOWN, _SHOWN_WORDS.take(low))
-    shown[:, col + width - 1] = 1
+def _put_digits(rows, col: int, width: int, values) -> None:
+    """Write non-negative integers below 10^width as `width` bytes from
+    column `col` of a uint8 row matrix, four digits per lookup: the digits
+    of each, after the filler byte for each of its leading zeros (0 keeps
+    one digit).
+
+    Going from the last group to the first, `values` is what the groups so
+    far leave; a group whose value has more groups in front looks up its
+    digits zero-padded (10^4 + group, which min() picks), else with filler.
+    """
+    table = _LAST_WORDS
+    for at in range(col + width - 4, col, -4):
+        higher = values // 10_000
+        group = higher * -10_000
+        group += values
+        group += 10_000
+        np.minimum(group, values, out=group)
+        _words(rows, at)[:] = table.take(group)
+        table = _LEAD_WORDS
+        values = higher
+    _words(rows, col)[:] = table.take(values)
 
 
 def _words(matrix, col: int) -> np.ndarray:
@@ -877,12 +937,12 @@ def _decoded_blocks(fh):
     with integer parts and repetitions of 1 to 8 digits.
 
     The file is read in 1 MiB blocks into one buffer, the unfinished line
-    carried to the next, so the temporaries (about 10 bytes per byte read)
-    are not made for the whole file.  8 bytes in front of the block let
-    every field be read as the unaligned 8-byte word that ends where it
-    ends.  Any value this accepts is one the row loop takes the same way:
-    the time (whole * 10^6 + decimals) / 1e6 is the correctly rounded
-    quotient of exact doubles, as float() of its text is.
+    carried to the next, so the temporaries (a few bytes per byte read) are
+    not made for the whole file.  8 bytes in front of the block let every
+    field be read as the unaligned 8-byte word that ends where it ends.  Any
+    value this accepts is one the row loop takes the same way: the time
+    (whole * 10^6 + decimals) / 1e6 is the correctly rounded quotient of
+    exact doubles, as float() of its text is.
     """
     if fh.read(len(_HEADER_LINE)) != _HEADER_LINE:
         raise _Unstreamable
@@ -907,43 +967,73 @@ def _decoded_blocks(fh):
 
 def _decode_block(block, words) -> tuple[tuple, int] | None:
     """((detector, time, repetition), bytes used) of a block's whole rows,
-    or None for a row not in export_timetags' form.
+    the bytes up to its last LF, or None for a row not in export_timetags'
+    form.
 
-    Each row has six non-digit bytes, `D`, comma, point, comma, CR and LF,
-    and every other byte is a digit; an unfinished last line has at most
-    five, so the first 6 * (count // 6) non-digits are the whole rows'.
+    Two scans list the LFs, which end the rows, and the points.  Each row
+    must hold one point, at 4 to 11 bytes from its start and 10 to 17 from
+    its LF, so its integer part and repetition have 1 to 8 bytes; that
+    places its `D`, comma, point, comma, CR and LF at six distinct
+    positions, each checked.  One count then shows that the rows hold no
+    other byte that is not a digit (and the detector byte is 1 or 2).
     """
-    marks = np.flatnonzero(block - np.uint8(ord("0")) > 9)
-    at = marks[:len(marks) // 6 * 6].reshape(-1, 6)
-    d_at, c1, dot, c2, cr, lf = at.T
-    int_width = dot - c1 - 1
-    rep_width = cr - c2 - 1
-    if not (np.array_equal(block[at], np.broadcast_to(_ROW_MARKS, at.shape))
-            # rows follow each other from byte 0
-            and not d_at[:1].any() and np.array_equal(d_at[1:], lf[:-1] + 1)
-            and np.all(c1 == d_at + 2) and np.all(c2 == dot + 7) and np.all(lf == cr + 1)
-            and np.all((int_width >= 1) & (int_width <= 8))
-            and np.all((rep_width >= 1) & (rep_width <= 8))):
+    lf = np.flatnonzero(block == np.uint8(ord("\n")))
+    n = len(lf)
+    done = int(lf[-1]) + 1 if n else 0
+    rows = block[:done]
+    dot = np.flatnonzero(rows == np.uint8(ord(".")))
+    if len(dot) != n:
         return None
-    det = block[d_at + 1] - np.uint8(ord("1"))
-    if np.any(det > 1):
+    # each row's start + 3: the word ending there ends with D, 1|2, comma
+    at = np.empty(n, lf.dtype)
+    at[:1] = 3
+    np.add(lf[:-1], 4, out=at[1:])
+    int_width = dot - at
+    rep_width = lf - dot
+    rep_width -= 9
+    if n and not (1 <= int_width.min() and int_width.max() <= 8
+                  and 1 <= rep_width.min() and rep_width.max() <= 8):
         return None
-    whole = _word_digits(words, dot, int_width)
-    micro = whole * np.uint64(1_000_000) + _word_digits(words, c2, 6)
-    rep = _word_digits(words, cr, rep_width)
-    done = int(lf[-1]) + 1 if len(lf) else 0
-    return (det.view(np.int8), micro.astype(float) / 1e6, rep.astype(np.int64)), done
+    head = words[at]
+    head >>= np.uint64(40)
+    head -= _ROW_HEAD
+    # 0 for D1 and 2^8 for D2
+    if np.any(head & ~np.uint64(1 << 8)):
+        return None
+    np.add(dot, 8, out=at)
+    # the point, the six decimals and the comma
+    decimals = words[at]
+    np.subtract(lf, 1, out=at)
+    if not (np.all(decimals >> np.uint64(56) == np.uint64(ord(",")))
+            and np.all(block[at] == np.uint8(ord("\r")))
+            and np.count_nonzero(rows - np.uint8(ord("0")) > 9) == 6 * n):
+        return None
+    rep = _word_digits(words[at], rep_width)
+    decimals <<= np.uint64(8)
+    micro = _word_digits(decimals, 6)
+    micro += _word_digits(words[dot], int_width) * np.uint64(1_000_000)
+    time = micro.astype(float)
+    time /= 1e6
+    head >>= np.uint64(8)
+    return (head.astype(np.int8), time, rep.astype(np.int64)), done
 
 
-def _word_digits(words, end, width) -> np.ndarray:
-    """The decimal value of the `width` digits (1 to 8) that end before each
-    byte `end` of the block: the 8-byte word ending there, its leading bytes
-    masked off, combined 1, 2 and 4 digits at a time by multiply-shift steps
+def _word_digits(v, width) -> np.ndarray:
+    """The decimal value of the last `width` bytes (1 to 8 digits) of each
+    8-byte little-endian word of v, computed in v: its leading bytes masked
+    off, the digits combined 1, 2 and 4 at a time by multiply-shift steps
     (the SWAR digit parse of simdjson)."""
-    v = words[end] & _KEEP_LAST[width]
-    v = (v & np.uint64(0x0F0F0F0F0F0F0F0F)) * np.uint64(2561) >> np.uint64(8)
-    v = (v & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(6553601) >> np.uint64(16)
-    return (v & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(42949672960001) >> np.uint64(32)
+    v &= _KEEP_LAST[width]
+    v &= np.uint64(0x0F0F0F0F0F0F0F0F)
+    v *= np.uint64(2561)
+    v >>= np.uint64(8)
+    v &= np.uint64(0x00FF00FF00FF00FF)
+    v *= np.uint64(6553601)
+    v >>= np.uint64(16)
+    v &= np.uint64(0x0000FFFF0000FFFF)
+    v *= np.uint64(42949672960001)
+    v >>= np.uint64(32)
+    return v
 
 
 def _parse_rows(fh) -> TagArrays:

@@ -50,7 +50,8 @@ import numpy as np
 
 from . import rng as crng
 from .coincidence import (DETECTORS, MIDDLE, WINDOWS, TagArrays, WindowConfig,
-                          cell_click, click_cell, first_seen_groups, tag_order)
+                          cell_click, click_cell, first_seen_groups, inside_as_written,
+                          tag_order)
 from .emitter import EXTRA_PHOTON_BRANCHES, NoiseParams, TrajectoryResult
 from .errors import ContractError
 from .hilbert import (SLOT_EARLY, SLOT_EE, SLOT_EL, SLOT_LATE, SLOT_LL,
@@ -514,7 +515,9 @@ class RunClicks:
         master seed, such as a witness run's other sub-runs: their tags are
         merged into the same columns.  Photonic clicks get an exponential
         wavepacket offset inside their window, background clicks a uniform
-        one; readout clicks are uniform in the readout window.  A wavepacket
+        one; readout clicks are uniform in the readout window.  Each time
+        stays where its 6-decimal text in `timetags.csv` reads back inside
+        its window (`coincidence.inside_as_written`).  A wavepacket
         click's draw is keyed by its repetition, cell and ordinal within the
         cell, so tag times do not depend on which other repetitions are
         expanded in the same call.  The tags of all the runs are expanded
@@ -571,21 +574,26 @@ def _block_tags(windows: WindowConfig, master_seed: int, gamma0: float, reps, si
                               crng.stream("detection.tag",
                                           TAG_STREAMS_PER_CELL * cell + ordinal))
             offset = np.minimum(-np.log(1.0 - u) / gamma0, windows.width * 0.999)
-            add(at, np.full(at.size, cell % 2, dtype=np.int8), start + offset)
+            add(at, np.full(at.size, cell % 2, dtype=np.int8),
+                inside_as_written(start + offset, start, start + windows.width))
     for k in range(background.shape[1] // 2):
         at = np.flatnonzero(background[:, 2 * k] | background[:, 2 * k + 1])
         if at.size == 0:
             continue
         slot, window, _ = cell_click(2 * k)
+        start = windows.window_start(slot, window)
         u = crng.uniforms(master_seed, reps[at], crng.stream("detection.background_tag", k))
         add(at, background[at, 2 * k + 1].astype(np.int8),
-            windows.window_start(slot, window) + u * windows.width)
+            inside_as_written(start + u * windows.width, start, start + windows.width))
     at = np.flatnonzero(readout_signal | readout_leak)
     if at.size:
         u = crng.uniforms(master_seed, reps[at], crng.stream("detection.readout_tag"))
         ud = crng.uniforms(master_seed, reps[at],
                            crng.stream("detection.readout_tag_detector"))
-        add(at, (ud < 0.5).astype(np.int8), windows.readout_start + u * windows.readout_width)
+        start = windows.readout_start
+        add(at, (ud < 0.5).astype(np.int8),
+            inside_as_written(start + u * windows.readout_width, start,
+                              start + windows.readout_width))
     if not det_rows:
         return np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64)
     return np.concatenate(det_rows), np.concatenate(time_rows), np.concatenate(rep_rows)

@@ -1029,6 +1029,22 @@ class TestArtifacts:
         assert got["g2_zero"] == sim["g2_zero"]
         assert sum(sim["hom_counts"].values()) > 0
 
+    def test_analyze_hom_matches_simulate_at_a_window_end(self, tmp_path):
+        # a background tag at 55.59999998755 ns, just before the end of the
+        # late window [53.6, 55.6), must not be written as 55.600000, which
+        # analyze would read outside the window
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "hom", "--defaults", "paper", "--reps", "400000",
+                       "--seed", "2902", "--out", str(out)) == 0
+        ana = tmp_path / "ana"
+        assert run_cli("analyze", "--input", str(out / "timetags.csv"),
+                       "--mode", "hom", "--out", str(ana)) == 0
+        sim = json.loads((out / "report.json").read_text())
+        got = json.loads((ana / "analysis.json").read_text())
+        assert got["hom_counts"] == sim["hom_counts"]
+        assert got["g2_zero"] == sim["g2_zero"]
+        assert b"\nD2,55.599999,383054\r\n" in (out / "timetags.csv").read_bytes()
+
     def test_analyze_hom_reads_manifest_windows(self, tmp_path):
         # a run at a non-default t_inf: g2 and hom analysis place the
         # windows as the manifest's run did

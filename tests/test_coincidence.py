@@ -717,6 +717,42 @@ class TestTagExpansion:
         assert len(tags) == (signal.sum() + flagged.sum() + background.sum()
                              + readout.sum())
 
+    @pytest.mark.parametrize("shift", [0.0, 3e-7, 7.5e-7])
+    @pytest.mark.parametrize("u", [np.nextafter(1.0, 0.0), 0.0], ids=["below_1", "0"])
+    def test_written_times_read_back_in_their_window(self, tmp_path, monkeypatch,
+                                                     shift, u):
+        # every tag draw at u: next to 1 a background or readout tag sits
+        # just before its window's end, at 0 every tag on its window's
+        # start, which is off the 1e-6 ns grid of the written times for a
+        # nonzero shift.  Each tag's 6-decimal text must read back inside the
+        # window the tag was drawn for.
+        import dataclasses
+
+        from timebin import rng
+
+        windows = WindowConfig.for_sequence(1)
+        windows = dataclasses.replace(
+            windows, **{name: getattr(windows, name) + shift for name in
+                        ("early_start", "middle_start", "late_start", "readout_start")})
+        uniforms = rng.uniforms
+        monkeypatch.setattr(rng, "uniforms", lambda seed, reps, stream: (
+            np.full(len(reps), u) if stream != rng.stream("detection.readout_tag_detector")
+            else uniforms(seed, reps, stream)))
+        n = 3
+        signal = np.zeros((n, 6), np.uint8)
+        background = np.zeros((n, 6), np.uint8)
+        for k in range(3):
+            signal[k, click_cell(0, k, 1)] = 1
+            background[k, click_cell(0, k, k % 2)] = 1
+        tags = _clicks(windows, np.arange(n), signal, background=background,
+                       readout=np.ones(n, bool)).to_tags()
+        path = tmp_path / "tags.csv"
+        export_timetags(path, tags)
+        back = ingest_timetags(path)
+        codes = _reference_codes(windows, tags.time)
+        assert sorted(codes.tolist()) == [EARLY] * 2 + [MIDDLE] * 2 + [LATE] * 2 + [READOUT] * 3
+        assert np.array_equal(_reference_codes(windows, back.time), codes)
+
     @pytest.mark.parametrize("signal_clicks, flagged_clicks", [(9, 0), (5, 4)])
     def test_ninth_click_in_a_cell_rejected(self, signal_clicks, flagged_clicks):
         # a cell's tag times draw on a block of 8 streams; a ninth click

@@ -208,6 +208,27 @@ def count_row_loops(monkeypatch) -> list:
     return calls
 
 
+# files in export's form but for one row, each a row that the decoder's
+# scans (of LFs and of points) and its count of non-digit bytes must reject:
+# the row loop then reads the file, as the reference does.  "decoded" is
+# the control, all of whose rows are in export's form.
+EXPORT_ROWS = ["D1,30.500000,0", "D2,42.250000,7"]
+ONE_ROW_OFF = {
+    "decoded": tag_file(*EXPORT_ROWS, "D1,50.250000,9", "D2,60.000000,10"),
+    "two_points": tag_file(*EXPORT_ROWS, "D1,50.25.0000,9", "D2,60.000000,10"),
+    "point_in_repetition": tag_file(*EXPORT_ROWS, "D1,50.250000,9.0", "D2,60.000000,10"),
+    "two_points_in_repetition": tag_file(*EXPORT_ROWS, "D1,5.0,9.250000",
+                                         "D2,60.000000,10"),
+    "comma_for_point": tag_file(*EXPORT_ROWS, "D1,50,250000,9", "D2,60.000000,10"),
+    "point_for_comma": tag_file(*EXPORT_ROWS, "D1,50.250000.9", "D2,60.000000,10"),
+    "no_point_and_two": tag_file(*EXPORT_ROWS, "D1,50,9", "D2,60.0.00000,10"),
+    "nine_digit_integer_part": tag_file(*EXPORT_ROWS, "D1,123456789.250000,9"),
+    "nine_digit_repetition": tag_file(*EXPORT_ROWS, "D1,50.250000,123456789"),
+    "bare_lf_row": tag_file(*EXPORT_ROWS) + "D1,50.250000,9\nD2,60.000000,10\r\n",
+    "partial_last_line_ending_in_cr": tag_file(*EXPORT_ROWS) + "D1,50.250000,9\r",
+}
+
+
 # the rows of an export whose line 3 is LINE_3, and the offset of each of
 # its bytes by role
 EDITED_ROWS = [(0, 30.5, 0), (1, 42.25, 7), (0, 12345.125, 400000)]
@@ -303,6 +324,19 @@ class TestConformance:
         assert calls == ([1] if name in ROW_LOOP else [])
         if name == "negative_time":
             assert want == ("error", "line 3: negative time -2.5", 3)
+
+    @pytest.mark.parametrize("block", [32, 1 << 20])
+    @pytest.mark.parametrize("name", sorted(ONE_ROW_OFF))
+    def test_rows_the_decoder_rejects(self, tmp_path, monkeypatch, name, block):
+        # in one block, and in blocks of 32 bytes, which end inside rows
+        path = write(tmp_path, ONE_ROW_OFF[name])
+        monkeypatch.setattr(coincidence, "_READ_BLOCK", block)
+        with open(path, "rb") as fh:
+            assert (coincidence._decode_rows(fh) is None) == (name != "decoded")
+        want = outcome(ref.ingest_timetags, path)
+        calls = count_row_loops(monkeypatch)
+        assert outcome(ingest_timetags, path) == want
+        assert calls == ([] if name == "decoded" else [1])
 
     @pytest.mark.parametrize("edit", sorted(EDITS))
     @pytest.mark.parametrize("at", sorted(LINE_3_BYTES))

@@ -106,6 +106,47 @@ class TestExport:
         assert matrix > 250
 
 
+# integer parts and repetitions at the edges of the formatter's fields:
+# one and four digits, a field of two and of three groups of four, up to
+# the last integer part below 2^49 / 10^6, from which every time is too
+# near a rounding tie for the byte matrix
+INT_PARTS = [0, 9, 10, 9_999, 10_000, 99_999_999, 10**8, 562_949_952]
+REPETITIONS = [0, 9, 10, 9_999, 10_000, 10**8, MAX_REP]
+
+
+def assert_formats_as_reference(det, time, rep):
+    """_format_rows gives the template's bytes, without a filler byte."""
+    rows = coincidence._format_rows(np.asarray(det, np.int8), np.asarray(time, float),
+                                    np.asarray(rep, np.int64))
+    assert rows is not None
+    assert rows == ref.format_rows(np.asarray(det, np.int8), np.asarray(time, float),
+                                   np.asarray(rep, np.int64)).encode()
+    assert b"\0" not in rows
+
+
+class TestFieldWidths:
+    @pytest.mark.parametrize("whole", INT_PARTS)
+    @pytest.mark.parametrize("rep", REPETITIONS)
+    def test_alone(self, whole, rep):
+        # the chunk's fields are as wide as this row's
+        assert_formats_as_reference([0, 1], [whole + 0.25, whole + 0.5], [rep, rep])
+
+    def test_mixed_in_one_chunk(self):
+        # every pair in one chunk, D1 and D2 mixed: each row's leading zeros
+        # in the widest fields are filler
+        rng = np.random.default_rng(13)
+        whole, rep = (a.ravel() for a in np.meshgrid(INT_PARTS, REPETITIONS))
+        order = rng.permutation(len(whole))
+        time = whole[order] + rng.choice([0.0, 0.125, 0.5, 0.75], len(whole))
+        assert_formats_as_reference(rng.integers(0, 2, len(whole)), time, rep[order])
+
+    def test_decimals(self):
+        # every decimal place at 0 and 9, and the integer part's last digit
+        decimals = [0, 1, 9, 10, 99, 100, 999_999, 900_000, 90_909, 500_000, 10_000]
+        time = np.array([7 + d / 10**6 for d in decimals] + [10 + d / 10**6 for d in decimals])
+        assert_formats_as_reference(np.arange(len(time)) % 2, time, np.arange(len(time)))
+
+
 def assert_lexsort_order(det, time, rep):
     det = np.asarray(det, np.int8)
     time = np.asarray(time, float)
