@@ -39,8 +39,10 @@ G2_MAX_DELAY_REPS = 50
 # the most bins build_histogram makes (80 MB of int64 counts)
 MAX_HISTOGRAM_BINS = 10**7
 _MAX_REPETITION = 2**63 - 1
-# bits of tag_order's packed sort key
+# bits of tag_order's packed sort key, and the most its time buckets take:
+# every integer below 2^52 is an exact double
 _KEY_BITS = 63
+_BUCKET_BITS = 52
 
 
 def click_cell(slot, window, detector):
@@ -192,45 +194,88 @@ def tag_order(det, time, rep) -> np.ndarray:
     """The permutation `np.lexsort((det, time, rep))` gives: tags by
     repetition, then time, then detector, equal keys in input order.
 
-    Each tag gets one int64 key packing its repetition, the dense rank of
-    its time and its detector (int8 codes), each offset to start at 0, and
-    below them its index: the keys all differ, so one unstable sort of them
-    is the stable order.  The repetitions are ranked too when their span
-    leaves too few bits.  A key without room for the index has one stable
-    argsort, and one without room even for ranks (over about 2^27 tags)
-    two.
+    Each tag gets one int64 key packing its repetition, offset to start at
+    0, the bucket of its time (`_time_buckets`) and below them its index:
+    the keys all differ, so one unstable sort of them orders the tags by
+    (repetition, bucket, index).  The bucket field takes the bits the
+    repetition and the index leave, at most 52, so every bucket index is an
+    exact double that cannot carry into the repetition.  Only tags that
+    share a repetition and a bucket can be out of order, and at block size
+    a bucket is about 2e-6 ns wide: one `np.lexsort` of just those runs puts
+    them in (time, detector, index) order.  The repetitions are ranked
+    (`_dense_rank`) when their offsets would leave fewer buckets than tags.
+    A key without room for the index (over about 2^31 tags) is sorted as
+    (repetition, bucket) columns by `np.lexsort` and its runs put in order
+    the same way.
     """
     n = len(time)
     if n == 0:
         return np.zeros(0, np.intp)
-    key, time_bits = _dense_rank(time)
-    det_low = int(det.min())
-    det_bits = (int(det.max()) - det_low).bit_length()
-    key <<= det_bits
-    key += det
-    key -= det_low
-    low_bits = time_bits + det_bits
     index_bits = (n - 1).bit_length()
     rep_low = int(rep.min())
     rep_bits = (int(rep.max()) - rep_low).bit_length()
-    if rep_bits + low_bits + index_bits <= _KEY_BITS:
-        # wraps to the exact difference, which fits
-        rep_key = rep - np.int64(rep_low)
+    if rep_bits + 2 * index_bits <= _KEY_BITS:
+        # at least as many buckets as tags are left; wraps to the exact
+        # difference, which fits
+        key = rep - np.int64(rep_low)
     else:
-        rep_key, rep_bits = _dense_rank(rep)
-    if rep_bits + low_bits > _KEY_BITS:
-        order = np.argsort(key, kind="stable")
-        return order[np.argsort(rep_key[order], kind="stable")]
-    rep_key <<= low_bits
-    rep_key |= key
-    del key
-    if rep_bits + low_bits + index_bits > _KEY_BITS:
-        return np.argsort(rep_key, kind="stable")
-    rep_key <<= index_bits
-    rep_key |= np.arange(n)
-    rep_key.sort()
-    rep_key &= (1 << index_bits) - 1
-    return rep_key
+        key, rep_bits = _dense_rank(rep)
+    bucket_bits = min(_KEY_BITS - rep_bits - index_bits, _BUCKET_BITS)
+    if bucket_bits < 1:
+        bucket = _time_buckets(time, _BUCKET_BITS).astype(np.int64)
+        order = np.lexsort((bucket, key))
+        key, bucket = key[order], bucket[order]
+        tied = np.flatnonzero((key[1:] == key[:-1]) & (bucket[1:] == bucket[:-1]))
+    else:
+        key <<= bucket_bits
+        # the cast keeps each non-negative bucket's whole part
+        np.bitwise_or(key, _time_buckets(time, bucket_bits), out=key, dtype=np.int64,
+                      casting="unsafe")
+        key <<= index_bits
+        index = np.arange(n)
+        key |= index
+        key.sort()
+        # neighbours whose keys differ in the index bits only; the index
+        # column, packed, holds their xor (a full-size array fewer)
+        xor = np.bitwise_xor(key[1:], key[:-1], out=index[1:])
+        tied = np.flatnonzero(xor < (1 << index_bits))
+        key &= (1 << index_bits) - 1
+        order = key
+    if tied.size:
+        # the runs' tags, and a run number that grows at each tag not tied
+        # to the one before it (np.union1d would import numpy.ma: ~20 ms)
+        follows = np.zeros(n, bool)
+        follows[tied + 1] = True
+        in_run = follows.copy()
+        in_run[tied] = True
+        at = np.flatnonzero(in_run)
+        run = np.cumsum(~follows[at])
+        tagged = order[at]
+        order[at] = tagged[np.lexsort((det[tagged], time[tagged], run))]
+    return order
+
+
+def _time_buckets(time, bits: int) -> np.ndarray:
+    """The bucket of each time, a float64 whose whole part is from 0 to
+    2^bits - 1 and monotone in the order `np.lexsort` gives floats:
+    (t - t_min) * (2^bits - 1) / span over the finite times; -inf takes the
+    first bucket, +inf and NaN the last.  bits is at most 52, so every
+    bucket is an exact double."""
+    top = float((1 << bits) - 1)
+    low, high = float(time.min()), float(time.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
+        finite = time[np.isfinite(time)]
+        low, high = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 0.0)
+    span = high - low
+    # a positive finite scale, so that no time meets inf * 0 or 0 * inf; a
+    # span beyond the largest double rounds to inf, as do the differences
+    scale = min(max(top / span, 1e-300), 1e300) if span else 1.0
+    with np.errstate(over="ignore"):
+        bucket = time - low
+    bucket *= scale
+    np.fmin(bucket, top, out=bucket)
+    np.maximum(bucket, 0.0, out=bucket)
+    return bucket
 
 
 def sorted_tags(det, time, rep) -> TagArrays:
@@ -240,21 +285,17 @@ def sorted_tags(det, time, rep) -> TagArrays:
     return _ordered(det[order], time[order], rep[order])
 
 
-def _dense_rank(values) -> tuple[np.ndarray, int]:
-    """(the int64 rank of each of 8-byte values among the distinct ones, the
-    bits of the largest rank).  Equal values share a rank, as do -0.0 and
-    0.0, and all NaNs, which rank last as they sort."""
-    order = np.argsort(values)
-    ordered = values[order]
-    step = ordered[1:] != ordered[:-1]
-    if ordered.dtype.kind == "f" and np.isnan(ordered[-1]):
-        step[np.searchsorted(ordered, np.nan):] = False
-    # the sorted ranks overwrite the sorted values
-    ranked = ordered.view(np.int64)
+def _dense_rank(rep) -> tuple[np.ndarray, int]:
+    """(the int64 rank of each int64 repetition among the distinct ones,
+    the bits of the largest rank)."""
+    order = np.argsort(rep)
+    # the sorted repetitions are overwritten by their ranks
+    ranked = rep[order]
+    step = ranked[1:] != ranked[:-1]
     ranked[0] = 0
     np.cumsum(step, out=ranked[1:])
     del step
-    rank = np.empty(len(values), np.int64)
+    rank = np.empty(len(rep), np.int64)
     rank[order] = ranked
     return rank, int(ranked[-1]).bit_length()
 

@@ -531,11 +531,14 @@ class RunClicks:
                for run in others):
             raise ContractError("runs whose tags are merged must share their windows "
                                 "and master seed")
-        # the int64 tag column's values
-        reps = np.concatenate([np.asarray(run.trajectory.rep_indices, np.uint64)
-                               for run in runs]).view(np.int64)
+
+        def column(arrays):
+            # a lone run's arrays are read as they are
+            return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+        reps = column([np.asarray(run.trajectory.rep_indices, np.uint64) for run in runs])
         columns = _block_tags(windows, self.master_seed, gamma0, reps,
-                              *(np.concatenate([getattr(run, name) for run in runs])
+                              *(column([getattr(run, name) for run in runs])
                                 for name in ("signal", "flagged", "background",
                                              "readout_signal", "readout_leak")))
         order = tag_order(*columns)
@@ -547,17 +550,9 @@ class RunClicks:
 def _block_tags(windows: WindowConfig, master_seed: int, gamma0: float, reps, signal,
                 flagged, background, readout_signal, readout_leak
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (detector, time, repetition) columns of the tags of repetitions
-    reps, from their rows of `RunClicks` arrays, unsorted."""
-    det_rows: list[np.ndarray] = []
-    time_rows: list[np.ndarray] = []
-    rep_rows: list[np.ndarray] = []
-
-    def add(at, det, time):
-        det_rows.append(det)
-        time_rows.append(time)
-        rep_rows.append(reps[at])
-
+    """The (detector, time, repetition) columns of the tags of the uint64
+    repetitions reps, from their rows of `RunClicks` arrays, unsorted.  The
+    arrays are only read."""
     # at most 4 photons reach one cell (a doubly occupied slot plus one
     # wrong-transition and one re-excitation photon); a cell's ordinals draw
     # on its own block of TAG_STREAMS_PER_CELL streams
@@ -565,35 +560,55 @@ def _block_tags(windows: WindowConfig, master_seed: int, gamma0: float, reps, si
     if int(wave.max(initial=0)) > TAG_STREAMS_PER_CELL:
         raise ContractError(f"a cell holds more than {TAG_STREAMS_PER_CELL} "
                             "clicks; its tag streams would overlap the next cell's")
+    windowed = [np.flatnonzero((background[:, 2 * k] | background[:, 2 * k + 1]) > 0)
+                for k in range(background.shape[1] // 2)]
+    read = np.flatnonzero(readout_signal | readout_leak)
+    n_tags = int(wave.sum()) + sum(at.size for at in windowed) + read.size
+    det = np.empty(n_tags, np.int8)
+    time = np.empty(n_tags)
+    rep = np.empty(n_tags, np.uint64)
+    end = 0
+
+    def add(at, detector, offsets, start, width):
+        # tags at start + offsets, each inside the window [start, start +
+        # width) as written
+        nonlocal end
+        tags = slice(end, end + at.size)
+        det[tags] = detector
+        np.add(offsets, start, out=time[tags])
+        inside_as_written(time[tags], start, start + width)
+        np.take(reps, at, out=rep[tags], mode="clip")
+        end += at.size
+
     for cell in range(wave.shape[1]):
         slot, window, _ = cell_click(cell)
         start = windows.window_start(slot, window)
-        for ordinal in range(int(wave[:, cell].max(initial=0))):
-            at = np.flatnonzero(wave[:, cell] > ordinal)
+        count = wave[:, cell]
+        # the repetitions of ordinal k + 1 are among those of ordinal k
+        at = np.flatnonzero(count > 0)
+        ordinal = 0
+        while at.size:
             u = crng.uniforms(master_seed, reps[at],
                               crng.stream("detection.tag",
                                           TAG_STREAMS_PER_CELL * cell + ordinal))
-            offset = np.minimum(-np.log(1.0 - u) / gamma0, windows.width * 0.999)
-            add(at, np.full(at.size, cell % 2, dtype=np.int8),
-                inside_as_written(start + offset, start, start + windows.width))
-    for k in range(background.shape[1] // 2):
-        at = np.flatnonzero(background[:, 2 * k] | background[:, 2 * k + 1])
-        if at.size == 0:
-            continue
+            # the offset -log(1 - u) / gamma0, cut at 0.999 of the window
+            np.subtract(1.0, u, out=u)
+            np.log(u, out=u)
+            np.negative(u, out=u)
+            u /= gamma0
+            add(at, cell % 2, np.minimum(u, windows.width * 0.999, out=u), start,
+                windows.width)
+            ordinal += 1
+            at = at[count[at] > ordinal]
+    for k, at in enumerate(windowed):
         slot, window, _ = cell_click(2 * k)
         start = windows.window_start(slot, window)
         u = crng.uniforms(master_seed, reps[at], crng.stream("detection.background_tag", k))
-        add(at, background[at, 2 * k + 1].astype(np.int8),
-            inside_as_written(start + u * windows.width, start, start + windows.width))
-    at = np.flatnonzero(readout_signal | readout_leak)
-    if at.size:
-        u = crng.uniforms(master_seed, reps[at], crng.stream("detection.readout_tag"))
-        ud = crng.uniforms(master_seed, reps[at],
-                           crng.stream("detection.readout_tag_detector"))
-        start = windows.readout_start
-        add(at, (ud < 0.5).astype(np.int8),
-            inside_as_written(start + u * windows.readout_width, start,
-                              start + windows.readout_width))
-    if not det_rows:
-        return np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64)
-    return np.concatenate(det_rows), np.concatenate(time_rows), np.concatenate(rep_rows)
+        u *= windows.width
+        add(at, background[at, 2 * k + 1], u, start, windows.width)
+    u = crng.uniforms(master_seed, reps[read], crng.stream("detection.readout_tag"))
+    ud = crng.uniforms(master_seed, reps[read], crng.stream("detection.readout_tag_detector"))
+    u *= windows.readout_width
+    add(read, ud < 0.5, u, windows.readout_start, windows.readout_width)
+    # the int64 tag column's values
+    return det, time, rep.view(np.int64)

@@ -882,6 +882,29 @@ class TestBlocks:
         _same_tags(runs[0].to_tags(2.54, runs[1:]), want)
         _same_tags(runs[1].to_tags(2.54, runs[:1]), want)
 
+    def test_to_tags_lone_run(self):
+        # a lone run's arrays are read, not copied: to_tags leaves them as
+        # they were and gives the tags of a merge with a run of no repetitions
+        windows = WindowConfig.for_sequence(1)
+        rng = np.random.default_rng(6)
+        n = 200
+        signal = rng.integers(0, 3, (n, 6)).astype(np.uint8)
+        flagged = (rng.random((n, 6)) < 0.1).astype(np.uint8)
+        background = np.zeros((n, 6), np.uint8)
+        background[rng.random(n) < 0.3, 3] = 1
+        clicks = _clicks(windows, np.arange(1000, 1000 + n), signal, flagged, background,
+                         rng.random(n) < 0.5)
+        names = ("signal", "flagged", "background", "readout_signal", "readout_leak")
+        before = {name: getattr(clicks, name).copy() for name in names}
+        reps = clicks.trajectory.rep_indices.copy()
+        tags = clicks.to_tags()
+        for name in names:
+            assert np.array_equal(getattr(clicks, name), before[name]), name
+        assert np.array_equal(clicks.trajectory.rep_indices, reps)
+        empty = _clicks(windows, [], np.zeros((0, 6), np.uint8))
+        _same_tags(tags, clicks.to_tags(2.54, [empty]))
+        assert len(tags) > n
+
     def test_to_tags_none(self):
         windows = WindowConfig.for_sequence(1)
         clicks = _clicks(windows, np.arange(10), np.zeros((10, 6), np.uint8))

@@ -200,9 +200,72 @@ class TestTagOrder:
 
     @pytest.mark.parametrize("key_bits", [12, 20, 40])
     def test_keys_too_wide_for_the_index(self, monkeypatch, key_bits):
-        # narrower keys take the stable argsort, and then two stable sorts
+        # narrower keys leave no room for the index: the (repetition,
+        # bucket) columns are sorted by np.lexsort
         monkeypatch.setattr(coincidence, "_KEY_BITS", key_bits)
         rng = np.random.default_rng(key_bits)
         n = 3_000
         assert_lexsort_order(rng.integers(0, 2, n), rng.choice(np.arange(500) / 7, n),
                              rng.choice(rng.integers(0, 10**9, 300), n))
+
+    def test_equal_and_neighbouring_times(self):
+        # one repetition: the clipped wavepacket time start + 0.999 * width
+        # several times, and times one to three ulps from it and from 30.5,
+        # on both detectors, so ties meet times a bucket cannot tell apart
+        rng = np.random.default_rng(5)
+        clipped = 53.6 + 2.0 * 0.999
+        times = []
+        for base in (clipped, 30.5):
+            for steps in range(-3, 4):
+                t = base
+                for _ in range(abs(steps)):
+                    t = np.nextafter(t, np.inf if steps > 0 else -np.inf)
+                times += [t] * int(rng.integers(1, 4))
+        time = rng.permutation(np.array(times + [clipped] * 6))
+        n = len(time)
+        assert_lexsort_order(rng.integers(0, 2, n), time, np.full(n, 9))
+        assert_lexsort_order(rng.integers(0, 2, n), time, rng.integers(0, 2, n))
+
+    def test_outlier_time(self):
+        # window-scale times and one at 1e9 ns: the buckets span the outlier,
+        # and with repetitions as wide as the key leaves for them, most
+        # tags of a repetition share a bucket
+        rng = np.random.default_rng(6)
+        n = 70_000
+        time = rng.uniform(0.0, 700.0, n)
+        time[rng.integers(n)] = 1e9
+        det = rng.integers(0, 2, n)
+        assert_lexsort_order(det, time, rng.choice([0, 5, 2**28 + 3, 2**29 - 1], n))
+        assert_lexsort_order(det, time, rng.integers(0, 400_000, n))
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_few_tags_of_one_repetition(self, n):
+        # the bucket field takes its 52-bit cap: the last finite time's
+        # bucket is the top one, not one past it
+        rng = np.random.default_rng(100 + n)
+        time = rng.choice([30.0, 30.5, 31.999, 53.6 + 1.998, 109.6, 109.6], n)
+        time[-1] = rng.uniform(0.0, 700.0)
+        assert_lexsort_order(rng.integers(0, 2, n), time, np.full(n, 2**40))
+        assert_lexsort_order(rng.integers(0, 2, n), rng.uniform(-1.0, 1e-300, n),
+                             np.zeros(n))
+
+    def test_bell_block(self, monkeypatch):
+        # the columns of one simulate bell block: six sub-runs whose
+        # repetitions interleave, each sub-run's tags by cell and ordinal
+        from timebin import detection
+        from timebin.config import paper_emitter, paper_noise, paper_tbi
+        from timebin.experiments import witness_trajectory
+
+        columns = []
+        monkeypatch.setattr(detection, "tag_order",
+                            lambda *cols: columns.append(cols) or tag_order(*cols))
+        emitter = paper_emitter()
+        blocks = []
+        witness_trajectory(2, emitter, paper_noise(), paper_tbi(), 20_000, 5,
+                           on_block=blocks.append)
+        (clicks,) = blocks
+        assert len(clicks) == 6
+        clicks[0].to_tags(emitter.gamma0, clicks[1:])
+        (cols,) = columns
+        assert len(cols[1]) > 4_000
+        assert_lexsort_order(*cols)
