@@ -14,24 +14,26 @@ Both simulation modes work on (n, 6 * slots) count rows:
   every alphabet entry in one matrix-vector product per entry, and the
   pruned survivors keep the depth-first order of the alphabet indices.
   Flag photons are outer sums of rows with outer products of weights.  The
-  readout click and first-order background clicks weight each row in one
-  place (`readout_terms`, which applies the PRUNE_TOL truncation): a row
-  has its no-leak weight and one leak weight, for one background click in
-  any one of its photonic cells, as every window has the one background
-  rate `leak_window_prob`.  The witness counts these terms in closed form,
-  and `full_distribution` expands them into click rows, equal rows summed
-  in a fixed order with `np.bincount`.
+  readout click and first-order background clicks weight each row of a
+  distribution in one place (`readout_terms`, which applies the PRUNE_TOL
+  truncation): a row has its no-leak weight and one leak weight, for one
+  background click in any one of its photonic cells, as every window has
+  the one background rate `leak_window_prob`.  The witness counts these
+  terms in closed form, and `full_distribution` expands them into click
+  rows, equal rows summed in a fixed order with `np.bincount`.
 * trajectory mode samples one row per repetition from the distribution of
   that repetition's pure state (`sample_run`), then adds flagged and
   background clicks and the spin-readout click, all from counter-based
   streams.  It keeps each repetition's clicks as count rows (`RunClicks`),
-  and its time tags are keyed by repetition and click content.  Steps
-  after a sequence's last excite step (a witness sub-run's wait and
-  readout rotation) act on the spin alone and so commute with the
-  detection: such a run is read where that tail starts.  The slots of
-  each tail-start state are contracted once into the 2 x 2 spin blocks of
-  its rows (`spin_blocks`), and a final state's distribution is those
-  blocks carried through its tail (`tail_distribution`).
+  and its time tags are keyed by repetition and click content.
+
+Steps after a sequence's last excite step (a witness sub-run's wait and
+readout rotation) act on the spin alone and so commute with the
+detection: both modes read such a run where that tail starts.  The slots
+of each tail-start state (a generation component, or a pure state) are
+contracted once into the 2 x 2 spin blocks of its rows (`spin_blocks`),
+and a final distribution is those blocks carried through the tail's 4 x 4
+spin map (`tail_distribution`).
 
 Efficiency handling: with thinned=True every photon and readout click is
 Bernoulli-thinned by the physical efficiencies; with thinned=False clicks
@@ -150,7 +152,7 @@ class DetectionModel:
                                  + mags.sum(axis=2) + mags.sum(axis=1)) > 1e-15
         # id() of a sampled state -> (that state, its distribution, the CDF
         # of its probabilities); id() of a tail-start state -> (that state,
-        # its spin_blocks)
+        # its spin_blocks' rows, their blocks flattened to (rows, 4))
         self._distributions: dict[int, tuple] = {}
         self._blocks: dict[int, tuple] = {}
 
@@ -272,35 +274,37 @@ class DetectionModel:
         like a definite-bin photon and added to the rows.
         """
         rows, blocks = self.spin_blocks(state)
-        dist = _leaves(rows, np.stack([blocks[:, s, s].real for s in (SPIN_DOWN, SPIN_UP)],
-                                      axis=1))
-        for slot, bin_label in flag_clicks:
-            dist = self._convolve_flag(dist, slot, bin_label)
-        return dist
+        return self._convolve_flags(_leaves(rows, np.stack(
+            [blocks[:, s, s].real for s in (SPIN_DOWN, SPIN_UP)], axis=1)), flag_clicks)
 
-    def tail_distribution(self, start: np.ndarray, k: np.ndarray) -> ClickDistribution:
-        """`distribution` of the pure state K start / ||K start||, for K a
-        2 x 2 factor on the spin, from start's `spin_blocks` (kept by the
-        model): the detection commutes with K, so row a and spin s have
-        probability <s|K sigma_a K^dagger|s> / ||K start||^2."""
+    def tail_distribution(self, start: np.ndarray, tail: np.ndarray, flag_clicks=()
+                          ) -> ClickDistribution:
+        """`distribution` of the state a spin-only tail leaves of start, from
+        start's `spin_blocks`, which the model keeps flattened to (rows, 4)
+        (spin ket major), so each start is contracted once.  tail is the
+        tail's 4 x 4 map on those entries (`emitter.tail_map`; K (x) conj(K)
+        divided by ||K start||^2 for the pure state K start / ||K start||).
+        The detection commutes with it, so row a and spin s have
+        probability (tail sigma_a)_ss, one (rows, 4) @ (4, 2) product."""
         hit = self._blocks.get(id(start))
         if hit is None:
-            hit = self._blocks[id(start)] = (start, *self.spin_blocks(start))
-        _, rows, blocks = hit
-        psi = k @ start.reshape(2, -1)
-        spin = np.diagonal(k @ blocks @ k.conj().T, axis1=1, axis2=2).real
-        return _leaves(rows, spin[:, (SPIN_DOWN, SPIN_UP)] / np.vdot(psi, psi).real)
+            rows, blocks = self.spin_blocks(start)
+            hit = self._blocks[id(start)] = (start, rows, blocks.reshape(-1, 4))
+        _, rows, flat = hit
+        diagonal = tail[(3 * SPIN_DOWN, 3 * SPIN_UP), :]
+        return self._convolve_flags(_leaves(rows, (flat @ diagonal.T).real), flag_clicks)
 
-    def _convolve_flag(self, dist: ClickDistribution, slot: int, bin_label: str
-                       ) -> ClickDistribution:
-        rows, w = self.photon[bin_label]
-        extra = np.zeros((len(rows), dist.rows.shape[1]), np.uint8)
-        extra[:, 6 * slot:6 * slot + 6] = rows
-        p = (dist.probs[:, None] * w).ravel()
-        keep = p > PRUNE_TOL
-        out = (dist.rows[:, None] + extra).reshape(-1, extra.shape[1])
-        return ClickDistribution(out[keep], np.repeat(dist.label, len(w))[keep],
-                                 p[keep])
+    def _convolve_flags(self, dist: ClickDistribution, flag_clicks) -> ClickDistribution:
+        for slot, bin_label in flag_clicks:
+            rows, w = self.photon[bin_label]
+            extra = np.zeros((len(rows), dist.rows.shape[1]), np.uint8)
+            extra[:, 6 * slot:6 * slot + 6] = rows
+            p = (dist.probs[:, None] * w).ravel()
+            keep = p > PRUNE_TOL
+            out = (dist.rows[:, None] + extra).reshape(-1, extra.shape[1])
+            dist = ClickDistribution(out[keep], np.repeat(dist.label, len(w))[keep],
+                                     p[keep])
+        return dist
 
     # -- readout and leak ------------------------------------------------------
 
@@ -322,21 +326,21 @@ class DetectionModel:
         scale = (self.noise.eta_total * self.eta_read / self.noise.eta_readout)
         return self.noise.p_leak * self.windows.readout_width * scale
 
-    def readout_terms(self, state: np.ndarray, flag_clicks=(),
-                      heralded_only: bool = False) -> ReadoutTerms:
-        """The click distribution weighted by readout click and first-order
-        background clicks, with the PRUNE_TOL truncation applied.
+    def readout_terms(self, base: ClickDistribution, heralded_only: bool = False
+                      ) -> ReadoutTerms:
+        """A click distribution by spin (`distribution`, `tail_distribution`)
+        weighted by readout click and first-order background clicks, with the
+        PRUNE_TOL truncation applied.
 
         Background windows are convolved to first order (at most one leak
         click per window per repetition), which is exact to O(lam^2).  A
-        head is an (entry, readout) pair of `distribution`, readout click
-        first, kept when its no-leak weight base_w exceeds PRUNE_TOL;
-        heralded_only keeps the readout-click heads alone.  A head's leak
+        head is an (entry, readout) pair of base, readout click first, kept
+        when its no-leak weight base_w exceeds PRUNE_TOL; heralded_only
+        keeps the readout-click heads alone.  A head's leak
         weight, base_w * (lam / 2) / (1 - lam), is that of the head plus one
         leak click in any one photonic cell (each of the 3 * slots windows,
         on D1 or on D2); it is zeroed when not above PRUNE_TOL.
         """
-        base = self.distribution(state, flag_clicks)
         lam = self.leak_window_prob()
         no_leak = math.prod([1.0 - lam] * (3 * self.layout.photon_slots))
         p_read_leak = self.leak_readout_prob()
@@ -362,7 +366,7 @@ class DetectionModel:
         D2, window k + 1 ...); equal keys are summed in that order and
         listed in order of first appearance.
         """
-        terms = self.readout_terms(state, flag_clicks)
+        terms = self.readout_terms(self.distribution(state, flag_clicks))
         n_cells = terms.rows.shape[1]
         # term j of a head: the head alone (j = 0) or with a leak click in
         # cell j - 1; the readout column gets none
@@ -411,9 +415,12 @@ class DetectionModel:
                     dist = self.distribution(state)
                 else:
                     first = idx[0]
-                    dist = self.tail_distribution(
-                        result.state_table[result.tail_ids[first]],
-                        result.tail_operator(first))
+                    start = result.state_table[result.tail_ids[first]]
+                    k = result.tail_operator(first)
+                    psi = k @ start.reshape(2, -1)
+                    # K (x) conj(K) as np.kron forms it, without its overhead
+                    tail = (k[:, None, :, None] * k.conj()[None, :, None, :]).reshape(4, 4)
+                    dist = self.tail_distribution(start, tail / np.vdot(psi, psi).real)
                 hit = self._distributions[id(state)] = state, dist, crng.cdf(dist.probs)
             _, dist, cum = hit
             choice = crng.pick(cum, u_pat[idx])

@@ -41,11 +41,12 @@ regardless of how the run is chunked.  A blinked-off component or
 repetition skips the excite steps.
 
 The two engines share a witness's generation sequence differently.  Exact
-mode continues from the result of a sequence's leading steps (start=...):
-a witness evolves its generation once and runs only each sub-run's wait
-and readout rotation from it.  Trajectory mode samples every sub-run's
-whole sequence on one `TrajectoryTables`, which holds one branch table per
-pulse operation, so each state is evolved through each operation once.
+mode evolves the generation once: a sub-run's wait and readout rotation
+act on the spin alone, so they commute with the detection and are read as
+one 4 x 4 spin map (`tail_map`) on the generation's contracted spin blocks.
+Trajectory mode samples every sub-run's whole sequence on one
+`TrajectoryTables`, which holds one branch table per pulse operation, so
+each state is evolved through each operation once.
 """
 from __future__ import annotations
 
@@ -578,12 +579,15 @@ def _conjugate(s: np.ndarray, rho: np.ndarray, slot: int) -> np.ndarray:
     return out.reshape(2, f, 2, f, a, b, a, b).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(n, n)
 
 
-def _continued_steps(seq: PulseSequence, done: PulseSequence) -> int:
-    """Number of seq's leading steps already run by a start result of done."""
-    steps = done.steps[:-1]
-    if seq.steps[:len(steps)] != steps:
-        raise ContractError("the start result did not run this sequence's leading steps")
-    return len(steps)
+def tail_map(seq: PulseSequence, params: EmitterParams, noise: NoiseParams,
+             layout: RegisterLayout) -> np.ndarray:
+    """The channel of seq's spin-only tail (`PulseSequence.tail_start`) on a
+    spin block's flattened (ket, bra) entries: the product, last step
+    first, of each tail step's `_superoperator`."""
+    s = np.eye(4, dtype=np.complex128)
+    for op in seq.steps[seq.tail_start:-1]:
+        s = _superoperator([k for _, k, _ in step_branches(op, params, noise, layout)]) @ s
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -625,32 +629,18 @@ def _initial_vector(layout: RegisterLayout) -> np.ndarray:
 
 
 def run_sequence_exact(seq: PulseSequence, params: EmitterParams, noise: NoiseParams,
-                       layout: RegisterLayout | None = None,
-                       start: ExactResult | None = None) -> ExactResult:
-    """Propagate the exact pre-detection mixture through the sequence.
+                       layout: RegisterLayout | None = None) -> ExactResult:
+    """Propagate the exact pre-detection mixture through the sequence."""
+    if layout is None:
+        layout = sequence_layout(seq, noise)
+    psi0 = _initial_vector(layout)
+    rho0 = np.outer(psi0, psi0.conj())
+    comps = [ExactComponent(1.0, rho0)]
+    if noise.blink_block_len > 0 and noise.blink_on_fraction < 1.0:
+        comps = [ExactComponent(noise.blink_on_fraction, rho0),
+                 ExactComponent(1.0 - noise.blink_on_fraction, rho0, blink_off=True)]
 
-    start, the result of a sequence whose steps before its readout are
-    seq's leading steps, continues from its components (and its layout)
-    with the steps after those.
-    """
-    first = 0
-    if start is not None:
-        layout, comps = start.layout, start.components
-        first = _continued_steps(seq, start.sequence)
-        # the first step replaces comps; holding start would keep its
-        # components alive through the whole tail
-        del start
-    else:
-        if layout is None:
-            layout = sequence_layout(seq, noise)
-        psi0 = _initial_vector(layout)
-        rho0 = np.outer(psi0, psi0.conj())
-        comps = [ExactComponent(1.0, rho0)]
-        if noise.blink_block_len > 0 and noise.blink_on_fraction < 1.0:
-            comps = [ExactComponent(noise.blink_on_fraction, rho0),
-                     ExactComponent(1.0 - noise.blink_on_fraction, rho0, blink_off=True)]
-
-    for op in seq.steps[first:-1]:
+    for op in seq.steps[:-1]:
         branches = step_branches(op, params, noise, layout)
         plain_map = _superoperator([k for _, k, flagged in branches if not flagged])
         flag_maps = [_superoperator([k]) for _, k, flagged in branches if flagged]

@@ -6,9 +6,9 @@ two spin sub-settings (the toggled readout rotation).  A sub-run's pulse
 sequence is the generation sequence at excitation phase 0, followed by a
 wait and the sub-setting's readout rotation; the setting's phase is a
 detection setting, carried by its click POVM (`slot_window_povm`).  Exact
-mode evolves the generation once per witness and continues each sub-run
-from it through its wait and rotation (`run_sequence_exact`'s start=...);
-trajectory mode samples each sub-run's whole sequence on the run's one
+mode evolves the generation once per witness; its end is where every
+sub-run's spin-only tail (wait and rotation) starts.  Trajectory mode
+samples each sub-run's whole sequence on the run's one
 `TrajectoryTables`, which evolves the shared steps once per state.
 Repetitions are assigned to sub-runs round-robin by repetition index.
 Both modes count heralded events with `SettingCounts.add_expected`:
@@ -24,9 +24,10 @@ repetition's record and clicks do not depend on its block.  The run's
 `TrajectoryTables` and each setting's `DetectionModel` are kept across
 blocks, so no state is evolved twice and no model reads a state out
 twice.  A setting's two sub-runs share its phase and so its model, in
-both modes; in trajectory mode the model contracts the photon slots once
-per state where a sub-run's spin-only tail (wait and readout rotation)
-starts, for both sub-runs (`DetectionModel.sample_run`).  Counts are
+both modes.  The tail commutes with the detection, so the model contracts
+the photon slots once per state where the tail starts, for both sub-runs:
+each generation component in exact mode, each tail-start state in
+trajectory mode (`DetectionModel.tail_distribution`).  Counts are
 integer-valued sums, exact in any order.
 """
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .detection import DetectionModel, RunClicks
 from .emitter import (EmitterParams, ExactResult, NoiseParams, PulseSequence,
                       TrajectoryTables, build_bell_sequence, build_ghz_sequence,
                       build_hom_sequence, rabi_curve, rabi_population,
-                      run_sequence_exact, run_sequence_trajectory)
-from .errors import UndefinedEstimateError
+                      run_sequence_exact, run_sequence_trajectory, tail_map)
+from .errors import ContractError, UndefinedEstimateError
 from .hilbert import DensityOperator
 from .interferometer import TBIParams, classical_fringe, effective_phase, fit_fringe
 from .witness import MeasurementSetting, SettingCounts, ghz_settings
@@ -140,39 +141,37 @@ def _exact_counts(n_qubits: int, params: EmitterParams, noise: NoiseParams,
                   tbi: TBIParams, thinned: bool = False) -> dict[str, SettingCounts]:
     """Expected heralded counts of every setting, label -> SettingCounts.
 
-    One generation evolution serves all sub-runs (`_exact_subruns`).  Each
-    component's heralded terms (`DetectionModel.readout_terms`) are
-    counted in closed form (`SettingCounts.add_expected`), weighted by the
-    component's weight over the setting's sub-setting count.
+    The generation sequence is evolved once.  A sub-run's steps after it,
+    its wait and readout rotation, act on the spin alone, so each setting's
+    model contracts each generation component once and each sub-run reads
+    the contraction through its tail's spin map (`emitter.tail_map`,
+    `DetectionModel.tail_distribution`).  Each component's heralded terms
+    (`DetectionModel.readout_terms`) are counted in closed form
+    (`SettingCounts.add_expected`), weighted by the component's weight over
+    the setting's sub-setting count.
     """
+    generation = run_sequence_exact(_generation_sequence(n_qubits), params, noise)
     counts: dict[str, SettingCounts] = {}
     models: dict[str, DetectionModel] = {}
-    for run, exact in _exact_subruns(n_qubits, params, noise):
+    for run in _witness_subruns(n_qubits, params):
+        seq = run.sequence
+        if seq.steps[:seq.tail_start] != generation.sequence.steps[:-1]:
+            raise ContractError("a sub-run's steps before its tail are not the generation's")
+        tail = tail_map(seq, params, noise, generation.layout)
         label = run.setting.label
         acc = counts.setdefault(label, SettingCounts(run.setting, n_qubits - 1))
         n_subs = len(run.setting.subsettings)
         model = models.get(label)
         if model is None:
-            model = models[label] = DetectionModel(exact.layout, tbi, run.phase, noise,
+            model = models[label] = DetectionModel(generation.layout, tbi, run.phase, noise,
                                                    run.windows, thinned)
-        for comp in exact.components:
-            terms = model.readout_terms(comp.rho, comp.flag_clicks, heralded_only=True)
+        for comp in generation.components:
+            terms = model.readout_terms(
+                model.tail_distribution(comp.rho, tail, comp.flag_clicks), heralded_only=True)
             scale = comp.weight / n_subs
             acc.add_expected(run.sub_index, terms.rows, terms.weights * scale,
                              terms.leak * scale)
     return counts
-
-
-def _exact_subruns(n_qubits: int, params: EmitterParams, noise: NoiseParams):
-    """(sub-run, its `ExactResult`) of every witness sub-run, in order.
-
-    The generation sequence is evolved once; each sub-run continues its
-    components through its wait and readout rotation.  The result equals a
-    direct evolution of the sub-run's sequence up to rounding.
-    """
-    generation = run_sequence_exact(_generation_sequence(n_qubits), params, noise)
-    for run in _witness_subruns(n_qubits, params):
-        yield run, run_sequence_exact(run.sequence, params, noise, start=generation)
 
 
 def _exact_distributions(run: SubRun, exact: ExactResult, tbi: TBIParams,

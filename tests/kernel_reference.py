@@ -381,14 +381,16 @@ def add_heralded(counts: dict, setting, sub_index: int, groups, n_slots: int
 
 def exact_counts(n_qubits: int, params, noise, tbi, thinned: bool = False) -> dict:
     """label -> SettingCounts of the exact witness, counted record by
-    record: each component's `full_distribution` (leak clicks expanded into
-    rows, equal rows grouped), its readout-click rows through
-    `add_heralded`."""
-    from timebin.experiments import _exact_distributions, _exact_subruns
+    record: each sub-run's whole sequence evolved on its own, each of its
+    components' `full_distribution` (leak clicks expanded into rows, equal
+    rows grouped), its readout-click rows through `add_heralded`."""
+    from timebin.emitter import run_sequence_exact
+    from timebin.experiments import _exact_distributions, _witness_subruns
     from timebin.witness import SettingCounts
 
     counts: dict = {}
-    for run, exact in _exact_subruns(n_qubits, params, noise):
+    for run in _witness_subruns(n_qubits, params):
+        exact = run_sequence_exact(run.sequence, params, noise)
         acc = counts.setdefault(run.setting.label,
                                 SettingCounts(run.setting, n_qubits - 1))
         n_subs = len(run.setting.subsettings)
@@ -442,7 +444,8 @@ def physical_exact_counts(n_qubits: int, params, noise, tbi, thinned: bool = Fal
                                thinned)
         n_subs = len(run.setting.subsettings)
         for comp in exact.components:
-            terms = model.readout_terms(comp.rho, comp.flag_clicks, heralded_only=True)
+            terms = model.readout_terms(model.distribution(comp.rho, comp.flag_clicks),
+                                        heralded_only=True)
             scale = comp.weight / n_subs
             acc.add_expected(run.sub_index, terms.rows, terms.weights * scale,
                              terms.leak * scale)

@@ -812,14 +812,15 @@ class TestArtifacts:
     def test_tag_artifacts_are_pinned(self, tmp_path):
         # sha256 of the files the %-template writer and np.lexsort gave, and
         # of the witness reports and counts the per-group trajectory loop gave,
-        # with the exact_reference_fidelity of one leak weight per exact term
+        # with the exact_reference_fidelity of one leak weight per exact term,
+        # each sub-run read through its tail's spin map
         want = {
             ("bell", "timetags.csv"):
                 "6a33f82a6f1ef6edca20b93ae495474a405cb54d73a8edbfcc5735aeff256ac8",
             ("bell", "histogram.csv"):
                 "28e24d8a1f582bc5e1f929a426a0caf28b49677c2d5c6791b6f9af0e99af29a8",
             ("bell", "report.json"):
-                "d8f59e1b845fba47969b6ec00b17422679862d59eae27e4c1011a041709e7749",
+                "e99aaf9bad4815e6e04e5e288e59d8c3d83360faa851d8f7ce93dd74b593e34d",
             ("bell", "counts.csv"):
                 "cbe5879923fc29953ab4ba74ffe3aa87754c7ccfec24841e7c1b4a99695c90a3",
             ("hom", "timetags.csv"):

@@ -16,7 +16,7 @@ from timebin.emitter import (BRANCH_LABELS, EmitterParams, NoiseParams, PulseOp,
                              ideal_noise, pump_kraus, rabi_curve,
                              rabi_population, rotation_kraus,
                              run_sequence_exact, run_sequence_trajectory,
-                             sequence_layout, step_branches, wait_kraus)
+                             sequence_layout, step_branches, tail_map, wait_kraus)
 from timebin.errors import ConfigurationError, ContractError
 from timebin.hilbert import (SLOT_EARLY, SLOT_EL, SLOT_LATE, SLOT_VACUUM,
                              SPIN_DOWN, SPIN_UP, QuditState, RegisterLayout,
@@ -675,31 +675,41 @@ def assert_witness_matches_direct_runs(n_qubits, n_reps, blink, n_blocks):
 
 
 class TestSharedGeneration:
-    """Exact mode evolves a witness's generation once and finishes each
-    sub-run from it; trajectory mode samples every sub-run on one shared
+    """Exact mode evolves a witness's generation once and reads each
+    sub-run's components where its spin-only tail starts, through the
+    tail's spin map; trajectory mode samples every sub-run on one shared
     table.  A direct evolution of each sub-run's whole sequence is the
     reference."""
 
     @pytest.mark.parametrize("blink", [False, True], ids=["steady", "blinking"])
     @pytest.mark.parametrize("n_qubits", [2, 3])
     def test_exact_components_match_direct_runs(self, n_qubits, blink):
-        from timebin.experiments import _exact_subruns
+        from timebin.experiments import _generation_sequence, _witness_subruns
 
         params = paper_emitter()
         noise = dataclasses.replace(paper_noise(), **(BLINKING if blink else {}))
-        n_subruns = 0
-        for run, shared in _exact_subruns(n_qubits, params, noise):
+        generation = run_sequence_exact(_generation_sequence(n_qubits), params, noise)
+        assert any(c.blink_off for c in generation.components) == blink
+        subruns = _witness_subruns(n_qubits, params)
+        assert len(subruns) == 2 * n_qubits + 2
+        n_entries = 0
+        for run in subruns:
             direct = run_sequence_exact(run.sequence, params, noise)
-            assert shared.sequence == run.sequence
-            assert shared.layout == direct.layout
-            assert [(c.flag_clicks, c.blink_off) for c in shared.components] == \
+            assert generation.layout == direct.layout
+            assert [(c.flag_clicks, c.blink_off) for c in generation.components] == \
                 [(c.flag_clicks, c.blink_off) for c in direct.components]
-            assert any(c.blink_off for c in shared.components) == blink
-            for a, b in zip(shared.components, direct.components):
+            tail = tail_map(run.sequence, params, noise, generation.layout)
+            model = DetectionModel(generation.layout, paper_tbi(), run.phase, noise,
+                                   run.windows)
+            for a, b in zip(generation.components, direct.components):
                 assert abs(a.weight - b.weight) <= 1e-12
-                assert np.max(np.abs(a.rho - b.rho)) <= 1e-12
-            n_subruns += 1
-        assert n_subruns == 2 * n_qubits + 2
+                got = model.tail_distribution(a.rho, tail, a.flag_clicks)
+                want = model.distribution(b.rho, b.flag_clicks)
+                assert np.array_equal(got.rows, want.rows)
+                assert np.array_equal(got.label, want.label)
+                np.testing.assert_allclose(got.probs, want.probs, rtol=1e-12, atol=0)
+                n_entries += len(want)
+        assert n_entries > 100 * len(subruns)
 
     @pytest.mark.parametrize("blink", [False, True], ids=["steady", "blinking"])
     @pytest.mark.parametrize("n_qubits, n_reps", [(2, 6000), (3, 3000)])
@@ -720,17 +730,21 @@ class TestSharedGeneration:
         monkeypatch.setattr(experiments, "BLOCK_REPS", size)
         assert_witness_matches_direct_runs(n_qubits, n_reps, blink, n_blocks)
 
-    def test_start_must_hold_the_leading_steps(self):
+    def test_start_must_hold_the_leading_steps(self, monkeypatch):
+        # the exact witness reads every sub-run where the generation ends: a
+        # sub-run whose steps before its tail differ is refused
+        from timebin import experiments
+
         params, noise = paper_emitter(), paper_noise()
-        generation = build_bell_sequence()
-        seq = generation.with_readout_rotation("y", 0.5)
+        subruns = experiments._witness_subruns(2, params)
+        assert experiments._exact_counts(2, params, noise, paper_tbi())
         # a late pulse at another phase is another leading step
-        other = with_late_phase(build_bell_sequence(), 0.4).with_readout_rotation("y", 0.5)
-        exact = run_sequence_exact(generation, params, noise)
-        with pytest.raises(ContractError):
-            run_sequence_exact(other, params, noise, start=exact)
-        tail = run_sequence_exact(seq, params, noise, start=exact)
-        assert len(tail.components) == len(exact.components)
+        *same, last = subruns
+        other = dataclasses.replace(last, sequence=with_late_phase(last.sequence, 0.4))
+        assert other.sequence.tail_start == last.sequence.tail_start
+        monkeypatch.setattr(experiments, "_witness_subruns", lambda *_: [*same, other])
+        with pytest.raises(ContractError, match="generation"):
+            experiments._exact_counts(2, params, noise, paper_tbi())
 
     def test_tables_hold_one_runs_inputs(self):
         # a table filled under one noise would hand another noise its

@@ -21,8 +21,9 @@ from timebin.config import paper_emitter, paper_noise, paper_tbi
 from timebin.detection import DetectionModel
 from timebin.emitter import run_sequence_exact, run_sequence_trajectory
 from timebin.errors import UndefinedEstimateError
-from timebin.experiments import (WitnessOutcome, _exact_counts, _witness_subruns,
-                                 simulate_hom, witness_exact, witness_trajectory)
+from timebin.experiments import (WitnessOutcome, _exact_counts, _generation_sequence,
+                                 _witness_subruns, simulate_hom, witness_exact,
+                                 witness_trajectory)
 from timebin.hilbert import SLOT_EARLY, SLOT_EL, SLOT_LATE, RegisterLayout
 from timebin.witness import SettingCounts, ghz_settings
 
@@ -387,3 +388,27 @@ class TestExactReference:
     def test_paper_defaults(self, n_qubits, fidelity):
         out = witness_exact(n_qubits, paper_emitter(), paper_noise(), paper_tbi())
         assert out.fidelity == pytest.approx(fidelity, abs=1e-12)
+
+    def test_components_contracted_once(self, monkeypatch):
+        # each setting's model contracts each generation component's slots
+        # once, for both its sub-runs: GHZ-3's 4 settings x 16 components,
+        # where contracting every sub-run's own components takes 128
+        params, noise = paper_emitter(), paper_noise()
+        generation = run_sequence_exact(_generation_sequence(3), params, noise)
+        calls = []
+        spin_blocks = DetectionModel.spin_blocks
+        # the calls hold their model and state, so no id is reused in a run
+        monkeypatch.setattr(DetectionModel, "spin_blocks",
+                            lambda self, state: calls.append((self, state))
+                            or spin_blocks(self, state))
+        out = witness_exact(3, params, noise, paper_tbi())
+        assert out.fidelity == pytest.approx(0.4237765410462214, abs=1e-12)
+        assert len({(id(model), id(state)) for model, state in calls}) == len(calls)
+        assert len(calls) == 4 * len(generation.components) == 64
+        models = list({id(model): model for model, _ in calls}.values())
+        assert [m.phase for m in models] == [s.phase for s in ghz_settings(3)]
+        for model in models:
+            states = [state for m, state in calls if m is model]
+            assert len(states) == len(generation.components)
+            for state, comp in zip(states, generation.components):
+                assert np.array_equal(state, comp.rho)
