@@ -21,19 +21,23 @@ Both simulation modes work on (n, 6 * slots) count rows:
   the one background rate `leak_window_prob`.  The witness counts these
   terms in closed form, and `full_distribution` expands them into click
   rows, equal rows summed in a fixed order with `np.bincount`.
-* trajectory mode samples one row per repetition from the distribution of
-  that repetition's pure state (`sample_run`), then adds flagged and
+* trajectory mode detects each photon slot as it is emitted: the slot
+  alphabet, as Kraus branches on the spin and one slot (`slot_branches`),
+  is one more branch table of the trajectory engine, applied right after
+  the slot's last excite step, and the readout step projects the spin
+  (`emitter.run_sequence_trajectory`).  `sample_run` reads each
+  repetition's recorded entries and spin, then adds flagged and
   background clicks and the spin-readout click, all from counter-based
   streams.  It keeps each repetition's clicks as count rows (`RunClicks`),
   and its time tags are keyed by repetition and click content.
 
 Steps after a sequence's last excite step (a witness sub-run's wait and
 readout rotation) act on the spin alone and so commute with the
-detection: both modes read such a run where that tail starts.  The slots
-of each tail-start state (a generation component, or a pure state) are
-contracted once into the 2 x 2 spin blocks of its rows (`spin_blocks`),
-and a final distribution is those blocks carried through the tail's 4 x 4
-spin map (`tail_distribution`).
+detection.  The exact reference reads such a run where that tail starts:
+the slots of each generation component are contracted once into the
+2 x 2 spin blocks of its rows (`spin_blocks`), and a final distribution is
+those blocks carried through the tail's 4 x 4 spin map
+(`tail_distribution`).
 
 Efficiency handling: with thinned=True every photon and readout click is
 Bernoulli-thinned by the physical efficiencies; with thinned=False clicks
@@ -67,19 +71,6 @@ PRUNE_TOL = 1e-11
 # wavepacket tag times of click ordinal k in cell c draw on stream
 # detection.tag at offset TAG_STREAMS_PER_CELL * c + k
 TAG_STREAMS_PER_CELL = 8
-
-
-def group_by_id(ids: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Index arrays of equal-id repetitions, in ascending id order (ids are
-    non-negative state ids)."""
-    if ids.size == 0:
-        return []
-    # numpy's stable sort of 8- and 16-bit keys is a radix sort
-    order = np.argsort(ids.astype(np.min_scalar_type(ids.max())), kind="stable")
-    counts = np.bincount(ids)
-    uniq = np.flatnonzero(counts)
-    ends = np.cumsum(counts[uniq]).tolist()
-    return [(sid, order[end - counts[sid]:end]) for sid, end in zip(uniq.tolist(), ends)]
 
 
 @dataclass(frozen=True)
@@ -150,10 +141,9 @@ class DetectionModel:
         mags = np.abs(self.alphabet_mats)
         self.alphabet_support = (np.diagonal(mags, axis1=1, axis2=2)
                                  + mags.sum(axis=2) + mags.sum(axis=1)) > 1e-15
-        # id() of a sampled state -> (that state, its distribution, the CDF
-        # of its probabilities); id() of a tail-start state -> (that state,
-        # its spin_blocks' rows, their blocks flattened to (rows, 4))
-        self._distributions: dict[int, tuple] = {}
+        self.slot_branches = self._slot_branches()
+        # id() of a tail-start state -> (that state, its spin_blocks' rows,
+        # their blocks flattened to (rows, 4))
         self._blocks: dict[int, tuple] = {}
 
     # -- per-slot alphabet -------------------------------------------------
@@ -220,6 +210,24 @@ class DetectionModel:
             np.add.at(mats, group, np.concatenate(mat_parts))
         return rows, mats, photon
 
+    def _slot_branches(self) -> list[tuple[int, np.ndarray]]:
+        """The slot alphabet as Kraus branches (entry a, factor) on the spin
+        and one slot, spin index major: for each eigenpair (mu, m) of
+        alphabet_mats[a] with mu > 0, I_spin (x) sqrt(mu) |vacuum><m|.  As
+        the elements sum to the identity on the slot, so do the branches'
+        K^dagger K; each leaves the slot empty, as a detected photon is
+        gone."""
+        d = self.layout.slot_dim
+        branches = []
+        for a, mat in enumerate(self.alphabet_mats):
+            mu, vecs = np.linalg.eigh(mat)
+            for value, vec in zip(mu, vecs.T):
+                if value > 0:
+                    k = np.zeros((d, d), dtype=np.complex128)
+                    k[SLOT_VACUUM] = math.sqrt(value) * vec.conj()
+                    branches.append((a, np.kron(np.eye(2), k)))
+        return branches
+
     # -- exact distributions -------------------------------------------------
 
     def spin_blocks(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,10 +290,9 @@ class DetectionModel:
         """`distribution` of the state a spin-only tail leaves of start, from
         start's `spin_blocks`, which the model keeps flattened to (rows, 4)
         (spin ket major), so each start is contracted once.  tail is the
-        tail's 4 x 4 map on those entries (`emitter.tail_map`; K (x) conj(K)
-        divided by ||K start||^2 for the pure state K start / ||K start||).
-        The detection commutes with it, so row a and spin s have
-        probability (tail sigma_a)_ss, one (rows, 4) @ (4, 2) product."""
+        tail's 4 x 4 map on those entries (`emitter.tail_map`).  The
+        detection commutes with it, so row a and spin s have probability
+        (tail sigma_a)_ss, one (rows, 4) @ (4, 2) product."""
         hit = self._blocks.get(id(start))
         if hit is None:
             rows, blocks = self.spin_blocks(start)
@@ -391,42 +398,19 @@ class DetectionModel:
     def sample_run(self, result: TrajectoryResult, master_seed: int) -> "RunClicks":
         """Sample detection for every repetition of a trajectory run.
 
-        Each final state's distribution is computed once per model: the
-        results of a run's blocks share one state table (`TrajectoryTables`),
-        so a model kept across them evaluates no state twice.  A sequence
-        with a spin-only tail (`TrajectoryResult.tail_ids`) reads the
-        photons where the tail starts: a final state's distribution is the
-        `tail_distribution` of the first of its repetitions, so the slots
-        are contracted once per tail-start state, not once per final state.
-        Without a tail it is the final state's `distribution`.
+        The run must have been detected by this model as it was sampled
+        (`run_sequence_trajectory`'s detection): its signal row is the
+        alphabet row of each slot's recorded entry, and its spin the one the
+        readout step recorded.  Flagged, background and readout clicks are
+        drawn here.
         """
+        if result.detection is not self:
+            raise ContractError("the trajectory run was not detected by this model")
         n = result.rep_indices.size
         reps = result.rep_indices
         n_cells = 6 * self.layout.photon_slots
-        catalog = [np.zeros((0, n_cells), dtype=np.uint8)]
-        signal = np.zeros((n, n_cells), dtype=np.uint8)
-        spins = np.zeros(n, dtype=np.int8)
-        u_pat = crng.uniforms(master_seed, reps, crng.stream("detection.pattern"))
-        for sid, idx in group_by_id(result.state_ids):
-            state = result.state_table[sid]
-            hit = self._distributions.get(id(state))
-            if hit is None:
-                if result.tail_ids is None:
-                    dist = self.distribution(state)
-                else:
-                    first = idx[0]
-                    start = result.state_table[result.tail_ids[first]]
-                    k = result.tail_operator(first)
-                    psi = k @ start.reshape(2, -1)
-                    # K (x) conj(K) as np.kron forms it, without its overhead
-                    tail = (k[:, None, :, None] * k.conj()[None, :, None, :]).reshape(4, 4)
-                    dist = self.tail_distribution(start, tail / np.vdot(psi, psi).real)
-                hit = self._distributions[id(state)] = state, dist, crng.cdf(dist.probs)
-            _, dist, cum = hit
-            choice = crng.pick(cum, u_pat[idx])
-            catalog.append(dist.rows)
-            signal[idx] = dist.rows[choice]
-            spins[idx] = dist.label[choice]
+        signal = self.alphabet_rows[result.entries].reshape(n, n_cells)
+        spins = result.spins
 
         # classical background photons: the wrong-transition photon of the
         # i-th excite step draws on flagged stream i, its re-excitation or
@@ -467,10 +451,8 @@ class DetectionModel:
                                crng.stream("detection.leak_detector", k))
             background[rows, 2 * k + (ud < 0.5)] = 1
 
-        catalog_rows = np.concatenate(catalog)
-        first, _ = first_seen_groups(catalog_rows)
-        return RunClicks(self, result, catalog_rows[first], spins, readout_signal,
-                         readout_leak, signal, flagged, background, master_seed)
+        return RunClicks(self, result, spins, readout_signal, readout_leak, signal,
+                         flagged, background, master_seed)
 
 
 def _leaves(rows: np.ndarray, p: np.ndarray) -> ClickDistribution:
@@ -490,13 +472,11 @@ class RunClicks:
     (n_reps, n_cells) arrays by origin: `signal` for the photons of the
     sampled row, `flagged` for distinguishable background photons
     (wrong-transition scatter, re-excitation) and `background` for
-    background-light clicks.  `pattern_catalog` holds the distinct rows of
-    the sampled states' distributions, in first-seen order.
+    background-light clicks.
     """
 
     model: DetectionModel
     trajectory: TrajectoryResult
-    pattern_catalog: np.ndarray
     spins: np.ndarray
     readout_signal: np.ndarray
     readout_leak: np.ndarray
@@ -513,6 +493,12 @@ class RunClicks:
     def n_reps(self) -> int:
         return self.spins.size
 
+    @property
+    def pattern_catalog(self) -> np.ndarray:
+        """The distinct signal rows, in first-seen order."""
+        first, _ = first_seen_groups(self.signal)
+        return self.signal[first]
+
     def to_tags(self, gamma0: float = 2.54, others: Sequence[RunClicks] = ()
                 ) -> TagArrays:
         """Expand sampled clicks into time tags, in (repetition, time,
@@ -521,10 +507,10 @@ class RunClicks:
         others are runs on other repetitions with the same windows and
         master seed, such as a witness run's other sub-runs: their tags are
         merged into the same columns.  Photonic clicks get an exponential
-        wavepacket offset inside their window, background clicks a uniform
-        one; readout clicks are uniform in the readout window.  Each time
-        stays where its 6-decimal text in `timetags.csv` reads back inside
-        its window (`coincidence.inside_as_written`).  A wavepacket
+        wavepacket offset truncated to their window, background clicks a
+        uniform one; readout clicks are uniform in the readout window.
+        Each time stays where its 6-decimal text in `timetags.csv` reads
+        back inside its window (`coincidence.inside_as_written`).  A wavepacket
         click's draw is keyed by its repetition, cell and ordinal within the
         cell, so tag times do not depend on which other repetitions are
         expanded in the same call.  The tags of all the runs are expanded
@@ -598,13 +584,13 @@ def _block_tags(windows: WindowConfig, master_seed: int, gamma0: float, reps, si
             u = crng.uniforms(master_seed, reps[at],
                               crng.stream("detection.tag",
                                           TAG_STREAMS_PER_CELL * cell + ordinal))
-            # the offset -log(1 - u) / gamma0, cut at 0.999 of the window
-            np.subtract(1.0, u, out=u)
-            np.log(u, out=u)
+            # the exponential offset truncated to the window,
+            # -log1p(-u (1 - exp(-gamma0 width))) / gamma0
+            u *= -math.expm1(-gamma0 * windows.width)
             np.negative(u, out=u)
-            u /= gamma0
-            add(at, cell % 2, np.minimum(u, windows.width * 0.999, out=u), start,
-                windows.width)
+            np.log1p(u, out=u)
+            u /= -gamma0
+            add(at, cell % 2, u, start, windows.width)
             ordinal += 1
             at = at[count[at] > ordinal]
     for k, at in enumerate(windowed):

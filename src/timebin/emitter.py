@@ -38,15 +38,23 @@ pre-detection mixture, opening a classically flagged component for each
 flagged branch.  Trajectory mode samples one branch per repetition with
 counter-based randomness, so a repetition's record is reproducible
 regardless of how the run is chunked.  A blinked-off component or
-repetition skips the excite steps.
+repetition skips the excite steps.  Given a detection model, trajectory
+mode also detects each photon slot as it is emitted, as one more step of
+Kraus branches right after the slot's last excite step, and projects the
+spin at the readout: the pure-state unravelling of continuous detection
+(Dalibard, Castin & Molmer, PRL 68, 580 (1992)) applied to sequential
+photon emission (Schon et al., PRL 95, 110503 (2005)).  Nothing acts on a
+slot after its last excite step, so its detection commutes with every
+later step.
 
 The two engines share a witness's generation sequence differently.  Exact
 mode evolves the generation once: a sub-run's wait and readout rotation
 act on the spin alone, so they commute with the detection and are read as
 one 4 x 4 spin map (`tail_map`) on the generation's contracted spin blocks.
 Trajectory mode samples every sub-run's whole sequence on one
-`TrajectoryTables`, which holds one branch table per pulse operation, so
-each state is evolved through each operation once.
+`TrajectoryTables`, which holds one branch table per pulse operation and
+per (detection model, slot), so each state is evolved through each
+operation once.
 """
 from __future__ import annotations
 
@@ -704,11 +712,10 @@ class TrajectoryResult:
     there, its label BRANCH_LABELS[code] ('skipped' for an excite step of a
     blinked-off repetition).
 
-    A sequence with a tail (`PulseSequence.tail_start`: a witness sub-run's
-    wait and readout rotation) also records tail_ids, each repetition's
-    state id where the tail starts, and tail_factors, per tail step the 2 x 2
-    factor of each branch code; `tail_operator` multiplies a repetition's.
-    Without a tail, tail_ids is None.
+    A run detected as it goes (`run_sequence_trajectory`'s detection) also
+    records entries, each repetition's alphabet entry per photon slot, and
+    spins, its spin at the readout; its states are then those after the
+    readout.  Otherwise detection, entries and spins are None.
     """
 
     layout: RegisterLayout
@@ -718,8 +725,9 @@ class TrajectoryResult:
     state_ids: np.ndarray
     branches: np.ndarray         # int8 (n_reps, n_steps)
     blink_off: np.ndarray
-    tail_ids: np.ndarray | None = None
-    tail_factors: tuple[dict[int, np.ndarray], ...] = ()
+    detection: object = None
+    entries: np.ndarray | None = None     # int8 (n_reps, photon slots)
+    spins: np.ndarray | None = None       # int8 (n_reps,)
 
     def took(self, step: int, *labels: str) -> np.ndarray:
         """Mask of the repetitions whose branch at step is one of labels."""
@@ -728,15 +736,6 @@ class TrajectoryResult:
         for label in labels:
             mask |= column == BRANCH_CODES[label]
         return mask
-
-    def tail_operator(self, row: int) -> np.ndarray:
-        """K, the product of the tail factors repetition row took: its final
-        state is K applied to the spin of its tail-start state, normalised."""
-        k = np.eye(2, dtype=np.complex128)
-        codes = self.branches[row, self.sequence.tail_start:].tolist()
-        for factors, code in zip(self.tail_factors, codes):
-            k = factors[code] @ k
-        return k
 
 
 def _canonical_key(vec: np.ndarray) -> bytes:
@@ -762,14 +761,13 @@ class _StateTable:
 
 
 class _StepTable:
-    """One step's Kraus branches and, per state id, the normalised CDF of
-    the branches the state keeps, padded with 2 (above every draw), and the
-    state id and code each leads to."""
+    """One step's Kraus branches, (code, factor) pairs, and, per state id,
+    the normalised CDF of the branches the state keeps, padded with 2 (above
+    every draw), and the state id and code each leads to."""
 
     def __init__(self, branches):
-        self.branches = branches
-        self.codes = np.array([BRANCH_CODES[label] for label, _, _ in branches],
-                              dtype=np.int8)
+        self.codes = np.array([code for code, _ in branches], dtype=np.int8)
+        self.factors = [k for _, k in branches]
         width = len(branches)
         self.cum = np.full((0, width), 2.0)
         self.next_ids = np.zeros((0, width), dtype=np.int64)
@@ -783,7 +781,7 @@ class _StepTable:
         counts = np.bincount(occupied, minlength=self.known.size)
         grow = counts.size - self.known.size
         if grow:
-            width = len(self.branches)
+            width = len(self.factors)
             self.cum = np.concatenate([self.cum, np.full((grow, width), 2.0)])
             self.next_ids = np.concatenate([self.next_ids, np.zeros((grow, width), np.int64)])
             self.next_codes = np.concatenate([self.next_codes,
@@ -792,7 +790,7 @@ class _StepTable:
         for sid in np.flatnonzero((counts > 0) & ~self.known).tolist():
             psi = table.states[sid]
             outs, probs, taken = [], [], []
-            for b, (_, k, _) in enumerate(self.branches):
+            for b, k in enumerate(self.factors):
                 phi = apply_branch(k, psi, slot)
                 p = float(np.vdot(phi, phi).real)
                 if p > 1e-14:
@@ -808,10 +806,15 @@ class _StepTable:
             self.known[sid] = True
 
 
+# the readout step's branches: the spin's projectors, coded by the spin
+_READOUT_BRANCHES = [(spin, _spin_matrix({(spin, spin): 1.0})) for spin in (SPIN_DOWN, SPIN_UP)]
+
+
 class TrajectoryTables:
     """What `run_sequence_trajectory` learns of a run's states, kept across
-    its calls: the state table and one branch table per pulse operation.
-    A branch table depends only on its operation and the params, noise and
+    its calls: the state table and one branch table per pulse operation,
+    and per (detection model, photon slot) when the run is detected as it
+    goes.  A branch table depends only on its key and the params, noise and
     layout, which the first call records and every later call must repeat.
     Passed to every call of a run, on each block of its repetitions and
     each sequence (a witness's sub-runs share their generation steps), the
@@ -819,7 +822,7 @@ class TrajectoryTables:
 
     def __init__(self):
         self.states = _StateTable()
-        self.steps: dict[PulseOp, _StepTable] = {}
+        self.steps: dict[object, _StepTable] = {}
         self.inputs: tuple | None = None
 
     def check(self, params: EmitterParams, noise: NoiseParams,
@@ -833,12 +836,20 @@ class TrajectoryTables:
             raise ContractError("the trajectory tables hold another run's params, "
                                 "noise or layout")
 
+    def step(self, key, branches) -> _StepTable:
+        """The branch table of key, built from branches() on first use."""
+        step = self.steps.get(key)
+        if step is None:
+            step = self.steps[key] = _StepTable(branches())
+        return step
+
 
 def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
                             noise: NoiseParams, master_seed: int,
                             rep_indices: np.ndarray,
                             layout: RegisterLayout | None = None,
-                            tables: TrajectoryTables | None = None) -> TrajectoryResult:
+                            tables: TrajectoryTables | None = None,
+                            detection=None) -> TrajectoryResult:
     """Sample one noise-branch path per repetition.
 
     Randomness is addressed by (master_seed, repetition index, step), so each
@@ -853,8 +864,16 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
     with each block of a run's repetitions and each of its sequences, keeps
     the states and the branch tables of the calls before, so only the
     states new to a step's operation are evolved; the result's state_table
-    is then the run's table so far.  The result records where each
-    repetition's tail starts and the tail's factors (`TrajectoryResult`).
+    is then the run's table so far.
+
+    detection, if given, detects each photon slot as it is emitted: an
+    object with the layout's `layout` and `slot_branches`, the (alphabet
+    entry, factor) Kraus branches of one slot's readout on the spin and
+    that slot (`detection.DetectionModel`).  A slot is detected right after
+    its last excite step, by one more branch table (key (detection, slot),
+    draws on stream detection.slot + slot), which nothing after it touches;
+    the readout step then projects the spin (`_READOUT_BRANCHES`).  The
+    result records each repetition's entries and spin.
     """
     reps = np.asarray(rep_indices, dtype=np.uint64)
     n = reps.size
@@ -863,6 +882,8 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
     if tables is None:
         tables = TrajectoryTables()
     tables.check(params, noise, layout)
+    if detection is not None and detection.layout != layout:
+        raise ContractError("the detection model reads another register layout")
     table = tables.states
     # each step writes every repetition's entry, except the excite steps of
     # blinked-off repetitions, which stay 'skipped'
@@ -875,38 +896,43 @@ def run_sequence_trajectory(seq: PulseSequence, params: EmitterParams,
     else:
         blink_off = np.zeros(n, dtype=bool)
 
-    blinking = bool(blink_off.any())
-    tail = seq.tail_start
-    tail_ids, tail_factors = None, []
-    for step_i, op in enumerate(seq.steps[:-1]):
-        step = tables.steps.get(op)
-        if step is None:
-            step = tables.steps[op] = _StepTable(step_branches(op, params, noise, layout))
-        if step_i == tail:
-            # in the smallest type that holds every id so far (a block's
-            # int64 ids would be 8 bytes per repetition)
-            tail_ids = ids.astype(np.min_scalar_type(len(table.states) - 1))
-        if step_i >= tail:
-            tail_factors.append({int(code): k for code, (_, k, _)
-                                 in zip(step.codes, step.branches)})
-        u = crng.uniforms(master_seed, reps, crng.stream("emitter.step", step_i))
-        # an excite step skips the blinked-off repetitions
-        rows = np.flatnonzero(~blink_off) if op.kind == "excite" and blinking else slice(None)
+    def take(step: _StepTable, stream: int, rows, slot: int) -> np.ndarray:
+        # each repetition of rows takes a branch of step, the count of its
+        # state's CDF entries at or below its draw, the index crng.choose
+        # returns (from column widest - 1 on every entry is 1 or 2, above
+        # every draw); returns the branches' codes
+        u = crng.uniforms(master_seed, reps, stream)[rows]
         occupied = ids[rows]
-        step.fill(table, occupied, op.slot)
-        # each repetition's branch is the count of its state's CDF entries at
-        # or below its draw, the index crng.choose returns; from column
-        # widest - 1 on every entry is 1 or 2, above every draw
-        u = u[rows]
+        step.fill(table, occupied, slot)
         choice = np.zeros(u.size, dtype=np.uint8)
         for column in step.cum.T[:step.widest - 1]:
             choice += column[occupied] <= u
-        flat = occupied * len(step.branches)
+        flat = occupied * len(step.factors)
         flat += choice
         ids[rows] = step.next_ids.ravel()[flat]
-        record[rows, step_i] = step.next_codes.ravel()[flat]
+        return step.next_codes.ravel()[flat]
+
+    blinking = bool(blink_off.any())
+    last_excite = {op.slot: i for i, op in enumerate(seq.steps) if op.kind == "excite"}
+    entries = spins = None
+    if detection is not None:
+        # a slot with no excite step stays at entry 0, the no-click row
+        entries = np.zeros((n, layout.photon_slots), dtype=np.int8)
+    for step_i, op in enumerate(seq.steps[:-1]):
+        step = tables.step(op, lambda: [(BRANCH_CODES[label], k) for label, k, _
+                                        in step_branches(op, params, noise, layout)])
+        # an excite step skips the blinked-off repetitions
+        rows = np.flatnonzero(~blink_off) if op.kind == "excite" and blinking else slice(None)
+        record[rows, step_i] = take(step, crng.stream("emitter.step", step_i), rows, op.slot)
+        if detection is not None and last_excite.get(op.slot) == step_i:
+            step = tables.step((detection, op.slot), lambda: detection.slot_branches)
+            entries[:, op.slot] = take(step, crng.stream("detection.slot", op.slot),
+                                       slice(None), op.slot)
+    if detection is not None:
+        step = tables.step(seq.steps[-1], lambda: _READOUT_BRANCHES)
+        spins = take(step, crng.stream("emitter.step", len(seq.steps) - 1), slice(None), 0)
     return TrajectoryResult(layout, seq, reps, table.states, ids, record, blink_off,
-                            tail_ids, tuple(tail_factors))
+                            detection, entries, spins)
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,16 @@ with `witness.fidelity_estimate`, as `analyze --mode witness` does.
 Trajectory runs walk their repetitions in blocks of about BLOCK_REPS
 ascending repetitions (`_blocks`), so memory does not grow with the run.
 Every draw is keyed by (master seed, repetition, stream), so a
-repetition's record and clicks do not depend on its block.  The run's
-`TrajectoryTables` and each setting's `DetectionModel` are kept across
-blocks, so no state is evolved twice and no model reads a state out
-twice.  A setting's two sub-runs share its phase and so its model, in
-both modes.  The tail commutes with the detection, so the model contracts
-the photon slots once per state where the tail starts, for both sub-runs:
-each generation component in exact mode, each tail-start state in
-trajectory mode (`DetectionModel.tail_distribution`).  Counts are
-integer-valued sums, exact in any order.
+repetition's record and clicks do not depend on its block.  A setting's
+two sub-runs share its phase and so its `DetectionModel`, in both modes.
+Trajectory mode detects each photon slot as it is emitted, with the
+model's Kraus branches (`run_sequence_trajectory`'s detection); the run's
+`TrajectoryTables`, which holds the detection tables of every model, and
+the models are kept across blocks, so no state is evolved or read out
+twice.  Exact mode contracts the photon slots once per generation
+component where the sub-runs' spin-only tail starts
+(`DetectionModel.tail_distribution`).  Counts are integer-valued sums,
+exact in any order.
 """
 from __future__ import annotations
 
@@ -45,7 +46,8 @@ from .detection import DetectionModel, RunClicks
 from .emitter import (EmitterParams, ExactResult, NoiseParams, PulseSequence,
                       TrajectoryTables, build_bell_sequence, build_ghz_sequence,
                       build_hom_sequence, rabi_curve, rabi_population,
-                      run_sequence_exact, run_sequence_trajectory, tail_map)
+                      run_sequence_exact, run_sequence_trajectory, sequence_layout,
+                      tail_map)
 from .errors import ContractError, UndefinedEstimateError
 from .hilbert import DensityOperator
 from .interferometer import TBIParams, classical_fringe, effective_phase, fit_fringe
@@ -254,12 +256,13 @@ def witness_trajectory(n_qubits: int, params: EmitterParams, noise: NoiseParams,
             reps = block[k::len(subruns)]
             if reps.size == 0:
                 continue
-            traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps,
-                                           tables=tables)
             model = models.get(run.setting.label)
             if model is None:
                 model = models[run.setting.label] = DetectionModel(
-                    traj.layout, tbi, run.phase, noise, run.windows, thinned)
+                    sequence_layout(run.sequence, noise), tbi, run.phase, noise,
+                    run.windows, thinned)
+            traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps,
+                                           tables=tables, detection=model)
             clicks = model.sample_run(traj, master_seed)
             lk, tot = _count_clicks(counts[run.setting.label], run.sub_index, clicks)
             leak_events += lk
@@ -294,8 +297,10 @@ def trajectory_exact_tvd(n_qubits: int, params: EmitterParams, noise: NoiseParam
     """
     run = _witness_subruns(n_qubits, params)[2 * setting_index + sub_index]
     reps = np.arange(n_repetitions, dtype=np.uint64)
-    traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps)
-    model = DetectionModel(traj.layout, tbi, run.phase, noise, run.windows, thinned)
+    model = DetectionModel(sequence_layout(run.sequence, noise), tbi, run.phase, noise,
+                           run.windows, thinned)
+    traj = run_sequence_trajectory(run.sequence, params, noise, master_seed, reps,
+                                   detection=model)
     clicks = model.sample_run(traj, master_seed)
     sampled = np.column_stack([clicks.signal + clicks.flagged + clicks.background,
                                clicks.readout_clicks])
@@ -342,15 +347,13 @@ def simulate_hom(params: EmitterParams, noise: NoiseParams, tbi: TBIParams,
     windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
     seq = build_hom_sequence()
     tables = TrajectoryTables()
-    model = None
+    # no early-late coherence: every phase reads the two photons alike
+    model = DetectionModel(sequence_layout(seq, noise), tbi, 0.0, noise, windows, thinned)
     g2_counts = coin.G2Counts(windows)
     pairs = coin.HomPairs(windows)
     for reps in _blocks(n_repetitions):
         traj = run_sequence_trajectory(seq, params, noise, master_seed, reps,
-                                       tables=tables)
-        if model is None:
-            # no early-late coherence: every phase reads the two photons alike
-            model = DetectionModel(traj.layout, tbi, 0.0, noise, windows, thinned)
+                                       tables=tables, detection=model)
         tags = model.sample_run(traj, master_seed).to_tags(gamma0=params.gamma0)
         g2_counts.add(tags)
         pairs.add(tags)
@@ -412,9 +415,10 @@ def spin_conditioned_fringe_scan(params: EmitterParams, noise: NoiseParams,
         for label, seq in seqs.items():
             reps = np.arange(reps_per_point, dtype=np.uint64) \
                 + np.uint64((2 * i + (label == "-X")) * reps_per_point)
-            traj = run_sequence_trajectory(seq, params, noise, master_seed, reps)
-            model = DetectionModel(traj.layout, tbi, effective_phase(th, tbi), noise,
-                                   windows, thinned=False)
+            model = DetectionModel(sequence_layout(seq, noise), tbi, effective_phase(th, tbi),
+                                   noise, windows, thinned=False)
+            traj = run_sequence_trajectory(seq, params, noise, master_seed, reps,
+                                           detection=model)
             clicks = model.sample_run(traj, master_seed)
             # signal clicks of the heralded repetitions, per (slot, window, detector)
             cells = clicks.signal[clicks.readout_clicks].reshape(-1, 3, 2)

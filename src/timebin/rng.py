@@ -21,7 +21,7 @@ STREAMS = {
     "fringe.photon": (41, 1),                    # classical fringe scan detector
     "emitter.step": (100, 6_900),                # + sequence step: Kraus branch
     "emitter.blink": (7_001, 1),                 # per blink block: emitter off
-    "detection.pattern": (20_000, 1),            # click row of the pure state
+    "detection.slot": (20_000, 1_000),           # + photon slot: its alphabet branch
     "detection.readout": (21_000, 1),            # spin readout click
     "detection.readout_leak": (21_500, 1),       # background light in readout
     "detection.leak": (22_000, 2_000),           # + photonic window: background click
@@ -105,9 +105,5 @@ def choose(probs, u: np.ndarray) -> np.ndarray:
     probs need not be normalised; a draw at the top of the last bin is
     clamped to the last branch.
     """
-    return pick(cdf(probs), u)
-
-
-def pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """`choose` for a CDF already built by `cdf`."""
+    cum = cdf(probs)
     return np.minimum(np.searchsorted(cum, u, "right"), len(cum) - 1)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from itertools import product
+from statistics import NormalDist
 
 import numpy as np
 
@@ -460,6 +461,19 @@ def with_late_phase(seq, phase: float):
         else op for op in seq.steps))
 
 
+def group_by_id(ids: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Index arrays of equal-id repetitions, in ascending id order (ids are
+    non-negative state ids)."""
+    if ids.size == 0:
+        return []
+    # numpy's stable sort of 8- and 16-bit keys is a radix sort
+    order = np.argsort(ids.astype(np.min_scalar_type(ids.max())), kind="stable")
+    counts = np.bincount(ids)
+    uniq = np.flatnonzero(counts)
+    ends = np.cumsum(counts[uniq]).tolist()
+    return [(sid, order[end - counts[sid]:end]) for sid, end in zip(uniq.tolist(), ends)]
+
+
 def grouped_trajectory(seq, params, noise, master_seed: int, rep_indices):
     """(run_sequence_trajectory's result, the (kept, step) branch counts):
     each step groups the repetitions by state id (`group_by_id`), evolves
@@ -467,7 +481,6 @@ def grouped_trajectory(seq, params, noise, master_seed: int, rep_indices):
     the ids and codes group by group.  kept holds, per step, the number of
     branches each occupied state keeps, and step the number the step has."""
     from timebin import rng as crng
-    from timebin.detection import group_by_id
     from timebin.emitter import (BRANCH_CODES, TrajectoryResult, _StateTable,
                                  _check_overflow, _initial_vector, apply_branch,
                                  sequence_layout, step_branches)
@@ -510,3 +523,96 @@ def grouped_trajectory(seq, params, noise, master_seed: int, rep_indices):
             kept.append(len(probs))
         counts.append((kept, len(branches)))
     return TrajectoryResult(layout, seq, reps, table.states, ids, record, blink_off), counts
+
+
+def chi2_quantile(p: float, dof: int) -> float:
+    """The chi^2 value that dof degrees of freedom exceed with probability
+    p, by the Wilson-Hilferty cube-root normal approximation; at p = 1e-4
+    and 6 to 64 degrees of freedom it lies 0.1-2 % above the exact
+    quantile."""
+    z = NormalDist().inv_cdf(1.0 - p)
+    return dof * (1.0 - 2.0 / (9 * dof) + z * math.sqrt(2.0 / (9 * dof))) ** 3
+
+
+def reference_alphabet(model):
+    """(rows, mats, photon) of the model's slot alphabet from the reference
+    builders (`slot_alphabet`, `single_photon_outcomes`), a stand-in for
+    `DetectionModel._build_slot_alphabet` that shares none of its code."""
+    rows, mats, _ = slot_alphabet(model, model.tbi.theta0 + model.phase / 2)
+    photon = {}
+    for label, level in (("early", SLOT_EARLY), ("late", SLOT_LATE)):
+        outs = [(cells, w) for cells, w in single_photon_outcomes(level, model.tbi, model.eta)
+                if w > 0]
+        photon[label] = pattern_rows([c for c, _ in outs], 6), np.array([w for _, w in outs])
+    return rows, mats, photon
+
+
+def law_z_scores(sampled: dict, expected: dict, total: float) -> np.ndarray:
+    """z = (count - E) / sqrt(E) of every outcome of expected (key -> E)
+    with E >= 5; the other outcomes, and every sampled outcome missing from
+    expected, are pooled into one more outcome of total - sum(E)."""
+    big = {key: e for key, e in expected.items() if e >= 5}
+    counts = [sampled.get(key, 0) for key in big]
+    z = [(c - e) / math.sqrt(e) for c, e in zip(counts, big.values())]
+    rest = total - math.fsum(big.values())
+    if rest >= 5:
+        z.append((math.fsum(sampled.values()) - math.fsum(counts) - rest) / math.sqrt(rest))
+    return np.array(z)
+
+
+def witness_law(n_qubits: int, noise, n_reps: int, seed: int) -> np.ndarray:
+    """`law_z_scores` of a trajectory witness run's heralded outcome counts
+    against the exact witness's (`experiments._exact_counts`, read with
+    `reference_alphabet`), at paper emitter and TBI parameters.  The exact
+    counts are per repetition of a setting, which gets n_subs / (2n + 2) of
+    the n_reps repetitions."""
+    from unittest import mock
+
+    from timebin.config import paper_emitter, paper_tbi
+    from timebin.detection import DetectionModel
+    from timebin.experiments import _exact_counts, witness_trajectory
+
+    args = n_qubits, paper_emitter(), noise, paper_tbi()
+    with mock.patch.object(DetectionModel, "_build_slot_alphabet", reference_alphabet):
+        exact = _exact_counts(*args)
+    run = witness_trajectory(*args, n_reps, seed)
+    sampled, expected = {}, {}
+    for label, acc in exact.items():
+        reps = n_reps * len(acc.setting.subsettings) / (2 * n_qubits + 2)
+        sampled.update({(label, key): c for key, c in run.outcome.counts[label].counts.items()})
+        expected.update({(label, key): reps * p for key, p in acc.counts.items()})
+    return law_z_scores(sampled, expected, math.fsum(expected.values()))
+
+
+def hom_law(noise, n_reps: int, seed: int) -> np.ndarray:
+    """`law_z_scores` of a trajectory hom run's (click row, readout click)
+    outcomes against `DetectionModel.full_distribution` of each component
+    of `run_sequence_exact(build_hom_sequence())`, read with
+    `reference_alphabet`, at paper emitter and TBI parameters."""
+    from unittest import mock
+
+    from timebin.coincidence import WindowConfig
+    from timebin.config import paper_emitter, paper_tbi
+    from timebin.detection import DetectionModel
+    from timebin.emitter import build_hom_sequence, run_sequence_exact, run_sequence_trajectory
+
+    params, tbi, seq = paper_emitter(), paper_tbi(), build_hom_sequence()
+    windows = WindowConfig.for_sequence(1, t_inf=params.t_inf)
+    exact = run_sequence_exact(seq, params, noise)
+    expected: dict = {}
+    with mock.patch.object(DetectionModel, "_build_slot_alphabet", reference_alphabet):
+        model = DetectionModel(exact.layout, tbi, 0.0, noise, windows)
+    for comp in exact.components:
+        dist = model.full_distribution(comp.rho, comp.flag_clicks)
+        for row, readout, p in zip(dist.rows, dist.label, dist.probs):
+            key = row.tobytes() + bytes([int(readout)])
+            expected[key] = expected.get(key, 0.0) + comp.weight * p * n_reps
+    model = DetectionModel(exact.layout, tbi, 0.0, noise, windows)
+    traj = run_sequence_trajectory(seq, params, noise, seed,
+                                   np.arange(n_reps, dtype=np.uint64), detection=model)
+    clicks = model.sample_run(traj, seed)
+    keys = np.column_stack([clicks.signal + clicks.flagged + clicks.background,
+                            clicks.readout_clicks]).astype(np.uint8)
+    rows, counts = np.unique(keys, axis=0, return_counts=True)
+    sampled = {row.tobytes(): int(c) for row, c in zip(rows, counts)}
+    return law_z_scores(sampled, expected, n_reps)

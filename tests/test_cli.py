@@ -810,25 +810,26 @@ class TestArtifacts:
         assert "g2_zero" in report and "v_raw" in report
 
     def test_tag_artifacts_are_pinned(self, tmp_path):
-        # sha256 of the files the %-template writer and np.lexsort gave, and
-        # of the witness reports and counts the per-group trajectory loop gave,
-        # with the exact_reference_fidelity of one leak weight per exact term,
-        # each sub-run read through its tail's spin map
+        # sha256 of the files of photon slots detected as they are emitted,
+        # by the detection model's Kraus branches, and of wavepacket offsets
+        # drawn from the exponential truncated to their window, with the
+        # exact_reference_fidelity of one leak weight per exact term, each
+        # sub-run read through its tail's spin map
         want = {
             ("bell", "timetags.csv"):
-                "6a33f82a6f1ef6edca20b93ae495474a405cb54d73a8edbfcc5735aeff256ac8",
+                "ab5bbe8a3f712e185f4eed40683c481cde75e4b39c00749d82ed8aeb4fed930a",
             ("bell", "histogram.csv"):
-                "28e24d8a1f582bc5e1f929a426a0caf28b49677c2d5c6791b6f9af0e99af29a8",
+                "94a73d024d3d1338a4e5d4a97df7a15f1d67ec138410f2aeec74faa146abf376",
             ("bell", "report.json"):
-                "e99aaf9bad4815e6e04e5e288e59d8c3d83360faa851d8f7ce93dd74b593e34d",
+                "b9f22bca5243c38c9bd6f3dace41576418994d315ecb0083b1fe044d686761fb",
             ("bell", "counts.csv"):
-                "cbe5879923fc29953ab4ba74ffe3aa87754c7ccfec24841e7c1b4a99695c90a3",
+                "8d8af85a5fda1531c71399402d12e2e7becd443bb8fec4f2860f7307794b693d",
             ("hom", "timetags.csv"):
-                "52c3728958a7e7ba09f2bc9e5ad1a4c42f67c2fa9d35ad2173b4c38d225267a8",
+                "9f529b2fb62b788a095bb62f90cccb21d70c936c61947ffe962161996929da41",
             ("hom", "histogram.csv"):
-                "7325245b66ee5fc689ce1a77043331eedcc35aa43a4a214bf2dc0c966419685c",
+                "c05595f8a310fcdb7e75e0cba616460aa9c61aa233f2f4fd835c0109b740ae3b",
             ("ghz", "report.json"):
-                "b2b16f6a55ebd146ebcb05f69f54a872cdc851ed9bd1dfad49ca0ae4b98eef4c",
+                "b240ec6b403ff53e36c7ab01640d8cffc4f21c2f44dd2de73c20a33ff7e16920",
         }
         flags = {"bell": [], "hom": [], "ghz": ["--photons", "3", "--no-timetags"]}
         for experiment, extra in flags.items():
@@ -1166,30 +1167,41 @@ class TestRunBlocks:
 
     def test_distributions_evaluated_once(self, monkeypatch):
         # the engine tables and each setting's detection model are kept
-        # across blocks: no model contracts a state's slots twice, at a
-        # witness sub-run's tail-start states or at hom's final states
+        # across blocks: no (model, slot) detection table reads a state out
+        # twice, at a witness sub-run's slots or at hom's one slot
         from timebin.config import paper_emitter, paper_noise, paper_tbi
-        from timebin.detection import DetectionModel
+        from timebin.emitter import TrajectoryTables, _StepTable
 
-        calls = []
-        spin_blocks = DetectionModel.spin_blocks
-        # the calls hold their model and state, so no id is reused in a run
-        monkeypatch.setattr(DetectionModel, "spin_blocks",
-                            lambda self, state: calls.append((self, state))
-                            or spin_blocks(self, state))
+        keys, reads = {}, []
+        step, fill = TrajectoryTables.step, _StepTable.fill
+
+        def keyed(self, key, branches):
+            table = step(self, key, branches)
+            keys[table] = key
+            return table
+
+        def recording(self, table, occupied, slot):
+            known = self.known.copy()
+            fill(self, table, occupied, slot)
+            if isinstance(keys[self], tuple):
+                new = self.known.copy()
+                new[:known.size] &= ~known
+                reads.extend((keys[self], sid) for sid in np.flatnonzero(new).tolist())
+
+        monkeypatch.setattr(TrajectoryTables, "step", keyed)
+        monkeypatch.setattr(_StepTable, "fill", recording)
 
         def count(block):
             monkeypatch.setattr(exp, "BLOCK_REPS", block)
-            calls.clear()
+            reads.clear()
             run = exp.witness_trajectory(2, paper_emitter(), paper_noise(), paper_tbi(),
                                          1200, 4)
-            witness = len(calls)
+            witness = len(reads)
             hom = exp.simulate_hom(paper_emitter(), paper_noise(), paper_tbi(), 1200, 4)
-            keys = {(id(model), id(state)) for model, state in calls}
-            assert len(keys) == len(calls)
+            assert len(set(reads)) == len(reads)
             # a witness run's three settings: one model each
-            assert len({id(model) for model, _ in calls[:witness]}) == 3
-            return witness, len(calls) - witness, run.outcome.fidelity, hom.g2
+            assert len({key[0] for key, _ in reads[:witness]}) == 3
+            return witness, len(reads) - witness, run.outcome.fidelity, hom.g2
 
         whole = count(1200)
         assert count(1) == count(100) == whole and whole[0] > 10 and whole[1] > 0

@@ -422,8 +422,9 @@ class TestTrajectoryEngine:
         noise = dataclasses.replace(paper_noise(), p_wrong_transition=0.2, p_double=0.2)
         run = _witness_subruns(3, params)[0]
         reps = np.arange(3000, dtype=np.uint64)
-        traj = run_sequence_trajectory(run.sequence, params, noise, 5, reps)
-        model = DetectionModel(traj.layout, paper_tbi(), run.phase, noise, run.windows)
+        model = DetectionModel(sequence_layout(run.sequence, noise), paper_tbi(), run.phase,
+                               noise, run.windows)
+        traj = run_sequence_trajectory(run.sequence, params, noise, 5, reps, detection=model)
         clicks = model.sample_run(traj, 5)
         excites = [(i, op) for i, op in enumerate(run.sequence.steps) if op.kind == "excite"]
         want = np.zeros_like(clicks.flagged)
@@ -463,8 +464,10 @@ class TestTrajectoryEngine:
             reps = np.arange(n_reps, dtype=np.uint64)
 
             def per_repetition(rep_slice):
-                traj = run_sequence_trajectory(seq, params, noise, 17, rep_slice)
-                model = DetectionModel(traj.layout, paper_tbi(), 0.0, noise, windows)
+                model = DetectionModel(sequence_layout(seq, noise), paper_tbi(), 0.0, noise,
+                                       windows)
+                traj = run_sequence_trajectory(seq, params, noise, 17, rep_slice,
+                                               detection=model)
                 c = model.sample_run(traj, 17)
                 tags = c.to_tags(params.gamma0)
                 bounds = np.searchsorted(tags.repetition, rep_slice.astype(np.int64),
@@ -496,10 +499,10 @@ class TestTrajectoryEngine:
         ranges = []
         run = experiments.run_sequence_trajectory
 
-        def recording(seq, params, noise, seed, reps, *args):
+        def recording(seq, params, noise, seed, reps, **kwargs):
             assert np.all(np.diff(reps) == 1)
             ranges.append((int(reps[0]), int(reps[-1]), reps.size))
-            return run(seq, params, noise, seed, reps[:50], *args)
+            return run(seq, params, noise, seed, reps[:50], **kwargs)
 
         monkeypatch.setattr(experiments, "run_sequence_trajectory", recording)
         experiments.spin_conditioned_fringe_scan(
@@ -661,12 +664,18 @@ def assert_witness_matches_direct_runs(n_qubits, n_reps, blink, n_blocks):
         assert all(p.trajectory.state_table is shared.state_table for p in parts)
         # repetitions go to the sub-runs round-robin
         reps = np.arange(k, n_reps, len(run.subruns), dtype=np.uint64)
-        direct = run_sequence_trajectory(sub.sequence, params, noise, 17, reps)
+        model = DetectionModel(sequence_layout(sub.sequence, noise), paper_tbi(), sub.phase,
+                               noise, sub.windows)
+        direct = run_sequence_trajectory(sub.sequence, params, noise, 17, reps,
+                                         detection=model)
         assert direct.blink_off.any() == blink
-        assert_same_repetitions(dataclasses.replace(shared, **{
+        joined = dataclasses.replace(shared, **{
             name: np.concatenate([getattr(p.trajectory, name) for p in parts])
-            for name in ("rep_indices", "state_ids", "branches", "blink_off")}), direct)
-        model = DetectionModel(direct.layout, paper_tbi(), sub.phase, noise, sub.windows)
+            for name in ("rep_indices", "state_ids", "branches", "blink_off", "entries",
+                         "spins")})
+        assert_same_repetitions(joined, direct)
+        for name in ("entries", "spins"):
+            assert np.array_equal(getattr(joined, name), getattr(direct, name)), name
         want = model.sample_run(direct, 17)
         for name in ("signal", "flagged", "background", "spins",
                      "readout_signal", "readout_leak"):

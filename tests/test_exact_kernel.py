@@ -19,7 +19,8 @@ from timebin import detection
 from timebin.coincidence import MIDDLE, WindowConfig, click_cell
 from timebin.config import paper_emitter, paper_noise, paper_tbi
 from timebin.detection import DetectionModel
-from timebin.emitter import run_sequence_exact, run_sequence_trajectory
+from timebin.emitter import (TrajectoryTables, apply_branch, run_sequence_exact,
+                             run_sequence_trajectory)
 from timebin.errors import UndefinedEstimateError
 from timebin.experiments import (WitnessOutcome, _exact_counts, _generation_sequence,
                                  _witness_subruns, simulate_hom, witness_exact,
@@ -177,52 +178,91 @@ class TestTrajectoryStates:
             assert entries(model.distribution(state)) == ref.distribution(model, state)
 
 
+BLINKING = {"blink_block_len": 50, "blink_on_fraction": 0.7}
+
+
 class TestTailDistribution:
-    """A sub-run's wait and readout rotation act on the spin alone, so
-    sample_run reads its photons where that tail starts
-    (`DetectionModel.tail_distribution`); the distribution it draws from
-    for each final state must be the state's own `distribution`."""
+    """Each photon slot is read right after its last excite step, by the
+    detection model's Kraus branches (`DetectionModel.slot_branches`,
+    `run_sequence_trajectory`'s detection), before a witness sub-run's
+    spin-only tail or hom's readout: every state a run detects must draw
+    its alphabet entry a with the Born probability <psi| I (x) M_a |psi>
+    of the entry's element.  The sampled laws of whole runs are
+    `TestSampledLaw`'s."""
 
     @staticmethod
-    def sampled(monkeypatch, run):
-        """The detection models run() samples with, and the (model, final
-        state, distribution) of every state they drew from."""
-        models = {}
-        sample_run = DetectionModel.sample_run
-        monkeypatch.setattr(DetectionModel, "sample_run", lambda self, *a: (
-            models.setdefault(id(self), self), sample_run(self, *a))[1])
+    def detected(monkeypatch, run):
+        """(key (model, slot), table, the run's states) of every detection
+        table of run()."""
+        tables = []
+        init = TrajectoryTables.__init__
+        monkeypatch.setattr(TrajectoryTables, "__init__",
+                            lambda self: (tables.append(self), init(self))[1])
         run()
-        return list(models.values()), [(m, state, dist) for m in models.values()
-                                       for state, dist, _ in m._distributions.values()]
+        return [(key, step, t.states.states) for t in tables
+                for key, step in t.steps.items() if isinstance(key, tuple)]
+
+    @staticmethod
+    def assert_born(key, step, states):
+        model, slot = key
+        mats = [np.kron(np.eye(2), m) for m in model.alphabet_mats]
+        known = np.flatnonzero(step.known)
+        assert known.size
+        for sid in known.tolist():
+            psi = states[sid]
+            kept = int(np.count_nonzero(step.cum[sid] <= 1.0))
+            probs = np.diff(step.cum[sid, :kept], prepend=0.0)
+            got = np.bincount(step.next_codes[sid, :kept], probs, minlength=len(mats))
+            want = [np.vdot(psi, apply_branch(m, psi, slot)).real for m in mats]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("blink", [False, True], ids=["steady", "blinking"])
     @pytest.mark.parametrize("n_qubits, n_reps", [(2, 20_000), (3, 6000), (4, 1000)])
     def test_witness_states(self, monkeypatch, n_qubits, n_reps, blink):
-        noise = dataclasses.replace(paper_noise(), **(
-            {"blink_block_len": 50, "blink_on_fraction": 0.7} if blink else {}))
-        models, sampled = self.sampled(monkeypatch, lambda: witness_trajectory(
+        noise = dataclasses.replace(paper_noise(), **(BLINKING if blink else {}))
+        tables = self.detected(monkeypatch, lambda: witness_trajectory(
             n_qubits, paper_emitter(), noise, paper_tbi(), n_reps, 3))
-        # one model per setting, which contracts fewer tail-start states
-        # than it reads final states
-        assert len(models) == n_qubits + 1
-        assert sum(len(m._blocks) for m in models) < len(sampled)
-        assert len(sampled) > 40
-        for model, state, got in sampled:
-            want = model.distribution(state)
-            assert np.array_equal(got.rows, want.rows)
-            assert np.array_equal(got.label, want.label)
-            np.testing.assert_allclose(got.probs, want.probs, rtol=1e-12, atol=0)
+        # one model per setting, one table per model and slot
+        assert len({id(model) for (model, _), _, _ in tables}) == n_qubits + 1
+        assert len(tables) == (n_qubits + 1) * (n_qubits - 1)
+        for table in tables:
+            self.assert_born(*table)
 
     def test_hom_has_no_tail(self, monkeypatch):
-        # hom's last excite step precedes its readout: each final state's
-        # distribution is its own, bit for bit
-        (model,), sampled = self.sampled(monkeypatch, lambda: simulate_hom(
+        # hom's one slot is detected after its late excite step, and the
+        # spin is left to the readout step
+        ((key, step, states),) = self.detected(monkeypatch, lambda: simulate_hom(
             paper_emitter(), paper_noise(), paper_tbi(), 20_000, 3))
-        assert not model._blocks and sampled
-        for _, state, got in sampled:
-            want = model.distribution(state)
-            for name in ("rows", "label", "probs"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert key[1] == 0 and key[0].phase == 0.0
+        self.assert_born(key, step, states)
+
+
+class TestSampledLaw:
+    """The sampled law of whole trajectory runs against the exact reference,
+    whose slot alphabet is built by `kernel_reference.reference_alphabet`:
+    every outcome's z = (count - expected) / sqrt(expected) within 4.5 and
+    their sum of squares below the chi^2 quantile of 1e-4
+    (`kernel_reference.law_z_scores`).  CI runs the witness cases at Bell
+    2M and GHZ-3 1.2M repetitions."""
+
+    @staticmethod
+    def assert_law(z):
+        assert np.max(np.abs(z)) <= 4.5
+        assert np.sum(z ** 2) < ref.chi2_quantile(1e-4, len(z))
+
+    @pytest.mark.parametrize("blink", [False, True], ids=["steady", "blinking"])
+    @pytest.mark.parametrize("n_qubits, n_reps", [(2, 600_000), (3, 360_000)])
+    def test_witness_outcomes(self, n_qubits, n_reps, blink):
+        noise = dataclasses.replace(paper_noise(), **(BLINKING if blink else {}))
+        z = ref.witness_law(n_qubits, noise, n_reps, 1)
+        # every outcome of every sub-setting: 12 for Bell, 32 for GHZ-3
+        assert len(z) == (n_qubits + 1) * 2 ** n_qubits
+        self.assert_law(z)
+
+    def test_hom_rows(self):
+        z = ref.hom_law(paper_noise(), 400_000, 1)
+        assert len(z) > 50
+        self.assert_law(z)
 
 
 class TestAddHeralded:

@@ -8,7 +8,7 @@ from timebin.config import paper_emitter, paper_noise, paper_tbi
 from timebin.detection import DetectionModel
 from timebin.emitter import (NoiseParams, PulseOp, build_bell_sequence,
                              ideal_emitter, ideal_noise, run_sequence_exact,
-                             run_sequence_trajectory)
+                             run_sequence_trajectory, sequence_layout)
 from timebin.errors import ContractError, LayoutError
 from timebin.experiments import witness_trajectory
 from timebin.hilbert import (SIGMA_Z, SLOT_EARLY, SLOT_LATE, SPIN_DOWN,
@@ -158,9 +158,10 @@ class TestSampleProjective:
 
     def test_deterministic_eigenstate(self):
         seq = short_sequence(PulseOp("pump"), rotate(math.pi))
+        model = spin_model(ideal_noise(), sequence_layout(seq, ideal_noise()))
         traj = run_sequence_trajectory(seq, ideal_emitter(), ideal_noise(), 1,
-                                       np.arange(2000, dtype=np.uint64))
-        clicks = spin_model(ideal_noise(), traj.layout).sample_run(traj, 1)
+                                       np.arange(2000, dtype=np.uint64), detection=model)
+        clicks = model.sample_run(traj, 1)
         assert np.all(clicks.spins == SPIN_UP)
         assert np.all(clicks.readout_clicks)
 
@@ -191,9 +192,10 @@ class TestSampleProjective:
     def test_seed_reproducibility(self):
         params, noise = paper_emitter(), paper_noise()
         seq = build_bell_sequence().with_readout_rotation("y", math.pi / 2)
+        model = DetectionModel(sequence_layout(seq, noise), paper_tbi(), 0.0, noise,
+                               WindowConfig())
         traj = run_sequence_trajectory(seq, params, noise, 42,
-                                       np.arange(5000, dtype=np.uint64))
-        model = DetectionModel(traj.layout, paper_tbi(), 0.0, noise, WindowConfig())
+                                       np.arange(5000, dtype=np.uint64), detection=model)
         a, b = model.sample_run(traj, 42), model.sample_run(traj, 42)
         assert np.array_equal(a.pattern_catalog, b.pattern_catalog)
         for name in ("spins", "readout_signal", "readout_leak", "signal",
@@ -233,9 +235,11 @@ class TestTrajectoryExactEquivalence:
         assert np.allclose(exact_spin_rho(noise, *steps), expected, atol=1e-12)
 
         n = 1_000_000
+        model = spin_model(noise)
         traj = run_sequence_trajectory(short_sequence(*steps), ideal_emitter(), noise,
-                                       13, np.arange(n, dtype=np.uint64), SPIN_ONLY)
-        clicks = spin_model(noise).sample_run(traj, 13)
+                                       13, np.arange(n, dtype=np.uint64), SPIN_ONLY,
+                                       detection=model)
+        clicks = model.sample_run(traj, 13)
         emp = np.bincount(clicks.spins, minlength=2) / n
         tvd = 0.5 * np.sum(np.abs(emp - np.array([1 - p_up, p_up])))
         assert tvd < 5e-3

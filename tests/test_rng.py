@@ -15,8 +15,11 @@ def ghz_stream_keys(n_qubits: int) -> list[tuple[str, int]]:
                  _witness_subruns(n_qubits, paper_emitter())), key=len)
     n_excite = sum(op.kind == "excite" for op in steps)
     n_windows = 3 * (n_qubits - 1)
-    keys = [("emitter.step", i) for i in range(len(steps) - 1)]
-    keys += [(name, 0) for name in ("emitter.blink", "detection.pattern",
+    # every step's branch, the readout's spin projection included
+    keys = [("emitter.step", i) for i in range(len(steps))]
+    # each photon slot's detection
+    keys += [("detection.slot", k) for k in range(n_qubits - 1)]
+    keys += [(name, 0) for name in ("emitter.blink",
                                     "detection.readout", "detection.readout_leak",
                                     "detection.readout_tag",
                                     "detection.readout_tag_detector")]
@@ -66,7 +69,7 @@ def test_keys_cover_a_run(monkeypatch):
 
 def test_offset_outside_namespace():
     assert crng.stream("detection.leak", 3) == 22_003
-    for name, offset in (("detection.leak", 2_000), ("detection.pattern", 1),
+    for name, offset in (("detection.leak", 2_000), ("detection.slot", 1_000),
                          ("emitter.step", -1)):
         with pytest.raises(ContractError):
             crng.stream(name, offset)
@@ -75,7 +78,7 @@ def test_offset_outside_namespace():
 def test_ids_unchanged():
     # the table keeps the hand-allocated ids, so sampled runs do not move
     assert [crng.stream("emitter.step", 3), crng.stream("emitter.blink"),
-            crng.stream("fringe.photon"), crng.stream("detection.pattern"),
+            crng.stream("fringe.photon"), crng.stream("detection.slot"),
             crng.stream("detection.readout"), crng.stream("detection.readout_leak"),
             crng.stream("detection.leak_detector", 2), crng.stream("detection.tag", 17),
             crng.stream("detection.flagged", 1), crng.stream("detection.background_tag", 4),
